@@ -1,63 +1,49 @@
 """Hot training kernels: batched triple scores and margin-loss gradients.
 
-Two interchangeable backends operate on stacked parameter arrays
-(uniform stalk dimensions):
+One numpy backend (einsum + ``np.add.at`` scatter), sequential and
+run-to-run deterministic. The kernels work on stacked parameter arrays in
+which every stalk is zero-padded to the largest dimension of the schema:
 
-* a numba ``@njit`` path, compiled lazily on first use;
-* a pure-numpy path (einsum + ``np.add.at`` scatter).
-
-Selection: set ``SHEAF_KG_NUMBA=0`` to force the numpy path; any other
-value (or unset) uses numba when importable. Both paths are sequential and
-run-to-run deterministic; across backends results agree to rounding.
-
-Array layout:
-    X  (n_entities, d, m)   entity sections
-    RH (n_relations, de, d) head restriction maps
+    X  (n_entities, d, m)   entity sections, d = max vertex dim
+    RH (n_relations, de, d) head restriction maps, de = max edge dim
     RT (n_relations, de, d) tail restriction maps
     T  (n_relations, de, m) translations, or None
+
+Entity ``i`` of vertex dim ``d_i`` occupies ``X[i, :d_i]``; relation ``r``
+occupies ``RH[r, :de_r, :d_head]``, ``RT[r, :de_r, :d_tail]`` and
+``T[r, :de_r]``. Padding changes no score and gets no gradient. A padded
+row of RH, RT and T gives a zero row of the score residual, and a padded
+column of RH or RT only ever multiplies a padded (zero) row of X, so the
+residual's true block is the unpadded residual. Every gradient entry in a
+padded position is a sum of products with a zero factor, which is exactly
+zero; zero rows of X leave the section Gram matrices, and so the
+orthogonality penalty, unchanged. Zero gradients leave SGD and Adagrad
+parameters unchanged, so padded entries stay exactly zero through
+training. On a schema with uniform dimensions there is no padding.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
-
-_env = os.environ.get("SHEAF_KG_NUMBA", "").strip().lower()
-_want_numba = _env not in ("0", "false", "no", "off")
-
-_HAVE_NUMBA = False
-if _want_numba:
-    try:
-        from numba import njit
-
-        _HAVE_NUMBA = True
-    except ImportError:  # pragma: no cover
-        _HAVE_NUMBA = False
 
 
 def active_backend() -> str:
-    return "numba" if _HAVE_NUMBA else "numpy"
+    return "numpy"
 
 
-# ---------------------------------------------------------------------------
-# numpy backend
-# ---------------------------------------------------------------------------
-
-def _scores_numpy(X, RH, RT, T, h, r, t):
+def _scores(X, RH, RT, T, h, r, t):
     diff = np.einsum("bij,bjm->bim", RH[r], X[h]) - np.einsum("bij,bjm->bim", RT[r], X[t])
     if T is not None:
         diff = diff + T[r]
     return np.einsum("bim,bim->b", diff, diff), diff
 
 
-def batch_scores_numpy(X, RH, RT, T, h, r, t):
-    return _scores_numpy(X, RH, RT, T, h, r, t)[0]
+def batch_scores(X, RH, RT, T, h, r, t):
+    """Scores for a batch of triples given by index arrays."""
+    return _scores(X, RH, RT, T, h, r, t)[0]
 
 
-def margin_grads_numpy(
-    X, RH, RT, T, pos, neg, gamma, gX, gRH, gRT, gT, map_trainable
-):
+def margin_grads(X, RH, RT, T, pos, neg, gamma, gX, gRH, gRT, gT, map_trainable):
     """Accumulate margin-loss gradients for paired positive/negative triples.
 
     ``pos`` and ``neg`` are (B, 3) index arrays. Returns (loss_sum, n_active).
@@ -65,8 +51,8 @@ def margin_grads_numpy(
     """
     hp, rp, tp = pos[:, 0], pos[:, 1], pos[:, 2]
     hn, rn, tn = neg[:, 0], neg[:, 1], neg[:, 2]
-    s_pos, d_pos = _scores_numpy(X, RH, RT, T, hp, rp, tp)
-    s_neg, d_neg = _scores_numpy(X, RH, RT, T, hn, rn, tn)
+    s_pos, d_pos = _scores(X, RH, RT, T, hp, rp, tp)
+    s_neg, d_neg = _scores(X, RH, RT, T, hn, rn, tn)
     if not (np.all(np.isfinite(s_pos)) and np.all(np.isfinite(s_neg))):
         return float("nan"), 0
     margins = s_pos + gamma - s_neg
@@ -98,105 +84,3 @@ def orthogonality_grad_numpy(X, gX, alpha):
     if alpha != 0.0:
         gX += (4.0 * alpha) * np.einsum("ndm,nmk->ndk", X, gram)
     return penalty
-
-
-# ---------------------------------------------------------------------------
-# numba backend
-# ---------------------------------------------------------------------------
-
-if _HAVE_NUMBA:
-
-    @njit(cache=True)
-    def _score_one(X, RH, RT, T, h, r, t, diff):
-        de, d = RH.shape[1], RH.shape[2]
-        m = X.shape[2]
-        s = 0.0
-        for i in range(de):
-            for j in range(m):
-                acc = 0.0
-                for k in range(d):
-                    acc += RH[r, i, k] * X[h, k, j] - RT[r, i, k] * X[t, k, j]
-                if T is not None:
-                    acc += T[r, i, j]
-                diff[i, j] = acc
-                s += acc * acc
-        return s
-
-    @njit(cache=True)
-    def _scores_numba(X, RH, RT, T, h, r, t):
-        B = h.shape[0]
-        out = np.empty(B)
-        diff = np.empty((RH.shape[1], X.shape[2]))
-        for b in range(B):
-            out[b] = _score_one(X, RH, RT, T, h[b], r[b], t[b], diff)
-        return out
-
-    @njit(cache=True)
-    def _accumulate_one(X, RH, RT, diff, h, r, t, sign, gX, gRH, gRT, gT, trainable):
-        de, d = RH.shape[1], RH.shape[2]
-        m = diff.shape[1]
-        for i in range(de):
-            for j in range(m):
-                g = 2.0 * sign * diff[i, j]
-                for k in range(d):
-                    gX[h, k, j] += g * RH[r, i, k]
-                    gX[t, k, j] -= g * RT[r, i, k]
-                if trainable:
-                    for k in range(d):
-                        gRH[r, i, k] += g * X[h, k, j]
-                        gRT[r, i, k] -= g * X[t, k, j]
-                if gT is not None:
-                    gT[r, i, j] += g
-        return None
-
-    @njit(cache=True)
-    def _margin_grads_numba(
-        X, RH, RT, T, pos, neg, gamma, gX, gRH, gRT, gT, map_trainable
-    ):
-        B = pos.shape[0]
-        loss = 0.0
-        n_active = 0
-        d_pos = np.empty((RH.shape[1], X.shape[2]))
-        d_neg = np.empty((RH.shape[1], X.shape[2]))
-        for b in range(B):
-            hp, rp, tp = pos[b, 0], pos[b, 1], pos[b, 2]
-            hn, rn, tn = neg[b, 0], neg[b, 1], neg[b, 2]
-            s_pos = _score_one(X, RH, RT, T, hp, rp, tp, d_pos)
-            s_neg = _score_one(X, RH, RT, T, hn, rn, tn, d_neg)
-            if not (np.isfinite(s_pos) and np.isfinite(s_neg)):
-                return np.nan, n_active
-            margin = s_pos + gamma - s_neg
-            if margin > 0.0:
-                loss += margin
-                n_active += 1
-                _accumulate_one(
-                    X, RH, RT, d_pos, hp, rp, tp, 1.0, gX, gRH, gRT, gT,
-                    map_trainable[rp] != 0.0,
-                )
-                _accumulate_one(
-                    X, RH, RT, d_neg, hn, rn, tn, -1.0, gX, gRH, gRT, gT,
-                    map_trainable[rn] != 0.0,
-                )
-        return loss, n_active
-
-
-# ---------------------------------------------------------------------------
-# public dispatch
-# ---------------------------------------------------------------------------
-
-def batch_scores(X, RH, RT, T, h, r, t):
-    """Scores for a batch of triples given by index arrays."""
-    if _HAVE_NUMBA:
-        return _scores_numba(X, RH, RT, T, h, r, t)
-    return batch_scores_numpy(X, RH, RT, T, h, r, t)
-
-
-def margin_grads(X, RH, RT, T, pos, neg, gamma, gX, gRH, gRT, gT, map_trainable):
-    """Margin-loss value and in-place gradient accumulation for triple pairs."""
-    if _HAVE_NUMBA:
-        return _margin_grads_numba(
-            X, RH, RT, T, pos, neg, gamma, gX, gRH, gRT, gT, map_trainable
-        )
-    return margin_grads_numpy(
-        X, RH, RT, T, pos, neg, gamma, gX, gRH, gRT, gT, map_trainable
-    )

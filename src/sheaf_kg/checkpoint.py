@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import CheckpointError
 from .kgdata import Schema
-from .model import KnowledgeSheaf, Model, ModelConfig, SectionMatrix
+from .model import CONSTRAINTS, VARIANTS, KnowledgeSheaf, Model, ModelConfig, SectionMatrix
 
 MAGIC = b"SHKGTNSR"
 FORMAT = "sheaf-kg-checkpoint-v1"
@@ -90,11 +90,15 @@ def _manifest_lines(model: Model) -> list[str]:
 class _ManifestReader:
     def __init__(self, path):
         self.path = path
-        with open(path, encoding="utf-8") as fh:
-            self.lines = [line.rstrip("\n") for line in fh if line.rstrip("\n")]
+        try:
+            with open(path, encoding="utf-8") as fh:
+                self.lines = [line.rstrip("\n") for line in fh if line.rstrip("\n")]
+        except UnicodeDecodeError as exc:
+            raise CheckpointError(f"{path}: manifest is not UTF-8 ({exc.reason})") from None
         self.pos = 0
 
-    def take(self, key: str) -> str:
+    def take(self, key: str, parse=str):
+        """Consume the next line, which must be ``key=value``, and return ``parse(value)``."""
         if self.pos >= len(self.lines):
             raise CheckpointError(f"{self.path}: manifest ended while expecting {key!r}")
         line = self.lines[self.pos]
@@ -102,11 +106,23 @@ class _ManifestReader:
         if not sep or k != key:
             raise CheckpointError(f"{self.path}: expected {key!r}, found {line!r}")
         self.pos += 1
-        return value
+        try:
+            return parse(value)
+        except (ValueError, KeyError):
+            raise CheckpointError(f"{self.path}: invalid {key}={value!r}") from None
 
     def done(self) -> None:
         if self.pos != len(self.lines):
             raise CheckpointError(f"{self.path}: trailing manifest content at line {self.pos + 1}")
+
+
+def _one_of(choices):
+    def parse(value: str) -> str:
+        if value not in choices:
+            raise ValueError(value)
+        return value
+
+    return parse
 
 
 def save_model(model: Model, prefix) -> None:
@@ -138,33 +154,33 @@ def load_model(prefix) -> Model:
     fmt = reader.take("format")
     if fmt != FORMAT:
         raise CheckpointError(f"{mpath}: unsupported format {fmt!r}")
-    variant = reader.take("variant")
-    sections = int(reader.take("sections"))
-    alpha = float(reader.take("alpha"))
-    margin = float(reader.take("margin"))
-    seed = int(reader.take("seed"))
+    variant = reader.take("variant", _one_of(VARIANTS))
+    sections = reader.take("sections", int)
+    alpha = reader.take("alpha", float)
+    margin = reader.take("margin", float)
+    seed = reader.take("seed", int)
 
-    n_types = int(reader.take("n_entity_types"))
+    n_types = reader.take("n_entity_types", int)
     type_names, vertex_dims = [], []
     for _ in range(n_types):
         type_names.append(reader.take("entity_type"))
-        vertex_dims.append(int(reader.take("vertex_dim")))
-    type_idx = {name: i for i, name in enumerate(type_names)}
+        vertex_dims.append(reader.take("vertex_dim", int))
+    type_idx = {name: i for i, name in enumerate(type_names)}.__getitem__
 
-    n_relations = int(reader.take("n_relations"))
+    n_relations = reader.take("n_relations", int)
     rel_names, head_types, tail_types, edge_dims, constraints = [], [], [], [], []
     for _ in range(n_relations):
         rel_names.append(reader.take("relation"))
-        head_types.append(type_idx[reader.take("head_type")])
-        tail_types.append(type_idx[reader.take("tail_type")])
-        edge_dims.append(int(reader.take("edge_dim")))
-        constraints.append(reader.take("constraint"))
+        head_types.append(reader.take("head_type", type_idx))
+        tail_types.append(reader.take("tail_type", type_idx))
+        edge_dims.append(reader.take("edge_dim", int))
+        constraints.append(reader.take("constraint", _one_of(CONSTRAINTS)))
 
-    n_entities = int(reader.take("n_entities"))
+    n_entities = reader.take("n_entities", int)
     entity_names, entity_types = [], []
     for _ in range(n_entities):
         entity_names.append(reader.take("entity"))
-        entity_types.append(type_idx[reader.take("entity_type_of")])
+        entity_types.append(reader.take("entity_type_of", type_idx))
     reader.done()
 
     schema = Schema(

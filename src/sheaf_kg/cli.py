@@ -10,6 +10,7 @@ from __future__ import annotations
 import difflib
 import logging
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import click
@@ -18,7 +19,7 @@ import numpy as np
 from . import checkpoint as ckpt
 from . import evaluation, kgdata, synth
 from .config import build_settings, read_config_file
-from .errors import ConfigError, SheafKGError
+from .errors import ConfigError, SchemaError, SheafKGError, TripleParseError
 from .model import init_for_kg
 from .query import Query, answer_query, read_queries, write_queries
 from .seeds import substream
@@ -95,19 +96,25 @@ def _infer_relation_typing(schema, labels, *paths):
         if path is None:
             continue
         with open(path, encoding="utf-8") as fh:
-            for raw in fh:
+            for lineno, raw in enumerate(fh, start=1):
                 line = raw.rstrip("\n")
                 if not line:
                     continue
-                h, rel, t = line.split("\t")
+                parts = line.split("\t")
+                if len(parts) != 3:
+                    raise TripleParseError(
+                        path, lineno, f"expected 3 tab-separated fields, got {len(parts)}"
+                    )
+                h, rel, t = parts
+                for name in (h, t):
+                    if name not in labels:
+                        raise SchemaError(f"{path}:{lineno}: entity {name!r} has no type-file entry")
                 r = schema.relation_types.index(rel)
                 if r in seen:
                     continue
                 seen.add(r)
                 head_type[r] = schema.entity_types.index(labels[h])
                 tail_type[r] = schema.entity_types.index(labels[t])
-    from dataclasses import replace
-
     return replace(schema, head_type=tuple(head_type), tail_type=tuple(tail_type))
 
 
@@ -151,13 +158,10 @@ def _with_flags(flags):
 @click.option("--type-file", "type_path", type=click.Path(), default=None)
 @click.option("--seeds", default="0", help="comma-separated seed list; one checkpoint each")
 @click.option("--out", "out_dir", type=click.Path(), required=True)
-@click.option("--threads", type=int, default=1)
-def cmd_train(config_path, train_path, valid_path, test_path, type_path, seeds, out_dir, threads, **flags):
+def cmd_train(config_path, train_path, valid_path, test_path, type_path, seeds, out_dir, **flags):
     """Train one model per seed and write checkpoints plus a report."""
     settings = _load_settings(config_path, **flags)
     seed_list = _parse_seeds(seeds)
-    if threads < 1:
-        raise click.UsageError("--threads must be >= 1")
     logger.info("resolved config: %s seeds=%s", settings.describe(), seed_list)
     try:
         kg = _load_kg(settings, train_path, valid_path, test_path, type_path)

@@ -51,13 +51,12 @@ class BudgetExceededError(SheafKGError):
 
 
 class TrainingAbortError(SheafKGError):
-    """Training stopped because the loss became non-finite."""
+    """Training stopped because it diverged: a non-finite loss or parameter norm."""
 
-    def __init__(self, epoch, batch, relation, message=""):
-        detail = f"non-finite loss at epoch {epoch}, batch {batch}, relation {relation!r}"
-        if message:
-            detail = f"{detail}: {message}"
-        super().__init__(detail)
+    def __init__(self, epoch, batch, relation, message="non-finite loss"):
+        super().__init__(
+            f"training diverged at epoch {epoch}, batch {batch}, relation {relation!r}: {message}"
+        )
         self.epoch = epoch
         self.batch = batch
         self.relation = relation

@@ -24,7 +24,6 @@ from .model import (
     Model,
     SectionMatrix,
     KnowledgeSheaf,
-    orthogonality_penalty,
     project_constraints_inplace,
     relation_discrepancy,
     triple_score,
@@ -171,46 +170,56 @@ def _adagrad_update(param, grad, acc, lr):
     param -= lr * grad / (np.sqrt(acc) + ADAGRAD_EPS)
 
 
-def _uniform_dims(model: Model) -> bool:
-    schema = model.schema
-    d = schema.vertex_dim[0]
-    de = schema.edge_dim[0] if schema.n_relations else d
-    return all(v == d for v in schema.vertex_dim) and all(e == de for e in schema.edge_dim)
+def _pad(blocks, shape):
+    """Stack ``blocks`` zero-padded into ``shape``; also return views of the true blocks."""
+    stacked = np.zeros(shape)
+    views = []
+    for i, blk in enumerate(blocks):
+        view = stacked[(i, *(slice(n) for n in blk.shape))]
+        view[...] = blk
+        views.append(view)
+    return stacked, views
 
 
 class _StackedParams:
-    """Training state over stacked parameter arrays (uniform dims only)."""
+    """Training state over stacked parameter arrays, zero-padded to the largest dims.
+
+    ``view`` is a KnowledgeSheaf over each relation's true block of the padded
+    maps, so constraint projection sees exactly the unpadded maps.
+    """
 
     def __init__(self, model: Model, config: TrainConfig):
-        sheaf, sections = model.sheaf, model.sections
-        self.X = np.stack(sections.blocks).astype(float)
-        self.RH = np.stack(sheaf.head_maps).astype(float)
-        self.RT = np.stack(sheaf.tail_maps).astype(float)
-        self.T = None
+        sheaf, schema = model.sheaf, model.schema
+        n, R, m = model.n_entities, schema.n_relations, model.sections.columns
+        d = max(schema.vertex_dim)
+        de = max(schema.edge_dim, default=d)
+        self.X, self.x_views = _pad(model.sections.blocks, (n, d, m))
+        self.RH, head_views = _pad(sheaf.head_maps, (R, de, d))
+        self.RT, tail_views = _pad(sheaf.tail_maps, (R, de, d))
+        self.T, t_views = None, None
         if sheaf.translations is not None:
-            self.T = np.stack(sheaf.translations).astype(float)
+            self.T, t_views = _pad(sheaf.translations, (R, de, m))
+        self.view = KnowledgeSheaf(schema, head_views, tail_views, sheaf.constraints, t_views)
+        self.relation_names = schema.relation_types
         self.map_trainable = np.array(
             [0.0 if c == "identity" else 1.0 for c in sheaf.constraints]
         )
-        self.constraints = sheaf.constraints
         self.gX = np.zeros_like(self.X)
         self.gRH = np.zeros_like(self.RH)
         self.gRT = np.zeros_like(self.RT)
         self.gT = None if self.T is None else np.zeros_like(self.T)
         self.update = _adagrad_update if config.optimizer == "adagrad" else _sgd_update
-        self.acc = {
-            name: np.zeros_like(getattr(self, name))
-            for name in ("X", "RH", "RT")
-        }
-        if self.T is not None:
-            self.acc["T"] = np.zeros_like(self.T)
+        # (parameter, gradient, Adagrad accumulator), updated in this order
+        self.slots = [
+            (param, grad, np.zeros_like(param))
+            for param, grad in ((self.X, self.gX), (self.RH, self.gRH),
+                                (self.RT, self.gRT), (self.T, self.gT))
+            if param is not None
+        ]
 
     def step(self, pos, neg, config: TrainConfig):
-        self.gX[...] = 0.0
-        self.gRH[...] = 0.0
-        self.gRT[...] = 0.0
-        if self.gT is not None:
-            self.gT[...] = 0.0
+        for _, grad, _ in self.slots:
+            grad[...] = 0.0
         loss, n_active = _kernels.margin_grads(
             self.X, self.RH, self.RT, self.T, pos, neg, config.margin,
             self.gX, self.gRH, self.gRT, self.gT, self.map_trainable,
@@ -219,126 +228,39 @@ class _StackedParams:
             return loss, n_active
         if config.alpha != 0.0:
             _kernels.orthogonality_grad_numpy(self.X, self.gX, config.alpha)
-        lr = config.learning_rate
-        self.update(self.X, self.gX, self.acc["X"], lr)
-        self.update(self.RH, self.gRH, self.acc["RH"], lr)
-        self.update(self.RT, self.gRT, self.acc["RT"], lr)
-        if self.T is not None:
-            self.update(self.T, self.gT, self.acc["T"], lr)
-        self._project()
-        if config.max_entity_norm is not None:
+        for param, grad, acc in self.slots:
+            self.update(param, grad, acc, config.learning_rate)
+        project_constraints_inplace(self.view)
+        return loss, n_active
+
+    def cap_entity_norms(self, cap: float) -> bool:
+        """Shrink section columns longer than ``cap``; False if a norm overflowed."""
+        with np.errstate(over="ignore"):
             norms = np.linalg.norm(self.X, axis=1, keepdims=True)
-            np.maximum(norms, config.max_entity_norm, out=norms)
-            self.X *= config.max_entity_norm / norms
-        return loss, n_active
+        if not np.all(np.isfinite(norms)):
+            return False
+        np.maximum(norms, cap, out=norms)
+        self.X *= cap / norms
+        return True
 
-    def _project(self):
-        from .model import orthonormal_columns
-
-        for r, kind in enumerate(self.constraints):
-            if kind == "shared":
-                self.RT[r] = self.RH[r]
-            elif kind == "antisymmetric":
-                self.RT[r] = -self.RH[r]
-            elif kind == "orthogonal":
-                self.RH[r] = orthonormal_columns(self.RH[r])
-                self.RT[r] = orthonormal_columns(self.RT[r])
+    def largest_map_relation(self) -> str:
+        with np.errstate(over="ignore"):
+            norms = np.maximum(
+                np.linalg.norm(self.RH, axis=(1, 2)), np.linalg.norm(self.RT, axis=(1, 2))
+            )
+        return self.relation_names[int(np.argmax(norms))]
 
     def orthogonality(self) -> float:
-        m = self.X.shape[2]
-        gram = np.einsum("ndm,ndk->nmk", self.X, self.X) - np.eye(m)
-        return float(np.sum(gram * gram))
+        # alpha=0 returns the penalty and leaves gX untouched
+        return _kernels.orthogonality_grad_numpy(self.X, self.gX, 0.0)
 
     def write_back(self, model: Model) -> None:
-        for i in range(model.n_entities):
-            model.sections.blocks[i] = self.X[i].copy()
-        for r in range(model.schema.n_relations):
-            model.sheaf.head_maps[r] = self.RH[r].copy()
-            model.sheaf.tail_maps[r] = self.RT[r].copy()
-            if self.T is not None:
-                model.sheaf.translations[r] = self.T[r].copy()
-
-
-class _GenericParams:
-    """Per-block training state for ragged (multi-dimension) schemas."""
-
-    def __init__(self, model: Model, config: TrainConfig):
-        self.model = model
-        self.update = _adagrad_update if config.optimizer == "adagrad" else _sgd_update
-        sheaf, sections = model.sheaf, model.sections
-        self.acc_x = [np.zeros_like(b) for b in sections.blocks]
-        self.acc_rh = [np.zeros_like(m) for m in sheaf.head_maps]
-        self.acc_rt = [np.zeros_like(m) for m in sheaf.tail_maps]
-        self.acc_t = (
-            None
-            if sheaf.translations is None
-            else [np.zeros_like(t) for t in sheaf.translations]
-        )
-
-    def step(self, pos, neg, config: TrainConfig):
-        sheaf, sections = self.model.sheaf, self.model.sections
-        gx: dict[int, np.ndarray] = {}
-        grh: dict[int, np.ndarray] = {}
-        grt: dict[int, np.ndarray] = {}
-        gt: dict[int, np.ndarray] = {}
-        loss = 0.0
-        n_active = 0
-
-        def add(store, key, value):
-            if key in store:
-                store[key] += value
-            else:
-                store[key] = value.copy()
-
-        for (hp, rp, tp), (hn, rn, tn) in zip(pos, neg):
-            s_pos = triple_score(sheaf, sections, hp, rp, tp)
-            s_neg = triple_score(sheaf, sections, hn, rn, tn)
-            if not (np.isfinite(s_pos) and np.isfinite(s_neg)):
-                return float("nan"), n_active
-            margin = s_pos + config.margin - s_neg
-            if margin <= 0.0:
-                continue
-            loss += margin
-            n_active += 1
-            for sign, (h, r, t) in ((1.0, (hp, rp, tp)), (-1.0, (hn, rn, tn))):
-                g = triple_grads(sheaf, sections, h, r, t)
-                add(gx, h, sign * g["x_h"])
-                add(gx, t, sign * g["x_t"])
-                if sheaf.constraints[r] != "identity":
-                    add(grh, r, sign * g["head_map"])
-                    add(grt, r, sign * g["tail_map"])
-                if "translation" in g:
-                    add(gt, r, sign * g["translation"])
-
-        if not np.isfinite(loss):
-            return loss, n_active
-        if config.alpha != 0.0:
-            for v, blk in enumerate(sections.blocks):
-                gram = blk.T @ blk - np.eye(sections.columns)
-                add(gx, v, (4.0 * config.alpha) * (blk @ gram))
-
-        lr = config.learning_rate
-        for v in sorted(gx):
-            self.update(sections.blocks[v], gx[v], self.acc_x[v], lr)
-        for r in sorted(grh):
-            self.update(sheaf.head_maps[r], grh[r], self.acc_rh[r], lr)
-        for r in sorted(grt):
-            self.update(sheaf.tail_maps[r], grt[r], self.acc_rt[r], lr)
-        for r in sorted(gt):
-            self.update(sheaf.translations[r], gt[r], self.acc_t[r], lr)
-        project_constraints_inplace(sheaf)
-        if config.max_entity_norm is not None:
-            cap = config.max_entity_norm
-            for blk in sections.blocks:
-                norms = np.linalg.norm(blk, axis=0, keepdims=True)
-                blk *= cap / np.maximum(norms, cap)
-        return loss, n_active
-
-    def orthogonality(self) -> float:
-        return orthogonality_penalty(self.model.sections)
-
-    def write_back(self, model: Model) -> None:
-        pass  # parameters are updated in place
+        model.sections.blocks[:] = [v.copy() for v in self.x_views]
+        trained = self.view.copy()
+        model.sheaf.head_maps[:] = trained.head_maps
+        model.sheaf.tail_maps[:] = trained.tail_maps
+        if trained.translations is not None:
+            model.sheaf.translations[:] = trained.translations
 
 
 def _first_bad_relation(model, pos, neg) -> str:
@@ -353,8 +275,13 @@ def _first_bad_relation(model, pos, neg) -> str:
 def train(kg: KnowledgeGraph, config: TrainConfig, model: Model) -> tuple[Model, TrainReport]:
     """Run the optimizer loop on ``model`` in place and return it with a report.
 
-    Identity-constrained maps receive no updates; all other constraints are
-    re-projected exactly after every step.
+    Every schema, ragged or uniform, trains through one path: parameters are
+    stacked and zero-padded to the largest stalk dimensions (see
+    ``_kernels``), and padded entries stay exactly zero. Identity-constrained
+    maps receive no updates; all other constraints are re-projected exactly
+    after every step on each relation's true block. With ``max_entity_norm``
+    set, a section column norm that overflows raises
+    :class:`TrainingAbortError` naming the relation with the largest map norm.
     """
     triples = kg.triples_of(TRAIN)
     if len(triples) == 0:
@@ -364,9 +291,7 @@ def train(kg: KnowledgeGraph, config: TrainConfig, model: Model) -> tuple[Model,
     neg_rng = substream(config.seed, "negatives")
     k = config.negatives_per_positive
 
-    state = (
-        _StackedParams(model, config) if _uniform_dims(model) else _GenericParams(model, config)
-    )
+    state = _StackedParams(model, config)
     report = TrainReport()
     start = time.perf_counter()
     n = len(triples)
@@ -386,6 +311,13 @@ def train(kg: KnowledgeGraph, config: TrainConfig, model: Model) -> tuple[Model,
                 state.write_back(model)
                 raise TrainingAbortError(
                     epoch, batch_no, _first_bad_relation(model, pos, neg)
+                )
+            cap = config.max_entity_norm
+            if cap is not None and not state.cap_entity_norms(cap):
+                state.write_back(model)
+                raise TrainingAbortError(
+                    epoch, batch_no, state.largest_map_relation(),
+                    "section norms overflowed before the max_entity_norm cap",
                 )
             epoch_loss += loss
             n_pairs += len(pos)

@@ -140,6 +140,27 @@ class TestTrain:
         assert result.exit_code == 2
         assert "epochs" in result.output  # the valid-keys list
 
+    def test_entity_missing_from_type_file_fails_with_location(self, runner, tmp_path):
+        (tmp_path / "t.tsv").write_text("a\tr\tb\nb\ts\tc\n", encoding="utf-8")
+        (tmp_path / "types.tsv").write_text("a\tperson\nb\tplace\n", encoding="utf-8")
+        res = run_cli(runner, [
+            "train", "--train", str(tmp_path / "t.tsv"), "--type-file", str(tmp_path / "types.tsv"),
+            "--epochs", "1", "--out", str(tmp_path / "o"),
+        ])
+        assert res.exit_code == 1
+        assert f"error: {tmp_path / 't.tsv'}:2: entity 'c'" in res.output
+
+    def test_type_inference_rejects_malformed_line(self, tmp_path):
+        from sheaf_kg.cli import _infer_relation_typing
+        from sheaf_kg.errors import TripleParseError
+        from sheaf_kg.kgdata import default_schema
+
+        schema = default_schema(1, 4, 4, relation_names=("r",))
+        labels = dict.fromkeys("ab", schema.entity_types[0])
+        (tmp_path / "t.tsv").write_text("a\tr\tb\na\tr\n", encoding="utf-8")
+        with pytest.raises(TripleParseError, match=":2:"):
+            _infer_relation_typing(schema, labels, tmp_path / "t.tsv")
+
     def test_logs_resolved_config(self, runner, tmp_path, caplog):
         (tmp_path / "t.tsv").write_text("a\tr\tb\nb\tr\ta\na\tr\ta\n", encoding="utf-8")
         import logging
@@ -191,6 +212,21 @@ class TestEval:
             "--queries", str(tmp_path / "absent.tsv"),
         ])
         assert result.exit_code == 2
+
+
+    def test_corrupt_manifest_value_exits_1_without_traceback(self, runner, workspace, tmp_path):
+        import shutil
+
+        prefix = tmp_path / "broken"
+        shutil.copy(workspace / "ckpt" / "model_seed1.tensors", str(prefix) + ".tensors")
+        manifest = (workspace / "ckpt" / "model_seed1.manifest").read_text(encoding="utf-8")
+        Path(str(prefix) + ".manifest").write_text(
+            manifest.replace("sections=1\n", "sections=x\n"), encoding="utf-8"
+        )
+        res = run_cli(runner, ["inspect", "--checkpoint", str(prefix)])
+        assert res.exit_code == 1
+        assert "error:" in res.output and "sections='x'" in res.output
+        assert "Traceback" not in res.output
 
 
 class TestQuery:

@@ -22,9 +22,7 @@ class TestScores:
         h = rng.integers(0, 8, B)
         r = rng.integers(0, 2, B)
         t = rng.integers(0, 8, B)
-        via_numpy = _kernels.batch_scores_numpy(X, RH, RT, T, h, r, t)
-        via_active = _kernels.batch_scores(X, RH, RT, T, h, r, t)
-        np.testing.assert_allclose(via_active, via_numpy, rtol=1e-12)
+        stacked = _kernels.batch_scores(X, RH, RT, T, h, r, t)
         # reference: the per-triple scoring functions on unstacked parameters
         schema = default_schema(2, 4, 3)
         cfg = ModelConfig(
@@ -41,36 +39,31 @@ class TestScores:
                 sheaf.translations[j] = T[j]
         score = score_shvt if translational else score_shv
         ref = [score(sheaf, sections, int(h[b]), int(r[b]), int(t[b])) for b in range(B)]
-        np.testing.assert_allclose(via_numpy, ref, rtol=1e-12)
+        np.testing.assert_allclose(stacked, ref, rtol=1e-12)
 
 
 class TestMarginGrads:
-    @pytest.mark.skipif(not _kernels._HAVE_NUMBA, reason="numba backend unavailable")
     @pytest.mark.parametrize("translational", [False, True])
-    def test_numba_and_numpy_paths_agree(self, rng, translational):
+    def test_frozen_relation_gets_no_map_gradient(self, rng, translational):
         X, RH, RT, T = stacked_instance(rng, translational=translational)
         B = 32
         pos = np.stack([rng.integers(0, 8, B), rng.integers(0, 2, B), rng.integers(0, 8, B)], axis=1)
         neg = np.stack([rng.integers(0, 8, B), pos[:, 1], rng.integers(0, 8, B)], axis=1)
         trainable = np.array([1.0, 0.0])  # second relation frozen
-
-        outs = []
-        for fn in (_kernels.margin_grads_numpy, _kernels._margin_grads_numba):
-            gX, gRH, gRT = np.zeros_like(X), np.zeros_like(RH), np.zeros_like(RT)
-            gT = None if T is None else np.zeros_like(T)
-            loss, n_active = fn(X, RH, RT, T, pos, neg, 1.0, gX, gRH, gRT, gT, trainable)
-            outs.append((loss, n_active, gX, gRH, gRT, gT))
-        (l1, a1, gx1, grh1, grt1, gt1), (l2, a2, gx2, grh2, grt2, gt2) = outs
-        assert a1 == a2
-        assert l1 == pytest.approx(l2, rel=1e-12)
-        np.testing.assert_allclose(gx1, gx2, rtol=1e-9, atol=1e-12)
-        np.testing.assert_allclose(grh1, grh2, rtol=1e-9, atol=1e-12)
-        np.testing.assert_allclose(grt1, grt2, rtol=1e-9, atol=1e-12)
-        if T is not None:
-            np.testing.assert_allclose(gt1, gt2, rtol=1e-9, atol=1e-12)
-        # frozen relation gets no map gradient on either path
-        np.testing.assert_array_equal(grh1[1], np.zeros_like(grh1[1]))
-        np.testing.assert_array_equal(grt2[1], np.zeros_like(grt2[1]))
+        gX, gRH, gRT = np.zeros_like(X), np.zeros_like(RH), np.zeros_like(RT)
+        gT = None if T is None else np.zeros_like(T)
+        _, n_active = _kernels.margin_grads(
+            X, RH, RT, T, pos, neg, 1.0, gX, gRH, gRT, gT, trainable
+        )
+        margins = (
+            _kernels.batch_scores(X, RH, RT, T, *pos.T) + 1.0
+            - _kernels.batch_scores(X, RH, RT, T, *neg.T)
+        )
+        assert n_active == np.count_nonzero(margins > 0)
+        assert np.any((margins > 0) & (pos[:, 1] == 1))  # the frozen relation is active
+        np.testing.assert_array_equal(gRH[1], np.zeros_like(gRH[1]))
+        np.testing.assert_array_equal(gRT[1], np.zeros_like(gRT[1]))
+        assert np.any(gRH[0] != 0.0) and np.any(gRT[0] != 0.0)
 
     def test_numpy_grads_match_finite_differences(self, rng):
         X, RH, RT, T = stacked_instance(rng, n=5, d=3, de=3, m=1)
@@ -79,14 +72,14 @@ class TestMarginGrads:
         trainable = np.ones(2)
 
         def loss_value():
-            s_pos = _kernels.batch_scores_numpy(X, RH, RT, T, pos[:, 0], pos[:, 1], pos[:, 2])
-            s_neg = _kernels.batch_scores_numpy(X, RH, RT, T, neg[:, 0], neg[:, 1], neg[:, 2])
+            s_pos = _kernels.batch_scores(X, RH, RT, T, pos[:, 0], pos[:, 1], pos[:, 2])
+            s_neg = _kernels.batch_scores(X, RH, RT, T, neg[:, 0], neg[:, 1], neg[:, 2])
             return float(np.maximum(0.0, s_pos + 1.0 - s_neg).sum())
 
         if loss_value() == 0.0:
             X *= 3.0  # make sure the pair is active
         gX, gRH, gRT, gT = (np.zeros_like(a) for a in (X, RH, RT, T))
-        _kernels.margin_grads_numpy(X, RH, RT, T, pos, neg, 1.0, gX, gRH, gRT, gT, trainable)
+        _kernels.margin_grads(X, RH, RT, T, pos, neg, 1.0, gX, gRH, gRT, gT, trainable)
         h = 1e-6
         for param, grad in ((X, gX), (RH, gRH), (RT, gRT), (T, gT)):
             it = np.nditer(param, flags=["multi_index"])
@@ -102,8 +95,8 @@ class TestMarginGrads:
                 assert grad[idx] == pytest.approx(fd, rel=1e-4, abs=1e-6)
                 it.iternext()
 
-    def test_env_flag_reports_backend(self):
-        assert _kernels.active_backend() in ("numba", "numpy")
+    def test_active_backend_is_numpy(self):
+        assert _kernels.active_backend() == "numpy"
 
 
 class TestOrthogonalityKernel:

@@ -448,3 +448,22 @@ class TestCheckpoint:
         prefix = tmp_path / "ck"
         save_model(model, prefix)
         assert load_model(prefix).entities == kg.entities
+
+    @pytest.mark.parametrize("key", [
+        "format", "variant", "sections", "alpha", "margin", "seed", "n_entity_types",
+        "entity_type", "vertex_dim", "n_relations", "head_type", "tail_type", "edge_dim",
+        "constraint", "n_entities", "entity_type_of",
+    ])
+    def test_corrupt_manifest_value_is_checkpoint_error(self, tmp_path, rng, key):
+        prefix = tmp_path / "ck"
+        save_model(self._model(rng), prefix)
+        path = manifest_path(prefix)
+        lines = path.read_text(encoding="utf-8").splitlines()
+        i = next(i for i, line in enumerate(lines) if line.startswith(f"{key}="))
+        lines[i] = f"{key}=x"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(CheckpointError) as err:
+            load_model(prefix)
+        # a renamed entity type is caught where the first relation refers to it
+        named_key = "head_type" if key == "entity_type" else key
+        assert str(path) in str(err.value) and named_key in str(err.value)

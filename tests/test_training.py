@@ -1,21 +1,25 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from sheaf_kg import _kernels
 from sheaf_kg.checkpoint import save_model, manifest_path, tensor_path
 from sheaf_kg.errors import ConfigError, SamplingError, TrainingAbortError
 from sheaf_kg.kgdata import KnowledgeGraph, Schema, build_index, default_schema
 from sheaf_kg.model import (
+    CONSTRAINTS,
+    Model,
     ModelConfig,
     init_for_kg,
     init_model,
-    orthogonality_penalty,
-    score_shv,
     triple_score,
 )
 from sheaf_kg.seeds import substream
 from sheaf_kg.synth import generate_planted_kg
 from sheaf_kg.training import (
     TrainConfig,
+    _StackedParams,
     grad_shv,
     grad_shvt,
     margin_loss,
@@ -348,7 +352,7 @@ class TestTrain:
             train(kg, TrainConfig(epochs=1, seed=0), model)
         assert err.value.epoch == 0
 
-    def test_generic_path_used_for_ragged_dims(self):
+    def test_ragged_dims_train_through_padded_path(self):
         schema = Schema(
             entity_types=("a", "b"),
             relation_types=("r",),
@@ -393,3 +397,198 @@ class TestTrain:
         )
         for blk in model.sections.blocks:
             assert np.linalg.norm(blk, axis=0).max() <= 1.5 + 1e-9
+
+    def test_divergence_under_norm_cap_raises(self):
+        # Free maps diverge under the acceptance hyperparameters; the cap's
+        # column norms then overflow, which must abort rather than rescale
+        # every section to zero.
+        ds = generate_planted_kg(200, 5, 16, 0.0, seed=0, variant="shvt")
+        cfg = ModelConfig(variant="shvt", entity_dim=16, relation_dim=16, constraint="free")
+        model = init_for_kg(cfg, ds.kg, seed=0)
+        with pytest.raises(TrainingAbortError) as err:
+            train(
+                ds.kg,
+                TrainConfig(epochs=12, batch_size=32, learning_rate=0.05, optimizer="sgd",
+                            negatives_per_positive=12, max_entity_norm=2.0, seed=0),
+                model,
+            )
+        assert err.value.relation in ds.kg.schema.relation_types
+        assert "max_entity_norm" in str(err.value)
+
+
+def ragged_schema(rng, constraint, n_relations=4):
+    """Three entity types of distinct vertex dims; edge dims as ``constraint`` allows."""
+    vertex_dim = tuple(int(d) for d in rng.choice(np.arange(1, 6), size=3, replace=False))
+    head_type, tail_type, edge_dim = [], [], []
+    for _ in range(n_relations):
+        h = int(rng.integers(0, 3))
+        # shared, antisymmetric and identity maps need equal head/tail dims
+        t = h if constraint in ("shared", "antisymmetric", "identity") else int(rng.integers(0, 3))
+        dh, dt = vertex_dim[h], vertex_dim[t]
+        if constraint == "identity":
+            de = dh
+        elif constraint == "orthogonal":
+            de = max(dh, dt) + int(rng.integers(0, 3))
+        else:
+            de = int(rng.integers(1, 7))
+        head_type.append(h)
+        tail_type.append(t)
+        edge_dim.append(de)
+    return Schema(
+        entity_types=("a", "b", "c"),
+        relation_types=tuple(f"r{r}" for r in range(n_relations)),
+        head_type=tuple(head_type),
+        tail_type=tuple(tail_type),
+        vertex_dim=vertex_dim,
+        edge_dim=tuple(edge_dim),
+    )
+
+
+def typed_triples(rng, schema, entity_type, n):
+    rows = []
+    for _ in range(n):
+        r = int(rng.integers(0, schema.n_relations))
+        h = int(rng.choice(np.nonzero(entity_type == schema.head_type[r])[0]))
+        t = int(rng.choice(np.nonzero(entity_type == schema.tail_type[r])[0]))
+        rows.append((h, r, t))
+    return np.asarray(rows, dtype=np.int64)
+
+
+def assert_padded_blocks(stacked, blocks):
+    """True blocks of ``stacked`` equal ``blocks`` to 1e-12 relative; padding is exactly 0."""
+    padding = np.ones(stacked.shape, dtype=bool)
+    err2 = ref2 = 0.0
+    for i, ref in enumerate(blocks):
+        idx = (i, *(slice(n) for n in ref.shape))
+        err2 += float(np.sum((stacked[idx] - ref) ** 2))
+        ref2 += float(np.sum(ref * ref))
+        padding[idx] = False
+    assert np.sqrt(err2) <= 1e-12 * np.sqrt(ref2)
+    assert np.all(stacked[padding] == 0.0)
+
+
+class TestPaddedLayout:
+    @pytest.mark.parametrize("constraint", CONSTRAINTS)
+    @pytest.mark.parametrize("variant", ["shv", "shvt"])
+    @pytest.mark.parametrize("m", [1, 3])
+    @given(seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=5, deadline=None)
+    def test_padded_kernel_matches_per_triple_oracle(self, constraint, variant, m, seed):
+        rng = np.random.default_rng(seed)
+        schema = ragged_schema(rng, constraint)
+        entity_type = np.repeat(np.arange(3), 4)
+        cfg = ModelConfig(variant=variant, sections=m, constraint=constraint)
+        sheaf, sections = init_model(cfg, schema, entity_type, seed=seed)
+        for blk in sections.blocks:
+            blk[...] = rng.normal(size=blk.shape)
+        pos = typed_triples(rng, schema, entity_type, 24)
+        neg = pos.copy()
+        for row in neg:  # corrupt one endpoint with a same-type entity
+            slot = 0 if rng.integers(0, 2) else 2
+            row[slot] = rng.choice(np.nonzero(entity_type == entity_type[row[slot]])[0])
+        gamma = 2.0
+
+        names = tuple(f"e{i}" for i in range(len(entity_type)))
+        state = _StackedParams(
+            Model(cfg, schema, names, entity_type, sheaf, sections), TrainConfig()
+        )
+        gX, gRH, gRT = (np.zeros_like(a) for a in (state.X, state.RH, state.RT))
+        gT = None if state.T is None else np.zeros_like(state.T)
+        loss, n_active = _kernels.margin_grads(
+            state.X, state.RH, state.RT, state.T, pos, neg, gamma,
+            gX, gRH, gRT, gT, state.map_trainable,
+        )
+
+        ref_x = [np.zeros_like(b) for b in sections.blocks]
+        ref_rh = [np.zeros_like(a) for a in sheaf.head_maps]
+        ref_rt = [np.zeros_like(a) for a in sheaf.tail_maps]
+        ref_t = None if sheaf.translations is None else [np.zeros_like(a) for a in sheaf.translations]
+        ref_loss, ref_active = 0.0, 0
+        for p_row, n_row in zip(pos, neg):
+            margin = triple_score(sheaf, sections, *p_row) + gamma - triple_score(sheaf, sections, *n_row)
+            if margin <= 0.0:
+                continue
+            ref_loss += margin
+            ref_active += 1
+            for sign, (h, r, t) in ((1.0, p_row), (-1.0, n_row)):
+                g = triple_grads(sheaf, sections, h, r, t)
+                ref_x[h] += sign * g["x_h"]
+                ref_x[t] += sign * g["x_t"]
+                if constraint != "identity":
+                    ref_rh[r] += sign * g["head_map"]
+                    ref_rt[r] += sign * g["tail_map"]
+                if ref_t is not None:
+                    ref_t[r] += sign * g["translation"]
+
+        assert n_active == ref_active
+        assert loss == pytest.approx(ref_loss, rel=1e-12)
+        assert_padded_blocks(gX, ref_x)
+        assert_padded_blocks(gRH, ref_rh)
+        assert_padded_blocks(gRT, ref_rt)
+        assert_padded_blocks(state.X, sections.blocks)
+        assert_padded_blocks(state.RH, sheaf.head_maps)
+        assert_padded_blocks(state.RT, sheaf.tail_maps)
+        if ref_t is not None:
+            assert_padded_blocks(gT, ref_t)
+            assert_padded_blocks(state.T, sheaf.translations)
+
+    @staticmethod
+    def mixed_ragged_kg(rng):
+        """Two entity types (dims 3 and 5), one relation per constraint plus a second free one."""
+        schema = Schema(
+            entity_types=("a", "b"),
+            relation_types=("free", "shared", "identity", "orthogonal", "antisymmetric", "free2"),
+            head_type=(0, 1, 1, 0, 0, 1),
+            tail_type=(1, 1, 1, 1, 0, 0),
+            vertex_dim=(3, 5),
+            edge_dim=(2, 4, 5, 6, 3, 4),
+        )
+        entity_type = np.repeat([0, 1], [10, 12])
+        triples = np.unique(typed_triples(rng, schema, entity_type, 120), axis=0)
+        kg = KnowledgeGraph(
+            schema=schema,
+            entities=tuple(f"e{i}" for i in range(len(entity_type))),
+            entity_type=entity_type,
+            triples=triples,
+            split=np.zeros(len(triples), dtype=np.int8),
+        )
+        overrides = {name: name.rstrip("2") for name in schema.relation_types}
+        return kg, overrides
+
+    @pytest.mark.parametrize("variant", ["shv", "shvt"])
+    @pytest.mark.parametrize("optimizer", ["sgd", "adagrad"])
+    def test_constraints_hold_after_ragged_training(self, rng, variant, optimizer):
+        kg, overrides = self.mixed_ragged_kg(rng)
+        cfg = ModelConfig(variant=variant, sections=3, alpha=0.1, constraint_overrides=overrides)
+        model = init_for_kg(cfg, kg, seed=1)
+        identity = kg.schema.relation_index("identity")
+        _, report = train(
+            kg,
+            TrainConfig(epochs=4, batch_size=16, learning_rate=0.05, optimizer=optimizer,
+                        negatives_per_positive=2, alpha=0.1, seed=2, max_entity_norm=1.5),
+            model,
+        )
+        assert np.all(np.isfinite(report.epoch_mean_loss))
+        model.sheaf.check_constraints()
+        np.testing.assert_array_equal(model.sheaf.head_maps[identity], np.eye(5))
+        for i, blk in enumerate(model.sections.blocks):
+            assert blk.shape == (kg.schema.vertex_dim[kg.entity_type[i]], 3)
+
+    def test_padding_stays_zero_through_steps(self, rng):
+        kg, overrides = self.mixed_ragged_kg(rng)
+        cfg = ModelConfig(variant="shvt", sections=2, alpha=0.1, constraint_overrides=overrides)
+        model = init_for_kg(cfg, kg, seed=1)
+        config = TrainConfig(optimizer="adagrad", alpha=0.1, learning_rate=0.1, max_entity_norm=1.5)
+        state = _StackedParams(model, config)
+        for _ in range(20):
+            pos = kg.triples[rng.integers(0, len(kg.triples), 16)]
+            neg = pos.copy()
+            neg[:, 2] = [rng.choice(kg.entities_of_type(kg.schema.tail_type[r])) for r in pos[:, 1]]
+            state.step(pos, neg, config)
+            assert state.cap_entity_norms(config.max_entity_norm)
+        state.write_back(model)
+        assert_padded_blocks(state.X, model.sections.blocks)
+        assert_padded_blocks(state.RH, model.sheaf.head_maps)
+        assert_padded_blocks(state.RT, model.sheaf.tail_maps)
+        assert_padded_blocks(state.T, model.sheaf.translations)
+        model.sheaf.check_constraints()
