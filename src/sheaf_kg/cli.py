@@ -41,6 +41,14 @@ def _fail(message: str, code: int = 1):
     sys.exit(code)
 
 
+def _read_input(read, *args):
+    """Call a reader of a user-supplied data file; what it rejects is an input error (exit 2)."""
+    try:
+        return read(*args)
+    except SheafKGError as exc:
+        _fail(str(exc), 2)
+
+
 def _parse_seeds(text: str) -> list[int]:
     try:
         return [int(s) for s in text.split(",") if s.strip() != ""]
@@ -164,7 +172,7 @@ def cmd_train(config_path, train_path, valid_path, test_path, type_path, seeds, 
     seed_list = _parse_seeds(seeds)
     logger.info("resolved config: %s seeds=%s", settings.describe(), seed_list)
     try:
-        kg = _load_kg(settings, train_path, valid_path, test_path, type_path)
+        kg = _read_input(_load_kg, settings, train_path, valid_path, test_path, type_path)
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
         lines = []
@@ -191,8 +199,7 @@ def cmd_train(config_path, train_path, valid_path, test_path, type_path, seeds, 
 @click.option("--queries", "queries_path", type=click.Path(), required=True)
 @click.option("--method", type=click.Choice(list(evaluation.METHODS)), default="harmonic")
 @click.option("--out", "out_path", type=click.Path(), default=None)
-@click.option("--threads", type=int, default=1)
-def cmd_eval(checkpoints, queries_path, method, out_path, threads):
+def cmd_eval(checkpoints, queries_path, method, out_path):
     """Evaluate checkpoints on a query file; report MRR and Hits@K per structure."""
     if not Path(queries_path).exists():
         _fail(f"query file not found: {queries_path}", 2)
@@ -201,8 +208,8 @@ def cmd_eval(checkpoints, queries_path, method, out_path, threads):
         counts = None
         for prefix in checkpoints:
             model = ckpt.load_model(prefix)
-            queries = read_queries(queries_path, model.entity_index(), model.schema)
-            report = evaluation.evaluate(model, queries, method=method, threads=threads)
+            queries = _read_input(read_queries, queries_path, model.entity_index(), model.schema)
+            report = evaluation.evaluate(model, queries, method=method)
             reports.append(report)
             counts = {tag: report.per_structure[tag].n_queries for tag in report.per_structure}
             logger.info("evaluated %s on %d queries", prefix, len(queries))
@@ -274,7 +281,7 @@ def cmd_inspect(prefix, train_path):
         if train_path:
             from .model import relation_discrepancy
 
-            kg = kgdata.load_dataset(model.schema, train_path)
+            kg = _read_input(kgdata.load_dataset, model.schema, train_path)
             unknown = set(kg.entities) - set(model.entities)
             if unknown:
                 _fail(f"training file mentions {len(unknown)} entities absent from the checkpoint", 2)

@@ -8,7 +8,6 @@ in [0, 1]; multi-seed aggregation uses the population standard deviation.
 from __future__ import annotations
 
 import logging
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,7 +19,8 @@ from .query import (
     STRUCTURE_ARITY,
     Query,
     Ranking,
-    answer_query,
+    answer_queries,
+    answer_query,  # part of this module's names: callers resolve it here
     entity_chaining_exact,
     naive_traversal_score,
 )
@@ -37,10 +37,28 @@ def filtered_rank(ranking: Ranking, answer: int, other_answers=frozenset()) -> i
     strictly before the answer's, matching the ranking's own tie-break.
     """
     pos = ranking.position(answer)  # raises if absent
-    ahead = pos - sum(
-        1 for a in other_answers if a != answer and a in ranking and ranking.position(a) < pos
-    )
-    return ahead + 1
+    others = [int(a) for a in other_answers if a != answer]
+    return pos - int(np.count_nonzero(np.isin(ranking.entity_ids[:pos], others))) + 1
+
+
+def answer_ranks(candidates: np.ndarray, values: np.ndarray, answers) -> np.ndarray:
+    """Filtered 1-based rank of each answer, in ascending answer order.
+
+    ``candidates`` are entity ids in ascending order and ``values`` their
+    scores. A candidate counts as ahead of an answer when its (value, entity
+    index) pair sorts strictly before the answer's and it is not itself an
+    answer: ``filtered_rank``'s count, taken without sorting the candidates.
+    """
+    answers = np.array(sorted(answers), dtype=np.int64)
+    cols = np.searchsorted(candidates, answers)
+    found = cols < len(candidates)
+    found[found] = candidates[cols[found]] == answers[found]
+    if not found.all():
+        raise QueryError(f"entity {answers[~found][0]} not present in ranking")
+    value = values[cols][:, None]
+    ahead = (values < value) | ((values == value) & (np.arange(len(values)) < cols[:, None]))
+    ahead[:, cols] = False
+    return 1 + np.count_nonzero(ahead, axis=1)
 
 
 def mrr(ranks) -> float:
@@ -238,43 +256,44 @@ def build_easy_queries(
     return result
 
 
-def _rank_query(model: Model, query: Query, method: str) -> Ranking:
+def _scored_groups(model: Model, queries: list[Query], method: str):
+    """``(members, candidates, values)`` as ``answer_queries`` yields them, for any method."""
     if method == "harmonic":
-        return answer_query(query, model)
-    if method == "naive":
-        return naive_traversal_score(query, model)
-    if method == "chaining":
-        return entity_chaining_exact(query, model)
-    raise EvaluationError(f"unknown evaluation method {method!r}; valid: {METHODS}")
+        yield from answer_queries(queries, model)
+        return
+    score = naive_traversal_score if method == "naive" else entity_chaining_exact
+    for i, q in enumerate(queries):
+        ranking = score(q, model)
+        order = np.argsort(ranking.entity_ids)
+        yield [i], ranking.entity_ids[order], ranking.values[order][None, :]
 
 
-def evaluate(
-    model: Model,
-    queries,
-    method: str = "harmonic",
-    threads: int = 1,
-) -> MetricReport:
+def evaluate(model: Model, queries, method: str = "harmonic") -> MetricReport:
     """Rank every query, filter each answer, and aggregate per structure.
 
-    ``threads > 1`` evaluates disjoint queries concurrently; the reduction
-    into the report is ordered, so results do not depend on thread count.
+    Harmonic answering is batched (see ``answer_queries``): each
+    ``(structure, relations)`` group gets one Schur complement and one GEMM
+    for the anchor-candidate terms, and each answer's filtered rank is a
+    count of the non-answer candidates whose (value, entity index) pair sorts
+    ahead of its own (``answer_ranks``), so no candidate list is sorted. The
+    baselines rank one query at a time. Results are in query order whatever
+    the grouping.
     """
     queries = list(queries)
     if not queries:
         raise EvaluationError("no queries to evaluate")
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rankings = list(pool.map(lambda q: _rank_query(model, q, method), queries))
-    else:
-        rankings = [_rank_query(model, q, method) for q in queries]
+    if method not in METHODS:
+        raise EvaluationError(f"unknown evaluation method {method!r}; valid: {METHODS}")
+    ranks_of: list = [None] * len(queries)
+    for members, candidates, values in _scored_groups(model, queries, method):
+        for i, row in zip(members, values):
+            ranks_of[i] = answer_ranks(candidates, row, queries[i].answers).tolist()
 
     ranks_by_structure: dict[str, list[int]] = {}
     count_by_structure: dict[str, int] = {}
-    for q, ranking in zip(queries, rankings):
+    for q, query_ranks in zip(queries, ranks_of):
         count_by_structure[q.structure] = count_by_structure.get(q.structure, 0) + 1
-        bucket = ranks_by_structure.setdefault(q.structure, [])
-        for answer in sorted(q.answers):
-            bucket.append(filtered_rank(ranking, answer, q.answers))
+        ranks_by_structure.setdefault(q.structure, []).extend(query_ranks)
     per_structure = {
         tag: StructureMetrics(
             mrr=mrr(ranks),

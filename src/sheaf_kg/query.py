@@ -2,11 +2,20 @@
 
 Seven query templates are supported: path queries (1p/2p/3p), intersections
 (2i/3i), and the mixed forms ip (intersect, then project) and pi (project,
-then intersect). A query is answered by instantiating its template graph
-with the model's per-relation restriction maps, eliminating interior
-vertices through the Schur complement of the graph's Laplacian, and ranking
-every type-compatible candidate entity by the resulting boundary quadratic
-form (plus an offset-linear term for translational models). Lower is better.
+then intersect). A query is answered by harmonic extension: its template
+graph carries the model's per-relation restriction maps, interior vertices
+are eliminated through the Schur complement of the graph's Laplacian, and
+every type-compatible candidate entity is scored by the resulting boundary
+quadratic form (plus a linear term for translational models). Lower is
+better.
+
+The Schur complement and the linear term depend only on the query's
+structure and relations; the anchors enter only as boundary data.
+``answer_queries`` therefore groups queries by ``(structure, relations)``
+and, per group, builds the form once, computes every candidate's quadratic
+term once, and gets the anchor-candidate cross terms of all the group's
+queries from one GEMM against the target type's stacked sections.
+``answer_query`` is a group of one followed by a full sort.
 """
 
 from __future__ import annotations
@@ -142,22 +151,19 @@ class Ranking:
     def __post_init__(self):
         self.entity_ids.setflags(write=False)
         self.values.setflags(write=False)
-        object.__setattr__(
-            self, "_pos", {int(e): i for i, e in enumerate(self.entity_ids)}
-        )
 
     def __len__(self) -> int:
         return len(self.entity_ids)
 
     def __contains__(self, entity) -> bool:
-        return int(entity) in self._pos
+        return bool(np.any(self.entity_ids == int(entity)))
 
     def position(self, entity: int) -> int:
         """0-based position of an entity in the sorted order."""
-        try:
-            return self._pos[int(entity)]
-        except KeyError:
-            raise QueryError(f"entity {entity} not present in ranking") from None
+        hits = np.flatnonzero(self.entity_ids == int(entity))
+        if hits.size == 0:
+            raise QueryError(f"entity {entity} not present in ranking")
+        return int(hits[0])
 
     def value_of(self, entity: int) -> float:
         return float(self.values[self.position(entity)])
@@ -172,7 +178,21 @@ def ranking_from_scores(candidates: np.ndarray, values: np.ndarray) -> Ranking:
     return Ranking(entity_ids=candidates[order].copy(), values=values[order].copy())
 
 
-def _anchor_blocks(model: Model, qg: QueryGraph, anchor_entities) -> list[np.ndarray]:
+def _type_sections(model: Model, type_idx: int) -> tuple[np.ndarray, np.ndarray]:
+    """The entities of one type, ascending, and their sections stacked as ``(n_t, d_t, m)``."""
+    ids = model.entities_of_type(type_idx).astype(np.int64)
+    if ids.size == 0:
+        raise QueryError(
+            f"no entities of the target's type {model.schema.entity_types[type_idx]!r} exist"
+        )
+    blocks = model.sections.blocks
+    return ids, np.stack([blocks[c] for c in ids.tolist()])
+
+
+def _anchor_data(model: Model, qg: QueryGraph, anchor_entities) -> np.ndarray:
+    """Checked anchor sections, concatenated in anchor-vertex order: ``(dim_a, m)``."""
+    if len(anchor_entities) != len(qg.anchor_vertices):
+        raise QueryError("anchor count does not match the query graph")
     blocks = []
     for v, entity in zip(qg.anchor_vertices, anchor_entities):
         entity = int(entity)
@@ -185,76 +205,118 @@ def _anchor_blocks(model: Model, qg: QueryGraph, anchor_entities) -> list[np.nda
                 f"query vertex needs {model.schema.entity_types[qg.vertex_types[v]]}"
             )
         blocks.append(model.sections.blocks[entity])
-    return blocks
+    if not blocks:
+        return np.zeros((0, model.sections.columns))
+    return np.concatenate(blocks, axis=0)
+
+
+def _stalk_columns(graph: SheafOnGraph, vertices) -> np.ndarray:
+    voff = graph.vertex_offsets
+    return np.concatenate([np.arange(voff[v], voff[v + 1]) for v in vertices])
+
+
+class _HarmonicForm:
+    """One query graph's harmonic-extension value over a fixed candidate set.
+
+    With boundary data ``y = [y_a; x]`` (anchors, then the candidate ``x``),
+    the value is ``y^T S y - 2 l^T y``: ``S`` is the Schur complement of the
+    query graph's Laplacian onto its boundary and ``l = (delta E)^T b`` the
+    translation term, ``E`` being the harmonic extension map and ``b`` the
+    stacked translations (zero for non-translational models). ``S`` and
+    ``l`` depend only on the graph, so they, the candidates' quadratic term
+    ``x^T S_tt x`` and the flattened candidate matrix are built once and
+    shared by every anchor tuple.
+    """
+
+    def __init__(self, qg: QueryGraph, sheaf: KnowledgeSheaf, x: np.ndarray):
+        graph, offsets = query_sheaf(qg, sheaf)
+        lap = assemble_laplacian(graph)
+        boundary = list(qg.boundary)
+        interior = list(qg.interior)
+
+        schur = lap.submatrix(boundary)
+        if interior:
+            l_ub = lap.submatrix(interior, boundary)
+            pinv_uu = psd_pinv(lap.submatrix(interior))
+            schur = schur - l_ub.T @ pinv_uu @ l_ub
+            schur = (schur + schur.T) / 2.0
+
+        self.dim_a = dim_a = sum(graph.vertex_dims[v] for v in qg.anchor_vertices)
+        self.s_aa = schur[:dim_a, :dim_a]
+        self.s_ta = schur[dim_a:, :dim_a]
+        # x^T S_tt x summed over section columns, as one GEMM on (candidate, column) rows
+        rows = x.transpose(0, 2, 1).reshape(-1, x.shape[1])
+        quad = np.einsum("kd,kd->k", rows @ schur[dim_a:, dim_a:], rows)
+        self.quad = quad.reshape(len(x), -1).sum(axis=1)
+        self.x_flat = x.reshape(len(x), -1)
+
+        self.lin = None
+        if offsets is not None:
+            # delta E = delta_B + delta_U (-pinv(L_UU) L_UB), columns in boundary order
+            delta = coboundary_matrix(graph)
+            delta_e = delta[:, _stalk_columns(graph, boundary)]
+            if interior:
+                delta_e = delta_e - delta[:, _stalk_columns(graph, interior)] @ pinv_uu @ l_ub
+            self.lin = delta_e.T @ np.concatenate(offsets, axis=0)  # (dim_B, m)
+
+    def values(self, y_a: np.ndarray) -> np.ndarray:
+        """Values ``(G, n)`` of every candidate for anchor data ``y_a`` of shape ``(G, dim_a, m)``."""
+        const = np.einsum("gdm,gdm->g", y_a, self.s_aa @ y_a)
+        w = self.s_ta @ y_a  # (G, d_t, m)
+        if self.lin is not None:
+            const = const - 2.0 * np.einsum("gdm,dm->g", y_a, self.lin[:self.dim_a])
+            w = w - self.lin[self.dim_a:]
+        linear = 2.0 * (w.reshape(len(w), -1) @ self.x_flat.T)
+        return const[:, None] + linear + self.quad
+
+
+# Anchor tuples scored per GEMM; bounds the (rows, candidates) value block.
+GROUP_ROWS = 256
+
+
+def answer_queries(queries, model: Model):
+    """Harmonic-extension values of many queries, one query graph at a time.
+
+    Queries are grouped by ``(structure, relations)``; every query's anchors
+    are checked before any group is scored. Each group builds its query
+    graph, Schur complement and linear term once, and scores up to
+    ``GROUP_ROWS`` anchor tuples against all candidates in one GEMM. Yields
+    ``(members, candidates, values)``: positions in ``queries``, the target
+    type's entity ids ascending, and a ``(len(members), len(candidates))``
+    value array (lower is better).
+    """
+    groups: dict[tuple, tuple[QueryGraph, list[int], list[np.ndarray]]] = {}
+    for i, q in enumerate(queries):
+        key = (q.structure, q.relations)
+        if key not in groups:
+            groups[key] = (build_query_graph(q, model.schema), [], [])
+        qg, members, anchors = groups[key]
+        anchors.append(_anchor_data(model, qg, q.anchors))
+        members.append(i)
+
+    stacked: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+    for qg, members, anchors in groups.values():
+        target = qg.vertex_types[qg.target_vertex]
+        if target not in stacked:
+            stacked[target] = _type_sections(model, target)
+        candidates, x = stacked[target]
+        form = _HarmonicForm(qg, model.sheaf, x)
+        y_a = np.stack(anchors)
+        for start in range(0, len(members), GROUP_ROWS):
+            rows = slice(start, start + GROUP_ROWS)
+            yield members[rows], candidates, form.values(y_a[rows])
 
 
 def answer_query_graph(qg: QueryGraph, model: Model, anchor_entities) -> Ranking:
     """Rank all candidate entities of the target's type for a query graph.
 
-    The Schur complement over the boundary is computed once; each candidate
-    costs one small quadratic form.
+    A group of one: the same harmonic form as ``answer_queries``, followed
+    by a full (value, entity index) sort.
     """
-    if len(anchor_entities) != len(qg.anchor_vertices):
-        raise QueryError("anchor count does not match the query graph")
-    graph, offsets = query_sheaf(qg, model.sheaf)
-    lap = assemble_laplacian(graph)
-    boundary = list(qg.boundary)
-    interior = list(qg.interior)
-
-    voff = graph.vertex_offsets
-    b_slices = [slice(voff[v], voff[v + 1]) for v in boundary]
-    dim_b = sum(graph.vertex_dims[v] for v in boundary)
-
-    l_bb = lap.submatrix(boundary)
-    if interior:
-        l_uu = lap.submatrix(interior)
-        l_ub = lap.submatrix(interior, boundary)
-        pinv_uu = psd_pinv(l_uu)
-        schur = l_bb - l_ub.T @ pinv_uu @ l_ub
-        schur = (schur + schur.T) / 2.0
-    else:
-        schur = l_bb
-
-    # Linear term from translations: l = (delta E)^T b with E the extension map.
-    lin = None
-    if offsets is not None:
-        ext = np.zeros((graph.total_vertex_dim, dim_b))
-        pos = 0
-        for v, sl in zip(boundary, b_slices):
-            d = graph.vertex_dims[v]
-            ext[sl, pos:pos + d] = np.eye(d)
-            pos += d
-        if interior:
-            correction = -pinv_uu @ l_ub  # (dim_U, dim_B)
-            upos = 0
-            for v in interior:
-                d = graph.vertex_dims[v]
-                ext[voff[v]:voff[v + 1], :] = correction[upos:upos + d]
-                upos += d
-        b_mat = np.concatenate(offsets, axis=0)  # (total_edge_dim, m)
-        lin = (coboundary_matrix(graph) @ ext).T @ b_mat  # (dim_b, m)
-
-    anchors = _anchor_blocks(model, qg, anchor_entities)
-    y_a = np.concatenate(anchors, axis=0) if anchors else np.zeros((0, model.sections.columns))
-    dim_a = y_a.shape[0]
-    s_aa = schur[:dim_a, :dim_a]
-    s_at = schur[:dim_a, dim_a:]
-    s_tt = schur[dim_a:, dim_a:]
-
-    const = float(np.sum(y_a * (s_aa @ y_a)))
-    w = s_at.T @ y_a  # (dim_t, m)
-    if lin is not None:
-        const -= 2.0 * float(np.sum(lin[:dim_a] * y_a))
-        w = w - lin[dim_a:]
-
-    candidates = model.entities_of_type(qg.vertex_types[qg.target_vertex])
-    if candidates.size == 0:
-        raise QueryError("no entities of the target's type exist")
-    xc = np.stack([model.sections.blocks[int(c)] for c in candidates])
-    quad = np.einsum("cdm,de,cem->c", xc, s_tt, xc)
-    linear = 2.0 * np.einsum("cdm,dm->c", xc, w)
-    values = const + linear + quad
-    return ranking_from_scores(candidates.astype(np.int64), values)
+    y_a = _anchor_data(model, qg, anchor_entities)
+    candidates, x = _type_sections(model, qg.vertex_types[qg.target_vertex])
+    values = _HarmonicForm(qg, model.sheaf, x).values(y_a[None])[0]
+    return ranking_from_scores(candidates, values)
 
 
 def answer_query(query: Query, model: Model) -> Ranking:
@@ -281,13 +343,13 @@ def naive_traversal_score(query: Query, model: Model) -> Ranking:
                 f"{model.schema.relation_types[r]!r} is {sheaf.constraints[r]!r}"
             )
     qg = build_query_graph(query, model.schema)
-    blocks = _anchor_blocks(model, qg, query.anchors)
-    target = blocks[0] + sum(sheaf.translations[r] for r in query.relations)
-    candidates = model.entities_of_type(qg.vertex_types[qg.target_vertex])
-    xc = np.stack([model.sections.blocks[int(c)] for c in candidates])
+    target = _anchor_data(model, qg, query.anchors) + sum(
+        sheaf.translations[r] for r in query.relations
+    )
+    candidates, xc = _type_sections(model, qg.vertex_types[qg.target_vertex])
     diff = target[None, :, :] - xc
     values = np.einsum("cdm,cdm->c", diff, diff)
-    return ranking_from_scores(candidates.astype(np.int64), values)
+    return ranking_from_scores(candidates, values)
 
 
 def entity_chaining_exact(query: Query, model: Model, budget: int = 10**6) -> Ranking:
@@ -311,13 +373,10 @@ def entity_chaining_exact(query: Query, model: Model, budget: int = 10**6) -> Ra
             f"entity chaining needs {n_tuples} interior tuples, budget is {budget}"
         )
 
-    candidates = model.entities_of_type(qg.vertex_types[qg.target_vertex])
-    if candidates.size == 0:
-        raise QueryError("no entities of the target's type exist")
-    xc = np.stack([model.sections.blocks[int(c)] for c in candidates])
+    candidates, xc = _type_sections(model, qg.vertex_types[qg.target_vertex])
 
     anchor_of = dict(zip(qg.anchor_vertices, (int(a) for a in query.anchors)))
-    _anchor_blocks(model, qg, query.anchors)  # validates anchor types
+    _anchor_data(model, qg, query.anchors)  # validates anchor types
     target = qg.target_vertex
 
     def head_term(e_idx, vec):
@@ -357,7 +416,7 @@ def entity_chaining_exact(query: Query, model: Model, budget: int = 10**6) -> Ra
         graph, offsets = query_sheaf(qg, sheaf)
         lap = assemble_laplacian(graph)
         best = best - affine_offset(lap, graph, offsets, list(qg.boundary))
-    return ranking_from_scores(candidates.astype(np.int64), best)
+    return ranking_from_scores(candidates, best)
 
 
 def read_queries(path, entity_index: dict[str, int], schema) -> list[Query]:

@@ -1,0 +1,295 @@
+"""Batched harmonic answering against the per-query implementation it replaced.
+
+The oracle below is the per-query path kept verbatim in substance: one
+Laplacian, Schur complement and three-operand einsum per query, a full
+(value, id) sort, and filtered ranks read off a position dict.
+"""
+
+from itertools import product
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from sheaf_kg.errors import QueryError
+from sheaf_kg.evaluation import MetricReport, StructureMetrics, evaluate, hits_at_k, mrr
+from sheaf_kg import query
+from sheaf_kg.kgdata import Schema, default_schema
+from sheaf_kg.model import Model, ModelConfig, init_model
+from sheaf_kg.query import (
+    STRUCTURE_ARITY,
+    STRUCTURES,
+    Query,
+    answer_query,
+    build_query_graph,
+    entity_chaining_exact,
+    naive_traversal_score,
+    query_sheaf,
+)
+from sheaf_kg.sheaf import assemble_laplacian, coboundary_matrix, psd_pinv
+
+
+def oracle_ranking(query: Query, model: Model):
+    """Per-query harmonic extension: ``(entity_ids, values)`` sorted by (value, id)."""
+    qg = build_query_graph(query, model.schema)
+    graph, offsets = query_sheaf(qg, model.sheaf)
+    lap = assemble_laplacian(graph)
+    boundary = list(qg.boundary)
+    interior = list(qg.interior)
+    voff = graph.vertex_offsets
+    b_slices = [slice(voff[v], voff[v + 1]) for v in boundary]
+    dim_b = sum(graph.vertex_dims[v] for v in boundary)
+
+    l_bb = lap.submatrix(boundary)
+    if interior:
+        l_uu = lap.submatrix(interior)
+        l_ub = lap.submatrix(interior, boundary)
+        pinv_uu = psd_pinv(l_uu)
+        schur = l_bb - l_ub.T @ pinv_uu @ l_ub
+        schur = (schur + schur.T) / 2.0
+    else:
+        schur = l_bb
+
+    lin = None
+    if offsets is not None:
+        ext = np.zeros((graph.total_vertex_dim, dim_b))
+        pos = 0
+        for v, sl in zip(boundary, b_slices):
+            d = graph.vertex_dims[v]
+            ext[sl, pos:pos + d] = np.eye(d)
+            pos += d
+        if interior:
+            correction = -pinv_uu @ l_ub
+            upos = 0
+            for v in interior:
+                d = graph.vertex_dims[v]
+                ext[voff[v]:voff[v + 1], :] = correction[upos:upos + d]
+                upos += d
+        b_mat = np.concatenate(offsets, axis=0)
+        lin = (coboundary_matrix(graph) @ ext).T @ b_mat
+
+    for v, entity in zip(qg.anchor_vertices, query.anchors):
+        if not 0 <= entity < model.n_entities or model.entity_type[entity] != qg.vertex_types[v]:
+            raise QueryError(f"bad anchor {entity}")
+    y_a = np.concatenate([model.sections.blocks[a] for a in query.anchors], axis=0)
+    dim_a = y_a.shape[0]
+    s_aa = schur[:dim_a, :dim_a]
+    s_at = schur[:dim_a, dim_a:]
+    s_tt = schur[dim_a:, dim_a:]
+    const = float(np.sum(y_a * (s_aa @ y_a)))
+    w = s_at.T @ y_a
+    if lin is not None:
+        const -= 2.0 * float(np.sum(lin[:dim_a] * y_a))
+        w = w - lin[dim_a:]
+
+    candidates = model.entities_of_type(qg.vertex_types[qg.target_vertex]).astype(np.int64)
+    xc = np.stack([model.sections.blocks[int(c)] for c in candidates])
+    quad = np.einsum("cdm,de,cem->c", xc, s_tt, xc)
+    linear = 2.0 * np.einsum("cdm,dm->c", xc, w)
+    values = const + linear + quad
+    order = np.lexsort((candidates, values))
+    return candidates[order], values[order]
+
+
+def oracle_filtered_rank(entity_ids, answer, other_answers) -> int:
+    pos_of = {int(e): i for i, e in enumerate(entity_ids)}
+    if answer not in pos_of:
+        raise QueryError(f"entity {answer} not present in ranking")
+    pos = pos_of[answer]
+    return pos - sum(1 for a in other_answers if a != answer and a in pos_of and pos_of[a] < pos) + 1
+
+
+def oracle_evaluate(model: Model, queries, rank=oracle_ranking) -> MetricReport:
+    ranks_by_structure: dict[str, list[int]] = {}
+    count_by_structure: dict[str, int] = {}
+    for q in queries:
+        entity_ids, _ = rank(q, model)
+        count_by_structure[q.structure] = count_by_structure.get(q.structure, 0) + 1
+        bucket = ranks_by_structure.setdefault(q.structure, [])
+        for answer in sorted(q.answers):
+            bucket.append(oracle_filtered_rank(entity_ids, answer, q.answers))
+    return MetricReport(per_structure={
+        tag: StructureMetrics(
+            mrr=mrr(ranks), hits1=hits_at_k(ranks, 1), hits10=hits_at_k(ranks, 10),
+            n_ranks=len(ranks), n_queries=count_by_structure[tag],
+        )
+        for tag, ranks in ranks_by_structure.items()
+    })
+
+
+# Two entity types of different dimension. Relations cross between them in
+# both directions, so most query targets differ from the anchors' type.
+RAGGED = Schema(
+    entity_types=("person", "place"),
+    relation_types=("knows", "lives_in", "near", "born_in", "hosts"),
+    head_type=(0, 0, 1, 0, 1),
+    tail_type=(0, 1, 1, 1, 0),
+    vertex_dim=(3, 5),
+    edge_dim=(3, 6, 5, 5, 7),
+)
+# identity maps need equal square dimensions, so cross-type relations stay free
+CROSS_TYPE_FREE = {"lives_in": "free", "born_in": "free", "hosts": "free"}
+
+
+def ragged_model(rng, variant, constraint, m, n_entities=23):
+    overrides = CROSS_TYPE_FREE if constraint == "identity" else {}
+    cfg = ModelConfig(
+        variant=variant, sections=m, entity_dim=3, relation_dim=3,
+        constraint=constraint, constraint_overrides=overrides,
+    )
+    types = rng.permutation(np.arange(n_entities) % 2).astype(np.int64)  # interleaved ids
+    sheaf, sections = init_model(cfg, RAGGED, types, seed=int(rng.integers(1 << 30)))
+    for r, kind in enumerate(sheaf.constraints):
+        if kind == "free":
+            sheaf.head_maps[r] = rng.normal(size=sheaf.head_maps[r].shape)
+            sheaf.tail_maps[r] = rng.normal(size=sheaf.tail_maps[r].shape)
+    for i in range(n_entities):
+        sections.blocks[i] = rng.normal(size=sections.blocks[i].shape)
+    # an exact duplicate, so that (value, id) tie-breaks are exercised
+    twin = np.flatnonzero(types == types[0])[1]
+    sections.blocks[twin] = sections.blocks[0].copy()
+    return Model(
+        config=cfg, schema=RAGGED, entities=tuple(f"e{i}" for i in range(n_entities)),
+        entity_type=types, sheaf=sheaf, sections=sections,
+    )
+
+
+def consistent_keys(structure):
+    """Every relation tuple that types the structure's template consistently."""
+    keys = []
+    for relations in product(range(RAGGED.n_relations), repeat=STRUCTURE_ARITY[structure][1]):
+        try:
+            qg = build_query_graph(Query(structure, (0,) * STRUCTURE_ARITY[structure][0],
+                                         relations), RAGGED)
+        except QueryError:
+            continue
+        keys.append((relations, qg))
+    return keys
+
+
+KEYS = {s: consistent_keys(s) for s in STRUCTURES}
+
+
+def random_queries(rng, model, keys_per_structure=2, per_key=3):
+    queries = []
+    for structure in STRUCTURES:
+        keys = KEYS[structure]
+        for k in rng.choice(len(keys), size=keys_per_structure, replace=False):
+            relations, qg = keys[int(k)]
+            targets = np.flatnonzero(model.entity_type == qg.vertex_types[qg.target_vertex])
+            for _ in range(per_key):
+                anchors = tuple(
+                    int(rng.choice(np.flatnonzero(model.entity_type == qg.vertex_types[v])))
+                    for v in qg.anchor_vertices
+                )
+                # Anchors, and their duplicates, are never answers: with identity
+                # maps a 2i query scores its two anchors equally in exact
+                # arithmetic, and which one rounding puts first differs between
+                # the two implementations.
+                blocks = model.sections.blocks
+                pool = [t for t in targets.tolist()
+                        if not any(np.array_equal(blocks[t], blocks[a]) for a in anchors)]
+                n_answers = int(rng.integers(1, 5))
+                answers = frozenset(int(a) for a in rng.choice(pool, n_answers, replace=False))
+                queries.append(Query(structure, anchors, relations, answers))
+    rng.shuffle(queries)
+    return queries
+
+
+def test_every_structure_has_a_cross_type_key():
+    for structure, keys in KEYS.items():
+        assert any(qg.vertex_types[qg.target_vertex] != qg.vertex_types[qg.anchor_vertices[0]]
+                   for _, qg in keys), structure
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    variant=st.sampled_from(["shv", "shvt"]),
+    constraint=st.sampled_from(["free", "orthogonal", "identity"]),
+    m=st.sampled_from([1, 3]),
+)
+def test_batched_evaluate_and_answer_query_match_oracle(seed, variant, constraint, m):
+    rng = np.random.default_rng(seed)
+    model = ragged_model(rng, variant, constraint, m)
+    queries = random_queries(rng, model)
+    assert evaluate(model, queries) == oracle_evaluate(model, queries)
+    for q in queries:
+        assert_same_order(answer_query(q, model), *oracle_ranking(q, model))
+
+
+def test_groups_split_into_row_chunks_match_oracle(monkeypatch):
+    rng = np.random.default_rng(7)
+    model = ragged_model(rng, "shvt", "free", 3)
+    queries = random_queries(rng, model, per_key=5)
+    monkeypatch.setattr(query, "GROUP_ROWS", 2)
+    assert evaluate(model, queries) == oracle_evaluate(model, queries)
+
+
+@pytest.mark.parametrize("method", ["naive", "chaining"])
+def test_baseline_methods_match_per_query_filtering(method):
+    rng = np.random.default_rng(11)
+    schema = default_schema(3, 4, 4)
+    cfg = ModelConfig(variant="shvt", entity_dim=4, relation_dim=4, constraint="identity")
+    sheaf, sections = init_model(cfg, schema, np.zeros(15, dtype=np.int64), seed=2)
+    model = Model(config=cfg, schema=schema, entities=tuple(f"e{i}" for i in range(15)),
+                  entity_type=np.zeros(15, dtype=np.int64), sheaf=sheaf, sections=sections)
+    queries = [
+        Query(s, (int(rng.integers(15)),), tuple(int(r) for r in rng.integers(3, size=int(s[0]))),
+              frozenset(int(a) for a in rng.choice(15, int(rng.integers(1, 4)), replace=False)))
+        for s in ("1p", "2p", "3p") for _ in range(4)
+    ]
+    score = naive_traversal_score if method == "naive" else entity_chaining_exact
+
+    def rank(q, model_):
+        ranking = score(q, model_)
+        return ranking.entity_ids, ranking.values
+
+    assert evaluate(model, queries, method=method) == oracle_evaluate(model, queries, rank)
+
+
+def assert_same_order(ranking, want_ids, want_values):
+    """Equal values per entity, and the same order up to candidates tied to rounding."""
+    tol = 1e-10 * max(1.0, float(np.max(np.abs(want_values))))
+    want_of = dict(zip(want_ids.tolist(), want_values.tolist()))
+    assert sorted(want_of) == sorted(ranking.entity_ids.tolist())
+    want_in_got_order = np.array([want_of[e] for e in ranking.entity_ids.tolist()])
+    np.testing.assert_allclose(ranking.values, want_in_got_order, rtol=0, atol=tol)
+    assert np.all(np.diff(want_in_got_order) >= -tol)
+    if np.all(np.diff(want_values) > tol):
+        np.testing.assert_array_equal(ranking.entity_ids, want_ids)
+
+
+class TestGroupErrors:
+    """A bad query inside a multi-query group still raises."""
+
+    def _group(self, rng):
+        model = ragged_model(rng, "shvt", "free", 2)
+        people = np.flatnonzero(model.entity_type == 0)
+        places = np.flatnonzero(model.entity_type == 1)
+        lives_in = (RAGGED.relation_index("lives_in"),)
+        queries = [
+            Query("1p", (int(p),), lives_in, frozenset({int(places[i])}))
+            for i, p in enumerate(people[:4])
+        ]
+        return model, queries, people, places, lives_in
+
+    def test_wrong_type_anchor(self, rng):
+        model, queries, _, places, lives_in = self._group(rng)
+        queries.insert(2, Query("1p", (int(places[0]),), lives_in, frozenset({int(places[1])})))
+        with pytest.raises(QueryError, match="has type place"):
+            evaluate(model, queries)
+
+    def test_out_of_range_anchor(self, rng):
+        model, queries, _, places, lives_in = self._group(rng)
+        queries.insert(2, Query("1p", (model.n_entities,), lives_in, frozenset({int(places[1])})))
+        with pytest.raises(QueryError, match="out of range"):
+            evaluate(model, queries)
+
+    def test_answer_not_a_candidate(self, rng):
+        model, queries, people, places, lives_in = self._group(rng)
+        queries.insert(2, Query("1p", (int(people[5]),), lives_in,
+                                frozenset({int(places[1]), int(people[0])})))
+        with pytest.raises(QueryError, match=f"entity {int(people[0])} not present"):
+            evaluate(model, queries)

@@ -147,7 +147,7 @@ class TestTrain:
             "train", "--train", str(tmp_path / "t.tsv"), "--type-file", str(tmp_path / "types.tsv"),
             "--epochs", "1", "--out", str(tmp_path / "o"),
         ])
-        assert res.exit_code == 1
+        assert res.exit_code == 2
         assert f"error: {tmp_path / 't.tsv'}:2: entity 'c'" in res.output
 
     def test_type_inference_rejects_malformed_line(self, tmp_path):
@@ -213,6 +213,16 @@ class TestEval:
         ])
         assert result.exit_code == 2
 
+    def test_malformed_query_file_exits_2(self, runner, workspace, tmp_path):
+        queries = tmp_path / "bad.tsv"
+        queries.write_text("1p\tonly-two-fields\n", encoding="utf-8")
+        res = run_cli(runner, [
+            "eval", "--checkpoint", str(workspace / "ckpt" / "model_seed1"),
+            "--queries", str(queries),
+        ])
+        assert res.exit_code == 2
+        assert f"error: {queries}:1: expected 4 tab-separated fields" in res.output
+        assert "Traceback" not in res.output
 
     def test_corrupt_manifest_value_exits_1_without_traceback(self, runner, workspace, tmp_path):
         import shutil

@@ -230,12 +230,6 @@ class TestEvaluate:
         assert m.hits10 == 1.0
         assert m.hits1 == 0.0
 
-    def test_threaded_evaluation_matches_serial(self):
-        model, queries = self._perfect_model_setup()
-        serial = evaluate(model, queries, threads=1)
-        threaded = evaluate(model, queries, threads=4)
-        assert serial == threaded
-
     def test_empty_queries_rejected(self):
         model, _ = self._perfect_model_setup()
         with pytest.raises(EvaluationError):
