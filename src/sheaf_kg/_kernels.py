@@ -4,22 +4,21 @@ One numpy backend (einsum + ``np.add.at`` scatter), sequential and
 run-to-run deterministic. The kernels work on stacked parameter arrays in
 which every stalk is zero-padded to the largest dimension of the schema:
 
-    X  (n_entities, d, m)   entity sections, d = max vertex dim
+    X  (n_entities, d, m)   entity sections, ``SectionMatrix.X``, d = max vertex dim
     RH (n_relations, de, d) head restriction maps, de = max edge dim
     RT (n_relations, de, d) tail restriction maps
     T  (n_relations, de, m) translations, or None
 
-Entity ``i`` of vertex dim ``d_i`` occupies ``X[i, :d_i]``; relation ``r``
-occupies ``RH[r, :de_r, :d_head]``, ``RT[r, :de_r, :d_tail]`` and
+``model.SectionMatrix`` documents the sections' padding invariant; relation
+``r`` occupies ``RH[r, :de_r, :d_head]``, ``RT[r, :de_r, :d_tail]`` and
 ``T[r, :de_r]``. Padding changes no score and gets no gradient. A padded
 row of RH, RT and T gives a zero row of the score residual, and a padded
 column of RH or RT only ever multiplies a padded (zero) row of X, so the
 residual's true block is the unpadded residual. Every gradient entry in a
 padded position is a sum of products with a zero factor, which is exactly
 zero; zero rows of X leave the section Gram matrices, and so the
-orthogonality penalty, unchanged. Zero gradients leave SGD and Adagrad
-parameters unchanged, so padded entries stay exactly zero through
-training. On a schema with uniform dimensions there is no padding.
+orthogonality penalty, unchanged. On a schema with uniform dimensions there
+is no padding.
 """
 
 from __future__ import annotations
@@ -77,7 +76,10 @@ def margin_grads(X, RH, RT, T, pos, neg, gamma, gX, gRH, gRT, gT, map_trainable)
 
 
 def orthogonality_grad_numpy(X, gX, alpha):
-    """Add alpha * grad of sum_v |X_v^T X_v - I|_F^2; returns the penalty."""
+    """Add alpha * grad of sum_v |X_v^T X_v - I|_F^2 to gX; returns the penalty.
+
+    With alpha 0 only the penalty is computed and ``gX`` may be None.
+    """
     m = X.shape[2]
     gram = np.einsum("ndm,ndk->nmk", X, X) - np.eye(m)
     penalty = float(np.sum(gram * gram))

@@ -132,8 +132,8 @@ def save_model(model: Model, prefix) -> None:
     manifest_path(prefix).write_text("\n".join(_manifest_lines(model)) + "\n", encoding="utf-8")
     buf = io.BytesIO()
     buf.write(MAGIC)
-    for blk in model.sections.blocks:
-        _write_tensor(buf, blk)
+    for i in range(model.sections.n_entities):
+        _write_tensor(buf, model.sections.block(i))
     for r in range(model.schema.n_relations):
         _write_tensor(buf, model.sheaf.head_maps[r])
         _write_tensor(buf, model.sheaf.tail_maps[r])
@@ -252,6 +252,6 @@ def load_model(prefix) -> Model:
         entities=tuple(entity_names),
         entity_type=np.asarray(entity_types, dtype=np.int64),
         sheaf=sheaf,
-        sections=SectionMatrix(sections, blocks),
+        sections=SectionMatrix(sections, blocks, max(vertex_dims)),
         seed=seed,
     )

@@ -19,7 +19,7 @@ import numpy as np
 from . import checkpoint as ckpt
 from . import evaluation, kgdata, synth
 from .config import build_settings, read_config_file
-from .errors import ConfigError, SchemaError, SheafKGError, TripleParseError
+from .errors import ConfigError, SchemaError, SheafKGError
 from .model import init_for_kg
 from .query import Query, answer_query, read_queries, write_queries
 from .seeds import substream
@@ -57,12 +57,10 @@ def _parse_seeds(text: str) -> list[int]:
 
 
 def _load_settings(config_path, **flag_overrides):
-    file_values = None
-    if config_path is not None:
-        if not Path(config_path).exists():
-            _fail(f"config file not found: {config_path}", 2)
-        file_values = read_config_file(config_path)
+    if config_path is not None and not Path(config_path).exists():
+        _fail(f"config file not found: {config_path}", 2)
     try:
+        file_values = None if config_path is None else read_config_file(config_path)
         return build_settings(file_values, flag_overrides)
     except ConfigError as exc:
         _fail(str(exc), 2)
@@ -103,26 +101,16 @@ def _infer_relation_typing(schema, labels, *paths):
     for path in paths:
         if path is None:
             continue
-        with open(path, encoding="utf-8") as fh:
-            for lineno, raw in enumerate(fh, start=1):
-                line = raw.rstrip("\n")
-                if not line:
-                    continue
-                parts = line.split("\t")
-                if len(parts) != 3:
-                    raise TripleParseError(
-                        path, lineno, f"expected 3 tab-separated fields, got {len(parts)}"
-                    )
-                h, rel, t = parts
-                for name in (h, t):
-                    if name not in labels:
-                        raise SchemaError(f"{path}:{lineno}: entity {name!r} has no type-file entry")
-                r = schema.relation_types.index(rel)
-                if r in seen:
-                    continue
-                seen.add(r)
-                head_type[r] = schema.entity_types.index(labels[h])
-                tail_type[r] = schema.entity_types.index(labels[t])
+        for lineno, (h, rel, t) in kgdata.tsv_rows(path, 3):
+            for name in (h, t):
+                if name not in labels:
+                    raise SchemaError(f"{path}:{lineno}: entity {name!r} has no type-file entry")
+            r = schema.relation_types.index(rel)
+            if r in seen:
+                continue
+            seen.add(r)
+            head_type[r] = schema.entity_types.index(labels[h])
+            tail_type[r] = schema.entity_types.index(labels[t])
     return replace(schema, head_type=tuple(head_type), tail_type=tuple(tail_type))
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import ConfigError
+from .kgdata import text_lines
 from .model import CONSTRAINTS, VARIANTS, ModelConfig
 from .training import OPTIMIZERS, TrainConfig
 
@@ -75,15 +76,14 @@ class Settings:
 
 def read_config_file(path) -> dict[str, str]:
     raw: dict[str, str] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            key, sep, value = line.partition("=")
-            if not sep:
-                raise ConfigError(f"{path}:{lineno}: expected key=value, got {line!r}")
-            raw[key.strip()] = value.strip()
+    for lineno, line in text_lines(path, ConfigError):
+        line = line.split("#", 1)[0].strip()
+        if not line:
+            continue
+        key, sep, value = line.partition("=")
+        if not sep:
+            raise ConfigError(f"{path}:{lineno}: expected key=value, got {line!r}")
+        raw[key.strip()] = value.strip()
     return raw
 
 
@@ -100,12 +100,11 @@ def build_settings(file_values: dict[str, str] | None = None, overrides: dict | 
                 f"invalid config key {key!r}; valid keys: {', '.join(VALID_KEYS)} "
                 "and constraint.<relation>"
             )
-        if key in _INT_KEYS:
-            values[key] = int(value)
-        elif key in _FLOAT_KEYS:
-            values[key] = float(value)
-        else:
-            values[key] = value
+        parse = int if key in _INT_KEYS else float if key in _FLOAT_KEYS else str
+        try:
+            values[key] = parse(value)
+        except ValueError:
+            raise ConfigError(f"invalid {key}={value!r}: expected {parse.__name__}") from None
     for key, value in (overrides or {}).items():
         if value is None:
             continue

@@ -240,19 +240,35 @@ def build_index(kg: KnowledgeGraph, splits: tuple[str, ...] = SPLITS) -> TripleI
     )
 
 
+def text_lines(path, error=ValidationError):
+    """Yield ``(line number, line)`` for each non-empty line of a UTF-8 text file.
+
+    A file that is not valid UTF-8 raises ``error`` naming the path.
+    """
+    try:
+        with open(path, encoding="utf-8") as fh:
+            for lineno, raw in enumerate(fh, start=1):
+                line = raw.rstrip("\n")
+                if line:
+                    yield lineno, line
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: not UTF-8 text ({exc.reason})") from None
+
+
+def tsv_rows(path, n_fields: int):
+    """Yield ``(line number, fields)`` for each non-empty line of a TAB-separated file."""
+    for lineno, line in text_lines(path):
+        fields = line.split("\t")
+        if len(fields) != n_fields:
+            raise TripleParseError(
+                path, lineno, f"expected {n_fields} tab-separated fields, got {len(fields)}"
+            )
+        yield lineno, fields
+
+
 def read_type_labels(path) -> dict[str, str]:
     """Read a sidecar ``entity<TAB>type`` file."""
-    labels: dict[str, str] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2:
-                raise TripleParseError(path, lineno, f"expected 2 tab-separated fields, got {len(parts)}")
-            labels[parts[0]] = parts[1]
-    return labels
+    return {entity: type_name for _, (entity, type_name) in tsv_rows(path, 2)}
 
 
 def load_triples(
@@ -281,26 +297,16 @@ def load_triples(
         return schema.entity_type_index(type_labels[name])
 
     triples: list[tuple[int, int, int]] = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 3:
-                raise TripleParseError(
-                    path, lineno, f"expected 3 tab-separated fields, got {len(parts)}"
-                )
-            head_name, rel_name, tail_name = parts
-            r = schema.relation_index(rel_name)
-            h = vocab.intern(head_name, type_of(head_name, lineno))
-            t = vocab.intern(tail_name, type_of(tail_name, lineno))
-            if vocab.types[h] != schema.head_type[r] or vocab.types[t] != schema.tail_type[r]:
-                raise ValidationError(
-                    f"{path}:{lineno}: triple ({head_name}, {rel_name}, {tail_name}) "
-                    "violates the schema's head/tail typing"
-                )
-            triples.append((h, r, t))
+    for lineno, (head_name, rel_name, tail_name) in tsv_rows(path, 3):
+        r = schema.relation_index(rel_name)
+        h = vocab.intern(head_name, type_of(head_name, lineno))
+        t = vocab.intern(tail_name, type_of(tail_name, lineno))
+        if vocab.types[h] != schema.head_type[r] or vocab.types[t] != schema.tail_type[r]:
+            raise ValidationError(
+                f"{path}:{lineno}: triple ({head_name}, {rel_name}, {tail_name}) "
+                "violates the schema's head/tail typing"
+            )
+        triples.append((h, r, t))
     return triples
 
 
@@ -369,19 +375,10 @@ def scan_relation_names(*paths) -> tuple[str, ...]:
     for path in paths:
         if path is None:
             continue
-        with open(path, encoding="utf-8") as fh:
-            for lineno, raw in enumerate(fh, start=1):
-                line = raw.rstrip("\n")
-                if not line:
-                    continue
-                parts = line.split("\t")
-                if len(parts) != 3:
-                    raise TripleParseError(
-                        path, lineno, f"expected 3 tab-separated fields, got {len(parts)}"
-                    )
-                if parts[1] not in seen:
-                    seen.add(parts[1])
-                    names.append(parts[1])
+        for _, (_, rel_name, _) in tsv_rows(path, 3):
+            if rel_name not in seen:
+                seen.add(rel_name)
+                names.append(rel_name)
     return tuple(names)
 
 

@@ -3,16 +3,19 @@
 A trained model couples a :class:`KnowledgeSheaf` (one head/tail restriction
 map per relation, optionally a translation block) with a
 :class:`SectionMatrix` (one ``d x m`` block per entity whose columns are
-independently learned embeddings). Scores are summed over the ``m`` columns.
+independently learned embeddings, all held in one zero-padded array). Scores
+are summed over the ``m`` columns.
 """
 
 from __future__ import annotations
 
+import copy
 import logging
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from . import _kernels
 from .errors import ConfigError, SchemaError, ShapeError
 from .kgdata import KnowledgeGraph, Schema
 from .seeds import substream
@@ -123,26 +126,41 @@ class KnowledgeSheaf:
                         )
 
 
-@dataclass
 class SectionMatrix:
-    """Per-entity embedding blocks; column ``j`` holds section ``j``."""
+    """Entity sections in one zero-padded array; column ``j`` holds section ``j``.
 
-    columns: int
-    blocks: list[np.ndarray]  # per entity, (vertex_dim, columns)
+    ``X`` is ``(n_entities, dim, columns)``. Entity ``i``'s section is the
+    view ``block(i) = X[i, :dims[i]]``, and every entry of ``X[i, dims[i]:]``
+    is exactly zero; training updates ``X`` in place and keeps it so (see
+    ``_kernels``). ``dim`` defaults to the widest block; models use the
+    schema's widest vertex dim, the width that training pads maps to.
+    """
 
-    def __post_init__(self):
-        if self.columns < 1:
+    def __init__(self, columns: int, blocks, dim: int | None = None):
+        if columns < 1:
             raise ShapeError("need at least one section column")
-        for i, blk in enumerate(self.blocks):
-            if blk.ndim != 2 or blk.shape[1] != self.columns:
-                raise ShapeError(f"entity {i}: block shape {blk.shape}, expected (*, {self.columns})")
+        self.columns = columns
+        self.dims = np.array([blk.shape[0] for blk in blocks], dtype=np.int64)
+        self.X = np.zeros((len(blocks), self.dims.max(initial=0) if dim is None else dim, columns))
+        for i, blk in enumerate(blocks):
+            if blk.ndim != 2 or blk.shape[1] != columns or blk.shape[0] > self.X.shape[1]:
+                raise ShapeError(
+                    f"entity {i}: block shape {blk.shape}, expected (<={self.X.shape[1]}, {columns})"
+                )
+            self.X[i, :blk.shape[0]] = blk
 
     @property
     def n_entities(self) -> int:
-        return len(self.blocks)
+        return len(self.X)
+
+    def block(self, i: int) -> np.ndarray:
+        """Entity ``i``'s ``(dims[i], columns)`` section, a view into ``X``."""
+        return self.X[i, :self.dims[i]]
 
     def copy(self) -> "SectionMatrix":
-        return SectionMatrix(self.columns, [b.copy() for b in self.blocks])
+        out = copy.copy(self)
+        out.dims, out.X = self.dims.copy(), self.X.copy()
+        return out
 
 
 @dataclass
@@ -268,7 +286,7 @@ def init_model(
         constraints=constraints,
         translations=translations,
     )
-    return sheaf, SectionMatrix(m, blocks)
+    return sheaf, SectionMatrix(m, blocks, max(schema.vertex_dim))
 
 
 def init_for_kg(config: ModelConfig, kg: KnowledgeGraph, seed: int) -> Model:
@@ -287,7 +305,7 @@ def init_for_kg(config: ModelConfig, kg: KnowledgeGraph, seed: int) -> Model:
 
 def score_shv(sheaf: KnowledgeSheaf, sections: SectionMatrix, h: int, r: int, t: int) -> float:
     """Squared disagreement of head and tail embeddings in the relation's stalk."""
-    diff = sheaf.head_maps[r] @ sections.blocks[h] - sheaf.tail_maps[r] @ sections.blocks[t]
+    diff = sheaf.head_maps[r] @ sections.block(h) - sheaf.tail_maps[r] @ sections.block(t)
     return float(np.sum(diff * diff))
 
 
@@ -296,9 +314,9 @@ def score_shvt(sheaf: KnowledgeSheaf, sections: SectionMatrix, h: int, r: int, t
     if sheaf.translations is None:
         raise ConfigError("translational score requested but the sheaf has no translations")
     diff = (
-        sheaf.head_maps[r] @ sections.blocks[h]
+        sheaf.head_maps[r] @ sections.block(h)
         + sheaf.translations[r]
-        - sheaf.tail_maps[r] @ sections.blocks[t]
+        - sheaf.tail_maps[r] @ sections.block(t)
     )
     return float(np.sum(diff * diff))
 
@@ -332,13 +350,8 @@ def project_constraints_inplace(sheaf: KnowledgeSheaf) -> None:
 
 def orthogonality_penalty(sections: SectionMatrix) -> float:
     """Total squared deviation of each entity's column Gram matrix from identity."""
-    m = sections.columns
-    eye = np.eye(m)
-    total = 0.0
-    for blk in sections.blocks:
-        g = blk.T @ blk - eye
-        total += float(np.sum(g * g))
-    return total
+    # alpha=0 leaves the (absent) gradient alone; zero padding leaves each Gram matrix unchanged
+    return _kernels.orthogonality_grad_numpy(sections.X, None, 0.0)
 
 
 def relation_discrepancy(

@@ -26,6 +26,7 @@ from itertools import product
 import numpy as np
 
 from .errors import BudgetExceededError, ConfigError, QueryError
+from .kgdata import text_lines
 from .model import Model, KnowledgeSheaf
 from .sheaf import (
     SheafOnGraph,
@@ -179,21 +180,20 @@ def ranking_from_scores(candidates: np.ndarray, values: np.ndarray) -> Ranking:
 
 
 def _type_sections(model: Model, type_idx: int) -> tuple[np.ndarray, np.ndarray]:
-    """The entities of one type, ascending, and their sections stacked as ``(n_t, d_t, m)``."""
+    """The entities of one type, ascending, and their sections gathered as ``(n_t, d_t, m)``."""
     ids = model.entities_of_type(type_idx).astype(np.int64)
     if ids.size == 0:
         raise QueryError(
             f"no entities of the target's type {model.schema.entity_types[type_idx]!r} exist"
         )
-    blocks = model.sections.blocks
-    return ids, np.stack([blocks[c] for c in ids.tolist()])
+    return ids, model.sections.X[ids, :model.schema.vertex_dim[type_idx]]
 
 
 def _anchor_data(model: Model, qg: QueryGraph, anchor_entities) -> np.ndarray:
     """Checked anchor sections, concatenated in anchor-vertex order: ``(dim_a, m)``."""
     if len(anchor_entities) != len(qg.anchor_vertices):
         raise QueryError("anchor count does not match the query graph")
-    blocks = []
+    blocks = [np.zeros((0, model.sections.columns))]
     for v, entity in zip(qg.anchor_vertices, anchor_entities):
         entity = int(entity)
         if not 0 <= entity < model.n_entities:
@@ -204,9 +204,7 @@ def _anchor_data(model: Model, qg: QueryGraph, anchor_entities) -> np.ndarray:
                 f"{model.schema.entity_types[int(model.entity_type[entity])]}, "
                 f"query vertex needs {model.schema.entity_types[qg.vertex_types[v]]}"
             )
-        blocks.append(model.sections.blocks[entity])
-    if not blocks:
-        return np.zeros((0, model.sections.columns))
+        blocks.append(model.sections.block(entity))
     return np.concatenate(blocks, axis=0)
 
 
@@ -394,17 +392,17 @@ def entity_chaining_exact(query: Query, model: Model, budget: int = 10**6) -> Ra
         target_vec = np.zeros(len(candidates))
         for e_idx, (u, r, v) in enumerate(qg.edges):
             if u != target and v != target:
-                h_blk = model.sections.blocks[entity_at[u]]
-                t_blk = model.sections.blocks[entity_at[v]]
+                h_blk = model.sections.block(entity_at[u])
+                t_blk = model.sections.block(entity_at[v])
                 diff = head_term(e_idx, h_blk) - sheaf.tail_maps[r] @ t_blk
                 fixed += float(np.sum(diff * diff))
             elif v == target:  # u -> target
-                a = head_term(e_idx, model.sections.blocks[entity_at[u]])
+                a = head_term(e_idx, model.sections.block(entity_at[u]))
                 proj = np.einsum("ij,cjm->cim", sheaf.tail_maps[r], xc)
                 diff = a[None, :, :] - proj
                 target_vec += np.einsum("cim,cim->c", diff, diff)
             else:  # target -> v
-                t_blk = sheaf.tail_maps[r] @ model.sections.blocks[entity_at[v]]
+                t_blk = sheaf.tail_maps[r] @ model.sections.block(entity_at[v])
                 proj = np.einsum("ij,cjm->cim", sheaf.head_maps[r], xc)
                 if sheaf.translational:
                     proj = proj + sheaf.translations[r][None, :, :]
@@ -427,25 +425,21 @@ def read_queries(path, entity_index: dict[str, int], schema) -> list[Query]:
     (possibly empty).
     """
     queries = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 4:
-                raise QueryError(f"{path}:{lineno}: expected 4 tab-separated fields")
-            tag, anchor_s, rel_s, answer_s = parts
+    for lineno, line in text_lines(path, QueryError):
+        parts = line.split("\t")
+        if len(parts) != 4:
+            raise QueryError(f"{path}:{lineno}: expected 4 tab-separated fields")
+        tag, anchor_s, rel_s, answer_s = parts
 
-            def resolve_entity(name):
-                if name not in entity_index:
-                    raise QueryError(f"{path}:{lineno}: unknown entity {name!r}")
-                return entity_index[name]
+        def resolve_entity(name):
+            if name not in entity_index:
+                raise QueryError(f"{path}:{lineno}: unknown entity {name!r}")
+            return entity_index[name]
 
-            anchors = tuple(resolve_entity(n) for n in anchor_s.split(",") if n)
-            relations = tuple(schema.relation_index(n) for n in rel_s.split(",") if n)
-            answers = frozenset(resolve_entity(n) for n in answer_s.split(",") if n)
-            queries.append(Query(tag, anchors, relations, answers))
+        anchors = tuple(resolve_entity(n) for n in anchor_s.split(",") if n)
+        relations = tuple(schema.relation_index(n) for n in rel_s.split(",") if n)
+        answers = frozenset(resolve_entity(n) for n in answer_s.split(",") if n)
+        queries.append(Query(tag, anchors, relations, answers))
     return queries
 
 

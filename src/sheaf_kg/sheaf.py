@@ -13,6 +13,7 @@ act columnwise, so multi-section data needs no special casing.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 import numpy as np
 
@@ -174,11 +175,13 @@ class BlockLaplacian:
         """Dense block submatrix over the given vertex orderings."""
         if cols is None:
             cols = rows
-        if not rows or not cols:
-            return np.zeros(
-                (sum(self.vertex_dims[u] for u in rows), sum(self.vertex_dims[v] for v in cols))
-            )
-        return np.block([[self.block(u, v) for v in cols] for u in rows])
+        row_off = list(accumulate((self.vertex_dims[u] for u in rows), initial=0))
+        col_off = list(accumulate((self.vertex_dims[v] for v in cols), initial=0))
+        out = np.zeros((row_off[-1], col_off[-1]))
+        for i, u in enumerate(rows):
+            for j, v in enumerate(cols):
+                out[row_off[i]:row_off[i + 1], col_off[j]:col_off[j + 1]] = self.block(u, v)
+        return out
 
     def to_dense(self) -> np.ndarray:
         return self.submatrix(list(range(self.n_vertices)))

@@ -18,12 +18,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _kernels
-from .errors import ConfigError, SamplingError, TrainingAbortError
+from .errors import ConfigError, SamplingError, ShapeError, TrainingAbortError
 from .kgdata import TRAIN, KnowledgeGraph, TripleIndex, build_index
 from .model import (
     Model,
     SectionMatrix,
     KnowledgeSheaf,
+    orthogonality_penalty,
     project_constraints_inplace,
     relation_discrepancy,
     triple_score,
@@ -94,12 +95,12 @@ def grad_shv(sheaf: KnowledgeSheaf, sections: SectionMatrix, h: int, r: int, t: 
     the caller.
     """
     head, tail = sheaf.head_maps[r], sheaf.tail_maps[r]
-    diff = head @ sections.blocks[h] - tail @ sections.blocks[t]
+    diff = head @ sections.block(h) - tail @ sections.block(t)
     return {
         "x_h": 2.0 * head.T @ diff,
         "x_t": -2.0 * tail.T @ diff,
-        "head_map": 2.0 * diff @ sections.blocks[h].T,
-        "tail_map": -2.0 * diff @ sections.blocks[t].T,
+        "head_map": 2.0 * diff @ sections.block(h).T,
+        "tail_map": -2.0 * diff @ sections.block(t).T,
     }
 
 
@@ -108,12 +109,12 @@ def grad_shvt(sheaf: KnowledgeSheaf, sections: SectionMatrix, h: int, r: int, t:
     if sheaf.translations is None:
         raise ConfigError("translational gradients need a translational sheaf")
     head, tail = sheaf.head_maps[r], sheaf.tail_maps[r]
-    diff = head @ sections.blocks[h] + sheaf.translations[r] - tail @ sections.blocks[t]
+    diff = head @ sections.block(h) + sheaf.translations[r] - tail @ sections.block(t)
     return {
         "x_h": 2.0 * head.T @ diff,
         "x_t": -2.0 * tail.T @ diff,
-        "head_map": 2.0 * diff @ sections.blocks[h].T,
-        "tail_map": -2.0 * diff @ sections.blocks[t].T,
+        "head_map": 2.0 * diff @ sections.block(h).T,
+        "tail_map": -2.0 * diff @ sections.block(t).T,
         "translation": 2.0 * diff,
     }
 
@@ -182,7 +183,7 @@ def _pad(blocks, shape):
 
 
 class _StackedParams:
-    """Training state over stacked parameter arrays, zero-padded to the largest dims.
+    """Training state: the model's padded sections, trained in place, and padded maps.
 
     ``view`` is a KnowledgeSheaf over each relation's true block of the padded
     maps, so constraint projection sees exactly the unpadded maps.
@@ -190,10 +191,12 @@ class _StackedParams:
 
     def __init__(self, model: Model, config: TrainConfig):
         sheaf, schema = model.sheaf, model.schema
-        n, R, m = model.n_entities, schema.n_relations, model.sections.columns
+        R, m = schema.n_relations, model.sections.columns
         d = max(schema.vertex_dim)
         de = max(schema.edge_dim, default=d)
-        self.X, self.x_views = _pad(model.sections.blocks, (n, d, m))
+        self.X = model.sections.X
+        if self.X.shape[1] != d:
+            raise ShapeError(f"sections are padded to {self.X.shape[1]} rows, the schema needs {d}")
         self.RH, head_views = _pad(sheaf.head_maps, (R, de, d))
         self.RT, tail_views = _pad(sheaf.tail_maps, (R, de, d))
         self.T, t_views = None, None
@@ -250,12 +253,7 @@ class _StackedParams:
             )
         return self.relation_names[int(np.argmax(norms))]
 
-    def orthogonality(self) -> float:
-        # alpha=0 returns the penalty and leaves gX untouched
-        return _kernels.orthogonality_grad_numpy(self.X, self.gX, 0.0)
-
     def write_back(self, model: Model) -> None:
-        model.sections.blocks[:] = [v.copy() for v in self.x_views]
         trained = self.view.copy()
         model.sheaf.head_maps[:] = trained.head_maps
         model.sheaf.tail_maps[:] = trained.tail_maps
@@ -275,11 +273,13 @@ def _first_bad_relation(model, pos, neg) -> str:
 def train(kg: KnowledgeGraph, config: TrainConfig, model: Model) -> tuple[Model, TrainReport]:
     """Run the optimizer loop on ``model`` in place and return it with a report.
 
-    Every schema, ragged or uniform, trains through one path: parameters are
-    stacked and zero-padded to the largest stalk dimensions (see
-    ``_kernels``), and padded entries stay exactly zero. Identity-constrained
-    maps receive no updates; all other constraints are re-projected exactly
-    after every step on each relation's true block. With ``max_entity_norm``
+    Every schema, ragged or uniform, trains through one path. The model's
+    padded sections (``SectionMatrix.X``) are updated in place from the first
+    step; maps and translations are trained in padded copies (see
+    ``_kernels``) and copied back when training ends or aborts. Padded
+    entries stay exactly zero. Identity-constrained maps receive no updates;
+    all other constraints are re-projected exactly after every step on each
+    relation's true block. With ``max_entity_norm``
     set, a section column norm that overflows raises
     :class:`TrainingAbortError` naming the relation with the largest map norm.
     """
@@ -322,7 +322,7 @@ def train(kg: KnowledgeGraph, config: TrainConfig, model: Model) -> tuple[Model,
             epoch_loss += loss
             n_pairs += len(pos)
         report.epoch_mean_loss.append(epoch_loss / n_pairs)
-        report.epoch_orthogonality.append(state.orthogonality())
+        report.epoch_orthogonality.append(orthogonality_penalty(model.sections))
     state.write_back(model)
     report.wall_time = time.perf_counter() - start
     report.relation_discrepancy = relation_discrepancy(model.sheaf, model.sections, kg)

@@ -214,12 +214,12 @@ def test_criterion_05_equivalence_ladder():
         cfg = ModelConfig(variant="shvt", constraint="identity", entity_dim=5, relation_dim=5)
         sheaf, sections = init_model(cfg, schema, np.zeros(3, dtype=np.int64), seed=0)
         for i in range(3):
-            sections.blocks[i] = rng.normal(size=(5, 1))
+            sections.block(i)[...] = rng.normal(size=(5, 1))
         sheaf.translations[0] = rng.normal(size=(5, 1))
         transe = float(
             np.sum(
-                (sections.blocks[0][:, 0] + sheaf.translations[0][:, 0]
-                 - sections.blocks[1][:, 0]) ** 2
+                (sections.block(0)[:, 0] + sheaf.translations[0][:, 0]
+                 - sections.block(1)[:, 0]) ** 2
             )
         )
         got = score_shvt(sheaf, sections, 0, 0, 1)
@@ -231,13 +231,13 @@ def test_criterion_05_equivalence_ladder():
         sheaf.head_maps[0] = rng.normal(size=(5, 5))
         sheaf.tail_maps[0] = rng.normal(size=(5, 5))
         for i in range(3):
-            sections.blocks[i] = rng.normal(size=(5, 1))
+            sections.block(i)[...] = rng.normal(size=(5, 1))
         se_norm = 0.0
         for i in range(5):
             acc = 0.0
             for j in range(5):
-                acc += sheaf.head_maps[0][i, j] * sections.blocks[0][j, 0]
-                acc -= sheaf.tail_maps[0][i, j] * sections.blocks[1][j, 0]
+                acc += sheaf.head_maps[0][i, j] * sections.block(0)[j, 0]
+                acc -= sheaf.tail_maps[0][i, j] * sections.block(1)[j, 0]
             se_norm += acc * acc
         got = score_shv(sheaf, sections, 0, 0, 1)
         assert abs(got - se_norm) <= 1e-12 * (1.0 + se_norm)
@@ -251,11 +251,11 @@ def test_criterion_05_equivalence_ladder():
         sheaf.tail_maps[0] = proj.copy()
         sheaf.translations[0] = rng.normal(size=(4, 1))
         for i in range(3):
-            sections.blocks[i] = rng.normal(size=(5, 1))
+            sections.block(i)[...] = rng.normal(size=(5, 1))
         transr = float(
             np.sum(
-                (proj @ sections.blocks[0][:, 0] + sheaf.translations[0][:, 0]
-                 - proj @ sections.blocks[1][:, 0]) ** 2
+                (proj @ sections.block(0)[:, 0] + sheaf.translations[0][:, 0]
+                 - proj @ sections.block(1)[:, 0]) ** 2
             )
         )
         got = score_shvt(sheaf, sections, 0, 0, 1)
@@ -327,7 +327,7 @@ def test_criterion_06_gradient_check():
                         if variant == "shvt":
                             sheaf.translations[r] = rng.normal(size=(3, m))
                     for i in range(4):
-                        sections.blocks[i] = rng.normal(size=(3, m))
+                        sections.block(i)[...] = rng.normal(size=(3, m))
                     pos = (0, 0, 1)
                     neg = (2, 0, 3)
                     gamma = 1.0
@@ -373,7 +373,7 @@ def test_criterion_06_gradient_check():
                     for (label, key), g in analytic.items():
                         g = np.asarray(g, dtype=float)
                         if label == "x":
-                            fd = fd_of(sections.blocks[key])
+                            fd = fd_of(sections.block(key))
                         elif label == "head":
                             fd = fd_of(sheaf.head_maps[key])
                         elif label == "tail":

@@ -72,7 +72,7 @@ def oracle_ranking(query: Query, model: Model):
     for v, entity in zip(qg.anchor_vertices, query.anchors):
         if not 0 <= entity < model.n_entities or model.entity_type[entity] != qg.vertex_types[v]:
             raise QueryError(f"bad anchor {entity}")
-    y_a = np.concatenate([model.sections.blocks[a] for a in query.anchors], axis=0)
+    y_a = np.concatenate([model.sections.block(a) for a in query.anchors], axis=0)
     dim_a = y_a.shape[0]
     s_aa = schur[:dim_a, :dim_a]
     s_at = schur[:dim_a, dim_a:]
@@ -84,7 +84,7 @@ def oracle_ranking(query: Query, model: Model):
         w = w - lin[dim_a:]
 
     candidates = model.entities_of_type(qg.vertex_types[qg.target_vertex]).astype(np.int64)
-    xc = np.stack([model.sections.blocks[int(c)] for c in candidates])
+    xc = np.stack([model.sections.block(int(c)) for c in candidates])
     quad = np.einsum("cdm,de,cem->c", xc, s_tt, xc)
     linear = 2.0 * np.einsum("cdm,dm->c", xc, w)
     values = const + linear + quad
@@ -145,10 +145,10 @@ def ragged_model(rng, variant, constraint, m, n_entities=23):
             sheaf.head_maps[r] = rng.normal(size=sheaf.head_maps[r].shape)
             sheaf.tail_maps[r] = rng.normal(size=sheaf.tail_maps[r].shape)
     for i in range(n_entities):
-        sections.blocks[i] = rng.normal(size=sections.blocks[i].shape)
+        sections.block(i)[...] = rng.normal(size=sections.block(i).shape)
     # an exact duplicate, so that (value, id) tie-breaks are exercised
     twin = np.flatnonzero(types == types[0])[1]
-    sections.blocks[twin] = sections.blocks[0].copy()
+    sections.block(twin)[...] = sections.block(0).copy()
     return Model(
         config=cfg, schema=RAGGED, entities=tuple(f"e{i}" for i in range(n_entities)),
         entity_type=types, sheaf=sheaf, sections=sections,
@@ -187,9 +187,9 @@ def random_queries(rng, model, keys_per_structure=2, per_key=3):
                 # maps a 2i query scores its two anchors equally in exact
                 # arithmetic, and which one rounding puts first differs between
                 # the two implementations.
-                blocks = model.sections.blocks
+                block = model.sections.block
                 pool = [t for t in targets.tolist()
-                        if not any(np.array_equal(blocks[t], blocks[a]) for a in anchors)]
+                        if not any(np.array_equal(block(t), block(a)) for a in anchors)]
                 n_answers = int(rng.integers(1, 5))
                 answers = frozenset(int(a) for a in rng.choice(pool, n_answers, replace=False))
                 queries.append(Query(structure, anchors, relations, answers))

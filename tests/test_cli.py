@@ -140,6 +140,32 @@ class TestTrain:
         assert result.exit_code == 2
         assert "epochs" in result.output  # the valid-keys list
 
+    @pytest.mark.parametrize("text, message", [
+        (b"epochs=abc\n", "invalid epochs='abc'"),
+        (b"variant=shv\nepochs=1\xff\n", "bad.cfg: not UTF-8"),
+    ])
+    def test_malformed_config_value_exits_2(self, runner, tmp_path, text, message):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_bytes(text)
+        (tmp_path / "t.tsv").write_text("a\tr\tb\n", encoding="utf-8")
+        res = run_cli(runner, [
+            "train", "--config", str(cfg),
+            "--train", str(tmp_path / "t.tsv"), "--out", str(tmp_path / "o"),
+        ])
+        assert res.exit_code == 2
+        assert "error:" in res.output and message in res.output
+        assert "Traceback" not in res.output
+
+    def test_non_utf8_triple_file_exits_2(self, runner, tmp_path):
+        triples = tmp_path / "t.tsv"
+        triples.write_bytes(b"a\tr\tb\n\xff\tr\tb\n")
+        res = run_cli(runner, [
+            "train", "--train", str(triples), "--epochs", "1", "--out", str(tmp_path / "o"),
+        ])
+        assert res.exit_code == 2
+        assert f"error: {triples}: not UTF-8" in res.output
+        assert "Traceback" not in res.output
+
     def test_entity_missing_from_type_file_fails_with_location(self, runner, tmp_path):
         (tmp_path / "t.tsv").write_text("a\tr\tb\nb\ts\tc\n", encoding="utf-8")
         (tmp_path / "types.tsv").write_text("a\tperson\nb\tplace\n", encoding="utf-8")
@@ -222,6 +248,17 @@ class TestEval:
         ])
         assert res.exit_code == 2
         assert f"error: {queries}:1: expected 4 tab-separated fields" in res.output
+        assert "Traceback" not in res.output
+
+    def test_non_utf8_query_file_exits_2(self, runner, workspace, tmp_path):
+        queries = tmp_path / "bad.tsv"
+        queries.write_bytes(b"1p\t\xff\tr0\t\n")
+        res = run_cli(runner, [
+            "eval", "--checkpoint", str(workspace / "ckpt" / "model_seed1"),
+            "--queries", str(queries),
+        ])
+        assert res.exit_code == 2
+        assert f"error: {queries}: not UTF-8" in res.output
         assert "Traceback" not in res.output
 
     def test_corrupt_manifest_value_exits_1_without_traceback(self, runner, workspace, tmp_path):

@@ -31,7 +31,7 @@ class TestScores:
         )
         sheaf, sections = init_model(cfg, schema, np.zeros(8, dtype=np.int64), seed=0)
         for i in range(8):
-            sections.blocks[i] = X[i]
+            sections.block(i)[...] = X[i]
         for j in range(2):
             sheaf.head_maps[j] = RH[j]
             sheaf.tail_maps[j] = RT[j]

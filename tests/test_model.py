@@ -60,7 +60,7 @@ def random_model(rng, variant="shv", constraint="free", m=1, dim=4, edge_dim=Non
         if variant == "shvt":
             sheaf.translations[r] = rng.normal(size=sheaf.translations[r].shape)
     for i in range(n_entities):
-        sections.blocks[i] = rng.normal(size=sections.blocks[i].shape)
+        sections.block(i)[...] = rng.normal(size=sections.block(i).shape)
     return schema, cfg, sheaf, sections
 
 
@@ -78,7 +78,7 @@ class TestInit:
         cfg = ModelConfig(variant="shvt", sections=2, entity_dim=8, relation_dim=6)
         a = init_model(cfg, schema, np.zeros(5, dtype=np.int64), seed=11)
         b = init_model(cfg, schema, np.zeros(5, dtype=np.int64), seed=11)
-        for x, y in zip(a[1].blocks, b[1].blocks):
+        for x, y in zip(map(a[1].block, range(5)), map(b[1].block, range(5))):
             np.testing.assert_array_equal(x, y)
         for r in range(3):
             np.testing.assert_array_equal(a[0].head_maps[r], b[0].head_maps[r])
@@ -88,7 +88,7 @@ class TestInit:
         schema = default_schema(1, 64, 64)
         cfg = ModelConfig(sections=16, entity_dim=64, relation_dim=64)
         _, sections = init_model(cfg, schema, np.zeros(4, dtype=np.int64), seed=3)
-        for blk in sections.blocks:
+        for blk in map(sections.block, range(sections.n_entities)):
             assert blk.shape == (64, 16)
             np.testing.assert_allclose(np.linalg.norm(blk, axis=0), 1.0, atol=1e-9)
 
@@ -108,7 +108,7 @@ class TestInit:
 class TestScoring:
     def test_consistent_pair_scores_zero(self, rng):
         schema, cfg, sheaf, sections = random_model(rng, constraint="identity")
-        sections.blocks[1] = sections.blocks[0].copy()
+        sections.block(1)[...] = sections.block(0).copy()
         assert score_shv(sheaf, sections, 0, 0, 1) == 0.0
 
     def test_permutation_match(self):
@@ -117,8 +117,8 @@ class TestScoring:
         sheaf, sections = init_model(cfg, schema, np.zeros(2, dtype=np.int64), seed=0)
         sheaf.head_maps[0] = np.eye(2)
         sheaf.tail_maps[0] = np.array([[0.0, 1.0], [1.0, 0.0]])
-        sections.blocks[0] = np.array([[1.0], [2.0]])
-        sections.blocks[1] = np.array([[2.0], [1.0]])
+        sections.block(0)[...] = np.array([[1.0], [2.0]])
+        sections.block(1)[...] = np.array([[2.0], [1.0]])
         assert score_shv(sheaf, sections, 0, 0, 1) == 0.0
 
     def test_matches_two_vertex_sheaf_quadratic_form(self, rng):
@@ -133,7 +133,7 @@ class TestScoring:
                 tail_maps=(sheaf.tail_maps[1],),
             )
             oracle = sum(
-                quadratic_form(tiny, [sections.blocks[0][:, j], sections.blocks[2][:, j]])
+                quadratic_form(tiny, [sections.block(0)[:, j], sections.block(2)[:, j]])
                 for j in range(m)
             )
             assert score == pytest.approx(oracle, rel=1e-12)
@@ -142,8 +142,8 @@ class TestScoring:
         schema = default_schema(1, 2, 2)
         cfg = ModelConfig(variant="shvt", entity_dim=2, relation_dim=2, constraint="identity")
         sheaf, sections = init_model(cfg, schema, np.zeros(2, dtype=np.int64), seed=0)
-        sections.blocks[0] = np.array([[1.0], [0.0]])
-        sections.blocks[1] = np.array([[1.0], [1.0]])
+        sections.block(0)[...] = np.array([[1.0], [0.0]])
+        sections.block(1)[...] = np.array([[1.0], [1.0]])
         sheaf.translations[0] = np.array([[0.0], [1.0]])
         assert score_shvt(sheaf, sections, 0, 0, 1) == 0.0
 
@@ -162,8 +162,8 @@ class TestScoring:
             for i in range(4):
                 acc = 0.0
                 for k in range(3):
-                    acc += sheaf.head_maps[r][i, k] * sections.blocks[h][k, j]
-                    acc -= sheaf.tail_maps[r][i, k] * sections.blocks[t][k, j]
+                    acc += sheaf.head_maps[r][i, k] * sections.block(h)[k, j]
+                    acc -= sheaf.tail_maps[r][i, k] * sections.block(t)[k, j]
                 acc += sheaf.translations[r][i, j]
                 total += acc * acc
         assert score_shvt(sheaf, sections, h, r, t) == pytest.approx(total, rel=1e-12)
@@ -181,8 +181,8 @@ class TestEquivalenceLadder:
             schema, cfg, sheaf, sections = random_model(rng, constraint="free", m=1, dim=4)
             h, r, t = 0, int(rng.integers(0, 2)), 1
             se_norm = np.linalg.norm(
-                sheaf.head_maps[r] @ sections.blocks[h][:, 0]
-                - sheaf.tail_maps[r] @ sections.blocks[t][:, 0]
+                sheaf.head_maps[r] @ sections.block(h)[:, 0]
+                - sheaf.tail_maps[r] @ sections.block(t)[:, 0]
             )
             assert score_shv(sheaf, sections, h, r, t) == pytest.approx(se_norm**2, rel=1e-12)
 
@@ -190,7 +190,7 @@ class TestEquivalenceLadder:
         for _ in range(50):
             schema, cfg, sheaf, sections = random_model(rng, constraint="identity", m=1)
             h, t = 0, 1
-            d = sections.blocks[h][:, 0] - sections.blocks[t][:, 0]
+            d = sections.block(h)[:, 0] - sections.block(t)[:, 0]
             assert score_shv(sheaf, sections, h, 0, t) == pytest.approx(float(d @ d), rel=1e-12)
 
     def test_identity_plus_translation_is_additive_translation_scoring(self, rng):
@@ -200,9 +200,9 @@ class TestEquivalenceLadder:
             )
             h, r, t = 0, int(rng.integers(0, 2)), 1
             v = (
-                sections.blocks[h][:, 0]
+                sections.block(h)[:, 0]
                 + sheaf.translations[r][:, 0]
-                - sections.blocks[t][:, 0]
+                - sections.block(t)[:, 0]
             )
             assert score_shvt(sheaf, sections, h, r, t) == pytest.approx(
                 float(v @ v), rel=1e-12
@@ -216,9 +216,9 @@ class TestEquivalenceLadder:
             h, r, t = 2, int(rng.integers(0, 2)), 4
             proj = sheaf.head_maps[r]
             v = (
-                proj @ sections.blocks[h][:, 0]
+                proj @ sections.block(h)[:, 0]
                 + sheaf.translations[r][:, 0]
-                - proj @ sections.blocks[t][:, 0]
+                - proj @ sections.block(t)[:, 0]
             )
             assert score_shvt(sheaf, sections, h, r, t) == pytest.approx(
                 float(v @ v), rel=1e-12
@@ -237,7 +237,7 @@ class TestEquivalenceLadder:
             rotated_sheaf.tail_maps[r] = sheaf.tail_maps[r] @ q.T
         rotated_sections = sections.copy()
         for i in range(sections.n_entities):
-            rotated_sections.blocks[i] = q @ sections.blocks[i]
+            rotated_sections.block(i)[...] = q @ sections.block(i)
         for (h, r, t) in ((0, 0, 1), (2, 1, 3)):
             assert score_shv(rotated_sheaf, rotated_sections, h, r, t) == pytest.approx(
                 score_shv(sheaf, sections, h, r, t), rel=1e-10
@@ -313,7 +313,7 @@ class TestRelationDiscrepancy:
         cfg = ModelConfig(constraint="identity", entity_dim=4, relation_dim=4)
         model = init_for_kg(cfg, kg, seed=0)
         for i in range(1, kg.n_entities):
-            model.sections.blocks[i] = model.sections.blocks[0].copy()
+            model.sections.block(i)[...] = model.sections.block(0).copy()
         out = relation_discrepancy(model.sheaf, model.sections, kg)
         for value in out.values():
             assert value == pytest.approx(0.0, abs=1e-20)
@@ -416,7 +416,8 @@ class TestCheckpoint:
         save_model(loaded, second)
         assert manifest_path(first).read_bytes() == manifest_path(second).read_bytes()
         assert tensor_path(first).read_bytes() == tensor_path(second).read_bytes()
-        for a, b in zip(model.sections.blocks, loaded.sections.blocks):
+        for a, b in zip(map(model.sections.block, range(model.n_entities)),
+                        map(loaded.sections.block, range(loaded.n_entities))):
             np.testing.assert_array_equal(a, b)
         assert loaded.sheaf.constraints == model.sheaf.constraints
         assert loaded.entities == model.entities

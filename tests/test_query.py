@@ -47,7 +47,7 @@ def make_model(rng, n_entities=10, n_relations=3, dim=4, variant="shv", constrai
         if variant == "shvt":
             sheaf.translations[r] = rng.normal(size=sheaf.translations[r].shape)
     for i in range(n_entities):
-        sections.blocks[i] = rng.normal(size=sections.blocks[i].shape)
+        sections.block(i)[...] = rng.normal(size=sections.block(i).shape)
     return Model(
         config=cfg,
         schema=schema,
@@ -141,7 +141,7 @@ class TestAnswerQuery:
         q = Query("2p", (0,), (0, 1))
         ranking = answer_query(q, model)
         for c in range(10):
-            d = model.sections.blocks[0] - model.sections.blocks[c]
+            d = model.sections.block(0) - model.sections.block(c)
             assert ranking.value_of(c) == pytest.approx(
                 float(np.sum(d * d)) / 2.0, rel=1e-10, abs=1e-12
             )
@@ -171,7 +171,7 @@ class TestAnswerQuery:
             total = 0.0
             for j in range(m):
                 y_b = np.concatenate(
-                    [model.sections.blocks[4][:, j], model.sections.blocks[c][:, j]]
+                    [model.sections.block(4)[:, j], model.sections.block(c)[:, j]]
                 )
                 rhs = b_mat[:, j] - delta[:, b_cols] @ y_b
                 sol, *_ = np.linalg.lstsq(delta[:, u_cols], rhs, rcond=None)
@@ -201,7 +201,7 @@ class TestAnswerQuery:
 
     def test_ranking_ties_break_by_index(self, rng):
         model = make_model(rng)
-        model.sections.blocks[7] = model.sections.blocks[2].copy()  # exact tie
+        model.sections.block(7)[...] = model.sections.block(2).copy()  # exact tie
         ranking = answer_query(Query("1p", (0,), (0,)), model)
         assert ranking.position(2) < ranking.position(7)
 
@@ -307,7 +307,7 @@ class TestNaiveTraversal:
         naive = naive_traversal_score(q, model)
         np.testing.assert_array_equal(harmonic.entity_ids, naive.entity_ids)
         for c in range(10):
-            d = model.sections.blocks[0] - model.sections.blocks[c]
+            d = model.sections.block(0) - model.sections.block(c)
             assert naive.value_of(c) == pytest.approx(float(np.sum(d * d)), rel=1e-10, abs=1e-12)
             assert harmonic.value_of(c) == pytest.approx(naive.value_of(c) / 2, rel=1e-9, abs=1e-12)
 

@@ -29,6 +29,11 @@ from sheaf_kg.training import (
 )
 
 
+def section_blocks(sections):
+    """Every entity's section, as views into the padded array."""
+    return [sections.block(i) for i in range(sections.n_entities)]
+
+
 def small_kg(rng, n_entities=8, n_relations=2, dim=4, n_triples=14):
     schema = default_schema(n_relations, dim, dim)
     rows = {
@@ -156,7 +161,7 @@ class TestGradients:
             if variant == "shvt":
                 sheaf.translations[r] = rng.normal(size=(3, m))
         for i in range(5):
-            sections.blocks[i] = rng.normal(size=(4, m))
+            sections.block(i)[...] = rng.normal(size=(4, m))
         h_idx, r_idx, t_idx = 0, 1, 2
         grads = triple_grads(sheaf, sections, h_idx, r_idx, t_idx)
 
@@ -164,8 +169,8 @@ class TestGradients:
             return triple_score(sheaf, sections, h_idx, r_idx, t_idx)
 
         checks = {
-            "x_h": sections.blocks[h_idx],
-            "x_t": sections.blocks[t_idx],
+            "x_h": sections.block(h_idx),
+            "x_t": sections.block(t_idx),
             "head_map": sheaf.head_maps[r_idx],
             "tail_map": sheaf.tail_maps[r_idx],
         }
@@ -180,7 +185,7 @@ class TestGradients:
         schema = default_schema(1, 3, 3)
         cfg = ModelConfig(constraint="identity", entity_dim=3, relation_dim=3)
         sheaf, sections = init_model(cfg, schema, np.zeros(2, dtype=np.int64), seed=0)
-        sections.blocks[1] = sections.blocks[0].copy()
+        sections.block(1)[...] = sections.block(0).copy()
         grads = grad_shv(sheaf, sections, 0, 0, 1)
         for g in grads.values():
             np.testing.assert_array_equal(g, np.zeros_like(g))
@@ -189,11 +194,11 @@ class TestGradients:
         schema = default_schema(1, 3, 3)
         cfg = ModelConfig(constraint="identity", entity_dim=3, relation_dim=3)
         sheaf, sections = init_model(cfg, schema, np.zeros(2, dtype=np.int64), seed=0)
-        sections.blocks[0] = rng.normal(size=(3, 1))
-        sections.blocks[1] = rng.normal(size=(3, 1))
+        sections.block(0)[...] = rng.normal(size=(3, 1))
+        sections.block(1)[...] = rng.normal(size=(3, 1))
         grads = grad_shv(sheaf, sections, 0, 0, 1)
         np.testing.assert_allclose(
-            grads["x_h"], 2.0 * (sections.blocks[0] - sections.blocks[1]), atol=1e-12
+            grads["x_h"], 2.0 * (sections.block(0) - sections.block(1)), atol=1e-12
         )
 
     def test_translational_gradients_cover_translation(self, rng):
@@ -282,14 +287,14 @@ class TestTrain:
         )
         cfg = ModelConfig(variant="shv", constraint="identity", entity_dim=dim, relation_dim=dim)
         model = init_for_kg(cfg, kg, seed=0)
-        model.sections.blocks[0] = np.array([[0.0], [0.0]])
-        model.sections.blocks[1] = np.array([[0.0], [0.0]])  # positives all score 0
-        model.sections.blocks[2] = np.array([[100.0], [0.0]])
-        model.sections.blocks[3] = np.array([[0.0], [100.0]])
-        before = [b.copy() for b in model.sections.blocks]
+        model.sections.block(0)[...] = np.array([[0.0], [0.0]])
+        model.sections.block(1)[...] = np.array([[0.0], [0.0]])  # positives all score 0
+        model.sections.block(2)[...] = np.array([[100.0], [0.0]])
+        model.sections.block(3)[...] = np.array([[0.0], [100.0]])
+        before = [b.copy() for b in section_blocks(model.sections)]
         _, report = train(kg, TrainConfig(epochs=1, batch_size=8, seed=0), model)
         assert report.epoch_mean_loss == [0.0]
-        for a, b in zip(model.sections.blocks, before):
+        for a, b in zip(section_blocks(model.sections), before):
             np.testing.assert_array_equal(a, b)
 
     def test_constraints_hold_after_training(self):
@@ -313,7 +318,7 @@ class TestTrain:
         cfg = ModelConfig(entity_dim=4, relation_dim=4)
         model = init_for_kg(cfg, kg, seed=0)
         for i in range(kg.n_entities):
-            model.sections.blocks[i][...] = 0.0
+            model.sections.block(i)[...] = 0.0
         for r in range(kg.schema.n_relations):
             model.sheaf.head_maps[r][...] = 0.0
             model.sheaf.tail_maps[r][...] = 0.0
@@ -347,7 +352,7 @@ class TestTrain:
         kg = small_kg(rng, n_triples=10)
         cfg = ModelConfig(entity_dim=4, relation_dim=4)
         model = init_for_kg(cfg, kg, seed=0)
-        model.sections.blocks[0][0, 0] = np.nan
+        model.sections.block(0)[0, 0] = np.nan
         with pytest.raises(TrainingAbortError) as err:
             train(kg, TrainConfig(epochs=1, seed=0), model)
         assert err.value.epoch == 0
@@ -395,7 +400,7 @@ class TestTrain:
                         seed=0, max_entity_norm=1.5),
             model,
         )
-        for blk in model.sections.blocks:
+        for blk in section_blocks(model.sections):
             assert np.linalg.norm(blk, axis=0).max() <= 1.5 + 1e-9
 
     def test_divergence_under_norm_cap_raises(self):
@@ -479,7 +484,7 @@ class TestPaddedLayout:
         entity_type = np.repeat(np.arange(3), 4)
         cfg = ModelConfig(variant=variant, sections=m, constraint=constraint)
         sheaf, sections = init_model(cfg, schema, entity_type, seed=seed)
-        for blk in sections.blocks:
+        for blk in section_blocks(sections):
             blk[...] = rng.normal(size=blk.shape)
         pos = typed_triples(rng, schema, entity_type, 24)
         neg = pos.copy()
@@ -499,7 +504,7 @@ class TestPaddedLayout:
             gX, gRH, gRT, gT, state.map_trainable,
         )
 
-        ref_x = [np.zeros_like(b) for b in sections.blocks]
+        ref_x = [np.zeros_like(b) for b in section_blocks(sections)]
         ref_rh = [np.zeros_like(a) for a in sheaf.head_maps]
         ref_rt = [np.zeros_like(a) for a in sheaf.tail_maps]
         ref_t = None if sheaf.translations is None else [np.zeros_like(a) for a in sheaf.translations]
@@ -525,7 +530,7 @@ class TestPaddedLayout:
         assert_padded_blocks(gX, ref_x)
         assert_padded_blocks(gRH, ref_rh)
         assert_padded_blocks(gRT, ref_rt)
-        assert_padded_blocks(state.X, sections.blocks)
+        assert_padded_blocks(state.X, section_blocks(sections))
         assert_padded_blocks(state.RH, sheaf.head_maps)
         assert_padded_blocks(state.RT, sheaf.tail_maps)
         if ref_t is not None:
@@ -571,7 +576,7 @@ class TestPaddedLayout:
         assert np.all(np.isfinite(report.epoch_mean_loss))
         model.sheaf.check_constraints()
         np.testing.assert_array_equal(model.sheaf.head_maps[identity], np.eye(5))
-        for i, blk in enumerate(model.sections.blocks):
+        for i, blk in enumerate(section_blocks(model.sections)):
             assert blk.shape == (kg.schema.vertex_dim[kg.entity_type[i]], 3)
 
     def test_padding_stays_zero_through_steps(self, rng):
@@ -587,7 +592,7 @@ class TestPaddedLayout:
             state.step(pos, neg, config)
             assert state.cap_entity_norms(config.max_entity_norm)
         state.write_back(model)
-        assert_padded_blocks(state.X, model.sections.blocks)
+        assert_padded_blocks(state.X, section_blocks(model.sections))
         assert_padded_blocks(state.RH, model.sheaf.head_maps)
         assert_padded_blocks(state.RT, model.sheaf.tail_maps)
         assert_padded_blocks(state.T, model.sheaf.translations)
