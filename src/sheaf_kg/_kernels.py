@@ -5,13 +5,14 @@ run-to-run deterministic. The kernels work on stacked parameter arrays in
 which every stalk is zero-padded to the largest dimension of the schema:
 
     X  (n_entities, d, m)   entity sections, ``SectionMatrix.X``, d = max vertex dim
-    RH (n_relations, de, d) head restriction maps, de = max edge dim
-    RT (n_relations, de, d) tail restriction maps
-    T  (n_relations, de, m) translations, or None
+    RH (n_relations, de, d) head restriction maps, ``KnowledgeSheaf.RH``, de = max edge dim
+    RT (n_relations, de, d) tail restriction maps, ``KnowledgeSheaf.RT``
+    T  (n_relations, de, m) translations, ``KnowledgeSheaf.T``, or None
 
-``model.SectionMatrix`` documents the sections' padding invariant; relation
-``r`` occupies ``RH[r, :de_r, :d_head]``, ``RT[r, :de_r, :d_tail]`` and
-``T[r, :de_r]``. Padding changes no score and gets no gradient. A padded
+``model.SectionMatrix`` documents the sections' padding invariant and
+``model.KnowledgeSheaf`` the maps'; relation ``r`` occupies
+``RH[r, :de_r, :d_head]``, ``RT[r, :de_r, :d_tail]`` and ``T[r, :de_r]``.
+Padding changes no score and gets no gradient. A padded
 row of RH, RT and T gives a zero row of the score residual, and a padded
 column of RH or RT only ever multiplies a padded (zero) row of X, so the
 residual's true block is the unpadded residual. Every gradient entry in a

@@ -11,6 +11,7 @@ trips are bit-exact.
 from __future__ import annotations
 
 import io
+import math
 from pathlib import Path
 
 import numpy as np
@@ -41,20 +42,24 @@ def _write_tensor(fh, array: np.ndarray) -> None:
     fh.write(arr.tobytes())
 
 
-def _read_tensor(fh, path) -> np.ndarray:
-    raw = fh.read(_DIM_DTYPE.itemsize)
-    if len(raw) != _DIM_DTYPE.itemsize:
+def _read_tensor(fh, path, name: str, shape: tuple[int, ...]) -> np.ndarray:
+    """Read tensor ``name``, whose header must give the manifest's ``shape``.
+
+    The header is checked before any data is read, so a corrupt dimension
+    can never size a read or an allocation.
+    """
+    expected = (len(shape), *shape)
+    raw = fh.read(len(expected) * _DIM_DTYPE.itemsize)
+    if len(raw) != len(expected) * _DIM_DTYPE.itemsize:
         raise CheckpointError(f"{path}: truncated tensor header")
-    ndim = int(np.frombuffer(raw, dtype=_DIM_DTYPE)[0])
-    if ndim > 8:
-        raise CheckpointError(f"{path}: implausible tensor rank {ndim}")
-    raw = fh.read(ndim * _DIM_DTYPE.itemsize)
-    if len(raw) != ndim * _DIM_DTYPE.itemsize:
-        raise CheckpointError(f"{path}: truncated tensor shape")
-    shape = tuple(int(s) for s in np.frombuffer(raw, dtype=_DIM_DTYPE))
-    count = int(np.prod(shape)) if shape else 1
-    raw = fh.read(count * _DATA_DTYPE.itemsize)
-    if len(raw) != count * _DATA_DTYPE.itemsize:
+    header = tuple(int(s) for s in np.frombuffer(raw, dtype=_DIM_DTYPE))
+    if header != expected:
+        raise CheckpointError(
+            f"{path}: {name} has header (rank, *shape) {header}, manifest says {expected}"
+        )
+    nbytes = math.prod(shape) * _DATA_DTYPE.itemsize
+    raw = fh.read(nbytes)
+    if len(raw) != nbytes:
         raise CheckpointError(f"{path}: truncated tensor data")
     return np.frombuffer(raw, dtype=_DATA_DTYPE).reshape(shape).copy()
 
@@ -208,34 +213,22 @@ def load_model(prefix) -> Model:
         magic = fh.read(len(MAGIC))
         if magic != MAGIC:
             raise CheckpointError(f"{tpath}: bad magic bytes")
-        blocks = []
-        for i in range(n_entities):
-            blk = _read_tensor(fh, tpath)
-            expected = (vertex_dims[entity_types[i]], sections)
-            if blk.shape != expected:
-                raise CheckpointError(
-                    f"{tpath}: entity tensor {i} has shape {blk.shape}, manifest says {expected}"
-                )
-            blocks.append(blk)
+        blocks = [
+            _read_tensor(fh, tpath, f"entity tensor {i}", (vertex_dims[entity_types[i]], sections))
+            for i in range(n_entities)
+        ]
         head_maps, tail_maps = [], []
         for r in range(n_relations):
-            head = _read_tensor(fh, tpath)
-            tail = _read_tensor(fh, tpath)
-            if head.shape != (edge_dims[r], vertex_dims[head_types[r]]) or tail.shape != (
-                edge_dims[r],
-                vertex_dims[tail_types[r]],
-            ):
-                raise CheckpointError(f"{tpath}: relation tensor {r} shape mismatch")
-            head_maps.append(head)
-            tail_maps.append(tail)
+            head_shape = (edge_dims[r], vertex_dims[head_types[r]])
+            tail_shape = (edge_dims[r], vertex_dims[tail_types[r]])
+            head_maps.append(_read_tensor(fh, tpath, f"relation tensor {r} head", head_shape))
+            tail_maps.append(_read_tensor(fh, tpath, f"relation tensor {r} tail", tail_shape))
         translations = None
         if variant == "shvt":
-            translations = []
-            for r in range(n_relations):
-                t = _read_tensor(fh, tpath)
-                if t.shape != (edge_dims[r], sections):
-                    raise CheckpointError(f"{tpath}: translation tensor {r} shape mismatch")
-                translations.append(t)
+            translations = [
+                _read_tensor(fh, tpath, f"translation tensor {r}", (edge_dims[r], sections))
+                for r in range(n_relations)
+            ]
         if fh.read(1):
             raise CheckpointError(f"{tpath}: trailing bytes after the last tensor")
 

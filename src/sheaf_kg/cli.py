@@ -10,7 +10,6 @@ from __future__ import annotations
 import difflib
 import logging
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import click
@@ -70,34 +69,29 @@ def _load_kg(settings, train_path, valid_path, test_path, type_path):
     for label, p in (("train", train_path), ("valid", valid_path), ("test", test_path)):
         if p is not None and not Path(p).exists():
             _fail(f"{label} file not found: {p}", 2)
-    relations = kgdata.scan_relation_names(train_path, valid_path, test_path)
+    entity_dim, relation_dim = settings.values["entity_dim"], settings.values["relation_dim"]
     if type_path:
         labels = kgdata.read_type_labels(type_path)
-        type_names = tuple(dict.fromkeys(labels.values()))
-        schema = kgdata.Schema(
-            entity_types=type_names,
-            relation_types=relations,
-            head_type=(0,) * len(relations),
-            tail_type=(0,) * len(relations),
-            vertex_dim=(settings.values["entity_dim"],) * len(type_names),
-            edge_dim=(settings.values["relation_dim"],) * len(relations),
+        schema = _infer_relation_typing(
+            labels, entity_dim, relation_dim, train_path, valid_path, test_path
         )
-        # head/tail typing for multi-type sidecar data is inferred from the files
-        schema = _infer_relation_typing(schema, labels, train_path, valid_path, test_path)
     else:
+        relations = kgdata.scan_relation_names(train_path, valid_path, test_path)
         schema = kgdata.default_schema(
-            len(relations),
-            settings.values["entity_dim"],
-            settings.values["relation_dim"],
-            relation_names=relations,
+            len(relations), entity_dim, relation_dim, relation_names=relations
         )
     return kgdata.load_dataset(schema, train_path, valid_path, test_path, type_path)
 
 
-def _infer_relation_typing(schema, labels, *paths):
-    head_type = list(schema.head_type)
-    tail_type = list(schema.tail_type)
-    seen: set[int] = set()
+def _infer_relation_typing(labels, entity_dim, relation_dim, *paths) -> kgdata.Schema:
+    """Multi-type schema read from the triple files in one pass.
+
+    Entity types come from the type-file ``labels`` and relations from the
+    files, both in order of first appearance; each relation takes its head
+    and tail types from its first triple.
+    """
+    type_index = {name: i for i, name in enumerate(dict.fromkeys(labels.values()))}
+    typing: dict[str, tuple[int, int]] = {}
     for path in paths:
         if path is None:
             continue
@@ -105,13 +99,16 @@ def _infer_relation_typing(schema, labels, *paths):
             for name in (h, t):
                 if name not in labels:
                     raise SchemaError(f"{path}:{lineno}: entity {name!r} has no type-file entry")
-            r = schema.relation_types.index(rel)
-            if r in seen:
-                continue
-            seen.add(r)
-            head_type[r] = schema.entity_types.index(labels[h])
-            tail_type[r] = schema.entity_types.index(labels[t])
-    return replace(schema, head_type=tuple(head_type), tail_type=tuple(tail_type))
+            if rel not in typing:
+                typing[rel] = (type_index[labels[h]], type_index[labels[t]])
+    return kgdata.Schema(
+        entity_types=tuple(type_index),
+        relation_types=tuple(typing),
+        head_type=tuple(h for h, _ in typing.values()),
+        tail_type=tuple(t for _, t in typing.values()),
+        vertex_dim=(entity_dim,) * len(type_index),
+        edge_dim=(relation_dim,) * len(typing),
+    )
 
 
 @click.group()

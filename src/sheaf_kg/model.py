@@ -66,41 +66,61 @@ class ModelConfig:
         )
 
 
-@dataclass
 class KnowledgeSheaf:
-    """Per-relation restriction maps with constraint tags (and translations)."""
+    """Per-relation restriction maps with constraint tags (and translations).
 
-    schema: Schema
-    head_maps: list[np.ndarray]  # per relation, (edge_dim, head_vertex_dim)
-    tail_maps: list[np.ndarray]
-    constraints: tuple[str, ...]
-    translations: list[np.ndarray] | None = None  # per relation, (edge_dim, sections)
+    The maps live in zero-padded arrays: ``RH`` and ``RT`` are
+    ``(n_relations, max edge dim, max vertex dim)`` and ``T`` is
+    ``(n_relations, max edge dim, columns)``, or None for a non-translational
+    sheaf. Relation ``r``'s head map is the view
+    ``head_maps[r] = RH[r, :edge_dim[r], :head_dim(r)]``; ``tail_maps`` and
+    ``translations`` are views into ``RT`` and ``T`` the same way. Every other
+    entry is exactly zero, and training updates the arrays in place and keeps
+    it so (see ``_kernels``). The view tuples cannot be rebound; write
+    through a view instead (``head_maps[r][...] = m``). The constructor pads
+    per-relation blocks once.
+    """
 
-    def __post_init__(self):
-        n = self.schema.n_relations
-        if not (len(self.head_maps) == len(self.tail_maps) == len(self.constraints) == n):
+    def __init__(self, schema: Schema, head_maps, tail_maps, constraints, translations=None):
+        n = schema.n_relations
+        if not (len(head_maps) == len(tail_maps) == len(constraints) == n):
             raise ShapeError("per-relation tables must match the schema's relation count")
-        for r in range(n):
-            de = self.schema.edge_dim[r]
-            if self.head_maps[r].shape != (de, self.schema.head_dim(r)):
-                raise ShapeError(f"relation {r}: head map shape {self.head_maps[r].shape}")
-            if self.tail_maps[r].shape != (de, self.schema.tail_dim(r)):
-                raise ShapeError(f"relation {r}: tail map shape {self.tail_maps[r].shape}")
-        if self.translations is not None and len(self.translations) != n:
+        if translations is not None and len(translations) != n:
             raise ShapeError("translations must have one block per relation")
+        self.schema = schema
+        self.constraints = tuple(constraints)
+        de, d = max(schema.edge_dim, default=0), max(schema.vertex_dim)
+        T = None
+        if translations is not None:
+            T = np.zeros((n, de, np.shape(translations[0])[-1] if n else 0))
+        self._bind(np.zeros((n, de, d)), np.zeros((n, de, d)), T)
+        blocks = [(self.head_maps, head_maps, "head map"), (self.tail_maps, tail_maps, "tail map")]
+        if translations is not None:
+            blocks.append((self.translations, translations, "translation"))
+        for views, given, label in blocks:
+            for r, (view, blk) in enumerate(zip(views, given)):
+                if np.shape(blk) != view.shape:
+                    raise ShapeError(
+                        f"relation {r}: {label} shape {np.shape(blk)}, expected {view.shape}"
+                    )
+                view[...] = blk
+
+    def _bind(self, RH: np.ndarray, RT: np.ndarray, T: np.ndarray | None) -> None:
+        """Adopt the padded arrays and build each relation's views into them."""
+        s, relations = self.schema, range(self.schema.n_relations)
+        self.RH, self.RT, self.T = RH, RT, T
+        self.head_maps = tuple(RH[r, :s.edge_dim[r], :s.head_dim(r)] for r in relations)
+        self.tail_maps = tuple(RT[r, :s.edge_dim[r], :s.tail_dim(r)] for r in relations)
+        self.translations = None if T is None else tuple(T[r, :s.edge_dim[r]] for r in relations)
 
     @property
     def translational(self) -> bool:
-        return self.translations is not None
+        return self.T is not None
 
     def copy(self) -> "KnowledgeSheaf":
-        return KnowledgeSheaf(
-            schema=self.schema,
-            head_maps=[m.copy() for m in self.head_maps],
-            tail_maps=[m.copy() for m in self.tail_maps],
-            constraints=self.constraints,
-            translations=None if self.translations is None else [t.copy() for t in self.translations],
-        )
+        out = copy.copy(self)
+        out._bind(self.RH.copy(), self.RT.copy(), None if self.T is None else self.T.copy())
+        return out
 
     def check_constraints(self, tol: float = ORTHOGONALITY_TOL) -> None:
         """Raise unless every constraint tag is actually satisfied."""
@@ -359,17 +379,22 @@ def relation_discrepancy(
 ) -> dict[str, float]:
     """Mean triple score per relation over the training split.
 
-    Relations with no training triples are absent from the result.
+    Relations with no training triples are absent from the result. Each
+    relation's triples are scored at once through its map views.
     """
-    sums: dict[int, float] = {}
-    counts: dict[int, int] = {}
-    for h, r, t in kg.triples_of("train"):
-        r = int(r)
-        sums[r] = sums.get(r, 0.0) + triple_score(sheaf, sections, int(h), r, int(t))
-        counts[r] = counts.get(r, 0) + 1
-    return {
-        kg.schema.relation_types[r]: sums[r] / counts[r] for r in sorted(sums)
-    }
+    triples = kg.triples_of("train")
+    schema = sheaf.schema
+    out = {}
+    for r in np.unique(triples[:, 1]):
+        h, t = triples[triples[:, 1] == r][:, [0, 2]].T
+        diff = (
+            sheaf.head_maps[r] @ sections.X[h, :schema.head_dim(r)]
+            - sheaf.tail_maps[r] @ sections.X[t, :schema.tail_dim(r)]
+        )
+        if sheaf.translational:
+            diff += sheaf.translations[r]
+        out[kg.schema.relation_types[r]] = float(np.sum(diff * diff) / len(h))
+    return out
 
 
 def resize_edge_stalk(sheaf: KnowledgeSheaf, relation, new_dim: int, seed: int) -> KnowledgeSheaf:
@@ -400,16 +425,16 @@ def resize_edge_stalk(sheaf: KnowledgeSheaf, relation, new_dim: int, seed: int) 
 
     def resized(mat: np.ndarray, scale: float) -> np.ndarray:
         if new_dim <= old:
-            return mat[:new_dim].copy()
+            return mat[:new_dim]
         extra = rng.normal(size=(new_dim - old, mat.shape[1])) * scale
         return np.concatenate([mat, extra], axis=0)
 
-    head_maps = [m.copy() for m in sheaf.head_maps]
-    tail_maps = [m.copy() for m in sheaf.tail_maps]
-    translations = None if sheaf.translations is None else [t.copy() for t in sheaf.translations]
+    # the new sheaf pads copies of these blocks
+    head_maps, tail_maps = list(sheaf.head_maps), list(sheaf.tail_maps)
+    translations = None if sheaf.translations is None else list(sheaf.translations)
     head_maps[r] = resized(sheaf.head_maps[r], 1.0 / np.sqrt(dh * new_dim))
     if kind == "shared":
-        tail_maps[r] = head_maps[r].copy()
+        tail_maps[r] = head_maps[r]
     elif kind == "antisymmetric":
         tail_maps[r] = -head_maps[r]
     else:

@@ -27,7 +27,6 @@ from .model import (
     orthogonality_penalty,
     project_constraints_inplace,
     relation_discrepancy,
-    triple_score,
 )
 from .seeds import substream
 
@@ -171,39 +170,21 @@ def _adagrad_update(param, grad, acc, lr):
     param -= lr * grad / (np.sqrt(acc) + ADAGRAD_EPS)
 
 
-def _pad(blocks, shape):
-    """Stack ``blocks`` zero-padded into ``shape``; also return views of the true blocks."""
-    stacked = np.zeros(shape)
-    views = []
-    for i, blk in enumerate(blocks):
-        view = stacked[(i, *(slice(n) for n in blk.shape))]
-        view[...] = blk
-        views.append(view)
-    return stacked, views
-
-
 class _StackedParams:
-    """Training state: the model's padded sections, trained in place, and padded maps.
+    """Training state: gradients and accumulators for the model's padded arrays.
 
-    ``view`` is a KnowledgeSheaf over each relation's true block of the padded
-    maps, so constraint projection sees exactly the unpadded maps.
+    The sections ``X`` and the sheaf's maps ``RH``/``RT`` and translations
+    ``T`` are the model's own arrays, updated in place; constraints are
+    re-projected on each relation's true block through the sheaf's views.
     """
 
     def __init__(self, model: Model, config: TrainConfig):
-        sheaf, schema = model.sheaf, model.schema
-        R, m = schema.n_relations, model.sections.columns
-        d = max(schema.vertex_dim)
-        de = max(schema.edge_dim, default=d)
-        self.X = model.sections.X
-        if self.X.shape[1] != d:
-            raise ShapeError(f"sections are padded to {self.X.shape[1]} rows, the schema needs {d}")
-        self.RH, head_views = _pad(sheaf.head_maps, (R, de, d))
-        self.RT, tail_views = _pad(sheaf.tail_maps, (R, de, d))
-        self.T, t_views = None, None
-        if sheaf.translations is not None:
-            self.T, t_views = _pad(sheaf.translations, (R, de, m))
-        self.view = KnowledgeSheaf(schema, head_views, tail_views, sheaf.constraints, t_views)
-        self.relation_names = schema.relation_types
+        self.sheaf = sheaf = model.sheaf
+        self.X, self.RH, self.RT, self.T = model.sections.X, sheaf.RH, sheaf.RT, sheaf.T
+        if self.X.shape[1] != self.RH.shape[2]:
+            raise ShapeError(
+                f"sections are padded to {self.X.shape[1]} rows, the schema needs {self.RH.shape[2]}"
+            )
         self.map_trainable = np.array(
             [0.0 if c == "identity" else 1.0 for c in sheaf.constraints]
         )
@@ -233,7 +214,7 @@ class _StackedParams:
             _kernels.orthogonality_grad_numpy(self.X, self.gX, config.alpha)
         for param, grad, acc in self.slots:
             self.update(param, grad, acc, config.learning_rate)
-        project_constraints_inplace(self.view)
+        project_constraints_inplace(self.sheaf)
         return loss, n_active
 
     def cap_entity_norms(self, cap: float) -> bool:
@@ -251,37 +232,33 @@ class _StackedParams:
             norms = np.maximum(
                 np.linalg.norm(self.RH, axis=(1, 2)), np.linalg.norm(self.RT, axis=(1, 2))
             )
-        return self.relation_names[int(np.argmax(norms))]
-
-    def write_back(self, model: Model) -> None:
-        trained = self.view.copy()
-        model.sheaf.head_maps[:] = trained.head_maps
-        model.sheaf.tail_maps[:] = trained.tail_maps
-        if trained.translations is not None:
-            model.sheaf.translations[:] = trained.translations
+        return self.sheaf.schema.relation_types[int(np.argmax(norms))]
 
 
 def _first_bad_relation(model, pos, neg) -> str:
     """Name the relation of the first pair with a non-finite score."""
-    for row in np.concatenate([pos, neg]):
-        s = triple_score(model.sheaf, model.sections, int(row[0]), int(row[1]), int(row[2]))
-        if not np.isfinite(s):
-            return model.schema.relation_types[int(row[1])]
-    return "<unknown>"
+    rows = np.concatenate([pos, neg])
+    sheaf = model.sheaf
+    scores = _kernels.batch_scores(
+        model.sections.X, sheaf.RH, sheaf.RT, sheaf.T, rows[:, 0], rows[:, 1], rows[:, 2]
+    )
+    bad = np.flatnonzero(~np.isfinite(scores))
+    return model.schema.relation_types[int(rows[bad[0], 1])] if bad.size else "<unknown>"
 
 
 def train(kg: KnowledgeGraph, config: TrainConfig, model: Model) -> tuple[Model, TrainReport]:
     """Run the optimizer loop on ``model`` in place and return it with a report.
 
     Every schema, ragged or uniform, trains through one path. The model's
-    padded sections (``SectionMatrix.X``) are updated in place from the first
-    step; maps and translations are trained in padded copies (see
-    ``_kernels``) and copied back when training ends or aborts. Padded
-    entries stay exactly zero. Identity-constrained maps receive no updates;
-    all other constraints are re-projected exactly after every step on each
-    relation's true block. With ``max_entity_norm``
-    set, a section column norm that overflows raises
-    :class:`TrainingAbortError` naming the relation with the largest map norm.
+    padded arrays, the sections ``SectionMatrix.X`` and the maps and
+    translations ``KnowledgeSheaf.RH``/``RT``/``T``, are updated in place
+    from the first step, and a :class:`TrainingAbortError` leaves the model
+    holding the parameters reached when training stopped. Padded entries stay
+    exactly zero (see ``_kernels``). Identity-constrained maps receive no
+    updates; all other constraints are re-projected exactly after every step
+    on each relation's true block. With ``max_entity_norm`` set, a section
+    column norm that overflows raises :class:`TrainingAbortError` naming the
+    relation with the largest map norm.
     """
     triples = kg.triples_of(TRAIN)
     if len(triples) == 0:
@@ -308,13 +285,11 @@ def train(kg: KnowledgeGraph, config: TrainConfig, model: Model) -> tuple[Model,
             neg = np.asarray(neg_rows, dtype=np.int64).reshape(len(pos), 3)
             loss, _ = state.step(pos, neg, config)
             if not np.isfinite(loss):
-                state.write_back(model)
                 raise TrainingAbortError(
                     epoch, batch_no, _first_bad_relation(model, pos, neg)
                 )
             cap = config.max_entity_norm
             if cap is not None and not state.cap_entity_norms(cap):
-                state.write_back(model)
                 raise TrainingAbortError(
                     epoch, batch_no, state.largest_map_relation(),
                     "section norms overflowed before the max_entity_norm cap",
@@ -323,7 +298,6 @@ def train(kg: KnowledgeGraph, config: TrainConfig, model: Model) -> tuple[Model,
             n_pairs += len(pos)
         report.epoch_mean_loss.append(epoch_loss / n_pairs)
         report.epoch_orthogonality.append(orthogonality_penalty(model.sections))
-    state.write_back(model)
     report.wall_time = time.perf_counter() - start
     report.relation_discrepancy = relation_discrepancy(model.sheaf, model.sections, kg)
     logger.info(

@@ -215,7 +215,7 @@ def test_criterion_05_equivalence_ladder():
         sheaf, sections = init_model(cfg, schema, np.zeros(3, dtype=np.int64), seed=0)
         for i in range(3):
             sections.block(i)[...] = rng.normal(size=(5, 1))
-        sheaf.translations[0] = rng.normal(size=(5, 1))
+        sheaf.translations[0][...] = rng.normal(size=(5, 1))
         transe = float(
             np.sum(
                 (sections.block(0)[:, 0] + sheaf.translations[0][:, 0]
@@ -228,8 +228,8 @@ def test_criterion_05_equivalence_ladder():
         # two-matrix relational scoring (free maps)
         cfg = ModelConfig(variant="shv", constraint="free", entity_dim=5, relation_dim=5)
         sheaf, sections = init_model(cfg, schema, np.zeros(3, dtype=np.int64), seed=0)
-        sheaf.head_maps[0] = rng.normal(size=(5, 5))
-        sheaf.tail_maps[0] = rng.normal(size=(5, 5))
+        sheaf.head_maps[0][...] = rng.normal(size=(5, 5))
+        sheaf.tail_maps[0][...] = rng.normal(size=(5, 5))
         for i in range(3):
             sections.block(i)[...] = rng.normal(size=(5, 1))
         se_norm = 0.0
@@ -247,9 +247,9 @@ def test_criterion_05_equivalence_ladder():
         schema_sh = default_schema(2, 5, 4)
         sheaf, sections = init_model(cfg, schema_sh, np.zeros(3, dtype=np.int64), seed=0)
         proj = rng.normal(size=(4, 5))
-        sheaf.head_maps[0] = proj
-        sheaf.tail_maps[0] = proj.copy()
-        sheaf.translations[0] = rng.normal(size=(4, 1))
+        sheaf.head_maps[0][...] = proj
+        sheaf.tail_maps[0][...] = proj.copy()
+        sheaf.translations[0][...] = rng.normal(size=(4, 1))
         for i in range(3):
             sections.block(i)[...] = rng.normal(size=(5, 1))
         transr = float(
@@ -298,9 +298,9 @@ def _margin_grad_blocks(sheaf, sections, pos, neg, gamma, kind):
 
 def _apply_tied(sheaf, kind, r):
     if kind == "shared":
-        sheaf.tail_maps[r] = sheaf.head_maps[r].copy()
+        sheaf.tail_maps[r][...] = sheaf.head_maps[r].copy()
     elif kind == "antisymmetric":
-        sheaf.tail_maps[r] = -sheaf.head_maps[r]
+        sheaf.tail_maps[r][...] = -sheaf.head_maps[r]
 
 
 @criterion(6, "margin-loss gradients match central finite differences")
@@ -319,13 +319,13 @@ def test_criterion_06_gradient_check():
                     sheaf, sections = init_model(cfg, schema, np.zeros(4, dtype=np.int64), seed=0)
                     for r in range(2):
                         if kind in ("free", "orthogonal"):
-                            sheaf.head_maps[r] = rng.normal(size=(3, 3))
-                            sheaf.tail_maps[r] = rng.normal(size=(3, 3))
+                            sheaf.head_maps[r][...] = rng.normal(size=(3, 3))
+                            sheaf.tail_maps[r][...] = rng.normal(size=(3, 3))
                         elif kind in ("shared", "antisymmetric"):
-                            sheaf.head_maps[r] = rng.normal(size=(3, 3))
+                            sheaf.head_maps[r][...] = rng.normal(size=(3, 3))
                             _apply_tied(sheaf, kind, r)
                         if variant == "shvt":
-                            sheaf.translations[r] = rng.normal(size=(3, m))
+                            sheaf.translations[r][...] = rng.normal(size=(3, m))
                     for i in range(4):
                         sections.block(i)[...] = rng.normal(size=(3, m))
                     pos = (0, 0, 1)

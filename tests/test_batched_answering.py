@@ -142,8 +142,8 @@ def ragged_model(rng, variant, constraint, m, n_entities=23):
     sheaf, sections = init_model(cfg, RAGGED, types, seed=int(rng.integers(1 << 30)))
     for r, kind in enumerate(sheaf.constraints):
         if kind == "free":
-            sheaf.head_maps[r] = rng.normal(size=sheaf.head_maps[r].shape)
-            sheaf.tail_maps[r] = rng.normal(size=sheaf.tail_maps[r].shape)
+            sheaf.head_maps[r][...] = rng.normal(size=sheaf.head_maps[r].shape)
+            sheaf.tail_maps[r][...] = rng.normal(size=sheaf.tail_maps[r].shape)
     for i in range(n_entities):
         sections.block(i)[...] = rng.normal(size=sections.block(i).shape)
     # an exact duplicate, so that (value, id) tie-breaks are exercised

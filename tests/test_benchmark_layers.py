@@ -1,0 +1,38 @@
+"""The traced benchmark wraps library names that exist and are still called.
+
+``benchmarks/layers.instrument`` replaces library attributes by name, so a
+renamed or removed function fails here rather than in a benchmark run.
+"""
+
+import sys
+from pathlib import Path
+
+import numpy as np
+
+import sheaf_kg
+import sheaf_kg.checkpoint  # noqa: F401  (instrument wraps these modules too)
+import sheaf_kg.evaluation  # noqa: F401
+import sheaf_kg.synth  # noqa: F401
+from sheaf_kg.model import ModelConfig, init_for_kg
+from sheaf_kg.training import TrainConfig
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "benchmarks"))
+
+from layers import instrument  # noqa: E402
+from tracing import Tracer  # noqa: E402
+
+
+def test_instrument_wraps_existing_names_and_restores_them():
+    originals = (sheaf_kg.training.train, sheaf_kg._kernels.margin_grads, sheaf_kg.query.psd_pinv)
+    with Tracer() as tracer:
+        instrument(tracer, sheaf_kg)
+        assert sheaf_kg.training.train is not originals[0]
+        ds = sheaf_kg.synth.generate_planted_kg(30, 2, 4, 0.0, seed=0, variant="shvt")
+        model = init_for_kg(ModelConfig(variant="shvt", entity_dim=4, relation_dim=4), ds.kg, seed=0)
+        sheaf_kg.training.train(ds.kg, TrainConfig(epochs=1, batch_size=16, seed=0), model)
+    assert (sheaf_kg.training.train, sheaf_kg._kernels.margin_grads, sheaf_kg.query.psd_pinv) == originals
+    times = tracer.layer_times()
+    for name in ("training.train", "training.sample_negatives", "kernels.margin_grads",
+                 "model.relation_discrepancy", "kgdata.build_index", "synth.generate"):
+        assert times[name].calls >= 1, name
+    assert tracer.counters["pairs"] == np.sum(ds.kg.split_mask("train"))

@@ -1,0 +1,96 @@
+"""Corrupt checkpoints end in a ``SheafKGError``, never in another exception."""
+
+import tempfile
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from sheaf_kg.checkpoint import MAGIC, load_model, manifest_path, save_model, tensor_path
+from sheaf_kg.errors import CheckpointError, SheafKGError
+from sheaf_kg.kgdata import Schema
+from sheaf_kg.model import Model, ModelConfig, init_model
+
+# the first tensor's header: rank, then its first dimension
+FIRST_DIM = slice(len(MAGIC) + 8, len(MAGIC) + 16)
+
+
+@pytest.fixture(scope="module")
+def saved(tmp_path_factory):
+    """Manifest text and tensor bytes of a ragged shvt model: three types, every one in use."""
+    schema = Schema(
+        entity_types=("a", "b", "c"),
+        relation_types=("r0", "r1", "r2"),
+        head_type=(0, 1, 2),
+        tail_type=(1, 2, 0),
+        vertex_dim=(2, 3, 4),
+        edge_dim=(3, 5, 2),
+    )
+    entity_type = np.array([0, 1, 2, 0, 1, 2, 2], dtype=np.int64)
+    cfg = ModelConfig(variant="shvt", sections=2, constraint_overrides={"r1": "orthogonal"})
+    sheaf, sections = init_model(cfg, schema, entity_type, seed=0)
+    names = tuple(f"e{i}" for i in range(len(entity_type)))
+    prefix = tmp_path_factory.mktemp("ckpt") / "model"
+    save_model(Model(cfg, schema, names, entity_type, sheaf, sections), prefix)
+    return manifest_path(prefix).read_text(encoding="utf-8"), tensor_path(prefix).read_bytes()
+
+
+def write(prefix: Path, manifest: str, tensors: bytes) -> None:
+    manifest_path(prefix).write_text(manifest, encoding="utf-8")
+    tensor_path(prefix).write_bytes(tensors)
+
+
+@pytest.mark.parametrize("dim", [2**62, 2**40 + 1])
+def test_corrupt_header_dimension_is_checkpoint_error(tmp_path, saved, dim):
+    manifest, tensors = saved
+    tensors = bytearray(tensors)
+    tensors[FIRST_DIM] = np.array([dim], dtype="<u8").tobytes()
+    write(tmp_path / "ck", manifest, bytes(tensors))
+    with pytest.raises(CheckpointError, match="entity tensor 0 has header"):
+        load_model(tmp_path / "ck")
+
+
+def flip_byte(draw, manifest, tensors):
+    i = draw(st.integers(0, len(tensors) - 1))
+    mutated = bytearray(tensors)
+    mutated[i] ^= draw(st.integers(1, 255))
+    return manifest, bytes(mutated)
+
+
+def truncate(draw, manifest, tensors):
+    return manifest, tensors[:draw(st.integers(0, len(tensors) - 1))]
+
+
+def replace_value(draw, manifest, tensors):
+    lines = manifest.splitlines()
+    i = draw(st.integers(0, len(lines) - 1))
+    value = draw(st.one_of(
+        st.integers(-2**64, 2**64).map(str),
+        st.sampled_from(["", "nan", "-inf", "1e308", "shv", "identity", "a", "b", "c", "r0"]),
+        st.text(st.characters(codec="utf-8"), max_size=8),
+    ))
+    lines[i] = lines[i].partition("=")[0] + "=" + value
+    return "\n".join(lines) + "\n", tensors
+
+
+def delete_line(draw, manifest, tensors):
+    lines = manifest.splitlines()
+    del lines[draw(st.integers(0, len(lines) - 1))]
+    return "\n".join(lines) + "\n", tensors
+
+
+@pytest.mark.parametrize("mutate", [flip_byte, truncate, replace_value, delete_line])
+@given(data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_mutated_checkpoint_loads_or_raises_sheaf_kg_error(saved, mutate, data):
+    manifest, tensors = mutate(data.draw, *saved)
+    with tempfile.TemporaryDirectory() as tmp:
+        prefix = Path(tmp) / "ck"
+        write(prefix, manifest, tensors)
+        try:
+            model = load_model(prefix)
+        except SheafKGError:
+            return
+    assert isinstance(model, Model)

@@ -179,13 +179,11 @@ class TestTrain:
     def test_type_inference_rejects_malformed_line(self, tmp_path):
         from sheaf_kg.cli import _infer_relation_typing
         from sheaf_kg.errors import TripleParseError
-        from sheaf_kg.kgdata import default_schema
 
-        schema = default_schema(1, 4, 4, relation_names=("r",))
-        labels = dict.fromkeys("ab", schema.entity_types[0])
+        labels = dict.fromkeys("ab", "entity")
         (tmp_path / "t.tsv").write_text("a\tr\tb\na\tr\n", encoding="utf-8")
         with pytest.raises(TripleParseError, match=":2:"):
-            _infer_relation_typing(schema, labels, tmp_path / "t.tsv")
+            _infer_relation_typing(labels, 4, 4, tmp_path / "t.tsv")
 
     def test_logs_resolved_config(self, runner, tmp_path, caplog):
         (tmp_path / "t.tsv").write_text("a\tr\tb\nb\tr\ta\na\tr\ta\n", encoding="utf-8")
@@ -342,6 +340,20 @@ class TestInspect:
         ])
         assert res.exit_code == 0
         assert "discrepancy r0" in res.output
+
+    @pytest.mark.parametrize("dim", [2**62, 2**40 + 1])
+    def test_corrupt_tensor_header_exits_1_without_traceback(self, runner, workspace, tmp_path, dim):
+        import shutil
+
+        prefix = tmp_path / "broken"
+        shutil.copy(workspace / "ckpt" / "model_seed1.manifest", str(prefix) + ".manifest")
+        raw = bytearray((workspace / "ckpt" / "model_seed1.tensors").read_bytes())
+        raw[16:24] = np.array([dim], dtype="<u8").tobytes()  # first tensor's first dimension
+        Path(str(prefix) + ".tensors").write_bytes(bytes(raw))
+        res = run_cli(runner, ["inspect", "--checkpoint", str(prefix)])
+        assert res.exit_code == 1
+        assert f"error: {prefix}.tensors: entity tensor 0 has header" in res.output
+        assert "Traceback" not in res.output
 
 
 def test_entry_point_help_via_subprocess():

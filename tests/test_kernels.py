@@ -33,10 +33,10 @@ class TestScores:
         for i in range(8):
             sections.block(i)[...] = X[i]
         for j in range(2):
-            sheaf.head_maps[j] = RH[j]
-            sheaf.tail_maps[j] = RT[j]
+            sheaf.head_maps[j][...] = RH[j]
+            sheaf.tail_maps[j][...] = RT[j]
             if translational:
-                sheaf.translations[j] = T[j]
+                sheaf.translations[j][...] = T[j]
         score = score_shvt if translational else score_shv
         ref = [score(sheaf, sections, int(h[b]), int(r[b]), int(t[b])) for b in range(B)]
         np.testing.assert_allclose(stacked, ref, rtol=1e-12)

@@ -55,10 +55,10 @@ def random_model(rng, variant="shv", constraint="free", m=1, dim=4, edge_dim=Non
     # free parameters should not look special; rescale with extra randomness
     for r in range(n_relations):
         if constraint == "free":
-            sheaf.head_maps[r] = rng.normal(size=sheaf.head_maps[r].shape)
-            sheaf.tail_maps[r] = rng.normal(size=sheaf.tail_maps[r].shape)
+            sheaf.head_maps[r][...] = rng.normal(size=sheaf.head_maps[r].shape)
+            sheaf.tail_maps[r][...] = rng.normal(size=sheaf.tail_maps[r].shape)
         if variant == "shvt":
-            sheaf.translations[r] = rng.normal(size=sheaf.translations[r].shape)
+            sheaf.translations[r][...] = rng.normal(size=sheaf.translations[r].shape)
     for i in range(n_entities):
         sections.block(i)[...] = rng.normal(size=sections.block(i).shape)
     return schema, cfg, sheaf, sections
@@ -115,8 +115,8 @@ class TestScoring:
         schema = default_schema(1, 2, 2)
         cfg = ModelConfig(entity_dim=2, relation_dim=2)
         sheaf, sections = init_model(cfg, schema, np.zeros(2, dtype=np.int64), seed=0)
-        sheaf.head_maps[0] = np.eye(2)
-        sheaf.tail_maps[0] = np.array([[0.0, 1.0], [1.0, 0.0]])
+        sheaf.head_maps[0][...] = np.eye(2)
+        sheaf.tail_maps[0][...] = np.array([[0.0, 1.0], [1.0, 0.0]])
         sections.block(0)[...] = np.array([[1.0], [2.0]])
         sections.block(1)[...] = np.array([[2.0], [1.0]])
         assert score_shv(sheaf, sections, 0, 0, 1) == 0.0
@@ -144,12 +144,12 @@ class TestScoring:
         sheaf, sections = init_model(cfg, schema, np.zeros(2, dtype=np.int64), seed=0)
         sections.block(0)[...] = np.array([[1.0], [0.0]])
         sections.block(1)[...] = np.array([[1.0], [1.0]])
-        sheaf.translations[0] = np.array([[0.0], [1.0]])
+        sheaf.translations[0][...] = np.array([[0.0], [1.0]])
         assert score_shvt(sheaf, sections, 0, 0, 1) == 0.0
 
     def test_zero_translation_reduces_to_plain_score(self, rng):
         schema, cfg, sheaf, sections = random_model(rng, variant="shvt", m=2)
-        sheaf.translations[0] = np.zeros_like(sheaf.translations[0])
+        sheaf.translations[0][...] = np.zeros_like(sheaf.translations[0])
         assert score_shvt(sheaf, sections, 0, 0, 1) == pytest.approx(
             score_shv(sheaf, sections, 0, 0, 1), rel=1e-12
         )
@@ -233,8 +233,8 @@ class TestEquivalenceLadder:
         q, _ = np.linalg.qr(rng.normal(size=(4, 4)))
         rotated_sheaf = sheaf.copy()
         for r in range(2):
-            rotated_sheaf.head_maps[r] = sheaf.head_maps[r] @ q.T
-            rotated_sheaf.tail_maps[r] = sheaf.tail_maps[r] @ q.T
+            rotated_sheaf.head_maps[r][...] = sheaf.head_maps[r] @ q.T
+            rotated_sheaf.tail_maps[r][...] = sheaf.tail_maps[r] @ q.T
         rotated_sections = sections.copy()
         for i in range(sections.n_entities):
             rotated_sections.block(i)[...] = q @ sections.block(i)
@@ -251,13 +251,13 @@ class TestProjection:
 
     def test_shared_retied_exactly(self, rng):
         schema, cfg, sheaf, sections = random_model(rng, constraint="shared")
-        sheaf.tail_maps[0] = sheaf.tail_maps[0] + 0.1  # desync
+        sheaf.tail_maps[0][...] = sheaf.tail_maps[0] + 0.1  # desync
         fixed = project_constraints(sheaf)
         np.testing.assert_array_equal(fixed.head_maps[0], fixed.tail_maps[0])
 
     def test_antisymmetric_retied(self, rng):
         schema, cfg, sheaf, sections = random_model(rng, constraint="antisymmetric")
-        sheaf.tail_maps[0] = rng.normal(size=sheaf.tail_maps[0].shape)
+        sheaf.tail_maps[0][...] = rng.normal(size=sheaf.tail_maps[0].shape)
         fixed = project_constraints(sheaf)
         np.testing.assert_array_equal(fixed.head_maps[0], -fixed.tail_maps[0])
 

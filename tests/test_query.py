@@ -42,10 +42,10 @@ def make_model(rng, n_entities=10, n_relations=3, dim=4, variant="shv", constrai
     sheaf, sections = init_model(cfg, schema, np.zeros(n_entities, dtype=np.int64), seed=0)
     for r in range(n_relations):
         if constraint == "free":
-            sheaf.head_maps[r] = rng.normal(size=sheaf.head_maps[r].shape)
-            sheaf.tail_maps[r] = rng.normal(size=sheaf.tail_maps[r].shape)
+            sheaf.head_maps[r][...] = rng.normal(size=sheaf.head_maps[r].shape)
+            sheaf.tail_maps[r][...] = rng.normal(size=sheaf.tail_maps[r].shape)
         if variant == "shvt":
-            sheaf.translations[r] = rng.normal(size=sheaf.translations[r].shape)
+            sheaf.translations[r][...] = rng.normal(size=sheaf.translations[r].shape)
     for i in range(n_entities):
         sections.block(i)[...] = rng.normal(size=sections.block(i).shape)
     return Model(

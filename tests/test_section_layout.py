@@ -1,14 +1,26 @@
-"""The padded section layout: one zero-padded ``(n, d, m)`` array behind every entity block."""
+"""The padded layouts: one zero-padded ``(n, d, m)`` array behind every entity
+block, and zero-padded per-relation arrays behind every map and translation."""
+
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sheaf_kg import _kernels
 from sheaf_kg.checkpoint import MAGIC, load_model, save_model, tensor_path
-from sheaf_kg.errors import ShapeError
+from sheaf_kg.errors import ShapeError, TrainingAbortError
 from sheaf_kg.kgdata import KnowledgeGraph, Schema
-from sheaf_kg.model import Model, ModelConfig, SectionMatrix, init_model
+from sheaf_kg.model import (
+    KnowledgeSheaf,
+    Model,
+    ModelConfig,
+    SectionMatrix,
+    init_model,
+    relation_discrepancy,
+    triple_score,
+)
 from sheaf_kg.training import TrainConfig, train
 
 
@@ -68,6 +80,27 @@ def assert_padding_zero(sections, schema, entity_type):
     assert np.all(sections.X[padded] == 0.0)
 
 
+def assert_map_padding_zero(sheaf):
+    """Each relation's views are its true blocks of RH, RT and T; every other entry is exactly 0."""
+    schema = sheaf.schema
+    R = schema.n_relations
+    assert sheaf.RH.shape == sheaf.RT.shape == (R, max(schema.edge_dim), max(schema.vertex_dim))
+    layouts = [
+        (sheaf.RH, sheaf.head_maps, [schema.head_dim(r) for r in range(R)]),
+        (sheaf.RT, sheaf.tail_maps, [schema.tail_dim(r) for r in range(R)]),
+    ]
+    if sheaf.translational:
+        layouts.append((sheaf.T, sheaf.translations, [sheaf.T.shape[2]] * R))
+    for stacked, views, widths in layouts:
+        padding = np.ones(stacked.shape, dtype=bool)
+        for r, (view, width) in enumerate(zip(views, widths)):
+            true_block = (r, slice(schema.edge_dim[r]), slice(width))
+            assert np.shares_memory(view, stacked)
+            np.testing.assert_array_equal(view, stacked[true_block])
+            padding[true_block] = False
+        assert np.all(stacked[padding] == 0.0)
+
+
 def oracle_tensor_bytes(blocks, sheaf) -> bytes:
     """The checkpoint's tensor file written one entity block at a time."""
     out = [MAGIC]
@@ -107,6 +140,8 @@ def test_padded_layout_through_init_train_and_checkpoint(tmp_path_factory, empty
     sheaf, sections = init_model(cfg, schema, entity_type, seed=seed)
     assert_padding_zero(sections, schema, entity_type)
 
+    assert_map_padding_zero(sheaf)
+    arrays = (sheaf.RH, sheaf.RT, sheaf.T)
     model = Model(cfg, schema, kg.entities, entity_type, sheaf, sections, seed=seed)
     _, report = train(
         kg,
@@ -116,7 +151,9 @@ def test_padded_layout_through_init_train_and_checkpoint(tmp_path_factory, empty
     )
     assert np.all(np.isfinite(report.epoch_mean_loss))
     assert model.sections is sections  # trained in place
+    assert all(a is b for a, b in zip((sheaf.RH, sheaf.RT, sheaf.T), arrays))
     assert_padding_zero(model.sections, schema, entity_type)
+    assert_map_padding_zero(model.sheaf)
 
     prefix = tmp_path_factory.mktemp("layout") / "model"
     save_model(model, prefix)
@@ -126,6 +163,120 @@ def test_padded_layout_through_init_train_and_checkpoint(tmp_path_factory, empty
     loaded = load_model(prefix)
     assert_padding_zero(loaded.sections, schema, entity_type)
     np.testing.assert_array_equal(loaded.sections.X, model.sections.X)
+    assert_map_padding_zero(loaded.sheaf)
+    np.testing.assert_array_equal(loaded.sheaf.RH, model.sheaf.RH)
+    np.testing.assert_array_equal(loaded.sheaf.RT, model.sheaf.RT)
+    if variant == "shvt":
+        np.testing.assert_array_equal(loaded.sheaf.T, model.sheaf.T)
+
+
+def random_map_blocks(rng, schema, variant, m):
+    """Per-relation head maps, tail maps and (for shvt) translations of the schema's shapes."""
+    R = range(schema.n_relations)
+    head = [rng.normal(size=(schema.edge_dim[r], schema.head_dim(r))) for r in R]
+    tail = [rng.normal(size=(schema.edge_dim[r], schema.tail_dim(r))) for r in R]
+    translations = None
+    if variant == "shvt":
+        translations = [rng.normal(size=(schema.edge_dim[r], m)) for r in R]
+    return head, tail, translations
+
+
+@pytest.mark.parametrize("variant", ["shv", "shvt"])
+@pytest.mark.parametrize("m", [1, 3])
+@given(seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=5, deadline=None)
+def test_sheaf_pads_maps_once_into_zeroed_arrays(variant, m, seed):
+    rng = np.random.default_rng(seed)
+    schema = layout_case(rng, empty_widest=False).schema
+    head, tail, translations = random_map_blocks(rng, schema, variant, m)
+    sheaf = KnowledgeSheaf(schema, head, tail, ("free",) * schema.n_relations, translations)
+    assert_map_padding_zero(sheaf)
+    for r in range(schema.n_relations):
+        np.testing.assert_array_equal(sheaf.head_maps[r], head[r])
+        np.testing.assert_array_equal(sheaf.tail_maps[r], tail[r])
+        if translations is not None:
+            np.testing.assert_array_equal(sheaf.translations[r], translations[r])
+    with pytest.raises(TypeError):
+        sheaf.head_maps[0] = head[0]  # a writer must go through the view
+
+    dup = sheaf.copy()
+    assert dup.RH is not sheaf.RH and dup.RT is not sheaf.RT
+    assert_map_padding_zero(dup)
+    dup.head_maps[0][...] = 7.0
+    if translations is not None:
+        assert dup.T is not sheaf.T
+        dup.translations[0][...] = 7.0
+        np.testing.assert_array_equal(sheaf.translations[0], translations[0])
+    np.testing.assert_array_equal(sheaf.head_maps[0], head[0])
+    assert np.all(dup.RH[0, :schema.edge_dim[0], :schema.head_dim(0)] == 7.0)
+
+
+def test_sheaf_rejects_misshapen_blocks():
+    schema = Schema(("a", "b"), ("r",), (0,), (1,), (2, 3), (4,))
+    head, tail = [np.zeros((4, 2))], [np.zeros((4, 3))]
+    with pytest.raises(ShapeError, match="tail map"):
+        KnowledgeSheaf(schema, head, [np.zeros((4, 2))], ("free",))
+    with pytest.raises(ShapeError, match="translation"):
+        KnowledgeSheaf(schema, head, tail, ("free",), [np.zeros((3, 1))])
+
+
+@pytest.mark.parametrize("variant", ["shv", "shvt"])
+@pytest.mark.parametrize("m", [1, 3])
+@given(seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=4, deadline=None)
+def test_abort_leaves_the_trained_maps_in_the_model(variant, m, seed):
+    rng = np.random.default_rng(seed)
+    kg = layout_case(rng, empty_widest=False)
+    cfg = ModelConfig(variant=variant, sections=m)
+    sheaf, sections = init_model(cfg, kg.schema, kg.entity_type, seed=seed)
+    model = Model(cfg, kg.schema, kg.entities, kg.entity_type, sheaf, sections, seed=seed)
+    initial = sheaf.copy()
+    stop_at = int(rng.integers(2, 6))
+    calls, at_abort = [], []
+    real = _kernels.margin_grads
+
+    def fail_at_stop(X, RH, RT, T, *rest):
+        calls.append(None)
+        if len(calls) == stop_at:  # the parameters after stop_at - 1 steps
+            at_abort.extend(a.copy() for a in (RH, RT, T) if a is not None)
+            return float("nan"), 0
+        return real(X, RH, RT, T, *rest)
+
+    with mock.patch.object(_kernels, "margin_grads", fail_at_stop):
+        with pytest.raises(TrainingAbortError):
+            train(kg, TrainConfig(epochs=10, batch_size=4, learning_rate=0.1, seed=seed), model)
+    assert model.sheaf is sheaf
+    held = [a for a in (sheaf.RH, sheaf.RT, sheaf.T) if a is not None]
+    for array, expected in zip(held, at_abort):
+        np.testing.assert_array_equal(array, expected)
+    assert not np.array_equal(sheaf.RH, initial.RH)  # the steps before the abort trained the maps
+    assert_map_padding_zero(sheaf)
+
+
+@pytest.mark.parametrize("empty_widest", [False, True])
+@pytest.mark.parametrize("variant", ["shv", "shvt"])
+@pytest.mark.parametrize("m", [1, 3])
+@given(seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=4, deadline=None)
+def test_relation_discrepancy_matches_per_triple_grouping(empty_widest, variant, m, seed):
+    rng = np.random.default_rng(seed)
+    kg = layout_case(rng, empty_widest)
+    schema = kg.schema
+    head, tail, translations = random_map_blocks(rng, schema, variant, m)
+    sheaf = KnowledgeSheaf(schema, head, tail, ("free",) * schema.n_relations, translations)
+    blocks = [rng.normal(size=(schema.vertex_dim[t], m)) for t in kg.entity_type]
+    sections = SectionMatrix(m, blocks, max(schema.vertex_dim))
+
+    out = relation_discrepancy(sheaf, sections, kg)
+    groups: dict[str, list[float]] = {}
+    for h, r, t in kg.triples_of("train"):
+        groups.setdefault(schema.relation_types[r], []).append(
+            triple_score(sheaf, sections, int(h), int(r), int(t))
+        )
+    assert list(out) == sorted(groups, key=schema.relation_types.index)
+    for name, scores in groups.items():
+        assert type(out[name]) is float
+        assert out[name] == pytest.approx(float(np.mean(scores)), rel=1e-12)
 
 
 class TestSectionMatrix:

@@ -20,6 +20,7 @@ from sheaf_kg.synth import generate_planted_kg
 from sheaf_kg.training import (
     TrainConfig,
     _StackedParams,
+    _first_bad_relation,
     grad_shv,
     grad_shvt,
     margin_loss,
@@ -156,10 +157,10 @@ class TestGradients:
         cfg = ModelConfig(variant=variant, sections=m, entity_dim=4, relation_dim=3)
         sheaf, sections = init_model(cfg, schema, np.zeros(5, dtype=np.int64), seed=0)
         for r in range(2):
-            sheaf.head_maps[r] = rng.normal(size=(3, 4))
-            sheaf.tail_maps[r] = rng.normal(size=(3, 4))
+            sheaf.head_maps[r][...] = rng.normal(size=(3, 4))
+            sheaf.tail_maps[r][...] = rng.normal(size=(3, 4))
             if variant == "shvt":
-                sheaf.translations[r] = rng.normal(size=(3, m))
+                sheaf.translations[r][...] = rng.normal(size=(3, m))
         for i in range(5):
             sections.block(i)[...] = rng.normal(size=(4, m))
         h_idx, r_idx, t_idx = 0, 1, 2
@@ -356,6 +357,19 @@ class TestTrain:
         with pytest.raises(TrainingAbortError) as err:
             train(kg, TrainConfig(epochs=1, seed=0), model)
         assert err.value.epoch == 0
+
+    @pytest.mark.parametrize("variant", ["shv", "shvt"])
+    def test_first_bad_relation_is_the_first_non_finite_pair(self, rng, variant):
+        kg = small_kg(rng, n_relations=3)
+        cfg = ModelConfig(variant=variant, entity_dim=4, relation_dim=4)
+        model = init_for_kg(cfg, kg, seed=0)
+        model.sections.block(5)[1, 0] = np.inf
+        pos = np.array([[0, 0, 1], [2, 1, 3]])
+        assert _first_bad_relation(model, pos, np.array([[0, 0, 2], [2, 1, 4]])) == "<unknown>"
+        # the positives come before the negatives
+        assert _first_bad_relation(model, pos, np.array([[0, 0, 2], [5, 2, 4]])) == "r2"
+        assert _first_bad_relation(model, np.array([[0, 0, 1], [2, 1, 5]]),
+                                   np.array([[5, 2, 2], [2, 1, 4]])) == "r1"
 
     def test_ragged_dims_train_through_padded_path(self):
         schema = Schema(
@@ -591,7 +605,6 @@ class TestPaddedLayout:
             neg[:, 2] = [rng.choice(kg.entities_of_type(kg.schema.tail_type[r])) for r in pos[:, 1]]
             state.step(pos, neg, config)
             assert state.cap_entity_norms(config.max_entity_norm)
-        state.write_back(model)
         assert_padded_blocks(state.X, section_blocks(model.sections))
         assert_padded_blocks(state.RH, model.sheaf.head_maps)
         assert_padded_blocks(state.RT, model.sheaf.tail_maps)
