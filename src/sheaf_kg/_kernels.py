@@ -1,7 +1,9 @@
 """Hot training kernels: batched triple scores and margin-loss gradients.
 
 One numpy backend (einsum + ``np.add.at`` scatter), sequential and
-run-to-run deterministic. The kernels work on stacked parameter arrays in
+run-to-run deterministic. ``margin_grads`` takes the (B*k, 3) negatives and
+then the (B, 3) positives they corrupt, and scores each positive once rather
+than once per negative. The kernels work on stacked parameter arrays in
 which every stalk is zero-padded to the largest dimension of the schema:
 
     X  (n_entities, d, m)   entity sections, ``SectionMatrix.X``, d = max vertex dim
@@ -43,36 +45,40 @@ def batch_scores(X, RH, RT, T, h, r, t):
     return _scores(X, RH, RT, T, h, r, t)[0]
 
 
-def margin_grads(X, RH, RT, T, pos, neg, gamma, gX, gRH, gRT, gT, map_trainable):
-    """Accumulate margin-loss gradients for paired positive/negative triples.
+def margin_grads(X, RH, RT, T, neg, pos, gamma, gX, gRH, gRT, gT, map_trainable):
+    """Accumulate margin-loss gradients for B positives and their k negatives each.
 
-    ``pos`` and ``neg`` are (B, 3) index arrays. Returns (loss_sum, n_active).
-    Gradients are added into the ``g*`` accumulators in place.
+    ``neg`` is a (B*k, 3) index array that holds the k negatives of each
+    positive together, in the order of the (B, 3) positives ``pos``. Each
+    positive is scored once and its score broadcast to its k pairs; its
+    gradient is weighted by its number of active pairs. Returns
+    (loss_sum, n_active) over the B*k pairs. Gradients are added into the
+    ``g*`` accumulators in place.
     """
-    hp, rp, tp = pos[:, 0], pos[:, 1], pos[:, 2]
-    hn, rn, tn = neg[:, 0], neg[:, 1], neg[:, 2]
-    s_pos, d_pos = _scores(X, RH, RT, T, hp, rp, tp)
-    s_neg, d_neg = _scores(X, RH, RT, T, hn, rn, tn)
+    k = len(neg) // len(pos)
+    s_pos, d_pos = _scores(X, RH, RT, T, pos[:, 0], pos[:, 1], pos[:, 2])
+    s_neg, d_neg = _scores(X, RH, RT, T, neg[:, 0], neg[:, 1], neg[:, 2])
     if not (np.all(np.isfinite(s_pos)) and np.all(np.isfinite(s_neg))):
         return float("nan"), 0
-    margins = s_pos + gamma - s_neg
+    margins = np.repeat(s_pos, k) + gamma - s_neg
     active = margins > 0.0
     loss = float(np.sum(np.where(active, margins, 0.0)))
     if not np.any(active):
         return loss, 0
 
-    for sign, idx, diff in ((1.0, (hp, rp, tp), d_pos), (-1.0, (hn, rn, tn), d_neg)):
-        h, r, t = (a[active] for a in idx)
-        d = diff[active] * (2.0 * sign)
-        # entity gradients
-        np.add.at(gX, h, np.einsum("bij,bim->bjm", RH[r], d))
-        np.add.at(gX, t, -np.einsum("bij,bim->bjm", RT[r], d))
-        # map gradients, masked where maps are frozen
-        mt = map_trainable[r]
-        np.add.at(gRH, r, np.einsum("bim,bjm,b->bij", d, X[h], mt))
-        np.add.at(gRT, r, -np.einsum("bim,bjm,b->bij", d, X[t], mt))
-        if gT is not None:
-            np.add.at(gT, r, d)
+    weight = np.count_nonzero(active.reshape(-1, k), axis=1)
+    hit = weight > 0
+    h, r, t = np.concatenate([pos[hit], neg[active]]).T
+    d = np.concatenate([d_pos[hit] * (2.0 * weight[hit])[:, None, None], d_neg[active] * -2.0])
+    # entity gradients
+    np.add.at(gX, h, np.einsum("bij,bim->bjm", RH[r], d))
+    np.add.at(gX, t, -np.einsum("bij,bim->bjm", RT[r], d))
+    # map gradients, masked where maps are frozen
+    mt = map_trainable[r]
+    np.add.at(gRH, r, np.einsum("bim,bjm,b->bij", d, X[h], mt))
+    np.add.at(gRT, r, -np.einsum("bim,bjm,b->bij", d, X[t], mt))
+    if gT is not None:
+        np.add.at(gT, r, d)
     return loss, int(np.count_nonzero(active))
 
 

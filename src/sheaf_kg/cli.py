@@ -70,6 +70,7 @@ def _load_kg(settings, train_path, valid_path, test_path, type_path):
         if p is not None and not Path(p).exists():
             _fail(f"{label} file not found: {p}", 2)
     entity_dim, relation_dim = settings.values["entity_dim"], settings.values["relation_dim"]
+    labels = None
     if type_path:
         labels = kgdata.read_type_labels(type_path)
         schema = _infer_relation_typing(
@@ -80,7 +81,7 @@ def _load_kg(settings, train_path, valid_path, test_path, type_path):
         schema = kgdata.default_schema(
             len(relations), entity_dim, relation_dim, relation_names=relations
         )
-    return kgdata.load_dataset(schema, train_path, valid_path, test_path, type_path)
+    return kgdata.load_dataset(schema, train_path, valid_path, test_path, labels)
 
 
 def _infer_relation_typing(labels, entity_dim, relation_dim, *paths) -> kgdata.Schema:
@@ -131,6 +132,8 @@ _shared_model_flags = [
     click.option("--relation-dim", "relation_dim", type=int, default=None),
     click.option("--optimizer", type=click.Choice(["sgd", "adagrad"]), default=None),
     click.option("--constraint", type=str, default=None),
+    click.option("--max-entity-norm", "max_entity_norm", type=float, default=None,
+                 help="cap on entity section column norms (default: no cap)"),
 ]
 
 

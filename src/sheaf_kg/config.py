@@ -16,7 +16,7 @@ from .training import OPTIMIZERS, TrainConfig
 
 _INT_KEYS = ("epochs", "batch_size", "negatives_per_positive", "sections",
              "entity_dim", "relation_dim", "seed")
-_FLOAT_KEYS = ("learning_rate", "margin", "alpha")
+_FLOAT_KEYS = ("learning_rate", "margin", "alpha", "max_entity_norm")
 _STR_KEYS = ("variant", "optimizer", "constraint")
 VALID_KEYS = (*_INT_KEYS, *_FLOAT_KEYS, *_STR_KEYS)
 
@@ -34,6 +34,7 @@ DEFAULTS = {
     "optimizer": "adagrad",
     "constraint": "free",
     "seed": 0,
+    "max_entity_norm": None,  # no cap on entity column norms
 }
 
 
@@ -66,6 +67,7 @@ class Settings:
             alpha=v["alpha"],
             seed=v["seed"] if seed is None else seed,
             optimizer=v["optimizer"],
+            max_entity_norm=v["max_entity_norm"],
         )
 
     def describe(self) -> str:
@@ -118,4 +120,6 @@ def build_settings(file_values: dict[str, str] | None = None, overrides: dict | 
     for kind in (values["constraint"], *constraint_overrides.values()):
         if kind not in CONSTRAINTS:
             raise ConfigError(f"unknown constraint {kind!r}; valid: {CONSTRAINTS}")
-    return Settings(values=values, constraint_overrides=constraint_overrides)
+    settings = Settings(values=values, constraint_overrides=constraint_overrides)
+    settings.train_config()  # raises ConfigError on an out-of-range training value
+    return settings

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -198,17 +199,56 @@ class KnowledgeGraph:
     def entities_of_type(self, type_idx: int) -> np.ndarray:
         return np.nonzero(self.entity_type == type_idx)[0]
 
+    @cached_property
+    def slot_pools(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Entities sorted by type, and where each relation's head and tail types sit in that order.
+
+        Returns ``(order, start, size)``: ``order`` lists the entity indices
+        grouped by type, ascending within a type. Slot ``2 * r`` is relation
+        ``r``'s head and slot ``2 * r + 1`` its tail; the entities of that
+        slot's type are ``order[start[s]:start[s] + size[s]]``.
+        """
+        order = np.argsort(self.entity_type, kind="stable")
+        size = np.bincount(self.entity_type, minlength=self.schema.n_entity_types)
+        types = np.array([self.schema.head_type, self.schema.tail_type], dtype=np.int64).T.ravel()
+        return order, (np.cumsum(size) - size)[types], size[types]
+
     def entity_index(self) -> dict[str, int]:
         return {name: i for i, name in enumerate(self.entities)}
 
 
 @dataclass(frozen=True)
 class TripleIndex:
-    """Adjacency maps over a fixed triple set; membership agrees with a scan."""
+    """A fixed triple set: sorted int64 keys for batch membership; sets built on first use.
 
-    by_head_relation: dict[tuple[int, int], frozenset[int]]
-    by_tail_relation: dict[tuple[int, int], frozenset[int]]
-    triple_set: frozenset[tuple[int, int, int]]
+    Triple ``(h, r, t)`` has key ``(h * n_relations + r) * n_entities + t``.
+    ``contains`` answers for a whole array of rows; ``in``, ``tails`` and
+    ``heads`` answer for one triple from Python sets derived from the keys.
+    """
+
+    rows: np.ndarray  # (n, 3) int64 unique triples in key order
+    keys: np.ndarray  # (n,) their sorted int64 keys
+    n_entities: int
+    n_relations: int
+
+    def contains(self, rows) -> np.ndarray:
+        """Membership of each in-range ``(h, r, t)`` row of an int array."""
+        keys = _triple_keys(rows, self.n_entities, self.n_relations)
+        if not len(self.keys):
+            return np.zeros(keys.shape, dtype=bool)
+        return self.keys.take(self.keys.searchsorted(keys), mode="clip") == keys
+
+    @cached_property
+    def triple_set(self) -> frozenset[tuple[int, int, int]]:
+        return frozenset(map(tuple, self.rows.tolist()))
+
+    @cached_property
+    def by_head_relation(self) -> dict[tuple[int, int], frozenset[int]]:
+        return _adjacency(self.rows, 0, 2)
+
+    @cached_property
+    def by_tail_relation(self) -> dict[tuple[int, int], frozenset[int]]:
+        return _adjacency(self.rows, 2, 0)
 
     def tails(self, h: int, r: int) -> frozenset[int]:
         return self.by_head_relation.get((h, r), frozenset())
@@ -220,24 +260,27 @@ class TripleIndex:
         return tuple(triple) in self.triple_set
 
 
+def _triple_keys(rows, n_entities: int, n_relations: int) -> np.ndarray:
+    """The int64 key ``(h * n_relations + r) * n_entities + t`` of each ``(h, r, t)`` row."""
+    return np.asarray(rows, dtype=np.int64) @ np.array([n_relations * n_entities, n_entities, 1])
+
+
+def _adjacency(rows: np.ndarray, source: int, target: int) -> dict[tuple[int, int], frozenset[int]]:
+    """Map each (source entity, relation) pair of ``rows`` to its target entities."""
+    out: dict[tuple[int, int], set[int]] = {}
+    for row in rows.tolist():
+        out.setdefault((row[source], row[1]), set()).add(row[target])
+    return {k: frozenset(v) for k, v in out.items()}
+
+
 def build_index(kg: KnowledgeGraph, splits: tuple[str, ...] = SPLITS) -> TripleIndex:
     """Index the union of the requested splits for neighbor/membership queries."""
     mask = np.zeros(len(kg.split), dtype=bool)
     for s in splits:
         mask |= kg.split_mask(s)
-    by_hr: dict[tuple[int, int], set[int]] = {}
-    by_tr: dict[tuple[int, int], set[int]] = {}
-    triple_set = set()
-    for h, r, t in kg.triples[mask]:
-        h, r, t = int(h), int(r), int(t)
-        by_hr.setdefault((h, r), set()).add(t)
-        by_tr.setdefault((t, r), set()).add(h)
-        triple_set.add((h, r, t))
-    return TripleIndex(
-        by_head_relation={k: frozenset(v) for k, v in by_hr.items()},
-        by_tail_relation={k: frozenset(v) for k, v in by_tr.items()},
-        triple_set=frozenset(triple_set),
-    )
+    rows, n, n_rel = kg.triples[mask], kg.n_entities, kg.schema.n_relations
+    keys, first = np.unique(_triple_keys(rows, n, n_rel), return_index=True)
+    return TripleIndex(rows[first], keys, n, n_rel)
 
 
 def text_lines(path, error=ValidationError):
@@ -349,10 +392,13 @@ def load_dataset(
     train_path,
     valid_path=None,
     test_path=None,
-    type_path=None,
+    type_labels: dict[str, str] | None = None,
 ) -> KnowledgeGraph:
-    """Load train (+ optional valid/test) files into one KnowledgeGraph."""
-    type_labels = read_type_labels(type_path) if type_path else None
+    """Load train (+ optional valid/test) files into one KnowledgeGraph.
+
+    ``type_labels`` maps entity names to type names, as read from a type
+    file by :func:`read_type_labels`.
+    """
     vocab = VocabBuilder()
     fragments = {TRAIN: load_triples(train_path, schema, TRAIN, vocab, type_labels)}
     n_train_entities = len(vocab)

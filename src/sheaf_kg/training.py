@@ -67,14 +67,16 @@ class TrainConfig:
             raise ConfigError("alpha must be >= 0")
         if self.optimizer not in OPTIMIZERS:
             raise ConfigError(f"optimizer must be one of {OPTIMIZERS}")
-        if self.max_entity_norm is not None and self.max_entity_norm <= 0:
-            raise ConfigError("max_entity_norm must be > 0 when set")
+        if self.max_entity_norm is not None and not 0 < self.max_entity_norm < np.inf:
+            raise ConfigError("max_entity_norm must be finite and > 0 when set")
 
 
 @dataclass
 class TrainReport:
     epoch_mean_loss: list[float] = field(default_factory=list)
     epoch_orthogonality: list[float] = field(default_factory=list)
+    # margin-violating (active) pairs / pairs, per epoch
+    epoch_active_fraction: list[float] = field(default_factory=list)
     wall_time: float = 0.0
     relation_discrepancy: dict[str, float] = field(default_factory=dict)
 
@@ -125,40 +127,49 @@ def triple_grads(sheaf, sections, h, r, t):
 def sample_negatives(
     kg: KnowledgeGraph,
     index: TripleIndex,
-    triple,
+    triples,
     k: int,
     rng: np.random.Generator,
-) -> list[tuple[int, int, int]]:
-    """Corrupt head or tail (fair coin) with a uniform same-type entity.
+) -> np.ndarray | list[tuple[int, int, int]]:
+    """Corrupt head or tail (fair coin) of each row with a uniform same-type entity.
 
-    Draws that reproduce a known training triple are rejected and resampled
-    up to 100 times, after which the last draw is kept. If the chosen slot's
-    type has a single entity the other slot is corrupted instead; if both
-    types do, sampling fails.
+    ``triples`` is a (B, 3) batch; the result is a (B*k, 3) int64 array that
+    holds the k negatives of each row together, in batch order. A single
+    ``(h, r, t)`` triple is a batch of one and gives a list of k int tuples.
+    All B*k coins are drawn at once, then one uniform offset per negative
+    into its type's pool (``KnowledgeGraph.slot_pools``). Draws that
+    reproduce a triple of ``index`` are redrawn, up to 100 draws in all,
+    after which the last draw is kept. If the chosen slot's type has a single
+    entity the other slot is corrupted instead; if both types do, sampling
+    fails.
     """
     if k < 1:
         raise ConfigError("need k >= 1 negatives")
-    h, r, t = (int(x) for x in triple)
-    head_pool = kg.entities_of_type(kg.schema.head_type[r])
-    tail_pool = kg.entities_of_type(kg.schema.tail_type[r])
-    out = []
-    for _ in range(k):
-        corrupt_head = bool(rng.integers(0, 2))
-        pool = head_pool if corrupt_head else tail_pool
-        if len(pool) <= 1:
-            corrupt_head = not corrupt_head
-            pool = head_pool if corrupt_head else tail_pool
-            if len(pool) <= 1:
-                raise SamplingError(
-                    f"cannot corrupt triple ({h},{r},{t}): both endpoint types are singletons"
-                )
-        for _attempt in range(100):
-            e = int(pool[rng.integers(0, len(pool))])
-            candidate = (e, r, t) if corrupt_head else (h, r, e)
-            if candidate not in index:
-                break
-        out.append(candidate)
-    return out
+    batch = np.asarray(triples, dtype=np.int64)
+    single = batch.ndim == 1
+    batch = batch.reshape(-1, 3)
+    order, start, size = kg.slot_pools
+    # slot 2r corrupts relation r's head, 2r + 1 its tail; a singleton pool
+    # hands the corruption to the other slot
+    slot = 2 * batch[:, 1].repeat(k) + (rng.random(len(batch) * k) >= 0.5)
+    slot ^= size[slot] <= 1
+    pool_start, pool_size = start[slot], size[slot]
+    stuck = pool_size <= 1
+    if stuck.any():
+        h, r, t = (int(x) for x in batch[np.argmax(stuck) // k])
+        raise SamplingError(
+            f"cannot corrupt triple ({h},{r},{t}): both endpoint types are singletons"
+        )
+    out = batch.repeat(k, axis=0)
+    column = 2 * (slot & 1)
+    todo = np.arange(len(out))
+    for _attempt in range(100):
+        offset = (rng.random(len(todo)) * pool_size[todo]).astype(np.int64)
+        out[todo, column[todo]] = order[pool_start[todo] + offset]
+        todo = todo[index.contains(out[todo])]
+        if not todo.size:
+            break
+    return [tuple(row) for row in out.tolist()] if single else out
 
 
 def _sgd_update(param, grad, _acc, lr):
@@ -202,10 +213,11 @@ class _StackedParams:
         ]
 
     def step(self, pos, neg, config: TrainConfig):
+        """One optimizer step on (B, 3) positives and their (B*k, 3) negatives."""
         for _, grad, _ in self.slots:
             grad[...] = 0.0
         loss, n_active = _kernels.margin_grads(
-            self.X, self.RH, self.RT, self.T, pos, neg, config.margin,
+            self.X, self.RH, self.RT, self.T, neg, pos, config.margin,
             self.gX, self.gRH, self.gRT, self.gT, self.map_trainable,
         )
         if not np.isfinite(loss):
@@ -236,7 +248,7 @@ class _StackedParams:
 
 
 def _first_bad_relation(model, pos, neg) -> str:
-    """Name the relation of the first pair with a non-finite score."""
+    """Name the relation of the first non-finite score, positives before negatives."""
     rows = np.concatenate([pos, neg])
     sheaf = model.sheaf
     scores = _kernels.batch_scores(
@@ -259,6 +271,11 @@ def train(kg: KnowledgeGraph, config: TrainConfig, model: Model) -> tuple[Model,
     on each relation's true block. With ``max_entity_norm`` set, a section
     column norm that overflows raises :class:`TrainingAbortError` naming the
     relation with the largest map norm.
+
+    Each batch of B positives gets its B*k negatives from one
+    ``sample_negatives`` call, and the kernel scores each positive once.
+    The report's ``epoch_active_fraction`` is the share of an epoch's B*k
+    pairs that violated the margin.
     """
     triples = kg.triples_of(TRAIN)
     if len(triples) == 0:
@@ -275,15 +292,11 @@ def train(kg: KnowledgeGraph, config: TrainConfig, model: Model) -> tuple[Model,
     for epoch in range(config.epochs):
         perm = shuffle_rng.permutation(n)
         epoch_loss = 0.0
-        n_pairs = 0
+        n_pairs = n_active_pairs = 0
         for batch_no, lo in enumerate(range(0, n, config.batch_size)):
-            batch = triples[perm[lo:lo + config.batch_size]]
-            neg_rows = []
-            for triple in batch:
-                neg_rows.extend(sample_negatives(kg, index, triple, k, neg_rng))
-            pos = np.repeat(batch, k, axis=0).astype(np.int64)
-            neg = np.asarray(neg_rows, dtype=np.int64).reshape(len(pos), 3)
-            loss, _ = state.step(pos, neg, config)
+            pos = triples[perm[lo:lo + config.batch_size]]
+            neg = sample_negatives(kg, index, pos, k, neg_rng)
+            loss, n_active = state.step(pos, neg, config)
             if not np.isfinite(loss):
                 raise TrainingAbortError(
                     epoch, batch_no, _first_bad_relation(model, pos, neg)
@@ -295,8 +308,10 @@ def train(kg: KnowledgeGraph, config: TrainConfig, model: Model) -> tuple[Model,
                     "section norms overflowed before the max_entity_norm cap",
                 )
             epoch_loss += loss
-            n_pairs += len(pos)
+            n_pairs += len(neg)
+            n_active_pairs += n_active
         report.epoch_mean_loss.append(epoch_loss / n_pairs)
+        report.epoch_active_fraction.append(n_active_pairs / n_pairs)
         report.epoch_orthogonality.append(orthogonality_penalty(model.sections))
     report.wall_time = time.perf_counter() - start
     report.relation_discrepancy = relation_discrepancy(model.sheaf, model.sections, kg)

@@ -200,6 +200,73 @@ class TestTrain:
         assert any("epochs=1" in rec.message for rec in caplog.records)
 
 
+class TestMaxEntityNorm:
+    def test_config_file_value_reaches_train_config(self, tmp_path):
+        from sheaf_kg.config import build_settings, read_config_file
+
+        cfg = tmp_path / "norm.cfg"
+        cfg.write_text("max_entity_norm=2.5\n", encoding="utf-8")
+        settings = build_settings(read_config_file(cfg))
+        assert settings.train_config(seed=3).max_entity_norm == 2.5
+        assert "max_entity_norm=2.5" in settings.describe()
+        assert build_settings().train_config().max_entity_norm is None
+        flag_wins = build_settings(read_config_file(cfg), {"max_entity_norm": 0.5})
+        assert flag_wins.train_config().max_entity_norm == 0.5
+
+    def test_flag_caps_trained_sections(self, runner, workspace, tmp_path):
+        from sheaf_kg.checkpoint import load_model
+
+        data = workspace / "data"
+        res = run_cli(runner, [
+            "train", "--config", str(workspace / "train.cfg"),
+            "--train", str(data / "train.tsv"), "--epochs", "2",
+            "--max-entity-norm", "0.3", "--out", str(tmp_path / "o"),
+        ])
+        assert res.exit_code == 0, res.output
+        X = load_model(tmp_path / "o" / "model_seed0").sections.X
+        assert np.linalg.norm(X, axis=1).max() <= 0.3 + 1e-12
+
+    @pytest.mark.parametrize("args, config_text", [
+        (["--max-entity-norm", "-1"], None),
+        (["--max-entity-norm", "inf"], None),
+        ([], "max_entity_norm=0\n"),
+        ([], "max_entity_norm=abc\n"),
+    ])
+    def test_bad_value_exits_2(self, runner, tmp_path, args, config_text):
+        (tmp_path / "t.tsv").write_text("a\tr\tb\n", encoding="utf-8")
+        if config_text is not None:
+            (tmp_path / "bad.cfg").write_text(config_text, encoding="utf-8")
+            args = ["--config", str(tmp_path / "bad.cfg"), *args]
+        res = run_cli(runner, [
+            "train", "--train", str(tmp_path / "t.tsv"), *args, "--out", str(tmp_path / "o"),
+        ])
+        assert res.exit_code == 2
+        assert "max_entity_norm" in res.output
+        assert "Traceback" not in res.output
+
+
+def test_type_file_is_read_once(runner, tmp_path, monkeypatch):
+    import builtins
+
+    (tmp_path / "t.tsv").write_text("a\tr\tb\nb\ts\tc\nc\tr\tb\n", encoding="utf-8")
+    types = tmp_path / "types.tsv"
+    types.write_text("a\tperson\nb\tplace\nc\tperson\n", encoding="utf-8")
+    real_open = builtins.open
+    opened = []
+
+    def counting_open(file, *args, **kwargs):
+        opened.append(Path(file) if isinstance(file, (str, Path)) else None)
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", counting_open)
+    res = run_cli(runner, [
+        "train", "--train", str(tmp_path / "t.tsv"), "--type-file", str(types),
+        "--epochs", "1", "--entity-dim", "2", "--relation-dim", "2", "--out", str(tmp_path / "o"),
+    ])
+    assert res.exit_code == 0, res.output
+    assert opened.count(types) == 1
+
+
 class TestEval:
     def test_multi_seed_report(self, runner, workspace, tmp_path):
         report_path = tmp_path / "report.tsv"

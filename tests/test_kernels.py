@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sheaf_kg import _kernels
 from sheaf_kg.kgdata import default_schema
@@ -12,6 +14,115 @@ def stacked_instance(rng, n=8, d=4, de=3, n_rel=2, m=2, translational=True):
     RT = rng.normal(size=(n_rel, de, d))
     T = rng.normal(size=(n_rel, de, m)) if translational else None
     return X, RH, RT, T
+
+
+def margin_grads_oracle(X, RH, RT, T, pos, neg, gamma, gX, gRH, gRT, gT, map_trainable):
+    """The kernel as it was before it scored each positive once.
+
+    ``pos`` and ``neg`` are paired (B, 3) index arrays, so a positive with k
+    negatives appears k times in ``pos`` and is scored and differentiated k
+    times. Returns (loss_sum, n_active) and adds into the ``g*`` arrays.
+    """
+
+    def scores(h, r, t):
+        diff = np.einsum("bij,bjm->bim", RH[r], X[h]) - np.einsum("bij,bjm->bim", RT[r], X[t])
+        if T is not None:
+            diff = diff + T[r]
+        return np.einsum("bim,bim->b", diff, diff), diff
+
+    hp, rp, tp = pos[:, 0], pos[:, 1], pos[:, 2]
+    hn, rn, tn = neg[:, 0], neg[:, 1], neg[:, 2]
+    s_pos, d_pos = scores(hp, rp, tp)
+    s_neg, d_neg = scores(hn, rn, tn)
+    if not (np.all(np.isfinite(s_pos)) and np.all(np.isfinite(s_neg))):
+        return float("nan"), 0
+    margins = s_pos + gamma - s_neg
+    active = margins > 0.0
+    loss = float(np.sum(np.where(active, margins, 0.0)))
+    if not np.any(active):
+        return loss, 0
+    for sign, idx, diff in ((1.0, (hp, rp, tp), d_pos), (-1.0, (hn, rn, tn), d_neg)):
+        h, r, t = (a[active] for a in idx)
+        d = diff[active] * (2.0 * sign)
+        np.add.at(gX, h, np.einsum("bij,bim->bjm", RH[r], d))
+        np.add.at(gX, t, -np.einsum("bij,bim->bjm", RT[r], d))
+        mt = map_trainable[r]
+        np.add.at(gRH, r, np.einsum("bim,bjm,b->bij", d, X[h], mt))
+        np.add.at(gRT, r, -np.einsum("bim,bjm,b->bij", d, X[t], mt))
+        if gT is not None:
+            np.add.at(gT, r, d)
+    return loss, int(np.count_nonzero(active))
+
+
+def ragged_instance(rng, m, translational, n=12, n_types=3, n_rel=4):
+    """Zero-padded parameters of a random ragged schema, with the padding masks.
+
+    Returns the arrays ``X, RH, RT, T``, each parameter's mask of true
+    (unpadded) entries, the entity types and each relation's head and tail
+    types.
+    """
+    vdim = rng.integers(1, 6, n_types)
+    edim = rng.integers(1, 6, n_rel)
+    head_type, tail_type = rng.integers(0, n_types, n_rel), rng.integers(0, n_types, n_rel)
+    entity_type = np.arange(n) % n_types
+    d, de = int(vdim.max()), int(edim.max())
+    true_x = np.arange(d)[None, :, None] < vdim[entity_type][:, None, None]
+    rows = np.arange(de)[None, :, None] < edim[:, None, None]
+    true_rh = rows & (np.arange(d)[None, None, :] < vdim[head_type][:, None, None])
+    true_rt = rows & (np.arange(d)[None, None, :] < vdim[tail_type][:, None, None])
+    masks = [np.broadcast_to(true_x, (n, d, m)), true_rh, true_rt]
+    if translational:
+        masks.append(np.broadcast_to(rows, (n_rel, de, m)))
+    params = [np.where(mask, rng.normal(size=mask.shape), 0.0) for mask in masks]
+    if not translational:
+        params.append(None)
+    return params, masks, entity_type, head_type, tail_type
+
+
+class TestPositivesOnce:
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        translational=st.booleans(),
+        m=st.sampled_from([1, 3]),
+        k=st.sampled_from([1, 3, 12]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_kernel_matches_repeated_positive_oracle(self, seed, translational, m, k):
+        rng = np.random.default_rng(seed)
+        params, masks, entity_type, head_type, tail_type = ragged_instance(rng, m, translational)
+        X, RH, RT, T = params
+        B = int(rng.integers(1, 20))
+        r = rng.integers(0, len(head_type), B)
+        pos = np.stack([
+            [rng.choice(np.flatnonzero(entity_type == head_type[j])) for j in r],
+            r,
+            [rng.choice(np.flatnonzero(entity_type == tail_type[j])) for j in r],
+        ], axis=1)
+        neg = np.repeat(pos, k, axis=0)
+        for row in neg:  # corrupt one endpoint with another entity of its type
+            slot = 0 if rng.integers(0, 2) else 2
+            pool = np.flatnonzero(entity_type == entity_type[row[slot]])
+            row[slot] = rng.choice(pool[pool != row[slot]])
+        gaps = _kernels.batch_scores(X, RH, RT, T, *neg.T) - np.repeat(
+            _kernels.batch_scores(X, RH, RT, T, *pos.T), k
+        )
+        gamma = max(float(np.median(gaps)), 0.1)  # about half the pairs active
+        trainable = (rng.random(len(head_type)) < 0.7).astype(float)  # 0: frozen (identity)
+
+        grads = [None if p is None else np.zeros_like(p) for p in params]
+        oracle = [None if p is None else np.zeros_like(p) for p in params]
+        loss, n_active = _kernels.margin_grads(X, RH, RT, T, neg, pos, gamma, *grads, trainable)
+        ref_loss, ref_active = margin_grads_oracle(
+            X, RH, RT, T, np.repeat(pos, k, axis=0), neg, gamma, *oracle, trainable
+        )
+
+        assert n_active == ref_active
+        assert loss == pytest.approx(ref_loss, rel=1e-12, abs=0.0)
+        for grad, ref, mask in zip(grads, oracle, masks):
+            assert np.linalg.norm(grad - ref) <= 1e-12 * np.linalg.norm(ref)
+            assert np.all(grad[~mask] == 0.0)
+        for grad in grads[1:3]:
+            assert np.all(grad[trainable == 0.0] == 0.0)
 
 
 class TestScores:
@@ -53,7 +164,7 @@ class TestMarginGrads:
         gX, gRH, gRT = np.zeros_like(X), np.zeros_like(RH), np.zeros_like(RT)
         gT = None if T is None else np.zeros_like(T)
         _, n_active = _kernels.margin_grads(
-            X, RH, RT, T, pos, neg, 1.0, gX, gRH, gRT, gT, trainable
+            X, RH, RT, T, neg, pos, 1.0, gX, gRH, gRT, gT, trainable
         )
         margins = (
             _kernels.batch_scores(X, RH, RT, T, *pos.T) + 1.0
@@ -79,7 +190,7 @@ class TestMarginGrads:
         if loss_value() == 0.0:
             X *= 3.0  # make sure the pair is active
         gX, gRH, gRT, gT = (np.zeros_like(a) for a in (X, RH, RT, T))
-        _kernels.margin_grads(X, RH, RT, T, pos, neg, 1.0, gX, gRH, gRT, gT, trainable)
+        _kernels.margin_grads(X, RH, RT, T, neg, pos, 1.0, gX, gRH, gRT, gT, trainable)
         h = 1e-6
         for param, grad in ((X, gX), (RH, gRH), (RT, gRT), (T, gT)):
             it = np.nditer(param, flags=["multi_index"])

@@ -133,6 +133,127 @@ class TestSampleNegatives:
             sample_negatives(kg, index, (0, 0, 1), 1, substream(0, "negatives"))
 
 
+def typed_graph(rng, n_types=3, n_relations=3, n_triples=30):
+    """A random multi-type graph whose types have 1 to 6 entities."""
+    sizes = rng.integers(1, 7, n_types)
+    entity_type = np.repeat(np.arange(n_types), sizes)
+    schema = Schema(
+        entity_types=tuple(f"type{i}" for i in range(n_types)),
+        relation_types=tuple(f"r{i}" for i in range(n_relations)),
+        head_type=tuple(int(x) for x in rng.integers(0, n_types, n_relations)),
+        tail_type=tuple(int(x) for x in rng.integers(0, n_types, n_relations)),
+        vertex_dim=(2,) * n_types,
+        edge_dim=(2,) * n_relations,
+    )
+    rows = set()
+    for _ in range(n_triples):
+        r = int(rng.integers(0, n_relations))
+        rows.add((
+            int(rng.choice(np.flatnonzero(entity_type == schema.head_type[r]))), r,
+            int(rng.choice(np.flatnonzero(entity_type == schema.tail_type[r]))),
+        ))
+    triples = np.asarray(sorted(rows), dtype=np.int64)
+    return KnowledgeGraph(
+        schema=schema,
+        entities=tuple(f"e{i}" for i in range(len(entity_type))),
+        entity_type=entity_type,
+        triples=triples,
+        split=np.zeros(len(triples), dtype=np.int8),
+    )
+
+
+class TestBatchSampler:
+    @given(seed=st.integers(0, 2**32 - 1), k=st.sampled_from([1, 3, 12]))
+    @settings(max_examples=40, deadline=None)
+    def test_rows_are_typed_one_slot_corruptions(self, seed, k):
+        rng = np.random.default_rng(seed)
+        kg = typed_graph(rng)
+        index = build_index(kg)
+        schema = kg.schema
+        sizes = np.bincount(kg.entity_type)
+        both_singleton = [
+            sizes[schema.head_type[r]] == 1 and sizes[schema.tail_type[r]] == 1
+            for r in kg.triples[:, 1]
+        ]
+        batch = kg.triples[~np.array(both_singleton)]
+        if not len(batch):
+            return
+        out = sample_negatives(kg, index, batch, k, substream(seed, "negatives"))
+        pos = np.repeat(batch, k, axis=0)
+        assert out.shape == (len(batch) * k, 3) and out.dtype == np.int64
+        np.testing.assert_array_equal(out[:, 1], pos[:, 1])
+        np.testing.assert_array_equal(kg.entity_type[out[:, 0]], np.take(schema.head_type, out[:, 1]))
+        np.testing.assert_array_equal(kg.entity_type[out[:, 2]], np.take(schema.tail_type, out[:, 1]))
+        for (h, r, t), row in zip(pos, out):
+            head_free = any((e, r, t) not in index for e in kg.entities_of_type(schema.head_type[r]))
+            tail_free = any((h, r, e) not in index for e in kg.entities_of_type(schema.tail_type[r]))
+            if tuple(row) in index:
+                # only a slot whose every corruption is a known triple keeps one
+                assert not (head_free and tail_free)
+                continue
+            assert (row[0] != h) + (row[2] != t) == 1
+
+    def test_singleton_fallback_inside_a_mixed_batch(self):
+        schema = Schema(
+            entity_types=("one", "many"),
+            relation_types=("from_one", "within"),
+            head_type=(0, 1),
+            tail_type=(1, 1),
+            vertex_dim=(2, 2),
+            edge_dim=(2, 2),
+        )
+        kg = KnowledgeGraph(
+            schema=schema,
+            entities=tuple(f"e{i}" for i in range(9)),
+            entity_type=np.array([0] + [1] * 8, dtype=np.int64),
+            triples=np.array([[0, 0, 1], [1, 1, 2], [0, 0, 3], [2, 1, 3]], dtype=np.int64),
+            split=np.zeros(4, dtype=np.int8),
+        )
+        out = sample_negatives(kg, build_index(kg), kg.triples, 50, substream(0, "negatives"))
+        pos = np.repeat(kg.triples, 50, axis=0)
+        single = pos[:, 1] == 0
+        np.testing.assert_array_equal(out[single, 0], 0)  # the singleton head never moves
+        assert np.all(out[single, 2] != pos[single, 2])
+        moved_head = out[~single, 0] != pos[~single, 0]
+        assert 0 < np.count_nonzero(moved_head) < np.count_nonzero(~single)
+
+    def test_error_names_the_first_row_that_cannot_be_corrupted(self):
+        schema = Schema(
+            entity_types=("a", "b", "c"),
+            relation_types=("ok", "stuck"),
+            head_type=(2, 0),
+            tail_type=(2, 1),
+            vertex_dim=(2, 2, 2),
+            edge_dim=(2, 2),
+        )
+        kg = KnowledgeGraph(
+            schema=schema,
+            entities=("x", "y", "z0", "z1", "z2"),
+            entity_type=np.array([0, 1, 2, 2, 2], dtype=np.int64),
+            triples=np.array([[2, 0, 3], [0, 1, 1], [3, 0, 4]], dtype=np.int64),
+            split=np.zeros(3, dtype=np.int8),
+        )
+        with pytest.raises(SamplingError, match=r"\(0,1,1\)"):
+            sample_negatives(kg, build_index(kg), kg.triples, 4, substream(0, "negatives"))
+
+    def test_fixed_seed_gives_identical_batches(self):
+        kg = typed_graph(np.random.default_rng(5), n_triples=60)
+        index = build_index(kg)
+        sizes = np.bincount(kg.entity_type)
+        ok = [sizes[kg.schema.head_type[r]] > 1 or sizes[kg.schema.tail_type[r]] > 1
+              for r in kg.triples[:, 1]]
+        batch = kg.triples[np.array(ok)]
+        runs = [sample_negatives(kg, index, batch, 7, substream(11, "negatives")) for _ in range(2)]
+        np.testing.assert_array_equal(*runs)
+
+    def test_head_tail_split_is_fair_over_one_large_batch(self, rng):
+        kg = small_kg(rng, n_entities=100, n_relations=1, n_triples=60)
+        batch = kg.triples[rng.integers(0, len(kg.triples), 10_000)]
+        out = sample_negatives(kg, build_index(kg), batch, 10, substream(3, "negatives"))
+        heads = np.count_nonzero(out[:, 0] != np.repeat(batch[:, 0], 10))
+        assert 0.49 <= heads / len(out) <= 0.51
+
+
 def finite_difference(score_fn, param, h=1e-5):
     grad = np.zeros_like(param)
     it = np.nditer(param, flags=["multi_index"])
@@ -295,8 +416,23 @@ class TestTrain:
         before = [b.copy() for b in section_blocks(model.sections)]
         _, report = train(kg, TrainConfig(epochs=1, batch_size=8, seed=0), model)
         assert report.epoch_mean_loss == [0.0]
+        assert report.epoch_active_fraction == [0.0]
         for a, b in zip(section_blocks(model.sections), before):
             np.testing.assert_array_equal(a, b)
+
+    def test_active_fraction_is_a_share_of_each_epochs_pairs(self):
+        ds = generate_planted_kg(40, 2, 4, 0.0, seed=1, variant="shv")
+        cfg = ModelConfig(variant="shv", entity_dim=4, relation_dim=4)
+        model = init_for_kg(cfg, ds.kg, seed=0)
+        _, report = train(
+            ds.kg, TrainConfig(epochs=4, batch_size=8, negatives_per_positive=3, seed=0), model
+        )
+        assert len(report.epoch_active_fraction) == 4
+        assert all(0.0 <= f <= 1.0 for f in report.epoch_active_fraction)
+        assert report.epoch_active_fraction[0] > 0.0
+        # every active pair has a positive loss, so a zero fraction means zero loss
+        for f, loss in zip(report.epoch_active_fraction, report.epoch_mean_loss):
+            assert (f == 0.0) == (loss == 0.0)
 
     def test_constraints_hold_after_training(self):
         ds = generate_planted_kg(40, 2, 6, 0.0, seed=5, variant="shv")
@@ -501,7 +637,8 @@ class TestPaddedLayout:
         for blk in section_blocks(sections):
             blk[...] = rng.normal(size=blk.shape)
         pos = typed_triples(rng, schema, entity_type, 24)
-        neg = pos.copy()
+        k = int(rng.integers(1, 4))
+        neg = np.repeat(pos, k, axis=0)
         for row in neg:  # corrupt one endpoint with a same-type entity
             slot = 0 if rng.integers(0, 2) else 2
             row[slot] = rng.choice(np.nonzero(entity_type == entity_type[row[slot]])[0])
@@ -514,7 +651,7 @@ class TestPaddedLayout:
         gX, gRH, gRT = (np.zeros_like(a) for a in (state.X, state.RH, state.RT))
         gT = None if state.T is None else np.zeros_like(state.T)
         loss, n_active = _kernels.margin_grads(
-            state.X, state.RH, state.RT, state.T, pos, neg, gamma,
+            state.X, state.RH, state.RT, state.T, neg, pos, gamma,
             gX, gRH, gRT, gT, state.map_trainable,
         )
 
@@ -523,7 +660,7 @@ class TestPaddedLayout:
         ref_rt = [np.zeros_like(a) for a in sheaf.tail_maps]
         ref_t = None if sheaf.translations is None else [np.zeros_like(a) for a in sheaf.translations]
         ref_loss, ref_active = 0.0, 0
-        for p_row, n_row in zip(pos, neg):
+        for p_row, n_row in zip(np.repeat(pos, k, axis=0), neg):
             margin = triple_score(sheaf, sections, *p_row) + gamma - triple_score(sheaf, sections, *n_row)
             if margin <= 0.0:
                 continue
