@@ -19,8 +19,8 @@ from . import checkpoint as ckpt
 from . import evaluation, kgdata, synth
 from .config import build_settings, read_config_file
 from .errors import ConfigError, SchemaError, SheafKGError
-from .model import init_for_kg
-from .query import Query, answer_query, read_queries, write_queries
+from .model import init_for_kg, relation_discrepancy
+from .query import STRUCTURES, Query, answer_query, read_queries, write_queries
 from .seeds import substream
 from .training import train
 
@@ -223,7 +223,7 @@ def _resolve_names(names, table, kind):
 
 @main.command("query")
 @click.option("--checkpoint", "prefix", type=click.Path(), required=True)
-@click.option("--structure", type=click.Choice(["1p", "2p", "3p", "2i", "3i", "ip", "pi"]), required=True)
+@click.option("--structure", type=click.Choice(STRUCTURES), required=True)
 @click.option("--anchors", required=True, help="comma-separated anchor entity names")
 @click.option("--relations", required=True, help="comma-separated relation names")
 @click.option("--top-k", "top_k", type=int, default=10)
@@ -267,8 +267,6 @@ def cmd_inspect(prefix, train_path):
                 line += f" |translation|={np.linalg.norm(model.sheaf.translations[r]):.4f}"
             click.echo(line)
         if train_path:
-            from .model import relation_discrepancy
-
             kg = _read_input(kgdata.load_dataset, model.schema, train_path)
             unknown = set(kg.entities) - set(model.entities)
             if unknown:

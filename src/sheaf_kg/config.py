@@ -11,8 +11,8 @@ from dataclasses import dataclass
 
 from .errors import ConfigError
 from .kgdata import text_lines
-from .model import CONSTRAINTS, VARIANTS, ModelConfig
-from .training import OPTIMIZERS, TrainConfig
+from .model import ModelConfig
+from .training import TrainConfig
 
 _INT_KEYS = ("epochs", "batch_size", "negatives_per_positive", "sections",
              "entity_dim", "relation_dim", "seed")
@@ -113,13 +113,8 @@ def build_settings(file_values: dict[str, str] | None = None, overrides: dict | 
         if key not in VALID_KEYS:
             raise ConfigError(f"invalid override key {key!r}")
         values[key] = value
-    if values["variant"] not in VARIANTS:
-        raise ConfigError(f"variant must be one of {VARIANTS}")
-    if values["optimizer"] not in OPTIMIZERS:
-        raise ConfigError(f"optimizer must be one of {OPTIMIZERS}")
-    for kind in (values["constraint"], *constraint_overrides.values()):
-        if kind not in CONSTRAINTS:
-            raise ConfigError(f"unknown constraint {kind!r}; valid: {CONSTRAINTS}")
     settings = Settings(values=values, constraint_overrides=constraint_overrides)
-    settings.train_config()  # raises ConfigError on an out-of-range training value
+    # both configs check their own values and raise ConfigError on a bad one
+    settings.model_config()
+    settings.train_config()
     return settings

@@ -16,6 +16,7 @@ from .errors import EvaluationError, QueryError
 from .kgdata import TEST, TRAIN, KnowledgeGraph, TripleIndex, build_index
 from .model import Model
 from .query import (
+    _TEMPLATES,
     STRUCTURE_ARITY,
     Query,
     Ranking,
@@ -97,35 +98,18 @@ class MetricReport:
 
 
 def _traverse_answers(index: TripleIndex, structure: str, anchors, relations) -> set[int]:
-    """All entities satisfying the query template against the indexed triples."""
-    a = anchors
-    r = relations
-    if structure == "1p":
-        return set(index.tails(a[0], r[0]))
-    if structure == "2p":
-        return {t for u in index.tails(a[0], r[0]) for t in index.tails(u, r[1])}
-    if structure == "3p":
-        return {
-            t
-            for u in index.tails(a[0], r[0])
-            for v in index.tails(u, r[1])
-            for t in index.tails(v, r[2])
-        }
-    if structure == "2i":
-        return set(index.tails(a[0], r[0])) & set(index.tails(a[1], r[1]))
-    if structure == "3i":
-        return (
-            set(index.tails(a[0], r[0]))
-            & set(index.tails(a[1], r[1]))
-            & set(index.tails(a[2], r[2]))
-        )
-    if structure == "ip":
-        mid = set(index.tails(a[0], r[0])) & set(index.tails(a[1], r[1]))
-        return {t for u in mid for t in index.tails(u, r[2])}
-    if structure == "pi":
-        via_path = {t for u in index.tails(a[0], r[0]) for t in index.tails(u, r[1])}
-        return via_path & set(index.tails(a[1], r[2]))
-    raise QueryError(f"unknown structure {structure!r}")
+    """All entities satisfying the query template against the indexed triples.
+
+    Each template lists its edges in topological order, so a vertex's set is
+    complete before an edge leaves it: the tails reached along one entering
+    edge, intersected over the vertex's entering edges.
+    """
+    template = _TEMPLATES[structure]
+    reached = {v: {a} for v, a in zip(template["anchors"], anchors)}
+    for head_v, slot, tail_v in template["edges"]:
+        step = {t for u in reached[head_v] for t in index.tails(u, relations[slot])}
+        reached[tail_v] = reached[tail_v] & step if tail_v in reached else step
+    return reached[template["target"]]
 
 
 def build_easy_queries(

@@ -15,7 +15,9 @@ structure and relations; the anchors enter only as boundary data.
 and, per group, builds the form once, computes every candidate's quadratic
 term once, and gets the anchor-candidate cross terms of all the group's
 queries from one GEMM against the target type's stacked sections.
-``answer_query`` is a group of one followed by a full sort.
+``answer_query`` is a group of one followed by a full sort. A form reads
+the query graph's dense Laplacian ``L = delta^T delta`` once, permuted into
+[boundary; interior] stalk order.
 """
 
 from __future__ import annotations
@@ -208,11 +210,6 @@ def _anchor_data(model: Model, qg: QueryGraph, anchor_entities) -> np.ndarray:
     return np.concatenate(blocks, axis=0)
 
 
-def _stalk_columns(graph: SheafOnGraph, vertices) -> np.ndarray:
-    voff = graph.vertex_offsets
-    return np.concatenate([np.arange(voff[v], voff[v + 1]) for v in vertices])
-
-
 class _HarmonicForm:
     """One query graph's harmonic-extension value over a fixed candidate set.
 
@@ -228,14 +225,17 @@ class _HarmonicForm:
 
     def __init__(self, qg: QueryGraph, sheaf: KnowledgeSheaf, x: np.ndarray):
         graph, offsets = query_sheaf(qg, sheaf)
+        boundary, interior = qg.boundary, qg.interior
+        # this module's names, not sheaf.eliminate: benchmarks/layers.py wraps these two
         lap = assemble_laplacian(graph)
-        boundary = list(qg.boundary)
-        interior = list(qg.interior)
+        order = lap.columns(boundary + interior)
+        full = lap.dense[order][:, order]  # [boundary; interior] stalks
+        n_b = sum(graph.vertex_dims[v] for v in boundary)
 
-        schur = lap.submatrix(boundary)
+        schur = full[:n_b, :n_b]
         if interior:
-            l_ub = lap.submatrix(interior, boundary)
-            pinv_uu = psd_pinv(lap.submatrix(interior))
+            l_ub = full[n_b:, :n_b]
+            pinv_uu = psd_pinv(full[n_b:, n_b:])
             schur = schur - l_ub.T @ pinv_uu @ l_ub
             schur = (schur + schur.T) / 2.0
 
@@ -251,10 +251,10 @@ class _HarmonicForm:
         self.lin = None
         if offsets is not None:
             # delta E = delta_B + delta_U (-pinv(L_UU) L_UB), columns in boundary order
-            delta = coboundary_matrix(graph)
-            delta_e = delta[:, _stalk_columns(graph, boundary)]
+            delta = coboundary_matrix(graph)[:, order]
+            delta_e = delta[:, :n_b]
             if interior:
-                delta_e = delta_e - delta[:, _stalk_columns(graph, interior)] @ pinv_uu @ l_ub
+                delta_e = delta_e - delta[:, n_b:] @ pinv_uu @ l_ub
             self.lin = delta_e.T @ np.concatenate(offsets, axis=0)  # (dim_B, m)
 
     def values(self, y_a: np.ndarray) -> np.ndarray:

@@ -4,7 +4,13 @@ A sheaf assigns a stalk (vector space) to every vertex and edge and a pair
 of restriction maps per oriented edge ``u -> v``: ``head_map`` carries data
 from the head vertex ``u`` into the edge stalk, ``tail_map`` from the tail
 vertex ``v``. The coboundary on an edge is ``tail_map @ x_v - head_map @ x_u``
-(tail minus head, fixed globally); the Laplacian is its Gram operator.
+(tail minus head, fixed globally). The sheaf Laplacian is ``L = delta^T delta``
+on the concatenated vertex stalks, held as one dense symmetric array.
+
+Every Schur complement and harmonic extension here goes through one
+elimination, ``eliminate``: it pseudo-inverts the interior block once and
+returns the Schur complement onto the boundary, the harmonic extension map
+and that pseudoinverse.
 
 Cochain blocks may be vectors ``(d,)`` or matrices ``(d, m)``; all solvers
 act columnwise, so multi-section data needs no special casing.
@@ -12,7 +18,7 @@ act columnwise, so multi-section data needs no special casing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import accumulate
 
 import numpy as np
@@ -62,10 +68,6 @@ class SheafOnGraph:
     @property
     def vertex_offsets(self) -> np.ndarray:
         return np.concatenate(([0], np.cumsum(self.vertex_dims)))
-
-    @property
-    def edge_offsets(self) -> np.ndarray:
-        return np.concatenate(([0], np.cumsum(self.edge_dims)))
 
     @property
     def total_vertex_dim(self) -> int:
@@ -118,8 +120,9 @@ def coboundary_transpose(sheaf: SheafOnGraph, b) -> list[np.ndarray]:
 
 def coboundary_matrix(sheaf: SheafOnGraph) -> np.ndarray:
     """Dense matrix of the coboundary on concatenated stalks."""
-    voff, eoff = sheaf.vertex_offsets, sheaf.edge_offsets
-    delta = np.zeros((sheaf.total_edge_dim, sheaf.total_vertex_dim))
+    voff = list(accumulate(sheaf.vertex_dims, initial=0))
+    eoff = list(accumulate(sheaf.edge_dims, initial=0))
+    delta = np.zeros((eoff[-1], voff[-1]))
     for e, (u, v) in enumerate(sheaf.edges):
         rows = slice(eoff[e], eoff[e + 1])
         delta[rows, voff[u]:voff[u + 1]] -= sheaf.head_maps[e]
@@ -139,79 +142,49 @@ def quadratic_form(sheaf: SheafOnGraph, x) -> float:
 
 @dataclass(frozen=True)
 class BlockLaplacian:
-    """Symmetric PSD operator stored as vertex-diagonal and off-diagonal blocks.
+    """Symmetric PSD operator on the concatenated vertex stalks, held dense.
 
-    Off-diagonal blocks are stored once per unordered pair with ``u < v``;
-    ``block(v, u)`` is served as the transpose.
+    Vertex ``v`` owns the rows and columns ``columns([v])`` of ``dense``;
+    ``block`` and ``submatrix`` read vertex blocks out of it.
     """
 
     vertex_dims: tuple[int, ...]
-    diag: tuple[np.ndarray, ...]
-    offdiag: dict[tuple[int, int], np.ndarray] = field(default_factory=dict)
+    dense: np.ndarray
 
     def __post_init__(self):
-        for v, d in enumerate(self.vertex_dims):
-            if self.diag[v].shape != (d, d):
-                raise ShapeError(f"diag block {v} has shape {self.diag[v].shape}, expected {(d, d)}")
-        for (u, v), blk in self.offdiag.items():
-            if u >= v:
-                raise ShapeError("offdiag keys must satisfy u < v")
-            if blk.shape != (self.vertex_dims[u], self.vertex_dims[v]):
-                raise ShapeError(f"offdiag block {(u, v)} has wrong shape {blk.shape}")
+        n = sum(self.vertex_dims)
+        if self.dense.shape != (n, n):
+            raise ShapeError(f"Laplacian has shape {self.dense.shape}, expected {(n, n)}")
 
     @property
     def n_vertices(self) -> int:
         return len(self.vertex_dims)
 
+    def columns(self, vertices) -> np.ndarray:
+        """Indices into ``dense`` of the given vertices' stalks, in the given order."""
+        off = list(accumulate(self.vertex_dims, initial=0))
+        return np.array([i for v in vertices for i in range(off[v], off[v + 1])], dtype=np.intp)
+
     def block(self, u: int, v: int) -> np.ndarray:
-        if u == v:
-            return self.diag[u]
-        if u < v:
-            blk = self.offdiag.get((u, v))
-            return blk if blk is not None else np.zeros((self.vertex_dims[u], self.vertex_dims[v]))
-        return self.block(v, u).T
+        return self.dense[self.columns([u])][:, self.columns([v])]
+
+    @property
+    def diag(self) -> tuple[np.ndarray, ...]:
+        return tuple(self.block(v, v) for v in range(self.n_vertices))
 
     def submatrix(self, rows, cols=None) -> np.ndarray:
         """Dense block submatrix over the given vertex orderings."""
-        if cols is None:
-            cols = rows
-        row_off = list(accumulate((self.vertex_dims[u] for u in rows), initial=0))
-        col_off = list(accumulate((self.vertex_dims[v] for v in cols), initial=0))
-        out = np.zeros((row_off[-1], col_off[-1]))
-        for i, u in enumerate(rows):
-            for j, v in enumerate(cols):
-                out[row_off[i]:row_off[i + 1], col_off[j]:col_off[j + 1]] = self.block(u, v)
-        return out
+        r = self.columns(rows)
+        return self.dense[r][:, r if cols is None else self.columns(cols)]
 
     def to_dense(self) -> np.ndarray:
-        return self.submatrix(list(range(self.n_vertices)))
+        return self.dense.copy()
 
 
 def assemble_laplacian(sheaf: SheafOnGraph) -> BlockLaplacian:
-    """Blockwise Gram operator of the coboundary.
-
-    diag(u) accumulates H_e^T H_e and T_e^T T_e over incident edges; the
-    block for an edge ``u -> v`` with ``u != v`` contributes ``-H_e^T T_e``
-    off-diagonally. A self-loop's two maps interact, so its whole
-    ``(T_e - H_e)^T (T_e - H_e)`` lands on the diagonal block.
-    """
-    diag = [np.zeros((d, d)) for d in sheaf.vertex_dims]
-    offdiag: dict[tuple[int, int], np.ndarray] = {}
-    for e, (u, v) in enumerate(sheaf.edges):
-        head, tail = sheaf.head_maps[e], sheaf.tail_maps[e]
-        if u == v:
-            m = tail - head
-            diag[u] += m.T @ m
-            continue
-        diag[u] += head.T @ head
-        diag[v] += tail.T @ tail
-        a, b = (u, v) if u < v else (v, u)
-        contrib = -head.T @ tail if u < v else -tail.T @ head
-        prev = offdiag.get((a, b))
-        offdiag[(a, b)] = contrib if prev is None else prev + contrib
-    return BlockLaplacian(
-        vertex_dims=sheaf.vertex_dims, diag=tuple(diag), offdiag=offdiag
-    )
+    """The sheaf Laplacian ``delta^T delta`` (self-loops and parallel edges included)."""
+    delta = coboundary_matrix(sheaf)
+    return BlockLaplacian(vertex_dims=sheaf.vertex_dims, dense=delta.T @ delta)
 
 
 def psd_pinv(a: np.ndarray, rcond: float = PINV_RCOND) -> np.ndarray:
@@ -231,13 +204,13 @@ def _boundary_partition(lap: BlockLaplacian, boundary) -> tuple[list[int], list[
     b = [int(v) for v in boundary]
     if not b:
         raise ValidationError("boundary set must be nonempty")
-    if len(set(b)) != len(b):
+    bset = set(b)
+    if len(bset) != len(b):
         raise ValidationError("boundary set contains duplicates")
     for v in b:
         if not 0 <= v < lap.n_vertices:
             raise ValidationError(f"boundary vertex {v} out of range")
-    interior = [v for v in range(lap.n_vertices) if v not in set(b)]
-    return b, interior
+    return b, [v for v in range(lap.n_vertices) if v not in bset]
 
 
 def interior_vertices(lap: BlockLaplacian, boundary) -> list[int]:
@@ -245,21 +218,32 @@ def interior_vertices(lap: BlockLaplacian, boundary) -> list[int]:
     return _boundary_partition(lap, boundary)[1]
 
 
-def schur_complement(lap: BlockLaplacian, boundary) -> np.ndarray:
-    """Eliminate interior vertices: L[B,B] - L[B,U] pinv(L[U,U]) L[U,B].
+def eliminate(lap: BlockLaplacian, boundary) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Eliminate the interior vertices once: ``(schur, extend, pinv_uu)``.
 
-    ``boundary`` fixes the block order of the result. With no interior the
-    plain boundary submatrix is returned. The pseudoinverse handles singular
-    interior blocks; the result is symmetrized exactly.
+    ``schur = L[B,B] - L[B,U] pinv(L[U,U]) L[U,B]`` in ``boundary``'s block
+    order, symmetrized exactly; ``extend = -pinv(L[U,U]) L[U,B]`` maps
+    boundary data to its minimum-norm harmonic interior, whose rows follow
+    ``interior_vertices``. The pseudoinverse handles singular interior
+    blocks. With no interior, ``schur`` is the plain boundary submatrix and
+    the other two are empty.
     """
     b, interior = _boundary_partition(lap, boundary)
-    l_bb = lap.submatrix(b)
+    order = lap.columns(b + interior)
+    full = lap.dense[order][:, order]
+    n_b = sum(lap.vertex_dims[v] for v in b)
     if not interior:
-        return l_bb
-    l_bu = lap.submatrix(b, interior)
-    l_uu = lap.submatrix(interior)
-    s = l_bb - l_bu @ psd_pinv(l_uu) @ l_bu.T
-    return (s + s.T) / 2.0
+        return full, np.zeros((0, n_b)), np.zeros((0, 0))
+    l_ub = full[n_b:, :n_b]
+    pinv_uu = psd_pinv(full[n_b:, n_b:])
+    extend = -pinv_uu @ l_ub
+    s = full[:n_b, :n_b] + l_ub.T @ extend
+    return (s + s.T) / 2.0, extend, pinv_uu
+
+
+def schur_complement(lap: BlockLaplacian, boundary) -> np.ndarray:
+    """Eliminate interior vertices: L[B,B] - L[B,U] pinv(L[U,U]) L[U,B] (see ``eliminate``)."""
+    return eliminate(lap, boundary)[0]
 
 
 def _concat_blocks(blocks) -> np.ndarray:
@@ -277,72 +261,50 @@ def _split_blocks(vec: np.ndarray, dims) -> list[np.ndarray]:
     return out
 
 
+def _boundary_data(lap: BlockLaplacian, boundary, boundary_values):
+    """Checked boundary partition and the boundary blocks concatenated: ``(b, interior, y_b)``."""
+    b, interior = _boundary_partition(lap, boundary)
+    for v, blk in zip(b, boundary_values):
+        if np.shape(blk)[0] != lap.vertex_dims[v]:
+            raise ShapeError(f"boundary block for vertex {v} has wrong leading dimension")
+    return b, interior, _concat_blocks(boundary_values)
+
+
 def harmonic_extension(lap: BlockLaplacian, boundary, boundary_values):
     """Minimum-norm interior completion of boundary data and its optimal cost.
 
     Returns ``(interior_blocks, value)`` where ``interior_blocks`` aligns
     with ``interior_vertices(lap, boundary)`` and ``value`` is the Laplacian
     quadratic form of the completed cochain, i.e. the boundary quadratic
-    form under the Schur complement.
+    form ``y_B^T S y_B`` under the Schur complement.
     """
-    b, interior = _boundary_partition(lap, boundary)
-    for v, blk in zip(b, boundary_values):
-        if np.shape(blk)[0] != lap.vertex_dims[v]:
-            raise ShapeError(f"boundary block for vertex {v} has wrong leading dimension")
-    y_b = _concat_blocks(boundary_values)
-    interior_dims = [lap.vertex_dims[v] for v in interior]
-    if interior:
-        l_uu = lap.submatrix(interior)
-        l_ub = lap.submatrix(interior, b)
-        y_u = -psd_pinv(l_uu) @ (l_ub @ y_b)
-    else:
-        y_u = np.zeros((0,) + y_b.shape[1:])
-    value = _completed_quadratic_form(lap, b, y_b, interior, y_u)
-    return _split_blocks(y_u, interior_dims), value
-
-
-def _completed_quadratic_form(lap, b, y_b, interior, y_u) -> float:
-    order = list(b) + list(interior)
-    y = np.concatenate([y_b, y_u], axis=0)
-    full = lap.submatrix(order)
-    return float(np.sum(y * (full @ y)))
+    b, interior, y_b = _boundary_data(lap, boundary, boundary_values)
+    schur, extend, _ = eliminate(lap, b)
+    y_u = extend @ y_b
+    value = float(np.sum(y_b * (schur @ y_b)))
+    return _split_blocks(y_u, [lap.vertex_dims[v] for v in interior]), value
 
 
 def affine_harmonic_extension(lap: BlockLaplacian, sheaf: SheafOnGraph, b_cochain, boundary, boundary_values):
     """Interior completion when edges carry target offsets (a 1-cochain).
 
     Solves the offset version of harmonic extension: the interior optimum is
-    the plain harmonic extension plus a correction ``pinv(L[U,U]) (d^T b)_U``,
-    and the reported value keeps only the boundary-dependent part,
-    ``y^T L y - 2 b^T (d y)`` for the plain extension ``y``. Offsets shift
-    every candidate's value by the same constant (see ``affine_offset``), so
-    rankings are unaffected. With a zero 1-cochain this reduces bitwise to
-    ``harmonic_extension``.
+    the plain harmonic extension plus a correction ``pinv(L[U,U]) g_U`` with
+    ``g = delta^T b``, and the reported value keeps only the
+    boundary-dependent part, ``y^T L y - 2 g^T y`` for the plain extension
+    ``y``. Offsets shift every candidate's value by the same constant (see
+    ``affine_offset``), so rankings are unaffected. With a zero 1-cochain
+    this reduces bitwise to ``harmonic_extension``.
     """
     check_cochain1(sheaf, b_cochain)
-    bset, interior = _boundary_partition(lap, boundary)
-    interior_dims = [lap.vertex_dims[v] for v in interior]
-    y_u_blocks, base_value = harmonic_extension(lap, boundary, boundary_values)
-
-    delta_t = coboundary_transpose(sheaf, b_cochain)
-    if interior:
-        g = _concat_blocks([delta_t[v] for v in interior])
-        correction = psd_pinv(lap.submatrix(interior)) @ g
-        y_u = _concat_blocks(y_u_blocks) + correction
-    else:
-        y_u = _concat_blocks(y_u_blocks) if y_u_blocks else np.zeros((0,) + np.shape(boundary_values[0])[1:])
-
-    # b^T (delta y) over the completed plain extension
-    full_x = [None] * sheaf.n_vertices
-    for v, blk in zip(bset, boundary_values):
-        full_x[v] = np.asarray(blk, dtype=float)
-    for v, blk in zip(interior, y_u_blocks):
-        full_x[v] = blk
-    cross = 0.0
-    for e, blk in enumerate(coboundary(sheaf, full_x)):
-        cross += float(np.sum(np.asarray(b_cochain[e], dtype=float) * blk))
-    value = base_value - 2.0 * cross
-    return _split_blocks(y_u, interior_dims), value
+    b, interior, y_b = _boundary_data(lap, boundary, boundary_values)
+    schur, extend, pinv_uu = eliminate(lap, b)
+    g = _concat_blocks(coboundary_transpose(sheaf, b_cochain))
+    g_b, g_u = g[lap.columns(b)], g[lap.columns(interior)]
+    y_u = extend @ y_b
+    cross = float(np.sum(g_b * y_b)) + float(np.sum(g_u * y_u))
+    value = float(np.sum(y_b * (schur @ y_b))) - 2.0 * cross
+    return _split_blocks(y_u + pinv_uu @ g_u, [lap.vertex_dims[v] for v in interior]), value
 
 
 def affine_offset(lap: BlockLaplacian, sheaf: SheafOnGraph, b_cochain, boundary) -> float:
@@ -353,13 +315,11 @@ def affine_offset(lap: BlockLaplacian, sheaf: SheafOnGraph, b_cochain, boundary)
     ``b^T b - g^T pinv(L[U,U]) g`` with ``g = (delta^T b)_U``.
     """
     check_cochain1(sheaf, b_cochain)
-    _, interior = _boundary_partition(lap, boundary)
     btb = sum(float(np.sum(np.asarray(blk, dtype=float) ** 2)) for blk in b_cochain)
-    if not interior:
-        return btb
-    delta_t = coboundary_transpose(sheaf, b_cochain)
-    g = _concat_blocks([delta_t[v] for v in interior])
-    return btb - float(np.sum(g * (psd_pinv(lap.submatrix(interior)) @ g)))
+    _, _, pinv_uu = eliminate(lap, boundary)
+    g = _concat_blocks(coboundary_transpose(sheaf, b_cochain))
+    g = g[lap.columns(interior_vertices(lap, boundary))]
+    return btb - float(np.sum(g * (pinv_uu @ g)))
 
 
 def kron_reduce(sheaf: SheafOnGraph, boundary) -> BlockLaplacian:
@@ -371,17 +331,7 @@ def kron_reduce(sheaf: SheafOnGraph, boundary) -> BlockLaplacian:
     """
     lap = assemble_laplacian(sheaf)
     b, _ = _boundary_partition(lap, boundary)
-    s = schur_complement(lap, b)
-    dims = [sheaf.vertex_dims[v] for v in b]
-    off = np.concatenate(([0], np.cumsum(dims)))
-    diag = tuple(s[off[i]:off[i + 1], off[i]:off[i + 1]].copy() for i in range(len(b)))
-    offdiag = {}
-    for i in range(len(b)):
-        for j in range(i + 1, len(b)):
-            blk = s[off[i]:off[i + 1], off[j]:off[j + 1]]
-            if np.any(blk != 0.0):
-                offdiag[(i, j)] = blk.copy()
-    return BlockLaplacian(vertex_dims=tuple(dims), diag=diag, offdiag=offdiag)
+    return BlockLaplacian(tuple(sheaf.vertex_dims[v] for v in b), eliminate(lap, b)[0])
 
 
 def constant_sheaf(n_vertices: int, edges, dim: int) -> SheafOnGraph:

@@ -36,3 +36,20 @@ def test_instrument_wraps_existing_names_and_restores_them():
                  "model.relation_discrepancy", "kgdata.build_index", "synth.generate"):
         assert times[name].calls >= 1, name
     assert tracer.counters["pairs"] == np.sum(ds.kg.split_mask("train"))
+
+
+def test_batched_and_interactive_answering_feed_the_sheaf_and_query_layers():
+    layers = ("sheaf.assemble_laplacian", "sheaf.psd_pinv", "query.build_query_graph", "query.query_sheaf")
+    ds = sheaf_kg.synth.generate_planted_kg(30, 2, 4, 0.0, seed=0, variant="shvt")
+    index = sheaf_kg.kgdata.build_index(ds.kg)
+    queries = sheaf_kg.evaluation.build_easy_queries(ds.kg, index, "2p", 4, np.random.default_rng(0))
+    assert queries
+    with Tracer() as tracer:
+        instrument(tracer, sheaf_kg)
+        sheaf_kg.evaluation.evaluate(ds.generator, queries)
+        after_evaluate = tracer.layer_times()
+        sheaf_kg.query.answer_query(queries[0], ds.generator)
+        after_answer = tracer.layer_times()
+    for name in layers:
+        assert after_evaluate[name].calls >= 1, name
+        assert after_answer[name].calls > after_evaluate[name].calls, name

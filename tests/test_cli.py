@@ -156,6 +156,15 @@ class TestTrain:
         assert "error:" in res.output and message in res.output
         assert "Traceback" not in res.output
 
+    def test_bad_model_value_exits_2(self, runner, tmp_path):
+        (tmp_path / "t.tsv").write_text("a\tr\tb\n", encoding="utf-8")
+        res = run_cli(runner, [
+            "train", "--train", str(tmp_path / "t.tsv"), "--sections", "0", "--out", str(tmp_path / "o"),
+        ])
+        assert res.exit_code == 2
+        assert "error: sections must be >= 1" in res.output
+        assert not (tmp_path / "o").exists()
+
     def test_non_utf8_triple_file_exits_2(self, runner, tmp_path):
         triples = tmp_path / "t.tsv"
         triples.write_bytes(b"a\tr\tb\n\xff\tr\tb\n")

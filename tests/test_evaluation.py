@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from sheaf_kg.errors import EvaluationError
 from sheaf_kg.evaluation import (
+    _traverse_answers,
     aggregate_reports,
     build_easy_queries,
     evaluate,
@@ -18,7 +19,7 @@ from sheaf_kg.evaluation import (
 )
 from sheaf_kg.kgdata import KnowledgeGraph, build_index, default_schema
 from sheaf_kg.model import ModelConfig, init_for_kg
-from sheaf_kg.query import Query, ranking_from_scores
+from sheaf_kg.query import STRUCTURE_ARITY, STRUCTURES, Query, ranking_from_scores
 from sheaf_kg.seeds import substream
 from sheaf_kg.synth import generate_planted_kg
 
@@ -110,6 +111,57 @@ def path_kg():
         triples=np.array([[0, 0, 1], [1, 0, 2]], dtype=np.int64),
         split=np.zeros(2, dtype=np.int8),
     )
+
+
+def traverse_oracle(index, structure, a, r):
+    """The answer sets written out structure by structure."""
+    if structure == "1p":
+        return set(index.tails(a[0], r[0]))
+    if structure == "2p":
+        return {t for u in index.tails(a[0], r[0]) for t in index.tails(u, r[1])}
+    if structure == "3p":
+        return {
+            t
+            for u in index.tails(a[0], r[0])
+            for v in index.tails(u, r[1])
+            for t in index.tails(v, r[2])
+        }
+    if structure == "2i":
+        return set(index.tails(a[0], r[0])) & set(index.tails(a[1], r[1]))
+    if structure == "3i":
+        return (
+            set(index.tails(a[0], r[0]))
+            & set(index.tails(a[1], r[1]))
+            & set(index.tails(a[2], r[2]))
+        )
+    if structure == "ip":
+        mid = set(index.tails(a[0], r[0])) & set(index.tails(a[1], r[1]))
+        return {t for u in mid for t in index.tails(u, r[2])}
+    assert structure == "pi"
+    via_path = {t for u in index.tails(a[0], r[0]) for t in index.tails(u, r[1])}
+    return via_path & set(index.tails(a[1], r[2]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 6), n_relations=st.integers(1, 3), data=st.data())
+def test_template_traversal_matches_written_out_structures(n, n_relations, data):
+    entity, relation = st.integers(0, n - 1), st.integers(0, n_relations - 1)
+    triples = data.draw(st.lists(st.tuples(entity, relation, entity), max_size=30, unique=True))
+    kg = KnowledgeGraph(
+        schema=default_schema(n_relations, 4, 4),
+        entities=tuple(f"e{i}" for i in range(n)),
+        entity_type=np.zeros(n, dtype=np.int64),
+        triples=np.array(triples, dtype=np.int64).reshape(-1, 3),
+        split=np.zeros(len(triples), dtype=np.int8),
+    )
+    index = build_index(kg)
+    for structure in STRUCTURES:
+        n_anchors, n_edges = STRUCTURE_ARITY[structure]
+        anchors = tuple(data.draw(st.lists(entity, min_size=n_anchors, max_size=n_anchors)))
+        relations = tuple(data.draw(st.lists(relation, min_size=n_edges, max_size=n_edges)))
+        assert _traverse_answers(index, structure, anchors, relations) == traverse_oracle(
+            index, structure, anchors, relations
+        )
 
 
 class TestBuildEasyQueries:

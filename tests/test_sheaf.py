@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_cochain0, random_cochain1, random_sheaf
 from sheaf_kg.errors import ShapeError, ValidationError
@@ -13,6 +15,7 @@ from sheaf_kg.sheaf import (
     coboundary_matrix,
     coboundary_transpose,
     constant_sheaf,
+    eliminate,
     harmonic_extension,
     interior_vertices,
     kron_reduce,
@@ -46,6 +49,83 @@ def constrained_minimum(sheaf, boundary, y_b_blocks):
     sol, *_ = np.linalg.lstsq(delta[:, u_cols], rhs, rcond=None)
     resid = delta[:, u_cols] @ sol - rhs
     return sol, float(resid @ resid)
+
+
+def blockwise_laplacian(sheaf):
+    """Oracle: the Laplacian accumulated edge by edge into vertex blocks.
+
+    diag(u) accumulates H_e^T H_e and T_e^T T_e over incident edges; the
+    block for an edge ``u -> v`` with ``u != v`` contributes ``-H_e^T T_e``
+    off-diagonally. A self-loop's two maps interact, so its whole
+    ``(T_e - H_e)^T (T_e - H_e)`` lands on the diagonal block. Returns the
+    dict of every diagonal and every edge's ``(u, v)`` block, both
+    orientations included.
+    """
+    blocks = {(v, v): np.zeros((d, d)) for v, d in enumerate(sheaf.vertex_dims)}
+    for e, (u, v) in enumerate(sheaf.edges):
+        head, tail = sheaf.head_maps[e], sheaf.tail_maps[e]
+        if u == v:
+            m = tail - head
+            blocks[(u, u)] += m.T @ m
+            continue
+        blocks[(u, u)] += head.T @ head
+        blocks[(v, v)] += tail.T @ tail
+        blocks[(u, v)] = blocks.get((u, v), 0.0) - head.T @ tail
+        blocks[(v, u)] = blocks.get((v, u), 0.0) - tail.T @ head
+    return blocks
+
+
+def blockwise_submatrix(blocks, dims, order):
+    return np.block([
+        [blocks.get((u, v), np.zeros((dims[u], dims[v]))) for v in order] for u in order
+    ])
+
+
+@st.composite
+def ragged_multigraph_sheaves(draw):
+    """Random sheaves with ragged stalk dims, at least one self-loop and one parallel edge."""
+    n = draw(st.integers(1, 5))
+    vertex = st.integers(0, n - 1)
+    edges = draw(st.lists(st.tuples(vertex, vertex), min_size=1, max_size=7))
+    edges += [(draw(vertex),) * 2, edges[draw(st.integers(0, len(edges) - 1))]]
+    vertex_dims = tuple(draw(st.lists(st.integers(1, 4), min_size=n, max_size=n)))
+    edge_dims = tuple(draw(st.lists(st.integers(1, 4), min_size=len(edges), max_size=len(edges))))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return SheafOnGraph(
+        vertex_dims=vertex_dims,
+        edges=tuple(edges),
+        edge_dims=edge_dims,
+        head_maps=tuple(rng.normal(size=(de, vertex_dims[u])) for de, (u, _) in zip(edge_dims, edges)),
+        tail_maps=tuple(rng.normal(size=(de, vertex_dims[v])) for de, (_, v) in zip(edge_dims, edges)),
+    )
+
+
+@settings(max_examples=80, deadline=None)
+@given(sheaf=ragged_multigraph_sheaves(), data=st.data())
+def test_dense_laplacian_and_elimination_match_oracles(sheaf, data):
+    lap = assemble_laplacian(sheaf)
+    blocks = blockwise_laplacian(sheaf)
+    oracle = blockwise_submatrix(blocks, sheaf.vertex_dims, range(sheaf.n_vertices))
+    scale = max(1.0, float(np.abs(oracle).max()))
+    assert np.abs(lap.dense - oracle).max() <= 1e-12 * scale
+    for (u, v), blk in blocks.items():
+        assert np.abs(lap.block(u, v) - blk).max() <= 1e-12 * scale
+    order = data.draw(st.permutations(range(sheaf.n_vertices)))
+    assert np.abs(lap.submatrix(order) - blockwise_submatrix(blocks, sheaf.vertex_dims, order)).max() \
+        <= 1e-12 * scale
+
+    # eliminate against least squares on the dense coboundary: the interior
+    # minimizer of |delta_U y_U + delta_B y_B| is y_U = extend @ y_B, and the
+    # residual's Gram matrix is the Schur complement
+    boundary = order[:data.draw(st.integers(1, sheaf.n_vertices))]
+    schur, extend, _ = eliminate(lap, boundary)
+    interior = interior_vertices(lap, boundary)
+    delta = coboundary_matrix(sheaf)
+    d_b, d_u = delta[:, lap.columns(boundary)], delta[:, lap.columns(interior)]
+    sol = np.linalg.lstsq(d_u, -d_b, rcond=None)[0] if interior else np.zeros((0, d_b.shape[1]))
+    resid = d_b + d_u @ sol
+    assert np.abs(extend - sol).max(initial=0.0) <= 1e-8 * (1.0 + np.abs(sol).max(initial=0.0))
+    assert np.abs(schur - resid.T @ resid).max() <= 1e-8 * scale
 
 
 class TestCoboundary:
@@ -394,13 +474,10 @@ class TestPsdPinv:
 class TestBlockLaplacianType:
     def test_rejects_misshapen_blocks(self):
         with pytest.raises(ShapeError):
-            BlockLaplacian(vertex_dims=(2,), diag=(np.zeros((3, 3)),))
+            BlockLaplacian(vertex_dims=(2,), dense=np.zeros((3, 3)))
 
     def test_offdiag_transpose_access(self, rng):
         blk = rng.normal(size=(2, 3))
-        lap = BlockLaplacian(
-            vertex_dims=(2, 3),
-            diag=(np.eye(2), np.eye(3)),
-            offdiag={(0, 1): blk},
-        )
-        np.testing.assert_array_equal(lap.block(1, 0), blk.T)
+        lap = BlockLaplacian(vertex_dims=(2, 3), dense=np.block([[np.eye(2), blk], [blk.T, np.eye(3)]]))
+        np.testing.assert_array_equal(lap.block(0, 1), blk)
+        np.testing.assert_array_equal(lap.block(1, 0), lap.block(0, 1).T)
