@@ -3,6 +3,8 @@
 Each query contributes one rank per true answer, filtered against the
 query's other true answers. Metrics (MRR, Hits@K) are reported as fractions
 in [0, 1]; multi-seed aggregation uses the population standard deviation.
+Test queries are sampled and answered by walking the edges of
+``query._TEMPLATES``, the one record of each structure's shape.
 """
 
 from __future__ import annotations
@@ -121,12 +123,16 @@ def build_easy_queries(
 ) -> list[Query]:
     """Sample queries whose constituent triples are known to the model.
 
-    Constituent triples are drawn from the train and test splits; every
-    entity and relation a query mentions must occur in at least one training
-    triple, and a 1p query's single triple must itself be a test triple.
-    ``index`` must cover the full graph; it supplies the answer sets. Fewer
-    than ``count`` queries may be returned (with a warning) when the graph
-    cannot support the structure.
+    Each attempt walks the structure's template edges in topological order.
+    The first edge takes a uniform triple: a test triple for 1p, else a train
+    or test triple. Each later edge draws a uniform relation, then a uniform
+    train or test neighbour along it of its endpoint already placed; none
+    rejects the attempt. Once the last edge entering a vertex is placed, the
+    anchored edges entering it must be distinct ``(anchor, relation)``
+    pairs. Every entity and relation a query mentions must occur in at least
+    one training triple. ``index`` must cover the full graph; it supplies
+    the answer sets. Fewer than ``count`` queries may be returned (with a
+    warning) when the graph cannot support the structure.
     """
     if structure not in STRUCTURE_ARITY:
         raise QueryError(f"unknown structure {structure!r}")
@@ -135,102 +141,48 @@ def build_easy_queries(
         raise EvaluationError("easy-query construction needs a nonempty training split")
     train_entities = set(train[:, 0]) | set(train[:, 2])
     train_relations = set(train[:, 1])
-    pool = np.concatenate([train, kg.triples_of(TEST)], axis=0)
     pool_index = build_index(kg, splits=(TRAIN, TEST))
-    test_triples = kg.triples_of(TEST)
+    first = kg.triples_of(TEST)
+    if structure != "1p":
+        first = np.concatenate([train, first], axis=0)
+    edges, anchor_vertices = _TEMPLATES[structure]["edges"], _TEMPLATES[structure]["anchors"]
+    last_into = {v: i for i, (_, _, v) in enumerate(edges)}
 
-    def known(*entities, relations=()):
-        return all(e in train_entities for e in entities) and all(
-            r in train_relations for r in relations
-        )
-
-    def sample_edge_from(h, r):
-        tails = sorted(pool_index.tails(h, r))
-        return tails[rng.integers(0, len(tails))] if tails else None
+    def walk():
+        """One attempt's ``(anchors, relations)``, or None if rejected."""
+        at, rel = {}, {}
+        head_v, slot, tail_v = edges[0]
+        # a vertex whose only entering edge is the first has no pairs to compare
+        at[head_v], rel[slot], at[tail_v] = first[rng.integers(0, len(first))].tolist()
+        for i, (head_v, slot, tail_v) in enumerate(edges[1:], start=1):
+            rel[slot] = r = int(rng.integers(0, kg.schema.n_relations))
+            if head_v in at:
+                new_v, choices = tail_v, sorted(pool_index.tails(at[head_v], r))
+            else:
+                new_v, choices = head_v, sorted(pool_index.heads(at[tail_v], r))
+            if not choices:
+                return None
+            at[new_v] = int(choices[rng.integers(0, len(choices))])
+            if i == last_into[tail_v]:
+                pairs = [(at[u], rel[s]) for u, s, v in edges
+                         if v == tail_v and u in anchor_vertices]
+                if len(set(pairs)) < len(pairs):
+                    return None
+        if not (set(at.values()) <= train_entities and set(rel.values()) <= train_relations):
+            return None
+        return tuple(at[v] for v in anchor_vertices), tuple(rel[s] for s in sorted(rel))
 
     queries: dict[tuple, Query] = {}
     attempts = 0
     max_attempts = max(200, 60 * count)
-    while len(queries) < count and attempts < max_attempts:
+    while len(first) and len(queries) < count and attempts < max_attempts:
         attempts += 1
-        if structure == "1p":
-            if len(test_triples) == 0:
-                break
-            h, r, t = (int(x) for x in test_triples[rng.integers(0, len(test_triples))])
-            anchors, relations = (h,), (r,)
-            if not known(h, t, relations=(r,)):
-                continue
-        else:
-            h, r, t = (int(x) for x in pool[rng.integers(0, len(pool))])
-            if structure in ("2p", "3p"):
-                chain = [(h, r, t)]
-                ok = True
-                for _ in range(int(structure[0]) - 1):
-                    r2 = int(rng.integers(0, kg.schema.n_relations))
-                    nxt = sample_edge_from(chain[-1][2], r2)
-                    if nxt is None:
-                        ok = False
-                        break
-                    chain.append((chain[-1][2], r2, int(nxt)))
-                if not ok:
-                    continue
-                anchors = (chain[0][0],)
-                relations = tuple(e[1] for e in chain)
-                mentioned = [v for e in chain for v in (e[0], e[2])]
-            elif structure in ("2i", "3i"):
-                n_branches = int(structure[0])
-                branches = [(h, r)]
-                for _ in range(n_branches - 1):
-                    r2 = int(rng.integers(0, kg.schema.n_relations))
-                    hs = sorted(pool_index.heads(t, r2))
-                    if not hs:
-                        branches = None
-                        break
-                    branches.append((int(hs[rng.integers(0, len(hs))]), r2))
-                if branches is None or len({(a, b) for a, b in branches}) < n_branches:
-                    continue
-                anchors = tuple(b[0] for b in branches)
-                relations = tuple(b[1] for b in branches)
-                mentioned = list(anchors) + [t]
-            elif structure == "ip":
-                # two edges into an intersection vertex, one edge out of it
-                u = t
-                r2 = int(rng.integers(0, kg.schema.n_relations))
-                hs = sorted(pool_index.heads(u, r2))
-                if not hs:
-                    continue
-                a2 = int(hs[rng.integers(0, len(hs))])
-                if (a2, r2) == (h, r):
-                    continue
-                r3 = int(rng.integers(0, kg.schema.n_relations))
-                t_final = sample_edge_from(u, r3)
-                if t_final is None:
-                    continue
-                anchors, relations = (h, a2), (r, r2, r3)
-                mentioned = [h, a2, u, int(t_final)]
-            elif structure == "pi":
-                # a0 -r0-> u -r1-> t and a1 -r2-> t
-                u = t
-                r2 = int(rng.integers(0, kg.schema.n_relations))
-                t_final = sample_edge_from(u, r2)
-                if t_final is None:
-                    continue
-                r3 = int(rng.integers(0, kg.schema.n_relations))
-                hs = sorted(pool_index.heads(int(t_final), r3))
-                if not hs:
-                    continue
-                a2 = int(hs[rng.integers(0, len(hs))])
-                anchors, relations = (h, a2), (r, r2, r3)
-                mentioned = [h, u, int(t_final), a2]
-            if not known(*mentioned, relations=relations):
-                continue
-        key = (structure, anchors, relations)
-        if key in queries:
+        placed = walk()
+        if placed is None or (structure, *placed) in queries:
             continue
-        answers = _traverse_answers(index, structure, anchors, relations)
-        if not answers:
-            continue
-        queries[key] = Query(structure, anchors, relations, frozenset(int(x) for x in answers))
+        answers = _traverse_answers(index, structure, *placed)
+        if answers:
+            queries[(structure, *placed)] = Query(structure, *placed, frozenset(answers))
     result = list(queries.values())
     if len(result) < count:
         logger.warning(

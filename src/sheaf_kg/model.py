@@ -401,8 +401,11 @@ def resize_edge_stalk(sheaf: KnowledgeSheaf, relation, new_dim: int, seed: int) 
     """Change one relation's edge stalk dimension (row count of its maps).
 
     Shrinking keeps the leading rows exactly; growing appends freshly
-    initialized rows drawn from the ``resize`` stream of ``seed``. The
-    translation block, when present, is resized the same way.
+    initialized rows drawn from the ``resize`` stream of ``seed``. An
+    orthogonal relation's resized maps are then replaced by their polar
+    factors, so the result still satisfies its constraint; every other
+    relation is copied unchanged. The translation block, when present, is
+    resized the same way (and not projected).
     """
     schema = sheaf.schema
     r = relation if isinstance(relation, int) else schema.relation_index(relation)
@@ -439,6 +442,8 @@ def resize_edge_stalk(sheaf: KnowledgeSheaf, relation, new_dim: int, seed: int) 
         tail_maps[r] = -head_maps[r]
     else:
         tail_maps[r] = resized(sheaf.tail_maps[r], 1.0 / np.sqrt(dt * new_dim))
+    if kind == "orthogonal":
+        head_maps[r], tail_maps[r] = map(orthonormal_columns, (head_maps[r], tail_maps[r]))
     if translations is not None:
         translations[r] = resized(sheaf.translations[r], 1.0 / np.sqrt(new_dim))
     return KnowledgeSheaf(

@@ -372,43 +372,21 @@ def entity_chaining_exact(query: Query, model: Model, budget: int = 10**6) -> Ra
         )
 
     candidates, xc = _type_sections(model, qg.vertex_types[qg.target_vertex])
-
-    anchor_of = dict(zip(qg.anchor_vertices, (int(a) for a in query.anchors)))
     _anchor_data(model, qg, query.anchors)  # validates anchor types
-    target = qg.target_vertex
 
-    def head_term(e_idx, vec):
-        out = sheaf.head_maps[qg.edges[e_idx][1]] @ vec
-        if sheaf.translational:
-            out = out + sheaf.translations[qg.edges[e_idx][1]]
-        return out
-
+    # each vertex's section; the target's is every candidate's, broadcast through each edge
+    fixed = {v: model.sections.block(int(a)) for v, a in zip(qg.anchor_vertices, query.anchors)}
+    fixed[qg.target_vertex] = xc
     best = np.full(len(candidates), np.inf)
-    for assignment in product(*(range(len(p)) for p in pools)):
-        entity_at = dict(anchor_of)
-        for v, choice, pool in zip(interior, assignment, pools):
-            entity_at[v] = int(pool[choice])
-        fixed = 0.0
-        target_vec = np.zeros(len(candidates))
-        for e_idx, (u, r, v) in enumerate(qg.edges):
-            if u != target and v != target:
-                h_blk = model.sections.block(entity_at[u])
-                t_blk = model.sections.block(entity_at[v])
-                diff = head_term(e_idx, h_blk) - sheaf.tail_maps[r] @ t_blk
-                fixed += float(np.sum(diff * diff))
-            elif v == target:  # u -> target
-                a = head_term(e_idx, model.sections.block(entity_at[u]))
-                proj = np.einsum("ij,cjm->cim", sheaf.tail_maps[r], xc)
-                diff = a[None, :, :] - proj
-                target_vec += np.einsum("cim,cim->c", diff, diff)
-            else:  # target -> v
-                t_blk = sheaf.tail_maps[r] @ model.sections.block(entity_at[v])
-                proj = np.einsum("ij,cjm->cim", sheaf.head_maps[r], xc)
-                if sheaf.translational:
-                    proj = proj + sheaf.translations[r][None, :, :]
-                diff = proj - t_blk[None, :, :]
-                target_vec += np.einsum("cim,cim->c", diff, diff)
-        best = np.minimum(best, fixed + target_vec)
+    for assignment in product(*pools):
+        at = fixed | {v: model.sections.block(int(e)) for v, e in zip(interior, assignment)}
+        total = 0.0
+        for u, r, v in qg.edges:
+            diff = sheaf.head_maps[r] @ at[u] - sheaf.tail_maps[r] @ at[v]
+            if sheaf.translational:
+                diff = diff + sheaf.translations[r]
+            total = total + np.einsum("...dm,...dm->...", diff, diff)
+        best = np.minimum(best, total)
 
     if sheaf.translational:
         graph, offsets = query_sheaf(qg, sheaf)

@@ -17,7 +17,7 @@ from sheaf_kg.evaluation import (
     MetricReport,
     StructureMetrics,
 )
-from sheaf_kg.kgdata import KnowledgeGraph, build_index, default_schema
+from sheaf_kg.kgdata import TEST, TRAIN, KnowledgeGraph, Schema, build_index, default_schema
 from sheaf_kg.model import ModelConfig, init_for_kg
 from sheaf_kg.query import STRUCTURE_ARITY, STRUCTURES, Query, ranking_from_scores
 from sheaf_kg.seeds import substream
@@ -162,6 +162,160 @@ def test_template_traversal_matches_written_out_structures(n, n_relations, data)
         assert _traverse_answers(index, structure, anchors, relations) == traverse_oracle(
             index, structure, anchors, relations
         )
+
+
+def easy_queries_oracle(kg, index, structure, count, rng):
+    """The easy-query sampler written out structure by structure."""
+    train = kg.triples_of(TRAIN)
+    train_entities = set(train[:, 0]) | set(train[:, 2])
+    train_relations = set(train[:, 1])
+    pool = np.concatenate([train, kg.triples_of(TEST)], axis=0)
+    pool_index = build_index(kg, splits=(TRAIN, TEST))
+    test_triples = kg.triples_of(TEST)
+
+    def known(*entities, relations=()):
+        return all(e in train_entities for e in entities) and all(
+            r in train_relations for r in relations
+        )
+
+    def sample_edge_from(h, r):
+        tails = sorted(pool_index.tails(h, r))
+        return tails[rng.integers(0, len(tails))] if tails else None
+
+    queries = {}
+    attempts = 0
+    max_attempts = max(200, 60 * count)
+    while len(queries) < count and attempts < max_attempts:
+        attempts += 1
+        if structure == "1p":
+            if len(test_triples) == 0:
+                break
+            h, r, t = (int(x) for x in test_triples[rng.integers(0, len(test_triples))])
+            anchors, relations = (h,), (r,)
+            if not known(h, t, relations=(r,)):
+                continue
+        else:
+            h, r, t = (int(x) for x in pool[rng.integers(0, len(pool))])
+            if structure in ("2p", "3p"):
+                chain = [(h, r, t)]
+                ok = True
+                for _ in range(int(structure[0]) - 1):
+                    r2 = int(rng.integers(0, kg.schema.n_relations))
+                    nxt = sample_edge_from(chain[-1][2], r2)
+                    if nxt is None:
+                        ok = False
+                        break
+                    chain.append((chain[-1][2], r2, int(nxt)))
+                if not ok:
+                    continue
+                anchors = (chain[0][0],)
+                relations = tuple(e[1] for e in chain)
+                mentioned = [v for e in chain for v in (e[0], e[2])]
+            elif structure in ("2i", "3i"):
+                n_branches = int(structure[0])
+                branches = [(h, r)]
+                for _ in range(n_branches - 1):
+                    r2 = int(rng.integers(0, kg.schema.n_relations))
+                    hs = sorted(pool_index.heads(t, r2))
+                    if not hs:
+                        branches = None
+                        break
+                    branches.append((int(hs[rng.integers(0, len(hs))]), r2))
+                if branches is None or len({(a, b) for a, b in branches}) < n_branches:
+                    continue
+                anchors = tuple(b[0] for b in branches)
+                relations = tuple(b[1] for b in branches)
+                mentioned = list(anchors) + [t]
+            elif structure == "ip":
+                # two edges into an intersection vertex, one edge out of it
+                u = t
+                r2 = int(rng.integers(0, kg.schema.n_relations))
+                hs = sorted(pool_index.heads(u, r2))
+                if not hs:
+                    continue
+                a2 = int(hs[rng.integers(0, len(hs))])
+                if (a2, r2) == (h, r):
+                    continue
+                r3 = int(rng.integers(0, kg.schema.n_relations))
+                t_final = sample_edge_from(u, r3)
+                if t_final is None:
+                    continue
+                anchors, relations = (h, a2), (r, r2, r3)
+                mentioned = [h, a2, u, int(t_final)]
+            elif structure == "pi":
+                # a0 -r0-> u -r1-> t and a1 -r2-> t
+                u = t
+                r2 = int(rng.integers(0, kg.schema.n_relations))
+                t_final = sample_edge_from(u, r2)
+                if t_final is None:
+                    continue
+                r3 = int(rng.integers(0, kg.schema.n_relations))
+                hs = sorted(pool_index.heads(int(t_final), r3))
+                if not hs:
+                    continue
+                a2 = int(hs[rng.integers(0, len(hs))])
+                anchors, relations = (h, a2), (r, r2, r3)
+                mentioned = [h, u, int(t_final), a2]
+            if not known(*mentioned, relations=relations):
+                continue
+        key = (structure, anchors, relations)
+        if key in queries:
+            continue
+        answers = traverse_oracle(index, structure, anchors, relations)
+        if not answers:
+            continue
+        queries[key] = Query(structure, anchors, relations, frozenset(int(x) for x in answers))
+    return list(queries.values())
+
+
+def random_split_kg(rng, two_types, with_test):
+    """A small random graph over one or two entity types; every split may be drawn."""
+    n, n_relations = int(rng.integers(2, 12)), int(rng.integers(1, 4))
+    n_types = 2 if two_types else 1
+    schema = Schema(
+        entity_types=("a", "b")[:n_types],
+        relation_types=tuple(f"r{k}" for k in range(n_relations)),
+        head_type=tuple(int(x) for x in rng.integers(0, n_types, n_relations)),
+        tail_type=tuple(int(x) for x in rng.integers(0, n_types, n_relations)),
+        vertex_dim=(2,) * n_types,
+        edge_dim=(2,) * n_relations,
+    )
+    entity_type = np.arange(n, dtype=np.int64) % n_types
+    rows = []
+    for _ in range(int(rng.integers(1, 40))):
+        r = int(rng.integers(0, n_relations))
+        heads = np.flatnonzero(entity_type == schema.head_type[r])
+        tails = np.flatnonzero(entity_type == schema.tail_type[r])
+        rows.append((int(rng.choice(heads)), r, int(rng.choice(tails))))
+    triples = np.unique(np.asarray(rows, dtype=np.int64), axis=0)
+    # codes 0, 1, 2 are train, valid, test
+    p = [0.6, 0.1, 0.3] if with_test else [0.8, 0.2, 0.0]
+    split = rng.choice(np.arange(3, dtype=np.int8), size=len(triples), p=p)
+    split[0] = 0  # a nonempty training split
+    return KnowledgeGraph(
+        schema=schema,
+        entities=tuple(f"e{i}" for i in range(n)),
+        entity_type=entity_type,
+        triples=triples,
+        split=split,
+    )
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    two_types=st.booleans(),
+    with_test=st.booleans(),
+    count=st.integers(1, 12),
+)
+def test_template_walk_samples_as_written_out_structures(seed, two_types, with_test, count):
+    kg = random_split_kg(np.random.default_rng(seed), two_types, with_test)
+    index = build_index(kg)
+    for k, structure in enumerate(STRUCTURES):
+        ours, theirs = np.random.default_rng((seed, k)), np.random.default_rng((seed, k))
+        got = build_easy_queries(kg, index, structure, count, ours)
+        assert got == easy_queries_oracle(kg, index, structure, count, theirs)
+        assert ours.bit_generator.state == theirs.bit_generator.state
 
 
 class TestBuildEasyQueries:

@@ -395,6 +395,15 @@ class TestResize:
         c = resize_edge_stalk(sheaf, 0, 6, seed=6)
         assert not np.array_equal(a.head_maps[0][4:], c.head_maps[0][4:])
 
+    @pytest.mark.parametrize("new_dim", [8, 5])
+    def test_orthogonal_relation_stays_orthogonal(self, rng, new_dim):
+        schema, cfg, sheaf, sections = random_model(rng, constraint="orthogonal", dim=4, edge_dim=6)
+        out = resize_edge_stalk(sheaf, 0, new_dim, seed=3)
+        assert out.head_maps[0].shape == out.tail_maps[0].shape == (new_dim, 4)
+        out.check_constraints()
+        np.testing.assert_array_equal(out.head_maps[1], sheaf.head_maps[1])
+        np.testing.assert_array_equal(out.tail_maps[1], sheaf.tail_maps[1])
+
     def test_identity_relation_rejected(self, rng):
         schema, cfg, sheaf, sections = random_model(rng, constraint="identity", dim=4)
         with pytest.raises(ConfigError):

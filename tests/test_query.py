@@ -1,5 +1,10 @@
+from itertools import product
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_batched_answering import random_queries, ragged_model
 
 from sheaf_kg.errors import BudgetExceededError, ConfigError, QueryError
 from sheaf_kg.kgdata import Schema, default_schema
@@ -21,6 +26,8 @@ from sheaf_kg.query import (
     build_query_graph,
     entity_chaining_exact,
     naive_traversal_score,
+    _anchor_data,
+    _type_sections,
     query_sheaf,
     ranking_from_scores,
     read_queries,
@@ -327,6 +334,57 @@ class TestNaiveTraversal:
             naive_traversal_score(Query("1p", (0,), (0,)), model)
 
 
+def chaining_oracle(query, model):
+    """Entity chaining with the fixed, into-target and out-of-target edges written out."""
+    qg = build_query_graph(query, model.schema)
+    sheaf = model.sheaf
+    interior = qg.interior
+    pools = [model.entities_of_type(qg.vertex_types[v]) for v in interior]
+    candidates, xc = _type_sections(model, qg.vertex_types[qg.target_vertex])
+    anchor_of = dict(zip(qg.anchor_vertices, (int(a) for a in query.anchors)))
+    _anchor_data(model, qg, query.anchors)
+    target = qg.target_vertex
+
+    def head_term(e_idx, vec):
+        out = sheaf.head_maps[qg.edges[e_idx][1]] @ vec
+        if sheaf.translational:
+            out = out + sheaf.translations[qg.edges[e_idx][1]]
+        return out
+
+    best = np.full(len(candidates), np.inf)
+    for assignment in product(*(range(len(p)) for p in pools)):
+        entity_at = dict(anchor_of)
+        for v, choice, pool in zip(interior, assignment, pools):
+            entity_at[v] = int(pool[choice])
+        fixed = 0.0
+        target_vec = np.zeros(len(candidates))
+        for e_idx, (u, r, v) in enumerate(qg.edges):
+            if u != target and v != target:
+                h_blk = model.sections.block(entity_at[u])
+                t_blk = model.sections.block(entity_at[v])
+                diff = head_term(e_idx, h_blk) - sheaf.tail_maps[r] @ t_blk
+                fixed += float(np.sum(diff * diff))
+            elif v == target:  # u -> target
+                a = head_term(e_idx, model.sections.block(entity_at[u]))
+                proj = np.einsum("ij,cjm->cim", sheaf.tail_maps[r], xc)
+                diff = a[None, :, :] - proj
+                target_vec += np.einsum("cim,cim->c", diff, diff)
+            else:  # target -> v
+                t_blk = sheaf.tail_maps[r] @ model.sections.block(entity_at[v])
+                proj = np.einsum("ij,cjm->cim", sheaf.head_maps[r], xc)
+                if sheaf.translational:
+                    proj = proj + sheaf.translations[r][None, :, :]
+                diff = proj - t_blk[None, :, :]
+                target_vec += np.einsum("cim,cim->c", diff, diff)
+        best = np.minimum(best, fixed + target_vec)
+
+    if sheaf.translational:
+        graph, offsets = query_sheaf(qg, sheaf)
+        lap = assemble_laplacian(graph)
+        best = best - affine_offset(lap, graph, offsets, list(qg.boundary))
+    return ranking_from_scores(candidates, best)
+
+
 class TestEntityChaining:
     def test_no_interior_matches_answer_query(self, rng):
         for variant in ("shv", "shvt"):
@@ -380,6 +438,20 @@ class TestEntityChaining:
         discrete = entity_chaining_exact(q, model)
         assert harmonic.value_of(answer) == pytest.approx(discrete.value_of(answer), rel=1e-9)
         assert int(harmonic.entity_ids[0]) == answer
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        variant=st.sampled_from(["shv", "shvt"]),
+        m=st.sampled_from([1, 3]),
+    )
+    def test_one_residual_per_edge_matches_written_out_branches(self, seed, variant, m):
+        rng = np.random.default_rng(seed)
+        model = ragged_model(rng, variant, "free", m)
+        for q in random_queries(rng, model, keys_per_structure=2, per_key=1):
+            got, want = entity_chaining_exact(q, model), chaining_oracle(q, model)
+            np.testing.assert_array_equal(got.entity_ids, want.entity_ids)
+            np.testing.assert_allclose(got.values, want.values, rtol=1e-12)
 
     def test_budget_refusal_carries_estimate(self, rng):
         model = make_model(rng, n_entities=30)

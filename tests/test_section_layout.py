@@ -5,7 +5,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sheaf_kg import _kernels
@@ -223,6 +223,14 @@ def test_sheaf_rejects_misshapen_blocks():
 @pytest.mark.parametrize("variant", ["shv", "shvt"])
 @pytest.mark.parametrize("m", [1, 3])
 @given(seed=st.integers(0, 2**32 - 1))
+# seeds where a step before stop_at left the maps unchanged
+@example(seed=11)
+@example(seed=111)
+@example(seed=661)
+@example(seed=675)
+@example(seed=735)
+@example(seed=795)
+@example(seed=1397)
 @settings(max_examples=4, deadline=None)
 def test_abort_leaves_the_trained_maps_in_the_model(variant, m, seed):
     rng = np.random.default_rng(seed)
@@ -237,7 +245,10 @@ def test_abort_leaves_the_trained_maps_in_the_model(variant, m, seed):
 
     def fail_at_stop(X, RH, RT, T, *rest):
         calls.append(None)
-        if len(calls) == stop_at:  # the parameters after stop_at - 1 steps
+        # A step can leave the maps unchanged (its only active pair may be a
+        # negative equal to its positive), so abort at the first call from
+        # stop_at on that sees maps the earlier steps have moved.
+        if len(calls) >= stop_at and not np.array_equal(RH, initial.RH):
             at_abort.extend(a.copy() for a in (RH, RT, T) if a is not None)
             return float("nan"), 0
         return real(X, RH, RT, T, *rest)
