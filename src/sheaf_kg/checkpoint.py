@@ -232,19 +232,19 @@ def load_model(prefix) -> Model:
         if fh.read(1):
             raise CheckpointError(f"{tpath}: trailing bytes after the last tensor")
 
-    sheaf = KnowledgeSheaf(
-        schema=schema,
-        head_maps=head_maps,
-        tail_maps=tail_maps,
-        constraints=tuple(constraints),
-        translations=translations,
-    )
+    # arrays pad to the widest vertex_dim, which no header checks if no entity or relation has it
+    try:
+        sheaf = KnowledgeSheaf(schema, head_maps, tail_maps, tuple(constraints), translations)
+        padded = SectionMatrix(sections, blocks, max(vertex_dims))
+    except (MemoryError, ValueError):  # numpy: too large to allocate, or to address
+        raise CheckpointError(f"{mpath}: arrays padded to vertex_dim {max(vertex_dims)} "
+                              "cannot be allocated") from None
     return Model(
         config=config,
         schema=schema,
         entities=tuple(entity_names),
         entity_type=np.asarray(entity_types, dtype=np.int64),
         sheaf=sheaf,
-        sections=SectionMatrix(sections, blocks, max(vertex_dims)),
+        sections=padded,
         seed=seed,
     )

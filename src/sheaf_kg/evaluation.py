@@ -1,8 +1,9 @@
 """Filtered ranking metrics and test-query construction.
 
 Each query contributes one rank per true answer, filtered against the
-query's other true answers. Metrics (MRR, Hits@K) are reported as fractions
-in [0, 1]; multi-seed aggregation uses the population standard deviation.
+query's other true answers; ranks are counted a block of queries at a time.
+Metrics (MRR, Hits@K) are fractions in [0, 1]; multi-seed aggregation uses
+the population standard deviation.
 Test queries are sampled and answered by walking the edges of
 ``query._TEMPLATES``, the one record of each structure's shape.
 """
@@ -44,24 +45,29 @@ def filtered_rank(ranking: Ranking, answer: int, other_answers=frozenset()) -> i
     return pos - int(np.count_nonzero(np.isin(ranking.entity_ids[:pos], others))) + 1
 
 
-def answer_ranks(candidates: np.ndarray, values: np.ndarray, answers) -> np.ndarray:
-    """Filtered 1-based rank of each answer, in ascending answer order.
+def answer_ranks(candidates: np.ndarray, values: np.ndarray, answers) -> list[np.ndarray]:
+    """Filtered 1-based ranks of each row's answers, in ascending answer order.
 
-    ``candidates`` are entity ids in ascending order and ``values`` their
-    scores. A candidate counts as ahead of an answer when its (value, entity
-    index) pair sorts strictly before the answer's and it is not itself an
-    answer: ``filtered_rank``'s count, taken without sorting the candidates.
+    ``candidates`` are entity ids in ascending order, ``values`` their
+    ``(rows, candidates)`` scores and ``answers`` one answer set per row. A
+    candidate counts as ahead of an answer when its (value, entity index)
+    pair sorts strictly before the answer's and it is not an answer of that
+    row: ``filtered_rank``'s count, taken without sorting the candidates.
     """
-    answers = np.array(sorted(answers), dtype=np.int64)
+    sizes = [len(a) for a in answers]
+    row = np.repeat(np.arange(len(sizes)), sizes)
+    answers = np.array([a for row_answers in answers for a in sorted(row_answers)], dtype=np.int64)
     cols = np.searchsorted(candidates, answers)
     found = cols < len(candidates)
     found[found] = candidates[cols[found]] == answers[found]
     if not found.all():
         raise QueryError(f"entity {answers[~found][0]} not present in ranking")
-    value = values[cols][:, None]
-    ahead = (values < value) | ((values == value) & (np.arange(len(values)) < cols[:, None]))
-    ahead[:, cols] = False
-    return 1 + np.count_nonzero(ahead, axis=1)
+    v, value = values[row], values[row, cols][:, None]  # each answer's row, and its value
+    ahead = (v < value) | ((v == value) & (np.arange(len(candidates)) < cols[:, None]))
+    i, j = np.nonzero(row[:, None] == row)  # answer pairs of one row
+    ahead[i, cols[j]] = False
+    ranks = 1 + np.count_nonzero(ahead, axis=1)
+    return np.split(ranks, np.cumsum(sizes)[:-1])
 
 
 def mrr(ranks) -> float:
@@ -208,10 +214,10 @@ def evaluate(model: Model, queries, method: str = "harmonic") -> MetricReport:
     """Rank every query, filter each answer, and aggregate per structure.
 
     Harmonic answering is batched (see ``answer_queries``): each
-    ``(structure, relations)`` group gets one Schur complement and one GEMM
-    for the anchor-candidate terms, and each answer's filtered rank is a
-    count of the non-answer candidates whose (value, entity index) pair sorts
-    ahead of its own (``answer_ranks``), so no candidate list is sorted. The
+    ``(structure, relations)`` group gets one Schur complement, and each
+    block of queries one GEMM for the anchor-candidate terms and one count
+    of the non-answer candidates whose (value, entity index) pair sorts ahead
+    of each answer (``answer_ranks``), so no candidate list is sorted. The
     baselines rank one query at a time. Results are in query order whatever
     the grouping.
     """
@@ -222,8 +228,9 @@ def evaluate(model: Model, queries, method: str = "harmonic") -> MetricReport:
         raise EvaluationError(f"unknown evaluation method {method!r}; valid: {METHODS}")
     ranks_of: list = [None] * len(queries)
     for members, candidates, values in _scored_groups(model, queries, method):
-        for i, row in zip(members, values):
-            ranks_of[i] = answer_ranks(candidates, row, queries[i].answers).tolist()
+        ranks = answer_ranks(candidates, values, [queries[i].answers for i in members])
+        for i, query_ranks in zip(members, ranks):
+            ranks_of[i] = query_ranks.tolist()
 
     ranks_by_structure: dict[str, list[int]] = {}
     count_by_structure: dict[str, int] = {}

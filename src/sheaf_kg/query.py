@@ -12,12 +12,12 @@ better.
 The Schur complement and the linear term depend only on the query's
 structure and relations; the anchors enter only as boundary data.
 ``answer_queries`` therefore groups queries by ``(structure, relations)``
-and, per group, builds the form once, computes every candidate's quadratic
-term once, and gets the anchor-candidate cross terms of all the group's
-queries from one GEMM against the target type's stacked sections.
-``answer_query`` is a group of one followed by a full sort. A form reads
-the query graph's dense Laplacian ``L = delta^T delta`` once, permuted into
-[boundary; interior] stalk order.
+and builds the forms of groups with equal stalk dims a chunk at a time,
+through ``sheaf``'s batch axis: one coboundary, one ``delta^T delta`` and
+one batched eigendecomposition per chunk. The anchor-candidate cross terms
+of a block of the chunk's queries come from one GEMM against the target
+type's stacked sections. ``answer_query`` is a chunk of one group followed
+by a full sort.
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ from .sheaf import (
     SheafOnGraph,
     affine_offset,
     assemble_laplacian,
-    coboundary_matrix,
     psd_pinv,
 )
 
@@ -119,28 +118,32 @@ def build_query_graph(query: Query, schema) -> QueryGraph:
     )
 
 
-def query_sheaf(qg: QueryGraph, sheaf: KnowledgeSheaf):
+def query_sheaf(qg, sheaf: KnowledgeSheaf):
     """The knowledge sheaf pulled back onto the query graph.
 
     Restriction maps are shared by reference with the per-relation maps;
     returns ``(sheaf_on_graph, offsets)`` where ``offsets`` lists each edge's
-    translation block for translational models, else None.
+    translation block for translational models, else None. For a sequence
+    of query graphs with equal vertex types and edge dims, maps and offsets
+    are gathered from the padded arrays with a leading axis over the graphs.
     """
-    schema = sheaf.schema
-    vertex_dims = tuple(schema.vertex_dim[t] for t in qg.vertex_types)
-    edge_dims = tuple(schema.edge_dim[r] for _, r, _ in qg.edges)
-    head_maps = tuple(sheaf.head_maps[r] for _, r, _ in qg.edges)
-    tail_maps = tuple(sheaf.tail_maps[r] for _, r, _ in qg.edges)
-    graph = SheafOnGraph(
-        vertex_dims=vertex_dims,
-        edges=tuple((u, v) for u, _, v in qg.edges),
-        edge_dims=edge_dims,
-        head_maps=head_maps,
-        tail_maps=tail_maps,
-    )
+    one = isinstance(qg, QueryGraph)
+    graphs = [qg] if one else qg
+    relations = [r for _, r, _ in graphs[0].edges]
+    schema, pairs = sheaf.schema, tuple((u, v) for u, _, v in graphs[0].edges)
+    vertex_dims = tuple(schema.vertex_dim[t] for t in graphs[0].vertex_types)
+    edge_dims = tuple(schema.edge_dim[r] for r in relations)
+    def gather(views, padded, widths):
+        if one:
+            return tuple(views[r] for r in relations)
+        stacked = padded[np.array([[r for _, r, _ in g.edges] for g in graphs]).T]  # (edges, graphs, ...)
+        return tuple(stacked[e, :, :edge_dims[e], :w] for e, w in enumerate(widths))
+    heads = gather(sheaf.head_maps, sheaf.RH, [vertex_dims[u] for u, _ in pairs])
+    tails = gather(sheaf.tail_maps, sheaf.RT, [vertex_dims[v] for _, v in pairs])
+    graph = SheafOnGraph(vertex_dims, pairs, edge_dims, heads, tails)
     offsets = None
     if sheaf.translational:
-        offsets = [sheaf.translations[r] for _, r, _ in qg.edges]
+        offsets = list(gather(sheaf.translations, sheaf.T, [None] * len(pairs)))
     return graph, offsets
 
 
@@ -177,8 +180,12 @@ class Ranking:
 
 
 def ranking_from_scores(candidates: np.ndarray, values: np.ndarray) -> Ranking:
-    order = np.lexsort((candidates, values))
-    return Ranking(entity_ids=candidates[order].copy(), values=values[order].copy())
+    order = np.argsort(values)  # not stable, so runs of equal values (or NaNs) are re-sorted by index
+    tied = ~(values[order][1:] > values[order][:-1])
+    if tied.any():
+        slots = (np.concatenate(([False], tied)) | np.concatenate((tied, [False]))).nonzero()[0]
+        order[slots] = order[slots][np.lexsort((candidates[order[slots]], values[order[slots]]))]
+    return Ranking(entity_ids=candidates[order], values=values[order])
 
 
 def _type_sections(model: Model, type_idx: int) -> tuple[np.ndarray, np.ndarray]:
@@ -211,109 +218,116 @@ def _anchor_data(model: Model, qg: QueryGraph, anchor_entities) -> np.ndarray:
 
 
 class _HarmonicForm:
-    """One query graph's harmonic-extension value over a fixed candidate set.
+    """Harmonic-extension values over a fixed candidate set, for a chunk of query graphs.
 
-    With boundary data ``y = [y_a; x]`` (anchors, then the candidate ``x``),
-    the value is ``y^T S y - 2 l^T y``: ``S`` is the Schur complement of the
-    query graph's Laplacian onto its boundary and ``l = (delta E)^T b`` the
-    translation term, ``E`` being the harmonic extension map and ``b`` the
-    stacked translations (zero for non-translational models). ``S`` and
-    ``l`` depend only on the graph, so they, the candidates' quadratic term
-    ``x^T S_tt x`` and the flattened candidate matrix are built once and
-    shared by every anchor tuple.
+    The graphs share structure, vertex types and edge dims; every array has a
+    leading axis over them. With boundary data ``y = [y_a; x]`` (anchors, then
+    the candidate ``x``), a graph's value is ``y^T S y - 2 l^T y``: ``S`` is
+    the Schur complement of its Laplacian onto the boundary and
+    ``l = (delta E)^T b`` the translation term (``E`` the harmonic extension
+    map, ``b`` the stacked translations, zero for shv). ``S``, ``l`` and the
+    candidates' ``x^T S_tt x`` are built once and shared by every anchor tuple.
     """
 
-    def __init__(self, qg: QueryGraph, sheaf: KnowledgeSheaf, x: np.ndarray):
-        graph, offsets = query_sheaf(qg, sheaf)
-        boundary, interior = qg.boundary, qg.interior
+    def __init__(self, qgs, sheaf: KnowledgeSheaf, x: np.ndarray):
+        # a chunk of one takes the per-relation views, with no batch axis until S and l
+        graph, offsets = query_sheaf(qgs[0] if len(qgs) == 1 else qgs, sheaf)
+        boundary, interior = qgs[0].boundary, qgs[0].interior
         # this module's names, not sheaf.eliminate: benchmarks/layers.py wraps these two
         lap = assemble_laplacian(graph)
         order = lap.columns(boundary + interior)
-        full = lap.dense[order][:, order]  # [boundary; interior] stalks
+        full = lap.dense[..., order, :][..., order]  # [boundary; interior] stalks
         n_b = sum(graph.vertex_dims[v] for v in boundary)
 
-        schur = full[:n_b, :n_b]
+        schur = full[..., :n_b, :n_b]
         if interior:
-            l_ub = full[n_b:, :n_b]
-            pinv_uu = psd_pinv(full[n_b:, n_b:])
-            schur = schur - l_ub.T @ pinv_uu @ l_ub
-            schur = (schur + schur.T) / 2.0
+            l_ub = full[..., n_b:, :n_b]
+            pinv_uu = psd_pinv(full[..., n_b:, n_b:])
+            schur = schur - l_ub.swapaxes(-1, -2) @ pinv_uu @ l_ub
+            schur = (schur + schur.swapaxes(-1, -2)) / 2.0
+        schur = schur.reshape((-1, n_b, n_b))
 
-        self.dim_a = dim_a = sum(graph.vertex_dims[v] for v in qg.anchor_vertices)
-        self.s_aa = schur[:dim_a, :dim_a]
-        self.s_ta = schur[dim_a:, :dim_a]
-        # x^T S_tt x summed over section columns, as one GEMM on (candidate, column) rows
+        self.dim_a = dim_a = sum(graph.vertex_dims[v] for v in qgs[0].anchor_vertices)
+        self.s_aa = schur[:, :dim_a, :dim_a]
+        self.s_ta = schur[:, dim_a:, :dim_a]
+        # x^T S_tt x summed over section columns, one GEMM on (candidate, column) rows per graph
         rows = x.transpose(0, 2, 1).reshape(-1, x.shape[1])
-        quad = np.einsum("kd,kd->k", rows @ schur[dim_a:, dim_a:], rows)
-        self.quad = quad.reshape(len(x), -1).sum(axis=1)
-        self.x_flat = x.reshape(len(x), -1)
+        self.x_flat = rows.reshape(len(x), -1)  # each candidate's columns, one after another
+        self.quad = np.array([np.einsum("kd,kd->k", (rows @ s_tt).reshape(len(x), -1), self.x_flat)
+                              for s_tt in schur[:, dim_a:, dim_a:]])
 
         self.lin = None
         if offsets is not None:
             # delta E = delta_B + delta_U (-pinv(L_UU) L_UB), columns in boundary order
-            delta = coboundary_matrix(graph)[:, order]
-            delta_e = delta[:, :n_b]
+            delta = lap.coboundary[..., order]
+            delta_e = delta[..., :n_b]
             if interior:
-                delta_e = delta_e - delta[:, n_b:] @ pinv_uu @ l_ub
-            self.lin = delta_e.T @ np.concatenate(offsets, axis=0)  # (dim_B, m)
+                delta_e = delta_e - delta[..., n_b:] @ pinv_uu @ l_ub
+            lin = delta_e.swapaxes(-1, -2) @ np.concatenate(offsets, axis=-2)
+            self.lin = lin.reshape((len(schur), n_b, -1))
 
-    def values(self, y_a: np.ndarray) -> np.ndarray:
-        """Values ``(G, n)`` of every candidate for anchor data ``y_a`` of shape ``(G, dim_a, m)``."""
-        const = np.einsum("gdm,gdm->g", y_a, self.s_aa @ y_a)
-        w = self.s_ta @ y_a  # (G, d_t, m)
+    def values(self, groups: np.ndarray, y_a: np.ndarray) -> np.ndarray:
+        """Values ``(R, n)`` for anchor data ``(R, dim_a, m)`` of graph(s) ``groups``, one or one per row."""
+        const = np.einsum("...dm,...dm->...", y_a, self.s_aa[groups] @ y_a)
+        w = self.s_ta[groups] @ y_a  # (R, d_t, m)
         if self.lin is not None:
-            const = const - 2.0 * np.einsum("gdm,dm->g", y_a, self.lin[:self.dim_a])
-            w = w - self.lin[self.dim_a:]
-        linear = 2.0 * (w.reshape(len(w), -1) @ self.x_flat.T)
-        return const[:, None] + linear + self.quad
+            const = const - 2.0 * np.einsum("...dm,...dm->...", y_a, self.lin[groups, :self.dim_a])
+            w = w - self.lin[groups, self.dim_a:]
+        values = (2.0 * w.transpose(0, 2, 1).reshape(len(w), -1)) @ self.x_flat.T
+        values += const[:, None]
+        values += self.quad[groups]
+        return values
 
 
-# Anchor tuples scored per GEMM; bounds the (rows, candidates) value block.
-GROUP_ROWS = 256
+# Query graphs per batched form and anchor tuples per GEMM: they bound the working set.
+CHUNK_GROUPS = 16
+GROUP_ROWS = 32
 
 
 def answer_queries(queries, model: Model):
-    """Harmonic-extension values of many queries, one query graph at a time.
+    """Harmonic-extension values of many queries, a chunk of query graphs at a time.
 
     Queries are grouped by ``(structure, relations)``; every query's anchors
-    are checked before any group is scored. Each group builds its query
-    graph, Schur complement and linear term once, and scores up to
-    ``GROUP_ROWS`` anchor tuples against all candidates in one GEMM. Yields
+    are checked before any group is scored. Groups with equal structure,
+    vertex types and edge dims build their forms ``CHUNK_GROUPS`` at a time,
+    and a chunk scores ``GROUP_ROWS`` anchor tuples per GEMM. Yields
     ``(members, candidates, values)``: positions in ``queries``, the target
     type's entity ids ascending, and a ``(len(members), len(candidates))``
     value array (lower is better).
     """
     groups: dict[tuple, tuple[QueryGraph, list[int], list[np.ndarray]]] = {}
+    batches: dict[tuple, list] = {}  # groups by structure and stalk dims
     for i, q in enumerate(queries):
         key = (q.structure, q.relations)
         if key not in groups:
             groups[key] = (build_query_graph(q, model.schema), [], [])
+            dims = tuple(model.schema.edge_dim[r] for r in q.relations)
+            batches.setdefault((q.structure, groups[key][0].vertex_types, dims), []).append(groups[key])
         qg, members, anchors = groups[key]
         anchors.append(_anchor_data(model, qg, q.anchors))
         members.append(i)
 
-    stacked: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-    for qg, members, anchors in groups.values():
-        target = qg.vertex_types[qg.target_vertex]
-        if target not in stacked:
-            stacked[target] = _type_sections(model, target)
-        candidates, x = stacked[target]
-        form = _HarmonicForm(qg, model.sheaf, x)
-        y_a = np.stack(anchors)
-        for start in range(0, len(members), GROUP_ROWS):
-            rows = slice(start, start + GROUP_ROWS)
-            yield members[rows], candidates, form.values(y_a[rows])
+    for batch in batches.values():
+        candidates, x = _type_sections(model, batch[0][0].vertex_types[batch[0][0].target_vertex])
+        for start in range(0, len(batch), CHUNK_GROUPS):
+            qgs, member_lists, anchor_lists = zip(*batch[start:start + CHUNK_GROUPS])
+            form = _HarmonicForm(qgs, model.sheaf, x)
+            members, y_a = sum(member_lists, []), np.stack(sum(anchor_lists, []))
+            row_groups = np.repeat(np.arange(len(qgs)), [len(m) for m in member_lists])
+            for lo in range(0, len(members), GROUP_ROWS):
+                rows = slice(lo, lo + GROUP_ROWS)
+                yield members[rows], candidates, form.values(row_groups[rows], y_a[rows])
 
 
 def answer_query_graph(qg: QueryGraph, model: Model, anchor_entities) -> Ranking:
     """Rank all candidate entities of the target's type for a query graph.
 
-    A group of one: the same harmonic form as ``answer_queries``, followed
-    by a full (value, entity index) sort.
+    A chunk of one group: the same harmonic form as ``answer_queries``,
+    followed by a full (value, entity index) sort.
     """
     y_a = _anchor_data(model, qg, anchor_entities)
     candidates, x = _type_sections(model, qg.vertex_types[qg.target_vertex])
-    values = _HarmonicForm(qg, model.sheaf, x).values(y_a[None])[0]
+    values = _HarmonicForm([qg], model.sheaf, x).values(0, y_a[None])[0]
     return ranking_from_scores(candidates, values)
 
 

@@ -14,6 +14,8 @@ and that pseudoinverse.
 
 Cochain blocks may be vectors ``(d,)`` or matrices ``(d, m)``; all solvers
 act columnwise, so multi-section data needs no special casing.
+The dense routines also take a leading batch axis of sheaves on one graph, maps
+stacked as ``(G, edge_dim, dim)``; ``psd_pinv`` inverts each matrix of a stack alone.
 """
 
 from __future__ import annotations
@@ -30,32 +32,30 @@ PINV_RCOND = 1e-10
 
 @dataclass(frozen=True)
 class SheafOnGraph:
-    """Dense restriction-map data for a finite multigraph (self-loops allowed)."""
+    """Dense restriction-map data for a finite multigraph (self-loops allowed), maybe batched."""
 
     vertex_dims: tuple[int, ...]
     edges: tuple[tuple[int, int], ...]  # (head_vertex, tail_vertex)
     edge_dims: tuple[int, ...]
-    head_maps: tuple[np.ndarray, ...]  # per edge, shape (edge_dim, dim(head))
-    tail_maps: tuple[np.ndarray, ...]  # per edge, shape (edge_dim, dim(tail))
+    head_maps: tuple[np.ndarray, ...]  # per edge, shape batch + (edge_dim, dim(head))
+    tail_maps: tuple[np.ndarray, ...]  # per edge, shape batch + (edge_dim, dim(tail))
 
     def __post_init__(self):
         if not (len(self.edges) == len(self.edge_dims) == len(self.head_maps) == len(self.tail_maps)):
             raise ShapeError("edge tables must have equal lengths")
-        n = self.n_vertices
+        n, batch = self.n_vertices, self.batch
         for e, (u, v) in enumerate(self.edges):
             if not (0 <= u < n and 0 <= v < n):
                 raise ShapeError(f"edge {e} references unknown vertex")
-            de = self.edge_dims[e]
-            if self.head_maps[e].shape != (de, self.vertex_dims[u]):
-                raise ShapeError(
-                    f"edge {e}: head map has shape {self.head_maps[e].shape}, "
-                    f"expected {(de, self.vertex_dims[u])}"
-                )
-            if self.tail_maps[e].shape != (de, self.vertex_dims[v]):
-                raise ShapeError(
-                    f"edge {e}: tail map has shape {self.tail_maps[e].shape}, "
-                    f"expected {(de, self.vertex_dims[v])}"
-                )
+            for side, maps, w in (("head", self.head_maps, u), ("tail", self.tail_maps, v)):
+                want = batch + (self.edge_dims[e], self.vertex_dims[w])
+                if maps[e].shape != want:
+                    raise ShapeError(f"edge {e}: {side} map has shape {maps[e].shape}, expected {want}")
+
+    @property
+    def batch(self) -> tuple[int, ...]:
+        """Leading batch shape of the maps; ``()`` for a single sheaf."""
+        return self.head_maps[0].shape[:-2] if self.edges else ()
 
     @property
     def n_vertices(self) -> int:
@@ -119,14 +119,14 @@ def coboundary_transpose(sheaf: SheafOnGraph, b) -> list[np.ndarray]:
 
 
 def coboundary_matrix(sheaf: SheafOnGraph) -> np.ndarray:
-    """Dense matrix of the coboundary on concatenated stalks."""
+    """Dense matrix of the coboundary on concatenated stalks, ``batch + (edge, vertex)``."""
     voff = list(accumulate(sheaf.vertex_dims, initial=0))
     eoff = list(accumulate(sheaf.edge_dims, initial=0))
-    delta = np.zeros((eoff[-1], voff[-1]))
+    delta = np.zeros(sheaf.batch + (eoff[-1], voff[-1]))
     for e, (u, v) in enumerate(sheaf.edges):
         rows = slice(eoff[e], eoff[e + 1])
-        delta[rows, voff[u]:voff[u + 1]] -= sheaf.head_maps[e]
-        delta[rows, voff[v]:voff[v + 1]] += sheaf.tail_maps[e]
+        delta[..., rows, voff[u]:voff[u + 1]] -= sheaf.head_maps[e]
+        delta[..., rows, voff[v]:voff[v + 1]] += sheaf.tail_maps[e]
     return delta
 
 
@@ -144,16 +144,17 @@ def quadratic_form(sheaf: SheafOnGraph, x) -> float:
 class BlockLaplacian:
     """Symmetric PSD operator on the concatenated vertex stalks, held dense.
 
-    Vertex ``v`` owns the rows and columns ``columns([v])`` of ``dense``;
-    ``block`` and ``submatrix`` read vertex blocks out of it.
+    Vertex ``v`` owns the rows and columns ``columns([v])`` of the last two axes
+    of ``dense`` (any others are batch axes); ``block`` and ``submatrix`` read them.
     """
 
     vertex_dims: tuple[int, ...]
     dense: np.ndarray
+    coboundary: np.ndarray | None = None  # the delta that assemble_laplacian multiplied out
 
     def __post_init__(self):
         n = sum(self.vertex_dims)
-        if self.dense.shape != (n, n):
+        if self.dense.shape[-2:] != (n, n):
             raise ShapeError(f"Laplacian has shape {self.dense.shape}, expected {(n, n)}")
 
     @property
@@ -166,7 +167,7 @@ class BlockLaplacian:
         return np.array([i for v in vertices for i in range(off[v], off[v + 1])], dtype=np.intp)
 
     def block(self, u: int, v: int) -> np.ndarray:
-        return self.dense[self.columns([u])][:, self.columns([v])]
+        return self.dense[..., self.columns([u]), :][..., self.columns([v])]
 
     @property
     def diag(self) -> tuple[np.ndarray, ...]:
@@ -175,7 +176,7 @@ class BlockLaplacian:
     def submatrix(self, rows, cols=None) -> np.ndarray:
         """Dense block submatrix over the given vertex orderings."""
         r = self.columns(rows)
-        return self.dense[r][:, r if cols is None else self.columns(cols)]
+        return self.dense[..., r, :][..., r if cols is None else self.columns(cols)]
 
     def to_dense(self) -> np.ndarray:
         return self.dense.copy()
@@ -184,20 +185,20 @@ class BlockLaplacian:
 def assemble_laplacian(sheaf: SheafOnGraph) -> BlockLaplacian:
     """The sheaf Laplacian ``delta^T delta`` (self-loops and parallel edges included)."""
     delta = coboundary_matrix(sheaf)
-    return BlockLaplacian(vertex_dims=sheaf.vertex_dims, dense=delta.T @ delta)
+    return BlockLaplacian(sheaf.vertex_dims, delta.swapaxes(-1, -2) @ delta, delta)
 
 
 def psd_pinv(a: np.ndarray, rcond: float = PINV_RCOND) -> np.ndarray:
-    """Pseudoinverse of a symmetric PSD matrix via eigendecomposition.
+    """Pseudoinverse of a symmetric PSD matrix (or of each in a stack) via eigendecomposition.
 
-    Eigenvalues below ``rcond`` times the largest are treated as zero.
+    Eigenvalues below ``rcond`` times their matrix's largest are treated as zero.
     """
-    if a.shape[0] == 0:
+    if a.shape[-1] == 0:
         return a.copy()
     w, q = np.linalg.eigh(a)
-    cutoff = rcond * max(float(w[-1]), 0.0)
+    cutoff = rcond * np.maximum(w[..., -1:], 0.0)
     inv_w = np.where(w > cutoff, 1.0, 0.0) / np.where(w > cutoff, w, 1.0)
-    return (q * inv_w) @ q.T
+    return (q * inv_w[..., None, :]) @ q.swapaxes(-1, -2)
 
 
 def _boundary_partition(lap: BlockLaplacian, boundary) -> tuple[list[int], list[int]]:

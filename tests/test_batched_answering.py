@@ -1,10 +1,13 @@
-"""Batched harmonic answering against the per-query implementation it replaced.
+"""Batched harmonic answering against the implementations it replaced.
 
-The oracle below is the per-query path kept verbatim in substance: one
+The first oracle is the per-query path kept verbatim in substance: one
 Laplacian, Schur complement and three-operand einsum per query, a full
-(value, id) sort, and filtered ranks read off a position dict.
+(value, id) sort, and filtered ranks read off a position dict. The second
+is the per-group path: one ``OracleForm`` per ``(structure, relations)``
+group and filtered ranks counted one query at a time.
 """
 
+import tracemalloc
 from itertools import product
 
 import numpy as np
@@ -13,10 +16,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sheaf_kg.errors import QueryError
-from sheaf_kg.evaluation import MetricReport, StructureMetrics, evaluate, hits_at_k, mrr
+from sheaf_kg.evaluation import (
+    MetricReport,
+    StructureMetrics,
+    answer_ranks,
+    build_easy_queries,
+    evaluate,
+    hits_at_k,
+    mrr,
+)
 from sheaf_kg import query
-from sheaf_kg.kgdata import Schema, default_schema
-from sheaf_kg.model import Model, ModelConfig, init_model
+from sheaf_kg.kgdata import KnowledgeGraph, Schema, build_index, default_schema
+from sheaf_kg.model import Model, ModelConfig, init_for_kg, init_model
 from sheaf_kg.query import (
     STRUCTURE_ARITY,
     STRUCTURES,
@@ -293,3 +304,204 @@ class TestGroupErrors:
                                 frozenset({int(places[1]), int(people[0])})))
         with pytest.raises(QueryError, match=f"entity {int(people[0])} not present"):
             evaluate(model, queries)
+
+
+class OracleForm:
+    """One query graph's harmonic form, built alone: the per-group path batching replaced."""
+
+    def __init__(self, qg, sheaf, x):
+        graph, offsets = query_sheaf(qg, sheaf)
+        boundary, interior = qg.boundary, qg.interior
+        lap = assemble_laplacian(graph)
+        order = lap.columns(boundary + interior)
+        full = lap.dense[order][:, order]
+        n_b = sum(graph.vertex_dims[v] for v in boundary)
+        schur = full[:n_b, :n_b]
+        if interior:
+            l_ub = full[n_b:, :n_b]
+            pinv_uu = psd_pinv(full[n_b:, n_b:])
+            schur = schur - l_ub.T @ pinv_uu @ l_ub
+            schur = (schur + schur.T) / 2.0
+        self.dim_a = dim_a = sum(graph.vertex_dims[v] for v in qg.anchor_vertices)
+        self.s_aa = schur[:dim_a, :dim_a]
+        self.s_ta = schur[dim_a:, :dim_a]
+        rows = x.transpose(0, 2, 1).reshape(-1, x.shape[1])
+        quad = np.einsum("kd,kd->k", rows @ schur[dim_a:, dim_a:], rows)
+        self.quad = quad.reshape(len(x), -1).sum(axis=1)
+        self.x_flat = x.reshape(len(x), -1)
+        self.lin = None
+        if offsets is not None:
+            delta = coboundary_matrix(graph)[:, order]
+            delta_e = delta[:, :n_b]
+            if interior:
+                delta_e = delta_e - delta[:, n_b:] @ pinv_uu @ l_ub
+            self.lin = delta_e.T @ np.concatenate(offsets, axis=0)
+
+    def values(self, y_a):
+        const = np.einsum("gdm,gdm->g", y_a, self.s_aa @ y_a)
+        w = self.s_ta @ y_a
+        if self.lin is not None:
+            const = const - 2.0 * np.einsum("gdm,dm->g", y_a, self.lin[:self.dim_a])
+            w = w - self.lin[self.dim_a:]
+        return const[:, None] + 2.0 * (w.reshape(len(w), -1) @ self.x_flat.T) + self.quad
+
+
+def oracle_answer_ranks(candidates, row, answers):
+    """One query's filtered ranks, in ascending answer order."""
+    answers = np.array(sorted(answers), dtype=np.int64)
+    cols = np.searchsorted(candidates, answers)
+    value = row[cols][:, None]
+    ahead = (row < value) | ((row == value) & (np.arange(len(row)) < cols[:, None]))
+    ahead[:, cols] = False
+    return 1 + np.count_nonzero(ahead, axis=1)
+
+
+def oracle_group_scores(queries, model):
+    """Per query: ``(candidates, values, filtered ranks)``, one form per group."""
+    groups = {}
+    for i, q in enumerate(queries):
+        if (q.structure, q.relations) not in groups:
+            groups[q.structure, q.relations] = (build_query_graph(q, model.schema), [])
+        groups[q.structure, q.relations][1].append(i)
+    out = {}
+    for qg, members in groups.values():
+        candidates = model.entities_of_type(qg.vertex_types[qg.target_vertex]).astype(np.int64)
+        x = np.stack([model.sections.block(int(c)) for c in candidates])
+        y_a = np.stack([np.concatenate([model.sections.block(a) for a in queries[i].anchors])
+                        for i in members])
+        for i, row in zip(members, OracleForm(qg, model.sheaf, x).values(y_a)):
+            out[i] = candidates, row, oracle_answer_ranks(candidates, row, queries[i].answers)
+    return out
+
+
+# Two entity types; relations repeat a (head type, tail type, edge dim)
+# triple, so that distinct relation tuples of one structure share a stalk
+# signature, and one structure spans several signatures.
+SHARED = Schema(
+    entity_types=("a", "b"),
+    relation_types=tuple(f"r{i}" for i in range(8)),
+    head_type=(0, 0, 0, 0, 0, 1, 1, 1),
+    tail_type=(0, 0, 0, 1, 1, 0, 1, 1),
+    vertex_dim=(3, 4),
+    edge_dim=(3, 3, 2, 4, 4, 3, 4, 4),
+)
+
+
+def shared_signature_model(rng, variant, m, singular):
+    cfg = ModelConfig(variant=variant, sections=m, entity_dim=3, relation_dim=3)
+    types = rng.permutation(np.arange(14) % 2).astype(np.int64)
+    sheaf, sections = init_model(cfg, SHARED, types, seed=int(rng.integers(1 << 30)))
+    for r in range(SHARED.n_relations):
+        for maps in (sheaf.head_maps, sheaf.tail_maps):
+            maps[r][...] = rng.normal(size=maps[r].shape)
+    # degenerate maps on some relations leave interior blocks singular
+    for r in rng.choice(SHARED.n_relations, size=3, replace=False):
+        for maps in (sheaf.head_maps, sheaf.tail_maps):
+            if singular == "zero":
+                maps[r][...] = 0.0
+            elif singular == "rank_one":
+                maps[r][...] = np.outer(rng.normal(size=maps[r].shape[0]), rng.normal(size=maps[r].shape[1]))
+    for i in range(len(types)):
+        sections.block(i)[...] = rng.normal(size=sections.block(i).shape)
+    twin = np.flatnonzero(types == types[0])[1]
+    sections.block(twin)[...] = sections.block(0).copy()
+    return Model(config=cfg, schema=SHARED, entities=tuple(f"e{i}" for i in range(len(types))),
+                 entity_type=types, sheaf=sheaf, sections=sections)
+
+
+def shared_signature_queries(rng, model):
+    queries = []
+    for structure in STRUCTURES:
+        n_anchors, n_relations = STRUCTURE_ARITY[structure]
+        for relations in product(range(SHARED.n_relations), repeat=n_relations):
+            if rng.random() > 12 / SHARED.n_relations ** n_relations:
+                continue
+            try:
+                qg = build_query_graph(Query(structure, (0,) * n_anchors, relations), SHARED)
+            except QueryError:
+                continue
+            for _ in range(int(rng.integers(1, 4))):
+                anchors = tuple(int(rng.choice(np.flatnonzero(model.entity_type == qg.vertex_types[v])))
+                                for v in qg.anchor_vertices)
+                targets = np.flatnonzero(model.entity_type == qg.vertex_types[qg.target_vertex])
+                answers = rng.choice(targets, int(rng.integers(0, 4)), replace=False)
+                queries.append(Query(structure, anchors, relations, frozenset(answers.tolist())))
+    rng.shuffle(queries)
+    return queries
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    variant=st.sampled_from(["shv", "shvt"]),
+    m=st.sampled_from([1, 2]),
+    singular=st.sampled_from(["none", "zero", "rank_one"]),
+    chunk_groups=st.sampled_from([1, 2, 3]),
+    group_rows=st.sampled_from([1, 2, 3]),
+)
+def test_chunked_forms_and_block_ranks_match_per_group_oracle(
+    seed, variant, m, singular, chunk_groups, group_rows
+):
+    rng = np.random.default_rng(seed)
+    model = shared_signature_model(rng, variant, m, singular)
+    queries = shared_signature_queries(rng, model)
+    signatures = {}
+    for q in queries:
+        qg = build_query_graph(q, SHARED)
+        dims = tuple(SHARED.edge_dim[r] for r in q.relations)
+        signatures.setdefault((q.structure, qg.vertex_types, dims), set()).add(q.relations)
+    assert any(len(keys) > 1 for keys in signatures.values())
+    want = oracle_group_scores(queries, model)
+    seen = set()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(query, "CHUNK_GROUPS", chunk_groups)
+        patch.setattr(query, "GROUP_ROWS", group_rows)
+        for members, candidates, values in query.answer_queries(queries, model):
+            assert len(members) <= group_rows
+            ranks = answer_ranks(candidates, values, [queries[i].answers for i in members])
+            for i, row, got_ranks in zip(members, values, ranks):
+                want_candidates, want_row, want_ranks = want[i]
+                np.testing.assert_array_equal(candidates, want_candidates)
+                tol = 1e-12 * max(1.0, float(np.max(np.abs(want_row))))
+                np.testing.assert_allclose(row, want_row, rtol=0, atol=tol)
+                assert got_ranks.tolist() == want_ranks.tolist()
+                seen.add(i)
+    assert seen == set(range(len(queries)))
+
+
+def many_to_many_graph(n_entities, n_relations, dim, seed):
+    """Uniform random graph: each (head, relation) present with probability 1/2, 1 + Poisson(1) tails."""
+    rng = np.random.default_rng(seed)
+    rows = []
+    for r in range(n_relations):
+        heads = np.flatnonzero(rng.random(n_entities) < 0.5)
+        heads = np.repeat(heads, 1 + rng.poisson(1.0, size=len(heads)))
+        rows.append(np.column_stack([heads, np.full(len(heads), r), rng.integers(0, n_entities, len(heads))]))
+    triples = np.unique(np.concatenate(rows), axis=0)
+    triples = triples[rng.permutation(len(triples))]
+    n_held = len(triples) // 10
+    split = np.repeat(np.array([0, 1, 2], dtype=np.int8), [len(triples) - 2 * n_held, n_held, n_held])
+    return KnowledgeGraph(
+        schema=default_schema(n_relations, dim, dim), entities=tuple(f"e{i}" for i in range(n_entities)),
+        entity_type=np.zeros(n_entities, dtype=np.int64), triples=triples.astype(np.int64), split=split,
+    )
+
+
+def test_evaluate_working_set_stays_small():
+    # Batching can trade memory for speed. On this input one form per structure
+    # with 256-row rank blocks peaks at 38 MiB, chunks of 16 forms with 32-row
+    # blocks at 5.2 MiB, and one form per (structure, relations) group at 2.6 MiB.
+    kg = many_to_many_graph(2000, 16, 16, seed=1)
+    index = build_index(kg)
+    rng = np.random.default_rng(2)
+    queries = [q for s in STRUCTURES for q in build_easy_queries(kg, index, s, 200, rng)]
+    assert len(queries) > 1200
+    model = init_for_kg(ModelConfig(variant="shv", entity_dim=16, relation_dim=16), kg, seed=2)
+    evaluate(model, queries[:10])  # first-call set-up outside the measurement
+    tracemalloc.start()
+    try:
+        evaluate(model, queries)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20

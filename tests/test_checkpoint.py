@@ -94,3 +94,37 @@ def test_mutated_checkpoint_loads_or_raises_sheaf_kg_error(saved, mutate, data):
         except SheafKGError:
             return
     assert isinstance(model, Model)
+
+
+@pytest.mark.parametrize("dim", [2**40, 2**62, 2**64])
+def test_unused_type_with_huge_vertex_dim_is_checkpoint_error(tmp_path, dim):
+    # No tensor header checks an unused type's dim, and the padded arrays take
+    # the widest dim, so loading these once ended in a MemoryError or a ValueError.
+    from click.testing import CliRunner
+
+    from sheaf_kg.cli import main
+
+    schema = Schema(
+        entity_types=("a", "b", "unused"),
+        relation_types=("r",),
+        head_type=(0,),
+        tail_type=(1,),
+        vertex_dim=(2, 3, 2),
+        edge_dim=(2,),
+    )
+    entity_type = np.array([0, 1, 0, 1], dtype=np.int64)
+    cfg = ModelConfig(variant="shv", entity_dim=2, relation_dim=2)
+    sheaf, sections = init_model(cfg, schema, entity_type, seed=0)
+    save_model(Model(cfg, schema, ("e0", "e1", "e2", "e3"), entity_type, sheaf, sections),
+               tmp_path / "ck")
+    load_model(tmp_path / "ck")
+    manifest = manifest_path(tmp_path / "ck").read_text(encoding="utf-8")
+    huge = manifest.replace("entity_type=unused\nvertex_dim=2\n", f"entity_type=unused\nvertex_dim={dim}\n")
+    assert huge != manifest
+    manifest_path(tmp_path / "ck").write_text(huge, encoding="utf-8")
+    with pytest.raises(CheckpointError, match=f"vertex_dim {dim} cannot be allocated"):
+        load_model(tmp_path / "ck")
+    result = CliRunner().invoke(main, ["inspect", "--checkpoint", str(tmp_path / "ck")],
+                                catch_exceptions=False)
+    assert result.exit_code == 1
+    assert "cannot be allocated" in result.output

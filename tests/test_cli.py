@@ -384,6 +384,29 @@ class TestQuery:
         assert res.exit_code == 0
         assert res.output.split("\t")[0] == gen.entities[int(ranking.entity_ids[0])]
 
+    def test_top_k_equals_the_full_ranking_head(self, runner, tmp_path):
+        from sheaf_kg.checkpoint import load_model, save_model
+        from sheaf_kg.kgdata import default_schema
+        from sheaf_kg.model import Model, ModelConfig, init_model
+        from sheaf_kg.query import Query, answer_query
+
+        cfg = ModelConfig(variant="shvt", entity_dim=3, relation_dim=3)
+        schema, types = default_schema(2, 3, 3), np.zeros(30, dtype=np.int64)
+        sheaf, sections = init_model(cfg, schema, types, seed=4)
+        for i in range(5, 30, 3):  # ten candidates with one value
+            sections.block(i)[...] = sections.block(2)
+        names = tuple(f"n{i}" for i in range(30))
+        save_model(Model(cfg, schema, names, types, sheaf, sections), tmp_path / "m")
+        ranking = answer_query(Query("2p", (0,), (0, 1)), load_model(tmp_path / "m"))
+        assert len(set(ranking.values.tolist())) == len(ranking) - 9
+        for k in range(1, len(ranking) + 3):  # every cut through the tied run, k = n and k > n
+            res = run_cli(runner, [
+                "query", "--checkpoint", str(tmp_path / "m"), "--structure", "2p",
+                "--anchors", "n0", "--relations", "r0,r1", "--top-k", str(k),
+            ])
+            assert res.exit_code == 0
+            assert res.output == "".join(f"{names[e]}\t{v!r}\n" for e, v in ranking.top(k)), k
+
     def test_unknown_relation_exits_2_with_suggestion(self, runner, workspace):
         result = runner.invoke(main, [
             "query", "--checkpoint", str(workspace / "ckpt" / "model_seed1"),

@@ -470,6 +470,48 @@ class TestPsdPinv:
     def test_zero_matrix(self):
         np.testing.assert_array_equal(psd_pinv(np.zeros((3, 3))), np.zeros((3, 3)))
 
+    def test_stack_cuts_off_each_matrix_by_its_own_largest_eigenvalue(self, rng):
+        # a cutoff taken from the whole stack's largest eigenvalue (1e12 here)
+        # would zero every eigenvalue of the rank-deficient slice
+        a = rng.normal(size=(4, 2))
+        q, _ = np.linalg.qr(rng.normal(size=(4, 4)))
+        stack = np.stack([np.zeros((4, 4)), a @ a.T, (q * [1e12, 3e11, 2e11, 1e11]) @ q.T])
+        got = psd_pinv(stack)
+        assert np.abs(got[1]).max() > 1e-3
+        for g in range(len(stack)):
+            np.testing.assert_allclose(got[g], psd_pinv(stack[g]), rtol=1e-12, atol=1e-14)
+
+
+class TestBatchAxis:
+    def test_stacked_maps_give_each_sheafs_coboundary_and_laplacian(self, rng):
+        sheaves = [random_sheaf(rng, n_vertices=4, n_edges=5)]
+        base = sheaves[0]
+        for _ in range(2):
+            sheaves.append(SheafOnGraph(
+                base.vertex_dims, base.edges, base.edge_dims,
+                tuple(rng.normal(size=h.shape) for h in base.head_maps),
+                tuple(rng.normal(size=t.shape) for t in base.tail_maps),
+            ))
+        stacked = SheafOnGraph(
+            base.vertex_dims, base.edges, base.edge_dims,
+            tuple(np.stack(maps) for maps in zip(*(s.head_maps for s in sheaves))),
+            tuple(np.stack(maps) for maps in zip(*(s.tail_maps for s in sheaves))),
+        )
+        assert stacked.batch == (3,)
+        delta, lap = coboundary_matrix(stacked), assemble_laplacian(stacked)
+        for g, one in enumerate(sheaves):
+            np.testing.assert_array_equal(delta[g], coboundary_matrix(one))
+            np.testing.assert_allclose(lap.dense[g], assemble_laplacian(one).dense, rtol=1e-14, atol=1e-13)
+            rows, cols = lap.columns([2, 0]), lap.columns([1])
+            np.testing.assert_array_equal(lap.submatrix([2, 0], [1])[g], lap.dense[g][rows][:, cols])
+
+    def test_rejects_maps_with_unequal_batch_shapes(self, rng):
+        base = random_sheaf(rng, n_vertices=3, n_edges=2)
+        heads = (np.stack([base.head_maps[0]] * 2), np.stack([base.head_maps[1]] * 3))
+        tails = (np.stack([base.tail_maps[0]] * 2), np.stack([base.tail_maps[1]] * 3))
+        with pytest.raises(ShapeError, match="edge 1"):
+            SheafOnGraph(base.vertex_dims, base.edges, base.edge_dims, heads, tails)
+
 
 class TestBlockLaplacianType:
     def test_rejects_misshapen_blocks(self):
