@@ -20,7 +20,7 @@ from . import evaluation, kgdata, synth
 from .config import build_settings, read_config_file
 from .errors import ConfigError, SchemaError, SheafKGError
 from .model import init_for_kg, relation_discrepancy
-from .query import STRUCTURES, Query, answer_queries, read_queries, write_queries
+from .query import STRUCTURES, Query, answer_query, read_queries, write_queries
 from .seeds import substream
 from .training import train
 
@@ -236,12 +236,9 @@ def cmd_query(prefix, structure, anchors, relations, top_k):
         anchor_ids = _resolve_names([a for a in anchors.split(",") if a], entity_table, "entity")
         relation_ids = _resolve_names([r for r in relations.split(",") if r], relation_table, "relation")
         query = Query(structure, tuple(anchor_ids), tuple(relation_ids))
-        _, candidates, values = next(answer_queries([query], model))
-        values, k = values[0], max(min(top_k, len(candidates)), 0)
-        # the k smallest values and all ties with the k-th (all if NaN), as answer_query ranks them
-        pick = np.flatnonzero(~(values > values[np.argpartition(values, k - 1)[k - 1]]))
-        for i in pick[np.lexsort((candidates[pick], values[pick]))][:k]:
-            click.echo(f"{model.entities[candidates[i]]}\t{float(values[i])!r}")
+        ranking = answer_query(query, model)
+        for entity, value in ranking.top(top_k):
+            click.echo(f"{model.entities[entity]}\t{value!r}")
     except SheafKGError as exc:
         _fail(str(exc))
 

@@ -1,7 +1,8 @@
 """Filtered ranking metrics and test-query construction.
 
 Each query contributes one rank per true answer, filtered against the
-query's other true answers; ranks are counted a block of queries at a time.
+query's other true answers; ``answer_ranks`` takes a block of queries per
+call and counts their ranks one query at a time.
 Metrics (MRR, Hits@K) are fractions in [0, 1]; multi-seed aggregation uses
 the population standard deviation.
 Test queries are sampled and answered by walking the edges of
@@ -53,21 +54,23 @@ def answer_ranks(candidates: np.ndarray, values: np.ndarray, answers) -> list[np
     candidate counts as ahead of an answer when its (value, entity index)
     pair sorts strictly before the answer's and it is not an answer of that
     row: ``filtered_rank``'s count, taken without sorting the candidates.
+    The block's answers are looked up at once and its rows counted one at a
+    time, so the working set is one row's ``(answers, candidates)`` masks.
     """
     sizes = [len(a) for a in answers]
-    row = np.repeat(np.arange(len(sizes)), sizes)
     answers = np.array([a for row_answers in answers for a in sorted(row_answers)], dtype=np.int64)
     cols = np.searchsorted(candidates, answers)
     found = cols < len(candidates)
     found[found] = candidates[cols[found]] == answers[found]
     if not found.all():
         raise QueryError(f"entity {answers[~found][0]} not present in ranking")
-    v, value = values[row], values[row, cols][:, None]  # each answer's row, and its value
-    ahead = (v < value) | ((v == value) & (np.arange(len(candidates)) < cols[:, None]))
-    i, j = np.nonzero(row[:, None] == row)  # answer pairs of one row
-    ahead[i, cols[j]] = False
-    ranks = 1 + np.count_nonzero(ahead, axis=1)
-    return np.split(ranks, np.cumsum(sizes)[:-1])
+    ranks, index = [], np.arange(len(candidates))
+    for row, row_cols in zip(values, np.split(cols, np.cumsum(sizes)[:-1])):
+        value = row[row_cols][:, None]
+        ahead = (row < value) | ((row == value) & (index < row_cols[:, None]))
+        ahead[:, row_cols] = False
+        ranks.append(1 + np.count_nonzero(ahead, axis=1))
+    return ranks
 
 
 def mrr(ranks) -> float:
@@ -215,11 +218,11 @@ def evaluate(model: Model, queries, method: str = "harmonic") -> MetricReport:
 
     Harmonic answering is batched (see ``answer_queries``): each
     ``(structure, relations)`` group gets one Schur complement, and each
-    block of queries one GEMM for the anchor-candidate terms and one count
-    of the non-answer candidates whose (value, entity index) pair sorts ahead
-    of each answer (``answer_ranks``), so no candidate list is sorted. The
-    baselines rank one query at a time. Results are in query order whatever
-    the grouping.
+    block of queries one GEMM for the anchor-candidate terms; each answer's
+    filtered rank is a count of the non-answer candidates whose (value,
+    entity index) pair sorts ahead of its own (``answer_ranks``, one call per
+    block), so no candidate list is sorted. The baselines rank one query at
+    a time. Results are in query order whatever the grouping.
     """
     queries = list(queries)
     if not queries:

@@ -130,13 +130,14 @@ def query_sheaf(qg, sheaf: KnowledgeSheaf):
     one = isinstance(qg, QueryGraph)
     graphs = [qg] if one else qg
     relations = [r for _, r, _ in graphs[0].edges]
+    index = np.array([[r for _, r, _ in g.edges] for g in graphs]).T  # (edges, graphs)
     schema, pairs = sheaf.schema, tuple((u, v) for u, _, v in graphs[0].edges)
     vertex_dims = tuple(schema.vertex_dim[t] for t in graphs[0].vertex_types)
     edge_dims = tuple(schema.edge_dim[r] for r in relations)
     def gather(views, padded, widths):
         if one:
             return tuple(views[r] for r in relations)
-        stacked = padded[np.array([[r for _, r, _ in g.edges] for g in graphs]).T]  # (edges, graphs, ...)
+        stacked = padded[index]
         return tuple(stacked[e, :, :edge_dims[e], :w] for e, w in enumerate(widths))
     heads = gather(sheaf.head_maps, sheaf.RH, [vertex_dims[u] for u, _ in pairs])
     tails = gather(sheaf.tail_maps, sheaf.RT, [vertex_dims[v] for _, v in pairs])
@@ -180,22 +181,19 @@ class Ranking:
 
 
 def ranking_from_scores(candidates: np.ndarray, values: np.ndarray) -> Ranking:
-    order = np.argsort(values)  # not stable, so runs of equal values (or NaNs) are re-sorted by index
-    tied = ~(values[order][1:] > values[order][:-1])
-    if tied.any():
-        slots = (np.concatenate(([False], tied)) | np.concatenate((tied, [False]))).nonzero()[0]
-        order[slots] = order[slots][np.lexsort((candidates[order[slots]], values[order[slots]]))]
+    order = np.lexsort((candidates, values))
     return Ranking(entity_ids=candidates[order], values=values[order])
 
 
 def _type_sections(model: Model, type_idx: int) -> tuple[np.ndarray, np.ndarray]:
-    """The entities of one type, ascending, and their sections gathered as ``(n_t, d_t, m)``."""
+    """The entities of one type, ascending, and their sections ``(n_t, d_t, m)``."""
     ids = model.entities_of_type(type_idx).astype(np.int64)
     if ids.size == 0:
         raise QueryError(
             f"no entities of the target's type {model.schema.entity_types[type_idx]!r} exist"
         )
-    return ids, model.sections.X[ids, :model.schema.vertex_dim[type_idx]]
+    x = model.sections.X  # a view when the type covers every entity
+    return ids, (x if ids.size == len(x) else x[ids])[:, :model.schema.vertex_dim[type_idx]]
 
 
 def _anchor_data(model: Model, qg: QueryGraph, anchor_entities) -> np.ndarray:
@@ -230,8 +228,7 @@ class _HarmonicForm:
     """
 
     def __init__(self, qgs, sheaf: KnowledgeSheaf, x: np.ndarray):
-        # a chunk of one takes the per-relation views, with no batch axis until S and l
-        graph, offsets = query_sheaf(qgs[0] if len(qgs) == 1 else qgs, sheaf)
+        graph, offsets = query_sheaf(qgs, sheaf)
         boundary, interior = qgs[0].boundary, qgs[0].interior
         # this module's names, not sheaf.eliminate: benchmarks/layers.py wraps these two
         lap = assemble_laplacian(graph)
@@ -245,7 +242,6 @@ class _HarmonicForm:
             pinv_uu = psd_pinv(full[..., n_b:, n_b:])
             schur = schur - l_ub.swapaxes(-1, -2) @ pinv_uu @ l_ub
             schur = (schur + schur.swapaxes(-1, -2)) / 2.0
-        schur = schur.reshape((-1, n_b, n_b))
 
         self.dim_a = dim_a = sum(graph.vertex_dims[v] for v in qgs[0].anchor_vertices)
         self.s_aa = schur[:, :dim_a, :dim_a]
@@ -263,8 +259,7 @@ class _HarmonicForm:
             delta_e = delta[..., :n_b]
             if interior:
                 delta_e = delta_e - delta[..., n_b:] @ pinv_uu @ l_ub
-            lin = delta_e.swapaxes(-1, -2) @ np.concatenate(offsets, axis=-2)
-            self.lin = lin.reshape((len(schur), n_b, -1))
+            self.lin = delta_e.swapaxes(-1, -2) @ np.concatenate(offsets, axis=-2)
 
     def values(self, groups: np.ndarray, y_a: np.ndarray) -> np.ndarray:
         """Values ``(R, n)`` for anchor data ``(R, dim_a, m)`` of graph(s) ``groups``, one or one per row."""

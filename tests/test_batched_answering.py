@@ -505,3 +505,22 @@ def test_evaluate_working_set_stays_small():
     finally:
         tracemalloc.stop()
     assert peak < 8 * 2**20
+
+
+def test_block_ranks_keep_one_row_of_masks():
+    # 8 rows of 300 answers over 3,000 candidates: one row's (answers, candidates)
+    # masks are 0.9 MB each, where a copy of every answer's row of values for the
+    # whole block would be 58 MB and a mask of the block's answer pairs 5.8 MB.
+    rng = np.random.default_rng(3)
+    candidates = np.arange(0, 6000, 2, dtype=np.int64)
+    values = rng.integers(0, 50, size=(8, len(candidates))).astype(float)  # many ties
+    answers = [set(rng.choice(candidates, 300, replace=False).tolist()) for _ in range(8)]
+    tracemalloc.start()
+    try:
+        ranks = answer_ranks(candidates, values, answers)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+    for row, row_answers, got in zip(values, answers, ranks):
+        assert got.tolist() == oracle_answer_ranks(candidates, row, row_answers).tolist()

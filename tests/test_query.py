@@ -483,15 +483,3 @@ class TestQueryFiles:
             np.array([5, 3, 9], dtype=np.int64), np.array([1.0, 1.0, 0.5])
         )
         np.testing.assert_array_equal(ranking.entity_ids, [9, 3, 5])
-
-    @settings(max_examples=200, deadline=None)
-    @given(values=st.lists(st.sampled_from([0.0, -1.5, 2.0, np.inf, -np.inf, np.nan, 1e-300]),
-                           min_size=1, max_size=40) | st.lists(st.floats(), min_size=1, max_size=40),
-           seed=st.integers(0, 2**32 - 1))
-    def test_ranking_from_scores_equals_the_lexsort_by_value_then_index(self, values, seed):
-        candidates = np.random.default_rng(seed).permutation(10 * len(values))[:len(values)]
-        values = np.array(values)
-        order = np.lexsort((candidates, values))
-        ranking = ranking_from_scores(candidates, values)
-        np.testing.assert_array_equal(ranking.entity_ids, candidates[order])
-        np.testing.assert_array_equal(ranking.values, values[order])
