@@ -1,10 +1,11 @@
 """Checkpoint persistence: a text manifest plus one binary tensor file.
 
 A checkpoint with prefix ``P`` consists of ``P.manifest`` (UTF-8 ``key=value``
-lines carrying the config, the schema, constraint tags, and the interning
-tables) and ``P.tensors`` (little-endian float64 tensors in manifest order:
-entities by index, then head/tail maps per relation, then translations; each
-tensor is prefixed by its rank and shape as little-endian uint64). Round
+lines of format v2: variant, section count, seed, the schema with constraint
+tags, and the interning tables, all read off the parameters, so each fact is
+recorded once) and ``P.tensors`` (little-endian float64 tensors in manifest
+order: entities by index, then head/tail maps per relation, then translations;
+each tensor is prefixed by its rank and shape as little-endian uint64). Round
 trips are bit-exact.
 """
 
@@ -18,10 +19,10 @@ import numpy as np
 
 from .errors import CheckpointError
 from .kgdata import Schema
-from .model import CONSTRAINTS, VARIANTS, KnowledgeSheaf, Model, ModelConfig, SectionMatrix
+from .model import CONSTRAINTS, VARIANTS, KnowledgeSheaf, Model, SectionMatrix
 
 MAGIC = b"SHKGTNSR"
-FORMAT = "sheaf-kg-checkpoint-v1"
+FORMAT = "sheaf-kg-checkpoint-v2"
 
 _DIM_DTYPE = np.dtype("<u8")
 _DATA_DTYPE = np.dtype("<f8")
@@ -65,13 +66,11 @@ def _read_tensor(fh, path, name: str, shape: tuple[int, ...]) -> np.ndarray:
 
 
 def _manifest_lines(model: Model) -> list[str]:
-    cfg, schema = model.config, model.schema
+    schema = model.schema
     lines = [
         f"format={FORMAT}",
-        f"variant={cfg.variant}",
-        f"sections={cfg.sections}",
-        f"alpha={cfg.alpha!r}",
-        f"margin={cfg.margin!r}",
+        f"variant={'shvt' if model.sheaf.translational else 'shv'}",
+        f"sections={model.sections.columns}",
         f"seed={model.seed}",
         f"n_entity_types={schema.n_entity_types}",
     ]
@@ -161,8 +160,6 @@ def load_model(prefix) -> Model:
         raise CheckpointError(f"{mpath}: unsupported format {fmt!r}")
     variant = reader.take("variant", _one_of(VARIANTS))
     sections = reader.take("sections", int)
-    alpha = reader.take("alpha", float)
-    margin = reader.take("margin", float)
     seed = reader.take("seed", int)
 
     n_types = reader.take("n_entity_types", int)
@@ -196,18 +193,6 @@ def load_model(prefix) -> Model:
         vertex_dim=tuple(vertex_dims),
         edge_dim=tuple(edge_dims),
     )
-    config = ModelConfig(
-        variant=variant,
-        sections=sections,
-        alpha=alpha,
-        margin=margin,
-        entity_dim=vertex_dims[0],
-        relation_dim=edge_dims[0] if edge_dims else vertex_dims[0],
-        constraint=constraints[0] if constraints else "free",
-        constraint_overrides={
-            name: c for name, c in zip(rel_names, constraints)
-        },
-    )
 
     with open(tpath, "rb") as fh:
         magic = fh.read(len(MAGIC))
@@ -240,7 +225,6 @@ def load_model(prefix) -> Model:
         raise CheckpointError(f"{mpath}: arrays padded to vertex_dim {max(vertex_dims)} "
                               "cannot be allocated") from None
     return Model(
-        config=config,
         schema=schema,
         entities=tuple(entity_names),
         entity_type=np.asarray(entity_types, dtype=np.int64),

@@ -248,12 +248,11 @@ def cmd_query(prefix, structure, anchors, relations, top_k):
 @click.option("--train", "train_path", type=click.Path(), default=None,
               help="triple file for per-relation discrepancy")
 def cmd_inspect(prefix, train_path):
-    """Print a checkpoint's configuration, shapes, and parameter norms."""
+    """Print a checkpoint's variant, shapes, constraints, and parameter norms."""
     try:
         model = ckpt.load_model(prefix)
-        cfg = model.config
-        click.echo(f"variant={cfg.variant} sections={cfg.sections} alpha={cfg.alpha} "
-                   f"margin={cfg.margin} seed={model.seed}")
+        variant = "shvt" if model.sheaf.translational else "shv"
+        click.echo(f"variant={variant} sections={model.sections.columns} seed={model.seed}")
         click.echo(f"entities={model.n_entities} relations={model.schema.n_relations} "
                    f"entity_types={model.schema.n_entity_types}")
         for r, name in enumerate(model.schema.relation_types):

@@ -134,9 +134,6 @@ class VocabBuilder:
             )
         return idx
 
-    def lookup(self, name: str) -> int | None:
-        return self._index.get(name)
-
     def __len__(self) -> int:
         return len(self.names)
 
@@ -212,9 +209,6 @@ class KnowledgeGraph:
         size = np.bincount(self.entity_type, minlength=self.schema.n_entity_types)
         types = np.array([self.schema.head_type, self.schema.tail_type], dtype=np.int64).T.ravel()
         return order, (np.cumsum(size) - size)[types], size[types]
-
-    def entity_index(self) -> dict[str, int]:
-        return {name: i for i, name in enumerate(self.entities)}
 
 
 @dataclass(frozen=True)

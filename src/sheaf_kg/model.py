@@ -185,9 +185,12 @@ class SectionMatrix:
 
 @dataclass
 class Model:
-    """Everything a checkpoint holds: config, vocabulary, and parameters."""
+    """Everything a checkpoint holds: the vocabulary and the parameters.
 
-    config: ModelConfig
+    Schema, sheaf and sections are the only record of the dims, constraints,
+    variant and section count; :class:`ModelConfig` is just an init recipe.
+    """
+
     schema: Schema
     entities: tuple[str, ...]
     entity_type: np.ndarray
@@ -207,7 +210,6 @@ class Model:
 
     def copy(self) -> "Model":
         return Model(
-            config=replace(self.config),
             schema=self.schema,
             entities=self.entities,
             entity_type=self.entity_type,
@@ -313,7 +315,6 @@ def init_for_kg(config: ModelConfig, kg: KnowledgeGraph, seed: int) -> Model:
     """Initialize a full model bundle for a loaded knowledge graph."""
     sheaf, sections = init_model(config, kg.schema, kg.entity_type, seed)
     return Model(
-        config=config,
         schema=kg.schema,
         entities=kg.entities,
         entity_type=kg.entity_type.copy(),

@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .kgdata import KnowledgeGraph, default_schema
-from .model import Model, ModelConfig, KnowledgeSheaf, SectionMatrix
+from .model import Model, KnowledgeSheaf, SectionMatrix
 from .seeds import substream
 
 logger = logging.getLogger(__name__)
@@ -186,13 +186,6 @@ def generate_planted_kg(
         triples=triples,
         split=split,
     )
-    config = ModelConfig(
-        variant=variant,
-        sections=m,
-        entity_dim=dim,
-        relation_dim=dim,
-        constraint=constraints[0],
-    )
     sheaf = KnowledgeSheaf(
         schema=schema,
         head_maps=head_maps,
@@ -201,7 +194,6 @@ def generate_planted_kg(
         translations=translations,
     )
     generator = Model(
-        config=config,
         schema=schema,
         entities=entities,
         entity_type=kg.entity_type.copy(),

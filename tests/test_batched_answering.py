@@ -161,7 +161,7 @@ def ragged_model(rng, variant, constraint, m, n_entities=23):
     twin = np.flatnonzero(types == types[0])[1]
     sections.block(twin)[...] = sections.block(0).copy()
     return Model(
-        config=cfg, schema=RAGGED, entities=tuple(f"e{i}" for i in range(n_entities)),
+        schema=RAGGED, entities=tuple(f"e{i}" for i in range(n_entities)),
         entity_type=types, sheaf=sheaf, sections=sections,
     )
 
@@ -244,7 +244,7 @@ def test_baseline_methods_match_per_query_filtering(method):
     schema = default_schema(3, 4, 4)
     cfg = ModelConfig(variant="shvt", entity_dim=4, relation_dim=4, constraint="identity")
     sheaf, sections = init_model(cfg, schema, np.zeros(15, dtype=np.int64), seed=2)
-    model = Model(config=cfg, schema=schema, entities=tuple(f"e{i}" for i in range(15)),
+    model = Model(schema=schema, entities=tuple(f"e{i}" for i in range(15)),
                   entity_type=np.zeros(15, dtype=np.int64), sheaf=sheaf, sections=sections)
     queries = [
         Query(s, (int(rng.integers(15)),), tuple(int(r) for r in rng.integers(3, size=int(s[0]))),
@@ -405,7 +405,7 @@ def shared_signature_model(rng, variant, m, singular):
         sections.block(i)[...] = rng.normal(size=sections.block(i).shape)
     twin = np.flatnonzero(types == types[0])[1]
     sections.block(twin)[...] = sections.block(0).copy()
-    return Model(config=cfg, schema=SHARED, entities=tuple(f"e{i}" for i in range(len(types))),
+    return Model(schema=SHARED, entities=tuple(f"e{i}" for i in range(len(types))),
                  entity_type=types, sheaf=sheaf, sections=sections)
 
 

@@ -1,9 +1,12 @@
-"""The traced benchmark wraps library names that exist and are still called.
+"""The benchmark's library calls and wrapped names exist and are still called.
 
-``benchmarks/layers.instrument`` replaces library attributes by name, so a
-renamed or removed function fails here rather than in a benchmark run.
+``benchmarks/layers.instrument`` replaces library attributes by name, and
+``benchmarks/workloads`` builds library configs when it is imported, so a
+renamed or removed function or keyword fails here rather than in a benchmark
+run.
 """
 
+import json
 import sys
 from pathlib import Path
 
@@ -16,10 +19,20 @@ import sheaf_kg.synth  # noqa: F401
 from sheaf_kg.model import ModelConfig, init_for_kg
 from sheaf_kg.training import TrainConfig
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "benchmarks"))
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "benchmarks"))
 
 from layers import instrument  # noqa: E402
 from tracing import Tracer  # noqa: E402
+from workloads import WORKLOADS  # noqa: E402
+
+
+def test_workloads_are_the_declared_four_and_build_library_configs():
+    declared = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))["workloads"]
+    assert sorted(WORKLOADS) == sorted(w["name"] for w in declared)
+    for name, workload in WORKLOADS.items():
+        assert isinstance(workload.train_model, ModelConfig), name
+        assert isinstance(workload.train_config, TrainConfig), name
 
 
 def test_instrument_wraps_existing_names_and_restores_them():

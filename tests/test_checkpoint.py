@@ -33,7 +33,7 @@ def saved(tmp_path_factory):
     sheaf, sections = init_model(cfg, schema, entity_type, seed=0)
     names = tuple(f"e{i}" for i in range(len(entity_type)))
     prefix = tmp_path_factory.mktemp("ckpt") / "model"
-    save_model(Model(cfg, schema, names, entity_type, sheaf, sections), prefix)
+    save_model(Model(schema, names, entity_type, sheaf, sections), prefix)
     return manifest_path(prefix).read_text(encoding="utf-8"), tensor_path(prefix).read_bytes()
 
 
@@ -115,7 +115,7 @@ def test_unused_type_with_huge_vertex_dim_is_checkpoint_error(tmp_path, dim):
     entity_type = np.array([0, 1, 0, 1], dtype=np.int64)
     cfg = ModelConfig(variant="shv", entity_dim=2, relation_dim=2)
     sheaf, sections = init_model(cfg, schema, entity_type, seed=0)
-    save_model(Model(cfg, schema, ("e0", "e1", "e2", "e3"), entity_type, sheaf, sections),
+    save_model(Model(schema, ("e0", "e1", "e2", "e3"), entity_type, sheaf, sections),
                tmp_path / "ck")
     load_model(tmp_path / "ck")
     manifest = manifest_path(tmp_path / "ck").read_text(encoding="utf-8")

@@ -5,6 +5,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sheaf_kg.cli import main
 
@@ -396,7 +398,7 @@ class TestQuery:
         for i in range(5, 30, 3):  # ten candidates with one value
             sections.block(i)[...] = sections.block(2)
         names = tuple(f"n{i}" for i in range(30))
-        save_model(Model(cfg, schema, names, types, sheaf, sections), tmp_path / "m")
+        save_model(Model(schema, names, types, sheaf, sections), tmp_path / "m")
         ranking = answer_query(Query("2p", (0,), (0, 1)), load_model(tmp_path / "m"))
         assert len(set(ranking.values.tolist())) == len(ranking) - 9
         for k in range(1, len(ranking) + 3):  # every cut through the tied run, k = n and k > n
@@ -453,6 +455,92 @@ class TestInspect:
         assert res.exit_code == 1
         assert f"error: {prefix}.tensors: entity tensor 0 has header" in res.output
         assert "Traceback" not in res.output
+
+
+def _fuzz_commands(d: Path, anchor: str, relation: str) -> dict[str, list[str]]:
+    """Every command that reads an input file, run on the files in ``d``."""
+    return {
+        "train": ["train", "--config", str(d / "train.cfg"), "--train", str(d / "train.tsv"),
+                  "--valid", str(d / "valid.tsv"), "--test", str(d / "test.tsv"),
+                  "--type-file", str(d / "types.tsv"), "--seeds", "1", "--out", str(d / "out")],
+        "eval": ["eval", "--checkpoint", str(d / "model"), "--queries", str(d / "queries.tsv")],
+        "query": ["query", "--checkpoint", str(d / "model"), "--structure", "1p",
+                  "--anchors", anchor, "--relations", relation],
+        "inspect": ["inspect", "--checkpoint", str(d / "model"), "--train", str(d / "train.tsv")],
+    }
+
+
+# each input file with the commands that read it
+_FUZZ_TARGETS = [
+    ("train.tsv", "train"), ("train.tsv", "inspect"), ("valid.tsv", "train"),
+    ("test.tsv", "train"), ("types.tsv", "train"), ("train.cfg", "train"),
+    ("queries.tsv", "eval"),
+    *((f"model.{ext}", cmd) for ext in ("manifest", "tensors") for cmd in ("eval", "query", "inspect")),
+]
+
+
+def _mutate(raw: bytes, mutation: str, at: int, bit: int) -> bytes:
+    """One fuzz mutation of ``raw``; ``at`` picks the byte or line it acts on."""
+    if mutation == "flip_byte":
+        i = at % len(raw)
+        return raw[:i] + bytes([raw[i] ^ (1 << bit)]) + raw[i + 1:]
+    if mutation == "truncate":
+        return raw[:at % len(raw)]
+    if mutation == "append_non_utf8":
+        return raw + b"\xff\xfe\xc3(\n"
+    lines = raw.split(b"\n")
+    tabbed = [i for i, line in enumerate(lines) if b"\t" in line]
+    if tabbed:  # drop_tab: one line loses a field separator
+        i = tabbed[at % len(tabbed)]
+        lines[i] = lines[i].replace(b"\t", b"", 1)
+    return b"\n".join(lines)
+
+
+@pytest.fixture(scope="module")
+def fuzz_inputs(tmp_path_factory):
+    """A tiny synth workspace: the bytes of every input file and of one trained checkpoint."""
+    root = tmp_path_factory.mktemp("fuzz")
+    runner = CliRunner()
+    res = run_cli(runner, [
+        "synth", "--entities", "30", "--relations", "2", "--dim", "4", "--seed", "3",
+        "--out", str(root), "--easy-queries", "1p,2p", "--queries-per-structure", "4",
+    ])
+    assert res.exit_code == 0, res.output
+    rows = [line.split("\t") for line in (root / "train.tsv").read_text().splitlines()]
+    entities = sorted({name for h, _, t in rows for name in (h, t)})
+    (root / "types.tsv").write_text("".join(f"{e}\tthing\n" for e in entities))
+    (root / "train.cfg").write_text(
+        "variant=shvt\nconstraint=identity\nentity_dim=4\nrelation_dim=4\nepochs=2\n"
+        "batch_size=16\nlearning_rate=0.05\noptimizer=sgd\nnegatives_per_positive=2\n"
+    )
+    commands = _fuzz_commands(root, rows[0][0], rows[0][1])
+    res = run_cli(runner, commands["train"])
+    assert res.exit_code == 0, res.output
+    for ext in ("manifest", "tensors"):
+        (root / "out" / f"model_seed1.{ext}").rename(root / f"model.{ext}")
+    for name in ("eval", "query", "inspect"):
+        assert run_cli(runner, commands[name]).exit_code == 0
+    files = {name: (root / name).read_bytes() for name, _ in _FUZZ_TARGETS}
+    return files, rows[0][0], rows[0][1]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    target=st.sampled_from(_FUZZ_TARGETS),
+    mutation=st.sampled_from(["flip_byte", "truncate", "append_non_utf8", "drop_tab"]),
+    at=st.integers(0, 1 << 20),
+    bit=st.integers(0, 7),
+)
+def test_mutated_input_never_crashes_the_cli(fuzz_inputs, tmp_path_factory, target, mutation, at, bit):
+    files, anchor, relation = fuzz_inputs
+    name, command = target
+    d = tmp_path_factory.mktemp("mutant")
+    for other, raw in files.items():
+        (d / other).write_bytes(_mutate(raw, mutation, at, bit) if other == name else raw)
+    res = CliRunner().invoke(main, _fuzz_commands(d, anchor, relation)[command])
+    assert res.exit_code in (0, 1, 2), res.output
+    assert res.exception is None or isinstance(res.exception, SystemExit), repr(res.exception)
+    assert "Traceback" not in res.output
 
 
 def test_entry_point_help_via_subprocess():

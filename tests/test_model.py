@@ -3,7 +3,7 @@ import pytest
 
 from sheaf_kg.checkpoint import load_model, manifest_path, save_model, tensor_path
 from sheaf_kg.errors import CheckpointError, ConfigError
-from sheaf_kg.kgdata import KnowledgeGraph, default_schema
+from sheaf_kg.kgdata import KnowledgeGraph, Schema, default_schema
 from sheaf_kg.model import (
     Model,
     ModelConfig,
@@ -416,8 +416,29 @@ class TestCheckpoint:
         cfg = ModelConfig(variant=variant, sections=2, entity_dim=4, relation_dim=4)
         return init_for_kg(cfg, kg, seed=9)
 
-    def test_round_trip_is_bit_exact(self, tmp_path, rng):
-        model = self._model(rng)
+    def _ragged_model(self, rng):
+        """Two entity types of unequal dim, orthogonal maps, and a free override on relation 0."""
+        schema = Schema(
+            entity_types=("a", "b"),
+            relation_types=("r0", "r1", "r2"),
+            head_type=(0, 1, 0),
+            tail_type=(1, 0, 0),
+            vertex_dim=(2, 3),
+            edge_dim=(4, 3, 2),
+        )
+        entity_type = rng.permutation(np.arange(7) % 2).astype(np.int64)
+        cfg = ModelConfig(variant="shvt", sections=2, constraint="orthogonal",
+                          constraint_overrides={"r0": "free"})
+        sheaf, sections = init_model(cfg, schema, entity_type, seed=5)
+        return Model(schema, tuple(f"e{i}" for i in range(7)), entity_type, sheaf, sections, seed=5)
+
+    @pytest.mark.parametrize("build", ["_model", "_ragged_model"], ids=["uniform", "ragged"])
+    def test_round_trip_is_bit_exact(self, tmp_path, rng, build):
+        from click.testing import CliRunner
+
+        from sheaf_kg.cli import main
+
+        model = getattr(self, build)(rng)
         first = tmp_path / "ck1"
         save_model(model, first)
         loaded = load_model(first)
@@ -428,8 +449,18 @@ class TestCheckpoint:
         for a, b in zip(map(model.sections.block, range(model.n_entities)),
                         map(loaded.sections.block, range(loaded.n_entities))):
             np.testing.assert_array_equal(a, b)
+        assert loaded.schema == model.schema
         assert loaded.sheaf.constraints == model.sheaf.constraints
+        assert loaded.sheaf.translational and model.sheaf.translational
+        assert loaded.sections.columns == model.sections.columns == 2
+        assert loaded.seed == model.seed
         assert loaded.entities == model.entities
+
+        res = CliRunner().invoke(main, ["inspect", "--checkpoint", str(first)])
+        assert res.exit_code == 0, res.output
+        assert f"variant=shvt sections=2 seed={model.seed}\n" in res.output
+        for name, kind in zip(model.schema.relation_types, model.sheaf.constraints):
+            assert f"relation {name}: constraint={kind} " in res.output
 
     def test_truncated_tensor_file_is_integrity_error(self, tmp_path, rng):
         model = self._model(rng)
@@ -460,7 +491,7 @@ class TestCheckpoint:
         assert load_model(prefix).entities == kg.entities
 
     @pytest.mark.parametrize("key", [
-        "format", "variant", "sections", "alpha", "margin", "seed", "n_entity_types",
+        "format", "variant", "sections", "seed", "n_entity_types",
         "entity_type", "vertex_dim", "n_relations", "head_type", "tail_type", "edge_dim",
         "constraint", "n_entities", "entity_type_of",
     ])

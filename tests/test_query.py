@@ -56,7 +56,6 @@ def make_model(rng, n_entities=10, n_relations=3, dim=4, variant="shv", constrai
     for i in range(n_entities):
         sections.block(i)[...] = rng.normal(size=sections.block(i).shape)
     return Model(
-        config=cfg,
         schema=schema,
         entities=tuple(f"e{i}" for i in range(n_entities)),
         entity_type=np.zeros(n_entities, dtype=np.int64),
@@ -200,7 +199,7 @@ class TestAnswerQuery:
         types = np.array([0, 1], dtype=np.int64)
         sheaf, sections = init_model(cfg, schema, types, seed=0)
         model = Model(
-            config=cfg, schema=schema, entities=("alice", "paris"),
+            schema=schema, entities=("alice", "paris"),
             entity_type=types, sheaf=sheaf, sections=sections,
         )
         with pytest.raises(QueryError):
@@ -266,9 +265,8 @@ class TestFamilyCompositeFixture:
         x["female"] = np.linalg.solve(gender_tail, gender_head @ x["mum"])
         x["male"] = np.linalg.solve(gender_tail, gender_head @ x["grandpa"])
         sections = SectionMatrix(1, [x[name] for name in entities])
-        cfg = ModelConfig(entity_dim=4, relation_dim=4)
         return Model(
-            config=cfg, schema=schema, entities=entities, entity_type=entity_type,
+            schema=schema, entities=entities, entity_type=entity_type,
             sheaf=sheaf, sections=sections,
         )
 

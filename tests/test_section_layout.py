@@ -142,7 +142,7 @@ def test_padded_layout_through_init_train_and_checkpoint(tmp_path_factory, empty
 
     assert_map_padding_zero(sheaf)
     arrays = (sheaf.RH, sheaf.RT, sheaf.T)
-    model = Model(cfg, schema, kg.entities, entity_type, sheaf, sections, seed=seed)
+    model = Model(schema, kg.entities, entity_type, sheaf, sections, seed=seed)
     _, report = train(
         kg,
         TrainConfig(epochs=3, batch_size=8, learning_rate=0.05, optimizer="adagrad",
@@ -237,7 +237,7 @@ def test_abort_leaves_the_trained_maps_in_the_model(variant, m, seed):
     kg = layout_case(rng, empty_widest=False)
     cfg = ModelConfig(variant=variant, sections=m)
     sheaf, sections = init_model(cfg, kg.schema, kg.entity_type, seed=seed)
-    model = Model(cfg, kg.schema, kg.entities, kg.entity_type, sheaf, sections, seed=seed)
+    model = Model(kg.schema, kg.entities, kg.entity_type, sheaf, sections, seed=seed)
     initial = sheaf.copy()
     stop_at = int(rng.integers(2, 6))
     calls, at_abort = [], []

@@ -646,7 +646,7 @@ class TestPaddedLayout:
 
         names = tuple(f"e{i}" for i in range(len(entity_type)))
         state = _StackedParams(
-            Model(cfg, schema, names, entity_type, sheaf, sections), TrainConfig()
+            Model(schema, names, entity_type, sheaf, sections), TrainConfig()
         )
         gX, gRH, gRT = (np.zeros_like(a) for a in (state.X, state.RH, state.RT))
         gT = None if state.T is None else np.zeros_like(state.T)
