@@ -226,7 +226,7 @@ def _resolve_names(names, table, kind):
 @click.option("--structure", type=click.Choice(STRUCTURES), required=True)
 @click.option("--anchors", required=True, help="comma-separated anchor entity names")
 @click.option("--relations", required=True, help="comma-separated relation names")
-@click.option("--top-k", "top_k", type=int, default=10)
+@click.option("--top-k", "top_k", type=click.IntRange(min=1), default=10)
 def cmd_query(prefix, structure, anchors, relations, top_k):
     """Answer one query and print the best candidates, ascending by cost."""
     try:

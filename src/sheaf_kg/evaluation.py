@@ -2,7 +2,7 @@
 
 Each query contributes one rank per true answer, filtered against the
 query's other true answers; ``answer_ranks`` takes a block of queries per
-call and counts their ranks one query at a time.
+call and counts their ranks a bounded number of cells at a time.
 Metrics (MRR, Hits@K) are fractions in [0, 1]; multi-seed aggregation uses
 the population standard deviation.
 Test queries are sampled and answered by walking the edges of
@@ -54,8 +54,8 @@ def answer_ranks(candidates: np.ndarray, values: np.ndarray, answers) -> list[np
     candidate counts as ahead of an answer when its (value, entity index)
     pair sorts strictly before the answer's and it is not an answer of that
     row: ``filtered_rank``'s count, taken without sorting the candidates.
-    The block's answers are looked up at once and its rows counted one at a
-    time, so the working set is one row's ``(answers, candidates)`` masks.
+    The block's answers go into one ``(rows, candidates)`` mask and are
+    counted a fixed number of (answer, candidate) cells at a time.
     """
     sizes = [len(a) for a in answers]
     answers = np.array([a for row_answers in answers for a in sorted(row_answers)], dtype=np.int64)
@@ -64,13 +64,17 @@ def answer_ranks(candidates: np.ndarray, values: np.ndarray, answers) -> list[np
     found[found] = candidates[cols[found]] == answers[found]
     if not found.all():
         raise QueryError(f"entity {answers[~found][0]} not present in ranking")
-    ranks, index = [], np.arange(len(candidates))
-    for row, row_cols in zip(values, np.split(cols, np.cumsum(sizes)[:-1])):
-        value = row[row_cols][:, None]
-        ahead = (row < value) | ((row == value) & (index < row_cols[:, None]))
-        ahead[:, row_cols] = False
-        ranks.append(1 + np.count_nonzero(ahead, axis=1))
-    return ranks
+    rows = np.repeat(np.arange(len(sizes)), sizes)
+    is_answer = np.zeros(values.shape, dtype=bool)
+    is_answer[rows, cols] = True
+    counts, index = np.empty(len(cols), dtype=np.int64), np.arange(len(candidates))
+    step = max(1, 2**16 // max(1, len(candidates)))  # bounds the working set to 2**16 cells
+    for lo in range(0, len(cols), step):
+        at, col = rows[lo:lo + step], cols[lo:lo + step]
+        row, value = values[at], values[at, col][:, None]
+        ahead = (row < value) | ((row == value) & (index < col[:, None]))
+        counts[lo:lo + step] = np.count_nonzero(ahead & ~is_answer[at], axis=1)
+    return np.split(1 + counts, np.cumsum(sizes)[:-1])[:len(sizes)]
 
 
 def mrr(ranks) -> float:

@@ -16,8 +16,8 @@ and builds the forms of groups with equal stalk dims a chunk at a time,
 through ``sheaf``'s batch axis: one coboundary, one ``delta^T delta`` and
 one batched eigendecomposition per chunk. The anchor-candidate cross terms
 of a block of the chunk's queries come from one GEMM against the target
-type's stacked sections. ``answer_query`` is a chunk of one group followed
-by a full sort.
+type's stacked sections. ``answer_query`` is a chunk of one group, and its
+``Ranking`` sorts only when its order is read; ``top(k)`` partitions.
 """
 
 from __future__ import annotations
@@ -125,19 +125,19 @@ def query_sheaf(qg, sheaf: KnowledgeSheaf):
     returns ``(sheaf_on_graph, offsets)`` where ``offsets`` lists each edge's
     translation block for translational models, else None. For a sequence
     of query graphs with equal vertex types and edge dims, maps and offsets
-    are gathered from the padded arrays with a leading axis over the graphs.
+    have a leading axis over the graphs: gathered from the padded arrays, or
+    for a sequence of one graph the per-relation views with an axis of one.
     """
     one = isinstance(qg, QueryGraph)
     graphs = [qg] if one else qg
     relations = [r for _, r, _ in graphs[0].edges]
-    index = np.array([[r for _, r, _ in g.edges] for g in graphs]).T  # (edges, graphs)
     schema, pairs = sheaf.schema, tuple((u, v) for u, _, v in graphs[0].edges)
     vertex_dims = tuple(schema.vertex_dim[t] for t in graphs[0].vertex_types)
     edge_dims = tuple(schema.edge_dim[r] for r in relations)
     def gather(views, padded, widths):
-        if one:
-            return tuple(views[r] for r in relations)
-        stacked = padded[index]
+        if len(graphs) == 1:
+            return tuple(views[r] if one else views[r][None] for r in relations)
+        stacked = padded[np.array([[r for _, r, _ in g.edges] for g in graphs]).T]  # (edges, graphs)
         return tuple(stacked[e, :, :edge_dims[e], :w] for e, w in enumerate(widths))
     heads = gather(sheaf.head_maps, sheaf.RH, [vertex_dims[u] for u, _ in pairs])
     tails = gather(sheaf.tail_maps, sheaf.RT, [vertex_dims[v] for _, v in pairs])
@@ -148,22 +148,38 @@ def query_sheaf(qg, sheaf: KnowledgeSheaf):
     return graph, offsets
 
 
-@dataclass(frozen=True)
 class Ranking:
-    """Candidates sorted ascending by (value, entity index)."""
+    """Candidates ranked ascending by (value, entity index).
 
-    entity_ids: np.ndarray
-    values: np.ndarray
+    Keeps the candidates (entity ids ascending) and values as scored, and
+    sorts them the first time the order is read (``entity_ids``, ``values``,
+    ``position``, ``value_of``). Until then ``top(k)`` partitions instead.
+    """
 
-    def __post_init__(self):
-        self.entity_ids.setflags(write=False)
-        self.values.setflags(write=False)
+    def __init__(self, candidates: np.ndarray, values: np.ndarray):
+        self._ids, self._values, self._sorted = candidates, values, False
+
+    def _order(self) -> tuple[np.ndarray, np.ndarray]:
+        if not self._sorted:
+            order = np.lexsort((self._ids, self._values))
+            self._ids, self._values, self._sorted = self._ids[order], self._values[order], True
+            for a in (self._ids, self._values):
+                a.setflags(write=False)
+        return self._ids, self._values
+
+    @property
+    def entity_ids(self) -> np.ndarray:
+        return self._order()[0]
+
+    @property
+    def values(self) -> np.ndarray:
+        return self._order()[1]
 
     def __len__(self) -> int:
-        return len(self.entity_ids)
+        return len(self._ids)
 
     def __contains__(self, entity) -> bool:
-        return bool(np.any(self.entity_ids == int(entity)))
+        return bool(np.any(self._ids == int(entity)))
 
     def position(self, entity: int) -> int:
         """0-based position of an entity in the sorted order."""
@@ -176,13 +192,23 @@ class Ranking:
         return float(self.values[self.position(entity)])
 
     def top(self, k: int) -> list[tuple[int, float]]:
-        k = min(k, len(self))
-        return [(int(self.entity_ids[i]), float(self.values[i])) for i in range(k)]
+        """The first ``k`` (entity, value) pairs of the sorted order."""
+        if k <= 0:
+            return []
+        if self._sorted or k >= len(self):
+            ids, values = (a[:k] for a in self._order())
+        else:
+            # every candidate not strictly after the k-th value; NaN compares false, so it stays in
+            kth = np.partition(self._values, k - 1)[k - 1]
+            cut = np.flatnonzero(~(self._values > kth))
+            cut = cut[np.lexsort((self._ids[cut], self._values[cut]))[:k]]
+            ids, values = self._ids[cut], self._values[cut]
+        return list(zip(ids.tolist(), values.tolist()))
 
 
 def ranking_from_scores(candidates: np.ndarray, values: np.ndarray) -> Ranking:
-    order = np.lexsort((candidates, values))
-    return Ranking(entity_ids=candidates[order], values=values[order])
+    """A ranking of ``candidates`` (entity ids ascending) by their ``values``; sorts nothing."""
+    return Ranking(candidates, values)
 
 
 def _type_sections(model: Model, type_idx: int) -> tuple[np.ndarray, np.ndarray]:
@@ -317,8 +343,8 @@ def answer_queries(queries, model: Model):
 def answer_query_graph(qg: QueryGraph, model: Model, anchor_entities) -> Ranking:
     """Rank all candidate entities of the target's type for a query graph.
 
-    A chunk of one group: the same harmonic form as ``answer_queries``,
-    followed by a full (value, entity index) sort.
+    A chunk of one group: the same harmonic form as ``answer_queries``. The
+    ranking sorts by (value, entity index) when its order is first read.
     """
     y_a = _anchor_data(model, qg, anchor_entities)
     candidates, x = _type_sections(model, qg.vertex_types[qg.target_vertex])

@@ -469,6 +469,51 @@ def test_chunked_forms_and_block_ranks_match_per_group_oracle(
     assert seen == set(range(len(queries)))
 
 
+def shared_signature_keys():
+    """Per structure, the relation tuples of each stalk signature that has two or more."""
+    keys = {}
+    for structure in STRUCTURES:
+        for relations in product(range(SHARED.n_relations), repeat=STRUCTURE_ARITY[structure][1]):
+            try:
+                qg = build_query_graph(Query(structure, (0,) * STRUCTURE_ARITY[structure][0],
+                                             relations), SHARED)
+            except QueryError:
+                continue
+            dims = tuple(SHARED.edge_dim[r] for r in relations)
+            keys.setdefault((structure, qg.vertex_types, dims), []).append((relations, qg))
+    return {s: [v for k, v in keys.items() if k[0] == s and len(v) > 1] for s in STRUCTURES}
+
+
+SHARED_KEYS = shared_signature_keys()
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), variant=st.sampled_from(["shv", "shvt"]), m=st.sampled_from([1, 2]))
+def test_single_query_values_match_its_row_in_a_multi_group_chunk(seed, variant, m):
+    # answer_query takes its maps from the per-relation views, a chunk of
+    # several groups gathers them from the padded arrays
+    rng = np.random.default_rng(seed)
+    model = shared_signature_model(rng, variant, m, "none")
+    queries = []
+    for structure in STRUCTURES:
+        signature = SHARED_KEYS[structure][int(rng.integers(len(SHARED_KEYS[structure])))]
+        picks = rng.choice(len(signature), size=min(3, len(signature)), replace=False)
+        for relations, qg in (signature[int(i)] for i in picks):
+            for _ in range(2):
+                anchors = tuple(int(rng.choice(np.flatnonzero(model.entity_type == qg.vertex_types[v])))
+                                for v in qg.anchor_vertices)
+                queries.append(Query(structure, anchors, relations))
+    assert query.CHUNK_GROUPS >= 3  # so each signature's two or three groups are one chunk
+    assert {bool(build_query_graph(q, SHARED).interior) for q in queries} == {False, True}
+    for members, candidates, values in query.answer_queries(queries, model):
+        for i, row in zip(members, values):
+            ranking = answer_query(queries[i], model)
+            got = np.empty(len(candidates))
+            got[np.searchsorted(candidates, ranking.entity_ids)] = ranking.values
+            tol = 1e-12 * max(1.0, float(np.max(np.abs(row))))
+            np.testing.assert_allclose(got, row, rtol=0, atol=tol)
+
+
 def many_to_many_graph(n_entities, n_relations, dim, seed):
     """Uniform random graph: each (head, relation) present with probability 1/2, 1 + Poisson(1) tails."""
     rng = np.random.default_rng(seed)

@@ -409,6 +409,15 @@ class TestQuery:
             assert res.exit_code == 0
             assert res.output == "".join(f"{names[e]}\t{v!r}\n" for e, v in ranking.top(k)), k
 
+    @pytest.mark.parametrize("k", ["0", "-1"])
+    def test_top_k_below_one_exits_2(self, runner, workspace, k):
+        result = runner.invoke(main, [
+            "query", "--checkpoint", str(workspace / "ckpt" / "model_seed1"),
+            "--structure", "2p", "--anchors", "e00000", "--relations", "r0,r1", "--top-k", k,
+        ])
+        assert result.exit_code == 2
+        assert "--top-k" in result.output
+
     def test_unknown_relation_exits_2_with_suggestion(self, runner, workspace):
         result = runner.invoke(main, [
             "query", "--checkpoint", str(workspace / "ckpt" / "model_seed1"),

@@ -481,3 +481,25 @@ class TestQueryFiles:
             np.array([5, 3, 9], dtype=np.int64), np.array([1.0, 1.0, 0.5])
         )
         np.testing.assert_array_equal(ranking.entity_ids, [9, 3, 5])
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_top_k_is_the_full_sort_head(data):
+    """Partitioned ``top(k)`` against the first k of the full (value, id) lexsort."""
+    n = data.draw(st.integers(0, 40))
+    levels = data.draw(st.lists(st.floats(-3, 3), min_size=1, max_size=4))  # ties cross the cut
+    pool = levels + [np.nan, np.inf, -np.inf]
+    values = np.array(data.draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n)))
+    ids = np.cumsum(data.draw(st.lists(st.integers(1, 4), min_size=n, max_size=n)), dtype=np.int64)
+    k = data.draw(st.integers(-1, n + 2))
+    order = np.lexsort((ids, values))
+    ranking = ranking_from_scores(ids, values)
+    want = [(int(ids[i]), repr(float(values[i]))) for i in order[:max(k, 0)]]
+    got = ranking.top(k)
+    assert all(type(e) is int and type(v) is float for e, v in got)
+    assert [(e, repr(v)) for e, v in got] == want
+    np.testing.assert_array_equal(ranking.entity_ids, ids[order])
+    assert list(map(repr, ranking.values.tolist())) == list(map(repr, values[order].tolist()))
+    assert not ranking.entity_ids.flags.writeable and not ranking.values.flags.writeable
+    assert [(e, repr(v)) for e, v in ranking.top(k)] == want  # and once sorted

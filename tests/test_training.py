@@ -104,12 +104,8 @@ class TestSampleNegatives:
         index = build_index(kg)
         gen = substream(3, "negatives")
         triple = tuple(kg.triples[0])
-        heads = 0
         n = 100_000
-        for _ in range(n):
-            (neg,) = sample_negatives(kg, index, triple, 1, gen)
-            if neg[0] != triple[0]:
-                heads += 1
+        heads = sum(neg[0] != triple[0] for neg in sample_negatives(kg, index, triple, n, gen))
         assert 0.49 <= heads / n <= 0.51
 
     def test_singleton_types_error(self):
