@@ -212,9 +212,8 @@ def _scored_groups(model: Model, queries: list[Query], method: str):
         return
     score = naive_traversal_score if method == "naive" else entity_chaining_exact
     for i, q in enumerate(queries):
-        ranking = score(q, model)
-        order = np.argsort(ranking.entity_ids)
-        yield [i], ranking.entity_ids[order], ranking.values[order][None, :]
+        candidates, values = score(q, model).scored
+        yield [i], candidates, values[None, :]
 
 
 def evaluate(model: Model, queries, method: str = "harmonic") -> MetricReport:

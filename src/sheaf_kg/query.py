@@ -151,21 +151,24 @@ def query_sheaf(qg, sheaf: KnowledgeSheaf):
 class Ranking:
     """Candidates ranked ascending by (value, entity index).
 
-    Keeps the candidates (entity ids ascending) and values as scored, and
-    sorts them the first time the order is read (``entity_ids``, ``values``,
-    ``position``, ``value_of``). Until then ``top(k)`` partitions instead.
+    ``scored`` keeps the candidates (entity ids ascending) and values as
+    scored. The sorted order is built the first time it is read
+    (``entity_ids``, ``values``, ``position``, ``value_of``); ``top(k)``
+    partitions instead and never sorts the whole set.
     """
 
     def __init__(self, candidates: np.ndarray, values: np.ndarray):
-        self._ids, self._values, self._sorted = candidates, values, False
+        self.scored = (candidates, values)
+        self._sorted: tuple[np.ndarray, np.ndarray] | None = None
 
     def _order(self) -> tuple[np.ndarray, np.ndarray]:
-        if not self._sorted:
-            order = np.lexsort((self._ids, self._values))
-            self._ids, self._values, self._sorted = self._ids[order], self._values[order], True
-            for a in (self._ids, self._values):
+        if self._sorted is None:
+            ids, values = self.scored
+            order = np.lexsort((ids, values))
+            self._sorted = (ids[order], values[order])
+            for a in self._sorted:
                 a.setflags(write=False)
-        return self._ids, self._values
+        return self._sorted
 
     @property
     def entity_ids(self) -> np.ndarray:
@@ -176,10 +179,10 @@ class Ranking:
         return self._order()[1]
 
     def __len__(self) -> int:
-        return len(self._ids)
+        return len(self.scored[0])
 
     def __contains__(self, entity) -> bool:
-        return bool(np.any(self._ids == int(entity)))
+        return bool(np.any(self.scored[0] == int(entity)))
 
     def position(self, entity: int) -> int:
         """0-based position of an entity in the sorted order."""
@@ -193,17 +196,15 @@ class Ranking:
 
     def top(self, k: int) -> list[tuple[int, float]]:
         """The first ``k`` (entity, value) pairs of the sorted order."""
+        k = min(k, len(self))
         if k <= 0:
             return []
-        if self._sorted or k >= len(self):
-            ids, values = (a[:k] for a in self._order())
-        else:
-            # every candidate not strictly after the k-th value; NaN compares false, so it stays in
-            kth = np.partition(self._values, k - 1)[k - 1]
-            cut = np.flatnonzero(~(self._values > kth))
-            cut = cut[np.lexsort((self._ids[cut], self._values[cut]))[:k]]
-            ids, values = self._ids[cut], self._values[cut]
-        return list(zip(ids.tolist(), values.tolist()))
+        ids, values = self.scored
+        # every candidate not strictly after the k-th value; NaN compares false, so it stays in
+        kth = np.partition(values, k - 1)[k - 1]
+        cut = np.flatnonzero(~(values > kth))
+        cut = cut[np.lexsort((ids[cut], values[cut]))[:k]]
+        return list(zip(ids[cut].tolist(), values[cut].tolist()))
 
 
 def ranking_from_scores(candidates: np.ndarray, values: np.ndarray) -> Ranking:
