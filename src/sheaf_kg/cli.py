@@ -50,9 +50,12 @@ def _read_input(read, *args):
 
 def _parse_seeds(text: str) -> list[int]:
     try:
-        return [int(s) for s in text.split(",") if s.strip() != ""]
+        seeds = [int(s) for s in text.split(",") if s.strip() != ""]
     except ValueError:
+        seeds = []
+    if not seeds:
         raise click.UsageError(f"--seeds must be comma-separated integers, got {text!r}")
+    return seeds
 
 
 def _load_settings(config_path, **flag_overrides):
@@ -66,42 +69,37 @@ def _load_settings(config_path, **flag_overrides):
 
 
 def _load_kg(settings, train_path, valid_path, test_path, type_path):
-    for label, p in (("train", train_path), ("valid", valid_path), ("test", test_path)):
+    paths = (train_path, valid_path, test_path)
+    for label, p in zip(kgdata.SPLITS, paths):
         if p is not None and not Path(p).exists():
             _fail(f"{label} file not found: {p}", 2)
-    entity_dim, relation_dim = settings.values["entity_dim"], settings.values["relation_dim"]
-    labels = None
-    if type_path:
-        labels = kgdata.read_type_labels(type_path)
-        schema = _infer_relation_typing(
-            labels, entity_dim, relation_dim, train_path, valid_path, test_path
-        )
-    else:
-        relations = kgdata.scan_relation_names(train_path, valid_path, test_path)
-        schema = kgdata.default_schema(
-            len(relations), entity_dim, relation_dim, relation_names=relations
-        )
-    return kgdata.load_dataset(schema, train_path, valid_path, test_path, labels)
+    labels = kgdata.read_type_labels(type_path) if type_path else None
+    dims = settings.values["entity_dim"], settings.values["relation_dim"]
+    schema = _infer_relation_typing(labels, *dims, *paths)
+    return kgdata.load_dataset(schema, *paths, labels)
 
 
 def _infer_relation_typing(labels, entity_dim, relation_dim, *paths) -> kgdata.Schema:
-    """Multi-type schema read from the triple files in one pass.
+    """Schema read from the triple files in one pass.
 
-    Entity types come from the type-file ``labels`` and relations from the
-    files, both in order of first appearance; each relation takes its head
-    and tail types from its first triple.
+    Entity types come from the type-file ``labels``, or are the single type
+    ``entity`` when ``labels`` is None. Relations come from the files; both
+    are in order of first appearance. Each relation takes its head and tail
+    types from its first triple.
     """
-    type_index = {name: i for i, name in enumerate(dict.fromkeys(labels.values()))}
+    type_names = ("entity",) if labels is None else dict.fromkeys(labels.values())
+    type_index = {name: i for i, name in enumerate(type_names)}
     typing: dict[str, tuple[int, int]] = {}
     for path in paths:
         if path is None:
             continue
         for lineno, (h, rel, t) in kgdata.tsv_rows(path, 3):
-            for name in (h, t):
-                if name not in labels:
-                    raise SchemaError(f"{path}:{lineno}: entity {name!r} has no type-file entry")
+            if labels is not None:
+                for name in (h, t):
+                    if name not in labels:
+                        raise SchemaError(f"{path}:{lineno}: entity {name!r} has no type-file entry")
             if rel not in typing:
-                typing[rel] = (type_index[labels[h]], type_index[labels[t]])
+                typing[rel] = (0, 0) if labels is None else (type_index[labels[h]], type_index[labels[t]])
     return kgdata.Schema(
         entity_types=tuple(type_index),
         relation_types=tuple(typing),
@@ -152,20 +150,24 @@ def _with_flags(flags):
 @click.option("--valid", "valid_path", type=click.Path(), default=None)
 @click.option("--test", "test_path", type=click.Path(), default=None)
 @click.option("--type-file", "type_path", type=click.Path(), default=None)
-@click.option("--seeds", default="0", help="comma-separated seed list; one checkpoint each")
+@click.option("--seeds", default=None,
+              help="comma-separated seed list; one checkpoint each (default: the seed setting)")
 @click.option("--out", "out_dir", type=click.Path(), required=True)
 def cmd_train(config_path, train_path, valid_path, test_path, type_path, seeds, out_dir, **flags):
     """Train one model per seed and write checkpoints plus a report."""
     settings = _load_settings(config_path, **flags)
-    seed_list = _parse_seeds(seeds)
+    seed_list = [settings.values["seed"]] if seeds is None else _parse_seeds(seeds)
     logger.info("resolved config: %s seeds=%s", settings.describe(), seed_list)
     try:
         kg = _read_input(_load_kg, settings, train_path, valid_path, test_path, type_path)
         out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
         lines = []
         for seed in seed_list:
-            model = init_for_kg(settings.model_config(), kg, seed)
+            try:
+                model = init_for_kg(settings.model_config(), kg, seed)
+            except ConfigError as exc:  # a setting the graph cannot take
+                _fail(str(exc), 2)
+            out.mkdir(parents=True, exist_ok=True)
             model, report = train(kg, settings.train_config(seed), model)
             prefix = out / f"model_seed{seed}"
             ckpt.save_model(model, prefix)

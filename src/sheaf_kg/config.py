@@ -1,41 +1,38 @@
 """Flat key=value experiment configuration with CLI overrides.
 
-Config files hold one ``key=value`` per line; ``#`` starts a comment. Every
-key has a matching CLI flag that takes precedence. Per-relation constraint
-overrides use ``constraint.<relation>=<kind>``.
+The keys are the fields of ``ModelConfig`` and ``TrainConfig`` (a name in
+both, such as ``margin``, is one key); each takes its default from its
+dataclass and its parse type from the field's annotation. Config files hold
+one ``key=value`` per line; ``#`` starts a comment. Every key except
+``seed`` has a ``sheaf-kg train`` flag that takes precedence; ``seed`` is
+set by ``--seeds``. Per-relation constraint overrides use
+``constraint.<relation>=<kind>``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .errors import ConfigError
 from .kgdata import text_lines
 from .model import ModelConfig
 from .training import TrainConfig
 
-_INT_KEYS = ("epochs", "batch_size", "negatives_per_positive", "sections",
-             "entity_dim", "relation_dim", "seed")
-_FLOAT_KEYS = ("learning_rate", "margin", "alpha", "max_entity_norm")
-_STR_KEYS = ("variant", "optimizer", "constraint")
-VALID_KEYS = (*_INT_KEYS, *_FLOAT_KEYS, *_STR_KEYS)
-
-DEFAULTS = {
-    "variant": "shv",
-    "epochs": 100,
-    "batch_size": 512,
-    "learning_rate": 0.1,
-    "negatives_per_positive": 1,
-    "margin": 1.0,
-    "alpha": 0.0,
-    "sections": 1,
-    "entity_dim": 32,
-    "relation_dim": 32,
-    "optimizer": "adagrad",
-    "constraint": "free",
-    "seed": 0,
-    "max_entity_norm": None,  # no cap on entity column norms
+# annotation (a string under postponed evaluation) -> parser of a config-file value
+_PARSERS = {"int": int, "float": float, "float | None": float, "str": str}
+_FIELDS = {
+    f.name: f
+    for config in (ModelConfig, TrainConfig)
+    for f in fields(config)
+    if f.name != "constraint_overrides"
 }
+_PARSE = {name: _PARSERS[f.type] for name, f in _FIELDS.items()}  # KeyError: unparsed annotation
+VALID_KEYS = tuple(_FIELDS)
+
+
+def _config(cls, values: dict, **extra):
+    """``cls`` built from the entries of ``values`` named by its fields."""
+    return cls(**{f.name: values[f.name] for f in fields(cls) if f.name in values}, **extra)
 
 
 @dataclass
@@ -44,31 +41,10 @@ class Settings:
     constraint_overrides: dict[str, str]
 
     def model_config(self) -> ModelConfig:
-        v = self.values
-        return ModelConfig(
-            variant=v["variant"],
-            sections=v["sections"],
-            alpha=v["alpha"],
-            margin=v["margin"],
-            entity_dim=v["entity_dim"],
-            relation_dim=v["relation_dim"],
-            constraint=v["constraint"],
-            constraint_overrides=dict(self.constraint_overrides),
-        )
+        return _config(ModelConfig, self.values, constraint_overrides=dict(self.constraint_overrides))
 
     def train_config(self, seed: int | None = None) -> TrainConfig:
-        v = self.values
-        return TrainConfig(
-            epochs=v["epochs"],
-            batch_size=v["batch_size"],
-            learning_rate=v["learning_rate"],
-            negatives_per_positive=v["negatives_per_positive"],
-            margin=v["margin"],
-            alpha=v["alpha"],
-            seed=v["seed"] if seed is None else seed,
-            optimizer=v["optimizer"],
-            max_entity_norm=v["max_entity_norm"],
-        )
+        return _config(TrainConfig, self.values if seed is None else {**self.values, "seed": seed})
 
     def describe(self) -> str:
         parts = [f"{k}={self.values[k]}" for k in sorted(self.values)]
@@ -91,7 +67,7 @@ def read_config_file(path) -> dict[str, str]:
 
 def build_settings(file_values: dict[str, str] | None = None, overrides: dict | None = None) -> Settings:
     """Merge defaults, config-file values, and CLI overrides (strongest last)."""
-    values = dict(DEFAULTS)
+    values = {name: f.default for name, f in _FIELDS.items()}
     constraint_overrides: dict[str, str] = {}
     for key, value in (file_values or {}).items():
         if key.startswith("constraint."):
@@ -102,7 +78,7 @@ def build_settings(file_values: dict[str, str] | None = None, overrides: dict | 
                 f"invalid config key {key!r}; valid keys: {', '.join(VALID_KEYS)} "
                 "and constraint.<relation>"
             )
-        parse = int if key in _INT_KEYS else float if key in _FLOAT_KEYS else str
+        parse = _PARSE[key]
         try:
             values[key] = parse(value)
         except ValueError:

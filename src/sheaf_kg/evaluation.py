@@ -170,9 +170,9 @@ def build_easy_queries(
         for i, (head_v, slot, tail_v) in enumerate(edges[1:], start=1):
             rel[slot] = r = int(rng.integers(0, kg.schema.n_relations))
             if head_v in at:
-                new_v, choices = tail_v, sorted(pool_index.tails(at[head_v], r))
+                new_v, choices = tail_v, pool_index.tails(at[head_v], r)
             else:
-                new_v, choices = head_v, sorted(pool_index.heads(at[tail_v], r))
+                new_v, choices = head_v, pool_index.heads(at[tail_v], r)
             if not choices:
                 return None
             at[new_v] = int(choices[rng.integers(0, len(choices))])

@@ -85,26 +85,16 @@ class Schema:
         return self.vertex_dim[self.tail_type[r]]
 
 
-def default_schema(
-    n_relations: int,
-    entity_dim: int,
-    relation_dim: int,
-    relation_names: tuple[str, ...] | None = None,
-) -> Schema:
-    """Single-entity-type schema with uniform dimensions.
+def default_schema(n_relations: int, entity_dim: int, relation_dim: int) -> Schema:
+    """Single-entity-type schema with uniform dimensions and relations ``r0..r{n-1}``.
 
-    Every relation maps the sole type to itself. When ``relation_names`` is
-    omitted, placeholder names ``r0..r{n-1}`` are generated.
+    Every relation maps the sole type to itself.
     """
     if entity_dim < 1 or relation_dim < 1:
         raise SchemaError("dimensions must be >= 1")
-    if relation_names is None:
-        relation_names = tuple(f"r{i}" for i in range(n_relations))
-    if len(relation_names) != n_relations:
-        raise SchemaError("relation_names length must equal n_relations")
     return Schema(
         entity_types=("entity",),
-        relation_types=tuple(relation_names),
+        relation_types=tuple(f"r{i}" for i in range(n_relations)),
         head_type=(0,) * n_relations,
         tail_type=(0,) * n_relations,
         vertex_dim=(entity_dim,),
@@ -213,11 +203,11 @@ class KnowledgeGraph:
 
 @dataclass(frozen=True)
 class TripleIndex:
-    """A fixed triple set: sorted int64 keys for batch membership; sets built on first use.
+    """A fixed triple set: sorted int64 keys for batch membership; lookups built on first use.
 
     Triple ``(h, r, t)`` has key ``(h * n_relations + r) * n_entities + t``.
     ``contains`` answers for a whole array of rows; ``in``, ``tails`` and
-    ``heads`` answer for one triple from Python sets derived from the keys.
+    ``heads`` answer for one triple from tables derived from the keys.
     """
 
     rows: np.ndarray  # (n, 3) int64 unique triples in key order
@@ -237,18 +227,24 @@ class TripleIndex:
         return frozenset(map(tuple, self.rows.tolist()))
 
     @cached_property
-    def by_head_relation(self) -> dict[tuple[int, int], frozenset[int]]:
-        return _adjacency(self.rows, 0, 2)
+    def by_head_relation(self) -> dict[int, tuple[int, ...]]:
+        """The ascending tails of each ``h * n_relations + r`` that has any."""
+        return _runs(self.keys, self.n_entities)
 
     @cached_property
-    def by_tail_relation(self) -> dict[tuple[int, int], frozenset[int]]:
-        return _adjacency(self.rows, 2, 0)
+    def by_tail_relation(self) -> dict[int, tuple[int, ...]]:
+        """The ascending heads of each ``t * n_relations + r`` that has any."""
+        h, r, t = self.rows.T
+        swapped = (t * self.n_relations + r) * self.n_entities + h
+        return _runs(swapped[np.argsort(swapped)], self.n_entities)
 
-    def tails(self, h: int, r: int) -> frozenset[int]:
-        return self.by_head_relation.get((h, r), frozenset())
+    def tails(self, h: int, r: int) -> tuple[int, ...]:
+        """Ascending tails of the in-range pair ``(h, r)``."""
+        return self.by_head_relation.get(h * self.n_relations + r, ())
 
-    def heads(self, t: int, r: int) -> frozenset[int]:
-        return self.by_tail_relation.get((t, r), frozenset())
+    def heads(self, t: int, r: int) -> tuple[int, ...]:
+        """Ascending heads of the in-range pair ``(t, r)``."""
+        return self.by_tail_relation.get(t * self.n_relations + r, ())
 
     def __contains__(self, triple) -> bool:
         return tuple(triple) in self.triple_set
@@ -259,12 +255,16 @@ def _triple_keys(rows, n_entities: int, n_relations: int) -> np.ndarray:
     return np.asarray(rows, dtype=np.int64) @ np.array([n_relations * n_entities, n_entities, 1])
 
 
-def _adjacency(rows: np.ndarray, source: int, target: int) -> dict[tuple[int, int], frozenset[int]]:
-    """Map each (source entity, relation) pair of ``rows`` to its target entities."""
-    out: dict[tuple[int, int], set[int]] = {}
-    for row in rows.tolist():
-        out.setdefault((row[source], row[1]), set()).add(row[target])
-    return {k: frozenset(v) for k, v in out.items()}
+def _runs(keys: np.ndarray, n_entities: int) -> dict[int, tuple[int, ...]]:
+    """Map each ``key // n_entities`` of sorted ``keys`` to its run's ``key % n_entities``."""
+    groups, members = np.divmod(keys, n_entities)
+    starts = np.flatnonzero(np.diff(groups, prepend=-1))
+    bounds = np.append(starts, len(keys)).tolist()
+    members = members.tolist()
+    return {
+        group: tuple(members[a:b])
+        for group, a, b in zip(groups[starts].tolist(), bounds, bounds[1:])
+    }
 
 
 def build_index(kg: KnowledgeGraph, splits: tuple[str, ...] = SPLITS) -> TripleIndex:
@@ -406,20 +406,6 @@ def load_dataset(
             len(vocab) - n_train_entities,
         )
     return assemble_kg(schema, vocab, fragments)
-
-
-def scan_relation_names(*paths) -> tuple[str, ...]:
-    """Collect relation names from triple files in order of first appearance."""
-    names: list[str] = []
-    seen: set[str] = set()
-    for path in paths:
-        if path is None:
-            continue
-        for _, (_, rel_name, _) in tsv_rows(path, 3):
-            if rel_name not in seen:
-                seen.add(rel_name)
-                names.append(rel_name)
-    return tuple(names)
 
 
 def write_triples(kg: KnowledgeGraph, path, split: str) -> None:

@@ -196,6 +196,56 @@ class TestTrain:
         with pytest.raises(TripleParseError, match=":2:"):
             _infer_relation_typing(labels, 4, 4, tmp_path / "t.tsv")
 
+    def test_untyped_schema_lists_relations_in_first_appearance_order(self, tmp_path):
+        from dataclasses import replace
+
+        from sheaf_kg.cli import _infer_relation_typing
+        from sheaf_kg.kgdata import default_schema
+
+        (tmp_path / "a.tsv").write_text("a\tlikes\tb\nb\thates\ta\n", encoding="utf-8")
+        (tmp_path / "b.tsv").write_text("a\tknows\tb\na\tlikes\tb\n", encoding="utf-8")
+        schema = _infer_relation_typing(None, 4, 3, tmp_path / "a.tsv", None, tmp_path / "b.tsv")
+        assert schema.relation_types == ("likes", "hates", "knows")
+        assert schema == replace(default_schema(3, 4, 3), relation_types=schema.relation_types)
+
+    def test_config_seed_names_the_checkpoint(self, runner, tmp_path, caplog):
+        import logging
+
+        (tmp_path / "t.tsv").write_text("a\tr\tb\nb\tr\ta\n", encoding="utf-8")
+        (tmp_path / "s.cfg").write_text("seed=3\nepochs=1\nentity_dim=2\nrelation_dim=2\n",
+                                        encoding="utf-8")
+        with caplog.at_level(logging.INFO):
+            res = run_cli(runner, [
+                "train", "--config", str(tmp_path / "s.cfg"), "--train", str(tmp_path / "t.tsv"),
+                "--out", str(tmp_path / "o"),
+            ])
+        assert res.exit_code == 0, res.output
+        assert sorted(p.name for p in (tmp_path / "o").glob("*.manifest")) == ["model_seed3.manifest"]
+        assert any("seed=3" in rec.message and "seeds=[3]" in rec.message for rec in caplog.records)
+
+    @pytest.mark.parametrize("seeds", ["", ",", "1,x"])
+    def test_bad_seed_list_exits_2(self, runner, tmp_path, seeds):
+        (tmp_path / "t.tsv").write_text("a\tr\tb\n", encoding="utf-8")
+        res = runner.invoke(main, [
+            "train", "--train", str(tmp_path / "t.tsv"), "--seeds", seeds, "--out", str(tmp_path / "o"),
+        ])
+        assert res.exit_code == 2
+        assert "--seeds" in res.output
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("args, message", [
+        (["--constraint", "identity", "--entity-dim", "3", "--relation-dim", "2"], "identity"),
+        (["--config", "override.cfg"], "unknown relations: ['s']"),
+    ])
+    def test_model_init_config_error_exits_2(self, runner, tmp_path, monkeypatch, args, message):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "t.tsv").write_text("a\tr\tb\n", encoding="utf-8")
+        (tmp_path / "override.cfg").write_text("constraint.s=orthogonal\n", encoding="utf-8")
+        res = run_cli(runner, ["train", "--train", "t.tsv", "--epochs", "1", *args, "--out", "o"])
+        assert res.exit_code == 2
+        assert "error:" in res.output and message in res.output
+        assert not (tmp_path / "o").exists()
+
     def test_logs_resolved_config(self, runner, tmp_path, caplog):
         (tmp_path / "t.tsv").write_text("a\tr\tb\nb\tr\ta\na\tr\ta\n", encoding="utf-8")
         import logging
@@ -209,6 +259,42 @@ class TestTrain:
         assert res.exit_code == 0
         assert any("resolved config" in rec.message for rec in caplog.records)
         assert any("epochs=1" in rec.message for rec in caplog.records)
+
+
+class TestConfigKeys:
+    def test_defaults_are_the_dataclass_defaults(self):
+        from sheaf_kg.config import build_settings
+        from sheaf_kg.model import ModelConfig
+        from sheaf_kg.training import TrainConfig
+
+        assert build_settings().model_config() == ModelConfig()
+        assert build_settings().train_config() == TrainConfig()
+
+    def test_every_key_but_seed_is_a_train_flag(self):
+        from sheaf_kg.cli import cmd_train
+        from sheaf_kg.config import VALID_KEYS
+
+        assert len(VALID_KEYS) == 14
+        destinations = {param.name for param in cmd_train.params}
+        assert set(VALID_KEYS) - destinations == {"seed"}
+        assert "seeds" in destinations
+
+    def test_float_key_parses_an_integer_literal(self):
+        from sheaf_kg.config import build_settings
+
+        settings = build_settings({"alpha": "1", "max_entity_norm": "2"})
+        assert type(settings.model_config().alpha) is float and settings.model_config().alpha == 1.0
+        assert type(settings.train_config().max_entity_norm) is float
+
+    def test_fractional_int_key_exits_2(self, runner, tmp_path):
+        (tmp_path / "t.tsv").write_text("a\tr\tb\n", encoding="utf-8")
+        (tmp_path / "bad.cfg").write_text("epochs=1.5\n", encoding="utf-8")
+        res = run_cli(runner, [
+            "train", "--config", str(tmp_path / "bad.cfg"), "--train", str(tmp_path / "t.tsv"),
+            "--out", str(tmp_path / "o"),
+        ])
+        assert res.exit_code == 2
+        assert "invalid epochs='1.5': expected int" in res.output
 
 
 class TestMaxEntityNorm:

@@ -16,7 +16,6 @@ from sheaf_kg.kgdata import (
     load_dataset,
     load_triples,
     read_type_labels,
-    scan_relation_names,
     write_triples,
 )
 
@@ -28,8 +27,8 @@ def write(path, text):
 
 class TestLoadTriples:
     def test_minimal_file(self, tmp_path):
-        path = write(tmp_path / "t.tsv", "a\tlikes\tb\n")
-        schema = default_schema(1, 4, 4, relation_names=("likes",))
+        path = write(tmp_path / "t.tsv", "a\tr0\tb\n")
+        schema = default_schema(1, 4, 4)
         vocab = VocabBuilder()
         triples = load_triples(path, schema, "train", vocab)
         assert triples == [(0, 0, 1)]
@@ -43,15 +42,15 @@ class TestLoadTriples:
         assert len(vocab) == 0
 
     def test_malformed_line_reports_line_number(self, tmp_path):
-        path = write(tmp_path / "t.tsv", "a\tlikes\n")
-        schema = default_schema(1, 4, 4, relation_names=("likes",))
+        path = write(tmp_path / "t.tsv", "a\tr0\n")
+        schema = default_schema(1, 4, 4)
         with pytest.raises(TripleParseError) as err:
             load_triples(path, schema, "train", VocabBuilder())
         assert err.value.line_number == 1
 
     def test_unknown_relation_is_schema_error(self, tmp_path):
         path = write(tmp_path / "t.tsv", "a\thates\tb\n")
-        schema = default_schema(1, 4, 4, relation_names=("likes",))
+        schema = default_schema(1, 4, 4)
         with pytest.raises(SchemaError):
             load_triples(path, schema, "train", VocabBuilder())
 
@@ -122,18 +121,18 @@ class TestTripleIndex:
 
     def test_single_triple(self):
         index = build_index(self._kg([(0, 0, 1)]))
-        assert index.tails(0, 0) == {1}
-        assert index.heads(1, 0) == {0}
+        assert index.tails(0, 0) == (1,)
+        assert index.heads(1, 0) == (0,)
         assert (0, 0, 1) in index
 
     def test_empty(self):
         index = build_index(self._kg([]))
-        assert index.tails(0, 0) == frozenset()
+        assert index.tails(0, 0) == ()
         assert (0, 0, 1) not in index
 
     def test_multiple_tails(self):
         index = build_index(self._kg([(0, 0, 1), (0, 0, 2)]))
-        assert index.tails(0, 0) == {1, 2}
+        assert index.tails(0, 0) == (1, 2)
 
     def test_membership_matches_scan_on_large_graph(self, rng):
         n, m = 300, 10_000
@@ -163,9 +162,10 @@ class TestTripleIndex:
         triples = list(dict.fromkeys(triples))
         kg = self._kg(triples, n_entities=6, n_relations=3)
         index = build_index(kg)
-        for h in range(6):
+        for e in range(6):
             for r in range(3):
-                assert index.tails(h, r) == {t for hh, rr, t in triples if hh == h and rr == r}
+                assert index.tails(e, r) == tuple(sorted(t for h, rr, t in triples if h == e and rr == r))
+                assert index.heads(e, r) == tuple(sorted(h for h, rr, t in triples if t == e and rr == r))
 
 
 class TestAssembly:
@@ -208,8 +208,3 @@ class TestAssembly:
         path = write(tmp_path / "t.tsv", "z\tr0\ta\na\tr0\tz\nb\tr0\tz\n")
         kg = load_dataset(default_schema(1, 2, 2), path)
         assert kg.entities == ("z", "a", "b")
-
-    def test_scan_relation_names(self, tmp_path):
-        p1 = write(tmp_path / "a.tsv", "a\tlikes\tb\nb\thates\ta\n")
-        p2 = write(tmp_path / "b.tsv", "a\tknows\tb\na\tlikes\tb\n")
-        assert scan_relation_names(p1, p2) == ("likes", "hates", "knows")
