@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import CheckpointError
+from .errors import CheckpointError, ConfigError
 from .kgdata import Schema
 from .model import CONSTRAINTS, VARIANTS, KnowledgeSheaf, Model, SectionMatrix
 
@@ -148,12 +148,19 @@ def save_model(model: Model, prefix) -> None:
 
 
 def load_model(prefix) -> Model:
-    """Read a checkpoint pair back into a Model, verifying integrity."""
+    """Read a checkpoint pair back into a Model, verifying integrity and constraint tags."""
     mpath, tpath = manifest_path(prefix), tensor_path(prefix)
-    if not mpath.exists():
-        raise CheckpointError(f"missing manifest file {mpath}")
-    if not tpath.exists():
-        raise CheckpointError(f"missing tensor file {tpath}")
+    try:
+        model = _read_model(mpath, tpath)
+        model.sheaf.check_constraints()
+    except OSError as exc:
+        raise CheckpointError(f"{exc.filename}: {exc.strerror}") from None
+    except ConfigError as exc:  # a tag its maps do not satisfy
+        raise CheckpointError(f"{tpath}: {exc}") from None
+    return model
+
+
+def _read_model(mpath: Path, tpath: Path) -> Model:
     reader = _ManifestReader(mpath)
     fmt = reader.take("format")
     if fmt != FORMAT:

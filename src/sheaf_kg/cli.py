@@ -1,6 +1,11 @@
 """Command-line pipeline: synth, train, eval, query, inspect.
 
 Exit codes: 0 success, 1 runtime/numeric failure, 2 usage or input error.
+The group's ``invoke`` is the one error boundary: it prints ``error: ...``
+for a ``SheafKGError`` or ``OSError`` and exits 2 for the input errors
+(``ConfigError``, ``QueryError``, ``SchemaError``, ``TripleParseError``,
+``ValidationError``), 1 for the rest (checkpoint, sampling, training-abort
+and file-write errors).
 Every run logs the fully resolved configuration so results are reproducible
 from the log alone.
 """
@@ -18,7 +23,7 @@ import numpy as np
 from . import checkpoint as ckpt
 from . import evaluation, kgdata, synth
 from .config import build_settings, read_config_file
-from .errors import ConfigError, SchemaError, SheafKGError
+from .errors import INPUT_ERRORS, SchemaError, SheafKGError, ValidationError
 from .model import init_for_kg, relation_discrepancy
 from .query import STRUCTURES, Query, answer_query, read_queries, write_queries
 from .seeds import substream
@@ -35,17 +40,14 @@ def _setup_logging():
     )
 
 
-def _fail(message: str, code: int = 1):
-    click.echo(f"error: {message}", err=True)
-    sys.exit(code)
-
-
-def _read_input(read, *args):
-    """Call a reader of a user-supplied data file; what it rejects is an input error (exit 2)."""
-    try:
-        return read(*args)
-    except SheafKGError as exc:
-        _fail(str(exc), 2)
+class _Main(click.Group):
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except (SheafKGError, OSError) as exc:
+            named = isinstance(exc, OSError) and exc.filename is not None
+            click.echo(f"error: {exc.filename}: {exc.strerror}" if named else f"error: {exc}", err=True)
+            ctx.exit(2 if isinstance(exc, INPUT_ERRORS) else 1)
 
 
 def _parse_seeds(text: str) -> list[int]:
@@ -59,20 +61,12 @@ def _parse_seeds(text: str) -> list[int]:
 
 
 def _load_settings(config_path, **flag_overrides):
-    if config_path is not None and not Path(config_path).exists():
-        _fail(f"config file not found: {config_path}", 2)
-    try:
-        file_values = None if config_path is None else read_config_file(config_path)
-        return build_settings(file_values, flag_overrides)
-    except ConfigError as exc:
-        _fail(str(exc), 2)
+    file_values = None if config_path is None else read_config_file(config_path)
+    return build_settings(file_values, flag_overrides)
 
 
 def _load_kg(settings, train_path, valid_path, test_path, type_path):
     paths = (train_path, valid_path, test_path)
-    for label, p in zip(kgdata.SPLITS, paths):
-        if p is not None and not Path(p).exists():
-            _fail(f"{label} file not found: {p}", 2)
     labels = kgdata.read_type_labels(type_path) if type_path else None
     dims = settings.values["entity_dim"], settings.values["relation_dim"]
     schema = _infer_relation_typing(labels, *dims, *paths)
@@ -110,7 +104,7 @@ def _infer_relation_typing(labels, entity_dim, relation_dim, *paths) -> kgdata.S
     )
 
 
-@click.group()
+@click.group(cls=_Main)
 def main():
     """Sheaf-based knowledge graph embedding and complex query answering."""
     _setup_logging()
@@ -158,29 +152,23 @@ def cmd_train(config_path, train_path, valid_path, test_path, type_path, seeds, 
     settings = _load_settings(config_path, **flags)
     seed_list = [settings.values["seed"]] if seeds is None else _parse_seeds(seeds)
     logger.info("resolved config: %s seeds=%s", settings.describe(), seed_list)
-    try:
-        kg = _read_input(_load_kg, settings, train_path, valid_path, test_path, type_path)
-        out = Path(out_dir)
-        lines = []
-        for seed in seed_list:
-            try:
-                model = init_for_kg(settings.model_config(), kg, seed)
-            except ConfigError as exc:  # a setting the graph cannot take
-                _fail(str(exc), 2)
-            out.mkdir(parents=True, exist_ok=True)
-            model, report = train(kg, settings.train_config(seed), model)
-            prefix = out / f"model_seed{seed}"
-            ckpt.save_model(model, prefix)
-            lines.append(
-                f"seed={seed} final_loss={report.epoch_mean_loss[-1]!r} "
-                f"orthogonality={report.epoch_orthogonality[-1]!r} "
-                f"wall_time={report.wall_time:.2f}s checkpoint={prefix}"
-            )
-            logger.info(lines[-1])
-        (out / "train_report.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
-        click.echo("\n".join(lines))
-    except SheafKGError as exc:
-        _fail(str(exc))
+    kg = _load_kg(settings, train_path, valid_path, test_path, type_path)
+    out = Path(out_dir)
+    lines = []
+    for seed in seed_list:
+        model = init_for_kg(settings.model_config(), kg, seed)  # before any output exists
+        out.mkdir(parents=True, exist_ok=True)
+        model, report = train(kg, settings.train_config(seed), model)
+        prefix = out / f"model_seed{seed}"
+        ckpt.save_model(model, prefix)
+        lines.append(
+            f"seed={seed} final_loss={report.epoch_mean_loss[-1]!r} "
+            f"orthogonality={report.epoch_orthogonality[-1]!r} "
+            f"wall_time={report.wall_time:.2f}s checkpoint={prefix}"
+        )
+        logger.info(lines[-1])
+    (out / "train_report.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    click.echo("\n".join(lines))
 
 
 @main.command("eval")
@@ -191,25 +179,20 @@ def cmd_train(config_path, train_path, valid_path, test_path, type_path, seeds, 
 @click.option("--out", "out_path", type=click.Path(), default=None)
 def cmd_eval(checkpoints, queries_path, method, out_path):
     """Evaluate checkpoints on a query file; report MRR and Hits@K per structure."""
-    if not Path(queries_path).exists():
-        _fail(f"query file not found: {queries_path}", 2)
-    try:
-        reports = []
-        counts = None
-        for prefix in checkpoints:
-            model = ckpt.load_model(prefix)
-            queries = _read_input(read_queries, queries_path, model.entity_index(), model.schema)
-            report = evaluation.evaluate(model, queries, method=method)
-            reports.append(report)
-            counts = {tag: report.per_structure[tag].n_queries for tag in report.per_structure}
-            logger.info("evaluated %s on %d queries", prefix, len(queries))
-        aggregated = evaluation.aggregate_reports(reports)
-        click.echo(evaluation.format_report_table(aggregated))
-        if out_path:
-            evaluation.write_report(aggregated, out_path, counts)
-            logger.info("wrote report to %s", out_path)
-    except SheafKGError as exc:
-        _fail(str(exc))
+    reports = []
+    counts = None
+    for prefix in checkpoints:
+        model = ckpt.load_model(prefix)
+        queries = read_queries(queries_path, model.entity_index(), model.schema)
+        report = evaluation.evaluate(model, queries, method=method)
+        reports.append(report)
+        counts = {tag: report.per_structure[tag].n_queries for tag in report.per_structure}
+        logger.info("evaluated %s on %d queries", prefix, len(queries))
+    aggregated = evaluation.aggregate_reports(reports)
+    click.echo(evaluation.format_report_table(aggregated))
+    if out_path:
+        evaluation.write_report(aggregated, out_path, counts)
+        logger.info("wrote report to %s", out_path)
 
 
 def _resolve_names(names, table, kind):
@@ -231,18 +214,15 @@ def _resolve_names(names, table, kind):
 @click.option("--top-k", "top_k", type=click.IntRange(min=1), default=10)
 def cmd_query(prefix, structure, anchors, relations, top_k):
     """Answer one query and print the best candidates, ascending by cost."""
-    try:
-        model = ckpt.load_model(prefix)
-        entity_table = model.entity_index()
-        relation_table = {name: i for i, name in enumerate(model.schema.relation_types)}
-        anchor_ids = _resolve_names([a for a in anchors.split(",") if a], entity_table, "entity")
-        relation_ids = _resolve_names([r for r in relations.split(",") if r], relation_table, "relation")
-        query = Query(structure, tuple(anchor_ids), tuple(relation_ids))
-        ranking = answer_query(query, model)
-        for entity, value in ranking.top(top_k):
-            click.echo(f"{model.entities[entity]}\t{value!r}")
-    except SheafKGError as exc:
-        _fail(str(exc))
+    model = ckpt.load_model(prefix)
+    entity_table = model.entity_index()
+    relation_table = {name: i for i, name in enumerate(model.schema.relation_types)}
+    anchor_ids = _resolve_names([a for a in anchors.split(",") if a], entity_table, "entity")
+    relation_ids = _resolve_names([r for r in relations.split(",") if r], relation_table, "relation")
+    query = Query(structure, tuple(anchor_ids), tuple(relation_ids))
+    ranking = answer_query(query, model)
+    for entity, value in ranking.top(top_k):
+        click.echo(f"{model.entities[entity]}\t{value!r}")
 
 
 @main.command("inspect")
@@ -251,43 +231,34 @@ def cmd_query(prefix, structure, anchors, relations, top_k):
               help="triple file for per-relation discrepancy")
 def cmd_inspect(prefix, train_path):
     """Print a checkpoint's variant, shapes, constraints, and parameter norms."""
-    try:
-        model = ckpt.load_model(prefix)
-        variant = "shvt" if model.sheaf.translational else "shv"
-        click.echo(f"variant={variant} sections={model.sections.columns} seed={model.seed}")
-        click.echo(f"entities={model.n_entities} relations={model.schema.n_relations} "
-                   f"entity_types={model.schema.n_entity_types}")
-        for r, name in enumerate(model.schema.relation_types):
-            head, tail = model.sheaf.head_maps[r], model.sheaf.tail_maps[r]
-            line = (
-                f"relation {name}: constraint={model.sheaf.constraints[r]} "
-                f"maps {head.shape[0]}x{head.shape[1]} "
-                f"|head|={np.linalg.norm(head):.4f} |tail|={np.linalg.norm(tail):.4f}"
-            )
-            if model.sheaf.translations is not None:
-                line += f" |translation|={np.linalg.norm(model.sheaf.translations[r]):.4f}"
-            click.echo(line)
-        if train_path:
-            kg = _read_input(kgdata.load_dataset, model.schema, train_path)
-            unknown = set(kg.entities) - set(model.entities)
-            if unknown:
-                _fail(f"training file mentions {len(unknown)} entities absent from the checkpoint", 2)
-            remap = {name: i for i, name in enumerate(model.entities)}
-            rows = np.array(
-                [[remap[kg.entities[h]], r, remap[kg.entities[t]]] for h, r, t in kg.triples],
-                dtype=np.int64,
-            ).reshape(-1, 3)
-            kg = kgdata.KnowledgeGraph(
-                schema=model.schema,
-                entities=model.entities,
-                entity_type=model.entity_type.copy(),
-                triples=rows,
-                split=np.zeros(len(rows), dtype=np.int8),
-            )
-            for name, value in relation_discrepancy(model.sheaf, model.sections, kg).items():
-                click.echo(f"discrepancy {name}\t{value!r}")
-    except SheafKGError as exc:
-        _fail(str(exc))
+    model = ckpt.load_model(prefix)
+    variant = "shvt" if model.sheaf.translational else "shv"
+    click.echo(f"variant={variant} sections={model.sections.columns} seed={model.seed}")
+    click.echo(f"entities={model.n_entities} relations={model.schema.n_relations} "
+               f"entity_types={model.schema.n_entity_types}")
+    for r, name in enumerate(model.schema.relation_types):
+        head, tail = model.sheaf.head_maps[r], model.sheaf.tail_maps[r]
+        line = (
+            f"relation {name}: constraint={model.sheaf.constraints[r]} "
+            f"maps {head.shape[0]}x{head.shape[1]} "
+            f"|head|={np.linalg.norm(head):.4f} |tail|={np.linalg.norm(tail):.4f}"
+        )
+        if model.sheaf.translations is not None:
+            line += f" |translation|={np.linalg.norm(model.sheaf.translations[r]):.4f}"
+        click.echo(line)
+    if train_path:
+        # interned in the checkpoint's own ids, so a new entity makes the vocabulary grow
+        vocab = kgdata.VocabBuilder()
+        for name, type_idx in zip(model.entities, model.entity_type.tolist()):
+            vocab.intern(name, type_idx)
+        labels = {name: model.schema.entity_types[t] for name, t in zip(vocab.names, vocab.types)}
+        triples = kgdata.load_triples(train_path, model.schema, kgdata.TRAIN, vocab, labels)
+        if len(vocab) > model.n_entities:
+            raise ValidationError(f"{train_path}: mentions {len(vocab) - model.n_entities} "
+                                  "entities absent from the checkpoint")
+        kg = kgdata.assemble_kg(model.schema, vocab, {kgdata.TRAIN: triples})
+        for name, value in relation_discrepancy(model.sheaf, model.sections, kg).items():
+            click.echo(f"discrepancy {name}\t{value!r}")
 
 
 @main.command("synth")
@@ -304,34 +275,31 @@ def cmd_inspect(prefix, train_path):
 @click.option("--queries-per-structure", "per_structure", type=int, default=50)
 def cmd_synth(n_entities, n_relations, dim, noise, seed, variant, sections, out_dir, easy, per_structure):
     """Generate a planted-sheaf dataset (triple files + generating checkpoint)."""
-    try:
-        dataset = synth.generate_planted_kg(
-            n_entities, n_relations, dim, noise, seed, variant=variant, sections=sections
-        )
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        for split in kgdata.SPLITS:
-            kgdata.write_triples(dataset.kg, out / f"{split}.tsv", split)
-        ckpt.save_model(dataset.generator, out / "generator")
-        if easy:
-            index = kgdata.build_index(dataset.kg)
-            rng = substream(seed, "queries")
-            queries = []
-            for structure in [s for s in easy.split(",") if s]:
-                queries.extend(
-                    evaluation.build_easy_queries(dataset.kg, index, structure, per_structure, rng)
-                )
-            write_queries(
-                queries, out / "queries.tsv", dataset.kg.entities, dataset.kg.schema.relation_types
+    dataset = synth.generate_planted_kg(
+        n_entities, n_relations, dim, noise, seed, variant=variant, sections=sections
+    )
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    for split in kgdata.SPLITS:
+        kgdata.write_triples(dataset.kg, out / f"{split}.tsv", split)
+    ckpt.save_model(dataset.generator, out / "generator")
+    if easy:
+        index = kgdata.build_index(dataset.kg)
+        rng = substream(seed, "queries")
+        queries = []
+        for structure in [s for s in easy.split(",") if s]:
+            queries.extend(
+                evaluation.build_easy_queries(dataset.kg, index, structure, per_structure, rng)
             )
-            logger.info("wrote %d easy queries", len(queries))
-        counts = {s: int(np.sum(dataset.kg.split_mask(s))) for s in kgdata.SPLITS}
-        click.echo(
-            f"wrote {dataset.kg.n_entities} entities, "
-            f"{counts['train']}/{counts['valid']}/{counts['test']} train/valid/test triples to {out}"
+        write_queries(
+            queries, out / "queries.tsv", dataset.kg.entities, dataset.kg.schema.relation_types
         )
-    except SheafKGError as exc:
-        _fail(str(exc))
+        logger.info("wrote %d easy queries", len(queries))
+    counts = {s: int(np.sum(dataset.kg.split_mask(s))) for s in kgdata.SPLITS}
+    click.echo(
+        f"wrote {dataset.kg.n_entities} entities, "
+        f"{counts['train']}/{counts['valid']}/{counts['test']} train/valid/test triples to {out}"
+    )
 
 
 if __name__ == "__main__":

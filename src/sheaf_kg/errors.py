@@ -60,3 +60,7 @@ class TrainingAbortError(SheafKGError):
         self.epoch = epoch
         self.batch = batch
         self.relation = relation
+
+
+# what a user's input got wrong; the CLI exits 2 for these and 1 for any other error
+INPUT_ERRORS = (ConfigError, QueryError, SchemaError, TripleParseError, ValidationError)

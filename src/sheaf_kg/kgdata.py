@@ -280,7 +280,7 @@ def build_index(kg: KnowledgeGraph, splits: tuple[str, ...] = SPLITS) -> TripleI
 def text_lines(path, error=ValidationError):
     """Yield ``(line number, line)`` for each non-empty line of a UTF-8 text file.
 
-    A file that is not valid UTF-8 raises ``error`` naming the path.
+    A file that cannot be read, or is not valid UTF-8, raises ``error`` naming the path.
     """
     try:
         with open(path, encoding="utf-8") as fh:
@@ -290,6 +290,8 @@ def text_lines(path, error=ValidationError):
                     yield lineno, line
     except UnicodeDecodeError as exc:
         raise error(f"{path}: not UTF-8 text ({exc.reason})") from None
+    except OSError as exc:
+        raise error(f"{path}: {exc.strerror}") from None
 
 
 def tsv_rows(path, n_fields: int):
@@ -304,8 +306,14 @@ def tsv_rows(path, n_fields: int):
 
 
 def read_type_labels(path) -> dict[str, str]:
-    """Read a sidecar ``entity<TAB>type`` file."""
-    return {entity: type_name for _, (entity, type_name) in tsv_rows(path, 2)}
+    """Read a sidecar ``entity<TAB>type`` file; an entity may repeat only with the same type."""
+    labels: dict[str, str] = {}
+    for lineno, (entity, type_name) in tsv_rows(path, 2):
+        if labels.setdefault(entity, type_name) != type_name:
+            raise ValidationError(
+                f"{path}:{lineno}: entity {entity!r} is {type_name!r} here, {labels[entity]!r} earlier"
+            )
+    return labels
 
 
 def load_triples(
@@ -357,27 +365,19 @@ def assemble_kg(
     Duplicate triples (within or across splits) are dropped with a warning;
     the first occurrence, in train -> valid -> test order, wins.
     """
-    seen: set[tuple[int, int, int]] = set()
-    rows: list[tuple[int, int, int]] = []
-    codes: list[int] = []
-    dropped = 0
-    for split in SPLITS:
-        for triple in fragments.get(split, ()):  # preserves file order
-            if triple in seen:
-                dropped += 1
-                continue
-            seen.add(triple)
-            rows.append(triple)
-            codes.append(_SPLIT_CODE[split])
-    if dropped:
-        logger.warning("dropped %d duplicate triple(s) during assembly", dropped)
-    triples = np.asarray(rows, dtype=np.int64).reshape(len(rows), 3)
+    parts = [np.asarray(fragments.get(split, ()), dtype=np.int64).reshape(-1, 3) for split in SPLITS]
+    rows = np.concatenate(parts)
+    codes = np.repeat(np.arange(len(SPLITS), dtype=np.int8), [len(p) for p in parts])
+    _, first = np.unique(_triple_keys(rows, len(vocab), schema.n_relations), return_index=True)
+    first.sort()  # back to split-then-file order
+    if len(first) < len(rows):
+        logger.warning("dropped %d duplicate triple(s) during assembly", len(rows) - len(first))
     return KnowledgeGraph(
         schema=schema,
         entities=tuple(vocab.names),
         entity_type=np.asarray(vocab.types, dtype=np.int64),
-        triples=triples,
-        split=np.asarray(codes, dtype=np.int8),
+        triples=rows[first],
+        split=codes[first],
     )
 
 

@@ -125,24 +125,24 @@ class KnowledgeSheaf:
     def check_constraints(self, tol: float = ORTHOGONALITY_TOL) -> None:
         """Raise unless every constraint tag is actually satisfied."""
         for r, kind in enumerate(self.constraints):
-            head, tail = self.head_maps[r], self.tail_maps[r]
+            head, tail, name = self.head_maps[r], self.tail_maps[r], self.schema.relation_types[r]
             if kind == "shared" and not np.array_equal(head, tail):
-                raise ConfigError(f"relation {r}: shared maps differ")
+                raise ConfigError(f"relation {name!r}: shared maps differ")
             if kind == "antisymmetric" and not np.array_equal(head, -tail):
-                raise ConfigError(f"relation {r}: antisymmetric maps violate head == -tail")
+                raise ConfigError(f"relation {name!r}: antisymmetric maps violate head == -tail")
             if kind == "identity":
                 d = self.schema.edge_dim[r]
                 if head.shape != (d, d) or not (
                     np.array_equal(head, np.eye(d)) and np.array_equal(tail, np.eye(d))
                 ):
-                    raise ConfigError(f"relation {r}: identity maps are not the identity")
+                    raise ConfigError(f"relation {name!r}: identity maps are not the identity")
             if kind == "orthogonal":
                 for m, side in ((head, "head"), (tail, "tail")):
                     gram = m.T @ m
                     err = float(np.linalg.norm(gram - np.eye(m.shape[1])))
                     if err > tol:
                         raise ConfigError(
-                            f"relation {r}: {side} map orthogonality error {err:.2e} > {tol}"
+                            f"relation {name!r}: {side} map orthogonality error {err:.2e} > {tol}"
                         )
 
 

@@ -128,3 +128,33 @@ def test_unused_type_with_huge_vertex_dim_is_checkpoint_error(tmp_path, dim):
                                 catch_exceptions=False)
     assert result.exit_code == 1
     assert "cannot be allocated" in result.output
+
+
+@pytest.mark.parametrize("constraint", ["shared", "antisymmetric", "identity", "orthogonal"])
+def test_constraint_tag_its_maps_break_is_checkpoint_error(tmp_path, constraint):
+    schema = Schema(
+        entity_types=("a",), relation_types=("likes",), head_type=(0,), tail_type=(0,),
+        vertex_dim=(2,), edge_dim=(2,),
+    )
+    entity_type = np.zeros(3, dtype=np.int64)
+    cfg = ModelConfig(variant="shv", entity_dim=2, relation_dim=2, constraint=constraint)
+    sheaf, sections = init_model(cfg, schema, entity_type, seed=0)
+    model = Model(schema, ("e0", "e1", "e2"), entity_type, sheaf, sections)
+    save_model(model, tmp_path / "ok")
+    load_model(tmp_path / "ok")
+    sheaf.head_maps[0][0, 0] += 0.5  # one entry of one map
+    save_model(model, tmp_path / "ck")
+    with pytest.raises(CheckpointError, match=f"relation 'likes': .*{constraint}"):
+        load_model(tmp_path / "ck")
+
+
+def test_missing_checkpoint_file_is_checkpoint_error(tmp_path, saved):
+    manifest, tensors = saved
+    write(tmp_path / "ck", manifest, tensors)
+    tensor_path(tmp_path / "ck").unlink()
+    with pytest.raises(CheckpointError, match=f"{tensor_path(tmp_path / 'ck')}: No such file"):
+        load_model(tmp_path / "ck")
+    manifest_path(tmp_path / "ck").unlink()
+    manifest_path(tmp_path / "ck").mkdir()
+    with pytest.raises(CheckpointError, match=f"{manifest_path(tmp_path / 'ck')}: Is a directory"):
+        load_model(tmp_path / "ck")

@@ -537,6 +537,44 @@ class TestInspect:
         assert res.exit_code == 0
         assert "discrepancy r0" in res.output
 
+    def test_multi_type_discrepancy_uses_the_checkpoint_ids(self, runner, typed):
+        from sheaf_kg.checkpoint import load_model
+        from sheaf_kg.kgdata import KnowledgeGraph
+        from sheaf_kg.model import relation_discrepancy
+
+        prefix = typed / "model_seed0"
+        res = run_cli(runner, ["inspect", "--checkpoint", str(prefix), "--train", str(typed / "t.tsv")])
+        assert res.exit_code == 0, res.output
+        printed = dict(
+            line.removeprefix("discrepancy ").split("\t")
+            for line in res.output.splitlines() if line.startswith("discrepancy ")
+        )
+        model = load_model(prefix)
+        ids = model.entity_index()
+        rows = [
+            [ids[h], model.schema.relation_index(r), ids[t]]
+            for h, r, t in (line.split("\t") for line in (typed / "t.tsv").read_text().splitlines())
+        ]
+        kg = KnowledgeGraph(model.schema, model.entities, model.entity_type.copy(),
+                            np.array(rows, dtype=np.int64), np.zeros(len(rows), dtype=np.int8))
+        expected = relation_discrepancy(model.sheaf, model.sections, kg)
+        assert list(expected) == ["lives_in", "has", "owned_by"]
+        assert {name: float(value) for name, value in printed.items()} == expected
+
+    @pytest.mark.parametrize("types", ["one", "three"])
+    def test_entity_absent_from_checkpoint_exits_2(self, runner, workspace, typed, tmp_path, types):
+        if types == "one":
+            prefix = workspace / "ckpt" / "model_seed1"
+            known = (workspace / "data" / "train.tsv").read_text(encoding="utf-8").split("\t", 1)[0]
+            line = f"{known}\tr0\tstranger\n"
+        else:
+            prefix, line = typed / "model_seed0", "ann\tlives_in\tstranger\n"
+        (tmp_path / "t.tsv").write_text(line, encoding="utf-8")
+        res = run_cli(runner, ["inspect", "--checkpoint", str(prefix), "--train", str(tmp_path / "t.tsv")])
+        assert res.exit_code == 2, res.output
+        assert f"error: {tmp_path / 't.tsv'}" in res.output
+        assert "Traceback" not in res.output
+
     @pytest.mark.parametrize("dim", [2**62, 2**40 + 1])
     def test_corrupt_tensor_header_exits_1_without_traceback(self, runner, workspace, tmp_path, dim):
         import shutil
@@ -549,6 +587,110 @@ class TestInspect:
         res = run_cli(runner, ["inspect", "--checkpoint", str(prefix)])
         assert res.exit_code == 1
         assert f"error: {prefix}.tensors: entity tensor 0 has header" in res.output
+        assert "Traceback" not in res.output
+
+
+@pytest.fixture(scope="module")
+def typed(tmp_path_factory):
+    """A shv checkpoint ``model_seed0`` of three entity types, beside its triple and type files."""
+    root = tmp_path_factory.mktemp("typed")
+    (root / "t.tsv").write_text(
+        "ann\tlives_in\toslo\nbob\tlives_in\trome\noslo\thas\tpiano\nrome\thas\tlute\n"
+        "piano\towned_by\tann\nlute\towned_by\tbob\n",
+        encoding="utf-8",
+    )
+    (root / "types.tsv").write_text(
+        "ann\tperson\nbob\tperson\noslo\tcity\nrome\tcity\npiano\tthing\nlute\tthing\n",
+        encoding="utf-8",
+    )
+    res = run_cli(CliRunner(), [
+        "train", "--train", str(root / "t.tsv"), "--type-file", str(root / "types.tsv"),
+        "--variant", "shv", "--epochs", "2", "--entity-dim", "2", "--relation-dim", "2",
+        "--seeds", "0", "--out", str(root),
+    ])
+    assert res.exit_code == 0, res.output
+    return root
+
+
+class TestErrorBoundary:
+    @pytest.mark.parametrize("kind", ["missing", "directory"])
+    @pytest.mark.parametrize("command, flag", [
+        ("train", "--train"), ("train", "--valid"), ("train", "--test"), ("train", "--type-file"),
+        ("train", "--config"), ("eval", "--queries"), ("inspect", "--train"),
+    ])
+    def test_unreadable_input_exits_2(self, runner, workspace, tmp_path, command, flag, kind):
+        bad = tmp_path / "bad"
+        if kind == "directory":
+            bad.mkdir()
+        data, prefix = workspace / "data", str(workspace / "ckpt" / "model_seed1")
+        args = {
+            "train": ["train", "--train", str(data / "train.tsv"), "--out", str(tmp_path / "o")],
+            "eval": ["eval", "--checkpoint", prefix, "--queries", str(data / "queries.tsv")],
+            "inspect": ["inspect", "--checkpoint", prefix, "--train", str(data / "train.tsv")],
+        }[command]
+        res = run_cli(runner, [*args, flag, str(bad)])  # a repeated flag's last value wins
+        assert res.exit_code == 2, res.output
+        assert f"error: {bad}: " in res.output
+        assert "Traceback" not in res.output
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    def test_unwritable_output_exits_1(self, runner, workspace, tmp_path, command):
+        data = workspace / "data"
+        if command == "train":
+            out = tmp_path / "a_file"
+            out.write_text("", encoding="utf-8")
+            args = ["train", "--train", str(data / "train.tsv"), "--epochs", "1"]
+        else:
+            out = tmp_path / "a_directory"
+            out.mkdir()
+            args = ["eval", "--checkpoint", str(workspace / "ckpt" / "model_seed1"),
+                    "--queries", str(data / "queries.tsv")]
+        res = run_cli(runner, [*args, "--out", str(out)])
+        assert res.exit_code == 1, res.output
+        assert f"error: {out}: " in res.output
+        assert "Traceback" not in res.output
+
+    @pytest.mark.parametrize("case, message", [
+        ("2i with one anchor", "2i queries take 2 anchor(s)"),
+        ("type-inconsistent query", "type-inconsistent"),
+        ("synth with one entity", "need at least 2 entities"),
+        ("empty train file", "training split is empty"),
+        ("naive eval of shv", "naive traversal needs a translational model"),
+    ])
+    def test_input_error_exits_2(self, runner, workspace, typed, tmp_path, case, message):
+        plain, shv = str(workspace / "ckpt" / "model_seed1"), str(typed / "model_seed0")
+        entity = (workspace / "data" / "train.tsv").read_text(encoding="utf-8").split("\t", 1)[0]
+        (tmp_path / "empty.tsv").write_text("", encoding="utf-8")
+        (tmp_path / "q.tsv").write_text("1p\tann\tlives_in\toslo\n", encoding="utf-8")
+        args = {
+            "2i with one anchor": ["query", "--checkpoint", plain, "--structure", "2i",
+                                   "--anchors", entity, "--relations", "r0,r1"],
+            "type-inconsistent query": ["query", "--checkpoint", shv, "--structure", "2p",
+                                        "--anchors", "ann", "--relations", "lives_in,lives_in"],
+            "synth with one entity": ["synth", "--entities", "1", "--out", str(tmp_path / "s")],
+            "empty train file": ["train", "--train", str(tmp_path / "empty.tsv"), "--out", str(tmp_path / "o")],
+            "naive eval of shv": ["eval", "--checkpoint", shv, "--queries", str(tmp_path / "q.tsv"),
+                                  "--method", "naive"],
+        }[case]
+        res = run_cli(runner, args)
+        assert res.exit_code == 2, res.output
+        assert "error:" in res.output and message in res.output
+        assert "Traceback" not in res.output
+
+    def test_tampered_identity_map_exits_1(self, runner, workspace, tmp_path):
+        from sheaf_kg.checkpoint import load_model, save_model
+
+        model = load_model(workspace / "ckpt" / "model_seed1")
+        assert model.sheaf.constraints[0] == "identity"
+        model.sheaf.head_maps[0][0, 0] = 2.0
+        save_model(model, tmp_path / "tampered")
+        res = run_cli(runner, [
+            "eval", "--checkpoint", str(tmp_path / "tampered"),
+            "--queries", str(workspace / "data" / "queries.tsv"), "--method", "naive",
+        ])
+        assert res.exit_code == 1, res.output
+        assert "error:" in res.output and "relation 'r0': identity maps are not the identity" in res.output
         assert "Traceback" not in res.output
 
 
@@ -622,7 +764,7 @@ def fuzz_inputs(tmp_path_factory):
 @settings(max_examples=150, deadline=None)
 @given(
     target=st.sampled_from(_FUZZ_TARGETS),
-    mutation=st.sampled_from(["flip_byte", "truncate", "append_non_utf8", "drop_tab"]),
+    mutation=st.sampled_from(["flip_byte", "truncate", "append_non_utf8", "drop_tab", "remove", "directory"]),
     at=st.integers(0, 1 << 20),
     bit=st.integers(0, 7),
 )
@@ -631,7 +773,12 @@ def test_mutated_input_never_crashes_the_cli(fuzz_inputs, tmp_path_factory, targ
     name, command = target
     d = tmp_path_factory.mktemp("mutant")
     for other, raw in files.items():
-        (d / other).write_bytes(_mutate(raw, mutation, at, bit) if other == name else raw)
+        if other != name:
+            (d / other).write_bytes(raw)
+        elif mutation == "directory":
+            (d / other).mkdir()
+        elif mutation != "remove":
+            (d / other).write_bytes(_mutate(raw, mutation, at, bit))
     res = CliRunner().invoke(main, _fuzz_commands(d, anchor, relation)[command])
     assert res.exit_code in (0, 1, 2), res.output
     assert res.exception is None or isinstance(res.exception, SystemExit), repr(res.exception)

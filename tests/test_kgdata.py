@@ -86,6 +86,15 @@ class TestLoadTriples:
         path = write(tmp_path / "types.tsv", "alice\tperson\nparis\tcity\n")
         assert read_type_labels(path) == {"alice": "person", "paris": "city"}
 
+    def test_type_label_file_allows_an_identical_repeat(self, tmp_path):
+        path = write(tmp_path / "types.tsv", "alice\tperson\nparis\tcity\nalice\tperson\n")
+        assert read_type_labels(path) == {"alice": "person", "paris": "city"}
+
+    def test_type_label_file_rejects_a_conflicting_repeat(self, tmp_path):
+        path = write(tmp_path / "types.tsv", "alice\tperson\nparis\tcity\nalice\tcity\n")
+        with pytest.raises(ValidationError, match=f"{path}:3: entity 'alice' is 'city' here, 'person'"):
+            read_type_labels(path)
+
 
 class TestDefaultSchema:
     def test_benchmark_style_dims(self):
@@ -179,6 +188,18 @@ class TestAssembly:
         assert len(kg.triples) == 1
         assert kg.split[0] == 0  # first occurrence (train) wins
         assert any("duplicate" in rec.message for rec in caplog.records)
+
+    def test_first_occurrences_keep_split_then_file_order(self):
+        schema = default_schema(2, 2, 2)
+        vocab = VocabBuilder()
+        a, b, c = (vocab.intern(name, 0) for name in "abc")
+        kg = assemble_kg(schema, vocab, {
+            "test": [(c, 0, a), (a, 1, b)],
+            "train": [(b, 0, c), (a, 1, b), (b, 0, c)],
+            "valid": [(c, 0, a), (a, 0, a)],
+        })
+        assert kg.triples.tolist() == [[b, 0, c], [a, 1, b], [c, 0, a], [a, 0, a]]
+        assert kg.split.tolist() == [0, 0, 1, 1]
 
     def test_round_trip_preserves_index_sets(self, tmp_path, rng):
         schema = default_schema(3, 4, 4)
