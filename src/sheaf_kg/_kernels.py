@@ -21,7 +21,7 @@ residual's true block is the unpadded residual. Every gradient entry in a
 padded position is a sum of products with a zero factor, which is exactly
 zero; zero rows of X leave the section Gram matrices, and so the
 orthogonality penalty, unchanged. On a schema with uniform dimensions there
-is no padding.
+is no padding. No kernel knows of constraint tags; training re-imposes them.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ def batch_scores(X, RH, RT, T, h, r, t):
     return _scores(X, RH, RT, T, h, r, t)[0]
 
 
-def margin_grads(X, RH, RT, T, neg, pos, gamma, gX, gRH, gRT, gT, map_trainable):
+def margin_grads(X, RH, RT, T, neg, pos, gamma, gX, gRH, gRT, gT):
     """Accumulate margin-loss gradients for B positives and their k negatives each.
 
     ``neg`` is a (B*k, 3) index array that holds the k negatives of each
@@ -53,7 +53,7 @@ def margin_grads(X, RH, RT, T, neg, pos, gamma, gX, gRH, gRT, gT, map_trainable)
     positive is scored once and its score broadcast to its k pairs; its
     gradient is weighted by its number of active pairs. Returns
     (loss_sum, n_active) over the B*k pairs. Gradients are added into the
-    ``g*`` accumulators in place.
+    ``g*`` accumulators in place, for every map whatever its constraint tag.
     """
     k = len(neg) // len(pos)
     s_pos, d_pos = _scores(X, RH, RT, T, pos[:, 0], pos[:, 1], pos[:, 2])
@@ -73,10 +73,9 @@ def margin_grads(X, RH, RT, T, neg, pos, gamma, gX, gRH, gRT, gT, map_trainable)
     # entity gradients
     np.add.at(gX, h, np.einsum("bij,bim->bjm", RH[r], d))
     np.add.at(gX, t, -np.einsum("bij,bim->bjm", RT[r], d))
-    # map gradients, masked where maps are frozen
-    mt = map_trainable[r]
-    np.add.at(gRH, r, np.einsum("bim,bjm,b->bij", d, X[h], mt))
-    np.add.at(gRT, r, -np.einsum("bim,bjm,b->bij", d, X[t], mt))
+    # map gradients
+    np.add.at(gRH, r, np.einsum("bim,bjm->bij", d, X[h]))
+    np.add.at(gRT, r, -np.einsum("bim,bjm->bij", d, X[t]))
     if gT is not None:
         np.add.at(gT, r, d)
     return loss, int(np.count_nonzero(active))

@@ -156,8 +156,7 @@ def cmd_train(config_path, train_path, valid_path, test_path, type_path, seeds, 
     out = Path(out_dir)
     lines = []
     for seed in seed_list:
-        model = init_for_kg(settings.model_config(), kg, seed)  # before any output exists
-        out.mkdir(parents=True, exist_ok=True)
+        model = init_for_kg(settings.model_config(), kg, seed)
         model, report = train(kg, settings.train_config(seed), model)
         prefix = out / f"model_seed{seed}"
         ckpt.save_model(model, prefix)

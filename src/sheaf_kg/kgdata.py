@@ -343,7 +343,10 @@ def load_triples(
 
     triples: list[tuple[int, int, int]] = []
     for lineno, (head_name, rel_name, tail_name) in tsv_rows(path, 3):
-        r = schema.relation_index(rel_name)
+        try:
+            r = schema.relation_index(rel_name)
+        except SchemaError as exc:
+            raise SchemaError(f"{path}:{lineno}: {exc}") from None
         h = vocab.intern(head_name, type_of(head_name, lineno))
         t = vocab.intern(tail_name, type_of(tail_name, lineno))
         if vocab.types[h] != schema.head_type[r] or vocab.types[t] != schema.tail_type[r]:

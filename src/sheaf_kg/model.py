@@ -77,8 +77,9 @@ class KnowledgeSheaf:
     ``translations`` are views into ``RT`` and ``T`` the same way. Every other
     entry is exactly zero, and training updates the arrays in place and keeps
     it so (see ``_kernels``). The view tuples cannot be rebound; write
-    through a view instead (``head_maps[r][...] = m``). The constructor pads
-    per-relation blocks once.
+    through a view instead (``head_maps[r][...] = m``). The constructor
+    checks that each tag admits its relation's dims and pads per-relation
+    blocks once.
     """
 
     def __init__(self, schema: Schema, head_maps, tail_maps, constraints, translations=None):
@@ -89,6 +90,8 @@ class KnowledgeSheaf:
             raise ShapeError("translations must have one block per relation")
         self.schema = schema
         self.constraints = tuple(constraints)
+        for r, kind in enumerate(self.constraints):
+            _check_dims(schema, r, kind)
         de, d = max(schema.edge_dim, default=0), max(schema.vertex_dim)
         T = None
         if translations is not None:
@@ -130,12 +133,10 @@ class KnowledgeSheaf:
                 raise ConfigError(f"relation {name!r}: shared maps differ")
             if kind == "antisymmetric" and not np.array_equal(head, -tail):
                 raise ConfigError(f"relation {name!r}: antisymmetric maps violate head == -tail")
-            if kind == "identity":
-                d = self.schema.edge_dim[r]
-                if head.shape != (d, d) or not (
-                    np.array_equal(head, np.eye(d)) and np.array_equal(tail, np.eye(d))
-                ):
-                    raise ConfigError(f"relation {name!r}: identity maps are not the identity")
+            if kind == "identity" and not (
+                np.array_equal(head, np.eye(len(head))) and np.array_equal(tail, np.eye(len(tail)))
+            ):
+                raise ConfigError(f"relation {name!r}: identity maps are not the identity")
             if kind == "orthogonal":
                 for m, side in ((head, "head"), (tail, "tail")):
                     gram = m.T @ m
@@ -235,36 +236,44 @@ def orthonormal_columns(m: np.ndarray) -> np.ndarray:
     return u @ vt
 
 
-def _init_relation_maps(rng, schema, r, kind):
-    de = schema.edge_dim[r]
-    dh, dt = schema.head_dim(r), schema.tail_dim(r)
-    if kind == "identity":
-        if not (de == dh == dt):
-            raise ConfigError(
-                f"relation {schema.relation_types[r]!r}: identity constraint needs "
-                f"equal square dims, got edge {de}, head {dh}, tail {dt}"
-            )
-        return np.eye(de), np.eye(de)
+def _check_dims(schema: Schema, r: int, kind: str) -> None:
+    """Raise unless relation ``r``'s stalk dims admit constraint ``kind``."""
+    de, dh, dt = schema.edge_dim[r], schema.head_dim(r), schema.tail_dim(r)
+    rule, ok = {
+        "identity": ("equal square dims", de == dh == dt),
+        "shared": ("matching head/tail dims", dh == dt),
+        "antisymmetric": ("matching head/tail dims", dh == dt),
+        "orthogonal": ("edge dim >= vertex dims", de >= max(dh, dt)),
+    }.get(kind, ("", True))
+    if not ok:
+        raise ConfigError(f"relation {schema.relation_types[r]!r}: {kind} constraint needs "
+                          f"{rule}, got edge {de}, head {dh}, tail {dt}")
+
+
+def _project_relation(sheaf: KnowledgeSheaf, r: int) -> None:
+    """Write relation ``r``'s maps in the form its tag demands (see ``project_constraints``)."""
+    kind, head, tail = sheaf.constraints[r], sheaf.head_maps[r], sheaf.tail_maps[r]
     if kind in ("shared", "antisymmetric"):
-        if dh != dt:
-            raise ConfigError(
-                f"relation {schema.relation_types[r]!r}: {kind} constraint needs "
-                "matching head/tail dims"
-            )
-        head = rng.normal(size=(de, dh)) / np.sqrt(dh * de)
-        return head, (head.copy() if kind == "shared" else -head)
-    if kind == "orthogonal":
-        if de < dh or de < dt:
-            raise ConfigError(
-                f"relation {schema.relation_types[r]!r}: orthogonal constraint needs "
-                "edge dim >= vertex dims"
-            )
-        head = orthonormal_columns(rng.normal(size=(de, dh)))
-        tail = orthonormal_columns(rng.normal(size=(de, dt)))
-        return head, tail
-    head = rng.normal(size=(de, dh)) / np.sqrt(dh * de)
-    tail = rng.normal(size=(de, dt)) / np.sqrt(dt * de)
-    return head, tail
+        tail[...] = head if kind == "shared" else -head
+    elif kind == "orthogonal":
+        head[...] = orthonormal_columns(head)
+        tail[...] = orthonormal_columns(tail)
+    elif kind == "identity":
+        head[...] = tail[...] = np.eye(len(head))
+
+
+def _init_relation_maps(rng, schema, r, kind):
+    """Relation ``r``'s raw maps: tied tails reuse the head draw, identity draws nothing."""
+    de, dh, dt = schema.edge_dim[r], schema.head_dim(r), schema.tail_dim(r)
+    if kind == "identity":
+        return np.zeros((de, dh)), np.zeros((de, dt))
+
+    def draw(d):  # the polar factor ignores scale, so orthogonal draws stay unscaled
+        x = rng.normal(size=(de, d))
+        return x if kind == "orthogonal" else x / np.sqrt(d * de)
+
+    head = draw(dh)
+    return head, (head if kind in ("shared", "antisymmetric") else draw(dt))
 
 
 def init_model(
@@ -276,9 +285,9 @@ def init_model(
     """Seed-deterministic parameter initialization.
 
     Entity columns are Gaussian scaled by 1/sqrt(d) and normalized to unit
-    norm; free maps are Gaussian scaled by 1/sqrt(d * d_e); orthogonal maps
-    orthonormalize a Gaussian draw; identity maps are exact. Draw order is
-    entities by index, then relations by index (head, tail, translation).
+    norm; maps are Gaussian scaled by 1/sqrt(d * d_e), then projected onto
+    their constraint tag. Draw order is entities, then relation maps, then
+    translations, each by index.
     """
     rng = substream(seed, "init")
     m = config.sections
@@ -308,6 +317,7 @@ def init_model(
         constraints=constraints,
         translations=translations,
     )
+    project_constraints_inplace(sheaf)
     return sheaf, SectionMatrix(m, blocks, max(schema.vertex_dim))
 
 
@@ -350,8 +360,8 @@ def project_constraints(sheaf: KnowledgeSheaf) -> KnowledgeSheaf:
     """Return a copy with every constraint re-established exactly.
 
     shared/antisymmetric tails are recopied (negated) from heads, orthogonal
-    maps are replaced by their polar factors, identity and free maps pass
-    through untouched.
+    maps are replaced by their polar factors, identity maps are reset to the
+    identity and free maps pass through untouched.
     """
     out = sheaf.copy()
     project_constraints_inplace(out)
@@ -359,14 +369,8 @@ def project_constraints(sheaf: KnowledgeSheaf) -> KnowledgeSheaf:
 
 
 def project_constraints_inplace(sheaf: KnowledgeSheaf) -> None:
-    for r, kind in enumerate(sheaf.constraints):
-        if kind == "shared":
-            sheaf.tail_maps[r][...] = sheaf.head_maps[r]
-        elif kind == "antisymmetric":
-            sheaf.tail_maps[r][...] = -sheaf.head_maps[r]
-        elif kind == "orthogonal":
-            sheaf.head_maps[r][...] = orthonormal_columns(sheaf.head_maps[r])
-            sheaf.tail_maps[r][...] = orthonormal_columns(sheaf.tail_maps[r])
+    for r in range(sheaf.schema.n_relations):
+        _project_relation(sheaf, r)
 
 
 def orthogonality_penalty(sections: SectionMatrix) -> float:
@@ -402,11 +406,10 @@ def resize_edge_stalk(sheaf: KnowledgeSheaf, relation, new_dim: int, seed: int) 
     """Change one relation's edge stalk dimension (row count of its maps).
 
     Shrinking keeps the leading rows exactly; growing appends freshly
-    initialized rows drawn from the ``resize`` stream of ``seed``. An
-    orthogonal relation's resized maps are then replaced by their polar
-    factors, so the result still satisfies its constraint; every other
-    relation is copied unchanged. The translation block, when present, is
-    resized the same way (and not projected).
+    initialized rows drawn from the ``resize`` stream of ``seed``. The
+    resized relation is then projected onto its constraint, which must admit
+    the new dims; every other relation is copied unchanged. The translation
+    block, when present, is resized the same way (and not projected).
     """
     schema = sheaf.schema
     r = relation if isinstance(relation, int) else schema.relation_index(relation)
@@ -415,12 +418,6 @@ def resize_edge_stalk(sheaf: KnowledgeSheaf, relation, new_dim: int, seed: int) 
     if new_dim < 1:
         raise ConfigError("new_dim must be >= 1")
     kind = sheaf.constraints[r]
-    if kind == "identity":
-        raise ConfigError("cannot resize an identity-constrained relation (maps must stay square)")
-    dh, dt = schema.head_dim(r), schema.tail_dim(r)
-    if kind == "orthogonal" and new_dim < max(dh, dt):
-        raise ConfigError("orthogonal maps need edge dim >= vertex dims; refusing to shrink below")
-
     old = schema.edge_dim[r]
     new_edge_dims = list(schema.edge_dim)
     new_edge_dims[r] = new_dim
@@ -436,21 +433,20 @@ def resize_edge_stalk(sheaf: KnowledgeSheaf, relation, new_dim: int, seed: int) 
     # the new sheaf pads copies of these blocks
     head_maps, tail_maps = list(sheaf.head_maps), list(sheaf.tail_maps)
     translations = None if sheaf.translations is None else list(sheaf.translations)
+    dh, dt = schema.head_dim(r), schema.tail_dim(r)
     head_maps[r] = resized(sheaf.head_maps[r], 1.0 / np.sqrt(dh * new_dim))
-    if kind == "shared":
+    if kind in ("shared", "antisymmetric"):
         tail_maps[r] = head_maps[r]
-    elif kind == "antisymmetric":
-        tail_maps[r] = -head_maps[r]
     else:
         tail_maps[r] = resized(sheaf.tail_maps[r], 1.0 / np.sqrt(dt * new_dim))
-    if kind == "orthogonal":
-        head_maps[r], tail_maps[r] = map(orthonormal_columns, (head_maps[r], tail_maps[r]))
     if translations is not None:
         translations[r] = resized(sheaf.translations[r], 1.0 / np.sqrt(new_dim))
-    return KnowledgeSheaf(
+    out = KnowledgeSheaf(
         schema=new_schema,
         head_maps=head_maps,
         tail_maps=tail_maps,
         constraints=sheaf.constraints,
         translations=translations,
     )
+    _project_relation(out, r)
+    return out

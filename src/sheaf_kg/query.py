@@ -27,7 +27,7 @@ from itertools import product
 
 import numpy as np
 
-from .errors import BudgetExceededError, ConfigError, QueryError
+from .errors import BudgetExceededError, ConfigError, QueryError, SchemaError
 from .kgdata import text_lines
 from .model import Model, KnowledgeSheaf
 from .sheaf import (
@@ -451,7 +451,10 @@ def read_queries(path, entity_index: dict[str, int], schema) -> list[Query]:
             return entity_index[name]
 
         anchors = tuple(resolve_entity(n) for n in anchor_s.split(",") if n)
-        relations = tuple(schema.relation_index(n) for n in rel_s.split(",") if n)
+        try:
+            relations = tuple(schema.relation_index(n) for n in rel_s.split(",") if n)
+        except SchemaError as exc:
+            raise SchemaError(f"{path}:{lineno}: {exc}") from None
         answers = frozenset(resolve_entity(n) for n in answer_s.split(",") if n)
         queries.append(Query(tag, anchors, relations, answers))
     return queries

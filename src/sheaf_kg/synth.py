@@ -85,8 +85,10 @@ def generate_planted_kg(
     """
     if n_entities < 2 or n_relations < 1 or dim < 1:
         raise ConfigError("need at least 2 entities, 1 relation, and dim >= 1")
-    if noise < 0:
-        raise ConfigError("noise must be >= 0")
+    if not 0 <= noise < np.inf:
+        raise ConfigError("noise must be finite and >= 0")
+    if sections < 1:
+        raise ConfigError("sections must be >= 1")
     if variant not in ("shv", "shvt"):
         raise ConfigError(f"unknown variant {variant!r}")
     rng = substream(seed, "synth")

@@ -57,14 +57,14 @@ class TrainConfig:
             raise ConfigError("epochs must be >= 1")
         if self.batch_size < 1:
             raise ConfigError("batch_size must be >= 1")
-        if self.learning_rate <= 0:
-            raise ConfigError("learning_rate must be > 0")
+        if not 0 < self.learning_rate < np.inf:
+            raise ConfigError("learning_rate must be finite and > 0")
         if self.negatives_per_positive < 1:
             raise ConfigError("negatives_per_positive must be >= 1")
-        if self.margin <= 0:
-            raise ConfigError("margin must be > 0")
-        if self.alpha < 0:
-            raise ConfigError("alpha must be >= 0")
+        if not 0 < self.margin < np.inf:
+            raise ConfigError("margin must be finite and > 0")
+        if not 0 <= self.alpha < np.inf:
+            raise ConfigError("alpha must be finite and >= 0")
         if self.optimizer not in OPTIMIZERS:
             raise ConfigError(f"optimizer must be one of {OPTIMIZERS}")
         if self.max_entity_norm is not None and not 0 < self.max_entity_norm < np.inf:
@@ -130,12 +130,12 @@ def sample_negatives(
     triples,
     k: int,
     rng: np.random.Generator,
-) -> np.ndarray | list[tuple[int, int, int]]:
+) -> np.ndarray:
     """Corrupt head or tail (fair coin) of each row with a uniform same-type entity.
 
     ``triples`` is a (B, 3) batch; the result is a (B*k, 3) int64 array that
     holds the k negatives of each row together, in batch order. A single
-    ``(h, r, t)`` triple is a batch of one and gives a list of k int tuples.
+    ``(h, r, t)`` triple is a batch of one.
     All B*k coins are drawn at once, then one uniform offset per negative
     into its type's pool (``KnowledgeGraph.slot_pools``). Draws that
     reproduce a triple of ``index`` are redrawn, up to 100 draws in all,
@@ -145,9 +145,7 @@ def sample_negatives(
     """
     if k < 1:
         raise ConfigError("need k >= 1 negatives")
-    batch = np.asarray(triples, dtype=np.int64)
-    single = batch.ndim == 1
-    batch = batch.reshape(-1, 3)
+    batch = np.asarray(triples, dtype=np.int64).reshape(-1, 3)
     order, start, size = kg.slot_pools
     # slot 2r corrupts relation r's head, 2r + 1 its tail; a singleton pool
     # hands the corruption to the other slot
@@ -169,7 +167,7 @@ def sample_negatives(
         todo = todo[index.contains(out[todo])]
         if not todo.size:
             break
-    return [tuple(row) for row in out.tolist()] if single else out
+    return out
 
 
 def _sgd_update(param, grad, _acc, lr):
@@ -196,9 +194,6 @@ class _StackedParams:
             raise ShapeError(
                 f"sections are padded to {self.X.shape[1]} rows, the schema needs {self.RH.shape[2]}"
             )
-        self.map_trainable = np.array(
-            [0.0 if c == "identity" else 1.0 for c in sheaf.constraints]
-        )
         self.gX = np.zeros_like(self.X)
         self.gRH = np.zeros_like(self.RH)
         self.gRT = np.zeros_like(self.RT)
@@ -218,7 +213,7 @@ class _StackedParams:
             grad[...] = 0.0
         loss, n_active = _kernels.margin_grads(
             self.X, self.RH, self.RT, self.T, neg, pos, config.margin,
-            self.gX, self.gRH, self.gRT, self.gT, self.map_trainable,
+            self.gX, self.gRH, self.gRT, self.gT,
         )
         if not np.isfinite(loss):
             return loss, n_active
@@ -266,9 +261,9 @@ def train(kg: KnowledgeGraph, config: TrainConfig, model: Model) -> tuple[Model,
     translations ``KnowledgeSheaf.RH``/``RT``/``T``, are updated in place
     from the first step, and a :class:`TrainingAbortError` leaves the model
     holding the parameters reached when training stopped. Padded entries stay
-    exactly zero (see ``_kernels``). Identity-constrained maps receive no
-    updates; all other constraints are re-projected exactly after every step
-    on each relation's true block. With ``max_entity_norm`` set, a section
+    exactly zero (see ``_kernels``). Every map takes the optimizer step, and
+    every constraint, identity included, is then re-projected exactly on
+    each relation's true block. With ``max_entity_norm`` set, a section
     column norm that overflows raises :class:`TrainingAbortError` naming the
     relation with the largest map norm.
 

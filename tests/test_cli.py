@@ -1,3 +1,4 @@
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -60,6 +61,17 @@ def workspace(tmp_path_factory):
 
 
 class TestSynth:
+    @pytest.mark.parametrize("args, message", [
+        (["--noise", "inf"], "noise must be finite"),
+        (["--noise", "nan"], "noise must be finite"),
+        (["--sections", "0"], "sections must be >= 1"),
+    ])
+    def test_bad_value_exits_2(self, runner, tmp_path, args, message):
+        res = run_cli(runner, ["synth", "--entities", "30", *args, "--out", str(tmp_path / "s")])
+        assert res.exit_code == 2, res.output
+        assert f"error: {message}" in res.output
+        assert not (tmp_path / "s").exists()
+
     def test_writes_splits_and_generator(self, workspace):
         data = workspace / "data"
         for name in ("train.tsv", "valid.tsv", "test.tsv", "queries.tsv",
@@ -100,6 +112,29 @@ class TestSynth:
 
 
 class TestTrain:
+    @pytest.mark.parametrize("key, value, via", [
+        ("margin", "nan", "flag"),
+        ("margin", "nan", "config"),
+        ("margin", "inf", "flag"),
+        ("learning_rate", "nan", "flag"),
+        ("learning_rate", "inf", "config"),
+        ("alpha", "nan", "flag"),
+        ("alpha", "inf", "config"),
+    ])
+    def test_non_finite_training_value_exits_2(self, runner, tmp_path, key, value, via):
+        (tmp_path / "t.tsv").write_text("a\tr\tb\n", encoding="utf-8")
+        if via == "flag":
+            args = ["--" + key.replace("_", "-"), value]
+        else:
+            (tmp_path / "bad.cfg").write_text(f"{key}={value}\n", encoding="utf-8")
+            args = ["--config", str(tmp_path / "bad.cfg")]
+        res = run_cli(runner, [
+            "train", "--train", str(tmp_path / "t.tsv"), *args, "--out", str(tmp_path / "o"),
+        ])
+        assert res.exit_code == 2, res.output
+        assert f"error: {key} must be finite" in res.output
+        assert not (tmp_path / "o").exists()
+
     def test_one_checkpoint_per_seed(self, workspace):
         ckpt = workspace / "ckpt"
         for seed in (1, 2):
@@ -677,6 +712,7 @@ class TestErrorBoundary:
         assert res.exit_code == 2, res.output
         assert "error:" in res.output and message in res.output
         assert "Traceback" not in res.output
+        assert not (tmp_path / "o").exists() and not (tmp_path / "s").exists()
 
     def test_tampered_identity_map_exits_1(self, runner, workspace, tmp_path):
         from sheaf_kg.checkpoint import load_model, save_model
@@ -786,9 +822,11 @@ def test_mutated_input_never_crashes_the_cli(fuzz_inputs, tmp_path_factory, targ
 
 
 def test_entry_point_help_via_subprocess():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     out = subprocess.run(
         [sys.executable, "-m", "sheaf_kg.cli", "--help"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
     )
     assert out.returncode == 0
     assert "synth" in out.stdout and "train" in out.stdout

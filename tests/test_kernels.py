@@ -5,7 +5,8 @@ from hypothesis import strategies as st
 
 from sheaf_kg import _kernels
 from sheaf_kg.kgdata import default_schema
-from sheaf_kg.model import ModelConfig, init_model, score_shv, score_shvt
+from sheaf_kg.model import Model, ModelConfig, init_model, score_shv, score_shvt
+from sheaf_kg.training import TrainConfig, _StackedParams
 
 
 def stacked_instance(rng, n=8, d=4, de=3, n_rel=2, m=2, translational=True):
@@ -16,7 +17,7 @@ def stacked_instance(rng, n=8, d=4, de=3, n_rel=2, m=2, translational=True):
     return X, RH, RT, T
 
 
-def margin_grads_oracle(X, RH, RT, T, pos, neg, gamma, gX, gRH, gRT, gT, map_trainable):
+def margin_grads_oracle(X, RH, RT, T, pos, neg, gamma, gX, gRH, gRT, gT):
     """The kernel as it was before it scored each positive once.
 
     ``pos`` and ``neg`` are paired (B, 3) index arrays, so a positive with k
@@ -46,9 +47,8 @@ def margin_grads_oracle(X, RH, RT, T, pos, neg, gamma, gX, gRH, gRT, gT, map_tra
         d = diff[active] * (2.0 * sign)
         np.add.at(gX, h, np.einsum("bij,bim->bjm", RH[r], d))
         np.add.at(gX, t, -np.einsum("bij,bim->bjm", RT[r], d))
-        mt = map_trainable[r]
-        np.add.at(gRH, r, np.einsum("bim,bjm,b->bij", d, X[h], mt))
-        np.add.at(gRT, r, -np.einsum("bim,bjm,b->bij", d, X[t], mt))
+        np.add.at(gRH, r, np.einsum("bim,bjm->bij", d, X[h]))
+        np.add.at(gRT, r, -np.einsum("bim,bjm->bij", d, X[t]))
         if gT is not None:
             np.add.at(gT, r, d)
     return loss, int(np.count_nonzero(active))
@@ -107,13 +107,12 @@ class TestPositivesOnce:
             _kernels.batch_scores(X, RH, RT, T, *pos.T), k
         )
         gamma = max(float(np.median(gaps)), 0.1)  # about half the pairs active
-        trainable = (rng.random(len(head_type)) < 0.7).astype(float)  # 0: frozen (identity)
 
         grads = [None if p is None else np.zeros_like(p) for p in params]
         oracle = [None if p is None else np.zeros_like(p) for p in params]
-        loss, n_active = _kernels.margin_grads(X, RH, RT, T, neg, pos, gamma, *grads, trainable)
+        loss, n_active = _kernels.margin_grads(X, RH, RT, T, neg, pos, gamma, *grads)
         ref_loss, ref_active = margin_grads_oracle(
-            X, RH, RT, T, np.repeat(pos, k, axis=0), neg, gamma, *oracle, trainable
+            X, RH, RT, T, np.repeat(pos, k, axis=0), neg, gamma, *oracle
         )
 
         assert n_active == ref_active
@@ -121,8 +120,6 @@ class TestPositivesOnce:
         for grad, ref, mask in zip(grads, oracle, masks):
             assert np.linalg.norm(grad - ref) <= 1e-12 * np.linalg.norm(ref)
             assert np.all(grad[~mask] == 0.0)
-        for grad in grads[1:3]:
-            assert np.all(grad[trainable == 0.0] == 0.0)
 
 
 class TestScores:
@@ -155,32 +152,33 @@ class TestScores:
 
 class TestMarginGrads:
     @pytest.mark.parametrize("translational", [False, True])
-    def test_frozen_relation_gets_no_map_gradient(self, rng, translational):
-        X, RH, RT, T = stacked_instance(rng, translational=translational)
+    def test_identity_maps_exact_after_a_step(self, rng, translational):
+        schema = default_schema(2, 4, 4)
+        cfg = ModelConfig(variant="shvt" if translational else "shv", sections=2,
+                          constraint_overrides={"r1": "identity"})
+        sheaf, sections = init_model(cfg, schema, np.zeros(8, dtype=np.int64), seed=0)
+        sections.X[...] = rng.normal(size=sections.X.shape)
+        model = Model(schema, tuple(f"e{i}" for i in range(8)), np.zeros(8, dtype=np.int64),
+                      sheaf, sections)
+        config = TrainConfig(optimizer="sgd", margin=50.0)  # every pair active
+        state = _StackedParams(model, config)
         B = 32
-        pos = np.stack([rng.integers(0, 8, B), rng.integers(0, 2, B), rng.integers(0, 8, B)], axis=1)
+        pos = np.stack([rng.integers(0, 8, B), np.arange(B) % 2, rng.integers(0, 8, B)], axis=1)
         neg = np.stack([rng.integers(0, 8, B), pos[:, 1], rng.integers(0, 8, B)], axis=1)
-        trainable = np.array([1.0, 0.0])  # second relation frozen
-        gX, gRH, gRT = np.zeros_like(X), np.zeros_like(RH), np.zeros_like(RT)
-        gT = None if T is None else np.zeros_like(T)
-        _, n_active = _kernels.margin_grads(
-            X, RH, RT, T, neg, pos, 1.0, gX, gRH, gRT, gT, trainable
-        )
-        margins = (
-            _kernels.batch_scores(X, RH, RT, T, *pos.T) + 1.0
-            - _kernels.batch_scores(X, RH, RT, T, *neg.T)
-        )
-        assert n_active == np.count_nonzero(margins > 0)
-        assert np.any((margins > 0) & (pos[:, 1] == 1))  # the frozen relation is active
-        np.testing.assert_array_equal(gRH[1], np.zeros_like(gRH[1]))
-        np.testing.assert_array_equal(gRT[1], np.zeros_like(gRT[1]))
-        assert np.any(gRH[0] != 0.0) and np.any(gRT[0] != 0.0)
+        free_head = sheaf.head_maps[0].copy()
+        _, n_active = state.step(pos, neg, config)
+        assert n_active == B
+        # the kernel differentiates the identity relation like any other ...
+        assert np.any(state.gRH[1] != 0.0) and np.any(state.gRT[1] != 0.0)
+        assert not np.array_equal(sheaf.head_maps[0], free_head)
+        # ... and the step's projection puts its maps back exactly
+        np.testing.assert_array_equal(sheaf.head_maps[1], np.eye(4))
+        np.testing.assert_array_equal(sheaf.tail_maps[1], np.eye(4))
 
     def test_numpy_grads_match_finite_differences(self, rng):
         X, RH, RT, T = stacked_instance(rng, n=5, d=3, de=3, m=1)
         pos = np.array([[0, 0, 1]], dtype=np.int64)
         neg = np.array([[2, 0, 1]], dtype=np.int64)
-        trainable = np.ones(2)
 
         def loss_value():
             s_pos = _kernels.batch_scores(X, RH, RT, T, pos[:, 0], pos[:, 1], pos[:, 2])
@@ -190,7 +188,7 @@ class TestMarginGrads:
         if loss_value() == 0.0:
             X *= 3.0  # make sure the pair is active
         gX, gRH, gRT, gT = (np.zeros_like(a) for a in (X, RH, RT, T))
-        _kernels.margin_grads(X, RH, RT, T, neg, pos, 1.0, gX, gRH, gRT, gT, trainable)
+        _kernels.margin_grads(X, RH, RT, T, neg, pos, 1.0, gX, gRH, gRT, gT)
         h = 1e-6
         for param, grad in ((X, gX), (RH, gRH), (RT, gRT), (T, gT)):
             it = np.nditer(param, flags=["multi_index"])

@@ -54,6 +54,12 @@ class TestLoadTriples:
         with pytest.raises(SchemaError):
             load_triples(path, schema, "train", VocabBuilder())
 
+    def test_unknown_relation_names_file_and_line(self, tmp_path):
+        path = write(tmp_path / "t.tsv", "a\tr0\tb\nb\tzz\ta\n")
+        with pytest.raises(SchemaError) as err:
+            load_triples(path, default_schema(1, 4, 4), "train", VocabBuilder())
+        assert str(err.value) == f"{path}:2: relation 'zz' absent from schema"
+
     def test_type_inconsistent_triple_is_identified(self, tmp_path):
         schema = Schema(
             entity_types=("person", "city"),

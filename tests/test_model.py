@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,8 @@ from sheaf_kg.checkpoint import load_model, manifest_path, save_model, tensor_pa
 from sheaf_kg.errors import CheckpointError, ConfigError
 from sheaf_kg.kgdata import KnowledgeGraph, Schema, default_schema
 from sheaf_kg.model import (
+    VARIANTS,
+    KnowledgeSheaf,
     Model,
     ModelConfig,
     SectionMatrix,
@@ -18,6 +22,7 @@ from sheaf_kg.model import (
     score_shv,
     score_shvt,
 )
+from sheaf_kg.seeds import substream
 from sheaf_kg.sheaf import SheafOnGraph, quadratic_form
 
 
@@ -97,6 +102,13 @@ class TestInit:
         cfg = ModelConfig(constraint="identity", entity_dim=4, relation_dim=3)
         with pytest.raises(ConfigError):
             init_model(cfg, schema, np.zeros(2, dtype=np.int64), seed=0)
+
+    @pytest.mark.parametrize("constraint", ["identity", "orthogonal"])
+    def test_constructor_rejects_a_tag_its_dims_do_not_admit(self, constraint):
+        schema = default_schema(1, 3, 2)
+        maps = [np.ones((2, 3))]
+        with pytest.raises(ConfigError, match=f"relation 'r0': {constraint} constraint needs"):
+            KnowledgeSheaf(schema, maps, maps, [constraint])
 
     def test_orthogonal_needs_tall_maps(self):
         schema = default_schema(1, 4, 2)
@@ -408,6 +420,141 @@ class TestResize:
         schema, cfg, sheaf, sections = random_model(rng, constraint="identity", dim=4)
         with pytest.raises(ConfigError):
             resize_edge_stalk(sheaf, 0, 2, seed=0)
+
+
+# Two entity types of unequal dim, one relation per constraint tag, each
+# with edge and vertex dims the tag admits.
+RAGGED_SCHEMA = Schema(
+    entity_types=("a", "b"),
+    relation_types=("free", "shared", "identity", "orthogonal", "antisymmetric"),
+    head_type=(0, 1, 1, 0, 0),
+    tail_type=(1, 1, 1, 1, 0),
+    vertex_dim=(3, 5),
+    edge_dim=(2, 4, 5, 6, 3),
+)
+RAGGED_TYPES = np.array([0, 1, 1, 0, 1, 0, 1])
+
+
+def per_tag_init_oracle(config, schema, entity_types, seed):
+    """init_model as written when each tag built its own maps.
+
+    Returns the sheaf and the section blocks; the constructor only pads.
+    """
+    rng = substream(seed, "init")
+    m = config.sections
+    blocks = []
+    for type_idx in entity_types:
+        d = schema.vertex_dim[int(type_idx)]
+        x = rng.normal(size=(d, m)) / np.sqrt(d)
+        norms = np.linalg.norm(x, axis=0)
+        norms[norms == 0.0] = 1.0
+        blocks.append(x / norms)
+    constraints = config.constraints_for(schema)
+    head_maps, tail_maps = [], []
+    for r, kind in enumerate(constraints):
+        de, dh, dt = schema.edge_dim[r], schema.head_dim(r), schema.tail_dim(r)
+        if kind == "identity":
+            head, tail = np.eye(de), np.eye(de)
+        elif kind in ("shared", "antisymmetric"):
+            head = rng.normal(size=(de, dh)) / np.sqrt(dh * de)
+            tail = head.copy() if kind == "shared" else -head
+        elif kind == "orthogonal":
+            head = orthonormal_columns(rng.normal(size=(de, dh)))
+            tail = orthonormal_columns(rng.normal(size=(de, dt)))
+        else:
+            head = rng.normal(size=(de, dh)) / np.sqrt(dh * de)
+            tail = rng.normal(size=(de, dt)) / np.sqrt(dt * de)
+        head_maps.append(head)
+        tail_maps.append(tail)
+    translations = None
+    if config.variant == "shvt":
+        translations = [
+            rng.normal(size=(schema.edge_dim[r], m)) / np.sqrt(schema.edge_dim[r])
+            for r in range(schema.n_relations)
+        ]
+    return KnowledgeSheaf(schema, head_maps, tail_maps, constraints, translations), blocks
+
+
+def per_tag_resize_oracle(sheaf, r, new_dim, seed):
+    """resize_edge_stalk as written when it handled each tag itself (dims assumed valid)."""
+    schema, kind = sheaf.schema, sheaf.constraints[r]
+    dh, dt, old = schema.head_dim(r), schema.tail_dim(r), schema.edge_dim[r]
+    edge_dims = list(schema.edge_dim)
+    edge_dims[r] = new_dim
+    rng = substream(seed, "resize")
+
+    def resized(mat, scale):
+        if new_dim <= old:
+            return mat[:new_dim]
+        extra = rng.normal(size=(new_dim - old, mat.shape[1])) * scale
+        return np.concatenate([mat, extra], axis=0)
+
+    head_maps, tail_maps = list(sheaf.head_maps), list(sheaf.tail_maps)
+    translations = None if sheaf.translations is None else list(sheaf.translations)
+    head_maps[r] = resized(sheaf.head_maps[r], 1.0 / np.sqrt(dh * new_dim))
+    if kind == "shared":
+        tail_maps[r] = head_maps[r]
+    elif kind == "antisymmetric":
+        tail_maps[r] = -head_maps[r]
+    else:
+        tail_maps[r] = resized(sheaf.tail_maps[r], 1.0 / np.sqrt(dt * new_dim))
+    if kind == "orthogonal":
+        head_maps[r], tail_maps[r] = map(orthonormal_columns, (head_maps[r], tail_maps[r]))
+    if translations is not None:
+        translations[r] = resized(sheaf.translations[r], 1.0 / np.sqrt(new_dim))
+    return KnowledgeSheaf(
+        replace(schema, edge_dim=tuple(edge_dims)), head_maps, tail_maps,
+        sheaf.constraints, translations,
+    )
+
+
+def assert_same_sheaf(a, b):
+    np.testing.assert_array_equal(a.RH, b.RH, strict=True)
+    np.testing.assert_array_equal(a.RT, b.RT, strict=True)
+    if b.T is None:
+        assert a.T is None
+    else:
+        np.testing.assert_array_equal(a.T, b.T, strict=True)
+
+
+class TestProjectedConstructionMatchesPerTagOracle:
+    """Draw-then-project construction is bit-identical to per-tag construction."""
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    @pytest.mark.parametrize("m", [1, 3])
+    def test_init_model(self, variant, m):
+        cfg = ModelConfig(variant=variant, sections=m, constraint_overrides={
+            name: name for name in RAGGED_SCHEMA.relation_types
+        })
+        sheaf, sections = init_model(cfg, RAGGED_SCHEMA, RAGGED_TYPES, seed=4)
+        ref_sheaf, ref_blocks = per_tag_init_oracle(cfg, RAGGED_SCHEMA, RAGGED_TYPES, seed=4)
+        assert_same_sheaf(sheaf, ref_sheaf)
+        np.testing.assert_array_equal(
+            sections.X, SectionMatrix(m, ref_blocks, max(RAGGED_SCHEMA.vertex_dim)).X, strict=True
+        )
+        sheaf.check_constraints()
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    @pytest.mark.parametrize("relation", RAGGED_SCHEMA.relation_types)
+    def test_resize_edge_stalk(self, rng, variant, relation):
+        cfg = ModelConfig(variant=variant, sections=2, constraint_overrides={
+            name: name for name in RAGGED_SCHEMA.relation_types
+        })
+        sheaf, _ = init_model(cfg, RAGGED_SCHEMA, RAGGED_TYPES, seed=2)
+        for r in range(sheaf.schema.n_relations):  # off the init draw, still constrained
+            sheaf.head_maps[r][...] += 0.1 * rng.normal(size=sheaf.head_maps[r].shape)
+        sheaf = project_constraints(sheaf)
+        r = RAGGED_SCHEMA.relation_index(relation)
+        old = RAGGED_SCHEMA.edge_dim[r]
+        new_dims = {
+            "identity": [old],
+            "orthogonal": [old - 1, old, old + 3],
+        }.get(relation, [1, old - 1, old, old + 3])
+        for new_dim in new_dims:
+            out = resize_edge_stalk(sheaf, relation, new_dim, seed=7)
+            assert_same_sheaf(out, per_tag_resize_oracle(sheaf, r, new_dim, seed=7))
+            assert out.schema.edge_dim[r] == new_dim
+            out.check_constraints()
 
 
 class TestCheckpoint:

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_batched_answering import random_queries, ragged_model
 
-from sheaf_kg.errors import BudgetExceededError, ConfigError, QueryError
+from sheaf_kg.errors import BudgetExceededError, ConfigError, QueryError, SchemaError
 from sheaf_kg.kgdata import Schema, default_schema
 from sheaf_kg.model import (
     Model,
@@ -475,6 +475,14 @@ class TestQueryFiles:
         path.write_text("1p\tnobody\tr0\te1\n", encoding="utf-8")
         with pytest.raises(QueryError, match="nobody"):
             read_queries(path, model.entity_index(), model.schema)
+
+    def test_unknown_relation_names_file_and_line(self, tmp_path, rng):
+        model = make_model(rng)
+        path = tmp_path / "q.tsv"
+        path.write_text("1p\te0\tr0\te1\n2p\te0\tr0,zz\te1\n", encoding="utf-8")
+        with pytest.raises(SchemaError) as err:
+            read_queries(path, model.entity_index(), model.schema)
+        assert str(err.value) == f"{path}:2: relation 'zz' absent from schema"
 
     def test_ranking_from_scores_orders_by_value_then_index(self):
         ranking = ranking_from_scores(

@@ -78,8 +78,8 @@ class TestSampleNegatives:
         seen = set()
         gen = substream(0, "negatives")
         for _ in range(50):
-            (neg,) = sample_negatives(kg, index, (0, 0, 1), 1, gen)
-            seen.add(neg)
+            (neg,) = sample_negatives(kg, index, (0, 0, 1), 1, gen).tolist()
+            seen.add(tuple(neg))
         assert seen <= {(1, 0, 1), (0, 0, 0)}
         assert len(seen) == 2
 
@@ -87,7 +87,7 @@ class TestSampleNegatives:
         kg = small_kg(rng)
         index = build_index(kg)
         negs = sample_negatives(kg, index, tuple(kg.triples[0]), 5, substream(1, "negatives"))
-        assert len(negs) == 5
+        assert negs.shape == (5, 3)
 
     def test_negatives_avoid_training_triples(self, rng):
         kg = small_kg(rng, n_entities=5, n_triples=12)
@@ -105,7 +105,7 @@ class TestSampleNegatives:
         gen = substream(3, "negatives")
         triple = tuple(kg.triples[0])
         n = 100_000
-        heads = sum(neg[0] != triple[0] for neg in sample_negatives(kg, index, triple, n, gen))
+        heads = np.count_nonzero(sample_negatives(kg, index, triple, n, gen)[:, 0] != triple[0])
         assert 0.49 <= heads / n <= 0.51
 
     def test_singleton_types_error(self):
@@ -648,7 +648,7 @@ class TestPaddedLayout:
         gT = None if state.T is None else np.zeros_like(state.T)
         loss, n_active = _kernels.margin_grads(
             state.X, state.RH, state.RT, state.T, neg, pos, gamma,
-            gX, gRH, gRT, gT, state.map_trainable,
+            gX, gRH, gRT, gT,
         )
 
         ref_x = [np.zeros_like(b) for b in section_blocks(sections)]
@@ -666,9 +666,8 @@ class TestPaddedLayout:
                 g = triple_grads(sheaf, sections, h, r, t)
                 ref_x[h] += sign * g["x_h"]
                 ref_x[t] += sign * g["x_t"]
-                if constraint != "identity":
-                    ref_rh[r] += sign * g["head_map"]
-                    ref_rt[r] += sign * g["tail_map"]
+                ref_rh[r] += sign * g["head_map"]
+                ref_rt[r] += sign * g["tail_map"]
                 if ref_t is not None:
                     ref_t[r] += sign * g["translation"]
 
