@@ -25,8 +25,7 @@ from .model import (
     project_constraints,
     relation_discrepancy,
     resize_edge_stalk,
-    score_shv,
-    score_shvt,
+    triple_score,
 )
 from .query import Query, QueryGraph, Ranking, answer_query, entity_chaining_exact, naive_traversal_score
 from .sheaf import (
@@ -81,7 +80,6 @@ __all__ = [
     "resize_edge_stalk",
     "sample_negatives",
     "schur_complement",
-    "score_shv",
-    "score_shvt",
     "train",
+    "triple_score",
 ]

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import CheckpointError, ConfigError
-from .kgdata import Schema
+from .kgdata import Schema, text_lines
 from .model import CONSTRAINTS, VARIANTS, KnowledgeSheaf, Model, SectionMatrix
 
 MAGIC = b"SHKGTNSR"
@@ -69,7 +69,7 @@ def _manifest_lines(model: Model) -> list[str]:
     schema = model.schema
     lines = [
         f"format={FORMAT}",
-        f"variant={'shvt' if model.sheaf.translational else 'shv'}",
+        f"variant={model.sheaf.variant}",
         f"sections={model.sections.columns}",
         f"seed={model.seed}",
         f"n_entity_types={schema.n_entity_types}",
@@ -94,18 +94,14 @@ def _manifest_lines(model: Model) -> list[str]:
 class _ManifestReader:
     def __init__(self, path):
         self.path = path
-        try:
-            with open(path, encoding="utf-8") as fh:
-                self.lines = [line.rstrip("\n") for line in fh if line.rstrip("\n")]
-        except UnicodeDecodeError as exc:
-            raise CheckpointError(f"{path}: manifest is not UTF-8 ({exc.reason})") from None
+        self.lines = list(text_lines(path, CheckpointError))  # (line number, line)
         self.pos = 0
 
     def take(self, key: str, parse=str):
         """Consume the next line, which must be ``key=value``, and return ``parse(value)``."""
         if self.pos >= len(self.lines):
             raise CheckpointError(f"{self.path}: manifest ended while expecting {key!r}")
-        line = self.lines[self.pos]
+        line = self.lines[self.pos][1]
         k, sep, value = line.partition("=")
         if not sep or k != key:
             raise CheckpointError(f"{self.path}: expected {key!r}, found {line!r}")
@@ -117,7 +113,9 @@ class _ManifestReader:
 
     def done(self) -> None:
         if self.pos != len(self.lines):
-            raise CheckpointError(f"{self.path}: trailing manifest content at line {self.pos + 1}")
+            raise CheckpointError(
+                f"{self.path}: trailing manifest content at line {self.lines[self.pos][0]}"
+            )
 
 
 def _one_of(choices):

@@ -24,10 +24,10 @@ from . import checkpoint as ckpt
 from . import evaluation, kgdata, synth
 from .config import build_settings, read_config_file
 from .errors import INPUT_ERRORS, SchemaError, SheafKGError, ValidationError
-from .model import init_for_kg, relation_discrepancy
+from .model import VARIANTS, init_for_kg, relation_discrepancy
 from .query import STRUCTURES, Query, answer_query, read_queries, write_queries
 from .seeds import substream
-from .training import train
+from .training import OPTIMIZERS, train
 
 logger = logging.getLogger("sheaf_kg")
 
@@ -112,7 +112,7 @@ def main():
 
 _shared_model_flags = [
     click.option("--config", "config_path", type=click.Path(), default=None, help="key=value config file"),
-    click.option("--variant", type=click.Choice(["shv", "shvt"]), default=None),
+    click.option("--variant", type=click.Choice(VARIANTS), default=None),
     click.option("--epochs", type=int, default=None),
     click.option("--batch-size", "batch_size", type=int, default=None),
     click.option("--learning-rate", "learning_rate", type=float, default=None),
@@ -122,7 +122,7 @@ _shared_model_flags = [
     click.option("--sections", type=int, default=None),
     click.option("--entity-dim", "entity_dim", type=int, default=None),
     click.option("--relation-dim", "relation_dim", type=int, default=None),
-    click.option("--optimizer", type=click.Choice(["sgd", "adagrad"]), default=None),
+    click.option("--optimizer", type=click.Choice(OPTIMIZERS), default=None),
     click.option("--constraint", type=str, default=None),
     click.option("--max-entity-norm", "max_entity_norm", type=float, default=None,
                  help="cap on entity section column norms (default: no cap)"),
@@ -231,8 +231,7 @@ def cmd_query(prefix, structure, anchors, relations, top_k):
 def cmd_inspect(prefix, train_path):
     """Print a checkpoint's variant, shapes, constraints, and parameter norms."""
     model = ckpt.load_model(prefix)
-    variant = "shvt" if model.sheaf.translational else "shv"
-    click.echo(f"variant={variant} sections={model.sections.columns} seed={model.seed}")
+    click.echo(f"variant={model.sheaf.variant} sections={model.sections.columns} seed={model.seed}")
     click.echo(f"entities={model.n_entities} relations={model.schema.n_relations} "
                f"entity_types={model.schema.n_entity_types}")
     for r, name in enumerate(model.schema.relation_types):
@@ -266,30 +265,31 @@ def cmd_inspect(prefix, train_path):
 @click.option("--dim", type=int, default=16)
 @click.option("--noise", type=float, default=0.0)
 @click.option("--seed", type=int, default=0)
-@click.option("--variant", type=click.Choice(["shv", "shvt"]), default="shvt")
+@click.option("--variant", type=click.Choice(VARIANTS), default="shvt")
 @click.option("--sections", type=int, default=1)
 @click.option("--out", "out_dir", type=click.Path(), required=True)
 @click.option("--easy-queries", "easy", default="",
               help="comma-separated structures to also emit as easy test queries")
-@click.option("--queries-per-structure", "per_structure", type=int, default=50)
+@click.option("--queries-per-structure", "per_structure", type=click.IntRange(min=1), default=50)
 def cmd_synth(n_entities, n_relations, dim, noise, seed, variant, sections, out_dir, easy, per_structure):
     """Generate a planted-sheaf dataset (triple files + generating checkpoint)."""
     dataset = synth.generate_planted_kg(
         n_entities, n_relations, dim, noise, seed, variant=variant, sections=sections
     )
+    queries = []  # built before any write, so a bad structure name leaves no files
+    if easy:
+        index = kgdata.build_index(dataset.kg)
+        rng = substream(seed, "queries")
+        for structure in [s for s in easy.split(",") if s]:
+            queries.extend(
+                evaluation.build_easy_queries(dataset.kg, index, structure, per_structure, rng)
+            )
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     for split in kgdata.SPLITS:
         kgdata.write_triples(dataset.kg, out / f"{split}.tsv", split)
     ckpt.save_model(dataset.generator, out / "generator")
     if easy:
-        index = kgdata.build_index(dataset.kg)
-        rng = substream(seed, "queries")
-        queries = []
-        for structure in [s for s in easy.split(",") if s]:
-            queries.extend(
-                evaluation.build_easy_queries(dataset.kg, index, structure, per_structure, rng)
-            )
         write_queries(
             queries, out / "queries.tsv", dataset.kg.entities, dataset.kg.schema.relation_types
         )

@@ -5,6 +5,13 @@ map per relation, optionally a translation block) with a
 :class:`SectionMatrix` (one ``d x m`` block per entity whose columns are
 independently learned embeddings, all held in one zero-padded array). Scores
 are summed over the ``m`` columns.
+
+Off the training kernel, every triple score is the squared norm of
+``edge_residual``: ``H_r x_h - T_r x_t``, plus the translation ``t_r`` for
+a translational (ShVT) sheaf. Its sign convention is the query side's:
+``|H x_h + t - T x_t|^2 = |delta y - b|^2`` with ``sheaf.coboundary``'s
+tail-minus-head ``delta`` and ``b`` the translations, as
+``query._HarmonicForm``'s ``-2 l^T y`` term and ``sheaf.affine_offset`` assume.
 """
 
 from __future__ import annotations
@@ -120,6 +127,10 @@ class KnowledgeSheaf:
     def translational(self) -> bool:
         return self.T is not None
 
+    @property
+    def variant(self) -> str:
+        return "shvt" if self.translational else "shv"
+
     def copy(self) -> "KnowledgeSheaf":
         out = copy.copy(self)
         out._bind(self.RH.copy(), self.RT.copy(), None if self.T is None else self.T.copy())
@@ -210,14 +221,7 @@ class Model:
         return np.nonzero(self.entity_type == type_idx)[0]
 
     def copy(self) -> "Model":
-        return Model(
-            schema=self.schema,
-            entities=self.entities,
-            entity_type=self.entity_type,
-            sheaf=self.sheaf.copy(),
-            sections=self.sections.copy(),
-            seed=self.seed,
-        )
+        return replace(self, sheaf=self.sheaf.copy(), sections=self.sections.copy())
 
 
 def orthonormal_columns(m: np.ndarray) -> np.ndarray:
@@ -299,24 +303,15 @@ def init_model(
         norms[norms == 0.0] = 1.0
         blocks.append(x / norms)
     constraints = config.constraints_for(schema)
-    head_maps, tail_maps = [], []
-    for r in range(schema.n_relations):
-        head, tail = _init_relation_maps(rng, schema, r, constraints[r])
-        head_maps.append(head)
-        tail_maps.append(tail)
+    maps = [_init_relation_maps(rng, schema, r, kind) for r, kind in enumerate(constraints)]
     translations = None
     if config.variant == "shvt":
         translations = [
             rng.normal(size=(schema.edge_dim[r], m)) / np.sqrt(schema.edge_dim[r])
             for r in range(schema.n_relations)
         ]
-    sheaf = KnowledgeSheaf(
-        schema=schema,
-        head_maps=head_maps,
-        tail_maps=tail_maps,
-        constraints=constraints,
-        translations=translations,
-    )
+    heads, tails = [head for head, _ in maps], [tail for _, tail in maps]
+    sheaf = KnowledgeSheaf(schema, heads, tails, constraints, translations)
     project_constraints_inplace(sheaf)
     return sheaf, SectionMatrix(m, blocks, max(schema.vertex_dim))
 
@@ -334,26 +329,22 @@ def init_for_kg(config: ModelConfig, kg: KnowledgeGraph, seed: int) -> Model:
     )
 
 
-def score_shv(sheaf: KnowledgeSheaf, sections: SectionMatrix, h: int, r: int, t: int) -> float:
-    """Squared disagreement of head and tail embeddings in the relation's stalk."""
-    diff = sheaf.head_maps[r] @ sections.block(h) - sheaf.tail_maps[r] @ sections.block(t)
-    return float(np.sum(diff * diff))
+def edge_residual(sheaf: KnowledgeSheaf, r: int, x_head, x_tail) -> np.ndarray:
+    """Relation ``r``'s residual ``H_r x_head - T_r x_tail (+ t_r)`` in its edge stalk.
 
-
-def score_shvt(sheaf: KnowledgeSheaf, sections: SectionMatrix, h: int, r: int, t: int) -> float:
-    """Translational score: disagreement after adding the relation's offset."""
-    if sheaf.translations is None:
-        raise ConfigError("translational score requested but the sheaf has no translations")
-    diff = (
-        sheaf.head_maps[r] @ sections.block(h)
-        + sheaf.translations[r]
-        - sheaf.tail_maps[r] @ sections.block(t)
-    )
-    return float(np.sum(diff * diff))
+    Takes sections ``(d, m)`` or stacks ``(..., d, m)``, as ``@`` broadcasts;
+    the translation is added last, in the training kernel's order.
+    """
+    diff = sheaf.head_maps[r] @ x_head - sheaf.tail_maps[r] @ x_tail
+    if sheaf.translational:
+        diff = diff + sheaf.translations[r]
+    return diff
 
 
 def triple_score(sheaf: KnowledgeSheaf, sections: SectionMatrix, h: int, r: int, t: int) -> float:
-    return (score_shvt if sheaf.translational else score_shv)(sheaf, sections, h, r, t)
+    """Squared norm of the triple's edge residual: ShV, or ShVT for a translational sheaf."""
+    diff = edge_residual(sheaf, r, sections.block(h), sections.block(t))
+    return float(np.sum(diff * diff))
 
 
 def project_constraints(sheaf: KnowledgeSheaf) -> KnowledgeSheaf:
@@ -392,12 +383,9 @@ def relation_discrepancy(
     out = {}
     for r in np.unique(triples[:, 1]):
         h, t = triples[triples[:, 1] == r][:, [0, 2]].T
-        diff = (
-            sheaf.head_maps[r] @ sections.X[h, :schema.head_dim(r)]
-            - sheaf.tail_maps[r] @ sections.X[t, :schema.tail_dim(r)]
+        diff = edge_residual(
+            sheaf, r, sections.X[h, :schema.head_dim(r)], sections.X[t, :schema.tail_dim(r)]
         )
-        if sheaf.translational:
-            diff += sheaf.translations[r]
         out[kg.schema.relation_types[r]] = float(np.sum(diff * diff) / len(h))
     return out
 

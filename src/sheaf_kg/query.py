@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import BudgetExceededError, ConfigError, QueryError, SchemaError
 from .kgdata import text_lines
-from .model import Model, KnowledgeSheaf
+from .model import Model, KnowledgeSheaf, edge_residual
 from .sheaf import (
     SheafOnGraph,
     affine_offset,
@@ -418,9 +418,7 @@ def entity_chaining_exact(query: Query, model: Model, budget: int = 10**6) -> Ra
         at = fixed | {v: model.sections.block(int(e)) for v, e in zip(interior, assignment)}
         total = 0.0
         for u, r, v in qg.edges:
-            diff = sheaf.head_maps[r] @ at[u] - sheaf.tail_maps[r] @ at[v]
-            if sheaf.translational:
-                diff = diff + sheaf.translations[r]
+            diff = edge_residual(sheaf, r, at[u], at[v])
             total = total + np.einsum("...dm,...dm->...", diff, diff)
         best = np.minimum(best, total)
 
@@ -435,8 +433,8 @@ def read_queries(path, entity_index: dict[str, int], schema) -> list[Query]:
     """Parse a TAB-separated query file.
 
     Line format: structure tag, comma-separated anchor entity names,
-    comma-separated relation names, comma-separated answer entity names
-    (possibly empty).
+    comma-separated relation names, comma-separated answer entity names (at
+    least one). Every malformed line raises an error naming ``path:line``.
     """
     queries = []
     for lineno, line in text_lines(path, QueryError):
@@ -456,7 +454,12 @@ def read_queries(path, entity_index: dict[str, int], schema) -> list[Query]:
         except SchemaError as exc:
             raise SchemaError(f"{path}:{lineno}: {exc}") from None
         answers = frozenset(resolve_entity(n) for n in answer_s.split(",") if n)
-        queries.append(Query(tag, anchors, relations, answers))
+        if not answers:
+            raise QueryError(f"{path}:{lineno}: no answer entities")
+        try:
+            queries.append(Query(tag, anchors, relations, answers))
+        except QueryError as exc:
+            raise QueryError(f"{path}:{lineno}: {exc}") from None
     return queries
 
 

@@ -132,12 +132,7 @@ def coboundary_matrix(sheaf: SheafOnGraph) -> np.ndarray:
 
 def quadratic_form(sheaf: SheafOnGraph, x) -> float:
     """Total squared edgewise disagreement of ``x`` (the Laplacian quadratic form)."""
-    check_cochain0(sheaf, x)
-    total = 0.0
-    for e, (u, v) in enumerate(sheaf.edges):
-        diff = sheaf.head_maps[e] @ x[u] - sheaf.tail_maps[e] @ x[v]
-        total += float(np.sum(diff * diff))
-    return total
+    return sum((float(np.sum(d * d)) for d in coboundary(sheaf, x)), 0.0)
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .kgdata import KnowledgeGraph, default_schema
-from .model import Model, KnowledgeSheaf, SectionMatrix
+from .model import VARIANTS, Model, KnowledgeSheaf, SectionMatrix
 from .seeds import substream
 
 logger = logging.getLogger(__name__)
@@ -89,7 +89,7 @@ def generate_planted_kg(
         raise ConfigError("noise must be finite and >= 0")
     if sections < 1:
         raise ConfigError("sections must be >= 1")
-    if variant not in ("shv", "shvt"):
+    if variant not in VARIANTS:
         raise ConfigError(f"unknown variant {variant!r}")
     rng = substream(seed, "synth")
 

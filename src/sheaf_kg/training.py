@@ -24,6 +24,7 @@ from .model import (
     Model,
     SectionMatrix,
     KnowledgeSheaf,
+    edge_residual,
     orthogonality_penalty,
     project_constraints_inplace,
     relation_discrepancy,
@@ -88,40 +89,24 @@ def margin_loss(pos_score: float, neg_score: float, margin: float) -> float:
     return max(0.0, pos_score + margin - neg_score)
 
 
-def grad_shv(sheaf: KnowledgeSheaf, sections: SectionMatrix, h: int, r: int, t: int):
-    """Analytic gradients of the non-translational score.
+def triple_grads(sheaf: KnowledgeSheaf, sections: SectionMatrix, h: int, r: int, t: int):
+    """Analytic gradients of ``triple_score`` for one triple.
 
-    Returns a dict with blocks ``x_h``, ``x_t``, ``head_map``, ``tail_map``.
-    For a self-loop triple (h == t) the two entity blocks must be summed by
-    the caller.
+    Returns a dict with blocks ``x_h``, ``x_t``, ``head_map``, ``tail_map``,
+    and ``translation`` for a translational sheaf. For a self-loop triple
+    (h == t) the two entity blocks must be summed by the caller.
     """
-    head, tail = sheaf.head_maps[r], sheaf.tail_maps[r]
-    diff = head @ sections.block(h) - tail @ sections.block(t)
-    return {
-        "x_h": 2.0 * head.T @ diff,
-        "x_t": -2.0 * tail.T @ diff,
-        "head_map": 2.0 * diff @ sections.block(h).T,
-        "tail_map": -2.0 * diff @ sections.block(t).T,
+    x_h, x_t = sections.block(h), sections.block(t)
+    diff = edge_residual(sheaf, r, x_h, x_t)
+    grads = {
+        "x_h": 2.0 * sheaf.head_maps[r].T @ diff,
+        "x_t": -2.0 * sheaf.tail_maps[r].T @ diff,
+        "head_map": 2.0 * diff @ x_h.T,
+        "tail_map": -2.0 * diff @ x_t.T,
     }
-
-
-def grad_shvt(sheaf: KnowledgeSheaf, sections: SectionMatrix, h: int, r: int, t: int):
-    """Analytic gradients of the translational score (adds ``translation``)."""
-    if sheaf.translations is None:
-        raise ConfigError("translational gradients need a translational sheaf")
-    head, tail = sheaf.head_maps[r], sheaf.tail_maps[r]
-    diff = head @ sections.block(h) + sheaf.translations[r] - tail @ sections.block(t)
-    return {
-        "x_h": 2.0 * head.T @ diff,
-        "x_t": -2.0 * tail.T @ diff,
-        "head_map": 2.0 * diff @ sections.block(h).T,
-        "tail_map": -2.0 * diff @ sections.block(t).T,
-        "translation": 2.0 * diff,
-    }
-
-
-def triple_grads(sheaf, sections, h, r, t):
-    return (grad_shvt if sheaf.translational else grad_shv)(sheaf, sections, h, r, t)
+    if sheaf.translational:
+        grads["translation"] = 2.0 * diff
+    return grads
 
 
 def sample_negatives(

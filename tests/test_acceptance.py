@@ -19,8 +19,6 @@ from sheaf_kg.model import (
     init_for_kg,
     init_model,
     orthogonality_penalty,
-    score_shv,
-    score_shvt,
     triple_score,
 )
 from sheaf_kg.query import Query, answer_query, entity_chaining_exact, ranking_from_scores
@@ -222,7 +220,7 @@ def test_criterion_05_equivalence_ladder():
                  - sections.block(1)[:, 0]) ** 2
             )
         )
-        got = score_shvt(sheaf, sections, 0, 0, 1)
+        got = triple_score(sheaf, sections, 0, 0, 1)
         assert abs(got - transe) <= 1e-12 * (1.0 + transe)
 
         # two-matrix relational scoring (free maps)
@@ -239,7 +237,7 @@ def test_criterion_05_equivalence_ladder():
                 acc += sheaf.head_maps[0][i, j] * sections.block(0)[j, 0]
                 acc -= sheaf.tail_maps[0][i, j] * sections.block(1)[j, 0]
             se_norm += acc * acc
-        got = score_shv(sheaf, sections, 0, 0, 1)
+        got = triple_score(sheaf, sections, 0, 0, 1)
         assert abs(got - se_norm) <= 1e-12 * (1.0 + se_norm)
 
         # shared projection plus translation
@@ -258,7 +256,7 @@ def test_criterion_05_equivalence_ladder():
                  - proj @ sections.block(1)[:, 0]) ** 2
             )
         )
-        got = score_shvt(sheaf, sections, 0, 0, 1)
+        got = triple_score(sheaf, sections, 0, 0, 1)
         assert abs(got - transr) <= 1e-12 * (1.0 + transr)
 
 

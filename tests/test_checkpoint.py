@@ -158,3 +158,19 @@ def test_missing_checkpoint_file_is_checkpoint_error(tmp_path, saved):
     manifest_path(tmp_path / "ck").mkdir()
     with pytest.raises(CheckpointError, match=f"{manifest_path(tmp_path / 'ck')}: Is a directory"):
         load_model(tmp_path / "ck")
+
+
+def test_non_utf8_manifest_is_checkpoint_error(tmp_path, saved):
+    manifest, tensors = saved
+    write(tmp_path / "ck", manifest, tensors)
+    manifest_path(tmp_path / "ck").write_bytes(manifest.encode("utf-8") + b"seed=\xff\n")
+    with pytest.raises(CheckpointError, match=f"{manifest_path(tmp_path / 'ck')}: not UTF-8 text"):
+        load_model(tmp_path / "ck")
+
+
+def test_trailing_manifest_content_names_its_file_line(tmp_path, saved):
+    manifest, tensors = saved
+    write(tmp_path / "ck", "\n\n" + manifest + "extra=1\n", tensors)
+    line = manifest.count("\n") + 3
+    with pytest.raises(CheckpointError, match=f"trailing manifest content at line {line}$"):
+        load_model(tmp_path / "ck")

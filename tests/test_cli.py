@@ -72,6 +72,17 @@ class TestSynth:
         assert f"error: {message}" in res.output
         assert not (tmp_path / "s").exists()
 
+    @pytest.mark.parametrize("args, message", [
+        (["--easy-queries", "1p,9p"], "error: unknown structure '9p'"),
+        (["--easy-queries", "1p", "--queries-per-structure", "-3"], "--queries-per-structure"),
+        (["--easy-queries", "1p", "--queries-per-structure", "0"], "--queries-per-structure"),
+    ], ids=["unknown-structure", "negative-count", "zero-count"])
+    def test_bad_query_flag_exits_2_before_writing(self, runner, tmp_path, args, message):
+        res = run_cli(runner, ["synth", "--entities", "30", *args, "--out", str(tmp_path / "o")])
+        assert res.exit_code == 2, res.output
+        assert message in res.output
+        assert not (tmp_path / "o").exists()
+
     def test_writes_splits_and_generator(self, workspace):
         data = workspace / "data"
         for name in ("train.tsv", "valid.tsv", "test.tsv", "queries.tsv",
@@ -445,6 +456,25 @@ class TestEval:
         ])
         assert res.exit_code == 2
         assert f"error: {queries}:1: expected 4 tab-separated fields" in res.output
+        assert "Traceback" not in res.output
+
+    @pytest.mark.parametrize("line, message", [
+        ("9p\t{a}\t{r}\t{a}", "2: unknown query structure '9p'"),
+        ("2p\t{a}\t{r}\t{a}", "2: 2p queries take 1 anchor(s) and 2 relation(s), got 1 and 1"),
+        ("1p\t{a}\t{r}\t", "2: no answer entities"),
+    ], ids=["unknown-structure", "anchor-count", "empty-answers"])
+    def test_bad_query_line_names_file_and_line(self, runner, workspace, tmp_path, line, message):
+        first = (workspace / "data" / "queries.tsv").read_text(encoding="utf-8").splitlines()[0]
+        _, anchor, relation, _ = first.split("\t")
+        a, r = anchor.split(",")[0], relation.split(",")[0]
+        queries = tmp_path / "bad.tsv"
+        queries.write_text(f"{first}\n{line.format(a=a, r=r)}\n", encoding="utf-8")
+        res = run_cli(runner, [
+            "eval", "--checkpoint", str(workspace / "ckpt" / "model_seed1"),
+            "--queries", str(queries),
+        ])
+        assert res.exit_code == 2, res.output
+        assert f"error: {queries}:{message}" in res.output
         assert "Traceback" not in res.output
 
     def test_non_utf8_query_file_exits_2(self, runner, workspace, tmp_path):

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from sheaf_kg import _kernels
 from sheaf_kg.kgdata import default_schema
-from sheaf_kg.model import Model, ModelConfig, init_model, score_shv, score_shvt
+from sheaf_kg.model import Model, ModelConfig, init_model, triple_score
 from sheaf_kg.training import TrainConfig, _StackedParams
 
 
@@ -145,8 +145,7 @@ class TestScores:
             sheaf.tail_maps[j][...] = RT[j]
             if translational:
                 sheaf.translations[j][...] = T[j]
-        score = score_shvt if translational else score_shv
-        ref = [score(sheaf, sections, int(h[b]), int(r[b]), int(t[b])) for b in range(B)]
+        ref = [triple_score(sheaf, sections, int(h[b]), int(r[b]), int(t[b])) for b in range(B)]
         np.testing.assert_allclose(stacked, ref, rtol=1e-12)
 
 

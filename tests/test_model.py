@@ -19,8 +19,7 @@ from sheaf_kg.model import (
     project_constraints,
     relation_discrepancy,
     resize_edge_stalk,
-    score_shv,
-    score_shvt,
+    triple_score,
 )
 from sheaf_kg.seeds import substream
 from sheaf_kg.sheaf import SheafOnGraph, quadratic_form
@@ -121,7 +120,7 @@ class TestScoring:
     def test_consistent_pair_scores_zero(self, rng):
         schema, cfg, sheaf, sections = random_model(rng, constraint="identity")
         sections.block(1)[...] = sections.block(0).copy()
-        assert score_shv(sheaf, sections, 0, 0, 1) == 0.0
+        assert triple_score(sheaf, sections, 0, 0, 1) == 0.0
 
     def test_permutation_match(self):
         schema = default_schema(1, 2, 2)
@@ -131,12 +130,12 @@ class TestScoring:
         sheaf.tail_maps[0][...] = np.array([[0.0, 1.0], [1.0, 0.0]])
         sections.block(0)[...] = np.array([[1.0], [2.0]])
         sections.block(1)[...] = np.array([[2.0], [1.0]])
-        assert score_shv(sheaf, sections, 0, 0, 1) == 0.0
+        assert triple_score(sheaf, sections, 0, 0, 1) == 0.0
 
     def test_matches_two_vertex_sheaf_quadratic_form(self, rng):
         for m in (1, 3):
             schema, cfg, sheaf, sections = random_model(rng, m=m, dim=4, edge_dim=3)
-            score = score_shv(sheaf, sections, 0, 1, 2)
+            score = triple_score(sheaf, sections, 0, 1, 2)
             tiny = SheafOnGraph(
                 vertex_dims=(4, 4),
                 edges=((0, 1),),
@@ -157,13 +156,14 @@ class TestScoring:
         sections.block(0)[...] = np.array([[1.0], [0.0]])
         sections.block(1)[...] = np.array([[1.0], [1.0]])
         sheaf.translations[0][...] = np.array([[0.0], [1.0]])
-        assert score_shvt(sheaf, sections, 0, 0, 1) == 0.0
+        assert triple_score(sheaf, sections, 0, 0, 1) == 0.0
 
     def test_zero_translation_reduces_to_plain_score(self, rng):
         schema, cfg, sheaf, sections = random_model(rng, variant="shvt", m=2)
         sheaf.translations[0][...] = np.zeros_like(sheaf.translations[0])
-        assert score_shvt(sheaf, sections, 0, 0, 1) == pytest.approx(
-            score_shv(sheaf, sections, 0, 0, 1), rel=1e-12
+        plain = KnowledgeSheaf(schema, sheaf.head_maps, sheaf.tail_maps, sheaf.constraints)
+        assert triple_score(sheaf, sections, 0, 0, 1) == pytest.approx(
+            triple_score(plain, sections, 0, 0, 1), rel=1e-12
         )
 
     def test_matches_scalar_loop(self, rng):
@@ -178,12 +178,7 @@ class TestScoring:
                     acc -= sheaf.tail_maps[r][i, k] * sections.block(t)[k, j]
                 acc += sheaf.translations[r][i, j]
                 total += acc * acc
-        assert score_shvt(sheaf, sections, h, r, t) == pytest.approx(total, rel=1e-12)
-
-    def test_missing_translation_is_config_error(self, rng):
-        schema, cfg, sheaf, sections = random_model(rng, variant="shv")
-        with pytest.raises(ConfigError):
-            score_shvt(sheaf, sections, 0, 0, 1)
+        assert triple_score(sheaf, sections, h, r, t) == pytest.approx(total, rel=1e-12)
 
 
 class TestEquivalenceLadder:
@@ -196,14 +191,14 @@ class TestEquivalenceLadder:
                 sheaf.head_maps[r] @ sections.block(h)[:, 0]
                 - sheaf.tail_maps[r] @ sections.block(t)[:, 0]
             )
-            assert score_shv(sheaf, sections, h, r, t) == pytest.approx(se_norm**2, rel=1e-12)
+            assert triple_score(sheaf, sections, h, r, t) == pytest.approx(se_norm**2, rel=1e-12)
 
     def test_identity_maps_reproduce_unstructured_distance(self, rng):
         for _ in range(50):
             schema, cfg, sheaf, sections = random_model(rng, constraint="identity", m=1)
             h, t = 0, 1
             d = sections.block(h)[:, 0] - sections.block(t)[:, 0]
-            assert score_shv(sheaf, sections, h, 0, t) == pytest.approx(float(d @ d), rel=1e-12)
+            assert triple_score(sheaf, sections, h, 0, t) == pytest.approx(float(d @ d), rel=1e-12)
 
     def test_identity_plus_translation_is_additive_translation_scoring(self, rng):
         for _ in range(50):
@@ -216,7 +211,7 @@ class TestEquivalenceLadder:
                 + sheaf.translations[r][:, 0]
                 - sections.block(t)[:, 0]
             )
-            assert score_shvt(sheaf, sections, h, r, t) == pytest.approx(
+            assert triple_score(sheaf, sections, h, r, t) == pytest.approx(
                 float(v @ v), rel=1e-12
             )
 
@@ -232,13 +227,13 @@ class TestEquivalenceLadder:
                 + sheaf.translations[r][:, 0]
                 - proj @ sections.block(t)[:, 0]
             )
-            assert score_shvt(sheaf, sections, h, r, t) == pytest.approx(
+            assert triple_score(sheaf, sections, h, r, t) == pytest.approx(
                 float(v @ v), rel=1e-12
             )
 
     def test_shared_maps_are_symmetric_in_arguments(self, rng):
         schema, cfg, sheaf, sections = random_model(rng, constraint="shared", m=2)
-        assert score_shv(sheaf, sections, 0, 0, 1) == score_shv(sheaf, sections, 1, 0, 0)
+        assert triple_score(sheaf, sections, 0, 0, 1) == triple_score(sheaf, sections, 1, 0, 0)
 
     def test_global_orthogonal_basis_change_invariance(self, rng):
         schema, cfg, sheaf, sections = random_model(rng, m=2, dim=4, edge_dim=3)
@@ -251,8 +246,8 @@ class TestEquivalenceLadder:
         for i in range(sections.n_entities):
             rotated_sections.block(i)[...] = q @ sections.block(i)
         for (h, r, t) in ((0, 0, 1), (2, 1, 3)):
-            assert score_shv(rotated_sheaf, rotated_sections, h, r, t) == pytest.approx(
-                score_shv(sheaf, sections, h, r, t), rel=1e-10
+            assert triple_score(rotated_sheaf, rotated_sections, h, r, t) == pytest.approx(
+                triple_score(sheaf, sections, h, r, t), rel=1e-10
             )
 
 
@@ -341,7 +336,7 @@ class TestRelationDiscrepancy:
         )
         cfg = ModelConfig(entity_dim=4, relation_dim=4)
         model = init_for_kg(cfg, kg, seed=0)
-        sigma = score_shv(model.sheaf, model.sections, 0, 1, 2)
+        sigma = triple_score(model.sheaf, model.sections, 0, 1, 2)
         assert relation_discrepancy(model.sheaf, model.sections, kg) == {
             "r1": pytest.approx(sigma)
         }
@@ -369,7 +364,7 @@ class TestRelationDiscrepancy:
         for h, r, t in kg.triples_of("train"):
             name = kg.schema.relation_types[int(r)]
             groups.setdefault(name, []).append(
-                score_shv(model.sheaf, model.sections, int(h), int(r), int(t))
+                triple_score(model.sheaf, model.sections, int(h), int(r), int(t))
             )
         assert set(out) == set(groups)
         for name in out:

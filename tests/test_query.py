@@ -14,8 +14,6 @@ from sheaf_kg.model import (
     SectionMatrix,
     KnowledgeSheaf,
     init_for_kg,
-    score_shv,
-    score_shvt,
     triple_score,
 )
 from sheaf_kg.query import (
@@ -123,7 +121,7 @@ class TestAnswerQuery:
         model = make_model(rng)
         q = Query("1p", (3,), (1,))
         ranking = answer_query(q, model)
-        direct = np.array([score_shv(model.sheaf, model.sections, 3, 1, c) for c in range(10)])
+        direct = np.array([triple_score(model.sheaf, model.sections, 3, 1, c) for c in range(10)])
         order = np.lexsort((np.arange(10), direct))
         np.testing.assert_array_equal(ranking.entity_ids, order)
         for c in range(10):
@@ -134,7 +132,7 @@ class TestAnswerQuery:
         q = Query("1p", (0,), (2,))
         ranking = answer_query(q, model)
         offset = float(np.sum(model.sheaf.translations[2] ** 2))
-        direct = np.array([score_shvt(model.sheaf, model.sections, 0, 2, c) for c in range(10)])
+        direct = np.array([triple_score(model.sheaf, model.sections, 0, 2, c) for c in range(10)])
         order = np.lexsort((np.arange(10), direct))
         np.testing.assert_array_equal(ranking.entity_ids, order)
         for c in range(10):

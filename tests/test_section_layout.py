@@ -279,15 +279,39 @@ def test_relation_discrepancy_matches_per_triple_grouping(empty_widest, variant,
     sections = SectionMatrix(m, blocks, max(schema.vertex_dim))
 
     out = relation_discrepancy(sheaf, sections, kg)
+    triples = kg.triples_of("train")
+    # the training kernel scores the same triples independently of edge_residual
+    kernel = _kernels.batch_scores(sections.X, sheaf.RH, sheaf.RT, sheaf.T, *triples.T)
     groups: dict[str, list[float]] = {}
-    for h, r, t in kg.triples_of("train"):
+    kernel_groups: dict[str, list[float]] = {}
+    for (h, r, t), expected in zip(triples, kernel):
         groups.setdefault(schema.relation_types[r], []).append(
             triple_score(sheaf, sections, int(h), int(r), int(t))
         )
+        kernel_groups.setdefault(schema.relation_types[r], []).append(expected)
     assert list(out) == sorted(groups, key=schema.relation_types.index)
     for name, scores in groups.items():
         assert type(out[name]) is float
         assert out[name] == pytest.approx(float(np.mean(scores)), rel=1e-12)
+        np.testing.assert_allclose(scores, kernel_groups[name], rtol=1e-12)
+        assert out[name] == pytest.approx(float(np.mean(kernel_groups[name])), rel=1e-12)
+
+
+@pytest.mark.parametrize("empty_widest", [False, True])
+@pytest.mark.parametrize("variant", ["shv", "shvt"])
+@pytest.mark.parametrize("m", [1, 3])
+@given(seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=4, deadline=None)
+def test_triple_score_matches_kernel_on_random_init(empty_widest, variant, m, seed):
+    rng = np.random.default_rng(seed)
+    kg = layout_case(rng, empty_widest)
+    sheaf, sections = init_model(
+        ModelConfig(variant=variant, sections=m), kg.schema, kg.entity_type, seed
+    )
+    h, r, t = kg.triples.T
+    kernel = _kernels.batch_scores(sections.X, sheaf.RH, sheaf.RT, sheaf.T, h, r, t)
+    scores = [triple_score(sheaf, sections, int(a), int(b), int(c)) for a, b, c in kg.triples]
+    np.testing.assert_allclose(scores, kernel, rtol=1e-12)
 
 
 class TestSectionMatrix:

@@ -21,8 +21,6 @@ from sheaf_kg.training import (
     TrainConfig,
     _StackedParams,
     _first_bad_relation,
-    grad_shv,
-    grad_shvt,
     margin_loss,
     sample_negatives,
     train,
@@ -304,7 +302,7 @@ class TestGradients:
         cfg = ModelConfig(constraint="identity", entity_dim=3, relation_dim=3)
         sheaf, sections = init_model(cfg, schema, np.zeros(2, dtype=np.int64), seed=0)
         sections.block(1)[...] = sections.block(0).copy()
-        grads = grad_shv(sheaf, sections, 0, 0, 1)
+        grads = triple_grads(sheaf, sections, 0, 0, 1)
         for g in grads.values():
             np.testing.assert_array_equal(g, np.zeros_like(g))
 
@@ -314,7 +312,7 @@ class TestGradients:
         sheaf, sections = init_model(cfg, schema, np.zeros(2, dtype=np.int64), seed=0)
         sections.block(0)[...] = rng.normal(size=(3, 1))
         sections.block(1)[...] = rng.normal(size=(3, 1))
-        grads = grad_shv(sheaf, sections, 0, 0, 1)
+        grads = triple_grads(sheaf, sections, 0, 0, 1)
         np.testing.assert_allclose(
             grads["x_h"], 2.0 * (sections.block(0) - sections.block(1)), atol=1e-12
         )
@@ -323,7 +321,7 @@ class TestGradients:
         schema = default_schema(1, 3, 3)
         cfg = ModelConfig(variant="shvt", entity_dim=3, relation_dim=3)
         sheaf, sections = init_model(cfg, schema, np.zeros(2, dtype=np.int64), seed=1)
-        g = grad_shvt(sheaf, sections, 0, 0, 1)
+        g = triple_grads(sheaf, sections, 0, 0, 1)
         assert "translation" in g and g["translation"].shape == (3, 1)
 
 
