@@ -39,7 +39,7 @@ from .sheaf import (
     quadratic_form,
     schur_complement,
 )
-from .training import TrainConfig, TrainReport, margin_loss, sample_negatives, train
+from .training import TrainConfig, TrainReport, sample_negatives, train
 
 __version__ = "0.1.0"
 
@@ -71,7 +71,6 @@ __all__ = [
     "kron_reduce",
     "load_dataset",
     "load_triples",
-    "margin_loss",
     "naive_traversal_score",
     "orthogonality_penalty",
     "project_constraints",

@@ -21,7 +21,8 @@ residual's true block is the unpadded residual. Every gradient entry in a
 padded position is a sum of products with a zero factor, which is exactly
 zero; zero rows of X leave the section Gram matrices, and so the
 orthogonality penalty, unchanged. On a schema with uniform dimensions there
-is no padding. No kernel knows of constraint tags; training re-imposes them.
+is no padding. No kernel knows of constraint tags; training re-imposes them
+and tells ``margin_grads`` which maps step, so it skips the rest.
 """
 
 from __future__ import annotations
@@ -45,7 +46,8 @@ def batch_scores(X, RH, RT, T, h, r, t):
     return _scores(X, RH, RT, T, h, r, t)[0]
 
 
-def margin_grads(X, RH, RT, T, neg, pos, gamma, gX, gRH, gRT, gT):
+def margin_grads(X, RH, RT, T, neg, pos, gamma, gX, gRH, gRT, gT,
+                 head_steps=None, tail_steps=None):
     """Accumulate margin-loss gradients for B positives and their k negatives each.
 
     ``neg`` is a (B*k, 3) index array that holds the k negatives of each
@@ -53,7 +55,9 @@ def margin_grads(X, RH, RT, T, neg, pos, gamma, gX, gRH, gRT, gT):
     positive is scored once and its score broadcast to its k pairs; its
     gradient is weighted by its number of active pairs. Returns
     (loss_sum, n_active) over the B*k pairs. Gradients are added into the
-    ``g*`` accumulators in place, for every map whatever its constraint tag.
+    ``g*`` accumulators in place. Only the maps that step get one:
+    ``head_steps``/``tail_steps`` are per-relation booleans (None: every
+    relation), and a ``gRH``/``gRT`` of None means no map on that side steps.
     """
     k = len(neg) // len(pos)
     s_pos, d_pos = _scores(X, RH, RT, T, pos[:, 0], pos[:, 1], pos[:, 2])
@@ -73,9 +77,13 @@ def margin_grads(X, RH, RT, T, neg, pos, gamma, gX, gRH, gRT, gT):
     # entity gradients
     np.add.at(gX, h, np.einsum("bij,bim->bjm", RH[r], d))
     np.add.at(gX, t, -np.einsum("bij,bim->bjm", RT[r], d))
-    # map gradients
-    np.add.at(gRH, r, np.einsum("bim,bjm->bij", d, X[h]))
-    np.add.at(gRT, r, -np.einsum("bim,bjm->bij", d, X[t]))
+    # map gradients, on the active rows whose map steps (a plain view when all do)
+    if gRH is not None:
+        s = slice(None) if head_steps is None else head_steps[r]
+        np.add.at(gRH, r[s], np.einsum("bim,bjm->bij", d[s], X[h[s]]))
+    if gRT is not None:
+        s = slice(None) if tail_steps is None else tail_steps[r]
+        np.add.at(gRT, r[s], -np.einsum("bim,bjm->bij", d[s], X[t[s]]))
     if gT is not None:
         np.add.at(gT, r, d)
     return loss, int(np.count_nonzero(active))

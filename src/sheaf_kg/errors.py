@@ -51,12 +51,13 @@ class BudgetExceededError(SheafKGError):
 
 
 class TrainingAbortError(SheafKGError):
-    """Training stopped because it diverged: a non-finite loss or parameter norm."""
+    """Training stopped because it diverged: a non-finite value, an overflow or a loss blow-up."""
 
-    def __init__(self, epoch, batch, relation, message="non-finite loss"):
-        super().__init__(
-            f"training diverged at epoch {epoch}, batch {batch}, relation {relation!r}: {message}"
-        )
+    def __init__(self, epoch, batch=None, relation=None, message="non-finite loss"):
+        where = f"epoch {epoch}" + ("" if batch is None else f", batch {batch}")
+        where += "" if relation is None else f", relation {relation!r}"
+        super().__init__(f"training diverged at {where}: {message}; "
+                         "try a lower learning rate or a max_entity_norm cap (--max-entity-norm)")
         self.epoch = epoch
         self.batch = batch
         self.relation = relation

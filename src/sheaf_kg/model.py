@@ -254,6 +254,13 @@ def _check_dims(schema: Schema, r: int, kind: str) -> None:
                           f"{rule}, got edge {de}, head {dh}, tail {dt}")
 
 
+# Which of a relation's (head, tail) maps keep their optimizer step under each
+# tag; ``_project_relation`` overwrites the others whatever they hold (identity
+# resets both, shared and antisymmetric recopy the tail), so training skips them.
+MAP_STEPS = {"free": (True, True), "orthogonal": (True, True), "shared": (True, False),
+             "antisymmetric": (True, False), "identity": (False, False)}
+
+
 def _project_relation(sheaf: KnowledgeSheaf, r: int) -> None:
     """Write relation ``r``'s maps in the form its tag demands (see ``project_constraints``)."""
     kind, head, tail = sheaf.constraints[r], sheaf.head_maps[r], sheaf.tail_maps[r]

@@ -13,7 +13,9 @@ from __future__ import annotations
 
 import logging
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -21,10 +23,12 @@ from . import _kernels
 from .errors import ConfigError, SamplingError, ShapeError, TrainingAbortError
 from .kgdata import TRAIN, KnowledgeGraph, TripleIndex, build_index
 from .model import (
+    MAP_STEPS,
     Model,
     SectionMatrix,
     KnowledgeSheaf,
     edge_residual,
+    logger as model_logger,
     orthogonality_penalty,
     project_constraints_inplace,
     relation_discrepancy,
@@ -35,6 +39,7 @@ logger = logging.getLogger(__name__)
 
 OPTIMIZERS = ("sgd", "adagrad")
 ADAGRAD_EPS = 1e-10
+LOSS_BLOWUP = 1e4  # an epoch mean loss over this multiple aborts training (see ``train``)
 
 
 @dataclass
@@ -80,13 +85,6 @@ class TrainReport:
     epoch_active_fraction: list[float] = field(default_factory=list)
     wall_time: float = 0.0
     relation_discrepancy: dict[str, float] = field(default_factory=dict)
-
-
-def margin_loss(pos_score: float, neg_score: float, margin: float) -> float:
-    """Hinge on the score gap: max(0, pos + margin - neg)."""
-    if margin <= 0:
-        raise ConfigError("margin must be > 0")
-    return max(0.0, pos_score + margin - neg_score)
 
 
 def triple_grads(sheaf: KnowledgeSheaf, sections: SectionMatrix, h: int, r: int, t: int):
@@ -170,6 +168,9 @@ class _StackedParams:
     The sections ``X`` and the sheaf's maps ``RH``/``RT`` and translations
     ``T`` are the model's own arrays, updated in place; constraints are
     re-projected on each relation's true block through the sheaf's views.
+    Only the maps that step under their tag (``MAP_STEPS``) get gradients
+    and updates: ``head_steps``/``tail_steps`` mark the relations whose map
+    steps, None when all do; a side where none does has no slot at all.
     """
 
     def __init__(self, model: Model, config: TrainConfig):
@@ -179,9 +180,13 @@ class _StackedParams:
             raise ShapeError(
                 f"sections are padded to {self.X.shape[1]} rows, the schema needs {self.RH.shape[2]}"
             )
+        steps = np.array([MAP_STEPS[c] for c in sheaf.constraints], dtype=bool).reshape(-1, 2)
+        self.head_steps, self.tail_steps = (None if side.all() else side for side in steps.T)
         self.gX = np.zeros_like(self.X)
-        self.gRH = np.zeros_like(self.RH)
-        self.gRT = np.zeros_like(self.RT)
+        self.gRH, self.gRT = (
+            np.zeros_like(param) if side.any() else None
+            for param, side in ((self.RH, steps[:, 0]), (self.RT, steps[:, 1]))
+        )
         self.gT = None if self.T is None else np.zeros_like(self.T)
         self.update = _adagrad_update if config.optimizer == "adagrad" else _sgd_update
         # (parameter, gradient, Adagrad accumulator), updated in this order
@@ -189,7 +194,7 @@ class _StackedParams:
             (param, grad, np.zeros_like(param))
             for param, grad in ((self.X, self.gX), (self.RH, self.gRH),
                                 (self.RT, self.gRT), (self.T, self.gT))
-            if param is not None
+            if grad is not None
         ]
 
     def step(self, pos, neg, config: TrainConfig):
@@ -198,7 +203,7 @@ class _StackedParams:
             grad[...] = 0.0
         loss, n_active = _kernels.margin_grads(
             self.X, self.RH, self.RT, self.T, neg, pos, config.margin,
-            self.gX, self.gRH, self.gRT, self.gT,
+            self.gX, self.gRH, self.gRT, self.gT, self.head_steps, self.tail_steps,
         )
         if not np.isfinite(loss):
             return loss, n_active
@@ -231,11 +236,37 @@ def _first_bad_relation(model, pos, neg) -> str:
     """Name the relation of the first non-finite score, positives before negatives."""
     rows = np.concatenate([pos, neg])
     sheaf = model.sheaf
-    scores = _kernels.batch_scores(
-        model.sections.X, sheaf.RH, sheaf.RT, sheaf.T, rows[:, 0], rows[:, 1], rows[:, 2]
-    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        scores = _kernels.batch_scores(
+            model.sections.X, sheaf.RH, sheaf.RT, sheaf.T, rows[:, 0], rows[:, 1], rows[:, 2]
+        )
     bad = np.flatnonzero(~np.isfinite(scores))
     return model.schema.relation_types[int(rows[bad[0], 1])] if bad.size else "<unknown>"
+
+
+@contextmanager
+def _abort_on_overflow(epoch, batch=None, relation=lambda: None):
+    """Run the block with numpy overflow and invalid operations raised as a TrainingAbortError."""
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            yield
+    except FloatingPointError as err:
+        raise TrainingAbortError(epoch, batch, relation(), str(err)) from err
+
+
+@contextmanager
+def _each_message_once(log: logging.Logger):
+    """Within the block, let each distinct message through ``log`` only the first time."""
+    seen = set()
+
+    def first_time(record):
+        return record.msg not in seen and not seen.add(record.msg)
+
+    log.addFilter(first_time)
+    try:
+        yield
+    finally:
+        log.removeFilter(first_time)
 
 
 def train(kg: KnowledgeGraph, config: TrainConfig, model: Model) -> tuple[Model, TrainReport]:
@@ -246,11 +277,21 @@ def train(kg: KnowledgeGraph, config: TrainConfig, model: Model) -> tuple[Model,
     translations ``KnowledgeSheaf.RH``/``RT``/``T``, are updated in place
     from the first step, and a :class:`TrainingAbortError` leaves the model
     holding the parameters reached when training stopped. Padded entries stay
-    exactly zero (see ``_kernels``). Every map takes the optimizer step, and
-    every constraint, identity included, is then re-projected exactly on
-    each relation's true block. With ``max_entity_norm`` set, a section
-    column norm that overflows raises :class:`TrainingAbortError` naming the
-    relation with the largest map norm.
+    exactly zero (see ``_kernels``). Only the maps that projection keeps
+    take the optimizer step (``model.MAP_STEPS``): no identity map, and no
+    shared or antisymmetric tail. Every constraint is then re-projected
+    exactly on each relation's true block; a projection warning is logged
+    once per call.
+
+    A diverging run raises :class:`TrainingAbortError` naming the epoch, on
+    a non-finite loss, a numpy overflow or invalid operation in a step or
+    the epoch's orthogonality penalty, a section norm overflow under
+    ``max_entity_norm``, or an epoch mean loss over ``LOSS_BLOWUP`` (1e4)
+    times the larger of the first epoch's and the margin. Projected maps
+    stay bounded, so diverging sections can keep the loss finite for tens of
+    epochs; scores are quadratic, so 1e4 means sections about 100 times
+    their first scale, which no run that learns reaches. The checks change
+    no other run.
 
     Each batch of B positives gets its B*k negatives from one
     ``sample_negatives`` call, and the kernel scores each positive once.
@@ -269,30 +310,40 @@ def train(kg: KnowledgeGraph, config: TrainConfig, model: Model) -> tuple[Model,
     report = TrainReport()
     start = time.perf_counter()
     n = len(triples)
-    for epoch in range(config.epochs):
-        perm = shuffle_rng.permutation(n)
-        epoch_loss = 0.0
-        n_pairs = n_active_pairs = 0
-        for batch_no, lo in enumerate(range(0, n, config.batch_size)):
-            pos = triples[perm[lo:lo + config.batch_size]]
-            neg = sample_negatives(kg, index, pos, k, neg_rng)
-            loss, n_active = state.step(pos, neg, config)
-            if not np.isfinite(loss):
-                raise TrainingAbortError(
-                    epoch, batch_no, _first_bad_relation(model, pos, neg)
-                )
-            cap = config.max_entity_norm
-            if cap is not None and not state.cap_entity_norms(cap):
-                raise TrainingAbortError(
-                    epoch, batch_no, state.largest_map_relation(),
-                    "section norms overflowed before the max_entity_norm cap",
-                )
-            epoch_loss += loss
-            n_pairs += len(neg)
-            n_active_pairs += n_active
-        report.epoch_mean_loss.append(epoch_loss / n_pairs)
-        report.epoch_active_fraction.append(n_active_pairs / n_pairs)
-        report.epoch_orthogonality.append(orthogonality_penalty(model.sections))
+    with _each_message_once(model_logger):
+        for epoch in range(config.epochs):
+            perm = shuffle_rng.permutation(n)
+            epoch_loss = 0.0
+            n_pairs = n_active_pairs = 0
+            for batch_no, lo in enumerate(range(0, n, config.batch_size)):
+                pos = triples[perm[lo:lo + config.batch_size]]
+                neg = sample_negatives(kg, index, pos, k, neg_rng)
+                bad_relation = partial(_first_bad_relation, model, pos, neg)
+                with _abort_on_overflow(epoch, batch_no, bad_relation):
+                    loss, n_active = state.step(pos, neg, config)
+                if not np.isfinite(loss):
+                    raise TrainingAbortError(epoch, batch_no, bad_relation())
+                cap = config.max_entity_norm
+                if cap is not None and not state.cap_entity_norms(cap):
+                    raise TrainingAbortError(
+                        epoch, batch_no, state.largest_map_relation(),
+                        "section norms overflowed before the max_entity_norm cap",
+                    )
+                epoch_loss += loss
+                n_pairs += len(neg)
+                n_active_pairs += n_active
+            report.epoch_mean_loss.append(epoch_loss / n_pairs)
+            report.epoch_active_fraction.append(n_active_pairs / n_pairs)
+            with _abort_on_overflow(epoch):
+                report.epoch_orthogonality.append(orthogonality_penalty(model.sections))
+            limit = LOSS_BLOWUP * max(report.epoch_mean_loss[0], config.margin)
+            if report.epoch_mean_loss[-1] > limit:
+                with np.errstate(over="ignore", invalid="ignore"):
+                    worst = relation_discrepancy(model.sheaf, model.sections, kg)
+                raise TrainingAbortError(epoch, None, max(worst, key=worst.get), (
+                    f"mean loss {report.epoch_mean_loss[-1]:.3g} is over {LOSS_BLOWUP:g} times"
+                    " the first epoch's"
+                ))
     report.wall_time = time.perf_counter() - start
     report.relation_discrepancy = relation_discrepancy(model.sheaf, model.sections, kg)
     logger.info(

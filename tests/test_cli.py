@@ -146,6 +146,16 @@ class TestTrain:
         assert f"error: {key} must be finite" in res.output
         assert not (tmp_path / "o").exists()
 
+    def test_diverging_projected_run_exits_1_without_checkpoint(self, runner, workspace, tmp_path):
+        res = run_cli(runner, [
+            "train", "--train", str(workspace / "data" / "train.tsv"), "--constraint", "identity",
+            "--optimizer", "sgd", "--learning-rate", "1.0", "--out", str(tmp_path / "o"),
+        ])
+        assert res.exit_code == 1, res.output
+        assert "error: training diverged at epoch" in res.output
+        assert "--max-entity-norm" in res.output
+        assert not (tmp_path / "o").exists()
+
     def test_one_checkpoint_per_seed(self, workspace):
         ckpt = workspace / "ckpt"
         for seed in (1, 2):

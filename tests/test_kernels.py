@@ -4,8 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sheaf_kg import _kernels
-from sheaf_kg.kgdata import default_schema
-from sheaf_kg.model import Model, ModelConfig, init_model, triple_score
+from sheaf_kg.kgdata import Schema, default_schema
+from sheaf_kg.model import CONSTRAINTS, MAP_STEPS, Model, ModelConfig, init_model, triple_score
 from sheaf_kg.training import TrainConfig, _StackedParams
 
 
@@ -17,6 +17,14 @@ def stacked_instance(rng, n=8, d=4, de=3, n_rel=2, m=2, translational=True):
     return X, RH, RT, T
 
 
+def oracle_scores(X, RH, RT, T, h, r, t):
+    """Scores and edge residuals of the triples ``(h, r, t)``, in the kernel's order."""
+    diff = np.einsum("bij,bjm->bim", RH[r], X[h]) - np.einsum("bij,bjm->bim", RT[r], X[t])
+    if T is not None:
+        diff = diff + T[r]
+    return np.einsum("bim,bim->b", diff, diff), diff
+
+
 def margin_grads_oracle(X, RH, RT, T, pos, neg, gamma, gX, gRH, gRT, gT):
     """The kernel as it was before it scored each positive once.
 
@@ -24,17 +32,10 @@ def margin_grads_oracle(X, RH, RT, T, pos, neg, gamma, gX, gRH, gRT, gT):
     negatives appears k times in ``pos`` and is scored and differentiated k
     times. Returns (loss_sum, n_active) and adds into the ``g*`` arrays.
     """
-
-    def scores(h, r, t):
-        diff = np.einsum("bij,bjm->bim", RH[r], X[h]) - np.einsum("bij,bjm->bim", RT[r], X[t])
-        if T is not None:
-            diff = diff + T[r]
-        return np.einsum("bim,bim->b", diff, diff), diff
-
     hp, rp, tp = pos[:, 0], pos[:, 1], pos[:, 2]
     hn, rn, tn = neg[:, 0], neg[:, 1], neg[:, 2]
-    s_pos, d_pos = scores(hp, rp, tp)
-    s_neg, d_neg = scores(hn, rn, tn)
+    s_pos, d_pos = oracle_scores(X, RH, RT, T, hp, rp, tp)
+    s_neg, d_neg = oracle_scores(X, RH, RT, T, hn, rn, tn)
     if not (np.all(np.isfinite(s_pos)) and np.all(np.isfinite(s_neg))):
         return float("nan"), 0
     margins = s_pos + gamma - s_neg
@@ -52,6 +53,62 @@ def margin_grads_oracle(X, RH, RT, T, pos, neg, gamma, gX, gRH, gRT, gT):
         if gT is not None:
             np.add.at(gT, r, d)
     return loss, int(np.count_nonzero(active))
+
+
+def margin_grads_all_maps(X, RH, RT, T, neg, pos, gamma, gX, gRH, gRT, gT):
+    """The kernel as it was before it skipped the maps that do not step.
+
+    Every map of every active row gets its gradient, whatever its relation's
+    constraint tag.
+    """
+    k = len(neg) // len(pos)
+    s_pos, d_pos = oracle_scores(X, RH, RT, T, *pos.T)
+    s_neg, d_neg = oracle_scores(X, RH, RT, T, *neg.T)
+    if not (np.all(np.isfinite(s_pos)) and np.all(np.isfinite(s_neg))):
+        return float("nan"), 0
+    margins = np.repeat(s_pos, k) + gamma - s_neg
+    active = margins > 0.0
+    loss = float(np.sum(np.where(active, margins, 0.0)))
+    if not np.any(active):
+        return loss, 0
+    weight = np.count_nonzero(active.reshape(-1, k), axis=1)
+    hit = weight > 0
+    h, r, t = np.concatenate([pos[hit], neg[active]]).T
+    d = np.concatenate([d_pos[hit] * (2.0 * weight[hit])[:, None, None], d_neg[active] * -2.0])
+    np.add.at(gX, h, np.einsum("bij,bim->bjm", RH[r], d))
+    np.add.at(gX, t, -np.einsum("bij,bim->bjm", RT[r], d))
+    np.add.at(gRH, r, np.einsum("bim,bjm->bij", d, X[h]))
+    np.add.at(gRT, r, -np.einsum("bim,bjm->bij", d, X[t]))
+    if gT is not None:
+        np.add.at(gT, r, d)
+    return loss, int(np.count_nonzero(active))
+
+
+def mixed_tag_schema(rng):
+    """Three entity types of random dims and one relation per tag plus two random-tag ones.
+
+    Each relation's endpoint types and edge dim are drawn so that its tag
+    admits them. Returns the schema and the relation-to-tag overrides.
+    """
+    vertex_dim = [int(d) for d in rng.integers(1, 6, 3)]
+    tags = [str(c) for c in rng.permutation([*CONSTRAINTS, *rng.choice(CONSTRAINTS, 2)])]
+    head_type, tail_type, edge_dim = [], [], []
+    for tag in tags:
+        h = int(rng.integers(0, 3))
+        t = h if tag in ("shared", "antisymmetric", "identity") else int(rng.integers(0, 3))
+        if tag == "identity":
+            de = vertex_dim[h]
+        elif tag == "orthogonal":
+            de = max(vertex_dim[h], vertex_dim[t]) + int(rng.integers(0, 3))
+        else:
+            de = int(rng.integers(1, 7))
+        head_type.append(h)
+        tail_type.append(t)
+        edge_dim.append(de)
+    names = tuple(f"r{r}" for r in range(len(tags)))
+    schema = Schema(("a", "b", "c"), names, tuple(head_type), tuple(tail_type),
+                    tuple(vertex_dim), tuple(edge_dim))
+    return schema, dict(zip(names, tags))
 
 
 def ragged_instance(rng, m, translational, n=12, n_types=3, n_rel=4):
@@ -122,6 +179,63 @@ class TestPositivesOnce:
             assert np.all(grad[~mask] == 0.0)
 
 
+class TestSkippedMaps:
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        variant=st.sampled_from(["shv", "shvt"]),
+        m=st.sampled_from([1, 3]),
+        k=st.sampled_from([1, 4]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_kernel_matches_all_maps_oracle(self, seed, variant, m, k):
+        rng = np.random.default_rng(seed)
+        schema, overrides = mixed_tag_schema(rng)
+        entity_type = np.arange(12) % 3
+        cfg = ModelConfig(variant=variant, sections=m, constraint_overrides=overrides)
+        sheaf, sections = init_model(cfg, schema, entity_type, seed=seed % 1000)
+        for i, d in enumerate(sections.dims):
+            sections.X[i, :d] = rng.normal(size=(d, m))
+        model = Model(schema, tuple(f"e{i}" for i in range(12)), entity_type, sheaf, sections)
+        state = _StackedParams(model, TrainConfig())
+        r = rng.integers(0, schema.n_relations, int(rng.integers(1, 24)))
+        pos = np.stack([
+            [rng.choice(np.flatnonzero(entity_type == schema.head_type[j])) for j in r],
+            r,
+            [rng.choice(np.flatnonzero(entity_type == schema.tail_type[j])) for j in r],
+        ], axis=1)
+        neg = np.repeat(pos, k, axis=0)
+        for row in neg:  # corrupt one endpoint with a same-type entity
+            slot = 0 if rng.integers(0, 2) else 2
+            row[slot] = rng.choice(np.flatnonzero(entity_type == entity_type[row[slot]]))
+        X, RH, RT, T = state.X, state.RH, state.RT, state.T
+        gaps = _kernels.batch_scores(X, RH, RT, T, *neg.T) - np.repeat(
+            _kernels.batch_scores(X, RH, RT, T, *pos.T), k
+        )
+        gamma = max(float(np.median(gaps)), 0.1)  # about half the pairs active
+
+        ref = [None if p is None else np.zeros_like(p) for p in (X, RH, RT, T)]
+        ref_loss, ref_active = margin_grads_all_maps(X, RH, RT, T, neg, pos, gamma, *ref)
+        grads = [None if g is None else np.zeros_like(g)
+                 for g in (state.gX, state.gRH, state.gRT, state.gT)]
+        loss, n_active = _kernels.margin_grads(
+            X, RH, RT, T, neg, pos, gamma, *grads, state.head_steps, state.tail_steps
+        )
+
+        assert (loss, n_active) == (ref_loss, ref_active)
+        np.testing.assert_array_equal(grads[0], ref[0])
+        if T is not None:
+            np.testing.assert_array_equal(grads[3], ref[3])
+        tags = sheaf.constraints
+        for side, grad, oracle in ((0, grads[1], ref[1]), (1, grads[2], ref[2])):
+            steps = np.array([MAP_STEPS[tag][side] for tag in tags])
+            assert (grad is None) == (not steps.any())
+            if grad is None:
+                continue
+            assert np.all(grad[~steps] == 0.0)
+            err = np.linalg.norm(grad[steps] - oracle[steps])
+            assert err <= 1e-12 * np.linalg.norm(oracle[steps])
+
+
 class TestScores:
     @pytest.mark.parametrize("translational", [False, True])
     def test_backends_agree_with_reference_scoring(self, rng, translational):
@@ -167,8 +281,9 @@ class TestMarginGrads:
         free_head = sheaf.head_maps[0].copy()
         _, n_active = state.step(pos, neg, config)
         assert n_active == B
-        # the kernel differentiates the identity relation like any other ...
-        assert np.any(state.gRH[1] != 0.0) and np.any(state.gRT[1] != 0.0)
+        # the kernel skips the identity relation's map gradients ...
+        assert np.all(state.gRH[1] == 0.0) and np.all(state.gRT[1] == 0.0)
+        assert np.any(state.gRH[0] != 0.0) and np.any(state.gRT[0] != 0.0)
         assert not np.array_equal(sheaf.head_maps[0], free_head)
         # ... and the step's projection puts its maps back exactly
         np.testing.assert_array_equal(sheaf.head_maps[1], np.eye(4))

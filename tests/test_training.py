@@ -1,3 +1,5 @@
+import logging
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,10 +11,13 @@ from sheaf_kg.errors import ConfigError, SamplingError, TrainingAbortError
 from sheaf_kg.kgdata import KnowledgeGraph, Schema, build_index, default_schema
 from sheaf_kg.model import (
     CONSTRAINTS,
+    MAP_STEPS,
+    KnowledgeSheaf,
     Model,
     ModelConfig,
     init_for_kg,
     init_model,
+    project_constraints_inplace,
     triple_score,
 )
 from sheaf_kg.seeds import substream
@@ -21,7 +26,6 @@ from sheaf_kg.training import (
     TrainConfig,
     _StackedParams,
     _first_bad_relation,
-    margin_loss,
     sample_negatives,
     train,
     triple_grads,
@@ -48,21 +52,6 @@ def small_kg(rng, n_entities=8, n_relations=2, dim=4, n_triples=14):
         triples=triples,
         split=np.zeros(len(triples), dtype=np.int8),
     )
-
-
-class TestMarginLoss:
-    def test_satisfied_pair(self):
-        assert margin_loss(0.0, 2.0, 1.0) == 0.0
-
-    def test_tied_pair(self):
-        assert margin_loss(1.0, 1.0, 1.0) == 1.0
-
-    def test_arithmetic(self):
-        assert margin_loss(0.3, 0.5, 1.0) == pytest.approx(0.8)
-
-    def test_margin_must_be_positive(self):
-        with pytest.raises(ConfigError):
-            margin_loss(0.0, 1.0, 0.0)
 
 
 class TestSampleNegatives:
@@ -740,3 +729,104 @@ class TestPaddedLayout:
         assert_padded_blocks(state.RT, model.sheaf.tail_maps)
         assert_padded_blocks(state.T, model.sheaf.translations)
         model.sheaf.check_constraints()
+
+    @pytest.mark.parametrize("variant", ["shv", "shvt"])
+    @pytest.mark.parametrize("optimizer", ["sgd", "adagrad"])
+    def test_skipped_map_steps_change_no_parameter(self, rng, monkeypatch, variant, optimizer):
+        kg, overrides = self.mixed_ragged_kg(rng)
+        cfg = ModelConfig(variant=variant, sections=3, alpha=0.1, constraint_overrides=overrides)
+        config = TrainConfig(epochs=4, batch_size=16, learning_rate=0.05, optimizer=optimizer,
+                             negatives_per_positive=2, alpha=0.1, seed=2, max_entity_norm=1.5)
+        skipped, _ = train(kg, config, init_for_kg(cfg, kg, seed=1))
+        monkeypatch.setattr("sheaf_kg.training.MAP_STEPS", dict.fromkeys(CONSTRAINTS, (True, True)))
+        every, _ = train(kg, config, init_for_kg(cfg, kg, seed=1))
+        np.testing.assert_array_equal(skipped.sections.X, every.sections.X)
+        for name in ("RH", "RT", "T"):
+            np.testing.assert_array_equal(getattr(skipped.sheaf, name), getattr(every.sheaf, name))
+
+    @pytest.mark.parametrize("optimizer", ["sgd", "adagrad"])
+    def test_identity_model_has_no_map_slots(self, monkeypatch, optimizer):
+        ds = generate_planted_kg(40, 3, 4, 0.0, seed=0, variant="shvt")
+        cfg = ModelConfig(variant="shvt", constraint="identity")
+        config = TrainConfig(epochs=3, batch_size=16, learning_rate=0.05, optimizer=optimizer,
+                             negatives_per_positive=2, seed=0)
+        model = init_for_kg(cfg, ds.kg, seed=0)
+        state = _StackedParams(model, config)
+        assert state.gRH is None and state.gRT is None
+        params = [param for param, _, _ in state.slots]
+        assert len(params) == 2 and params[0] is model.sections.X and params[1] is model.sheaf.T
+        skipped, _ = train(ds.kg, config, model)
+        monkeypatch.setattr("sheaf_kg.training.MAP_STEPS", dict.fromkeys(CONSTRAINTS, (True, True)))
+        every, _ = train(ds.kg, config, init_for_kg(cfg, ds.kg, seed=0))
+        np.testing.assert_array_equal(skipped.sections.X, every.sections.X)
+        np.testing.assert_array_equal(skipped.sheaf.T, every.sheaf.T)
+
+
+@pytest.mark.parametrize("kind", CONSTRAINTS)
+def test_projection_overwrites_exactly_the_maps_that_do_not_step(rng, kind):
+    sheaf = KnowledgeSheaf(
+        default_schema(1, 4, 4), [rng.normal(size=(4, 4))], [rng.normal(size=(4, 4))], [kind]
+    )
+    project_constraints_inplace(sheaf)
+    for side, steps in enumerate(MAP_STEPS[kind]):
+        moved = sheaf.copy()
+        (moved.head_maps, moved.tail_maps)[side][0][...] = rng.normal(size=(4, 4))
+        project_constraints_inplace(moved)
+        kept = np.array_equal(moved.RH, sheaf.RH) and np.array_equal(moved.RT, sheaf.RT)
+        assert kept != steps
+
+
+class TestDivergence:
+    """Runs that diverge abort; the planted set-up is one that projected maps used to survive."""
+
+    @staticmethod
+    def diverging_run(constraint, learning_rate, **overrides):
+        ds = generate_planted_kg(200, 5, 16, 0.0, seed=0, variant="shv")
+        model = init_for_kg(ModelConfig(constraint=constraint), ds.kg, seed=0)
+        config = TrainConfig(epochs=20, batch_size=64, negatives_per_positive=4, optimizer="sgd",
+                             learning_rate=learning_rate, seed=0, **overrides)
+        return ds.kg, config, model
+
+    @pytest.mark.parametrize("constraint", ["identity", "orthogonal"])
+    @pytest.mark.parametrize("learning_rate", [0.3, 1.0])
+    def test_projected_map_divergence_aborts(self, constraint, learning_rate):
+        kg, config, model = self.diverging_run(constraint, learning_rate)
+        with pytest.raises(TrainingAbortError) as err:
+            train(kg, config, model)
+        assert err.value.epoch == 1
+        assert err.value.relation in kg.schema.relation_types
+        message = str(err.value)
+        assert "over 10000 times the first epoch's" in message
+        assert "--max-entity-norm" in message and "lower learning rate" in message
+
+    def test_rank_deficient_projection_logged_once_per_call(self, caplog):
+        with caplog.at_level(logging.WARNING, logger="sheaf_kg.model"):
+            for _ in range(2):
+                with pytest.raises(TrainingAbortError):
+                    train(*self.diverging_run("orthogonal", 1.0))
+        logged = [r for r in caplog.records if "rank-deficient" in r.getMessage()]
+        assert len(logged) == 2
+        assert not logging.getLogger("sheaf_kg.model").filters
+
+    @pytest.mark.parametrize("alpha, batch", [(0.0, None), (0.1, 0)])
+    def test_overflow_aborts_in_step_and_in_penalty(self, alpha, batch):
+        # the first step overflows in the penalty's gradient when alpha > 0,
+        # else the first epoch's orthogonality penalty overflows
+        kg, config, model = self.diverging_run("identity", 0.01, alpha=alpha)
+        model.sections.X *= 1e100
+        with pytest.raises(TrainingAbortError) as err:
+            train(kg, config, model)
+        assert (err.value.epoch, err.value.batch) == (0, batch)
+        assert "overflow encountered" in str(err.value)
+
+    def test_cap_overflow_aborts_without_the_loss_check(self, monkeypatch):
+        # the set-up of TestTrain.test_divergence_under_norm_cap_raises, whose
+        # loss check now fires first
+        monkeypatch.setattr("sheaf_kg.training.LOSS_BLOWUP", np.inf)
+        ds = generate_planted_kg(200, 5, 16, 0.0, seed=0, variant="shvt")
+        model = init_for_kg(ModelConfig(variant="shvt", constraint="free"), ds.kg, seed=0)
+        with pytest.raises(TrainingAbortError) as err:
+            train(ds.kg, TrainConfig(epochs=12, batch_size=32, learning_rate=0.05, optimizer="sgd",
+                                     negatives_per_positive=12, max_entity_norm=2.0, seed=0), model)
+        assert err.value.relation in ds.kg.schema.relation_types
+        assert "section norms overflowed before the max_entity_norm cap" in str(err.value)
