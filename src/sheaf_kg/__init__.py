@@ -22,9 +22,7 @@ from .model import (
     init_for_kg,
     init_model,
     orthogonality_penalty,
-    project_constraints,
     relation_discrepancy,
-    resize_edge_stalk,
     triple_score,
 )
 from .query import Query, QueryGraph, Ranking, answer_query, entity_chaining_exact, naive_traversal_score
@@ -73,10 +71,8 @@ __all__ = [
     "load_triples",
     "naive_traversal_score",
     "orthogonality_penalty",
-    "project_constraints",
     "quadratic_form",
     "relation_discrepancy",
-    "resize_edge_stalk",
     "sample_negatives",
     "schur_complement",
     "train",

@@ -229,6 +229,8 @@ def _read_model(mpath: Path, tpath: Path) -> Model:
     except (MemoryError, ValueError):  # numpy: too large to allocate, or to address
         raise CheckpointError(f"{mpath}: arrays padded to vertex_dim {max(vertex_dims)} "
                               "cannot be allocated") from None
+    if not all(np.isfinite(a).all() for a in (padded.X, sheaf.RH, sheaf.RT, sheaf.T) if a is not None):
+        raise CheckpointError(f"{tpath}: tensors hold non-finite values")
     return Model(
         schema=schema,
         entities=tuple(entity_names),

@@ -183,9 +183,6 @@ class KnowledgeGraph:
     def triples_of(self, split: str) -> np.ndarray:
         return self.triples[self.split_mask(split)]
 
-    def entities_of_type(self, type_idx: int) -> np.ndarray:
-        return np.nonzero(self.entity_type == type_idx)[0]
-
     @cached_property
     def slot_pools(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Entities sorted by type, and where each relation's head and tail types sit in that order.

@@ -181,9 +181,6 @@ class Ranking:
     def __len__(self) -> int:
         return len(self.scored[0])
 
-    def __contains__(self, entity) -> bool:
-        return bool(np.any(self.scored[0] == int(entity)))
-
     def position(self, entity: int) -> int:
         """0-based position of an entity in the sorted order."""
         hits = np.flatnonzero(self.entity_ids == int(entity))

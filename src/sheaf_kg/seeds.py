@@ -13,7 +13,6 @@ _STREAM_IDS = {
     "negatives": 3,
     "synth": 4,
     "queries": 5,
-    "resize": 6,
 }
 
 

@@ -70,37 +70,25 @@ class SheafOnGraph:
         return np.concatenate(([0], np.cumsum(self.vertex_dims)))
 
     @property
-    def total_vertex_dim(self) -> int:
-        return int(sum(self.vertex_dims))
-
-    @property
     def total_edge_dim(self) -> int:
         return int(sum(self.edge_dims))
 
 
-def check_cochain0(sheaf: SheafOnGraph, x) -> None:
-    if len(x) != sheaf.n_vertices:
-        raise ShapeError(f"0-cochain has {len(x)} blocks, sheaf has {sheaf.n_vertices} vertices")
-    for v, block in enumerate(x):
-        if np.shape(block)[0] != sheaf.vertex_dims[v]:
-            raise ShapeError(
-                f"vertex {v}: block of length {np.shape(block)[0]}, stalk dim {sheaf.vertex_dims[v]}"
-            )
+def _check_blocks(label: str, blocks, cell: str, dims: dict[int, int]) -> None:
+    """Raise ``ShapeError`` unless ``blocks`` holds one block per cell, led by its stalk dim.
 
-
-def check_cochain1(sheaf: SheafOnGraph, b) -> None:
-    if len(b) != sheaf.n_edges:
-        raise ShapeError(f"1-cochain has {len(b)} blocks, sheaf has {sheaf.n_edges} edges")
-    for e, block in enumerate(b):
-        if np.shape(block)[0] != sheaf.edge_dims[e]:
-            raise ShapeError(
-                f"edge {e}: block of length {np.shape(block)[0]}, stalk dim {sheaf.edge_dims[e]}"
-            )
+    ``dims`` maps each cell, in block order, to its stalk dim.
+    """
+    if len(blocks) != len(dims):
+        raise ShapeError(f"{label} has {len(blocks)} blocks, expected {len(dims)} (one per {cell})")
+    for (c, d), block in zip(dims.items(), blocks):
+        if np.shape(block)[0] != d:
+            raise ShapeError(f"{cell} {c}: block of length {np.shape(block)[0]}, stalk dim {d}")
 
 
 def coboundary(sheaf: SheafOnGraph, x) -> list[np.ndarray]:
     """Edgewise disagreement of a 0-cochain: block e = T_e x_tail - H_e x_head."""
-    check_cochain0(sheaf, x)
+    _check_blocks("0-cochain", x, "vertex", dict(enumerate(sheaf.vertex_dims)))
     out = []
     for e, (u, v) in enumerate(sheaf.edges):
         out.append(sheaf.tail_maps[e] @ x[v] - sheaf.head_maps[e] @ x[u])
@@ -109,7 +97,7 @@ def coboundary(sheaf: SheafOnGraph, x) -> list[np.ndarray]:
 
 def coboundary_transpose(sheaf: SheafOnGraph, b) -> list[np.ndarray]:
     """Adjoint of the coboundary applied to a 1-cochain."""
-    check_cochain1(sheaf, b)
+    _check_blocks("1-cochain", b, "edge", dict(enumerate(sheaf.edge_dims)))
     cols = np.shape(b[0])[1:] if len(b) else ()
     out = [np.zeros((d,) + cols) for d in sheaf.vertex_dims]
     for e, (u, v) in enumerate(sheaf.edges):
@@ -140,7 +128,7 @@ class BlockLaplacian:
     """Symmetric PSD operator on the concatenated vertex stalks, held dense.
 
     Vertex ``v`` owns the rows and columns ``columns([v])`` of the last two axes
-    of ``dense`` (any others are batch axes); ``block`` and ``submatrix`` read them.
+    of ``dense`` (any others are batch axes).
     """
 
     vertex_dims: tuple[int, ...]
@@ -160,18 +148,6 @@ class BlockLaplacian:
         """Indices into ``dense`` of the given vertices' stalks, in the given order."""
         off = list(accumulate(self.vertex_dims, initial=0))
         return np.array([i for v in vertices for i in range(off[v], off[v + 1])], dtype=np.intp)
-
-    def block(self, u: int, v: int) -> np.ndarray:
-        return self.dense[..., self.columns([u]), :][..., self.columns([v])]
-
-    @property
-    def diag(self) -> tuple[np.ndarray, ...]:
-        return tuple(self.block(v, v) for v in range(self.n_vertices))
-
-    def submatrix(self, rows, cols=None) -> np.ndarray:
-        """Dense block submatrix over the given vertex orderings."""
-        r = self.columns(rows)
-        return self.dense[..., r, :][..., r if cols is None else self.columns(cols)]
 
     def to_dense(self) -> np.ndarray:
         return self.dense.copy()
@@ -260,9 +236,7 @@ def _split_blocks(vec: np.ndarray, dims) -> list[np.ndarray]:
 def _boundary_data(lap: BlockLaplacian, boundary, boundary_values):
     """Checked boundary partition and the boundary blocks concatenated: ``(b, interior, y_b)``."""
     b, interior = _boundary_partition(lap, boundary)
-    for v, blk in zip(b, boundary_values):
-        if np.shape(blk)[0] != lap.vertex_dims[v]:
-            raise ShapeError(f"boundary block for vertex {v} has wrong leading dimension")
+    _check_blocks("boundary data", boundary_values, "vertex", {v: lap.vertex_dims[v] for v in b})
     return b, interior, _concat_blocks(boundary_values)
 
 
@@ -292,7 +266,7 @@ def affine_harmonic_extension(lap: BlockLaplacian, sheaf: SheafOnGraph, b_cochai
     ``affine_offset``), so rankings are unaffected. With a zero 1-cochain
     this reduces bitwise to ``harmonic_extension``.
     """
-    check_cochain1(sheaf, b_cochain)
+    _check_blocks("1-cochain", b_cochain, "edge", dict(enumerate(sheaf.edge_dims)))
     b, interior, y_b = _boundary_data(lap, boundary, boundary_values)
     schur, extend, pinv_uu = eliminate(lap, b)
     g = _concat_blocks(coboundary_transpose(sheaf, b_cochain))
@@ -310,7 +284,7 @@ def affine_offset(lap: BlockLaplacian, sheaf: SheafOnGraph, b_cochain, boundary)
     true minimum of ``|delta y - b|^2`` subject to the boundary condition:
     ``b^T b - g^T pinv(L[U,U]) g`` with ``g = (delta^T b)_U``.
     """
-    check_cochain1(sheaf, b_cochain)
+    _check_blocks("1-cochain", b_cochain, "edge", dict(enumerate(sheaf.edge_dims)))
     btb = sum(float(np.sum(np.asarray(blk, dtype=float) ** 2)) for blk in b_cochain)
     _, _, pinv_uu = eliminate(lap, boundary)
     g = _concat_blocks(coboundary_transpose(sheaf, b_cochain))

@@ -232,8 +232,8 @@ class _StackedParams:
         return self.sheaf.schema.relation_types[int(np.argmax(norms))]
 
 
-def _first_bad_relation(model, pos, neg) -> str:
-    """Name the relation of the first non-finite score, positives before negatives."""
+def _first_bad_relation(model, pos, neg) -> str | None:
+    """Name the relation of the first non-finite score, positives before negatives, if any."""
     rows = np.concatenate([pos, neg])
     sheaf = model.sheaf
     with np.errstate(over="ignore", invalid="ignore"):
@@ -241,7 +241,7 @@ def _first_bad_relation(model, pos, neg) -> str:
             model.sections.X, sheaf.RH, sheaf.RT, sheaf.T, rows[:, 0], rows[:, 1], rows[:, 2]
         )
     bad = np.flatnonzero(~np.isfinite(scores))
-    return model.schema.relation_types[int(rows[bad[0], 1])] if bad.size else "<unknown>"
+    return model.schema.relation_types[int(rows[bad[0], 1])] if bad.size else None
 
 
 @contextmanager

@@ -43,6 +43,11 @@ def random_cochain1(rng, sheaf, columns=None):
     return [rng.normal(size=(d, columns)) for d in sheaf.edge_dims]
 
 
+def lap_block(lap, rows, cols=None):
+    """``lap.dense`` over the stalks of vertices ``rows`` by those of ``cols`` (default ``rows``)."""
+    return lap.dense[..., lap.columns(rows), :][..., lap.columns(rows if cols is None else cols)]
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import lap_block
 from sheaf_kg.errors import QueryError
 from sheaf_kg.evaluation import (
     MetricReport,
@@ -52,10 +53,10 @@ def oracle_ranking(query: Query, model: Model):
     b_slices = [slice(voff[v], voff[v + 1]) for v in boundary]
     dim_b = sum(graph.vertex_dims[v] for v in boundary)
 
-    l_bb = lap.submatrix(boundary)
+    l_bb = lap_block(lap, boundary)
     if interior:
-        l_uu = lap.submatrix(interior)
-        l_ub = lap.submatrix(interior, boundary)
+        l_uu = lap_block(lap, interior)
+        l_ub = lap_block(lap, interior, boundary)
         pinv_uu = psd_pinv(l_uu)
         schur = l_bb - l_ub.T @ pinv_uu @ l_ub
         schur = (schur + schur.T) / 2.0
@@ -64,7 +65,7 @@ def oracle_ranking(query: Query, model: Model):
 
     lin = None
     if offsets is not None:
-        ext = np.zeros((graph.total_vertex_dim, dim_b))
+        ext = np.zeros((voff[-1], dim_b))
         pos = 0
         for v, sl in zip(boundary, b_slices):
             d = graph.vertex_dims[v]

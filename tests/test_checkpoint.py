@@ -148,6 +148,28 @@ def test_constraint_tag_its_maps_break_is_checkpoint_error(tmp_path, constraint)
         load_model(tmp_path / "ck")
 
 
+@pytest.mark.parametrize("where, value, match", [
+    ("free map", np.nan, "tensors hold non-finite values"),
+    ("section", np.inf, "tensors hold non-finite values"),
+    ("orthogonal map", 1e200, "relation 'orth': tail map orthogonality error inf"),
+], ids=["nan-free-map", "inf-section", "huge-orthogonal-map"])
+def test_non_finite_or_overflowing_parameters_are_checkpoint_errors(tmp_path, where, value, match):
+    # 1e200 overflows the Gram matrix, which must fail the tolerance, not warn
+    schema = Schema(
+        entity_types=("a",), relation_types=("free", "orth"), head_type=(0, 0), tail_type=(0, 0),
+        vertex_dim=(2,), edge_dim=(2, 2),
+    )
+    entity_type = np.zeros(3, dtype=np.int64)
+    cfg = ModelConfig(variant="shvt", constraint_overrides={"orth": "orthogonal"})
+    sheaf, sections = init_model(cfg, schema, entity_type, seed=0)
+    block = {"free map": sheaf.head_maps[0], "section": sections.block(1),
+             "orthogonal map": sheaf.tail_maps[1]}[where]
+    block[0, 0] = value
+    save_model(Model(schema, ("e0", "e1", "e2"), entity_type, sheaf, sections), tmp_path / "ck")
+    with pytest.raises(CheckpointError, match=f"^{tensor_path(tmp_path / 'ck')}: {match}"):
+        load_model(tmp_path / "ck")
+
+
 def test_missing_checkpoint_file_is_checkpoint_error(tmp_path, saved):
     manifest, tensors = saved
     write(tmp_path / "ck", manifest, tensors)

@@ -870,3 +870,9 @@ def test_entry_point_help_via_subprocess():
     )
     assert out.returncode == 0
     assert "synth" in out.stdout and "train" in out.stdout
+
+
+def test_every_exported_name_resolves():
+    import sheaf_kg
+
+    assert [name for name in sheaf_kg.__all__ if not hasattr(sheaf_kg, name)] == []

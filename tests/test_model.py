@@ -1,5 +1,3 @@
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
@@ -16,9 +14,8 @@ from sheaf_kg.model import (
     init_model,
     orthogonality_penalty,
     orthonormal_columns,
-    project_constraints,
+    project_constraints_inplace,
     relation_discrepancy,
-    resize_edge_stalk,
     triple_score,
 )
 from sheaf_kg.seeds import substream
@@ -259,13 +256,15 @@ class TestProjection:
     def test_shared_retied_exactly(self, rng):
         schema, cfg, sheaf, sections = random_model(rng, constraint="shared")
         sheaf.tail_maps[0][...] = sheaf.tail_maps[0] + 0.1  # desync
-        fixed = project_constraints(sheaf)
+        fixed = sheaf.copy()
+        project_constraints_inplace(fixed)
         np.testing.assert_array_equal(fixed.head_maps[0], fixed.tail_maps[0])
 
     def test_antisymmetric_retied(self, rng):
         schema, cfg, sheaf, sections = random_model(rng, constraint="antisymmetric")
         sheaf.tail_maps[0][...] = rng.normal(size=sheaf.tail_maps[0].shape)
-        fixed = project_constraints(sheaf)
+        fixed = sheaf.copy()
+        project_constraints_inplace(fixed)
         np.testing.assert_array_equal(fixed.head_maps[0], -fixed.tail_maps[0])
 
     def test_polar_factor_is_nearest_orthonormal(self, rng):
@@ -371,52 +370,6 @@ class TestRelationDiscrepancy:
             assert out[name] == pytest.approx(float(np.mean(groups[name])), rel=1e-12)
 
 
-class TestResize:
-    def _sheaf(self, rng, variant="shvt", constraint="free"):
-        schema, cfg, sheaf, sections = random_model(
-            rng, variant=variant, constraint=constraint, dim=3, edge_dim=4
-        )
-        return sheaf
-
-    def test_same_dim_is_identity(self, rng):
-        sheaf = self._sheaf(rng)
-        out = resize_edge_stalk(sheaf, 0, 4, seed=0)
-        np.testing.assert_array_equal(out.head_maps[0], sheaf.head_maps[0])
-        np.testing.assert_array_equal(out.translations[0], sheaf.translations[0])
-
-    def test_truncation_keeps_leading_rows(self, rng):
-        sheaf = self._sheaf(rng)
-        out = resize_edge_stalk(sheaf, 0, 2, seed=0)
-        np.testing.assert_array_equal(out.head_maps[0], sheaf.head_maps[0][:2])
-        np.testing.assert_array_equal(out.tail_maps[0], sheaf.tail_maps[0][:2])
-        np.testing.assert_array_equal(out.translations[0], sheaf.translations[0][:2])
-        assert out.schema.edge_dim[0] == 2
-
-    def test_growth_preserves_and_is_reproducible(self, rng):
-        sheaf = self._sheaf(rng)
-        a = resize_edge_stalk(sheaf, 0, 6, seed=5)
-        b = resize_edge_stalk(sheaf, 0, 6, seed=5)
-        np.testing.assert_array_equal(a.head_maps[0][:4], sheaf.head_maps[0])
-        np.testing.assert_array_equal(a.head_maps[0], b.head_maps[0])
-        np.testing.assert_array_equal(a.translations[0], b.translations[0])
-        c = resize_edge_stalk(sheaf, 0, 6, seed=6)
-        assert not np.array_equal(a.head_maps[0][4:], c.head_maps[0][4:])
-
-    @pytest.mark.parametrize("new_dim", [8, 5])
-    def test_orthogonal_relation_stays_orthogonal(self, rng, new_dim):
-        schema, cfg, sheaf, sections = random_model(rng, constraint="orthogonal", dim=4, edge_dim=6)
-        out = resize_edge_stalk(sheaf, 0, new_dim, seed=3)
-        assert out.head_maps[0].shape == out.tail_maps[0].shape == (new_dim, 4)
-        out.check_constraints()
-        np.testing.assert_array_equal(out.head_maps[1], sheaf.head_maps[1])
-        np.testing.assert_array_equal(out.tail_maps[1], sheaf.tail_maps[1])
-
-    def test_identity_relation_rejected(self, rng):
-        schema, cfg, sheaf, sections = random_model(rng, constraint="identity", dim=4)
-        with pytest.raises(ConfigError):
-            resize_edge_stalk(sheaf, 0, 2, seed=0)
-
-
 # Two entity types of unequal dim, one relation per constraint tag, each
 # with edge and vertex dims the tag admits.
 RAGGED_SCHEMA = Schema(
@@ -470,39 +423,6 @@ def per_tag_init_oracle(config, schema, entity_types, seed):
     return KnowledgeSheaf(schema, head_maps, tail_maps, constraints, translations), blocks
 
 
-def per_tag_resize_oracle(sheaf, r, new_dim, seed):
-    """resize_edge_stalk as written when it handled each tag itself (dims assumed valid)."""
-    schema, kind = sheaf.schema, sheaf.constraints[r]
-    dh, dt, old = schema.head_dim(r), schema.tail_dim(r), schema.edge_dim[r]
-    edge_dims = list(schema.edge_dim)
-    edge_dims[r] = new_dim
-    rng = substream(seed, "resize")
-
-    def resized(mat, scale):
-        if new_dim <= old:
-            return mat[:new_dim]
-        extra = rng.normal(size=(new_dim - old, mat.shape[1])) * scale
-        return np.concatenate([mat, extra], axis=0)
-
-    head_maps, tail_maps = list(sheaf.head_maps), list(sheaf.tail_maps)
-    translations = None if sheaf.translations is None else list(sheaf.translations)
-    head_maps[r] = resized(sheaf.head_maps[r], 1.0 / np.sqrt(dh * new_dim))
-    if kind == "shared":
-        tail_maps[r] = head_maps[r]
-    elif kind == "antisymmetric":
-        tail_maps[r] = -head_maps[r]
-    else:
-        tail_maps[r] = resized(sheaf.tail_maps[r], 1.0 / np.sqrt(dt * new_dim))
-    if kind == "orthogonal":
-        head_maps[r], tail_maps[r] = map(orthonormal_columns, (head_maps[r], tail_maps[r]))
-    if translations is not None:
-        translations[r] = resized(sheaf.translations[r], 1.0 / np.sqrt(new_dim))
-    return KnowledgeSheaf(
-        replace(schema, edge_dim=tuple(edge_dims)), head_maps, tail_maps,
-        sheaf.constraints, translations,
-    )
-
-
 def assert_same_sheaf(a, b):
     np.testing.assert_array_equal(a.RH, b.RH, strict=True)
     np.testing.assert_array_equal(a.RT, b.RT, strict=True)
@@ -528,28 +448,6 @@ class TestProjectedConstructionMatchesPerTagOracle:
             sections.X, SectionMatrix(m, ref_blocks, max(RAGGED_SCHEMA.vertex_dim)).X, strict=True
         )
         sheaf.check_constraints()
-
-    @pytest.mark.parametrize("variant", VARIANTS)
-    @pytest.mark.parametrize("relation", RAGGED_SCHEMA.relation_types)
-    def test_resize_edge_stalk(self, rng, variant, relation):
-        cfg = ModelConfig(variant=variant, sections=2, constraint_overrides={
-            name: name for name in RAGGED_SCHEMA.relation_types
-        })
-        sheaf, _ = init_model(cfg, RAGGED_SCHEMA, RAGGED_TYPES, seed=2)
-        for r in range(sheaf.schema.n_relations):  # off the init draw, still constrained
-            sheaf.head_maps[r][...] += 0.1 * rng.normal(size=sheaf.head_maps[r].shape)
-        sheaf = project_constraints(sheaf)
-        r = RAGGED_SCHEMA.relation_index(relation)
-        old = RAGGED_SCHEMA.edge_dim[r]
-        new_dims = {
-            "identity": [old],
-            "orthogonal": [old - 1, old, old + 3],
-        }.get(relation, [1, old - 1, old, old + 3])
-        for new_dim in new_dims:
-            out = resize_edge_stalk(sheaf, relation, new_dim, seed=7)
-            assert_same_sheaf(out, per_tag_resize_oracle(sheaf, r, new_dim, seed=7))
-            assert out.schema.edge_dim[r] == new_dim
-            out.check_constraints()
 
 
 class TestCheckpoint:
