@@ -7,6 +7,10 @@ recorded once) and ``P.tensors`` (little-endian float64 tensors in manifest
 order: entities by index, then head/tail maps per relation, then translations;
 each tensor is prefixed by its rank and shape as little-endian uint64). Round
 trips are bit-exact.
+
+Entity tensors are written and read one run of same-shaped entities at a
+time, as one ``(entities, 1 + rank + size)`` array of 8-byte words; a run's
+headers are checked against the manifest in one comparison.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ import numpy as np
 
 from .errors import CheckpointError, ConfigError
 from .kgdata import Schema, text_lines
-from .model import CONSTRAINTS, VARIANTS, KnowledgeSheaf, Model, SectionMatrix
+from .model import CONSTRAINTS, VARIANTS, KnowledgeSheaf, Model, SectionMatrix, equal_runs
 
 MAGIC = b"SHKGTNSR"
 FORMAT = "sheaf-kg-checkpoint-v2"
@@ -36,33 +40,65 @@ def tensor_path(prefix) -> Path:
     return Path(str(prefix) + ".tensors")
 
 
-def _write_tensor(fh, array: np.ndarray) -> None:
-    arr = np.ascontiguousarray(array, dtype=_DATA_DTYPE)
-    fh.write(np.asarray([arr.ndim], dtype=_DIM_DTYPE).tobytes())
-    fh.write(np.asarray(arr.shape, dtype=_DIM_DTYPE).tobytes())
-    fh.write(arr.tobytes())
+def _write_tensors(fh, arrays: np.ndarray) -> None:
+    """Write each tensor ``arrays[i]`` as its rank, its shape and its data.
 
-
-def _read_tensor(fh, path, name: str, shape: tuple[int, ...]) -> np.ndarray:
-    """Read tensor ``name``, whose header must give the manifest's ``shape``.
-
-    The header is checked before any data is read, so a corrupt dimension
-    can never size a read or an allocation.
+    The run goes out as one ``(len(arrays), 1 + rank + size)`` array of 8-byte words.
     """
-    expected = (len(shape), *shape)
-    raw = fh.read(len(expected) * _DIM_DTYPE.itemsize)
-    if len(raw) != len(expected) * _DIM_DTYPE.itemsize:
-        raise CheckpointError(f"{path}: truncated tensor header")
-    header = tuple(int(s) for s in np.frombuffer(raw, dtype=_DIM_DTYPE))
-    if header != expected:
-        raise CheckpointError(
-            f"{path}: {name} has header (rank, *shape) {header}, manifest says {expected}"
-        )
-    nbytes = math.prod(shape) * _DATA_DTYPE.itemsize
-    raw = fh.read(nbytes)
-    if len(raw) != nbytes:
-        raise CheckpointError(f"{path}: truncated tensor data")
-    return np.frombuffer(raw, dtype=_DATA_DTYPE).reshape(shape).copy()
+    shape = arrays.shape[1:]
+    head = (len(shape), *shape)
+    words = np.empty((len(arrays), len(head) + math.prod(shape)), dtype=_DIM_DTYPE)
+    words[:, :len(head)] = head
+    data = np.ascontiguousarray(arrays, dtype=_DATA_DTYPE).reshape(len(arrays), -1)
+    words[:, len(head):] = data.view(_DIM_DTYPE)
+    fh.write(words.tobytes())
+
+
+class _TensorFile:
+    """The tensor file's bytes and the position of the next tensor in it."""
+
+    def __init__(self, path: Path):
+        self.path, self.data = path, path.read_bytes()
+        if self.data[:len(MAGIC)] != MAGIC:
+            raise CheckpointError(f"{path}: bad magic bytes")
+        self.pos = len(MAGIC)
+
+    def read(self, names, shape: tuple[int, ...]) -> np.ndarray:
+        """The next ``len(names)`` tensors, stacked; the manifest says each has ``shape``.
+
+        The run is sized by the bytes left in the file, not by ``shape``, and
+        every header in it must give ``shape``, so a corrupt dimension can
+        size neither a read nor an allocation. The first tensor with a bad
+        header, or cut short, raises as if it were read alone.
+        """
+        head = (len(shape), *shape)  # every dim is >= 1
+        size = len(head) + math.prod(shape)  # in words
+        k = min(len(names), (len(self.data) - self.pos) // (8 * size))
+        i = k  # the first tensor with a bad header, or cut short
+        if k:  # then the run fits in the file, so every dim fits in a word
+            words = np.frombuffer(self.data, _DIM_DTYPE, k * size, self.pos).reshape(k, size)
+            bad = np.flatnonzero((words[:, :len(head)] != np.array(head, _DIM_DTYPE)).any(axis=1))
+            i = int(bad[0]) if len(bad) else k
+        if i < len(names):
+            raise self._error(names[i], head, self.pos + 8 * size * i)
+        self.pos += 8 * size * k
+        return words[:, len(head):].view(_DATA_DTYPE).reshape(k, *shape)
+
+    def _error(self, name: str, head: tuple[int, ...], start: int) -> CheckpointError:
+        """What is wrong with tensor ``name`` at byte ``start``: its header, or too few bytes."""
+        raw = self.data[start:start + 8 * len(head)]
+        if len(raw) < 8 * len(head):
+            return CheckpointError(f"{self.path}: truncated tensor header")
+        header = tuple(np.frombuffer(raw, _DIM_DTYPE).tolist())
+        if header != head:
+            return CheckpointError(
+                f"{self.path}: {name} has header (rank, *shape) {header}, manifest says {head}"
+            )
+        return CheckpointError(f"{self.path}: truncated tensor data")
+
+    def done(self) -> None:
+        if self.pos != len(self.data):
+            raise CheckpointError(f"{self.path}: trailing bytes after the last tensor")
 
 
 def _manifest_lines(model: Model) -> list[str]:
@@ -134,14 +170,15 @@ def save_model(model: Model, prefix) -> None:
     manifest_path(prefix).write_text("\n".join(_manifest_lines(model)) + "\n", encoding="utf-8")
     buf = io.BytesIO()
     buf.write(MAGIC)
-    for i in range(model.sections.n_entities):
-        _write_tensor(buf, model.sections.block(i))
+    X, dims = model.sections.X, model.sections.dims
+    for a, b in equal_runs(dims):
+        _write_tensors(buf, X[a:b, :dims[a]])
     for r in range(model.schema.n_relations):
-        _write_tensor(buf, model.sheaf.head_maps[r])
-        _write_tensor(buf, model.sheaf.tail_maps[r])
+        _write_tensors(buf, model.sheaf.head_maps[r][None])
+        _write_tensors(buf, model.sheaf.tail_maps[r][None])
     if model.sheaf.translations is not None:
         for t in model.sheaf.translations:
-            _write_tensor(buf, t)
+            _write_tensors(buf, t[None])
     tensor_path(prefix).write_bytes(buf.getvalue())
 
 
@@ -165,6 +202,8 @@ def _read_model(mpath: Path, tpath: Path) -> Model:
         raise CheckpointError(f"{mpath}: unsupported format {fmt!r}")
     variant = reader.take("variant", _one_of(VARIANTS))
     sections = reader.take("sections", int)
+    if sections < 1:  # tensor reads take every dim to be >= 1, as the schema's are
+        raise CheckpointError(f"{mpath}: invalid sections={sections}")
     seed = reader.take("seed", int)
 
     n_types = reader.take("n_entity_types", int)
@@ -199,42 +238,43 @@ def _read_model(mpath: Path, tpath: Path) -> Model:
         edge_dim=tuple(edge_dims),
     )
 
-    with open(tpath, "rb") as fh:
-        magic = fh.read(len(MAGIC))
-        if magic != MAGIC:
-            raise CheckpointError(f"{tpath}: bad magic bytes")
-        blocks = [
-            _read_tensor(fh, tpath, f"entity tensor {i}", (vertex_dims[entity_types[i]], sections))
-            for i in range(n_entities)
+    tensors = _TensorFile(tpath)
+    types = np.asarray(entity_types, dtype=np.int64)
+    entity_runs = [
+        (a, b, tensors.read([f"entity tensor {i}" for i in range(a, b)],
+                            (vertex_dims[entity_types[a]], sections)))
+        for a, b in equal_runs(types)
+    ]
+    head_maps, tail_maps = [], []
+    for r in range(n_relations):
+        head_shape = (edge_dims[r], vertex_dims[head_types[r]])
+        tail_shape = (edge_dims[r], vertex_dims[tail_types[r]])
+        head_maps.append(tensors.read([f"relation tensor {r} head"], head_shape)[0])
+        tail_maps.append(tensors.read([f"relation tensor {r} tail"], tail_shape)[0])
+    translations = None
+    if variant == "shvt":
+        translations = [
+            tensors.read([f"translation tensor {r}"], (edge_dims[r], sections))[0]
+            for r in range(n_relations)
         ]
-        head_maps, tail_maps = [], []
-        for r in range(n_relations):
-            head_shape = (edge_dims[r], vertex_dims[head_types[r]])
-            tail_shape = (edge_dims[r], vertex_dims[tail_types[r]])
-            head_maps.append(_read_tensor(fh, tpath, f"relation tensor {r} head", head_shape))
-            tail_maps.append(_read_tensor(fh, tpath, f"relation tensor {r} tail", tail_shape))
-        translations = None
-        if variant == "shvt":
-            translations = [
-                _read_tensor(fh, tpath, f"translation tensor {r}", (edge_dims[r], sections))
-                for r in range(n_relations)
-            ]
-        if fh.read(1):
-            raise CheckpointError(f"{tpath}: trailing bytes after the last tensor")
+    tensors.done()
 
     # arrays pad to the widest vertex_dim, which no header checks if no entity or relation has it
     try:
         sheaf = KnowledgeSheaf(schema, head_maps, tail_maps, tuple(constraints), translations)
-        padded = SectionMatrix(sections, blocks, max(vertex_dims))
+        X = np.zeros((n_entities, max(vertex_dims), sections))
     except (MemoryError, ValueError):  # numpy: too large to allocate, or to address
         raise CheckpointError(f"{mpath}: arrays padded to vertex_dim {max(vertex_dims)} "
                               "cannot be allocated") from None
+    for a, b, x in entity_runs:
+        X[a:b, :x.shape[1]] = x
+    padded = SectionMatrix.from_padded(X, np.asarray(vertex_dims, dtype=np.int64)[types])
     if not all(np.isfinite(a).all() for a in (padded.X, sheaf.RH, sheaf.RT, sheaf.T) if a is not None):
         raise CheckpointError(f"{tpath}: tensors hold non-finite values")
     return Model(
         schema=schema,
         entities=tuple(entity_names),
-        entity_type=np.asarray(entity_types, dtype=np.int64),
+        entity_type=types,
         sheaf=sheaf,
         sections=padded,
         seed=seed,

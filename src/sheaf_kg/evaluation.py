@@ -6,7 +6,9 @@ call and counts their ranks a bounded number of cells at a time.
 Metrics (MRR, Hits@K) are fractions in [0, 1]; multi-seed aggregation uses
 the population standard deviation.
 Test queries are sampled and answered by walking the edges of
-``query._TEMPLATES``, the one record of each structure's shape.
+``query._TEMPLATES``, the one record of each structure's shape. The walks
+draw from the caller's index of the full graph, less the triples that only
+the valid split holds, so one index serves every structure of a set-up.
 """
 
 from __future__ import annotations
@@ -17,7 +19,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EvaluationError, QueryError
-from .kgdata import TEST, TRAIN, KnowledgeGraph, TripleIndex, build_index
+from .kgdata import TEST, TRAIN, VALID, KnowledgeGraph, TripleIndex, _triple_keys
+# unused here: the benchmark wraps ``evaluation.build_index`` by name to count index builds
+from .kgdata import build_index  # noqa: F401
 from .model import Model
 from .query import (
     _TEMPLATES,
@@ -143,18 +147,27 @@ def build_easy_queries(
     rejects the attempt. Once the last edge entering a vertex is placed, the
     anchored edges entering it must be distinct ``(anchor, relation)``
     pairs. Every entity and relation a query mentions must occur in at least
-    one training triple. ``index`` must cover the full graph; it supplies
-    the answer sets. Fewer than ``count`` queries may be returned (with a
-    warning) when the graph cannot support the structure.
+    one training triple. ``index`` must cover the full graph: it supplies
+    the answer sets, and its neighbour tables, less the neighbours whose only
+    triple is a valid one, are the sampling pool. So the caller's one index
+    serves every structure. Fewer than ``count`` queries may be returned
+    (with a warning) when the graph cannot support the structure.
     """
     if structure not in STRUCTURE_ARITY:
         raise QueryError(f"unknown structure {structure!r}")
     train = kg.triples_of(TRAIN)
     if len(train) == 0:
         raise EvaluationError("easy-query construction needs a nonempty training split")
-    train_entities = set(train[:, 0]) | set(train[:, 2])
-    train_relations = set(train[:, 1])
-    pool_index = build_index(kg, splits=(TRAIN, TEST))
+    n, n_rel = kg.n_entities, kg.schema.n_relations
+    if (index.n_entities, index.n_relations) != (n, n_rel) or not index.contains(kg.triples).all():
+        raise EvaluationError("the query index must cover every triple of the graph")
+    train_entities = set(np.flatnonzero(np.bincount(train[:, [0, 2]].ravel())).tolist())
+    train_relations = set(np.flatnonzero(np.bincount(train[:, 1])).tolist())
+    # the index keys of the triples that only the valid split holds (sorted keys search faster)
+    pool = np.sort(_triple_keys(kg.triples[~kg.split_mask(VALID)], n, n_rel))
+    in_pool = np.zeros(len(index.keys), dtype=bool)
+    in_pool[index.keys.searchsorted(pool)] = True
+    valid_only = set(index.keys[~in_pool].tolist())
     first = kg.triples_of(TEST)
     if structure != "1p":
         first = np.concatenate([train, first], axis=0)
@@ -168,14 +181,16 @@ def build_easy_queries(
         # a vertex whose only entering edge is the first has no pairs to compare
         at[head_v], rel[slot], at[tail_v] = first[rng.integers(0, len(first))].tolist()
         for i, (head_v, slot, tail_v) in enumerate(edges[1:], start=1):
-            rel[slot] = r = int(rng.integers(0, kg.schema.n_relations))
+            rel[slot] = r = int(rng.integers(0, n_rel))
             if head_v in at:
-                new_v, choices = tail_v, pool_index.tails(at[head_v], r)
+                new_v, h = tail_v, at[head_v]
+                choices = [t for t in index.tails(h, r) if (h * n_rel + r) * n + t not in valid_only]
             else:
-                new_v, choices = head_v, pool_index.heads(at[tail_v], r)
+                new_v, t = head_v, at[tail_v]
+                choices = [h for h in index.heads(t, r) if (h * n_rel + r) * n + t not in valid_only]
             if not choices:
                 return None
-            at[new_v] = int(choices[rng.integers(0, len(choices))])
+            at[new_v] = choices[rng.integers(0, len(choices))]
             if i == last_into[tail_v]:
                 pairs = [(at[u], rel[s]) for u, s, v in edges
                          if v == tail_v and u in anchor_vertices]

@@ -257,7 +257,9 @@ def _runs(keys: np.ndarray, n_entities: int) -> dict[int, tuple[int, ...]]:
     groups, members = np.divmod(keys, n_entities)
     starts = np.flatnonzero(np.diff(groups, prepend=-1))
     bounds = np.append(starts, len(keys)).tolist()
-    members = members.tolist()
+    # one int object per entity, shared by all of its runs, rather than one per triple
+    ids, at = np.unique(members, return_inverse=True)
+    members = np.array(ids.tolist(), dtype=object)[at].tolist()
     return {
         group: tuple(members[a:b])
         for group, a, b in zip(groups[starts].tolist(), bounds, bounds[1:])

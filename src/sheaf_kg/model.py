@@ -181,6 +181,15 @@ class SectionMatrix:
                 )
             self.X[i, :blk.shape[0]] = blk
 
+    @classmethod
+    def from_padded(cls, X: np.ndarray, dims: np.ndarray) -> "SectionMatrix":
+        """Adopt ``X``, whose entity ``i`` holds its section in ``X[i, :dims[i]]`` and zeros below."""
+        if X.shape[2] < 1:
+            raise ShapeError("need at least one section column")
+        out = cls.__new__(cls)
+        out.columns, out.dims, out.X = X.shape[2], dims, X
+        return out
+
     @property
     def n_entities(self) -> int:
         return len(self.X)
@@ -240,6 +249,12 @@ def orthonormal_columns(m: np.ndarray) -> np.ndarray:
     return u @ vt
 
 
+def equal_runs(values: np.ndarray) -> list[tuple[int, int]]:
+    """``(start, stop)`` of each run of equal consecutive non-negative ``values``, in order."""
+    bounds = np.flatnonzero(np.diff(values, prepend=-1, append=-1)).tolist()
+    return list(zip(bounds, bounds[1:]))
+
+
 def _check_dims(schema: Schema, r: int, kind: str) -> None:
     """Raise unless relation ``r``'s stalk dims admit constraint ``kind``."""
     de, dh, dt = schema.edge_dim[r], schema.head_dim(r), schema.tail_dim(r)
@@ -291,13 +306,15 @@ def init_model(
     """
     rng = substream(seed, "init")
     m = config.sections
-    blocks = []
-    for type_idx in np.asarray(entity_types, dtype=np.int64):
-        d = schema.vertex_dim[int(type_idx)]
-        x = rng.normal(size=(d, m)) / np.sqrt(d)
-        norms = np.linalg.norm(x, axis=0)
+    dims = np.asarray(schema.vertex_dim, dtype=np.int64)[np.asarray(entity_types, dtype=np.int64)]
+    X = np.zeros((len(dims), max(schema.vertex_dim), m))
+    # one draw per run of same-dim entities takes the same stream as one per entity
+    for a, b in equal_runs(dims):
+        d = int(dims[a])
+        x = rng.normal(size=(b - a, d, m)) / np.sqrt(d)
+        norms = np.linalg.norm(x, axis=1, keepdims=True)
         norms[norms == 0.0] = 1.0
-        blocks.append(x / norms)
+        X[a:b, :d] = x / norms
     constraints = config.constraints_for(schema)
     maps = [_init_relation_maps(rng, schema, r, kind) for r, kind in enumerate(constraints)]
     translations = None
@@ -309,7 +326,7 @@ def init_model(
     heads, tails = [head for head, _ in maps], [tail for _, tail in maps]
     sheaf = KnowledgeSheaf(schema, heads, tails, constraints, translations)
     project_constraints_inplace(sheaf)
-    return sheaf, SectionMatrix(m, blocks, max(schema.vertex_dim))
+    return sheaf, SectionMatrix.from_padded(X, dims)
 
 
 def init_for_kg(config: ModelConfig, kg: KnowledgeGraph, seed: int) -> Model:

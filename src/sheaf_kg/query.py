@@ -53,7 +53,7 @@ _TEMPLATES = {
 STRUCTURE_ARITY = {tag: (len(t["anchors"]), len(t["edges"])) for tag, t in _TEMPLATES.items()}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Query:
     structure: str
     anchors: tuple[int, ...]

@@ -77,13 +77,20 @@ class SheafOnGraph:
 def _check_blocks(label: str, blocks, cell: str, dims: dict[int, int]) -> None:
     """Raise ``ShapeError`` unless ``blocks`` holds one block per cell, led by its stalk dim.
 
-    ``dims`` maps each cell, in block order, to its stalk dim.
+    ``dims`` maps each cell, in block order, to its stalk dim. The blocks
+    share one trailing shape: all vectors, or all matrices of one column count.
     """
     if len(blocks) != len(dims):
         raise ShapeError(f"{label} has {len(blocks)} blocks, expected {len(dims)} (one per {cell})")
     for (c, d), block in zip(dims.items(), blocks):
-        if np.shape(block)[0] != d:
-            raise ShapeError(f"{cell} {c}: block of length {np.shape(block)[0]}, stalk dim {d}")
+        shape = np.shape(block)
+        if not shape:
+            raise ShapeError(f"{cell} {c}: scalar block, stalk dim {d}")
+        if shape[0] != d:
+            raise ShapeError(f"{cell} {c}: block of length {shape[0]}, stalk dim {d}")
+        if shape[1:] != np.shape(blocks[0])[1:]:
+            raise ShapeError(f"{cell} {c}: block of shape {shape}, but the first {label} "
+                             f"block has shape {np.shape(blocks[0])}")
 
 
 def coboundary(sheaf: SheafOnGraph, x) -> list[np.ndarray]:
@@ -219,10 +226,7 @@ def schur_complement(lap: BlockLaplacian, boundary) -> np.ndarray:
 
 
 def _concat_blocks(blocks) -> np.ndarray:
-    blocks = [np.asarray(blk, dtype=float) for blk in blocks]
-    if any(blk.ndim != blocks[0].ndim for blk in blocks):
-        raise ShapeError("boundary blocks must all be vectors or all matrices")
-    return np.concatenate(blocks, axis=0)
+    return np.concatenate([np.asarray(blk, dtype=float) for blk in blocks], axis=0)
 
 
 def _split_blocks(vec: np.ndarray, dims) -> list[np.ndarray]:

@@ -108,10 +108,10 @@ def generate_planted_kg(
         constraints = ("identity",) * n_relations
         translations = [rng.normal(size=(dim, m)) / np.sqrt(dim) for _ in range(n_relations)]
         base = rng.normal(size=(dim, m)) / np.sqrt(dim)
-        blocks = [
-            base + sum(int(c) * translations[i] for i, c in enumerate(code))
-            for code in codes
-        ]
+        offsets = np.zeros((n_entities, dim, m))
+        for i, t in enumerate(translations):  # sum_i codes[:, i] * t_i, in axis order
+            offsets += codes[:, i, None, None] * t
+        X = base + offsets
     else:
         n_planes = dim // 2
         if n_planes == 0:
@@ -136,38 +136,36 @@ def generate_planted_kg(
                 powers[key] = np.linalg.matrix_power(transitions[r], int(k))
             return powers[key]
 
-        blocks = []
-        for code in codes:
+        X = np.empty((n_entities, dim, m))
+        for u, code in enumerate(codes):
             x = base
             for i, c in enumerate(code):
                 x = rotation_power(i, int(c)) @ x
-            blocks.append(x)
+            X[u] = x
 
     if noise > 0:
         radius = np.sqrt(noise) / 2.0
-        for i, blk in enumerate(blocks):
+        for blk in X:
             bump = rng.normal(size=blk.shape)
             norm = np.linalg.norm(bump)
             if norm > 0:
-                blocks[i] = blk + bump * (radius * float(rng.uniform(0, 1)) / norm)
+                blk += bump * (radius * float(rng.uniform(0, 1)) / norm)
 
-    # triples: unit lattice steps along each axis
-    code_index = {tuple(int(x) for x in c): i for i, c in enumerate(codes)}
-    triples = []
-    for u, code in enumerate(codes):
-        for r in range(n_relations):
-            nxt = tuple(
-                int(c) + (1 if i == r else 0) for i, c in enumerate(code)
-            )
-            v = code_index.get(nxt)
-            if v is not None:
-                triples.append((u, r, v))
+    # triples: unit lattice steps along each axis, in (entity, relation) order. With the
+    # codes sorted by the other axes and then by axis r, a step along r joins neighbours.
+    steps = []
+    for r, unit in enumerate(np.eye(n_relations, dtype=np.int64)):
+        order = np.lexsort(np.roll(codes, -r, axis=1).T)
+        u, v = order[:-1], order[1:]
+        hit = (codes[v] - codes[u] == unit).all(axis=1)
+        steps.append(np.column_stack([u[hit], np.full(hit.sum(), r), v[hit]]))
+    triples = np.concatenate(steps)
+    triples = triples[np.lexsort(triples[:, 1::-1].T)]
     if len(triples) < 3:
         raise ConfigError(
             "planted lattice produced too few triples; increase entities or relations"
         )
-    order = rng.permutation(len(triples))
-    triples = np.asarray(triples, dtype=np.int64)[order]
+    triples = triples[rng.permutation(len(triples))]
     n = len(triples)
     n_valid = max(1, n // 10)
     n_test = max(1, n // 10)
@@ -200,7 +198,7 @@ def generate_planted_kg(
         entities=entities,
         entity_type=kg.entity_type.copy(),
         sheaf=sheaf,
-        sections=SectionMatrix(m, blocks),
+        sections=SectionMatrix.from_padded(X, np.full(n_entities, dim, dtype=np.int64)),
         seed=seed,
     )
     logger.info(

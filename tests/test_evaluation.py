@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from sheaf_kg.errors import EvaluationError
 from sheaf_kg.evaluation import (
+    _TEMPLATES,
     _traverse_answers,
     aggregate_reports,
     build_easy_queries,
@@ -17,7 +18,7 @@ from sheaf_kg.evaluation import (
     MetricReport,
     StructureMetrics,
 )
-from sheaf_kg.kgdata import TEST, TRAIN, KnowledgeGraph, Schema, build_index, default_schema
+from sheaf_kg.kgdata import TEST, TRAIN, VALID, KnowledgeGraph, Schema, build_index, default_schema
 from sheaf_kg.model import ModelConfig, init_for_kg
 from sheaf_kg.query import STRUCTURE_ARITY, STRUCTURES, Query, ranking_from_scores
 from sheaf_kg.seeds import substream
@@ -268,8 +269,58 @@ def easy_queries_oracle(kg, index, structure, count, rng):
     return list(queries.values())
 
 
-def random_split_kg(rng, two_types, with_test):
-    """A small random graph over one or two entity types; every split may be drawn."""
+def easy_queries_per_call_index(kg, index, structure, count, rng):
+    """``build_easy_queries`` as written when each call indexed the train and test triples itself."""
+    train = kg.triples_of(TRAIN)
+    train_entities = set(train[:, 0]) | set(train[:, 2])
+    train_relations = set(train[:, 1])
+    pool_index = build_index(kg, splits=(TRAIN, TEST))
+    first = kg.triples_of(TEST)
+    if structure != "1p":
+        first = np.concatenate([train, first], axis=0)
+    edges, anchor_vertices = _TEMPLATES[structure]["edges"], _TEMPLATES[structure]["anchors"]
+    last_into = {v: i for i, (_, _, v) in enumerate(edges)}
+
+    def walk():
+        at, rel = {}, {}
+        head_v, slot, tail_v = edges[0]
+        at[head_v], rel[slot], at[tail_v] = first[rng.integers(0, len(first))].tolist()
+        for i, (head_v, slot, tail_v) in enumerate(edges[1:], start=1):
+            rel[slot] = r = int(rng.integers(0, kg.schema.n_relations))
+            if head_v in at:
+                new_v, choices = tail_v, pool_index.tails(at[head_v], r)
+            else:
+                new_v, choices = head_v, pool_index.heads(at[tail_v], r)
+            if not choices:
+                return None
+            at[new_v] = int(choices[rng.integers(0, len(choices))])
+            if i == last_into[tail_v]:
+                pairs = [(at[u], rel[s]) for u, s, v in edges
+                         if v == tail_v and u in anchor_vertices]
+                if len(set(pairs)) < len(pairs):
+                    return None
+        if not (set(at.values()) <= train_entities and set(rel.values()) <= train_relations):
+            return None
+        return tuple(at[v] for v in anchor_vertices), tuple(rel[s] for s in sorted(rel))
+
+    queries = {}
+    attempts = 0
+    while len(first) and len(queries) < count and attempts < max(200, 60 * count):
+        attempts += 1
+        placed = walk()
+        if placed is None or (structure, *placed) in queries:
+            continue
+        answers = _traverse_answers(index, structure, *placed)
+        if answers:
+            queries[(structure, *placed)] = Query(structure, *placed, frozenset(answers))
+    return list(queries.values())
+
+
+def random_split_kg(rng, two_types, with_test, with_valid=True, duplicates=False):
+    """A small random graph over one or two entity types; every split may be drawn.
+
+    With ``duplicates``, some triples appear a second time, in another split.
+    """
     n, n_relations = int(rng.integers(2, 12)), int(rng.integers(1, 4))
     n_types = 2 if two_types else 1
     schema = Schema(
@@ -289,9 +340,17 @@ def random_split_kg(rng, two_types, with_test):
         rows.append((int(rng.choice(heads)), r, int(rng.choice(tails))))
     triples = np.unique(np.asarray(rows, dtype=np.int64), axis=0)
     # codes 0, 1, 2 are train, valid, test
-    p = [0.6, 0.1, 0.3] if with_test else [0.8, 0.2, 0.0]
-    split = rng.choice(np.arange(3, dtype=np.int8), size=len(triples), p=p)
+    p = np.array([0.6, 0.15 * with_valid, 0.3 * with_test])
+    split = rng.choice(np.arange(3, dtype=np.int8), size=len(triples), p=p / p.sum())
     split[0] = 0  # a nonempty training split
+    if duplicates:
+        again = rng.random(len(triples)) < 0.3
+        moved = (split[again] + rng.integers(1, 3, size=int(again.sum()))) % 3
+        keep = (moved != 1) | with_valid
+        triples = np.concatenate([triples, triples[again][keep]])
+        split = np.concatenate([split, moved[keep].astype(np.int8)])
+        order = rng.permutation(len(triples))
+        triples, split = triples[order], split[order]
     return KnowledgeGraph(
         schema=schema,
         entities=tuple(f"e{i}" for i in range(n)),
@@ -315,6 +374,28 @@ def test_template_walk_samples_as_written_out_structures(seed, two_types, with_t
         ours, theirs = np.random.default_rng((seed, k)), np.random.default_rng((seed, k))
         got = build_easy_queries(kg, index, structure, count, ours)
         assert got == easy_queries_oracle(kg, index, structure, count, theirs)
+        assert ours.bit_generator.state == theirs.bit_generator.state
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    two_types=st.booleans(),
+    with_test=st.booleans(),
+    with_valid=st.booleans(),
+    duplicates=st.booleans(),
+    count=st.integers(1, 12),
+)
+def test_shared_index_samples_as_a_per_call_pool_index(
+    seed, two_types, with_test, with_valid, duplicates, count
+):
+    """One stream and one full index across all seven structures, as a set-up samples them."""
+    kg = random_split_kg(np.random.default_rng(seed), two_types, with_test, with_valid, duplicates)
+    index = build_index(kg)
+    ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+    for structure in STRUCTURES:
+        got = build_easy_queries(kg, index, structure, count, ours)
+        assert got == easy_queries_per_call_index(kg, index, structure, count, theirs)
         assert ours.bit_generator.state == theirs.bit_generator.state
 
 
@@ -396,6 +477,23 @@ class TestBuildEasyQueries:
                         t for h3, r3, t in triple_set if (h3, r3) == (a[1], r[2])
                     }
                 assert q.answers == expected
+
+    def test_index_that_misses_a_triple_is_rejected(self):
+        schema = default_schema(1, 4, 4)
+        kg = KnowledgeGraph(
+            schema=schema,
+            entities=("a", "b", "c"),
+            entity_type=np.zeros(3, dtype=np.int64),
+            triples=np.array([[0, 0, 1], [1, 0, 2], [2, 0, 0], [0, 0, 2]], dtype=np.int64),
+            split=np.array([0, 0, 1, 2], dtype=np.int8),
+        )
+        other = KnowledgeGraph(schema, ("a", "b", "c", "d"), np.zeros(4, dtype=np.int64),
+                               kg.triples, kg.split)
+        for index in (build_index(kg, splits=(TRAIN,)), build_index(kg, splits=(TRAIN, TEST)),
+                      build_index(kg, splits=(VALID,)), build_index(other)):
+            with pytest.raises(EvaluationError, match="must cover every triple"):
+                build_easy_queries(kg, index, "1p", 3, substream(0, "queries"))
+        assert build_easy_queries(kg, build_index(kg), "1p", 3, substream(0, "queries"))
 
     def test_sparse_graph_warns_and_returns_fewer(self, caplog):
         import logging

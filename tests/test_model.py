@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sheaf_kg.checkpoint import load_model, manifest_path, save_model, tensor_path
 from sheaf_kg.errors import CheckpointError, ConfigError
@@ -448,6 +450,32 @@ class TestProjectedConstructionMatchesPerTagOracle:
             sections.X, SectionMatrix(m, ref_blocks, max(RAGGED_SCHEMA.vertex_dim)).X, strict=True
         )
         sheaf.check_constraints()
+
+
+@pytest.mark.parametrize("m", [1, 3])
+@given(seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=25, deadline=None)
+def test_run_wise_init_draws_as_one_draw_per_entity(m, seed):
+    """Ragged two-type schemas whose entity types come in runs of random length."""
+    rng = np.random.default_rng(seed)
+    schema = Schema(
+        entity_types=("a", "b"),
+        relation_types=("ab", "ba", "bb"),
+        head_type=(0, 1, 1),
+        tail_type=(1, 0, 1),
+        vertex_dim=tuple(int(d) for d in rng.choice([1, 2, 5, 9, 130], size=2)),
+        edge_dim=tuple(int(d) for d in rng.integers(1, 6, size=3)),
+    )
+    k = int(rng.integers(0, 7))
+    types = np.repeat(rng.integers(0, 2, size=k), rng.integers(1, 5, size=k))
+    cfg = ModelConfig(variant=str(rng.choice(VARIANTS)), sections=m)
+    sheaf, sections = init_model(cfg, schema, types, seed)
+    ref_sheaf, ref_blocks = per_tag_init_oracle(cfg, schema, types, seed)
+    ref = SectionMatrix(m, ref_blocks, max(schema.vertex_dim))
+    assert sections.X.tobytes() == ref.X.tobytes()
+    np.testing.assert_array_equal(sections.dims, ref.dims, strict=True)
+    # the maps and translations are drawn after the sections, so they pin the stream position
+    assert_same_sheaf(sheaf, ref_sheaf)
 
 
 class TestCheckpoint:

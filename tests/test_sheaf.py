@@ -167,6 +167,23 @@ class TestCoboundary:
             with pytest.raises(ShapeError, match=f"boundary data has {len(blocks)} blocks, expected 2"):
                 harmonic_extension(lap, [0, 2], blocks)
 
+    @pytest.mark.parametrize("call, match", [
+        (lambda sh, lap: harmonic_extension(lap, [0, 2], [np.zeros((2, 3)), np.zeros((2, 4))]),
+         r"vertex 2: block of shape \(2, 4\), but the first boundary data block has shape \(2, 3\)"),
+        (lambda sh, lap: coboundary(sh, [np.zeros((2, 3)), np.zeros((2, 4)), np.zeros((2, 3))]),
+         r"vertex 1: block of shape \(2, 4\), but the first 0-cochain block"),
+        (lambda sh, lap: harmonic_extension(lap, [0, 2], [np.zeros(2), 5.0]),
+         "vertex 2: scalar block, stalk dim 2"),
+        (lambda sh, lap: affine_harmonic_extension(
+            lap, sh, [np.zeros((2, 1)), np.zeros((2, 2))], [0, 2], [np.zeros((2, 1))] * 2),
+         r"edge 1: block of shape \(2, 2\), but the first 1-cochain block"),
+    ], ids=["harmonic-columns", "coboundary-columns", "scalar-boundary", "affine-columns"])
+    def test_mixed_or_scalar_blocks_are_shape_errors(self, call, match):
+        # numpy raised ValueError or IndexError for these before the blocks' shapes were compared
+        sheaf = constant_sheaf(3, [(0, 1), (1, 2)], 2)
+        with pytest.raises(ShapeError, match=match):
+            call(sheaf, assemble_laplacian(sheaf))
+
     def test_transpose_is_adjoint(self, rng):
         sheaf = random_sheaf(rng)
         x = random_cochain0(rng, sheaf)
