@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import CheckpointError, ConfigError
+from .errors import CheckpointError, ConfigError, SchemaError
 from .kgdata import Schema, text_lines
 from .model import CONSTRAINTS, VARIANTS, KnowledgeSheaf, Model, SectionMatrix, equal_runs
 
@@ -229,14 +229,11 @@ def _read_model(mpath: Path, tpath: Path) -> Model:
         entity_types.append(reader.take("entity_type_of", type_idx))
     reader.done()
 
-    schema = Schema(
-        entity_types=tuple(type_names),
-        relation_types=tuple(rel_names),
-        head_type=tuple(head_types),
-        tail_type=tuple(tail_types),
-        vertex_dim=tuple(vertex_dims),
-        edge_dim=tuple(edge_dims),
-    )
+    try:
+        schema = Schema(tuple(type_names), tuple(rel_names), tuple(head_types),
+                        tuple(tail_types), tuple(vertex_dims), tuple(edge_dims))
+    except SchemaError as exc:  # a corrupt checkpoint, not a bad schema of the user's
+        raise CheckpointError(f"{mpath}: {exc}") from None
 
     tensors = _TensorFile(tpath)
     types = np.asarray(entity_types, dtype=np.int64)

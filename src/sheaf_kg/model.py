@@ -136,7 +136,7 @@ class KnowledgeSheaf:
         out._bind(self.RH.copy(), self.RT.copy(), None if self.T is None else self.T.copy())
         return out
 
-    def check_constraints(self, tol: float = ORTHOGONALITY_TOL) -> None:
+    def check_constraints(self) -> None:
         """Raise unless every constraint tag is actually satisfied."""
         for r, kind in enumerate(self.constraints):
             head, tail, name = self.head_maps[r], self.tail_maps[r], self.schema.relation_types[r]
@@ -152,9 +152,10 @@ class KnowledgeSheaf:
                 for m, side in ((head, "head"), (tail, "tail")):
                     with np.errstate(over="ignore", invalid="ignore"):  # huge entries fail as inf/nan
                         err = float(np.linalg.norm(m.T @ m - np.eye(m.shape[1])))
-                    if not err <= tol:
+                    if not err <= ORTHOGONALITY_TOL:
                         raise ConfigError(
-                            f"relation {name!r}: {side} map orthogonality error {err:.2e} > {tol}"
+                            f"relation {name!r}: {side} map orthogonality error {err:.2e} "
+                            f"> {ORTHOGONALITY_TOL}"
                         )
 
 

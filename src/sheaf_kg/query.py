@@ -22,6 +22,7 @@ type's stacked sections. ``answer_query`` is a chunk of one group, and its
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from itertools import product
 
@@ -69,6 +70,12 @@ class Query:
                 f"{self.structure} queries take {n_anchors} anchor(s) and "
                 f"{n_relations} relation(s), got {len(self.anchors)} and {len(self.relations)}"
             )
+        for kind, ids in (("anchor", self.anchors), ("relation", self.relations)):
+            for i in ids:
+                try:
+                    operator.index(i)
+                except TypeError:
+                    raise QueryError(f"{kind} ids must be integers, got {i!r}") from None
 
 
 @dataclass(frozen=True)

@@ -20,6 +20,7 @@ stacked as ``(G, edge_dim, dim)``; ``psd_pinv`` inverts each matrix of a stack a
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from itertools import accumulate
 
@@ -166,21 +167,24 @@ def assemble_laplacian(sheaf: SheafOnGraph) -> BlockLaplacian:
     return BlockLaplacian(sheaf.vertex_dims, delta.swapaxes(-1, -2) @ delta, delta)
 
 
-def psd_pinv(a: np.ndarray, rcond: float = PINV_RCOND) -> np.ndarray:
+def psd_pinv(a: np.ndarray) -> np.ndarray:
     """Pseudoinverse of a symmetric PSD matrix (or of each in a stack) via eigendecomposition.
 
-    Eigenvalues below ``rcond`` times their matrix's largest are treated as zero.
+    Eigenvalues below ``PINV_RCOND`` times their matrix's largest are treated as zero.
     """
     if a.shape[-1] == 0:
         return a.copy()
     w, q = np.linalg.eigh(a)
-    cutoff = rcond * np.maximum(w[..., -1:], 0.0)
+    cutoff = PINV_RCOND * np.maximum(w[..., -1:], 0.0)
     inv_w = np.where(w > cutoff, 1.0, 0.0) / np.where(w > cutoff, w, 1.0)
     return (q * inv_w[..., None, :]) @ q.swapaxes(-1, -2)
 
 
 def _boundary_partition(lap: BlockLaplacian, boundary) -> tuple[list[int], list[int]]:
-    b = [int(v) for v in boundary]
+    try:
+        b = [operator.index(v) for v in boundary]
+    except TypeError as exc:
+        raise ValidationError(f"boundary vertex ids must be integers: {exc}") from None
     if not b:
         raise ValidationError("boundary set must be nonempty")
     bset = set(b)

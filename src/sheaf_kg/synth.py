@@ -9,7 +9,8 @@ under the generating model:
 * translational variant: identity maps, per-relation translation ``t_r``,
   ``x_v = base + sum_i a_v[i] * t_i``;
 * non-translational variant: per-relation orthogonal map pairs whose
-  transition operators are commuting plane rotations, ``x_v = R(a_v) base``.
+  transition operators are commuting plane rotations, ``x_v = R(a_v) base``,
+  built one axis at a time: entities at step ``k`` on axis ``i`` turn by ``T_i^k``.
 
 The lattice gives every entity several consistent edges, so held-out triples
 remain recoverable from the rest of the graph, unlike tree-shaped planted
@@ -128,20 +129,11 @@ def generate_planted_kg(
         translations = None
         base = rng.normal(size=(dim, m))
         base /= np.linalg.norm(base, axis=0, keepdims=True)
-        powers: dict[tuple[int, int], np.ndarray] = {}
-
-        def rotation_power(r, k):
-            key = (r, int(k))
-            if key not in powers:
-                powers[key] = np.linalg.matrix_power(transitions[r], int(k))
-            return powers[key]
-
-        X = np.empty((n_entities, dim, m))
-        for u, code in enumerate(codes):
-            x = base
-            for i, c in enumerate(code):
-                x = rotation_power(i, int(c)) @ x
-            X[u] = x
+        X = np.repeat(base[None], n_entities, axis=0)
+        for i, transition in enumerate(transitions):
+            for k in range(1, side):
+                at = codes[:, i] == k
+                X[at] = np.linalg.matrix_power(transition, k) @ X[at]
 
     if noise > 0:
         radius = np.sqrt(noise) / 2.0
@@ -167,16 +159,8 @@ def generate_planted_kg(
         )
     triples = triples[rng.permutation(len(triples))]
     n = len(triples)
-    n_valid = max(1, n // 10)
-    n_test = max(1, n // 10)
-    n_train = n - n_valid - n_test
-    split = np.concatenate(
-        [
-            np.zeros(n_train, dtype=np.int8),
-            np.ones(n_valid, dtype=np.int8),
-            np.full(n_test, 2, dtype=np.int8),
-        ]
-    )
+    n_held = max(1, n // 10)
+    split = np.repeat(np.array([0, 1, 2], dtype=np.int8), [n - 2 * n_held, n_held, n_held])
 
     entities = tuple(f"e{i:05d}" for i in range(n_entities))
     kg = KnowledgeGraph(

@@ -188,10 +188,11 @@ class _StackedParams:
             for param, side in ((self.RH, steps[:, 0]), (self.RT, steps[:, 1]))
         )
         self.gT = None if self.T is None else np.zeros_like(self.T)
-        self.update = _adagrad_update if config.optimizer == "adagrad" else _sgd_update
-        # (parameter, gradient, Adagrad accumulator), updated in this order
+        adagrad = config.optimizer == "adagrad"
+        self.update = _adagrad_update if adagrad else _sgd_update
+        # (parameter, gradient, Adagrad accumulator or None under SGD), updated in this order
         self.slots = [
-            (param, grad, np.zeros_like(param))
+            (param, grad, np.zeros_like(param) if adagrad else None)
             for param, grad in ((self.X, self.gX), (self.RH, self.gRH),
                                 (self.RT, self.gRT), (self.T, self.gT))
             if grad is not None

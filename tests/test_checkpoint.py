@@ -401,3 +401,17 @@ def test_sections_below_one_is_checkpoint_error(tmp_path, saved, value):
     write(tmp_path / "ck", manifest.replace("sections=2\n", f"sections={value}\n"), tensors)
     with pytest.raises(CheckpointError, match=f"invalid sections={value}$"):
         load_model(tmp_path / "ck")
+
+
+@pytest.mark.parametrize("old, new, message", [
+    ("relation=r1\n", "relation=r0\n", "duplicate relation names"),
+    ("=c\n", "=a\n", "duplicate entity type names"),  # type c renamed a, its uses too
+    ("vertex_dim=2\n", "vertex_dim=0\n", "all stalk dimensions must be >= 1"),
+    ("edge_dim=3\n", "edge_dim=0\n", "all stalk dimensions must be >= 1"),
+], ids=["duplicate-relation", "duplicate-entity-type", "vertex-dim-0", "edge-dim-0"])
+def test_corrupt_manifest_schema_is_checkpoint_error(tmp_path, saved, old, new, message):
+    manifest, tensors = saved
+    assert old in manifest
+    write(tmp_path / "ck", manifest.replace(old, new), tensors)
+    with pytest.raises(CheckpointError, match=f"^{manifest_path(tmp_path / 'ck')}: {message}$"):
+        load_model(tmp_path / "ck")

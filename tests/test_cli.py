@@ -664,6 +664,21 @@ class TestInspect:
         assert f"error: {prefix}.tensors: entity tensor 0 has header" in res.output
         assert "Traceback" not in res.output
 
+    def test_duplicate_relation_in_manifest_exits_1_naming_it(self, runner, workspace, tmp_path):
+        import shutil
+
+        prefix = tmp_path / "broken"
+        manifest = (workspace / "ckpt" / "model_seed1.manifest").read_text(encoding="utf-8")
+        assert manifest.count("relation=r1\n") == 1
+        Path(str(prefix) + ".manifest").write_text(
+            manifest.replace("relation=r1\n", "relation=r0\n"), encoding="utf-8"
+        )
+        shutil.copy(workspace / "ckpt" / "model_seed1.tensors", str(prefix) + ".tensors")
+        res = run_cli(runner, ["inspect", "--checkpoint", str(prefix)])
+        assert res.exit_code == 1, res.output
+        assert f"error: {prefix}.manifest: duplicate relation names" in res.output
+        assert "Traceback" not in res.output
+
 
 @pytest.fixture(scope="module")
 def typed(tmp_path_factory):

@@ -1,3 +1,4 @@
+import re
 from itertools import product
 
 import numpy as np
@@ -92,6 +93,21 @@ class TestTemplates:
             Query("2p", (0, 1), (0, 1))
         with pytest.raises(QueryError):
             Query("ip", (0,), (0, 1, 2))
+
+    @pytest.mark.parametrize("anchors, relations, message", [
+        ((2.5,), (0,), "anchor ids must be integers, got 2.5"),
+        (("2",), (0,), "anchor ids must be integers, got '2'"),
+        ((2,), (0.5,), "relation ids must be integers, got 0.5"),
+        ((2,), (np.float64(1.0),), "relation ids must be integers, got np.float64"),
+    ], ids=["float-anchor", "str-anchor", "float-relation", "numpy-float-relation"])
+    def test_non_integer_ids_rejected(self, anchors, relations, message):
+        # 2.5 and "2" were once read as entity 2, and relation 0.5 ended in a TypeError
+        with pytest.raises(QueryError, match=re.escape(message)):
+            Query("1p", anchors, relations)
+
+    def test_numpy_integer_ids_accepted(self):
+        q = Query("2i", (np.int64(3), 4), (np.int32(0), 1))
+        assert q.anchors == (3, 4) and q.relations == (0, 1)
 
     def test_type_inconsistent_chain_rejected(self):
         schema = Schema(

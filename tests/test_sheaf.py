@@ -274,6 +274,18 @@ class TestSchurComplement:
         with pytest.raises(ValidationError):
             schur_complement(lap, [])
 
+    @pytest.mark.parametrize("vertex", [2.5, 2.0, "2", None])
+    def test_non_integer_boundary_vertex_rejected(self, vertex):
+        # int() once read 2.5 and "2" as vertex 2
+        lap = assemble_laplacian(identity_path(2))  # vertices 0, 1, 2
+        with pytest.raises(ValidationError, match="boundary vertex ids must be integers"):
+            interior_vertices(lap, [0, vertex])
+
+    def test_numpy_integer_boundary_vertices_accepted(self):
+        lap = assemble_laplacian(identity_path(2))  # vertices 0, 1, 2
+        assert interior_vertices(lap, np.array([2, 0])) == [1]
+        assert interior_vertices(lap, [np.int32(1)]) == [0, 2]
+
     def test_value_equals_constrained_minimum(self, rng):
         for _ in range(25):
             sheaf = random_sheaf(rng)

@@ -764,6 +764,18 @@ class TestPaddedLayout:
         np.testing.assert_array_equal(skipped.sections.X, every.sections.X)
         np.testing.assert_array_equal(skipped.sheaf.T, every.sheaf.T)
 
+    @pytest.mark.parametrize("optimizer", ["sgd", "adagrad"])
+    def test_accumulators_only_under_adagrad(self, optimizer):
+        ds = generate_planted_kg(40, 3, 4, 0.0, seed=0, variant="shvt")
+        config = TrainConfig(optimizer=optimizer)
+        state = _StackedParams(init_for_kg(ModelConfig(variant="shvt"), ds.kg, seed=0), config)
+        assert len(state.slots) == 4
+        for param, _, acc in state.slots:
+            if optimizer == "sgd":
+                assert acc is None
+            else:
+                assert acc.shape == param.shape and not acc.any()
+
 
 @pytest.mark.parametrize("kind", CONSTRAINTS)
 def test_projection_overwrites_exactly_the_maps_that_do_not_step(rng, kind):
