@@ -51,7 +51,11 @@ class BudgetExceededError(SheafKGError):
 
 
 class TrainingAbortError(SheafKGError):
-    """Training stopped because it diverged: a non-finite value, an overflow or a loss blow-up."""
+    """Training stopped because it diverged: a non-finite value, an overflow or a loss blow-up.
+
+    ``relation`` is the relation of largest mean training score (a NaN mean
+    first) at the parameters where training stopped.
+    """
 
     def __init__(self, epoch, batch=None, relation=None, message="non-finite loss"):
         where = f"epoch {epoch}" + ("" if batch is None else f", batch {batch}")

@@ -70,7 +70,8 @@ class Query:
                 f"{self.structure} queries take {n_anchors} anchor(s) and "
                 f"{n_relations} relation(s), got {len(self.anchors)} and {len(self.relations)}"
             )
-        for kind, ids in (("anchor", self.anchors), ("relation", self.relations)):
+        for kind, ids in (("anchor", self.anchors), ("relation", self.relations),
+                          ("answer", self.answers)):
             for i in ids:
                 try:
                     operator.index(i)
@@ -190,7 +191,10 @@ class Ranking:
 
     def position(self, entity: int) -> int:
         """0-based position of an entity in the sorted order."""
-        hits = np.flatnonzero(self.entity_ids == int(entity))
+        try:
+            hits = np.flatnonzero(self.entity_ids == operator.index(entity))
+        except TypeError:
+            raise QueryError(f"entity ids must be integers, got {entity!r}") from None
         if hits.size == 0:
             raise QueryError(f"entity {entity} not present in ranking")
         return int(hits[0])

@@ -7,6 +7,8 @@ per batch cannot perturb parameter initialization.
 
 import numpy as np
 
+from .errors import ConfigError
+
 _STREAM_IDS = {
     "init": 1,
     "shuffle": 2,
@@ -20,8 +22,11 @@ def substream(seed: int, name: str) -> np.random.Generator:
     """Return a generator for the named sub-stream of ``seed``.
 
     The same (seed, name) pair always yields an identical stream; distinct
-    names yield statistically independent streams.
+    names yield statistically independent streams. A negative seed is a
+    ``ConfigError``.
     """
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
     try:
         key = _STREAM_IDS[name]
     except KeyError:

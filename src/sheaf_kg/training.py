@@ -15,7 +15,6 @@ import logging
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from functools import partial
 
 import numpy as np
 
@@ -215,44 +214,28 @@ class _StackedParams:
         project_constraints_inplace(self.sheaf)
         return loss, n_active
 
-    def cap_entity_norms(self, cap: float) -> bool:
-        """Shrink section columns longer than ``cap``; False if a norm overflowed."""
-        with np.errstate(over="ignore"):
-            norms = np.linalg.norm(self.X, axis=1, keepdims=True)
-        if not np.all(np.isfinite(norms)):
-            return False
+    def cap_entity_norms(self, cap: float):
+        """Shrink section columns longer than ``cap``."""
+        norms = np.linalg.norm(self.X, axis=1, keepdims=True)
         np.maximum(norms, cap, out=norms)
         self.X *= cap / norms
-        return True
-
-    def largest_map_relation(self) -> str:
-        with np.errstate(over="ignore"):
-            norms = np.maximum(
-                np.linalg.norm(self.RH, axis=(1, 2)), np.linalg.norm(self.RT, axis=(1, 2))
-            )
-        return self.sheaf.schema.relation_types[int(np.argmax(norms))]
 
 
-def _first_bad_relation(model, pos, neg) -> str | None:
-    """Name the relation of the first non-finite score, positives before negatives, if any."""
-    rows = np.concatenate([pos, neg])
-    sheaf = model.sheaf
-    with np.errstate(over="ignore", invalid="ignore"):
-        scores = _kernels.batch_scores(
-            model.sections.X, sheaf.RH, sheaf.RT, sheaf.T, rows[:, 0], rows[:, 1], rows[:, 2]
-        )
-    bad = np.flatnonzero(~np.isfinite(scores))
-    return model.schema.relation_types[int(rows[bad[0], 1])] if bad.size else None
+def _worst_relation(model: Model, kg: KnowledgeGraph) -> str:
+    """The relation of largest mean training score (``relation_discrepancy``), a NaN mean first."""
+    with np.errstate(all="ignore"):
+        means = relation_discrepancy(model.sheaf, model.sections, kg)
+    return max(means, key=lambda name: (np.isnan(means[name]), means[name]))
 
 
 @contextmanager
-def _abort_on_overflow(epoch, batch=None, relation=lambda: None):
+def _abort_on_overflow(model, kg, epoch, batch=None):
     """Run the block with numpy overflow and invalid operations raised as a TrainingAbortError."""
     try:
         with np.errstate(over="raise", invalid="raise"):
             yield
     except FloatingPointError as err:
-        raise TrainingAbortError(epoch, batch, relation(), str(err)) from err
+        raise TrainingAbortError(epoch, batch, _worst_relation(model, kg), str(err)) from err
 
 
 @contextmanager
@@ -285,10 +268,12 @@ def train(kg: KnowledgeGraph, config: TrainConfig, model: Model) -> tuple[Model,
     once per call.
 
     A diverging run raises :class:`TrainingAbortError` naming the epoch, on
-    a non-finite loss, a numpy overflow or invalid operation in a step or
-    the epoch's orthogonality penalty, a section norm overflow under
-    ``max_entity_norm``, or an epoch mean loss over ``LOSS_BLOWUP`` (1e4)
-    times the larger of the first epoch's and the margin. Projected maps
+    a numpy overflow or invalid operation in a batch's step and
+    ``max_entity_norm`` cap (one ``np.errstate`` scope, which also holds the
+    non-finite loss check) or in the epoch's orthogonality penalty, or on an
+    epoch mean loss over ``LOSS_BLOWUP`` (1e4) times the larger of the first
+    epoch's and the margin. Every abort blames the relation of largest mean
+    training score where training stopped, a NaN mean first. Projected maps
     stay bounded, so diverging sections can keep the loss finite for tens of
     epochs; scores are quadratic, so 1e4 means sections about 100 times
     their first scale, which no run that learns reaches. The checks change
@@ -319,29 +304,22 @@ def train(kg: KnowledgeGraph, config: TrainConfig, model: Model) -> tuple[Model,
             for batch_no, lo in enumerate(range(0, n, config.batch_size)):
                 pos = triples[perm[lo:lo + config.batch_size]]
                 neg = sample_negatives(kg, index, pos, k, neg_rng)
-                bad_relation = partial(_first_bad_relation, model, pos, neg)
-                with _abort_on_overflow(epoch, batch_no, bad_relation):
+                with _abort_on_overflow(model, kg, epoch, batch_no):
                     loss, n_active = state.step(pos, neg, config)
-                if not np.isfinite(loss):
-                    raise TrainingAbortError(epoch, batch_no, bad_relation())
-                cap = config.max_entity_norm
-                if cap is not None and not state.cap_entity_norms(cap):
-                    raise TrainingAbortError(
-                        epoch, batch_no, state.largest_map_relation(),
-                        "section norms overflowed before the max_entity_norm cap",
-                    )
+                    if not np.isfinite(loss):
+                        raise TrainingAbortError(epoch, batch_no, _worst_relation(model, kg))
+                    if config.max_entity_norm is not None:
+                        state.cap_entity_norms(config.max_entity_norm)
                 epoch_loss += loss
                 n_pairs += len(neg)
                 n_active_pairs += n_active
             report.epoch_mean_loss.append(epoch_loss / n_pairs)
             report.epoch_active_fraction.append(n_active_pairs / n_pairs)
-            with _abort_on_overflow(epoch):
+            with _abort_on_overflow(model, kg, epoch):
                 report.epoch_orthogonality.append(orthogonality_penalty(model.sections))
             limit = LOSS_BLOWUP * max(report.epoch_mean_loss[0], config.margin)
             if report.epoch_mean_loss[-1] > limit:
-                with np.errstate(over="ignore", invalid="ignore"):
-                    worst = relation_discrepancy(model.sheaf, model.sections, kg)
-                raise TrainingAbortError(epoch, None, max(worst, key=worst.get), (
+                raise TrainingAbortError(epoch, None, _worst_relation(model, kg), (
                     f"mean loss {report.epoch_mean_loss[-1]:.3g} is over {LOSS_BLOWUP:g} times"
                     " the first epoch's"
                 ))

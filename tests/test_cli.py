@@ -65,6 +65,7 @@ class TestSynth:
         (["--noise", "inf"], "noise must be finite"),
         (["--noise", "nan"], "noise must be finite"),
         (["--sections", "0"], "sections must be >= 1"),
+        (["--seed", "-1"], "seed must be >= 0, got -1"),
     ])
     def test_bad_value_exits_2(self, runner, tmp_path, args, message):
         res = run_cli(runner, ["synth", "--entities", "30", *args, "--out", str(tmp_path / "s")])
@@ -279,7 +280,19 @@ class TestTrain:
         assert sorted(p.name for p in (tmp_path / "o").glob("*.manifest")) == ["model_seed3.manifest"]
         assert any("seed=3" in rec.message and "seeds=[3]" in rec.message for rec in caplog.records)
 
-    @pytest.mark.parametrize("seeds", ["", ",", "1,x"])
+    def test_negative_config_seed_exits_2(self, runner, tmp_path):
+        (tmp_path / "t.tsv").write_text("a\tr\tb\nb\tr\ta\n", encoding="utf-8")
+        (tmp_path / "s.cfg").write_text("seed=-3\nepochs=1\n", encoding="utf-8")
+        res = run_cli(runner, [
+            "train", "--config", str(tmp_path / "s.cfg"), "--train", str(tmp_path / "t.tsv"),
+            "--out", str(tmp_path / "o"),
+        ])
+        assert res.exit_code == 2
+        assert "error: seed must be >= 0, got -3" in res.output
+        assert not (tmp_path / "o").exists()
+
+    # a negative seed once ended in numpy's ValueError, after the seeds before it had trained
+    @pytest.mark.parametrize("seeds", ["", ",", "1,x", "-1", "1,-1"])
     def test_bad_seed_list_exits_2(self, runner, tmp_path, seeds):
         (tmp_path / "t.tsv").write_text("a\tr\tb\n", encoding="utf-8")
         res = runner.invoke(main, [

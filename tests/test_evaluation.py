@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sheaf_kg.errors import EvaluationError
+from sheaf_kg.errors import EvaluationError, QueryError
 from sheaf_kg.evaluation import (
     _TEMPLATES,
     _traverse_answers,
@@ -41,6 +41,11 @@ class TestFilteredRank:
     def test_absent_answer_is_error(self):
         with pytest.raises(Exception):
             filtered_rank(ranking_of([0.1]), 5)
+
+    def test_non_integer_answer_is_error(self):
+        # answer 4.5 was once ranked as entity 4
+        with pytest.raises(QueryError, match="entity ids must be integers, got 4.5"):
+            filtered_rank(ranking_of([0.1, 0.2, 0.3, 0.4, 0.5, 0.6]), 4.5)
 
     def test_matches_counting_oracle(self, rng):
         for _ in range(1000):

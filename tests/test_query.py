@@ -105,6 +105,11 @@ class TestTemplates:
         with pytest.raises(QueryError, match=re.escape(message)):
             Query("1p", anchors, relations)
 
+    def test_non_integer_answers_rejected(self):
+        # answer 4.5 was once scored as entity 4
+        with pytest.raises(QueryError, match=re.escape("answer ids must be integers, got 4.5")):
+            Query("1p", (2,), (0,), frozenset({4.5}))
+
     def test_numpy_integer_ids_accepted(self):
         q = Query("2i", (np.int64(3), 4), (np.int32(0), 1))
         assert q.anchors == (3, 4) and q.relations == (0, 1)
@@ -503,6 +508,12 @@ class TestQueryFiles:
             np.array([5, 3, 9], dtype=np.int64), np.array([1.0, 1.0, 0.5])
         )
         np.testing.assert_array_equal(ranking.entity_ids, [9, 3, 5])
+
+    def test_position_takes_integer_ids_only(self):
+        ranking = ranking_from_scores(np.arange(4, dtype=np.int64), np.array([0.4, 0.3, 0.2, 0.1]))
+        assert ranking.position(np.int64(2)) == 1
+        with pytest.raises(QueryError, match=re.escape("entity ids must be integers, got 2.7")):
+            ranking.position(2.7)  # once entity 2's position
 
 
 @settings(max_examples=300, deadline=None)

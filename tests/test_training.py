@@ -25,7 +25,7 @@ from sheaf_kg.synth import generate_planted_kg
 from sheaf_kg.training import (
     TrainConfig,
     _StackedParams,
-    _first_bad_relation,
+    _worst_relation,
     sample_negatives,
     train,
     triple_grads,
@@ -477,20 +477,8 @@ class TestTrain:
         model.sections.block(0)[0, 0] = np.nan
         with pytest.raises(TrainingAbortError) as err:
             train(kg, TrainConfig(epochs=1, seed=0), model)
-        assert err.value.epoch == 0
-
-    @pytest.mark.parametrize("variant", ["shv", "shvt"])
-    def test_first_bad_relation_is_the_first_non_finite_pair(self, rng, variant):
-        kg = small_kg(rng, n_relations=3)
-        cfg = ModelConfig(variant=variant, entity_dim=4, relation_dim=4)
-        model = init_for_kg(cfg, kg, seed=0)
-        model.sections.block(5)[1, 0] = np.inf
-        pos = np.array([[0, 0, 1], [2, 1, 3]])
-        assert _first_bad_relation(model, pos, np.array([[0, 0, 2], [2, 1, 4]])) is None
-        # the positives come before the negatives
-        assert _first_bad_relation(model, pos, np.array([[0, 0, 2], [5, 2, 4]])) == "r2"
-        assert _first_bad_relation(model, np.array([[0, 0, 1], [2, 1, 5]]),
-                                   np.array([[5, 2, 2], [2, 1, 4]])) == "r1"
+        assert (err.value.epoch, err.value.batch) == (0, 0)
+        assert "non-finite loss" in str(err.value)
 
     def test_ragged_dims_train_through_padded_path(self):
         schema = Schema(
@@ -552,6 +540,7 @@ class TestTrain:
                             negatives_per_positive=12, max_entity_norm=2.0, seed=0),
                 model,
             )
+        assert (err.value.epoch, err.value.batch) == (1, None)
         assert err.value.relation in ds.kg.schema.relation_types
         assert "max_entity_norm" in str(err.value)
 
@@ -725,8 +714,9 @@ class TestPaddedLayout:
             neg = pos.copy()
             tails = [np.flatnonzero(kg.entity_type == kg.schema.tail_type[r]) for r in pos[:, 1]]
             neg[:, 2] = [rng.choice(pool) for pool in tails]
-            state.step(pos, neg, config)
-            assert state.cap_entity_norms(config.max_entity_norm)
+            with np.errstate(over="raise", invalid="raise"):  # as in train()
+                state.step(pos, neg, config)
+                state.cap_entity_norms(config.max_entity_norm)
         assert_padded_blocks(state.X, section_blocks(model.sections))
         assert_padded_blocks(state.RH, model.sheaf.head_maps)
         assert_padded_blocks(state.RT, model.sheaf.tail_maps)
@@ -808,7 +798,7 @@ class TestDivergence:
         kg, config, model = self.diverging_run(constraint, learning_rate)
         with pytest.raises(TrainingAbortError) as err:
             train(kg, config, model)
-        assert err.value.epoch == 1
+        assert (err.value.epoch, err.value.batch) == (1, None)
         assert err.value.relation in kg.schema.relation_types
         message = str(err.value)
         assert "over 10000 times the first epoch's" in message
@@ -833,17 +823,65 @@ class TestDivergence:
             train(kg, config, model)
         assert (err.value.epoch, err.value.batch) == (0, batch)
         assert "overflow encountered" in str(err.value)
-        # every score is still finite, so no relation is to blame
-        assert err.value.relation is None and "relation" not in str(err.value)
+        assert f"relation {err.value.relation!r}" in str(err.value)
+        assert err.value.relation in kg.schema.relation_types
 
-    def test_cap_overflow_aborts_without_the_loss_check(self, monkeypatch):
+    @staticmethod
+    def cap_overflow_run(monkeypatch):
         # the set-up of TestTrain.test_divergence_under_norm_cap_raises, whose
-        # loss check now fires first
+        # loss check fires first unless it is switched off
         monkeypatch.setattr("sheaf_kg.training.LOSS_BLOWUP", np.inf)
         ds = generate_planted_kg(200, 5, 16, 0.0, seed=0, variant="shvt")
         model = init_for_kg(ModelConfig(variant="shvt", constraint="free"), ds.kg, seed=0)
+        return ds.kg, TrainConfig(epochs=12, batch_size=32, learning_rate=0.05, optimizer="sgd",
+                                  negatives_per_positive=12, max_entity_norm=2.0, seed=0), model
+
+    def test_cap_overflow_aborts_without_the_loss_check(self, monkeypatch):
+        kg, config, model = self.cap_overflow_run(monkeypatch)
         with pytest.raises(TrainingAbortError) as err:
-            train(ds.kg, TrainConfig(epochs=12, batch_size=32, learning_rate=0.05, optimizer="sgd",
-                                     negatives_per_positive=12, max_entity_norm=2.0, seed=0), model)
-        assert err.value.relation in ds.kg.schema.relation_types
-        assert "section norms overflowed before the max_entity_norm cap" in str(err.value)
+            train(kg, config, model)
+        assert (err.value.epoch, err.value.batch) == (5, 13)
+        assert err.value.relation in kg.schema.relation_types
+        assert "overflow encountered" in str(err.value)
+
+    # each kind of abort: where the runs below stop, and a part of the message
+    ABORTS = {
+        "non-finite loss": ((0, 0), "non-finite loss"),
+        "overflow in the step": ((0, 0), "overflow encountered"),
+        "overflow in the penalty": ((0, None), "overflow encountered"),
+        "cap overflow": ((5, 13), "overflow encountered"),
+        "loss blow-up": ((1, None), "over 10000 times the first epoch's"),
+    }
+
+    @pytest.mark.parametrize("kind", list(ABORTS))
+    def test_every_abort_blames_the_relation_of_largest_mean_score(self, rng, monkeypatch, kind):
+        if kind == "non-finite loss":
+            kg = small_kg(rng, n_triples=10)
+            model = init_for_kg(ModelConfig(entity_dim=4, relation_dim=4), kg, seed=0)
+            model.sections.block(0)[0, 0] = np.nan
+            config = TrainConfig(epochs=1, seed=0)
+        elif kind == "cap overflow":
+            kg, config, model = self.cap_overflow_run(monkeypatch)
+        elif kind == "loss blow-up":
+            kg, config, model = self.diverging_run("identity", 0.3)
+        else:
+            alpha = 0.1 if kind == "overflow in the step" else 0.0
+            kg, config, model = self.diverging_run("identity", 0.01, alpha=alpha)
+            model.sections.X *= 1e100
+        with pytest.raises(TrainingAbortError) as err:
+            train(kg, config, model)
+        stop, message = self.ABORTS[kind]
+        assert (err.value.epoch, err.value.batch) == stop
+        assert message in str(err.value)
+        assert err.value.relation == _worst_relation(model, kg)
+        # the same pick from the kernel's own scores: largest mean, a NaN mean first
+        triples = kg.triples_of("train")
+        with np.errstate(all="ignore"):
+            scores = _kernels.batch_scores(
+                model.sections.X, model.sheaf.RH, model.sheaf.RT, model.sheaf.T, *triples.T
+            )
+            counts = np.bincount(triples[:, 1])
+            present = np.flatnonzero(counts)
+            means = np.bincount(triples[:, 1], scores)[present] / counts[present]
+        # np.argmax takes the first NaN as the largest
+        assert err.value.relation == kg.schema.relation_types[present[np.argmax(means)]]
