@@ -7,7 +7,9 @@ for a ``SheafKGError`` or ``OSError`` and exits 2 for the input errors
 ``ValidationError``), 1 for the rest (checkpoint, sampling, training-abort
 and file-write errors).
 Every run logs the fully resolved configuration so results are reproducible
-from the log alone.
+from the log alone. ``train``'s setting flags are built from the config keys
+(``config.VALID_KEYS``, typed by ``config.KEY_TYPES``); ``config.build_settings``
+turns the config file and those flags into a ``ModelConfig`` and a ``TrainConfig``.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from __future__ import annotations
 import difflib
 import logging
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import click
@@ -22,7 +25,7 @@ import numpy as np
 
 from . import checkpoint as ckpt
 from . import evaluation, kgdata, synth
-from .config import build_settings, read_config_file
+from .config import KEY_TYPES, VALID_KEYS, build_settings, describe, read_config_file
 from .errors import INPUT_ERRORS, SchemaError, SheafKGError, ValidationError
 from .model import VARIANTS, init_for_kg, relation_discrepancy
 from .query import STRUCTURES, Query, answer_query, read_queries, write_queries
@@ -60,15 +63,10 @@ def _parse_seeds(text: str) -> list[int]:
     return seeds
 
 
-def _load_settings(config_path, **flag_overrides):
-    file_values = None if config_path is None else read_config_file(config_path)
-    return build_settings(file_values, flag_overrides)
-
-
-def _load_kg(settings, train_path, valid_path, test_path, type_path):
+def _load_kg(model_config, train_path, valid_path, test_path, type_path):
     paths = (train_path, valid_path, test_path)
     labels = kgdata.read_type_labels(type_path) if type_path else None
-    dims = settings.values["entity_dim"], settings.values["relation_dim"]
+    dims = model_config.entity_dim, model_config.relation_dim
     schema = _infer_relation_typing(labels, *dims, *paths)
     return kgdata.load_dataset(schema, *paths, labels)
 
@@ -110,36 +108,22 @@ def main():
     _setup_logging()
 
 
-_shared_model_flags = [
-    click.option("--config", "config_path", type=click.Path(), default=None, help="key=value config file"),
-    click.option("--variant", type=click.Choice(VARIANTS), default=None),
-    click.option("--epochs", type=int, default=None),
-    click.option("--batch-size", "batch_size", type=int, default=None),
-    click.option("--learning-rate", "learning_rate", type=float, default=None),
-    click.option("--negatives", "negatives_per_positive", type=int, default=None),
-    click.option("--margin", type=float, default=None),
-    click.option("--alpha", type=float, default=None),
-    click.option("--sections", type=int, default=None),
-    click.option("--entity-dim", "entity_dim", type=int, default=None),
-    click.option("--relation-dim", "relation_dim", type=int, default=None),
-    click.option("--optimizer", type=click.Choice(OPTIMIZERS), default=None),
-    click.option("--constraint", type=str, default=None),
-    click.option("--max-entity-norm", "max_entity_norm", type=float, default=None,
-                 help="cap on entity section column norms (default: no cap)"),
-]
-
-
-def _with_flags(flags):
-    def wrap(fn):
-        for flag in reversed(flags):
-            fn = flag(fn)
-        return fn
-
-    return wrap
+def _setting_flags(fn):
+    """A flag per config key but ``seed``: ``--<key>``, typed by its parse type, bar the cases below."""
+    names = {"negatives_per_positive": "--negatives"}
+    choices = {"variant": VARIANTS, "optimizer": OPTIMIZERS}
+    helps = {"max_entity_norm": "cap on entity section column norms (default: no cap)"}
+    for key in reversed(VALID_KEYS):
+        if key != "seed":
+            kind = click.Choice(choices[key]) if key in choices else KEY_TYPES[key]
+            flag = names.get(key, "--" + key.replace("_", "-"))
+            fn = click.option(flag, key, type=kind, default=None, help=helps.get(key))(fn)
+    return fn
 
 
 @main.command("train")
-@_with_flags(_shared_model_flags)
+@click.option("--config", "config_path", type=click.Path(), default=None, help="key=value config file")
+@_setting_flags
 @click.option("--train", "train_path", type=click.Path(), required=True)
 @click.option("--valid", "valid_path", type=click.Path(), default=None)
 @click.option("--test", "test_path", type=click.Path(), default=None)
@@ -149,15 +133,16 @@ def _with_flags(flags):
 @click.option("--out", "out_dir", type=click.Path(), required=True)
 def cmd_train(config_path, train_path, valid_path, test_path, type_path, seeds, out_dir, **flags):
     """Train one model per seed and write checkpoints plus a report."""
-    settings = _load_settings(config_path, **flags)
-    seed_list = [settings.values["seed"]] if seeds is None else _parse_seeds(seeds)
-    logger.info("resolved config: %s seeds=%s", settings.describe(), seed_list)
-    kg = _load_kg(settings, train_path, valid_path, test_path, type_path)
+    file_values = None if config_path is None else read_config_file(config_path)
+    model_config, train_config = build_settings(file_values, flags)
+    seed_list = [train_config.seed] if seeds is None else _parse_seeds(seeds)
+    logger.info("resolved config: %s seeds=%s", describe(model_config, train_config), seed_list)
+    kg = _load_kg(model_config, train_path, valid_path, test_path, type_path)
     out = Path(out_dir)
     lines = []
     for seed in seed_list:
-        model = init_for_kg(settings.model_config(), kg, seed)
-        model, report = train(kg, settings.train_config(seed), model)
+        model = init_for_kg(model_config, kg, seed)
+        model, report = train(kg, replace(train_config, seed=seed), model)
         prefix = out / f"model_seed{seed}"
         ckpt.save_model(model, prefix)
         lines.append(

@@ -2,32 +2,30 @@
 
 The keys are the fields of ``ModelConfig`` and ``TrainConfig`` (a name in
 both, such as ``margin``, is one key); each takes its default from its
-dataclass and its parse type from the field's annotation. Config files hold
-one ``key=value`` per line; ``#`` starts a comment. Every key except
-``seed`` has a ``sheaf-kg train`` flag that takes precedence; ``seed`` is
-set by ``--seeds``. Per-relation constraint overrides use
-``constraint.<relation>=<kind>``.
+dataclass and its parse type from the field's annotation (``KEY_TYPES``).
+Config files hold one ``key=value`` per line; ``#`` starts a comment. Every
+key except ``seed`` has a ``sheaf-kg train`` flag built from the key; it
+takes precedence, and ``seed`` is set by ``--seeds``. Per-relation
+constraint overrides use ``constraint.<relation>=<kind>``. ``build_settings``
+returns the two configs, and ``describe`` writes them as one line.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import fields
 
-from .errors import ConfigError
+from .errors import FIELD_TYPES, ConfigError
 from .kgdata import text_lines
 from .model import ModelConfig
 from .training import TrainConfig
 
-# annotation (a string under postponed evaluation) -> parser of a config-file value
-_PARSERS = {"int": int, "float": float, "float | None": float, "str": str}
-_FIELDS = {
-    f.name: f
+KEY_TYPES = {  # KeyError: an annotation FIELD_TYPES does not parse
+    f.name: FIELD_TYPES[f.type]
     for config in (ModelConfig, TrainConfig)
     for f in fields(config)
     if f.name != "constraint_overrides"
 }
-_PARSE = {name: _PARSERS[f.type] for name, f in _FIELDS.items()}  # KeyError: unparsed annotation
-VALID_KEYS = tuple(_FIELDS)
+VALID_KEYS = tuple(KEY_TYPES)
 
 
 def _config(cls, values: dict, **extra):
@@ -35,21 +33,12 @@ def _config(cls, values: dict, **extra):
     return cls(**{f.name: values[f.name] for f in fields(cls) if f.name in values}, **extra)
 
 
-@dataclass
-class Settings:
-    values: dict
-    constraint_overrides: dict[str, str]
-
-    def model_config(self) -> ModelConfig:
-        return _config(ModelConfig, self.values, constraint_overrides=dict(self.constraint_overrides))
-
-    def train_config(self, seed: int | None = None) -> TrainConfig:
-        return _config(TrainConfig, self.values if seed is None else {**self.values, "seed": seed})
-
-    def describe(self) -> str:
-        parts = [f"{k}={self.values[k]}" for k in sorted(self.values)]
-        parts += [f"constraint.{name}={kind}" for name, kind in sorted(self.constraint_overrides.items())]
-        return " ".join(parts)
+def describe(model_config: ModelConfig, train_config: TrainConfig) -> str:
+    """Every key's value, sorted by key, then the constraint overrides: one line of ``key=value``."""
+    values = {**vars(model_config), **vars(train_config)}
+    parts = [f"{k}={values[k]}" for k in sorted(VALID_KEYS)]
+    parts += [f"constraint.{n}={kind}" for n, kind in sorted(model_config.constraint_overrides.items())]
+    return " ".join(parts)
 
 
 def read_config_file(path) -> dict[str, str]:
@@ -65,9 +54,10 @@ def read_config_file(path) -> dict[str, str]:
     return raw
 
 
-def build_settings(file_values: dict[str, str] | None = None, overrides: dict | None = None) -> Settings:
-    """Merge defaults, config-file values, and CLI overrides (strongest last)."""
-    values = {name: f.default for name, f in _FIELDS.items()}
+def build_settings(file_values: dict[str, str] | None = None,
+                   overrides: dict | None = None) -> tuple[ModelConfig, TrainConfig]:
+    """The two configs from defaults, config-file values and CLI overrides (strongest last)."""
+    values = {}  # the keys set; every other field keeps its dataclass default
     constraint_overrides: dict[str, str] = {}
     for key, value in (file_values or {}).items():
         if key.startswith("constraint."):
@@ -78,7 +68,7 @@ def build_settings(file_values: dict[str, str] | None = None, overrides: dict | 
                 f"invalid config key {key!r}; valid keys: {', '.join(VALID_KEYS)} "
                 "and constraint.<relation>"
             )
-        parse = _PARSE[key]
+        parse = KEY_TYPES[key]
         try:
             values[key] = parse(value)
         except ValueError:
@@ -89,8 +79,5 @@ def build_settings(file_values: dict[str, str] | None = None, overrides: dict | 
         if key not in VALID_KEYS:
             raise ConfigError(f"invalid override key {key!r}")
         values[key] = value
-    settings = Settings(values=values, constraint_overrides=constraint_overrides)
-    # both configs check their own values and raise ConfigError on a bad one
-    settings.model_config()
-    settings.train_config()
-    return settings
+    return (_config(ModelConfig, values, constraint_overrides=constraint_overrides),
+            _config(TrainConfig, values))

@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the type rules of the inputs they guard."""
+
+import operator
+from dataclasses import fields
 
 
 class SheafKGError(Exception):
@@ -69,3 +72,26 @@ class TrainingAbortError(SheafKGError):
 
 # what a user's input got wrong; the CLI exits 2 for these and 1 for any other error
 INPUT_ERRORS = (ConfigError, QueryError, SchemaError, TripleParseError, ValidationError)
+
+
+# config field annotation (a string under postponed evaluation) -> type of the field's values
+FIELD_TYPES = {"int": int, "float": float, "float | None": float, "str": str}
+
+
+def as_id(value, error: type[SheafKGError], expected: str) -> int:
+    """``operator.index(value)``, refusing a ``bool``, else ``error``: what an id or count is."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise error(f"{expected}, got {value!r}")
+
+
+def check_types(config) -> None:
+    """``ConfigError`` for a wrong-typed int or float field of ``config``; int fields become ints."""
+    for f in fields(config):
+        kind, value = FIELD_TYPES.get(f.type), getattr(config, f.name)
+        optional = value is None and f.type == "float | None"
+        if kind is int or kind is float and not (isinstance(value, float) or optional):
+            setattr(config, f.name, as_id(value, ConfigError, f"{f.name} must be {f.type}"))

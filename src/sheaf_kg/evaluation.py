@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EvaluationError, QueryError
+from .errors import EvaluationError, QueryError, as_id
 from .kgdata import TEST, TRAIN, VALID, KnowledgeGraph, TripleIndex, _triple_keys
 # unused here: the benchmark wraps ``evaluation.build_index`` by name to count index builds
 from .kgdata import build_index  # noqa: F401
@@ -29,7 +29,7 @@ from .query import (
     Query,
     Ranking,
     answer_queries,
-    answer_query,  # part of this module's names: callers resolve it here
+    answer_query,  # noqa: F401 -- part of this module's names: callers resolve it here
     entity_chaining_exact,
     naive_traversal_score,
 )
@@ -46,7 +46,7 @@ def filtered_rank(ranking: Ranking, answer: int, other_answers=frozenset()) -> i
     strictly before the answer's, matching the ranking's own tie-break.
     """
     pos = ranking.position(answer)  # raises if absent
-    others = [int(a) for a in other_answers if a != answer]
+    others = [as_id(a, QueryError, "answer ids must be integers") for a in other_answers]
     return pos - int(np.count_nonzero(np.isin(ranking.entity_ids[:pos], others))) + 1
 
 
@@ -155,6 +155,7 @@ def build_easy_queries(
     """
     if structure not in STRUCTURE_ARITY:
         raise QueryError(f"unknown structure {structure!r}")
+    count = as_id(count, QueryError, "count must be an integer")
     train = kg.triples_of(TRAIN)
     if len(train) == 0:
         raise EvaluationError("easy-query construction needs a nonempty training split")

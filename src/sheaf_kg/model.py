@@ -23,7 +23,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import _kernels
-from .errors import ConfigError, ShapeError
+from .errors import ConfigError, ShapeError, check_types
 from .kgdata import KnowledgeGraph, Schema
 from .seeds import substream
 
@@ -49,6 +49,7 @@ class ModelConfig:
     constraint_overrides: dict[str, str] = field(default_factory=dict)
 
     def __post_init__(self):
+        check_types(self)
         if self.variant not in VARIANTS:
             raise ConfigError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
         if self.sections < 1:

@@ -22,13 +22,12 @@ type's stacked sections. ``answer_query`` is a chunk of one group, and its
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
 
-from .errors import BudgetExceededError, ConfigError, QueryError, SchemaError
+from .errors import BudgetExceededError, ConfigError, QueryError, SchemaError, as_id
 from .kgdata import text_lines
 from .model import Model, KnowledgeSheaf, edge_residual
 from .sheaf import (
@@ -73,10 +72,7 @@ class Query:
         for kind, ids in (("anchor", self.anchors), ("relation", self.relations),
                           ("answer", self.answers)):
             for i in ids:
-                try:
-                    operator.index(i)
-                except TypeError:
-                    raise QueryError(f"{kind} ids must be integers, got {i!r}") from None
+                as_id(i, QueryError, f"{kind} ids must be integers")
 
 
 @dataclass(frozen=True)
@@ -191,10 +187,8 @@ class Ranking:
 
     def position(self, entity: int) -> int:
         """0-based position of an entity in the sorted order."""
-        try:
-            hits = np.flatnonzero(self.entity_ids == operator.index(entity))
-        except TypeError:
-            raise QueryError(f"entity ids must be integers, got {entity!r}") from None
+        entity = as_id(entity, QueryError, "entity ids must be integers")
+        hits = np.flatnonzero(self.entity_ids == entity)
         if hits.size == 0:
             raise QueryError(f"entity {entity} not present in ranking")
         return int(hits[0])
@@ -204,7 +198,7 @@ class Ranking:
 
     def top(self, k: int) -> list[tuple[int, float]]:
         """The first ``k`` (entity, value) pairs of the sorted order."""
-        k = min(k, len(self))
+        k = min(as_id(k, QueryError, "k must be an integer"), len(self))
         if k <= 0:
             return []
         ids, values = self.scored
@@ -237,7 +231,7 @@ def _anchor_data(model: Model, qg: QueryGraph, anchor_entities) -> np.ndarray:
         raise QueryError("anchor count does not match the query graph")
     blocks = [np.zeros((0, model.sections.columns))]
     for v, entity in zip(qg.anchor_vertices, anchor_entities):
-        entity = int(entity)
+        entity = as_id(entity, QueryError, "anchor ids must be integers")
         if not 0 <= entity < model.n_entities:
             raise QueryError(f"anchor entity index {entity} out of range")
         if int(model.entity_type[entity]) != qg.vertex_types[v]:
@@ -468,6 +462,8 @@ def read_queries(path, entity_index: dict[str, int], schema) -> list[Query]:
             queries.append(Query(tag, anchors, relations, answers))
         except QueryError as exc:
             raise QueryError(f"{path}:{lineno}: {exc}") from None
+    if not queries:
+        raise QueryError(f"{path}: no queries")
     return queries
 
 

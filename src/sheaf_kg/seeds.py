@@ -7,7 +7,7 @@ per batch cannot perturb parameter initialization.
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, as_id
 
 _STREAM_IDS = {
     "init": 1,
@@ -22,10 +22,10 @@ def substream(seed: int, name: str) -> np.random.Generator:
     """Return a generator for the named sub-stream of ``seed``.
 
     The same (seed, name) pair always yields an identical stream; distinct
-    names yield statistically independent streams. A negative seed is a
-    ``ConfigError``.
+    names yield statistically independent streams. A seed that is not an
+    integer >= 0 is a ``ConfigError``.
     """
-    if seed < 0:
+    if as_id(seed, ConfigError, "seed must be an integer") < 0:
         raise ConfigError(f"seed must be >= 0, got {seed}")
     try:
         key = _STREAM_IDS[name]

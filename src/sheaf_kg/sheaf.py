@@ -20,13 +20,12 @@ stacked as ``(G, edge_dim, dim)``; ``psd_pinv`` inverts each matrix of a stack a
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from itertools import accumulate
 
 import numpy as np
 
-from .errors import ShapeError, ValidationError
+from .errors import ShapeError, ValidationError, as_id
 
 PINV_RCOND = 1e-10
 
@@ -181,10 +180,7 @@ def psd_pinv(a: np.ndarray) -> np.ndarray:
 
 
 def _boundary_partition(lap: BlockLaplacian, boundary) -> tuple[list[int], list[int]]:
-    try:
-        b = [operator.index(v) for v in boundary]
-    except TypeError as exc:
-        raise ValidationError(f"boundary vertex ids must be integers: {exc}") from None
+    b = [as_id(v, ValidationError, "boundary vertex ids must be integers") for v in boundary]
     if not b:
         raise ValidationError("boundary set must be nonempty")
     bset = set(b)

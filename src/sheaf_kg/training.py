@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _kernels
-from .errors import ConfigError, SamplingError, ShapeError, TrainingAbortError
+from .errors import ConfigError, SamplingError, ShapeError, TrainingAbortError, as_id, check_types
 from .kgdata import TRAIN, KnowledgeGraph, TripleIndex, build_index
 from .model import (
     MAP_STEPS,
@@ -58,6 +58,7 @@ class TrainConfig:
     max_entity_norm: float | None = None
 
     def __post_init__(self):
+        check_types(self)
         if self.epochs < 1:
             raise ConfigError("epochs must be >= 1")
         if self.batch_size < 1:
@@ -125,7 +126,7 @@ def sample_negatives(
     entity the other slot is corrupted instead; if both types do, sampling
     fails.
     """
-    if k < 1:
+    if as_id(k, ConfigError, "k must be an integer") < 1:
         raise ConfigError("need k >= 1 negatives")
     batch = np.asarray(triples, dtype=np.int64).reshape(-1, 3)
     order, start, size = kg.slot_pools

@@ -336,8 +336,7 @@ class TestConfigKeys:
         from sheaf_kg.model import ModelConfig
         from sheaf_kg.training import TrainConfig
 
-        assert build_settings().model_config() == ModelConfig()
-        assert build_settings().train_config() == TrainConfig()
+        assert build_settings() == (ModelConfig(), TrainConfig())
 
     def test_every_key_but_seed_is_a_train_flag(self):
         from sheaf_kg.cli import cmd_train
@@ -348,12 +347,45 @@ class TestConfigKeys:
         assert set(VALID_KEYS) - destinations == {"seed"}
         assert "seeds" in destinations
 
+    def test_train_setting_flags_are_pinned(self):
+        import click
+
+        from sheaf_kg.cli import cmd_train
+        from sheaf_kg.model import VARIANTS
+        from sheaf_kg.training import OPTIMIZERS
+
+        flags = {p.opts[0]: p for p in cmd_train.params if p.name not in
+                 ("train_path", "valid_path", "test_path", "type_path", "seeds", "out_dir")}
+        expected = {
+            "--config": ("config_path", click.Path), "--variant": ("variant", VARIANTS),
+            "--epochs": ("epochs", click.INT), "--batch-size": ("batch_size", click.INT),
+            "--learning-rate": ("learning_rate", click.FLOAT),
+            "--negatives": ("negatives_per_positive", click.INT),
+            "--margin": ("margin", click.FLOAT), "--alpha": ("alpha", click.FLOAT),
+            "--sections": ("sections", click.INT), "--entity-dim": ("entity_dim", click.INT),
+            "--relation-dim": ("relation_dim", click.INT), "--optimizer": ("optimizer", OPTIMIZERS),
+            "--constraint": ("constraint", click.STRING),
+            "--max-entity-norm": ("max_entity_norm", click.FLOAT),
+        }
+        assert set(flags) == set(expected)
+        for flag, (name, kind) in expected.items():
+            param = flags[flag]
+            assert param.name == name and param.opts == [flag] and param.default is None, flag
+            if isinstance(kind, tuple):
+                assert isinstance(param.type, click.Choice) and tuple(param.type.choices) == kind
+            elif isinstance(kind, type):
+                assert isinstance(param.type, kind), flag
+            else:
+                assert param.type is kind, flag
+        assert flags["--max-entity-norm"].help == "cap on entity section column norms (default: no cap)"
+        assert flags["--config"].help == "key=value config file"
+
     def test_float_key_parses_an_integer_literal(self):
         from sheaf_kg.config import build_settings
 
-        settings = build_settings({"alpha": "1", "max_entity_norm": "2"})
-        assert type(settings.model_config().alpha) is float and settings.model_config().alpha == 1.0
-        assert type(settings.train_config().max_entity_norm) is float
+        model_config, train_config = build_settings({"alpha": "1", "max_entity_norm": "2"})
+        assert type(model_config.alpha) is float and model_config.alpha == 1.0
+        assert type(train_config.max_entity_norm) is float
 
     def test_fractional_int_key_exits_2(self, runner, tmp_path):
         (tmp_path / "t.tsv").write_text("a\tr\tb\n", encoding="utf-8")
@@ -368,16 +400,16 @@ class TestConfigKeys:
 
 class TestMaxEntityNorm:
     def test_config_file_value_reaches_train_config(self, tmp_path):
-        from sheaf_kg.config import build_settings, read_config_file
+        from sheaf_kg.config import build_settings, describe, read_config_file
 
         cfg = tmp_path / "norm.cfg"
         cfg.write_text("max_entity_norm=2.5\n", encoding="utf-8")
-        settings = build_settings(read_config_file(cfg))
-        assert settings.train_config(seed=3).max_entity_norm == 2.5
-        assert "max_entity_norm=2.5" in settings.describe()
-        assert build_settings().train_config().max_entity_norm is None
-        flag_wins = build_settings(read_config_file(cfg), {"max_entity_norm": 0.5})
-        assert flag_wins.train_config().max_entity_norm == 0.5
+        model_config, train_config = build_settings(read_config_file(cfg))
+        assert train_config.max_entity_norm == 2.5
+        assert "max_entity_norm=2.5" in describe(model_config, train_config)
+        assert build_settings()[1].max_entity_norm is None
+        _, flag_wins = build_settings(read_config_file(cfg), {"max_entity_norm": 0.5})
+        assert flag_wins.max_entity_norm == 0.5
 
     def test_flag_caps_trained_sections(self, runner, workspace, tmp_path):
         from sheaf_kg.checkpoint import load_model
@@ -760,6 +792,7 @@ class TestErrorBoundary:
         ("synth with one entity", "need at least 2 entities"),
         ("empty train file", "training split is empty"),
         ("naive eval of shv", "naive traversal needs a translational model"),
+        ("empty query file", "empty.tsv: no queries"),  # once exit 1 from evaluate([])
     ])
     def test_input_error_exits_2(self, runner, workspace, typed, tmp_path, case, message):
         plain, shv = str(workspace / "ckpt" / "model_seed1"), str(typed / "model_seed0")
@@ -775,6 +808,7 @@ class TestErrorBoundary:
             "empty train file": ["train", "--train", str(tmp_path / "empty.tsv"), "--out", str(tmp_path / "o")],
             "naive eval of shv": ["eval", "--checkpoint", shv, "--queries", str(tmp_path / "q.tsv"),
                                   "--method", "naive"],
+            "empty query file": ["eval", "--checkpoint", plain, "--queries", str(tmp_path / "empty.tsv")],
         }[case]
         res = run_cli(runner, args)
         assert res.exit_code == 2, res.output

@@ -46,6 +46,9 @@ class TestFilteredRank:
         # answer 4.5 was once ranked as entity 4
         with pytest.raises(QueryError, match="entity ids must be integers, got 4.5"):
             filtered_rank(ranking_of([0.1, 0.2, 0.3, 0.4, 0.5, 0.6]), 4.5)
+        # other answer 3.5 once filtered entity 3, moving answer 5 from rank 6 to 5
+        with pytest.raises(QueryError, match="answer ids must be integers, got 3.5"):
+            filtered_rank(ranking_of([0.1, 0.2, 0.3, 0.4, 0.5, 0.6]), 5, {3.5})
 
     def test_matches_counting_oracle(self, rng):
         for _ in range(1000):
@@ -499,6 +502,13 @@ class TestBuildEasyQueries:
             with pytest.raises(EvaluationError, match="must cover every triple"):
                 build_easy_queries(kg, index, "1p", 3, substream(0, "queries"))
         assert build_easy_queries(kg, build_index(kg), "1p", 3, substream(0, "queries"))
+
+    @pytest.mark.parametrize("count", [2.5, True])
+    def test_non_integer_count_rejected(self, count):
+        # count=2.5 once built 3 queries and count=True 1
+        kg = path_kg()
+        with pytest.raises(QueryError, match="count must be an integer"):
+            build_easy_queries(kg, build_index(kg), "1p", count, substream(0, "queries"))
 
     def test_sparse_graph_warns_and_returns_fewer(self, caplog):
         import logging

@@ -99,7 +99,10 @@ class TestTemplates:
         (("2",), (0,), "anchor ids must be integers, got '2'"),
         ((2,), (0.5,), "relation ids must be integers, got 0.5"),
         ((2,), (np.float64(1.0),), "relation ids must be integers, got np.float64"),
-    ], ids=["float-anchor", "str-anchor", "float-relation", "numpy-float-relation"])
+        ((True,), (0,), "anchor ids must be integers, got True"),
+        ((2,), (False,), "relation ids must be integers, got False"),
+    ], ids=["float-anchor", "str-anchor", "float-relation", "numpy-float-relation", "bool-anchor",
+            "bool-relation"])
     def test_non_integer_ids_rejected(self, anchors, relations, message):
         # 2.5 and "2" were once read as entity 2, and relation 0.5 ended in a TypeError
         with pytest.raises(QueryError, match=re.escape(message)):
@@ -109,6 +112,8 @@ class TestTemplates:
         # answer 4.5 was once scored as entity 4
         with pytest.raises(QueryError, match=re.escape("answer ids must be integers, got 4.5")):
             Query("1p", (2,), (0,), frozenset({4.5}))
+        with pytest.raises(QueryError, match=re.escape("answer ids must be integers, got True")):
+            Query("1p", (2,), (0,), frozenset({True}))  # once answer 1
 
     def test_numpy_integer_ids_accepted(self):
         q = Query("2i", (np.int64(3), 4), (np.int32(0), 1))
@@ -223,6 +228,10 @@ class TestAnswerQuery:
         )
         with pytest.raises(QueryError):
             answer_query(Query("1p", (1,), (0,)), model)  # city anchor in a person slot
+        qg = build_query_graph(Query("1p", (0,), (0,)), schema)
+        for anchor in (0.7, True):  # once answered from entity 0 and entity 1
+            with pytest.raises(QueryError, match="anchor ids must be integers"):
+                answer_query_graph(qg, model, (anchor,))
 
     def test_ranking_ties_break_by_index(self, rng):
         model = make_model(rng)
@@ -514,6 +523,11 @@ class TestQueryFiles:
         assert ranking.position(np.int64(2)) == 1
         with pytest.raises(QueryError, match=re.escape("entity ids must be integers, got 2.7")):
             ranking.position(2.7)  # once entity 2's position
+        with pytest.raises(QueryError, match=re.escape("entity ids must be integers, got True")):
+            ranking.position(True)  # once entity 1's position
+        for k in (2.5, True):  # top(2.5) once ended in numpy's TypeError, top(True) gave one pair
+            with pytest.raises(QueryError, match=re.escape(f"k must be an integer, got {k}")):
+                ranking.top(k)
 
 
 @settings(max_examples=300, deadline=None)

@@ -274,7 +274,7 @@ class TestSchurComplement:
         with pytest.raises(ValidationError):
             schur_complement(lap, [])
 
-    @pytest.mark.parametrize("vertex", [2.5, 2.0, "2", None])
+    @pytest.mark.parametrize("vertex", [2.5, 2.0, "2", None, True])
     def test_non_integer_boundary_vertex_rejected(self, vertex):
         # int() once read 2.5 and "2" as vertex 2
         lap = assemble_laplacian(identity_path(2))  # vertices 0, 1, 2

@@ -98,6 +98,19 @@ def test_generator_matches_per_entity_form(n_entities, n_relations, dim, noise, 
     assert_same_as_per_entity(n_entities, n_relations, dim, noise, seed, variant, sections)
 
 
+@pytest.mark.parametrize("args, message", [
+    ((50.5, 3, 4, 0.0, 1), "n_entities must be an integer, got 50.5"),
+    ((50, 3.0, 4, 0.0, 1), "n_relations must be an integer, got 3.0"),
+    ((50, 3, 4.0, 0.0, 1), "dim must be an integer, got 4.0"),
+    ((50, 3, 4, 0.0, 1.5), "seed must be an integer, got 1.5"),
+    ((50, 3, 4, 0.0, 1, "shvt", True), "sections must be an integer, got True"),
+])
+def test_non_integer_sizes_and_seed_rejected(args, message):
+    # the four floats once ended in a builtins TypeError
+    with pytest.raises(ConfigError, match=message):
+        generate_planted_kg(*args)
+
+
 @pytest.mark.parametrize("n_relations", [63, 70])
 def test_lattice_wider_than_an_int64_key(n_relations):
     # 2 ** n_relations lattice points: no key of the codes fits in 64 bits

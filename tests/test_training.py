@@ -221,6 +221,14 @@ class TestBatchSampler:
         with pytest.raises(SamplingError, match=r"\(0,1,1\)"):
             sample_negatives(kg, build_index(kg), kg.triples, 4, substream(0, "negatives"))
 
+    @pytest.mark.parametrize("k, message", [(0, "need k >= 1"), (2.5, "k must be an integer, got 2.5"),
+                                            (True, "k must be an integer, got True")])
+    def test_bad_k_rejected(self, k, message):
+        # k=2.5 once ended in numpy's TypeError
+        kg = typed_graph(np.random.default_rng(5), n_triples=60)
+        with pytest.raises(ConfigError, match=message):
+            sample_negatives(kg, build_index(kg), kg.triples[:4], k, substream(0, "negatives"))
+
     def test_fixed_seed_gives_identical_batches(self):
         kg = typed_graph(np.random.default_rng(5), n_triples=60)
         index = build_index(kg)
