@@ -1,9 +1,10 @@
-"""Hot training kernels: batched triple scores and margin-loss gradients.
+"""Hot training kernels: margin-loss gradients and the orthogonality penalty.
 
-One numpy backend (einsum + ``np.add.at`` scatter), sequential and
-run-to-run deterministic. ``margin_grads`` takes the (B*k, 3) negatives and
-then the (B, 3) positives they corrupt, and scores each positive once rather
-than once per negative. The kernels work on stacked parameter arrays in
+One numpy backend, sequential and run-to-run deterministic: einsum and
+``np.add.at`` for scores, entity and translation gradients, one matrix product
+per relation for map gradients. ``margin_grads`` takes the (B*k, 3) negatives
+and then the (B, 3) positives they corrupt, and scores each positive once
+rather than once per negative. The kernels work on stacked parameter arrays in
 which every stalk is zero-padded to the largest dimension of the schema:
 
     X  (n_entities, d, m)   entity sections, ``SectionMatrix.X``, d = max vertex dim
@@ -41,11 +42,6 @@ def _scores(X, RH, RT, T, h, r, t):
     return np.einsum("bim,bim->b", diff, diff), diff
 
 
-def batch_scores(X, RH, RT, T, h, r, t):
-    """Scores for a batch of triples given by index arrays."""
-    return _scores(X, RH, RT, T, h, r, t)[0]
-
-
 def margin_grads(X, RH, RT, T, neg, pos, gamma, gX, gRH, gRT, gT,
                  head_steps=None, tail_steps=None):
     """Accumulate margin-loss gradients for B positives and their k negatives each.
@@ -58,6 +54,7 @@ def margin_grads(X, RH, RT, T, neg, pos, gamma, gX, gRH, gRT, gT,
     ``g*`` accumulators in place. Only the maps that step get one:
     ``head_steps``/``tail_steps`` are per-relation booleans (None: every
     relation), and a ``gRH``/``gRT`` of None means no map on that side steps.
+    Each stepping map's gradient is one matrix product over its relation's active rows.
     """
     k = len(neg) // len(pos)
     s_pos, d_pos = _scores(X, RH, RT, T, pos[:, 0], pos[:, 1], pos[:, 2])
@@ -74,18 +71,23 @@ def margin_grads(X, RH, RT, T, neg, pos, gamma, gX, gRH, gRT, gT,
     hit = weight > 0
     h, r, t = np.concatenate([pos[hit], neg[active]]).T
     d = np.concatenate([d_pos[hit] * (2.0 * weight[hit])[:, None, None], d_neg[active] * -2.0])
-    # entity gradients
+    # entity and translation gradients
     np.add.at(gX, h, np.einsum("bij,bim->bjm", RH[r], d))
     np.add.at(gX, t, -np.einsum("bij,bim->bjm", RT[r], d))
-    # map gradients, on the active rows whose map steps (a plain view when all do)
-    if gRH is not None:
-        s = slice(None) if head_steps is None else head_steps[r]
-        np.add.at(gRH, r[s], np.einsum("bim,bjm->bij", d[s], X[h[s]]))
-    if gRT is not None:
-        s = slice(None) if tail_steps is None else tail_steps[r]
-        np.add.at(gRT, r[s], -np.einsum("bim,bjm->bij", d[s], X[t[s]]))
     if gT is not None:
         np.add.at(gT, r, d)
+    # map gradients: the columns of D and E hold the rows grouped by relation, m per row
+    if gRH is not None or gRT is not None:
+        order = np.argsort(r, kind="stable")
+        counts = np.bincount(r, minlength=len(RH))
+        ends = np.cumsum(counts) * X.shape[2]
+        D = d.transpose(1, 0, 2)[:, order].reshape(d.shape[1], -1)
+        for grad, steps, ent, sign in ((gRH, head_steps, h, 1.0), (gRT, tail_steps, t, -1.0)):
+            if grad is not None:
+                E = X.transpose(1, 0, 2)[:, ent[order]].reshape(X.shape[1], -1)
+                for rel in np.flatnonzero(counts if steps is None else counts * steps):
+                    cols = slice(ends[rel] - counts[rel] * X.shape[2], ends[rel])
+                    grad[rel] += sign * (D[:, cols] @ E[:, cols].T)
     return loss, int(np.count_nonzero(active))
 
 

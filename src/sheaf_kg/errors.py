@@ -75,7 +75,7 @@ INPUT_ERRORS = (ConfigError, QueryError, SchemaError, TripleParseError, Validati
 
 
 # config field annotation (a string under postponed evaluation) -> type of the field's values
-FIELD_TYPES = {"int": int, "float": float, "float | None": float, "str": str}
+FIELD_TYPES = {"int": int, "float": float, "float | None": float, "str": str, "dict[str, str]": dict}
 
 
 def as_id(value, error: type[SheafKGError], expected: str) -> int:
@@ -88,10 +88,17 @@ def as_id(value, error: type[SheafKGError], expected: str) -> int:
     raise error(f"{expected}, got {value!r}")
 
 
+def as_float(value, error: type[SheafKGError], expected: str):
+    """``value`` if it is a ``float``, else ``as_id(value, error, expected)``: what a float input is."""
+    return value if isinstance(value, float) else as_id(value, error, expected)
+
+
 def check_types(config) -> None:
-    """``ConfigError`` for a wrong-typed int or float field of ``config``; int fields become ints."""
+    """``ConfigError`` for a wrong-typed int, float or dict field of ``config``; int fields become ints."""
     for f in fields(config):
         kind, value = FIELD_TYPES.get(f.type), getattr(config, f.name)
-        optional = value is None and f.type == "float | None"
-        if kind is int or kind is float and not (isinstance(value, float) or optional):
-            setattr(config, f.name, as_id(value, ConfigError, f"{f.name} must be {f.type}"))
+        rule = {int: as_id, float: as_float}.get(kind)
+        if rule is not None and not (value is None and f.type == "float | None"):
+            setattr(config, f.name, rule(value, ConfigError, f"{f.name} must be {f.type}"))
+        elif kind is dict and not isinstance(value, dict):
+            raise ConfigError(f"{f.name} must be {f.type}, got {value!r}")

@@ -61,6 +61,11 @@ class Query:
     answers: frozenset[int] = frozenset()
 
     def __post_init__(self):
+        for name, kind in (("anchors", tuple), ("relations", tuple), ("answers", frozenset)):
+            try:  # a list is taken as its tuple or set; None or a scalar is refused
+                object.__setattr__(self, name, kind(getattr(self, name)))
+            except TypeError:
+                raise QueryError(f"{name} must be a collection of ids, got {getattr(self, name)!r}") from None
         if self.structure not in STRUCTURES:
             raise QueryError(f"unknown query structure {self.structure!r}")
         n_anchors, n_relations = STRUCTURE_ARITY[self.structure]

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, as_id
+from .errors import ConfigError, as_float, as_id
 from .kgdata import KnowledgeGraph, default_schema
 from .model import VARIANTS, Model, KnowledgeSheaf, SectionMatrix
 from .seeds import substream
@@ -87,6 +87,7 @@ def generate_planted_kg(
     for name, value in zip(("n_entities", "n_relations", "dim", "sections"),
                            (n_entities, n_relations, dim, sections)):
         as_id(value, ConfigError, f"{name} must be an integer")
+    as_float(noise, ConfigError, "noise must be a float")
     if n_entities < 2 or n_relations < 1 or dim < 1:
         raise ConfigError("need at least 2 entities, 1 relation, and dim >= 1")
     if not 0 <= noise < np.inf:

@@ -43,6 +43,24 @@ def random_cochain1(rng, sheaf, columns=None):
     return [rng.normal(size=(d, columns)) for d in sheaf.edge_dims]
 
 
+def stacked_scores(X, RH, RT, T, h, r, t):
+    """Scores and edge residuals of the triples ``(h, r, t)`` on stacked, zero-padded parameters.
+
+    The arrays are laid out as ``sheaf_kg._kernels`` documents; the residual
+    of a triple is ``RH[r] X[h] - RT[r] X[t] (+ T[r])`` and its score the
+    residual's squared norm, summed as the training kernel sums it.
+    """
+    diff = np.einsum("bij,bjm->bim", RH[r], X[h]) - np.einsum("bij,bjm->bim", RT[r], X[t])
+    if T is not None:
+        diff = diff + T[r]
+    return np.einsum("bim,bim->b", diff, diff), diff
+
+
+def batch_scores(X, RH, RT, T, h, r, t):
+    """Scores of the triples ``(h, r, t)`` on stacked, zero-padded parameters."""
+    return stacked_scores(X, RH, RT, T, h, r, t)[0]
+
+
 def lap_block(lap, rows, cols=None):
     """``lap.dense`` over the stalks of vertices ``rows`` by those of ``cols`` (default ``rows``)."""
     return lap.dense[..., lap.columns(rows), :][..., lap.columns(rows if cols is None else cols)]

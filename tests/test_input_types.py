@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sheaf_kg.errors import SheafKGError
+from sheaf_kg.errors import ConfigError, QueryError, SheafKGError
 from sheaf_kg.evaluation import evaluate
 from sheaf_kg.model import ModelConfig, init_for_kg
 from sheaf_kg.query import Query
@@ -89,3 +89,27 @@ def test_numpy_integers_and_ints_for_floats_are_accepted():
     assert type(TrainConfig(epochs=np.int64(2)).epochs) is int
     query = Query("2i", (np.int64(0), np.int32(1)), (np.int16(0), 1), frozenset({np.int64(2)}))
     evaluate(planted().generator, [query])
+
+
+@pytest.mark.parametrize("overrides", [None, "r0=identity", [("r0", "identity")]])
+def test_constraint_overrides_must_be_a_dict(overrides):
+    # None once ended in an AttributeError from .values()
+    with pytest.raises(ConfigError, match="constraint_overrides must be dict"):
+        ModelConfig(constraint_overrides=overrides)
+
+
+@pytest.mark.parametrize("field", ["anchors", "relations", "answers"])
+@pytest.mark.parametrize("value", [None, 0, 1.5])
+def test_query_id_collection_must_be_a_collection(field, value):
+    # Query("1p", None, (0,)) once ended in a TypeError from len()
+    parts = dict(structure="1p", anchors=(0,), relations=(0,), answers=frozenset({1}))
+    with pytest.raises(QueryError, match=f"{field} must be a collection of ids, got {value!r}"):
+        Query(**parts | {field: value})
+
+
+def test_query_holds_a_tuple_of_ids_and_a_frozenset_of_answers():
+    query = Query("2i", [0, 1], [1, 0], answers=[2, 2])
+    assert query == Query("2i", (0, 1), (1, 0), frozenset({2}))
+    assert type(query.anchors) is tuple and type(query.relations) is tuple
+    assert type(query.answers) is frozenset
+    hash(query)

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import batch_scores, stacked_scores
 from sheaf_kg import _kernels
 from sheaf_kg.kgdata import Schema, default_schema
 from sheaf_kg.model import CONSTRAINTS, MAP_STEPS, Model, ModelConfig, init_model, triple_score
@@ -17,14 +18,6 @@ def stacked_instance(rng, n=8, d=4, de=3, n_rel=2, m=2, translational=True):
     return X, RH, RT, T
 
 
-def oracle_scores(X, RH, RT, T, h, r, t):
-    """Scores and edge residuals of the triples ``(h, r, t)``, in the kernel's order."""
-    diff = np.einsum("bij,bjm->bim", RH[r], X[h]) - np.einsum("bij,bjm->bim", RT[r], X[t])
-    if T is not None:
-        diff = diff + T[r]
-    return np.einsum("bim,bim->b", diff, diff), diff
-
-
 def margin_grads_oracle(X, RH, RT, T, pos, neg, gamma, gX, gRH, gRT, gT):
     """The kernel as it was before it scored each positive once.
 
@@ -34,8 +27,8 @@ def margin_grads_oracle(X, RH, RT, T, pos, neg, gamma, gX, gRH, gRT, gT):
     """
     hp, rp, tp = pos[:, 0], pos[:, 1], pos[:, 2]
     hn, rn, tn = neg[:, 0], neg[:, 1], neg[:, 2]
-    s_pos, d_pos = oracle_scores(X, RH, RT, T, hp, rp, tp)
-    s_neg, d_neg = oracle_scores(X, RH, RT, T, hn, rn, tn)
+    s_pos, d_pos = stacked_scores(X, RH, RT, T, hp, rp, tp)
+    s_neg, d_neg = stacked_scores(X, RH, RT, T, hn, rn, tn)
     if not (np.all(np.isfinite(s_pos)) and np.all(np.isfinite(s_neg))):
         return float("nan"), 0
     margins = s_pos + gamma - s_neg
@@ -55,33 +48,57 @@ def margin_grads_oracle(X, RH, RT, T, pos, neg, gamma, gX, gRH, gRT, gT):
     return loss, int(np.count_nonzero(active))
 
 
+def active_rows(X, RH, RT, T, neg, pos, gamma):
+    """Loss, active pair count and the rows ``margin_grads`` differentiates.
+
+    The rows are the positives with an active pair, then the active
+    negatives, as index arrays ``(h, r, t)`` and each row's edge residual
+    times its loss weight ``d``; None when no pair is active or a score is
+    not finite.
+    """
+    k = len(neg) // len(pos)
+    s_pos, d_pos = stacked_scores(X, RH, RT, T, *pos.T)
+    s_neg, d_neg = stacked_scores(X, RH, RT, T, *neg.T)
+    if not (np.all(np.isfinite(s_pos)) and np.all(np.isfinite(s_neg))):
+        return float("nan"), 0, None
+    margins = np.repeat(s_pos, k) + gamma - s_neg
+    active = margins > 0.0
+    loss = float(np.sum(np.where(active, margins, 0.0)))
+    if not np.any(active):
+        return loss, 0, None
+    weight = np.count_nonzero(active.reshape(-1, k), axis=1)
+    hit = weight > 0
+    h, r, t = np.concatenate([pos[hit], neg[active]]).T
+    d = np.concatenate([d_pos[hit] * (2.0 * weight[hit])[:, None, None], d_neg[active] * -2.0])
+    return loss, int(np.count_nonzero(active)), (h, r, t, d)
+
+
+def map_grads_oracle(X, h, r, t, d, gRH, gRT):
+    """The map gradients as the kernel took them before it grouped rows by relation.
+
+    One (de, d) outer product per row and side, scattered into its
+    relation's slot with ``np.add.at``.
+    """
+    np.add.at(gRH, r, np.einsum("bim,bjm->bij", d, X[h]))
+    np.add.at(gRT, r, -np.einsum("bim,bjm->bij", d, X[t]))
+
+
 def margin_grads_all_maps(X, RH, RT, T, neg, pos, gamma, gX, gRH, gRT, gT):
     """The kernel as it was before it skipped the maps that do not step.
 
     Every map of every active row gets its gradient, whatever its relation's
     constraint tag.
     """
-    k = len(neg) // len(pos)
-    s_pos, d_pos = oracle_scores(X, RH, RT, T, *pos.T)
-    s_neg, d_neg = oracle_scores(X, RH, RT, T, *neg.T)
-    if not (np.all(np.isfinite(s_pos)) and np.all(np.isfinite(s_neg))):
-        return float("nan"), 0
-    margins = np.repeat(s_pos, k) + gamma - s_neg
-    active = margins > 0.0
-    loss = float(np.sum(np.where(active, margins, 0.0)))
-    if not np.any(active):
-        return loss, 0
-    weight = np.count_nonzero(active.reshape(-1, k), axis=1)
-    hit = weight > 0
-    h, r, t = np.concatenate([pos[hit], neg[active]]).T
-    d = np.concatenate([d_pos[hit] * (2.0 * weight[hit])[:, None, None], d_neg[active] * -2.0])
+    loss, n_active, rows = active_rows(X, RH, RT, T, neg, pos, gamma)
+    if rows is None:
+        return loss, n_active
+    h, r, t, d = rows
     np.add.at(gX, h, np.einsum("bij,bim->bjm", RH[r], d))
     np.add.at(gX, t, -np.einsum("bij,bim->bjm", RT[r], d))
-    np.add.at(gRH, r, np.einsum("bim,bjm->bij", d, X[h]))
-    np.add.at(gRT, r, -np.einsum("bim,bjm->bij", d, X[t]))
+    map_grads_oracle(X, h, r, t, d, gRH, gRT)
     if gT is not None:
         np.add.at(gT, r, d)
-    return loss, int(np.count_nonzero(active))
+    return loss, n_active
 
 
 def mixed_tag_schema(rng):
@@ -160,8 +177,8 @@ class TestPositivesOnce:
             slot = 0 if rng.integers(0, 2) else 2
             pool = np.flatnonzero(entity_type == entity_type[row[slot]])
             row[slot] = rng.choice(pool[pool != row[slot]])
-        gaps = _kernels.batch_scores(X, RH, RT, T, *neg.T) - np.repeat(
-            _kernels.batch_scores(X, RH, RT, T, *pos.T), k
+        gaps = batch_scores(X, RH, RT, T, *neg.T) - np.repeat(
+            batch_scores(X, RH, RT, T, *pos.T), k
         )
         gamma = max(float(np.median(gaps)), 0.1)  # about half the pairs active
 
@@ -179,6 +196,89 @@ class TestPositivesOnce:
             assert np.all(grad[~mask] == 0.0)
 
 
+def mixed_tag_case(seed, variant, m, k, rows="random"):
+    """A random-init model on ``mixed_tag_schema``, its training state and one batch.
+
+    ``rows`` picks the positives' relations: "random" draws each one,
+    "one relation missing" moves a drawn relation's rows to the next
+    relation, and "last relation only" gives every row the last relation.
+    Each positive has k negatives, each with one endpoint replaced by an
+    entity of the same type (possibly itself). Returns the state, the
+    positives, the negatives and a margin that leaves about half the pairs
+    active.
+    """
+    rng = np.random.default_rng(seed)
+    schema, overrides = mixed_tag_schema(rng)
+    entity_type = np.arange(12) % 3
+    cfg = ModelConfig(variant=variant, sections=m, constraint_overrides=overrides)
+    sheaf, sections = init_model(cfg, schema, entity_type, seed=seed % 1000)
+    for i, d in enumerate(sections.dims):
+        sections.X[i, :d] = rng.normal(size=(d, m))
+    model = Model(schema, tuple(f"e{i}" for i in range(12)), entity_type, sheaf, sections)
+    state = _StackedParams(model, TrainConfig())
+    r = rng.integers(0, schema.n_relations, int(rng.integers(1, 24)))
+    if rows == "one relation missing":
+        missing = int(rng.integers(0, schema.n_relations))
+        r[r == missing] = (missing + 1) % schema.n_relations
+    elif rows == "last relation only":
+        r[:] = schema.n_relations - 1
+    pos = np.stack([
+        [rng.choice(np.flatnonzero(entity_type == schema.head_type[j])) for j in r],
+        r,
+        [rng.choice(np.flatnonzero(entity_type == schema.tail_type[j])) for j in r],
+    ], axis=1)
+    neg = np.repeat(pos, k, axis=0)
+    for row in neg:  # corrupt one endpoint with a same-type entity
+        slot = 0 if rng.integers(0, 2) else 2
+        row[slot] = rng.choice(np.flatnonzero(entity_type == entity_type[row[slot]]))
+    gaps = batch_scores(state.X, state.RH, state.RT, state.T, *neg.T) - np.repeat(
+        batch_scores(state.X, state.RH, state.RT, state.T, *pos.T), k
+    )
+    gamma = max(float(np.median(gaps)), 0.1)  # about half the pairs active
+    return state, pos, neg, gamma
+
+
+def check_against_all_maps_oracle(state, pos, neg, gamma):
+    """``margin_grads`` against ``margin_grads_all_maps`` on the maps that step.
+
+    Loss, active count, entity and translation gradients are equal; the
+    maps that step match the oracle to 1e-12 of the same sums taken over
+    ``|d|`` and ``|X|`` (the scale of their rounding error, never 0 unless
+    the error is); the maps that do not step and every padded map entry get
+    exactly 0.
+    """
+    X, RH, RT, T = state.X, state.RH, state.RT, state.T
+    ref = [None if p is None else np.zeros_like(p) for p in (X, RH, RT, T)]
+    ref_loss, ref_active = margin_grads_all_maps(X, RH, RT, T, neg, pos, gamma, *ref)
+    scale = [np.zeros_like(RH), np.zeros_like(RT)]
+    rows = active_rows(X, RH, RT, T, neg, pos, gamma)[2]
+    if rows is not None:
+        h, r, t, d = rows
+        map_grads_oracle(np.abs(X), h, r, t, np.abs(d), *scale)
+    grads = [None if g is None else np.zeros_like(g)
+             for g in (state.gX, state.gRH, state.gRT, state.gT)]
+    loss, n_active = _kernels.margin_grads(
+        X, RH, RT, T, neg, pos, gamma, *grads, state.head_steps, state.tail_steps
+    )
+
+    assert (loss, n_active) == (ref_loss, ref_active)
+    np.testing.assert_array_equal(grads[0], ref[0])
+    if T is not None:
+        np.testing.assert_array_equal(grads[3], ref[3])
+    schema = state.sheaf.schema
+    for side, grad, oracle in ((0, grads[1], ref[1]), (1, grads[2], ref[2])):
+        steps = np.array([MAP_STEPS[tag][side] for tag in state.sheaf.constraints])
+        assert (grad is None) == (not steps.any())
+        if grad is None:
+            continue
+        assert np.all(grad[~steps] == 0.0)
+        err = np.linalg.norm(grad[steps] - oracle[steps])
+        assert err <= 1e-12 * np.linalg.norm(scale[side][steps])
+        for j in range(schema.n_relations):
+            width = schema.head_dim(j) if side == 0 else schema.tail_dim(j)
+            assert not grad[j, schema.edge_dim[j]:].any() and not grad[j, :, width:].any()
+
+
 class TestSkippedMaps:
     @given(
         seed=st.integers(0, 2**32 - 1),
@@ -188,52 +288,20 @@ class TestSkippedMaps:
     )
     @settings(max_examples=60, deadline=None)
     def test_kernel_matches_all_maps_oracle(self, seed, variant, m, k):
-        rng = np.random.default_rng(seed)
-        schema, overrides = mixed_tag_schema(rng)
-        entity_type = np.arange(12) % 3
-        cfg = ModelConfig(variant=variant, sections=m, constraint_overrides=overrides)
-        sheaf, sections = init_model(cfg, schema, entity_type, seed=seed % 1000)
-        for i, d in enumerate(sections.dims):
-            sections.X[i, :d] = rng.normal(size=(d, m))
-        model = Model(schema, tuple(f"e{i}" for i in range(12)), entity_type, sheaf, sections)
-        state = _StackedParams(model, TrainConfig())
-        r = rng.integers(0, schema.n_relations, int(rng.integers(1, 24)))
-        pos = np.stack([
-            [rng.choice(np.flatnonzero(entity_type == schema.head_type[j])) for j in r],
-            r,
-            [rng.choice(np.flatnonzero(entity_type == schema.tail_type[j])) for j in r],
-        ], axis=1)
-        neg = np.repeat(pos, k, axis=0)
-        for row in neg:  # corrupt one endpoint with a same-type entity
-            slot = 0 if rng.integers(0, 2) else 2
-            row[slot] = rng.choice(np.flatnonzero(entity_type == entity_type[row[slot]]))
-        X, RH, RT, T = state.X, state.RH, state.RT, state.T
-        gaps = _kernels.batch_scores(X, RH, RT, T, *neg.T) - np.repeat(
-            _kernels.batch_scores(X, RH, RT, T, *pos.T), k
-        )
-        gamma = max(float(np.median(gaps)), 0.1)  # about half the pairs active
+        check_against_all_maps_oracle(*mixed_tag_case(seed, variant, m, k))
 
-        ref = [None if p is None else np.zeros_like(p) for p in (X, RH, RT, T)]
-        ref_loss, ref_active = margin_grads_all_maps(X, RH, RT, T, neg, pos, gamma, *ref)
-        grads = [None if g is None else np.zeros_like(g)
-                 for g in (state.gX, state.gRH, state.gRT, state.gT)]
-        loss, n_active = _kernels.margin_grads(
-            X, RH, RT, T, neg, pos, gamma, *grads, state.head_steps, state.tail_steps
-        )
 
-        assert (loss, n_active) == (ref_loss, ref_active)
-        np.testing.assert_array_equal(grads[0], ref[0])
-        if T is not None:
-            np.testing.assert_array_equal(grads[3], ref[3])
-        tags = sheaf.constraints
-        for side, grad, oracle in ((0, grads[1], ref[1]), (1, grads[2], ref[2])):
-            steps = np.array([MAP_STEPS[tag][side] for tag in tags])
-            assert (grad is None) == (not steps.any())
-            if grad is None:
-                continue
-            assert np.all(grad[~steps] == 0.0)
-            err = np.linalg.norm(grad[steps] - oracle[steps])
-            assert err <= 1e-12 * np.linalg.norm(oracle[steps])
+class TestMapGradsByRelation:
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        variant=st.sampled_from(["shv", "shvt"]),
+        m=st.sampled_from([1, 3]),
+        k=st.sampled_from([1, 4]),
+        rows=st.sampled_from(["one relation missing", "last relation only"]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_grouped_products_match_the_scatter_oracle(self, seed, variant, m, k, rows):
+        check_against_all_maps_oracle(*mixed_tag_case(seed, variant, m, k, rows))
 
 
 class TestScores:
@@ -244,7 +312,7 @@ class TestScores:
         h = rng.integers(0, 8, B)
         r = rng.integers(0, 2, B)
         t = rng.integers(0, 8, B)
-        stacked = _kernels.batch_scores(X, RH, RT, T, h, r, t)
+        stacked = _kernels._scores(X, RH, RT, T, h, r, t)[0]
         # reference: the per-triple scoring functions on unstacked parameters
         schema = default_schema(2, 4, 3)
         cfg = ModelConfig(
@@ -295,8 +363,8 @@ class TestMarginGrads:
         neg = np.array([[2, 0, 1]], dtype=np.int64)
 
         def loss_value():
-            s_pos = _kernels.batch_scores(X, RH, RT, T, pos[:, 0], pos[:, 1], pos[:, 2])
-            s_neg = _kernels.batch_scores(X, RH, RT, T, neg[:, 0], neg[:, 1], neg[:, 2])
+            s_pos = batch_scores(X, RH, RT, T, pos[:, 0], pos[:, 1], pos[:, 2])
+            s_neg = batch_scores(X, RH, RT, T, neg[:, 0], neg[:, 1], neg[:, 2])
             return float(np.maximum(0.0, s_pos + 1.0 - s_neg).sum())
 
         if loss_value() == 0.0:

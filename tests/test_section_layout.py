@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import batch_scores
 from sheaf_kg import _kernels
 from sheaf_kg.checkpoint import MAGIC, load_model, save_model, tensor_path
 from sheaf_kg.errors import ShapeError, TrainingAbortError
@@ -280,8 +281,8 @@ def test_relation_discrepancy_matches_per_triple_grouping(empty_widest, variant,
 
     out = relation_discrepancy(sheaf, sections, kg)
     triples = kg.triples_of("train")
-    # the training kernel scores the same triples independently of edge_residual
-    kernel = _kernels.batch_scores(sections.X, sheaf.RH, sheaf.RT, sheaf.T, *triples.T)
+    # the stacked scores, as the training kernel takes them, independently of edge_residual
+    kernel = batch_scores(sections.X, sheaf.RH, sheaf.RT, sheaf.T, *triples.T)
     groups: dict[str, list[float]] = {}
     kernel_groups: dict[str, list[float]] = {}
     for (h, r, t), expected in zip(triples, kernel):
@@ -309,7 +310,7 @@ def test_triple_score_matches_kernel_on_random_init(empty_widest, variant, m, se
         ModelConfig(variant=variant, sections=m), kg.schema, kg.entity_type, seed
     )
     h, r, t = kg.triples.T
-    kernel = _kernels.batch_scores(sections.X, sheaf.RH, sheaf.RT, sheaf.T, h, r, t)
+    kernel = batch_scores(sections.X, sheaf.RH, sheaf.RT, sheaf.T, h, r, t)
     scores = [triple_score(sheaf, sections, int(a), int(b), int(c)) for a, b, c in kg.triples]
     np.testing.assert_allclose(scores, kernel, rtol=1e-12)
 

@@ -1,5 +1,7 @@
 """The planted generator against its per-entity form: the same graph, splits and parameters."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -109,6 +111,18 @@ def test_non_integer_sizes_and_seed_rejected(args, message):
     # the four floats once ended in a builtins TypeError
     with pytest.raises(ConfigError, match=message):
         generate_planted_kg(*args)
+
+
+@pytest.mark.parametrize("noise", ["x", None, True, np.float32(0.0)])
+def test_non_float_noise_rejected(noise):
+    # noise="x" once ended in a builtins TypeError from the range check
+    with pytest.raises(ConfigError, match=re.escape(f"noise must be a float, got {noise!r}")):
+        generate_planted_kg(50, 3, 4, noise, 1)
+
+
+def test_integer_noise_is_its_float():
+    ds, want = generate_planted_kg(50, 3, 4, 0, 1), generate_planted_kg(50, 3, 4, 0.0, 1)
+    np.testing.assert_array_equal(ds.kg.triples, want.kg.triples)
 
 
 @pytest.mark.parametrize("n_relations", [63, 70])

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import batch_scores
 from sheaf_kg import _kernels
 from sheaf_kg.checkpoint import save_model, manifest_path, tensor_path
 from sheaf_kg.errors import ConfigError, SamplingError, TrainingAbortError
@@ -848,7 +849,7 @@ class TestDivergence:
         kg, config, model = self.cap_overflow_run(monkeypatch)
         with pytest.raises(TrainingAbortError) as err:
             train(kg, config, model)
-        assert (err.value.epoch, err.value.batch) == (5, 13)
+        assert (err.value.epoch, err.value.batch) == (5, 14)
         assert err.value.relation in kg.schema.relation_types
         assert "overflow encountered" in str(err.value)
 
@@ -857,7 +858,7 @@ class TestDivergence:
         "non-finite loss": ((0, 0), "non-finite loss"),
         "overflow in the step": ((0, 0), "overflow encountered"),
         "overflow in the penalty": ((0, None), "overflow encountered"),
-        "cap overflow": ((5, 13), "overflow encountered"),
+        "cap overflow": ((5, 14), "overflow encountered"),
         "loss blow-up": ((1, None), "over 10000 times the first epoch's"),
     }
 
@@ -882,10 +883,10 @@ class TestDivergence:
         assert (err.value.epoch, err.value.batch) == stop
         assert message in str(err.value)
         assert err.value.relation == _worst_relation(model, kg)
-        # the same pick from the kernel's own scores: largest mean, a NaN mean first
+        # the same pick from the stacked scores: largest mean, a NaN mean first
         triples = kg.triples_of("train")
         with np.errstate(all="ignore"):
-            scores = _kernels.batch_scores(
+            scores = batch_scores(
                 model.sections.X, model.sheaf.RH, model.sheaf.RT, model.sheaf.T, *triples.T
             )
             counts = np.bincount(triples[:, 1])
