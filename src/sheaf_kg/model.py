@@ -137,9 +137,11 @@ class KnowledgeSheaf:
         out._bind(self.RH.copy(), self.RT.copy(), None if self.T is None else self.T.copy())
         return out
 
-    def check_constraints(self) -> None:
-        """Raise unless every constraint tag is actually satisfied."""
+    def check_constraints(self, kinds=CONSTRAINTS) -> None:
+        """Raise unless every constraint tag among ``kinds`` is actually satisfied."""
         for r, kind in enumerate(self.constraints):
+            if kind not in kinds:
+                continue
             head, tail, name = self.head_maps[r], self.tail_maps[r], self.schema.relation_types[r]
             if kind == "shared" and not np.array_equal(head, tail):
                 raise ConfigError(f"relation {name!r}: shared maps differ")
@@ -362,14 +364,15 @@ def triple_score(sheaf: KnowledgeSheaf, sections: SectionMatrix, h: int, r: int,
     return float(np.sum(diff * diff))
 
 
-def project_constraints_inplace(sheaf: KnowledgeSheaf) -> None:
-    """Re-establish every relation's constraint exactly, in place.
+def project_constraints_inplace(sheaf: KnowledgeSheaf, relations=None) -> None:
+    """Re-establish the constraint of every relation, or of those indexed by ``relations``, exactly.
 
     shared/antisymmetric tails are recopied (negated) from heads, orthogonal
     maps are replaced by their polar factors, identity maps are reset to the
     identity and free maps pass through untouched.
     """
-    for kind, head, tail in zip(sheaf.constraints, sheaf.head_maps, sheaf.tail_maps):
+    for r in range(len(sheaf.constraints)) if relations is None else relations:
+        kind, head, tail = sheaf.constraints[r], sheaf.head_maps[r], sheaf.tail_maps[r]
         if kind in ("shared", "antisymmetric"):
             tail[...] = head if kind == "shared" else -head
         elif kind == "orthogonal":

@@ -170,7 +170,8 @@ class _StackedParams:
     re-projected on each relation's true block through the sheaf's views.
     Only the maps that step under their tag (``MAP_STEPS``) get gradients
     and updates: ``head_steps``/``tail_steps`` mark the relations whose map
-    steps, None when all do; a side where none does has no slot at all.
+    steps, None when all do; a side where none does has no slot at all. A step
+    re-projects only the relations ``projected``; ``identity`` marks identity maps.
     """
 
     def __init__(self, model: Model, config: TrainConfig):
@@ -182,6 +183,10 @@ class _StackedParams:
             )
         steps = np.array([MAP_STEPS[c] for c in sheaf.constraints], dtype=bool).reshape(-1, 2)
         self.head_steps, self.tail_steps = (None if side.all() else side for side in steps.T)
+        self.projected = np.flatnonzero(steps.any(axis=1))
+        identity = np.array([c == "identity" for c in sheaf.constraints], dtype=bool)
+        self.identity = identity if identity.any() else None
+        sheaf.check_constraints(("identity",))  # the kernel trusts the tag, not the maps
         self.gX = np.zeros_like(self.X)
         self.gRH, self.gRT = (
             np.zeros_like(param) if side.any() else None
@@ -204,7 +209,7 @@ class _StackedParams:
             grad[...] = 0.0
         loss, n_active = _kernels.margin_grads(
             self.X, self.RH, self.RT, self.T, neg, pos, config.margin,
-            self.gX, self.gRH, self.gRT, self.gT, self.head_steps, self.tail_steps,
+            self.gX, self.gRH, self.gRT, self.gT, self.head_steps, self.tail_steps, self.identity,
         )
         if not np.isfinite(loss):
             return loss, n_active
@@ -212,7 +217,7 @@ class _StackedParams:
             _kernels.orthogonality_grad_numpy(self.X, self.gX, config.alpha)
         for param, grad, acc in self.slots:
             self.update(param, grad, acc, config.learning_rate)
-        project_constraints_inplace(self.sheaf)
+        project_constraints_inplace(self.sheaf, self.projected)
         return loss, n_active
 
     def cap_entity_norms(self, cap: float):
@@ -264,9 +269,10 @@ def train(kg: KnowledgeGraph, config: TrainConfig, model: Model) -> tuple[Model,
     holding the parameters reached when training stopped. Padded entries stay
     exactly zero (see ``_kernels``). Only the maps that projection keeps
     take the optimizer step (``model.MAP_STEPS``): no identity map, and no
-    shared or antisymmetric tail. Every constraint is then re-projected
-    exactly on each relation's true block; a projection warning is logged
-    once per call.
+    shared or antisymmetric tail. Each relation with a stepping map is then
+    re-projected exactly on its true block; a projection warning is logged
+    once per call. No identity map is multiplied (TransE rows, see
+    ``_kernels``), so one that is not exact is a :class:`ConfigError`.
 
     A diverging run raises :class:`TrainingAbortError` naming the epoch, on
     a numpy overflow or invalid operation in a batch's step and

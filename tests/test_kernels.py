@@ -1,13 +1,16 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import batch_scores, stacked_scores
 from sheaf_kg import _kernels
 from sheaf_kg.kgdata import Schema, default_schema
-from sheaf_kg.model import CONSTRAINTS, MAP_STEPS, Model, ModelConfig, init_model, triple_score
-from sheaf_kg.training import TrainConfig, _StackedParams
+from sheaf_kg.model import (
+    CONSTRAINTS, MAP_STEPS, Model, ModelConfig, init_for_kg, init_model, triple_score,
+)
+from sheaf_kg.synth import generate_planted_kg
+from sheaf_kg.training import TrainConfig, _StackedParams, train
 
 
 def stacked_instance(rng, n=8, d=4, de=3, n_rel=2, m=2, translational=True):
@@ -302,6 +305,93 @@ class TestMapGradsByRelation:
     @settings(max_examples=60, deadline=None)
     def test_grouped_products_match_the_scatter_oracle(self, seed, variant, m, k, rows):
         check_against_all_maps_oracle(*mixed_tag_case(seed, variant, m, k, rows))
+
+
+def identity_mask_case(seed, variant, m, k, rows):
+    """``mixed_tag_case`` with its batch cut to the ``rows`` kind, or None when none is left.
+
+    "mixed" keeps a batch with both identity and other rows, "identity only"
+    keeps the identity rows, "no identity" the others; each positive keeps
+    its k negatives.
+    """
+    state, pos, neg, gamma = mixed_tag_case(seed, variant, m, k)
+    eye = state.identity[pos[:, 1]]
+    keep = {"mixed": np.ones_like(eye), "identity only": eye, "no identity": ~eye}[rows]
+    if not keep.any() or (rows == "mixed" and eye.all() | ~eye.any()):
+        return None
+    return state, pos[keep], neg[np.repeat(keep, k)], gamma
+
+
+def check_identity_mask_changes_nothing(state, pos, neg, gamma):
+    """``margin_grads`` with the identity mask equals it without, to the bit."""
+    outs = []
+    for identity in (state.identity, None):
+        grads = [None if g is None else np.zeros_like(g)
+                 for g in (state.gX, state.gRH, state.gRT, state.gT)]
+        result = _kernels.margin_grads(
+            state.X, state.RH, state.RT, state.T, neg, pos, gamma, *grads,
+            state.head_steps, state.tail_steps, identity=identity,
+        )
+        outs.append((result, grads))
+    (result, grads), (ref_result, ref_grads) = outs
+    assert result == ref_result
+    for grad, ref in zip(grads, ref_grads):
+        assert (grad is None) == (ref is None)
+        if grad is not None:
+            np.testing.assert_array_equal(grad, ref)
+
+
+class TestIdentityRows:
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        variant=st.sampled_from(["shv", "shvt"]),
+        m=st.sampled_from([1, 3]),
+        k=st.sampled_from([1, 4]),
+        rows=st.sampled_from(["mixed", "identity only", "no identity"]),
+    )
+    @settings(max_examples=90, deadline=None)
+    def test_identity_rows_equal_the_multiplied_path(self, seed, variant, m, k, rows):
+        case = identity_mask_case(seed, variant, m, k, rows)
+        assume(case is not None)
+        check_identity_mask_changes_nothing(*case)
+
+    @pytest.mark.parametrize("wider", ["edge stalks", "vertex stalks"])
+    @pytest.mark.parametrize("rows", ["mixed", "identity only"])
+    def test_both_paddings(self, wider, rows):
+        """Seeds whose widest edge stalk is wider (narrower) than the widest vertex stalk."""
+        checked = 0
+        for seed in range(200):
+            case = identity_mask_case(seed, "shvt", 3, 4, rows)
+            if case is None:
+                continue
+            de_max, d_max = case[0].RH.shape[1:]
+            if (de_max > d_max) if wider == "edge stalks" else (de_max < d_max):
+                check_identity_mask_changes_nothing(*case)
+                checked += 1
+            if checked == 3:
+                break
+        assert checked == 3
+
+    def test_mask_and_projection_follow_the_tags(self):
+        state = mixed_tag_case(0, "shv", 1, 1)[0]
+        tags = state.sheaf.constraints
+        np.testing.assert_array_equal(state.identity, [c == "identity" for c in tags])
+        assert [tags[r] for r in state.projected] == [c for c in tags if c != "identity"]
+
+    @pytest.mark.parametrize("optimizer", ["sgd", "adagrad"])
+    def test_identity_shvt_training_with_and_without_the_mask(self, monkeypatch, optimizer):
+        ds = generate_planted_kg(60, 3, 4, 0.0, seed=0, variant="shvt")
+        cfg = ModelConfig(variant="shvt", sections=2, constraint="identity")
+        config = TrainConfig(epochs=4, batch_size=16, learning_rate=0.05, optimizer=optimizer,
+                             negatives_per_positive=3, seed=1, max_entity_norm=2.0)
+        masked, _ = train(ds.kg, config, init_for_kg(cfg, ds.kg, seed=0))
+        kernel = _kernels.margin_grads
+        monkeypatch.setattr(_kernels, "margin_grads", lambda *args: kernel(*args[:13]))
+        multiplied, _ = train(ds.kg, config, init_for_kg(cfg, ds.kg, seed=0))
+        np.testing.assert_array_equal(masked.sections.X, multiplied.sections.X)
+        for name in ("RH", "RT", "T"):
+            np.testing.assert_array_equal(getattr(masked.sheaf, name),
+                                          getattr(multiplied.sheaf, name))
 
 
 class TestScores:

@@ -337,6 +337,19 @@ class TestTrain:
         with pytest.raises(ConfigError):
             train(kg, TrainConfig(epochs=1, seed=0), model)
 
+    @pytest.mark.parametrize("side", ["head", "tail"])
+    def test_identity_tag_on_other_maps_fails_before_any_step(self, side):
+        ds = generate_planted_kg(40, 3, 4, 0.0, seed=0, variant="shvt")
+        cfg = ModelConfig(variant="shvt", constraint="free",
+                          constraint_overrides={ds.kg.schema.relation_types[1]: "identity"})
+        model = init_for_kg(cfg, ds.kg, seed=0)
+        getattr(model.sheaf, f"{side}_maps")[1][0, 1] = 0.5
+        before = [a.copy() for a in (model.sections.X, model.sheaf.RH, model.sheaf.RT)]
+        with pytest.raises(ConfigError, match="identity maps are not the identity"):
+            train(ds.kg, TrainConfig(epochs=1, seed=0), model)
+        for arr, old in zip((model.sections.X, model.sheaf.RH, model.sheaf.RT), before):
+            np.testing.assert_array_equal(arr, old)
+
     def test_planted_data_positive_scores_decrease(self):
         ds = generate_planted_kg(60, 3, 8, 0.0, seed=3, variant="shv")
         cfg = ModelConfig(variant="shv", entity_dim=8, relation_dim=8, constraint="orthogonal")
