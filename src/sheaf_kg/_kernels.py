@@ -23,8 +23,9 @@ padded position is a sum of products with a zero factor, which is exactly
 zero; zero rows of X leave the section Gram matrices, and so the
 orthogonality penalty, unchanged. On a schema with uniform dimensions there
 is no padding. No kernel reads constraint tags: training re-imposes them, and tells
-``margin_grads`` which maps step and which are the identity, whose rows then take
-``x_h - x_t (+ t_r)`` unmultiplied (ShVT with identity maps is TransE).
+``margin_grads`` which maps step and whether every map is a square identity, in
+which case each residual is ``x_h - x_t (+ t_r)`` unmultiplied (ShVT with identity
+maps is TransE).
 """
 
 from __future__ import annotations
@@ -36,29 +37,18 @@ def active_backend() -> str:
     return "numpy"
 
 
-def _apply_maps(maps, r, v, identity, transpose=False):
-    """Each row of ``v`` times its map ``maps[r]`` (transposed); identity rows copy ``v``, padded."""
-    spec = "bij,bim->bjm" if transpose else "bij,bjm->bim"
-    if identity is None:
-        return np.einsum(spec, maps[r], v)
-    rows, rest = maps.shape[2 if transpose else 1], np.flatnonzero(~identity[r])
-    if not rest.size and rows == v.shape[1]:
-        return v
-    out = np.zeros((len(v), rows, v.shape[2]))
-    out[:, :min(rows, v.shape[1])] = v[:, :rows]
-    out[rest] = np.einsum(spec, maps[r[rest]], v[rest])
-    return out
-
-
-def _scores(X, RH, RT, T, h, r, t, identity=None):
-    diff = _apply_maps(RH, r, X[h], identity) - _apply_maps(RT, r, X[t], identity)
+def _scores(X, RH, RT, T, h, r, t, identity=False):
+    if identity:
+        diff = X[h] - X[t]
+    else:
+        diff = np.einsum("bij,bjm->bim", RH[r], X[h]) - np.einsum("bij,bjm->bim", RT[r], X[t])
     if T is not None:
         diff = diff + T[r]
     return np.einsum("bim,bim->b", diff, diff), diff
 
 
 def margin_grads(X, RH, RT, T, neg, pos, gamma, gX, gRH, gRT, gT,
-                 head_steps=None, tail_steps=None, identity=None):
+                 head_steps=None, tail_steps=None, identity=False):
     """Accumulate margin-loss gradients for B positives and their k negatives each.
 
     ``neg`` is a (B*k, 3) index array that holds the k negatives of each
@@ -70,11 +60,11 @@ def margin_grads(X, RH, RT, T, neg, pos, gamma, gX, gRH, gRT, gT,
     ``head_steps``/``tail_steps`` are per-relation booleans (None: every
     relation), and a ``gRH``/``gRT`` of None means no map on that side steps.
     Each stepping map's gradient is one matrix product over its relation's active rows.
-    ``identity`` marks the relations (None: none) whose maps are exactly the
-    identity, as the caller vouches. Their rows multiply no map: with w = min(de, d)
-    the residual is ``X[h][:w] - X[t][:w] (+ T[r])`` and the entity gradients ``±d[:w]``,
-    zero-padded. An exact identity only adds exact zeros to a product, and every
-    accumulator starts at +0, so each result equals the multiplied one to the bit.
+    ``identity`` says, as the caller vouches, that every map is exactly the
+    identity and de == d, padding included. Then no map is gathered or
+    multiplied: the residual is ``X[h] - X[t] (+ T[r])`` and the entity
+    gradients are ``±d``. An exact identity only adds exact zeros to a
+    product, so each result equals the multiplied one to the bit.
     """
     k = len(neg) // len(pos)
     s_pos, d_pos = _scores(X, RH, RT, T, pos[:, 0], pos[:, 1], pos[:, 2], identity)
@@ -92,8 +82,8 @@ def margin_grads(X, RH, RT, T, neg, pos, gamma, gX, gRH, gRT, gT,
     h, r, t = np.concatenate([pos[hit], neg[active]]).T
     d = np.concatenate([d_pos[hit] * (2.0 * weight[hit])[:, None, None], d_neg[active] * -2.0])
     # entity and translation gradients
-    np.add.at(gX, h, _apply_maps(RH, r, d, identity, transpose=True))
-    np.add.at(gX, t, -_apply_maps(RT, r, d, identity, transpose=True))
+    np.add.at(gX, h, d if identity else np.einsum("bij,bim->bjm", RH[r], d))
+    np.add.at(gX, t, -d if identity else -np.einsum("bij,bim->bjm", RT[r], d))
     if gT is not None:
         np.add.at(gT, r, d)
     # map gradients: the columns of D and E hold the rows grouped by relation, m per row

@@ -137,11 +137,9 @@ class KnowledgeSheaf:
         out._bind(self.RH.copy(), self.RT.copy(), None if self.T is None else self.T.copy())
         return out
 
-    def check_constraints(self, kinds=CONSTRAINTS) -> None:
-        """Raise unless every constraint tag among ``kinds`` is actually satisfied."""
+    def check_constraints(self) -> None:
+        """Raise unless every constraint tag is actually satisfied."""
         for r, kind in enumerate(self.constraints):
-            if kind not in kinds:
-                continue
             head, tail, name = self.head_maps[r], self.tail_maps[r], self.schema.relation_types[r]
             if kind == "shared" and not np.array_equal(head, tail):
                 raise ConfigError(f"relation {name!r}: shared maps differ")

@@ -171,7 +171,8 @@ class _StackedParams:
     Only the maps that step under their tag (``MAP_STEPS``) get gradients
     and updates: ``head_steps``/``tail_steps`` mark the relations whose map
     steps, None when all do; a side where none does has no slot at all. A step
-    re-projects only the relations ``projected``; ``identity`` marks identity maps.
+    re-projects only the relations ``projected``; ``identity`` is true when every
+    map is a square identity, which the kernel then never multiplies.
     """
 
     def __init__(self, model: Model, config: TrainConfig):
@@ -184,9 +185,9 @@ class _StackedParams:
         steps = np.array([MAP_STEPS[c] for c in sheaf.constraints], dtype=bool).reshape(-1, 2)
         self.head_steps, self.tail_steps = (None if side.all() else side for side in steps.T)
         self.projected = np.flatnonzero(steps.any(axis=1))
-        identity = np.array([c == "identity" for c in sheaf.constraints], dtype=bool)
-        self.identity = identity if identity.any() else None
-        sheaf.check_constraints(("identity",))  # the kernel trusts the tag, not the maps
+        square = self.RH.shape[1] == self.RH.shape[2]
+        self.identity = square and set(sheaf.constraints) == {"identity"}
+        sheaf.check_constraints()  # the kernel trusts the identity tag, not the maps
         self.gX = np.zeros_like(self.X)
         self.gRH, self.gRT = (
             np.zeros_like(param) if side.any() else None
@@ -271,8 +272,9 @@ def train(kg: KnowledgeGraph, config: TrainConfig, model: Model) -> tuple[Model,
     take the optimizer step (``model.MAP_STEPS``): no identity map, and no
     shared or antisymmetric tail. Each relation with a stepping map is then
     re-projected exactly on its true block; a projection warning is logged
-    once per call. No identity map is multiplied (TransE rows, see
-    ``_kernels``), so one that is not exact is a :class:`ConfigError`.
+    once per call. A model whose maps break their tags is a
+    :class:`ConfigError` before any step. When every map is a square
+    identity, none is multiplied (TransE, see ``_kernels``).
 
     A diverging run raises :class:`TrainingAbortError` naming the epoch, on
     a numpy overflow or invalid operation in a batch's step and

@@ -104,14 +104,16 @@ def margin_grads_all_maps(X, RH, RT, T, neg, pos, gamma, gX, gRH, gRT, gT):
     return loss, n_active
 
 
-def mixed_tag_schema(rng):
+def mixed_tag_schema(rng, tags=None):
     """Three entity types of random dims and one relation per tag plus two random-tag ones.
 
-    Each relation's endpoint types and edge dim are drawn so that its tag
-    admits them. Returns the schema and the relation-to-tag overrides.
+    ``tags``, if given, replaces the relations' drawn tags. Each relation's
+    endpoint types and edge dim are drawn so that its tag admits them.
+    Returns the schema and the relation-to-tag overrides.
     """
     vertex_dim = [int(d) for d in rng.integers(1, 6, 3)]
-    tags = [str(c) for c in rng.permutation([*CONSTRAINTS, *rng.choice(CONSTRAINTS, 2)])]
+    if tags is None:
+        tags = [str(c) for c in rng.permutation([*CONSTRAINTS, *rng.choice(CONSTRAINTS, 2)])]
     head_type, tail_type, edge_dim = [], [], []
     for tag in tags:
         h = int(rng.integers(0, 3))
@@ -199,19 +201,19 @@ class TestPositivesOnce:
             assert np.all(grad[~mask] == 0.0)
 
 
-def mixed_tag_case(seed, variant, m, k, rows="random"):
+def mixed_tag_case(seed, variant, m, k, rows="random", tags=None):
     """A random-init model on ``mixed_tag_schema``, its training state and one batch.
 
     ``rows`` picks the positives' relations: "random" draws each one,
     "one relation missing" moves a drawn relation's rows to the next
     relation, and "last relation only" gives every row the last relation.
     Each positive has k negatives, each with one endpoint replaced by an
-    entity of the same type (possibly itself). Returns the state, the
-    positives, the negatives and a margin that leaves about half the pairs
-    active.
+    entity of the same type (possibly itself). ``tags`` goes to
+    ``mixed_tag_schema``. Returns the state, the positives, the negatives
+    and a margin that leaves about half the pairs active.
     """
     rng = np.random.default_rng(seed)
-    schema, overrides = mixed_tag_schema(rng)
+    schema, overrides = mixed_tag_schema(rng, tags)
     entity_type = np.arange(12) % 3
     cfg = ModelConfig(variant=variant, sections=m, constraint_overrides=overrides)
     sheaf, sections = init_model(cfg, schema, entity_type, seed=seed % 1000)
@@ -307,30 +309,18 @@ class TestMapGradsByRelation:
         check_against_all_maps_oracle(*mixed_tag_case(seed, variant, m, k, rows))
 
 
-def identity_mask_case(seed, variant, m, k, rows):
-    """``mixed_tag_case`` with its batch cut to the ``rows`` kind, or None when none is left.
-
-    "mixed" keeps a batch with both identity and other rows, "identity only"
-    keeps the identity rows, "no identity" the others; each positive keeps
-    its k negatives.
-    """
-    state, pos, neg, gamma = mixed_tag_case(seed, variant, m, k)
-    eye = state.identity[pos[:, 1]]
-    keep = {"mixed": np.ones_like(eye), "identity only": eye, "no identity": ~eye}[rows]
-    if not keep.any() or (rows == "mixed" and eye.all() | ~eye.any()):
-        return None
-    return state, pos[keep], neg[np.repeat(keep, k)], gamma
+ALL_IDENTITY = ("identity",) * 5
 
 
-def check_identity_mask_changes_nothing(state, pos, neg, gamma):
-    """``margin_grads`` with the identity mask equals it without, to the bit."""
+def check_identity_flag_changes_nothing(state, pos, neg, gamma):
+    """``margin_grads`` with the identity flag equals it without, to the bit."""
     outs = []
-    for identity in (state.identity, None):
+    for identity in (True, False):
         grads = [None if g is None else np.zeros_like(g)
                  for g in (state.gX, state.gRH, state.gRT, state.gT)]
         result = _kernels.margin_grads(
             state.X, state.RH, state.RT, state.T, neg, pos, gamma, *grads,
-            state.head_steps, state.tail_steps, identity=identity,
+            state.head_steps, state.tail_steps, identity,
         )
         outs.append((result, grads))
     (result, grads), (ref_result, ref_grads) = outs
@@ -341,56 +331,51 @@ def check_identity_mask_changes_nothing(state, pos, neg, gamma):
             np.testing.assert_array_equal(grad, ref)
 
 
-class TestIdentityRows:
+class TestIdentityMaps:
     @given(
         seed=st.integers(0, 2**32 - 1),
         variant=st.sampled_from(["shv", "shvt"]),
         m=st.sampled_from([1, 3]),
         k=st.sampled_from([1, 4]),
-        rows=st.sampled_from(["mixed", "identity only", "no identity"]),
+        rows=st.sampled_from(["random", "last relation only"]),
     )
-    @settings(max_examples=90, deadline=None)
-    def test_identity_rows_equal_the_multiplied_path(self, seed, variant, m, k, rows):
-        case = identity_mask_case(seed, variant, m, k, rows)
-        assume(case is not None)
-        check_identity_mask_changes_nothing(*case)
+    @settings(max_examples=60, deadline=None)
+    def test_unmultiplied_identity_equals_the_multiplied_path(self, seed, variant, m, k, rows):
+        """Ragged all-identity models: edge and vertex stalks of several dims, padded alike."""
+        case = mixed_tag_case(seed, variant, m, k, rows, tags=ALL_IDENTITY)
+        assume(case[0].identity)
+        check_identity_flag_changes_nothing(*case)
 
-    @pytest.mark.parametrize("wider", ["edge stalks", "vertex stalks"])
-    @pytest.mark.parametrize("rows", ["mixed", "identity only"])
-    def test_both_paddings(self, wider, rows):
-        """Seeds whose widest edge stalk is wider (narrower) than the widest vertex stalk."""
-        checked = 0
-        for seed in range(200):
-            case = identity_mask_case(seed, "shvt", 3, 4, rows)
-            if case is None:
-                continue
-            de_max, d_max = case[0].RH.shape[1:]
-            if (de_max > d_max) if wider == "edge stalks" else (de_max < d_max):
-                check_identity_mask_changes_nothing(*case)
-                checked += 1
-            if checked == 3:
-                break
-        assert checked == 3
+    def test_flag_only_when_every_map_is_a_square_identity(self):
+        assert not mixed_tag_case(0, "shv", 1, 1)[0].identity
+        seen = set()
+        for seed in range(50):
+            state = mixed_tag_case(seed, "shvt", 1, 1, tags=ALL_IDENTITY)[0]
+            de_max, d_max = state.RH.shape[1:]
+            assert state.identity == (de_max == d_max)
+            seen.add(state.identity)
+        assert seen == {True, False}
 
-    def test_mask_and_projection_follow_the_tags(self):
+    def test_projection_skips_identity_relations(self):
         state = mixed_tag_case(0, "shv", 1, 1)[0]
         tags = state.sheaf.constraints
-        np.testing.assert_array_equal(state.identity, [c == "identity" for c in tags])
+        assert "identity" in tags
         assert [tags[r] for r in state.projected] == [c for c in tags if c != "identity"]
 
     @pytest.mark.parametrize("optimizer", ["sgd", "adagrad"])
-    def test_identity_shvt_training_with_and_without_the_mask(self, monkeypatch, optimizer):
+    def test_identity_shvt_training_with_and_without_the_flag(self, monkeypatch, optimizer):
         ds = generate_planted_kg(60, 3, 4, 0.0, seed=0, variant="shvt")
         cfg = ModelConfig(variant="shvt", sections=2, constraint="identity")
         config = TrainConfig(epochs=4, batch_size=16, learning_rate=0.05, optimizer=optimizer,
                              negatives_per_positive=3, seed=1, max_entity_norm=2.0)
-        masked, _ = train(ds.kg, config, init_for_kg(cfg, ds.kg, seed=0))
+        assert _StackedParams(init_for_kg(cfg, ds.kg, seed=0), config).identity
+        flagged, _ = train(ds.kg, config, init_for_kg(cfg, ds.kg, seed=0))
         kernel = _kernels.margin_grads
         monkeypatch.setattr(_kernels, "margin_grads", lambda *args: kernel(*args[:13]))
         multiplied, _ = train(ds.kg, config, init_for_kg(cfg, ds.kg, seed=0))
-        np.testing.assert_array_equal(masked.sections.X, multiplied.sections.X)
+        np.testing.assert_array_equal(flagged.sections.X, multiplied.sections.X)
         for name in ("RH", "RT", "T"):
-            np.testing.assert_array_equal(getattr(masked.sheaf, name),
+            np.testing.assert_array_equal(getattr(flagged.sheaf, name),
                                           getattr(multiplied.sheaf, name))
 
 
