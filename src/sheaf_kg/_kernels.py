@@ -23,9 +23,9 @@ padded position is a sum of products with a zero factor, which is exactly
 zero; zero rows of X leave the section Gram matrices, and so the
 orthogonality penalty, unchanged. On a schema with uniform dimensions there
 is no padding. No kernel reads constraint tags: training re-imposes them, and tells
-``margin_grads`` which maps step and whether every map is a square identity, in
-which case each residual is ``x_h - x_t (+ t_r)`` unmultiplied (ShVT with identity
-maps is TransE).
+``margin_grads`` which maps step, as one bool array per side, and whether every map
+is a square identity, in which case each residual is ``x_h - x_t (+ t_r)``
+unmultiplied (ShVT with identity maps is TransE).
 """
 
 from __future__ import annotations
@@ -47,8 +47,7 @@ def _scores(X, RH, RT, T, h, r, t, identity=False):
     return np.einsum("bim,bim->b", diff, diff), diff
 
 
-def margin_grads(X, RH, RT, T, neg, pos, gamma, gX, gRH, gRT, gT,
-                 head_steps=None, tail_steps=None, identity=False):
+def margin_grads(X, RH, RT, T, neg, pos, gamma, gX, gRH, gRT, gT, head_steps, tail_steps, identity):
     """Accumulate margin-loss gradients for B positives and their k negatives each.
 
     ``neg`` is a (B*k, 3) index array that holds the k negatives of each
@@ -57,9 +56,9 @@ def margin_grads(X, RH, RT, T, neg, pos, gamma, gX, gRH, gRT, gT,
     gradient is weighted by its number of active pairs. Returns
     (loss_sum, n_active) over the B*k pairs. Gradients are added into the
     ``g*`` accumulators in place. Only the maps that step get one:
-    ``head_steps``/``tail_steps`` are per-relation booleans (None: every
-    relation), and a ``gRH``/``gRT`` of None means no map on that side steps.
-    Each stepping map's gradient is one matrix product over its relation's active rows.
+    ``head_steps``/``tail_steps`` are per-relation bool arrays, and a
+    ``gRH``/``gRT`` of None means no map on that side steps. Each stepping
+    map's gradient is one matrix product over its relation's active rows.
     ``identity`` says, as the caller vouches, that every map is exactly the
     identity and de == d, padding included. Then no map is gathered or
     multiplied: the residual is ``X[h] - X[t] (+ T[r])`` and the entity
@@ -95,7 +94,7 @@ def margin_grads(X, RH, RT, T, neg, pos, gamma, gX, gRH, gRT, gT,
         for grad, steps, ent, sign in ((gRH, head_steps, h, 1.0), (gRT, tail_steps, t, -1.0)):
             if grad is not None:
                 E = X.transpose(1, 0, 2)[:, ent[order]].reshape(X.shape[1], -1)
-                for rel in np.flatnonzero(counts if steps is None else counts * steps):
+                for rel in np.flatnonzero(counts * steps):
                     cols = slice(ends[rel] - counts[rel] * X.shape[2], ends[rel])
                     grad[rel] += sign * (D[:, cols] @ E[:, cols].T)
     return loss, int(np.count_nonzero(active))

@@ -235,7 +235,7 @@ def cmd_inspect(prefix, train_path):
         for name, type_idx in zip(model.entities, model.entity_type.tolist()):
             vocab.intern(name, type_idx)
         labels = {name: model.schema.entity_types[t] for name, t in zip(vocab.names, vocab.types)}
-        triples = kgdata.load_triples(train_path, model.schema, kgdata.TRAIN, vocab, labels)
+        triples = kgdata.load_triples(train_path, model.schema, vocab, labels)
         if len(vocab) > model.n_entities:
             raise ValidationError(f"{train_path}: mentions {len(vocab) - model.n_entities} "
                                   "entities absent from the checkpoint")

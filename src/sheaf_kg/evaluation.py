@@ -112,9 +112,6 @@ class StructureMetrics:
 class MetricReport:
     per_structure: dict[str, StructureMetrics]
 
-    def structures(self):
-        return sorted(self.per_structure)
-
 
 def _traverse_answers(index: TripleIndex, structure: str, anchors, relations) -> set[int]:
     """All entities satisfying the query template against the indexed triples.

@@ -318,7 +318,6 @@ def read_type_labels(path) -> dict[str, str]:
 def load_triples(
     path,
     schema: Schema,
-    split: str,
     vocab: VocabBuilder,
     type_labels: dict[str, str] | None = None,
 ) -> list[tuple[int, int, int]]:
@@ -327,9 +326,6 @@ def load_triples(
     With a single-type schema unseen entities get that type; otherwise the
     sidecar ``type_labels`` mapping must cover them.
     """
-    if split not in _SPLIT_CODE:
-        raise ValueError(f"unknown split {split!r}")
-
     def type_of(name: str, lineno: int) -> int:
         if schema.n_entity_types == 1:
             return 0
@@ -396,12 +392,12 @@ def load_dataset(
     file by :func:`read_type_labels`.
     """
     vocab = VocabBuilder()
-    fragments = {TRAIN: load_triples(train_path, schema, TRAIN, vocab, type_labels)}
+    fragments = {TRAIN: load_triples(train_path, schema, vocab, type_labels)}
     n_train_entities = len(vocab)
     if valid_path:
-        fragments[VALID] = load_triples(valid_path, schema, VALID, vocab, type_labels)
+        fragments[VALID] = load_triples(valid_path, schema, vocab, type_labels)
     if test_path:
-        fragments[TEST] = load_triples(test_path, schema, TEST, vocab, type_labels)
+        fragments[TEST] = load_triples(test_path, schema, vocab, type_labels)
     if len(vocab) > n_train_entities:
         logger.warning(
             "%d entity(ies) first appear outside the training split",

@@ -62,10 +62,6 @@ class SheafOnGraph:
         return len(self.vertex_dims)
 
     @property
-    def n_edges(self) -> int:
-        return len(self.edges)
-
-    @property
     def vertex_offsets(self) -> np.ndarray:
         return np.concatenate(([0], np.cumsum(self.vertex_dims)))
 
@@ -171,8 +167,6 @@ def psd_pinv(a: np.ndarray) -> np.ndarray:
 
     Eigenvalues below ``PINV_RCOND`` times their matrix's largest are treated as zero.
     """
-    if a.shape[-1] == 0:
-        return a.copy()
     w, q = np.linalg.eigh(a)
     cutoff = PINV_RCOND * np.maximum(w[..., -1:], 0.0)
     inv_w = np.where(w > cutoff, 1.0, 0.0) / np.where(w > cutoff, w, 1.0)
@@ -237,11 +231,19 @@ def _split_blocks(vec: np.ndarray, dims) -> list[np.ndarray]:
     return out
 
 
-def _boundary_data(lap: BlockLaplacian, boundary, boundary_values):
-    """Checked boundary partition and the boundary blocks concatenated: ``(b, interior, y_b)``."""
+def _extend(lap: BlockLaplacian, boundary, boundary_values, g=None):
+    """The harmonic extension, offset by ``pinv(L[U,U]) g_U`` when ``g = delta^T b`` is given."""
     b, interior = _boundary_partition(lap, boundary)
     _check_blocks("boundary data", boundary_values, "vertex", {v: lap.vertex_dims[v] for v in b})
-    return b, interior, _concat_blocks(boundary_values)
+    y_b = _concat_blocks(boundary_values)
+    schur, extend, pinv_uu = eliminate(lap, b)
+    y_u = extend @ y_b
+    value = float(np.sum(y_b * (schur @ y_b)))
+    if g is not None:
+        g_b, g_u = g[lap.columns(b)], g[lap.columns(interior)]
+        value -= 2.0 * (float(np.sum(g_b * y_b)) + float(np.sum(g_u * y_u)))
+        y_u = y_u + pinv_uu @ g_u
+    return _split_blocks(y_u, [lap.vertex_dims[v] for v in interior]), value
 
 
 def harmonic_extension(lap: BlockLaplacian, boundary, boundary_values):
@@ -252,11 +254,7 @@ def harmonic_extension(lap: BlockLaplacian, boundary, boundary_values):
     quadratic form of the completed cochain, i.e. the boundary quadratic
     form ``y_B^T S y_B`` under the Schur complement.
     """
-    b, interior, y_b = _boundary_data(lap, boundary, boundary_values)
-    schur, extend, _ = eliminate(lap, b)
-    y_u = extend @ y_b
-    value = float(np.sum(y_b * (schur @ y_b)))
-    return _split_blocks(y_u, [lap.vertex_dims[v] for v in interior]), value
+    return _extend(lap, boundary, boundary_values)
 
 
 def affine_harmonic_extension(lap: BlockLaplacian, sheaf: SheafOnGraph, b_cochain, boundary, boundary_values):
@@ -267,18 +265,11 @@ def affine_harmonic_extension(lap: BlockLaplacian, sheaf: SheafOnGraph, b_cochai
     ``g = delta^T b``, and the reported value keeps only the
     boundary-dependent part, ``y^T L y - 2 g^T y`` for the plain extension
     ``y``. Offsets shift every candidate's value by the same constant (see
-    ``affine_offset``), so rankings are unaffected. With a zero 1-cochain
-    this reduces bitwise to ``harmonic_extension``.
+    ``affine_offset``), so rankings are unaffected. Both extensions run one
+    body, which adds the offset terms only here; with a zero 1-cochain they
+    are exact zeros and the result equals ``harmonic_extension``'s exactly.
     """
-    _check_blocks("1-cochain", b_cochain, "edge", dict(enumerate(sheaf.edge_dims)))
-    b, interior, y_b = _boundary_data(lap, boundary, boundary_values)
-    schur, extend, pinv_uu = eliminate(lap, b)
-    g = _concat_blocks(coboundary_transpose(sheaf, b_cochain))
-    g_b, g_u = g[lap.columns(b)], g[lap.columns(interior)]
-    y_u = extend @ y_b
-    cross = float(np.sum(g_b * y_b)) + float(np.sum(g_u * y_u))
-    value = float(np.sum(y_b * (schur @ y_b))) - 2.0 * cross
-    return _split_blocks(y_u + pinv_uu @ g_u, [lap.vertex_dims[v] for v in interior]), value
+    return _extend(lap, boundary, boundary_values, _concat_blocks(coboundary_transpose(sheaf, b_cochain)))
 
 
 def affine_offset(lap: BlockLaplacian, sheaf: SheafOnGraph, b_cochain, boundary) -> float:
@@ -288,10 +279,9 @@ def affine_offset(lap: BlockLaplacian, sheaf: SheafOnGraph, b_cochain, boundary)
     true minimum of ``|delta y - b|^2`` subject to the boundary condition:
     ``b^T b - g^T pinv(L[U,U]) g`` with ``g = (delta^T b)_U``.
     """
-    _check_blocks("1-cochain", b_cochain, "edge", dict(enumerate(sheaf.edge_dims)))
+    g = _concat_blocks(coboundary_transpose(sheaf, b_cochain))  # checks the 1-cochain's blocks
     btb = sum(float(np.sum(np.asarray(blk, dtype=float) ** 2)) for blk in b_cochain)
     _, _, pinv_uu = eliminate(lap, boundary)
-    g = _concat_blocks(coboundary_transpose(sheaf, b_cochain))
     g = g[lap.columns(interior_vertices(lap, boundary))]
     return btb - float(np.sum(g * (pinv_uu @ g)))
 

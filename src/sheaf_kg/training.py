@@ -169,8 +169,8 @@ class _StackedParams:
     ``T`` are the model's own arrays, updated in place; constraints are
     re-projected on each relation's true block through the sheaf's views.
     Only the maps that step under their tag (``MAP_STEPS``) get gradients
-    and updates: ``head_steps``/``tail_steps`` mark the relations whose map
-    steps, None when all do; a side where none does has no slot at all. A step
+    and updates: the bool arrays ``head_steps``/``tail_steps`` mark the relations
+    whose map steps; a side where none does has no slot at all. A step
     re-projects only the relations ``projected``; ``identity`` is true when every
     map is a square identity, which the kernel then never multiplies.
     """
@@ -183,7 +183,7 @@ class _StackedParams:
                 f"sections are padded to {self.X.shape[1]} rows, the schema needs {self.RH.shape[2]}"
             )
         steps = np.array([MAP_STEPS[c] for c in sheaf.constraints], dtype=bool).reshape(-1, 2)
-        self.head_steps, self.tail_steps = (None if side.all() else side for side in steps.T)
+        self.head_steps, self.tail_steps = steps.T
         self.projected = np.flatnonzero(steps.any(axis=1))
         square = self.RH.shape[1] == self.RH.shape[2]
         self.identity = square and set(sheaf.constraints) == {"identity"}
@@ -191,7 +191,7 @@ class _StackedParams:
         self.gX = np.zeros_like(self.X)
         self.gRH, self.gRT = (
             np.zeros_like(param) if side.any() else None
-            for param, side in ((self.RH, steps[:, 0]), (self.RT, steps[:, 1]))
+            for param, side in ((self.RH, self.head_steps), (self.RT, self.tail_steps))
         )
         self.gT = None if self.T is None else np.zeros_like(self.T)
         adagrad = config.optimizer == "adagrad"

@@ -1,11 +1,17 @@
-"""Every name a ``src/`` module imports is used in that module or marked ``# noqa: F401``."""
+"""No dead names in ``src/``.
+
+Every name a ``src/`` module imports is used in that module or marked
+``# noqa: F401``, and every function, method or property it defines has a
+caller in ``src/``, ``tests/`` or ``benchmarks/``.
+"""
 
 import ast
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "sheaf_kg"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "sheaf_kg"
 
 
 def unused_imports(source: str) -> list[str]:
@@ -39,3 +45,65 @@ def test_the_check_finds_an_unused_import():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def references(sources) -> tuple[set[str], set[str]]:
+    """``(names, attributes)`` that ``sources`` read.
+
+    ``names`` holds every name, import and string (the benchmark wraps
+    functions by their name); ``attributes`` every attribute read.
+    """
+    names, attributes = set(), set()
+    for source in sources:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                attributes.add(node.attr)
+            elif isinstance(node, ast.alias):
+                names.add(node.name)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                names.add(node.value)
+    return names, attributes
+
+
+def dead_definitions(module: str, names: set[str], attributes: set[str]) -> list[str]:
+    """The functions, methods and properties that ``module`` defines and nothing reads.
+
+    A module-level function is read when it is in ``names`` or
+    ``attributes``, a method or property when it is in ``attributes``
+    (see ``references``). Dunders, which Python calls, and ``@main.command``
+    functions, which the CLI calls, are exempt.
+    """
+    def exempt(node):
+        return node.name.startswith("__") and node.name.endswith("__") or any(
+            ast.unparse(d).startswith("main.command(") for d in node.decorator_list
+        )
+
+    dead = []
+    for node in ast.parse(module).body:
+        if isinstance(node, ast.FunctionDef) and not exempt(node):
+            if node.name not in names | attributes:
+                dead.append(node.name)
+        elif isinstance(node, ast.ClassDef):
+            dead.extend(f"{node.name}.{item.name}" for item in node.body
+                        if isinstance(item, ast.FunctionDef) and not exempt(item)
+                        and item.name not in attributes)
+    return dead
+
+
+def test_the_check_finds_a_dead_definition():
+    module = ("def used():\n    pass\ndef wrapped():\n    pass\ndef dead():\n    pass\n"
+              "@main.command('run')\ndef run():\n    pass\n"
+              "class C:\n    def __init__(self):\n        self.read()\n    def read(self):\n        pass\n"
+              "    @property\n    def unread(self):\n        return used\n")
+    caller = "import m\nm.C().read()\nwrap(m, 'wrapped')\n"
+    assert dead_definitions(module, *references([module, caller])) == ["dead", "C.unread"]
+
+
+def test_every_definition_has_a_caller():
+    read = references(path.read_text(encoding="utf-8")
+                      for tree in ("src", "tests", "benchmarks") for path in (ROOT / tree).rglob("*.py"))
+    dead = {path.name: dead_definitions(path.read_text(encoding="utf-8"), *read)
+            for path in sorted(SRC.glob("*.py"))}
+    assert {name: names for name, names in dead.items() if names} == {}

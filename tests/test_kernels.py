@@ -86,6 +86,26 @@ def map_grads_oracle(X, h, r, t, d, gRH, gRT):
     np.add.at(gRT, r, -np.einsum("bim,bjm->bij", d, X[t]))
 
 
+def abs_terms(X, RH, RT, T, rows):
+    """Each gradient ``[gX, gRH, gRT, gT]`` with its terms summed in absolute value.
+
+    ``rows`` is ``active_rows``' last item. A gradient's rounding error is
+    bounded by a small multiple of this sum, which is never 0 unless the
+    error is, even where the terms cancel.
+    """
+    scale = [None if p is None else np.zeros_like(p) for p in (X, RH, RT, T)]
+    if rows is None:
+        return scale
+    h, r, t, d = rows
+    d = np.abs(d)
+    np.add.at(scale[0], h, np.einsum("bij,bim->bjm", np.abs(RH[r]), d))
+    np.add.at(scale[0], t, np.einsum("bij,bim->bjm", np.abs(RT[r]), d))
+    map_grads_oracle(np.abs(X), h, r, t, d, scale[1], scale[2])
+    if T is not None:
+        np.add.at(scale[3], r, d)
+    return scale
+
+
 def margin_grads_all_maps(X, RH, RT, T, neg, pos, gamma, gX, gRH, gRT, gT):
     """The kernel as it was before it skipped the maps that do not step.
 
@@ -189,15 +209,17 @@ class TestPositivesOnce:
 
         grads = [None if p is None else np.zeros_like(p) for p in params]
         oracle = [None if p is None else np.zeros_like(p) for p in params]
-        loss, n_active = _kernels.margin_grads(X, RH, RT, T, neg, pos, gamma, *grads)
+        every = np.ones(len(RH), dtype=bool)
+        loss, n_active = _kernels.margin_grads(X, RH, RT, T, neg, pos, gamma, *grads, every, every, False)
         ref_loss, ref_active = margin_grads_oracle(
             X, RH, RT, T, np.repeat(pos, k, axis=0), neg, gamma, *oracle
         )
 
+        scale = abs_terms(X, RH, RT, T, active_rows(X, RH, RT, T, neg, pos, gamma)[2])
         assert n_active == ref_active
         assert loss == pytest.approx(ref_loss, rel=1e-12, abs=0.0)
-        for grad, ref, mask in zip(grads, oracle, masks):
-            assert np.linalg.norm(grad - ref) <= 1e-12 * np.linalg.norm(ref)
+        for grad, ref, size, mask in zip(grads, oracle, scale, masks):
+            assert np.linalg.norm(grad - ref) <= 1e-12 * np.linalg.norm(size)
             assert np.all(grad[~mask] == 0.0)
 
 
@@ -247,23 +269,18 @@ def check_against_all_maps_oracle(state, pos, neg, gamma):
     """``margin_grads`` against ``margin_grads_all_maps`` on the maps that step.
 
     Loss, active count, entity and translation gradients are equal; the
-    maps that step match the oracle to 1e-12 of the same sums taken over
-    ``|d|`` and ``|X|`` (the scale of their rounding error, never 0 unless
-    the error is); the maps that do not step and every padded map entry get
-    exactly 0.
+    maps that step match the oracle to 1e-12 of their terms summed in
+    absolute value (``abs_terms``); the maps that do not step and every
+    padded map entry get exactly 0.
     """
     X, RH, RT, T = state.X, state.RH, state.RT, state.T
     ref = [None if p is None else np.zeros_like(p) for p in (X, RH, RT, T)]
     ref_loss, ref_active = margin_grads_all_maps(X, RH, RT, T, neg, pos, gamma, *ref)
-    scale = [np.zeros_like(RH), np.zeros_like(RT)]
-    rows = active_rows(X, RH, RT, T, neg, pos, gamma)[2]
-    if rows is not None:
-        h, r, t, d = rows
-        map_grads_oracle(np.abs(X), h, r, t, np.abs(d), *scale)
+    scale = abs_terms(X, RH, RT, T, active_rows(X, RH, RT, T, neg, pos, gamma)[2])[1:3]
     grads = [None if g is None else np.zeros_like(g)
              for g in (state.gX, state.gRH, state.gRT, state.gT)]
     loss, n_active = _kernels.margin_grads(
-        X, RH, RT, T, neg, pos, gamma, *grads, state.head_steps, state.tail_steps
+        X, RH, RT, T, neg, pos, gamma, *grads, state.head_steps, state.tail_steps, state.identity
     )
 
     assert (loss, n_active) == (ref_loss, ref_active)
@@ -371,7 +388,7 @@ class TestIdentityMaps:
         assert _StackedParams(init_for_kg(cfg, ds.kg, seed=0), config).identity
         flagged, _ = train(ds.kg, config, init_for_kg(cfg, ds.kg, seed=0))
         kernel = _kernels.margin_grads
-        monkeypatch.setattr(_kernels, "margin_grads", lambda *args: kernel(*args[:13]))
+        monkeypatch.setattr(_kernels, "margin_grads", lambda *args: kernel(*args[:13], False))
         multiplied, _ = train(ds.kg, config, init_for_kg(cfg, ds.kg, seed=0))
         np.testing.assert_array_equal(flagged.sections.X, multiplied.sections.X)
         for name in ("RH", "RT", "T"):
@@ -445,7 +462,8 @@ class TestMarginGrads:
         if loss_value() == 0.0:
             X *= 3.0  # make sure the pair is active
         gX, gRH, gRT, gT = (np.zeros_like(a) for a in (X, RH, RT, T))
-        _kernels.margin_grads(X, RH, RT, T, neg, pos, 1.0, gX, gRH, gRT, gT)
+        every = np.ones(len(RH), dtype=bool)
+        _kernels.margin_grads(X, RH, RT, T, neg, pos, 1.0, gX, gRH, gRT, gT, every, every, False)
         h = 1e-6
         for param, grad in ((X, gX), (RH, gRH), (RT, gRT), (T, gT)):
             it = np.nditer(param, flags=["multi_index"])

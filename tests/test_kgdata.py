@@ -1,4 +1,5 @@
 import logging
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -30,7 +31,7 @@ class TestLoadTriples:
         path = write(tmp_path / "t.tsv", "a\tr0\tb\n")
         schema = default_schema(1, 4, 4)
         vocab = VocabBuilder()
-        triples = load_triples(path, schema, "train", vocab)
+        triples = load_triples(path, schema, vocab)
         assert triples == [(0, 0, 1)]
         assert vocab.names == ["a", "b"]
 
@@ -38,26 +39,26 @@ class TestLoadTriples:
         path = write(tmp_path / "t.tsv", "")
         schema = default_schema(1, 4, 4)
         vocab = VocabBuilder()
-        assert load_triples(path, schema, "train", vocab) == []
+        assert load_triples(path, schema, vocab) == []
         assert len(vocab) == 0
 
     def test_malformed_line_reports_line_number(self, tmp_path):
         path = write(tmp_path / "t.tsv", "a\tr0\n")
         schema = default_schema(1, 4, 4)
         with pytest.raises(TripleParseError) as err:
-            load_triples(path, schema, "train", VocabBuilder())
+            load_triples(path, schema, VocabBuilder())
         assert err.value.line_number == 1
 
     def test_unknown_relation_is_schema_error(self, tmp_path):
         path = write(tmp_path / "t.tsv", "a\thates\tb\n")
         schema = default_schema(1, 4, 4)
         with pytest.raises(SchemaError):
-            load_triples(path, schema, "train", VocabBuilder())
+            load_triples(path, schema, VocabBuilder())
 
     def test_unknown_relation_names_file_and_line(self, tmp_path):
         path = write(tmp_path / "t.tsv", "a\tr0\tb\nb\tzz\ta\n")
         with pytest.raises(SchemaError) as err:
-            load_triples(path, default_schema(1, 4, 4), "train", VocabBuilder())
+            load_triples(path, default_schema(1, 4, 4), VocabBuilder())
         assert str(err.value) == f"{path}:2: relation 'zz' absent from schema"
 
     def test_type_inconsistent_triple_is_identified(self, tmp_path):
@@ -72,7 +73,7 @@ class TestLoadTriples:
         path = write(tmp_path / "t.tsv", "alice\tlives_in\tparis\nparis\tlives_in\talice\n")
         labels = {"alice": "person", "paris": "city"}
         with pytest.raises(ValidationError) as err:
-            load_triples(path, schema, "train", VocabBuilder(), labels)
+            load_triples(path, schema, VocabBuilder(), labels)
         assert "paris" in str(err.value)
 
     def test_multi_type_requires_sidecar(self, tmp_path):
@@ -86,7 +87,7 @@ class TestLoadTriples:
         )
         path = write(tmp_path / "t.tsv", "alice\tlives_in\tparis\n")
         with pytest.raises(ValidationError):
-            load_triples(path, schema, "train", VocabBuilder(), None)
+            load_triples(path, schema, VocabBuilder(), None)
 
     def test_type_label_file(self, tmp_path):
         path = write(tmp_path / "types.tsv", "alice\tperson\nparis\tcity\n")
@@ -121,6 +122,59 @@ class TestDefaultSchema:
     def test_dims_must_be_positive(self):
         with pytest.raises(SchemaError):
             default_schema(1, 0, 4)
+
+
+# two types (person: dim 2, city: dim 3); lives_in: person -> city, knows: person -> person
+PEOPLE_AND_CITIES = Schema(("person", "city"), ("lives_in", "knows"), (0, 0), (1, 0), (2, 3), (2, 2))
+
+
+class TestSchemaValidation:
+    @pytest.mark.parametrize("field, value, match", [
+        ("entity_types", (), "at least one entity type"),
+        ("entity_types", ("person", "person"), "duplicate entity type names"),
+        ("relation_types", ("knows", "knows"), "duplicate relation names"),
+        ("head_type", (0,), "head_type must have one entry per relation"),
+        ("tail_type", (1, 2), "tail_type references unknown entity type index 2"),
+        ("vertex_dim", (2,), "dimension tables must match type/relation counts"),
+        ("edge_dim", (2, 0), "all stalk dimensions must be >= 1"),
+    ], ids=["no-types", "duplicate-type", "duplicate-relation", "short-head-type",
+            "unknown-tail-type", "short-vertex-dim", "edge-dim-0"])
+    def test_each_rejection_is_a_schema_error(self, field, value, match):
+        with pytest.raises(SchemaError, match=match):
+            replace(PEOPLE_AND_CITIES, **{field: value})
+
+    def test_unknown_entity_type_name_is_a_schema_error(self):
+        assert PEOPLE_AND_CITIES.entity_type_index("city") == 1
+        with pytest.raises(SchemaError, match="entity type 'country' absent from schema"):
+            PEOPLE_AND_CITIES.entity_type_index("country")
+
+
+class TestGraphValidation:
+    @staticmethod
+    def graph(**fields):
+        """ann and bob (people) and oslo (a city): ann lives in oslo and knows bob."""
+        values = dict(schema=PEOPLE_AND_CITIES, entities=("ann", "bob", "oslo"),
+                      entity_type=np.array([0, 0, 1]), triples=np.array([[0, 0, 2], [0, 1, 1]]),
+                      split=np.zeros(2, dtype=np.int8))
+        return KnowledgeGraph(**(values | fields))
+
+    def test_the_graph_is_valid(self):
+        assert self.graph().n_entities == 3
+
+    @pytest.mark.parametrize("fields, match", [
+        ({"entity_type": np.array([0, 0])}, "entity_type must align with entities"),
+        ({"entity_type": np.array([0, 0, 2])}, "entity type index out of range"),
+        ({"triples": np.array([0, 0, 2])}, r"triples must be an \(n, 3\) array"),
+        ({"split": np.zeros(1, dtype=np.int8)}, "split must align with triples"),
+        ({"triples": np.array([[0, 0, 2], [0, 1, 3]])}, "entity index out of range"),
+        ({"triples": np.array([[0, 0, 2], [0, 2, 1]])}, "relation index out of range"),
+        ({"triples": np.array([[0, 0, 2], [2, 1, 1]])},
+         r"type-inconsistent triple #1: \(oslo, knows, bob\)"),
+    ], ids=["short-entity-type", "unknown-entity-type", "flat-triples", "short-split",
+            "unknown-entity", "unknown-relation", "mistyped-triple"])
+    def test_each_rejection_is_a_validation_error(self, fields, match):
+        with pytest.raises(ValidationError, match=match):
+            self.graph(**fields)
 
 
 class TestTripleIndex:

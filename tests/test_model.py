@@ -22,6 +22,7 @@ from sheaf_kg.model import (
 )
 from sheaf_kg.seeds import substream
 from sheaf_kg.sheaf import SheafOnGraph, quadratic_form
+from sheaf_kg.training import TrainConfig, train
 
 
 def toy_kg(n_entities=6, n_relations=2, dim=4, rng=None, n_triples=10):
@@ -113,6 +114,26 @@ class TestInit:
         cfg = ModelConfig(constraint="orthogonal", entity_dim=4, relation_dim=2)
         with pytest.raises(ConfigError):
             init_model(cfg, schema, np.zeros(2, dtype=np.int64), seed=0)
+
+
+def test_a_trained_copy_leaves_its_original_and_holds_its_own_views():
+    # ragged: person sections have 2 rows and city sections 3, so every view is a strict sub-block
+    schema = Schema(("person", "city"), ("lives_in", "knows"), (0, 0), (1, 0), (2, 3), (2, 2))
+    kg = KnowledgeGraph(schema, ("ann", "bob", "eve", "oslo", "rome"), np.array([0, 0, 0, 1, 1]),
+                        np.array([[0, 0, 3], [1, 0, 4], [2, 0, 3], [0, 1, 1], [1, 1, 2]]),
+                        np.zeros(5, dtype=np.int8))
+    original = init_for_kg(ModelConfig(variant="shvt", sections=2), kg, seed=0)
+    arrays = (original.sections.X, original.sheaf.RH, original.sheaf.RT, original.sheaf.T)
+    before = [a.tobytes() for a in arrays]
+    trained, _ = train(kg, TrainConfig(epochs=3, batch_size=2, optimizer="sgd", seed=1), original.copy())
+    assert [a.tobytes() for a in arrays] == before
+    sheaf, sections = trained.sheaf, trained.sections
+    assert not np.array_equal(sections.X, original.sections.X)
+    owned = [(sheaf.head_maps, sheaf.RH), (sheaf.tail_maps, sheaf.RT), (sheaf.translations, sheaf.T),
+             ([sections.block(i) for i in range(kg.n_entities)], sections.X)]
+    for views, array in owned:
+        assert all(view.base is array for view in views)
+        assert not any(np.shares_memory(view, a) for view in views for a in arrays)
 
 
 class TestScoring:

@@ -503,6 +503,11 @@ class TestPsdPinv:
     def test_zero_matrix(self):
         np.testing.assert_array_equal(psd_pinv(np.zeros((3, 3))), np.zeros((3, 3)))
 
+    @pytest.mark.parametrize("shape", [(0, 0), (3, 0, 0)])
+    def test_empty_input_gives_an_empty_array_of_its_shape(self, shape):
+        got = psd_pinv(np.zeros(shape))
+        assert got.shape == shape and got.dtype == np.float64
+
     def test_stack_cuts_off_each_matrix_by_its_own_largest_eigenvalue(self, rng):
         # a cutoff taken from the whole stack's largest eigenvalue (1e12 here)
         # would zero every eigenvalue of the rank-deficient slice

@@ -646,9 +646,10 @@ class TestPaddedLayout:
         )
         gX, gRH, gRT = (np.zeros_like(a) for a in (state.X, state.RH, state.RT))
         gT = None if state.T is None else np.zeros_like(state.T)
+        every = np.ones(schema.n_relations, dtype=bool)  # every map gets its gradient
         loss, n_active = _kernels.margin_grads(
             state.X, state.RH, state.RT, state.T, neg, pos, gamma,
-            gX, gRH, gRT, gT,
+            gX, gRH, gRT, gT, every, every, False,
         )
 
         ref_x = [np.zeros_like(b) for b in section_blocks(sections)]
