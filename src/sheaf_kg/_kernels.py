@@ -37,7 +37,7 @@ def active_backend() -> str:
     return "numpy"
 
 
-def _scores(X, RH, RT, T, h, r, t, identity=False):
+def _scores(X, RH, RT, T, h, r, t, identity):
     if identity:
         diff = X[h] - X[t]
     else:

@@ -1,12 +1,15 @@
 """Checkpoint persistence: a text manifest plus one binary tensor file.
 
 A checkpoint with prefix ``P`` consists of ``P.manifest`` (UTF-8 ``key=value``
-lines of format v2: variant, section count, seed, the schema with constraint
-tags, and the interning tables, all read off the parameters, so each fact is
-recorded once) and ``P.tensors`` (little-endian float64 tensors in manifest
-order: entities by index, then head/tail maps per relation, then translations;
-each tensor is prefixed by its rank and shape as little-endian uint64). Round
-trips are bit-exact.
+lines of format v2: format, variant, section count and seed, then sections of
+the entity types, the relations with their constraint tags, and the entities,
+all read off the parameters, so each fact is recorded once) and ``P.tensors``
+(little-endian float64 tensors in manifest order: entities by index, then
+head/tail maps per relation, then translations; each tensor is prefixed by its
+rank and shape as little-endian uint64). Round trips are bit-exact.
+
+Each manifest section is a count line, then that many records of fixed keys,
+one ``key=value`` line per key in a fixed order.
 
 Entity tensors are written and read one run of same-shaped entities at a
 time, as one ``(entities, 1 + rank + size)`` array of 8-byte words; a run's
@@ -16,6 +19,7 @@ headers are checked against the manifest in one comparison.
 from __future__ import annotations
 
 import io
+import itertools
 import math
 from pathlib import Path
 
@@ -101,30 +105,27 @@ class _TensorFile:
             raise CheckpointError(f"{self.path}: trailing bytes after the last tensor")
 
 
+def _records(count_key: str, **columns) -> list[str]:
+    """A manifest section: ``count_key=n``, then per record one ``key=value`` line per column."""
+    lines = [[f"{key}={value}" for value in values] for key, values in columns.items()]
+    return [f"{count_key}={len(lines[0])}", *itertools.chain.from_iterable(zip(*lines))]
+
+
 def _manifest_lines(model: Model) -> list[str]:
-    schema = model.schema
-    lines = [
+    schema, type_names = model.schema, model.schema.entity_types
+    return [
         f"format={FORMAT}",
         f"variant={model.sheaf.variant}",
         f"sections={model.sections.columns}",
         f"seed={model.seed}",
-        f"n_entity_types={schema.n_entity_types}",
+        *_records("n_entity_types", entity_type=type_names, vertex_dim=schema.vertex_dim),
+        *_records("n_relations", relation=schema.relation_types,
+                  head_type=[type_names[i] for i in schema.head_type],
+                  tail_type=[type_names[i] for i in schema.tail_type],
+                  edge_dim=schema.edge_dim, constraint=model.sheaf.constraints),
+        *_records("n_entities", entity=model.entities,
+                  entity_type_of=[type_names[i] for i in model.entity_type.tolist()]),
     ]
-    for name, dim in zip(schema.entity_types, schema.vertex_dim):
-        lines.append(f"entity_type={name}")
-        lines.append(f"vertex_dim={dim}")
-    lines.append(f"n_relations={schema.n_relations}")
-    for r, name in enumerate(schema.relation_types):
-        lines.append(f"relation={name}")
-        lines.append(f"head_type={schema.entity_types[schema.head_type[r]]}")
-        lines.append(f"tail_type={schema.entity_types[schema.tail_type[r]]}")
-        lines.append(f"edge_dim={schema.edge_dim[r]}")
-        lines.append(f"constraint={model.sheaf.constraints[r]}")
-    lines.append(f"n_entities={model.n_entities}")
-    for name, type_idx in zip(model.entities, model.entity_type):
-        lines.append(f"entity={name}")
-        lines.append(f"entity_type_of={schema.entity_types[int(type_idx)]}")
-    return lines
 
 
 class _ManifestReader:
@@ -147,20 +148,22 @@ class _ManifestReader:
         except (ValueError, KeyError):
             raise CheckpointError(f"{self.path}: invalid {key}={value!r}") from None
 
+    def records(self, count_key: str, **parsers) -> list[list]:
+        """A section written by ``_records``: one list per key, of each record's parsed value."""
+        count = self.take(count_key, int)
+        if count < 0:
+            raise CheckpointError(f"{self.path}: invalid {count_key}={count}")
+        fields = [([], key, parse) for key, parse in parsers.items()]
+        for _ in range(count):
+            for column, key, parse in fields:
+                column.append(self.take(key, parse))
+        return [column for column, _, _ in fields]
+
     def done(self) -> None:
         if self.pos != len(self.lines):
             raise CheckpointError(
                 f"{self.path}: trailing manifest content at line {self.lines[self.pos][0]}"
             )
-
-
-def _one_of(choices):
-    def parse(value: str) -> str:
-        if value not in choices:
-            raise ValueError(value)
-        return value
-
-    return parse
 
 
 def save_model(model: Model, prefix) -> None:
@@ -176,9 +179,8 @@ def save_model(model: Model, prefix) -> None:
     for r in range(model.schema.n_relations):
         _write_tensors(buf, model.sheaf.head_maps[r][None])
         _write_tensors(buf, model.sheaf.tail_maps[r][None])
-    if model.sheaf.translations is not None:
-        for t in model.sheaf.translations:
-            _write_tensors(buf, t[None])
+    for t in model.sheaf.translations or ():
+        _write_tensors(buf, t[None])
     tensor_path(prefix).write_bytes(buf.getvalue())
 
 
@@ -200,33 +202,18 @@ def _read_model(mpath: Path, tpath: Path) -> Model:
     fmt = reader.take("format")
     if fmt != FORMAT:
         raise CheckpointError(f"{mpath}: unsupported format {fmt!r}")
-    variant = reader.take("variant", _one_of(VARIANTS))
+    variant = reader.take("variant", dict(zip(VARIANTS, VARIANTS)).__getitem__)
     sections = reader.take("sections", int)
     if sections < 1:  # tensor reads take every dim to be >= 1, as the schema's are
         raise CheckpointError(f"{mpath}: invalid sections={sections}")
     seed = reader.take("seed", int)
-
-    n_types = reader.take("n_entity_types", int)
-    type_names, vertex_dims = [], []
-    for _ in range(n_types):
-        type_names.append(reader.take("entity_type"))
-        vertex_dims.append(reader.take("vertex_dim", int))
+    type_names, vertex_dims = reader.records("n_entity_types", entity_type=str, vertex_dim=int)
     type_idx = {name: i for i, name in enumerate(type_names)}.__getitem__
-
-    n_relations = reader.take("n_relations", int)
-    rel_names, head_types, tail_types, edge_dims, constraints = [], [], [], [], []
-    for _ in range(n_relations):
-        rel_names.append(reader.take("relation"))
-        head_types.append(reader.take("head_type", type_idx))
-        tail_types.append(reader.take("tail_type", type_idx))
-        edge_dims.append(reader.take("edge_dim", int))
-        constraints.append(reader.take("constraint", _one_of(CONSTRAINTS)))
-
-    n_entities = reader.take("n_entities", int)
-    entity_names, entity_types = [], []
-    for _ in range(n_entities):
-        entity_names.append(reader.take("entity"))
-        entity_types.append(reader.take("entity_type_of", type_idx))
+    rel_names, head_types, tail_types, edge_dims, constraints = reader.records(
+        "n_relations", relation=str, head_type=type_idx, tail_type=type_idx, edge_dim=int,
+        constraint=dict(zip(CONSTRAINTS, CONSTRAINTS)).__getitem__,
+    )
+    entity_names, entity_types = reader.records("n_entities", entity=str, entity_type_of=type_idx)
     reader.done()
 
     try:
@@ -242,24 +229,22 @@ def _read_model(mpath: Path, tpath: Path) -> Model:
                             (vertex_dims[entity_types[a]], sections)))
         for a, b in equal_runs(types)
     ]
-    head_maps, tail_maps = [], []
-    for r in range(n_relations):
-        head_shape = (edge_dims[r], vertex_dims[head_types[r]])
-        tail_shape = (edge_dims[r], vertex_dims[tail_types[r]])
-        head_maps.append(tensors.read([f"relation tensor {r} head"], head_shape)[0])
-        tail_maps.append(tensors.read([f"relation tensor {r} tail"], tail_shape)[0])
+    maps = {"head": [], "tail": []}
+    for r in range(schema.n_relations):
+        for side, dim in (("head", schema.head_dim(r)), ("tail", schema.tail_dim(r))):
+            maps[side].append(tensors.read([f"relation tensor {r} {side}"], (edge_dims[r], dim))[0])
     translations = None
     if variant == "shvt":
         translations = [
             tensors.read([f"translation tensor {r}"], (edge_dims[r], sections))[0]
-            for r in range(n_relations)
+            for r in range(schema.n_relations)
         ]
     tensors.done()
 
     # arrays pad to the widest vertex_dim, which no header checks if no entity or relation has it
     try:
-        sheaf = KnowledgeSheaf(schema, head_maps, tail_maps, tuple(constraints), translations)
-        X = np.zeros((n_entities, max(vertex_dims), sections))
+        sheaf = KnowledgeSheaf(schema, maps["head"], maps["tail"], tuple(constraints), translations)
+        X = np.zeros((len(entity_names), max(vertex_dims), sections))
     except (MemoryError, ValueError):  # numpy: too large to allocate, or to address
         raise CheckpointError(f"{mpath}: arrays padded to vertex_dim {max(vertex_dims)} "
                               "cannot be allocated") from None

@@ -58,8 +58,8 @@ def _parse_seeds(text: str) -> list[int]:
         seeds = [int(s) for s in text.split(",") if s.strip() != ""]
     except ValueError:
         seeds = []
-    if not seeds or min(seeds) < 0:
-        raise click.UsageError(f"--seeds must be comma-separated integers >= 0, got {text!r}")
+    if not seeds or min(seeds) < 0 or len(set(seeds)) < len(seeds):
+        raise click.UsageError(f"--seeds must be comma-separated distinct integers >= 0, got {text!r}")
     return seeds
 
 

@@ -38,7 +38,7 @@ logger = logging.getLogger(__name__)
 
 OPTIMIZERS = ("sgd", "adagrad")
 ADAGRAD_EPS = 1e-10
-LOSS_BLOWUP = 1e4  # an epoch mean loss over this multiple aborts training (see ``train``)
+LOSS_BLOWUP = 1e4  # a batch's mean pair loss over this multiple aborts training (see ``train``)
 
 
 @dataclass
@@ -277,16 +277,16 @@ def train(kg: KnowledgeGraph, config: TrainConfig, model: Model) -> tuple[Model,
     identity, none is multiplied (TransE, see ``_kernels``).
 
     A diverging run raises :class:`TrainingAbortError` naming the epoch, on
-    a numpy overflow or invalid operation in a batch's step and
-    ``max_entity_norm`` cap (one ``np.errstate`` scope, which also holds the
-    non-finite loss check) or in the epoch's orthogonality penalty, or on an
-    epoch mean loss over ``LOSS_BLOWUP`` (1e4) times the larger of the first
-    epoch's and the margin. Every abort blames the relation of largest mean
-    training score where training stopped, a NaN mean first. Projected maps
-    stay bounded, so diverging sections can keep the loss finite for tens of
-    epochs; scores are quadratic, so 1e4 means sections about 100 times
-    their first scale, which no run that learns reaches. The checks change
-    no other run.
+    a numpy overflow or invalid operation in the epoch's orthogonality penalty
+    or in a batch's step and ``max_entity_norm`` cap, or on a batch mean pair
+    loss that is non-finite or over ``LOSS_BLOWUP`` (1e4) times the larger of
+    the margin and the first batch's, taken before any step. A batch's checks
+    share one ``np.errstate`` scope and name the batch. Every abort blames
+    the relation of largest mean training score where training stopped, a
+    NaN mean first. Projected maps stay bounded, so diverging sections can
+    keep the loss finite for tens of epochs; scores are quadratic, so 1e4
+    means sections about 100 times their first scale, which no run that
+    learns reaches. The checks change no other run.
 
     Each batch of B positives gets its B*k negatives from one
     ``sample_negatives`` call, and the kernel scores each positive once.
@@ -305,6 +305,7 @@ def train(kg: KnowledgeGraph, config: TrainConfig, model: Model) -> tuple[Model,
     report = TrainReport()
     start = time.perf_counter()
     n = len(triples)
+    limit = None  # LOSS_BLOWUP times the reference, set by the first batch
     with _each_message_once(model_logger):
         for epoch in range(config.epochs):
             perm = shuffle_rng.permutation(n)
@@ -317,6 +318,13 @@ def train(kg: KnowledgeGraph, config: TrainConfig, model: Model) -> tuple[Model,
                     loss, n_active = state.step(pos, neg, config)
                     if not np.isfinite(loss):
                         raise TrainingAbortError(epoch, batch_no, _worst_relation(model, kg))
+                    if limit is None:
+                        limit = LOSS_BLOWUP * max(loss / len(neg), config.margin)
+                    if loss / len(neg) > limit:
+                        raise TrainingAbortError(epoch, batch_no, _worst_relation(model, kg), (
+                            f"mean pair loss {loss / len(neg):.3g} is over {LOSS_BLOWUP:g} times"
+                            " the first batch's"
+                        ))
                     if config.max_entity_norm is not None:
                         state.cap_entity_norms(config.max_entity_norm)
                 epoch_loss += loss
@@ -326,12 +334,6 @@ def train(kg: KnowledgeGraph, config: TrainConfig, model: Model) -> tuple[Model,
             report.epoch_active_fraction.append(n_active_pairs / n_pairs)
             with _abort_on_overflow(model, kg, epoch):
                 report.epoch_orthogonality.append(orthogonality_penalty(model.sections))
-            limit = LOSS_BLOWUP * max(report.epoch_mean_loss[0], config.margin)
-            if report.epoch_mean_loss[-1] > limit:
-                raise TrainingAbortError(epoch, None, _worst_relation(model, kg), (
-                    f"mean loss {report.epoch_mean_loss[-1]:.3g} is over {LOSS_BLOWUP:g} times"
-                    " the first epoch's"
-                ))
     report.wall_time = time.perf_counter() - start
     report.relation_discrepancy = relation_discrepancy(model.sheaf, model.sections, kg)
     logger.info(

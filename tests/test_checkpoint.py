@@ -1,5 +1,6 @@
 """Corrupt checkpoints end in a ``SheafKGError``, never in another exception."""
 
+import hashlib
 import io
 import math
 import tempfile
@@ -11,10 +12,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sheaf_kg.checkpoint import MAGIC, load_model, manifest_path, save_model, tensor_path
-from sheaf_kg.errors import CheckpointError, SheafKGError
+from sheaf_kg.checkpoint import (
+    FORMAT, MAGIC, _manifest_lines, _ManifestReader, load_model, manifest_path, save_model, tensor_path,
+)
+from sheaf_kg.errors import CheckpointError, ConfigError, SheafKGError
 from sheaf_kg.kgdata import Schema
-from sheaf_kg.model import Model, ModelConfig, init_model
+from sheaf_kg.model import (
+    CONSTRAINTS, KnowledgeSheaf, Model, ModelConfig, SectionMatrix, _check_dims, init_model,
+)
 
 # the first tensor's header: rank, then its first dimension
 FIRST_DIM = slice(len(MAGIC) + 8, len(MAGIC) + 16)
@@ -415,3 +420,194 @@ def test_corrupt_manifest_schema_is_checkpoint_error(tmp_path, saved, old, new, 
     write(tmp_path / "ck", manifest.replace(old, new), tensors)
     with pytest.raises(CheckpointError, match=f"^{manifest_path(tmp_path / 'ck')}: {message}$"):
         load_model(tmp_path / "ck")
+
+
+def oracle_manifest_lines(model: Model) -> list[str]:
+    """``checkpoint._manifest_lines`` as written before its sections shared one record writer."""
+    schema = model.schema
+    lines = [
+        f"format={FORMAT}",
+        f"variant={model.sheaf.variant}",
+        f"sections={model.sections.columns}",
+        f"seed={model.seed}",
+        f"n_entity_types={schema.n_entity_types}",
+    ]
+    for name, dim in zip(schema.entity_types, schema.vertex_dim):
+        lines.append(f"entity_type={name}")
+        lines.append(f"vertex_dim={dim}")
+    lines.append(f"n_relations={schema.n_relations}")
+    for r, name in enumerate(schema.relation_types):
+        lines.append(f"relation={name}")
+        lines.append(f"head_type={schema.entity_types[schema.head_type[r]]}")
+        lines.append(f"tail_type={schema.entity_types[schema.tail_type[r]]}")
+        lines.append(f"edge_dim={schema.edge_dim[r]}")
+        lines.append(f"constraint={model.sheaf.constraints[r]}")
+    lines.append(f"n_entities={model.n_entities}")
+    for name, type_idx in zip(model.entities, model.entity_type):
+        lines.append(f"entity={name}")
+        lines.append(f"entity_type_of={schema.entity_types[int(type_idx)]}")
+    return lines
+
+
+def oracle_one_of(choices):
+    def parse(value: str) -> str:
+        if value not in choices:
+            raise ValueError(value)
+        return value
+
+    return parse
+
+
+def oracle_sections(path) -> dict:
+    """The three manifest sections as ``checkpoint._read_model``'s own loops once read them."""
+    reader = _ManifestReader(path)
+    for key in ("format", "variant", "sections", "seed"):
+        reader.take(key)
+    n_types = reader.take("n_entity_types", int)
+    type_names, vertex_dims = [], []
+    for _ in range(n_types):
+        type_names.append(reader.take("entity_type"))
+        vertex_dims.append(reader.take("vertex_dim", int))
+    type_idx = {name: i for i, name in enumerate(type_names)}.__getitem__
+
+    n_relations = reader.take("n_relations", int)
+    rel_names, head_types, tail_types, edge_dims, constraints = [], [], [], [], []
+    for _ in range(n_relations):
+        rel_names.append(reader.take("relation"))
+        head_types.append(reader.take("head_type", type_idx))
+        tail_types.append(reader.take("tail_type", type_idx))
+        edge_dims.append(reader.take("edge_dim", int))
+        constraints.append(reader.take("constraint", oracle_one_of(CONSTRAINTS)))
+
+    n_entities = reader.take("n_entities", int)
+    entity_names, entity_types = [], []
+    for _ in range(n_entities):
+        entity_names.append(reader.take("entity"))
+        entity_types.append(reader.take("entity_type_of", type_idx))
+    reader.done()
+    return dict(type_names=type_names, vertex_dims=vertex_dims, rel_names=rel_names,
+                head_types=head_types, tail_types=tail_types, edge_dims=edge_dims,
+                constraints=constraints, entity_names=entity_names, entity_types=entity_types)
+
+
+def model_sections(model: Model) -> dict:
+    """``oracle_sections``' fields read off a model."""
+    s = model.schema
+    return dict(type_names=list(s.entity_types), vertex_dims=list(s.vertex_dim),
+                rel_names=list(s.relation_types), head_types=list(s.head_type),
+                tail_types=list(s.tail_type), edge_dims=list(s.edge_dim),
+                constraints=list(model.sheaf.constraints), entity_names=list(model.entities),
+                entity_types=model.entity_type.tolist())
+
+
+def admits(schema: Schema, r: int, kind: str) -> bool:
+    try:
+        _check_dims(schema, r, kind)
+    except ConfigError:
+        return False
+    return True
+
+
+# names with "=", a space and a non-ASCII letter: a value is everything after the first "="
+NAMES = st.text(alphabet="ab=é 0", min_size=1, max_size=3)
+
+
+@st.composite
+def ragged_models(draw):
+    """A model on a drawn ragged schema: 1-3 types, 0-3 relations, 1-8 entities, every tag its dims admit."""
+    n_types, n_rel = draw(st.integers(1, 3)), draw(st.integers(0, 3))
+    schema = Schema(
+        entity_types=tuple(draw(st.lists(NAMES, min_size=n_types, max_size=n_types, unique=True))),
+        relation_types=tuple(draw(st.lists(NAMES, min_size=n_rel, max_size=n_rel, unique=True))),
+        head_type=tuple(draw(st.lists(st.integers(0, n_types - 1), min_size=n_rel, max_size=n_rel))),
+        tail_type=tuple(draw(st.lists(st.integers(0, n_types - 1), min_size=n_rel, max_size=n_rel))),
+        vertex_dim=tuple(draw(st.lists(st.integers(1, 4), min_size=n_types, max_size=n_types))),
+        edge_dim=tuple(draw(st.lists(st.integers(1, 4), min_size=n_rel, max_size=n_rel))),
+    )
+    overrides = {
+        name: draw(st.sampled_from([k for k in CONSTRAINTS if admits(schema, r, k)]))
+        for r, name in enumerate(schema.relation_types)
+    }
+    entity_type = np.array(draw(st.lists(st.integers(0, n_types - 1), min_size=1, max_size=8)),
+                           dtype=np.int64)
+    cfg = ModelConfig(variant=draw(st.sampled_from(["shv", "shvt"])), sections=draw(st.integers(1, 2)),
+                      constraint_overrides=overrides)
+    sheaf, sections = init_model(cfg, schema, entity_type, seed=draw(st.integers(0, 99)))
+    names = tuple(draw(st.lists(NAMES, min_size=len(entity_type), max_size=len(entity_type), unique=True)))
+    return Model(schema, names, entity_type, sheaf, sections, seed=draw(st.integers(0, 2**32)))
+
+
+def no_relation_model() -> Model:
+    schema = Schema(entity_types=("a", "b"), relation_types=(), head_type=(), tail_type=(),
+                    vertex_dim=(2, 3), edge_dim=())
+    entity_type = np.array([0, 1, 1], dtype=np.int64)
+    sheaf, sections = init_model(ModelConfig(variant="shvt"), schema, entity_type, seed=0)
+    return Model(schema, ("x", "y", "z"), entity_type, sheaf, sections)
+
+
+def check_manifest_against_oracles(model: Model) -> None:
+    assert _manifest_lines(model) == oracle_manifest_lines(model)
+    with tempfile.TemporaryDirectory() as tmp:
+        prefix = Path(tmp) / "ck"
+        save_model(model, prefix)
+        expected = oracle_sections(manifest_path(prefix))
+        loaded = load_model(prefix)
+    assert model_sections(loaded) == expected == model_sections(model)
+    assert loaded.sheaf.variant == model.sheaf.variant and loaded.seed == model.seed
+
+
+@given(model=ragged_models())
+@settings(max_examples=60, deadline=None)
+def test_manifest_sections_match_the_per_section_oracles(model):
+    check_manifest_against_oracles(model)
+
+
+def test_a_model_without_relations_matches_the_oracles():
+    check_manifest_against_oracles(no_relation_model())
+
+
+@pytest.mark.parametrize("key", ["n_entity_types", "n_relations", "n_entities"])
+def test_negative_section_count_is_checkpoint_error(tmp_path, key):
+    # the records after the count are dropped, so a negative count is the only fault
+    model = no_relation_model()
+    model = Model(model.schema, (), np.zeros(0, dtype=np.int64), model.sheaf,
+                  SectionMatrix.from_padded(np.zeros((0, 3, 1)), np.zeros(0, dtype=np.int64)))
+    save_model(model, tmp_path / "ck")
+    manifest = manifest_path(tmp_path / "ck").read_text(encoding="utf-8")
+    if key == "n_entity_types":
+        manifest = manifest.split(f"{key}=")[0] + f"{key}=-1\nn_relations=0\nn_entities=0\n"
+    else:
+        assert f"{key}=0\n" in manifest
+        manifest = manifest.replace(f"{key}=0\n", f"{key}=-1\n")
+    manifest_path(tmp_path / "ck").write_text(manifest, encoding="utf-8")
+    with pytest.raises(CheckpointError, match=f"^{manifest_path(tmp_path / 'ck')}: invalid {key}=-1$"):
+        load_model(tmp_path / "ck")
+
+
+def pinned_model() -> Model:
+    """A ragged shvt model built from fixed arrays, so that its checkpoint's bytes depend on the format only."""
+    schema = Schema(entity_types=("a", "b"), relation_types=("ab", "bb"), head_type=(0, 1),
+                    tail_type=(1, 1), vertex_dim=(2, 3), edge_dim=(2, 3))
+    entity_type = np.array([0, 1, 1, 0, 1], dtype=np.int64)
+    dims = np.array([2, 3], dtype=np.int64)[entity_type]
+    X = np.zeros((5, 3, 2))
+    for i, d in enumerate(dims):
+        X[i, :d] = np.arange(2 * d).reshape(d, 2) / 8 - i
+    X[0, 0, 0] = -0.0
+    heads = [np.arange(4.0).reshape(2, 2) / 4, np.eye(3)]
+    tails = [np.arange(6.0).reshape(2, 3) / -16, np.eye(3)]
+    translations = [np.array([[0.5, -0.25], [1.0, 2.0]]), np.arange(6.0).reshape(3, 2) / 32]
+    sheaf = KnowledgeSheaf(schema, heads, tails, ("free", "identity"), translations)
+    return Model(schema, ("e0", "e1", "e2", "e3", "e4"), entity_type, sheaf,
+                 SectionMatrix.from_padded(X, dims), seed=7)
+
+
+# SHA-256 of pinned_model()'s .manifest and .tensors under format v2
+PINNED_MANIFEST = "ecc498b73962509b3cb76d7daabb63fff2661fb38e98e3dd817c5a5854861a53"
+PINNED_TENSORS = "950fdf7c54ba8036d1de2b174653596b6c7da8bdf737c414befcc471527e8efa"
+
+
+def test_format_v2_bytes_are_pinned(tmp_path):
+    save_model(pinned_model(), tmp_path / "ck")
+    assert hashlib.sha256(manifest_path(tmp_path / "ck").read_bytes()).hexdigest() == PINNED_MANIFEST
+    assert hashlib.sha256(tensor_path(tmp_path / "ck").read_bytes()).hexdigest() == PINNED_TENSORS

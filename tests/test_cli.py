@@ -157,6 +157,20 @@ class TestTrain:
         assert "--max-entity-norm" in res.output
         assert not (tmp_path / "o").exists()
 
+    # TestDivergence's planted run at learning rate 1.0, one epoch long
+    @pytest.mark.parametrize("constraint", ["identity", "orthogonal"])
+    def test_first_epoch_divergence_exits_1_without_checkpoint(self, runner, tmp_path, constraint):
+        assert run_cli(runner, ["synth", "--variant", "shv", "--out", str(tmp_path / "d")]).exit_code == 0
+        res = run_cli(runner, [
+            "train", "--train", str(tmp_path / "d" / "train.tsv"), "--constraint", constraint,
+            "--optimizer", "sgd", "--learning-rate", "1.0", "--batch-size", "64", "--negatives", "4",
+            "--epochs", "1", "--out", str(tmp_path / "o"),
+        ])
+        assert res.exit_code == 1, res.output
+        assert "error: training diverged at epoch 0, batch" in res.output
+        assert "times the first batch's" in res.output
+        assert not (tmp_path / "o").exists()
+
     def test_one_checkpoint_per_seed(self, workspace):
         ckpt = workspace / "ckpt"
         for seed in (1, 2):
@@ -291,8 +305,9 @@ class TestTrain:
         assert "error: seed must be >= 0, got -3" in res.output
         assert not (tmp_path / "o").exists()
 
-    # a negative seed once ended in numpy's ValueError, after the seeds before it had trained
-    @pytest.mark.parametrize("seeds", ["", ",", "1,x", "-1", "1,-1"])
+    # a negative seed once ended in numpy's ValueError, after the seeds before it had trained;
+    # a repeated seed once trained twice and wrote its checkpoint and report line twice
+    @pytest.mark.parametrize("seeds", ["", ",", "1,x", "-1", "1,-1", "1,1", "2,1,2"])
     def test_bad_seed_list_exits_2(self, runner, tmp_path, seeds):
         (tmp_path / "t.tsv").write_text("a\tr\tb\n", encoding="utf-8")
         res = runner.invoke(main, [

@@ -404,7 +404,7 @@ class TestScores:
         h = rng.integers(0, 8, B)
         r = rng.integers(0, 2, B)
         t = rng.integers(0, 8, B)
-        stacked = _kernels._scores(X, RH, RT, T, h, r, t)[0]
+        stacked = _kernels._scores(X, RH, RT, T, h, r, t, False)[0]
         # reference: the per-triple scoring functions on unstacked parameters
         schema = default_schema(2, 4, 3)
         cfg = ModelConfig(

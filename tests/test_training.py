@@ -562,7 +562,7 @@ class TestTrain:
                             negatives_per_positive=12, max_entity_norm=2.0, seed=0),
                 model,
             )
-        assert (err.value.epoch, err.value.batch) == (1, None)
+        assert (err.value.epoch, err.value.batch) == (0, 7)
         assert err.value.relation in ds.kg.schema.relation_types
         assert "max_entity_norm" in str(err.value)
 
@@ -808,26 +808,36 @@ class TestDivergence:
     """Runs that diverge abort; the planted set-up is one that projected maps used to survive."""
 
     @staticmethod
-    def diverging_run(constraint, learning_rate, **overrides):
+    def diverging_run(constraint, learning_rate, epochs=20, **overrides):
         ds = generate_planted_kg(200, 5, 16, 0.0, seed=0, variant="shv")
         model = init_for_kg(ModelConfig(constraint=constraint), ds.kg, seed=0)
-        config = TrainConfig(epochs=20, batch_size=64, negatives_per_positive=4, optimizer="sgd",
+        config = TrainConfig(epochs=epochs, batch_size=64, negatives_per_positive=4, optimizer="sgd",
                              learning_rate=learning_rate, seed=0, **overrides)
         return ds.kg, config, model
 
-    @pytest.mark.parametrize("constraint", ["identity", "orthogonal"])
-    @pytest.mark.parametrize("learning_rate", [0.3, 1.0])
-    def test_projected_map_divergence_aborts(self, constraint, learning_rate):
-        kg, config, model = self.diverging_run(constraint, learning_rate)
+    # each run stops at the first batch whose mean pair loss is over 1e4 times the first's
+    @pytest.mark.parametrize("learning_rate, constraint, epochs, stop", [
+        pytest.param(0.3, "identity", 20, (0, 7), id="0.3-identity"),
+        pytest.param(0.3, "orthogonal", 20, (1, 0), id="0.3-orthogonal"),
+        pytest.param(1.0, "identity", 20, (0, 3), id="1.0-identity"),
+        pytest.param(1.0, "orthogonal", 20, (0, 3), id="1.0-orthogonal"),
+        pytest.param(1.0, "identity", 1, (0, 3), id="1.0-identity-one-epoch"),
+        pytest.param(1.0, "orthogonal", 1, (0, 3), id="1.0-orthogonal-one-epoch"),
+    ])
+    def test_projected_map_divergence_aborts(self, learning_rate, constraint, epochs, stop):
+        kg, config, model = self.diverging_run(constraint, learning_rate, epochs)
         with pytest.raises(TrainingAbortError) as err:
             train(kg, config, model)
-        assert (err.value.epoch, err.value.batch) == (1, None)
+        assert (err.value.epoch, err.value.batch) == stop
         assert err.value.relation in kg.schema.relation_types
         message = str(err.value)
-        assert "over 10000 times the first epoch's" in message
+        assert "over 10000 times the first batch's" in message
         assert "--max-entity-norm" in message and "lower learning rate" in message
 
-    def test_rank_deficient_projection_logged_once_per_call(self, caplog):
+    def test_rank_deficient_projection_logged_once_per_call(self, caplog, monkeypatch):
+        # the loss check stops this run at epoch 0, batch 3, before its first rank-deficient
+        # projection; without it the run goes on until its penalty overflows in epoch 12
+        monkeypatch.setattr("sheaf_kg.training.LOSS_BLOWUP", np.inf)
         with caplog.at_level(logging.WARNING, logger="sheaf_kg.model"):
             for _ in range(2):
                 with pytest.raises(TrainingAbortError):
@@ -873,7 +883,7 @@ class TestDivergence:
         "overflow in the step": ((0, 0), "overflow encountered"),
         "overflow in the penalty": ((0, None), "overflow encountered"),
         "cap overflow": ((5, 14), "overflow encountered"),
-        "loss blow-up": ((1, None), "over 10000 times the first epoch's"),
+        "loss blow-up": ((0, 7), "over 10000 times the first batch's"),
     }
 
     @pytest.mark.parametrize("kind", list(ABORTS))
