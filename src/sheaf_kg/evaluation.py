@@ -32,6 +32,7 @@ from .query import (
     answer_query,  # noqa: F401 -- part of this module's names: callers resolve it here
     entity_chaining_exact,
     naive_traversal_score,
+    check_finite,
 )
 
 logger = logging.getLogger(__name__)
@@ -238,34 +239,36 @@ def evaluate(model: Model, queries, method: str = "harmonic") -> MetricReport:
     filtered rank is a count of the non-answer candidates whose (value,
     entity index) pair sorts ahead of its own (``answer_ranks``, one call per
     block), so no candidate list is sorted. The baselines rank one query at
-    a time. Results are in query order whatever the grouping.
+    a time. Results are in query order whatever the grouping. A candidate
+    value that is not finite, for any method, is an ``EvaluationError``.
     """
     queries = list(queries)
     if not queries:
         raise EvaluationError("no queries to evaluate")
     if method not in METHODS:
         raise EvaluationError(f"unknown evaluation method {method!r}; valid: {METHODS}")
-    ranks_of: list = [None] * len(queries)
-    for members, candidates, values in _scored_groups(model, queries, method):
-        ranks = answer_ranks(candidates, values, [queries[i].answers for i in members])
-        for i, query_ranks in zip(members, ranks):
-            ranks_of[i] = query_ranks.tolist()
+    ranks_of: dict[int, np.ndarray] = {}  # by position in ``queries``
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite value is refused below
+        for members, candidates, values in _scored_groups(model, queries, method):
+            if not np.isfinite(values).all():  # name the first query with a non-finite value
+                for i, row in zip(members, values):
+                    check_finite(row, model, f"the {queries[i].structure} query", queries[i].relations)
+            ranks = answer_ranks(candidates, values, [queries[i].answers for i in members])
+            ranks_of.update(zip(members, ranks))
 
-    ranks_by_structure: dict[str, list[int]] = {}
-    count_by_structure: dict[str, int] = {}
-    for q, query_ranks in zip(queries, ranks_of):
-        count_by_structure[q.structure] = count_by_structure.get(q.structure, 0) + 1
-        ranks_by_structure.setdefault(q.structure, []).extend(query_ranks)
-    per_structure = {
-        tag: StructureMetrics(
+    ranks_by_structure: dict[str, list[np.ndarray]] = {}
+    for i, q in enumerate(queries):
+        ranks_by_structure.setdefault(q.structure, []).append(ranks_of[i])
+    per_structure = {}
+    for tag, query_ranks in ranks_by_structure.items():
+        ranks = np.concatenate(query_ranks)
+        per_structure[tag] = StructureMetrics(
             mrr=mrr(ranks),
             hits1=hits_at_k(ranks, 1),
             hits10=hits_at_k(ranks, 10),
             n_ranks=len(ranks),
-            n_queries=count_by_structure[tag],
+            n_queries=len(query_ranks),
         )
-        for tag, ranks in ranks_by_structure.items()
-    }
     return MetricReport(per_structure=per_structure)
 
 
@@ -274,18 +277,13 @@ def aggregate_reports(reports) -> dict[str, dict[str, tuple[float, float]]]:
     reports = list(reports)
     if not reports:
         raise EvaluationError("no reports to aggregate")
-    tags = sorted({tag for rep in reports for tag in rep.per_structure})
     out: dict[str, dict[str, tuple[float, float]]] = {}
-    for tag in tags:
-        metrics = {}
+    for tag in sorted({tag for rep in reports for tag in rep.per_structure}):
+        structures = [rep.per_structure[tag] for rep in reports if tag in rep.per_structure]
+        out[tag] = {}
         for name in ("mrr", "hits1", "hits10"):
-            vals = [
-                getattr(rep.per_structure[tag], name)
-                for rep in reports
-                if tag in rep.per_structure
-            ]
-            metrics[name] = (float(np.mean(vals)), float(np.std(vals)))
-        out[tag] = metrics
+            vals = [getattr(metrics, name) for metrics in structures]
+            out[tag][name] = (float(np.mean(vals)), float(np.std(vals)))
     return out
 
 

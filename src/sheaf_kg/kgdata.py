@@ -139,9 +139,8 @@ class KnowledgeGraph:
     split: np.ndarray  # (n_triples,) int8, codes per SPLITS order
 
     def __post_init__(self):
-        self.entity_type.setflags(write=False)
-        self.triples.setflags(write=False)
-        self.split.setflags(write=False)
+        for array in (self.entity_type, self.triples, self.split):
+            array.setflags(write=False)
         self.validate()
 
     def validate(self):
@@ -268,9 +267,7 @@ def _runs(keys: np.ndarray, n_entities: int) -> dict[int, tuple[int, ...]]:
 
 def build_index(kg: KnowledgeGraph, splits: tuple[str, ...] = SPLITS) -> TripleIndex:
     """Index the union of the requested splits for neighbor/membership queries."""
-    mask = np.zeros(len(kg.split), dtype=bool)
-    for s in splits:
-        mask |= kg.split_mask(s)
+    mask = np.isin(kg.split, [_SPLIT_CODE[s] for s in splits])
     rows, n, n_rel = kg.triples[mask], kg.n_entities, kg.schema.n_relations
     keys, first = np.unique(_triple_keys(rows, n, n_rel), return_index=True)
     return TripleIndex(rows[first], keys, n, n_rel)
@@ -321,17 +318,17 @@ def load_triples(
     vocab: VocabBuilder,
     type_labels: dict[str, str] | None = None,
 ) -> list[tuple[int, int, int]]:
-    """Parse one triple file, interning entities into ``vocab``.
+    """Parse one triple file, interning entities into ``vocab``; errors name ``path:line``.
 
     With a single-type schema unseen entities get that type; otherwise the
     sidecar ``type_labels`` mapping must cover them.
     """
-    def type_of(name: str, lineno: int) -> int:
+    def type_of(name: str) -> int:
         if schema.n_entity_types == 1:
             return 0
         if type_labels is None or name not in type_labels:
             raise ValidationError(
-                f"{path}:{lineno}: entity {name!r} needs a type label "
+                f"entity {name!r} needs a type label "
                 "(multi-type schema without sidecar entry)"
             )
         return schema.entity_type_index(type_labels[name])
@@ -340,15 +337,15 @@ def load_triples(
     for lineno, (head_name, rel_name, tail_name) in tsv_rows(path, 3):
         try:
             r = schema.relation_index(rel_name)
-        except SchemaError as exc:
-            raise SchemaError(f"{path}:{lineno}: {exc}") from None
-        h = vocab.intern(head_name, type_of(head_name, lineno))
-        t = vocab.intern(tail_name, type_of(tail_name, lineno))
-        if vocab.types[h] != schema.head_type[r] or vocab.types[t] != schema.tail_type[r]:
-            raise ValidationError(
-                f"{path}:{lineno}: triple ({head_name}, {rel_name}, {tail_name}) "
-                "violates the schema's head/tail typing"
-            )
+            h = vocab.intern(head_name, type_of(head_name))
+            t = vocab.intern(tail_name, type_of(tail_name))
+            if vocab.types[h] != schema.head_type[r] or vocab.types[t] != schema.tail_type[r]:
+                raise ValidationError(
+                    f"triple ({head_name}, {rel_name}, {tail_name}) "
+                    "violates the schema's head/tail typing"
+                )
+        except (SchemaError, ValidationError) as exc:
+            raise type(exc)(f"{path}:{lineno}: {exc}") from None
         triples.append((h, r, t))
     return triples
 
@@ -394,10 +391,9 @@ def load_dataset(
     vocab = VocabBuilder()
     fragments = {TRAIN: load_triples(train_path, schema, vocab, type_labels)}
     n_train_entities = len(vocab)
-    if valid_path:
-        fragments[VALID] = load_triples(valid_path, schema, vocab, type_labels)
-    if test_path:
-        fragments[TEST] = load_triples(test_path, schema, vocab, type_labels)
+    for split, path in ((VALID, valid_path), (TEST, test_path)):
+        if path:
+            fragments[split] = load_triples(path, schema, vocab, type_labels)
     if len(vocab) > n_train_entities:
         logger.warning(
             "%d entity(ies) first appear outside the training split",

@@ -22,12 +22,13 @@ type's stacked sections. ``answer_query`` is a chunk of one group, and its
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
 
-from .errors import BudgetExceededError, ConfigError, QueryError, SchemaError, as_id
+from .errors import BudgetExceededError, ConfigError, EvaluationError, QueryError, SchemaError, as_id
 from .kgdata import text_lines
 from .model import Model, KnowledgeSheaf, edge_residual
 from .sheaf import (
@@ -348,6 +349,14 @@ def answer_queries(queries, model: Model):
                 yield members[rows], candidates, form.values(row_groups[rows], y_a[rows])
 
 
+def check_finite(values: np.ndarray, model: Model, what: str, relations) -> None:
+    """An ``EvaluationError`` naming ``what``, a query on ``relations``, if a value is not finite."""
+    if not np.isfinite(values).all():
+        names = ", ".join(model.schema.relation_types[r] for r in relations)
+        raise EvaluationError(f"{what} on relations ({names}) has a non-finite candidate value: "
+                              "the model's parameters overflow or are not finite")
+
+
 def answer_query_graph(qg: QueryGraph, model: Model, anchor_entities) -> Ranking:
     """Rank all candidate entities of the target's type for a query graph.
 
@@ -356,12 +365,17 @@ def answer_query_graph(qg: QueryGraph, model: Model, anchor_entities) -> Ranking
     """
     y_a = _anchor_data(model, qg, anchor_entities)
     candidates, x = _type_sections(model, qg.vertex_types[qg.target_vertex])
-    values = _HarmonicForm([qg], model.sheaf, x).values(0, y_a[None])[0]
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite value is refused below
+        values = _HarmonicForm([qg], model.sheaf, x).values(0, y_a[None])[0]
+    check_finite(values, model, "the query", [r for _, r, _ in qg.edges])
     return ranking_from_scores(candidates, values)
 
 
 def answer_query(query: Query, model: Model) -> Ranking:
-    """Harmonic-extension answering for one of the seven template structures."""
+    """Harmonic-extension answering for one of the seven template structures.
+
+    A candidate value that is not finite is an ``EvaluationError``.
+    """
     qg = build_query_graph(query, model.schema)
     return answer_query_graph(qg, model, query.anchors)
 
@@ -406,9 +420,7 @@ def entity_chaining_exact(query: Query, model: Model, budget: int = 10**6) -> Ra
     sheaf = model.sheaf
     interior = qg.interior
     pools = [model.entities_of_type(qg.vertex_types[v]) for v in interior]
-    n_tuples = 1
-    for p in pools:
-        n_tuples *= len(p)
+    n_tuples = math.prod(len(p) for p in pools)
     if n_tuples > budget:
         raise BudgetExceededError(
             f"entity chaining needs {n_tuples} interior tuples, budget is {budget}"
@@ -443,30 +455,26 @@ def read_queries(path, entity_index: dict[str, int], schema) -> list[Query]:
     comma-separated relation names, comma-separated answer entity names (at
     least one). Every malformed line raises an error naming ``path:line``.
     """
+    def resolve_entity(name):
+        if name not in entity_index:
+            raise QueryError(f"unknown entity {name!r}")
+        return entity_index[name]
+
     queries = []
     for lineno, line in text_lines(path, QueryError):
-        parts = line.split("\t")
-        if len(parts) != 4:
-            raise QueryError(f"{path}:{lineno}: expected 4 tab-separated fields")
-        tag, anchor_s, rel_s, answer_s = parts
-
-        def resolve_entity(name):
-            if name not in entity_index:
-                raise QueryError(f"{path}:{lineno}: unknown entity {name!r}")
-            return entity_index[name]
-
-        anchors = tuple(resolve_entity(n) for n in anchor_s.split(",") if n)
         try:
+            parts = line.split("\t")
+            if len(parts) != 4:
+                raise QueryError("expected 4 tab-separated fields")
+            tag, anchor_s, rel_s, answer_s = parts
+            anchors = tuple(resolve_entity(n) for n in anchor_s.split(",") if n)
             relations = tuple(schema.relation_index(n) for n in rel_s.split(",") if n)
-        except SchemaError as exc:
-            raise SchemaError(f"{path}:{lineno}: {exc}") from None
-        answers = frozenset(resolve_entity(n) for n in answer_s.split(",") if n)
-        if not answers:
-            raise QueryError(f"{path}:{lineno}: no answer entities")
-        try:
+            answers = frozenset(resolve_entity(n) for n in answer_s.split(",") if n)
+            if not answers:
+                raise QueryError("no answer entities")
             queries.append(Query(tag, anchors, relations, answers))
-        except QueryError as exc:
-            raise QueryError(f"{path}:{lineno}: {exc}") from None
+        except (QueryError, SchemaError) as exc:
+            raise type(exc)(f"{path}:{lineno}: {exc}") from None
     if not queries:
         raise QueryError(f"{path}: no queries")
     return queries

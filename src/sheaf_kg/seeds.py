@@ -23,12 +23,9 @@ def substream(seed: int, name: str) -> np.random.Generator:
 
     The same (seed, name) pair always yields an identical stream; distinct
     names yield statistically independent streams. A seed that is not an
-    integer >= 0 is a ``ConfigError``.
+    integer >= 0 is a ``ConfigError``, and an unknown name a ``KeyError``.
     """
     if as_id(seed, ConfigError, "seed must be an integer") < 0:
         raise ConfigError(f"seed must be >= 0, got {seed}")
-    try:
-        key = _STREAM_IDS[name]
-    except KeyError:
-        raise KeyError(f"unknown random stream {name!r}; known: {sorted(_STREAM_IDS)}") from None
+    key = _STREAM_IDS[name]  # the package names every stream by a literal
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(key,)))

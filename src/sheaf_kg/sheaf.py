@@ -92,10 +92,8 @@ def _check_blocks(label: str, blocks, cell: str, dims: dict[int, int]) -> None:
 def coboundary(sheaf: SheafOnGraph, x) -> list[np.ndarray]:
     """Edgewise disagreement of a 0-cochain: block e = T_e x_tail - H_e x_head."""
     _check_blocks("0-cochain", x, "vertex", dict(enumerate(sheaf.vertex_dims)))
-    out = []
-    for e, (u, v) in enumerate(sheaf.edges):
-        out.append(sheaf.tail_maps[e] @ x[v] - sheaf.head_maps[e] @ x[u])
-    return out
+    return [sheaf.tail_maps[e] @ x[v] - sheaf.head_maps[e] @ x[u]
+            for e, (u, v) in enumerate(sheaf.edges)]
 
 
 def coboundary_transpose(sheaf: SheafOnGraph, b) -> list[np.ndarray]:
@@ -223,14 +221,6 @@ def _concat_blocks(blocks) -> np.ndarray:
     return np.concatenate([np.asarray(blk, dtype=float) for blk in blocks], axis=0)
 
 
-def _split_blocks(vec: np.ndarray, dims) -> list[np.ndarray]:
-    out, pos = [], 0
-    for d in dims:
-        out.append(vec[pos:pos + d])
-        pos += d
-    return out
-
-
 def _extend(lap: BlockLaplacian, boundary, boundary_values, g=None):
     """The harmonic extension, offset by ``pinv(L[U,U]) g_U`` when ``g = delta^T b`` is given."""
     b, interior = _boundary_partition(lap, boundary)
@@ -243,7 +233,8 @@ def _extend(lap: BlockLaplacian, boundary, boundary_values, g=None):
         g_b, g_u = g[lap.columns(b)], g[lap.columns(interior)]
         value -= 2.0 * (float(np.sum(g_b * y_b)) + float(np.sum(g_u * y_u)))
         y_u = y_u + pinv_uu @ g_u
-    return _split_blocks(y_u, [lap.vertex_dims[v] for v in interior]), value
+    dims = [lap.vertex_dims[v] for v in interior]
+    return np.split(y_u, np.cumsum(dims)[:-1])[:len(dims)], value
 
 
 def harmonic_extension(lap: BlockLaplacian, boundary, boundary_values):

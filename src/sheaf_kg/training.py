@@ -38,7 +38,7 @@ logger = logging.getLogger(__name__)
 
 OPTIMIZERS = ("sgd", "adagrad")
 ADAGRAD_EPS = 1e-10
-LOSS_BLOWUP = 1e4  # a batch's mean pair loss over this multiple aborts training (see ``train``)
+LOSS_BLOWUP = 1e3  # a batch's mean pair loss over this multiple aborts training (see ``train``)
 
 
 @dataclass
@@ -279,13 +279,13 @@ def train(kg: KnowledgeGraph, config: TrainConfig, model: Model) -> tuple[Model,
     A diverging run raises :class:`TrainingAbortError` naming the epoch, on
     a numpy overflow or invalid operation in the epoch's orthogonality penalty
     or in a batch's step and ``max_entity_norm`` cap, or on a batch mean pair
-    loss that is non-finite or over ``LOSS_BLOWUP`` (1e4) times the larger of
+    loss that is non-finite or over ``LOSS_BLOWUP`` (1e3) times the larger of
     the margin and the first batch's, taken before any step. A batch's checks
     share one ``np.errstate`` scope and name the batch. Every abort blames
     the relation of largest mean training score where training stopped, a
     NaN mean first. Projected maps stay bounded, so diverging sections can
-    keep the loss finite for tens of epochs; scores are quadratic, so 1e4
-    means sections about 100 times their first scale, which no run that
+    keep the loss finite for tens of epochs; scores are quadratic, so 1e3
+    means sections about 32 times their first scale, which no run that
     learns reaches. The checks change no other run.
 
     Each batch of B positives gets its B*k negatives from one

@@ -69,3 +69,26 @@ def lap_block(lap, rows, cols=None):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+def overflowing_checkpoint(prefix):
+    """A checkpoint that loads but whose harmonic values overflow, and the 1p query it fails.
+
+    Planted shv, 60 entities, d=4, seed 1. The query is the first easy 1p
+    query (anchor 3, relation 0, answer 0); the anchor's and the answer's
+    sections are set to 1e160, which is finite, so ``load_model`` accepts
+    them. Returns ``(loaded model, query, generated model)``.
+    """
+    from sheaf_kg.checkpoint import load_model, save_model
+    from sheaf_kg.evaluation import build_easy_queries
+    from sheaf_kg.kgdata import build_index
+    from sheaf_kg.synth import generate_planted_kg
+
+    ds = generate_planted_kg(60, 2, 4, 0.0, seed=1, variant="shv")
+    query = build_easy_queries(ds.kg, build_index(ds.kg), "1p", 5, np.random.default_rng(0))[0]
+    assert (query.anchors, query.relations, query.answers) == ((3,), (0,), frozenset({0}))
+    model = ds.generator.copy()
+    for entity in (3, 0):
+        model.sections.block(entity)[...] = 1e160
+    save_model(model, prefix)
+    return load_model(prefix), query, ds.generator

@@ -9,6 +9,7 @@ from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import overflowing_checkpoint
 from sheaf_kg.cli import main
 
 
@@ -573,7 +574,29 @@ class TestEval:
         assert "Traceback" not in res.output
 
 
+    def test_overflowing_checkpoint_exits_1(self, runner, tmp_path):
+        from sheaf_kg.query import write_queries
+
+        model, query, _ = overflowing_checkpoint(tmp_path / "m")
+        write_queries([query], tmp_path / "q.tsv", model.entities, model.schema.relation_types)
+        res = run_cli(runner, [
+            "eval", "--checkpoint", str(tmp_path / "m"), "--queries", str(tmp_path / "q.tsv"),
+        ])
+        assert res.exit_code == 1, res.output
+        assert "error: the 1p query on relations (r0) has a non-finite candidate value" in res.output
+        assert "MRR" not in res.output and "Traceback" not in res.output
+
+
 class TestQuery:
+    def test_overflowing_checkpoint_exits_1(self, runner, tmp_path):
+        model, query, _ = overflowing_checkpoint(tmp_path / "m")
+        res = run_cli(runner, [
+            "query", "--checkpoint", str(tmp_path / "m"), "--structure", "1p",
+            "--anchors", model.entities[query.anchors[0]], "--relations", "r0",
+        ])
+        assert res.exit_code == 1, res.output
+        assert "error: the query on relations (r0) has a non-finite candidate value" in res.output
+
     def test_top_k_output(self, runner, workspace):
         res = run_cli(runner, [
             "query", "--checkpoint", str(workspace / "ckpt" / "model_seed1"),

@@ -1,8 +1,11 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import overflowing_checkpoint
 from sheaf_kg.errors import EvaluationError, QueryError
 from sheaf_kg.evaluation import (
     _TEMPLATES,
@@ -20,7 +23,7 @@ from sheaf_kg.evaluation import (
 )
 from sheaf_kg.kgdata import TEST, TRAIN, VALID, KnowledgeGraph, Schema, build_index, default_schema
 from sheaf_kg.model import ModelConfig, init_for_kg
-from sheaf_kg.query import STRUCTURE_ARITY, STRUCTURES, Query, ranking_from_scores
+from sheaf_kg.query import STRUCTURE_ARITY, STRUCTURES, Query, answer_query, ranking_from_scores
 from sheaf_kg.seeds import substream
 from sheaf_kg.synth import generate_planted_kg
 
@@ -557,6 +560,48 @@ class TestEvaluate:
     def test_deterministic(self):
         model, queries = self._perfect_model_setup()
         assert evaluate(model, queries) == evaluate(model, queries)
+
+
+class TestNonFiniteValues:
+    """A candidate value that overflows, or comes from a NaN parameter, is an EvaluationError.
+
+    It used to rank the answer first in ``evaluate`` (MRR 1.0) and 59th of 60
+    in ``answer_query``, with only ``RuntimeWarning``s, which this suite turns
+    into errors: so these tests also show that no warning escapes.
+    """
+
+    MESSAGE = "on relations (r0) has a non-finite candidate value"
+
+    @pytest.mark.parametrize("method", ["harmonic", "chaining"])  # naive needs an shvt model
+    def test_overflowing_checkpoint_fails_evaluate(self, tmp_path, method):
+        model, query, _ = overflowing_checkpoint(tmp_path / "m")
+        with pytest.raises(EvaluationError, match=re.escape(f"the 1p query {self.MESSAGE}")):
+            evaluate(model, [query], method=method)
+
+    def test_overflowing_checkpoint_fails_answer_query(self, tmp_path):
+        model, query, _ = overflowing_checkpoint(tmp_path / "m")
+        with pytest.raises(EvaluationError, match=re.escape(f"the query {self.MESSAGE}")):
+            answer_query(query, model)
+
+    def test_nan_map_fails_evaluate_and_answer_query(self, tmp_path):
+        _, query, generator = overflowing_checkpoint(tmp_path / "m")
+        assert evaluate(generator, [query]).per_structure["1p"].mrr == 1.0
+        model = generator.copy()
+        model.sheaf.head_maps[0][0, 0] = np.nan
+        with pytest.raises(EvaluationError, match=re.escape(f"the 1p query {self.MESSAGE}")):
+            evaluate(model, [query])
+        with pytest.raises(EvaluationError, match=re.escape(f"the query {self.MESSAGE}")):
+            answer_query(query, model)
+
+    def test_the_error_names_the_failing_query_of_a_block(self, tmp_path):
+        # one chunk holds both relations' groups, so the block mixes good rows and bad ones
+        _, query, generator = overflowing_checkpoint(tmp_path / "m")
+        model = generator.copy()
+        model.sheaf.head_maps[0][0, 0] = np.nan
+        fine = Query("1p", query.anchors, (1,), frozenset(range(3)))
+        assert np.isfinite(answer_query(fine, model).values).all()
+        with pytest.raises(EvaluationError, match=re.escape(f"the 1p query {self.MESSAGE}")):
+            evaluate(model, [fine, fine, query, fine])
 
 
 class TestAggregation:

@@ -1,14 +1,17 @@
-"""No dead names in ``src/``.
+"""No dead names in ``src/``, and no builtin errors raised there.
 
 Every name a ``src/`` module imports is used in that module or marked
 ``# noqa: F401``, and every function, method or property it defines has a
-caller in ``src/``, ``tests/`` or ``benchmarks/``.
+caller in ``src/``, ``tests/`` or ``benchmarks/``. Every ``raise Name(...)``
+in ``src/`` names a ``SheafKGError`` subclass.
 """
 
 import ast
 from pathlib import Path
 
 import pytest
+
+from sheaf_kg import errors
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "sheaf_kg"
@@ -107,3 +110,42 @@ def test_every_definition_has_a_caller():
     dead = {path.name: dead_definitions(path.read_text(encoding="utf-8"), *read)
             for path in sorted(SRC.glob("*.py"))}
     assert {name: names for name, names in dead.items() if names} == {}
+
+
+def foreign_raises(source: str, own: set[str]) -> list[str]:
+    """``"<line>: <name>"`` for each ``raise Name(...)`` in ``source`` whose name is not in ``own``.
+
+    A name that is a parameter of the enclosing function is exempt: it is
+    the error class the caller passes in (``as_id``'s ``error``).
+    """
+    found = []
+
+    def visit(node, params):
+        if isinstance(node, ast.FunctionDef):
+            params = params | {a.arg for a in ast.walk(node.args) if isinstance(a, ast.arg)}
+        if (isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)
+                and isinstance(node.exc.func, ast.Name)
+                and node.exc.func.id not in own | params):
+            found.append(f"{node.lineno}: {node.exc.func.id}")
+        for child in ast.iter_child_nodes(node):
+            visit(child, params)
+
+    visit(ast.parse(source), frozenset())
+    return found
+
+
+OWN_ERRORS = {name for name, value in vars(errors).items()
+              if isinstance(value, type) and issubclass(value, errors.SheafKGError)}
+
+
+def test_the_check_finds_a_foreign_raise():
+    source = ("def f(error):\n    raise error('x')\n"
+              "def g(key):\n    if key:\n        raise KeyError(key)\n    raise QueryError('y')\n"
+              "raise type(e)('z')\n")
+    assert foreign_raises(source, {"QueryError"}) == ["5: KeyError"]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_src_raises_only_its_own_errors(path):
+    """Bad input must end in a ``SheafKGError`` (a builtin error would escape the CLI as a traceback)."""
+    assert foreign_raises(path.read_text(encoding="utf-8"), OWN_ERRORS) == []

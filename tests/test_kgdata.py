@@ -89,6 +89,35 @@ class TestLoadTriples:
         with pytest.raises(ValidationError):
             load_triples(path, schema, VocabBuilder(), None)
 
+    @pytest.mark.parametrize("line, labels, error, message", [
+        ("bob\thates\tparis", {}, SchemaError, "relation 'hates' absent from schema"),
+        ("bob\tlives_in\trome", {}, ValidationError,
+         "entity 'rome' needs a type label (multi-type schema without sidecar entry)"),
+        ("paris\tlives_in\tbob", {}, ValidationError,
+         "triple (paris, lives_in, bob) violates the schema's head/tail typing"),
+        ("carol\tlives_in\tparis", {}, ValidationError,
+         "entity 'carol' seen with conflicting types 1 and 0"),
+        ("bob\tlives_in\toslo", {"oslo": "country"}, SchemaError,
+         "entity type 'country' absent from schema"),
+    ], ids=["unknown-relation", "no-type-label", "typing", "conflicting-type", "unknown-type-name"])
+    def test_each_malformed_line_names_file_and_line(self, tmp_path, line, labels, error, message):
+        schema = Schema(
+            entity_types=("person", "city"),
+            relation_types=("lives_in",),
+            head_type=(0,),
+            tail_type=(1,),
+            vertex_dim=(4, 3),
+            edge_dim=(3,),
+        )
+        vocab = VocabBuilder()
+        vocab.intern("carol", 1)  # a city in an earlier file
+        path = write(tmp_path / "t.tsv", f"alice\tlives_in\tparis\n{line}\n")
+        labels = {"alice": "person", "bob": "person", "carol": "person", "paris": "city", **labels}
+        with pytest.raises(error) as err:
+            load_triples(path, schema, vocab, labels)
+        assert type(err.value) is error
+        assert str(err.value) == f"{path}:2: {message}"
+
     def test_type_label_file(self, tmp_path):
         path = write(tmp_path / "types.tsv", "alice\tperson\nparis\tcity\n")
         assert read_type_labels(path) == {"alice": "person", "paris": "city"}

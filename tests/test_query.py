@@ -512,6 +512,25 @@ class TestQueryFiles:
             read_queries(path, model.entity_index(), model.schema)
         assert str(err.value) == f"{path}:2: relation 'zz' absent from schema"
 
+    @pytest.mark.parametrize("line, error, message", [
+        ("1p\te0\tr0", QueryError, "expected 4 tab-separated fields"),
+        ("1p\tnobody\tr0\te1", QueryError, "unknown entity 'nobody'"),
+        ("1p\te0\tr0\tnobody", QueryError, "unknown entity 'nobody'"),
+        ("1p\te0\tzz\te1", SchemaError, "relation 'zz' absent from schema"),
+        ("1p\te0\tr0\t", QueryError, "no answer entities"),
+        ("9p\te0\tr0\te1", QueryError, "unknown query structure '9p'"),
+        ("2p\te0\tr0\te1", QueryError, "2p queries take 1 anchor(s) and 2 relation(s), got 1 and 1"),
+    ], ids=["field-count", "unknown-anchor", "unknown-answer", "unknown-relation", "no-answers",
+            "unknown-structure", "arity"])
+    def test_each_malformed_line_names_file_and_line(self, tmp_path, rng, line, error, message):
+        model = make_model(rng)
+        path = tmp_path / "q.tsv"
+        path.write_text(f"1p\te0\tr0\te1\n\n{line}\n", encoding="utf-8")  # line 2 is blank
+        with pytest.raises(error) as err:
+            read_queries(path, model.entity_index(), model.schema)
+        assert type(err.value) is error
+        assert str(err.value) == f"{path}:3: {message}"
+
     def test_ranking_from_scores_orders_by_value_then_index(self):
         ranking = ranking_from_scores(
             np.array([5, 3, 9], dtype=np.int64), np.array([1.0, 1.0, 0.5])
