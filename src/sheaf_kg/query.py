@@ -442,9 +442,7 @@ def entity_chaining_exact(query: Query, model: Model, budget: int = 10**6) -> Ra
         best = np.minimum(best, total)
 
     if sheaf.translational:
-        graph, offsets = query_sheaf(qg, sheaf)
-        lap = assemble_laplacian(graph)
-        best = best - affine_offset(lap, graph, offsets, list(qg.boundary))
+        best = best - affine_offset(*query_sheaf(qg, sheaf), list(qg.boundary))
     return ranking_from_scores(candidates, best)
 
 

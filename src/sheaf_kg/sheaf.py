@@ -10,7 +10,8 @@ on the concatenated vertex stalks, held as one dense symmetric array.
 Every Schur complement and harmonic extension here goes through one
 elimination, ``eliminate``: it pseudo-inverts the interior block once and
 returns the Schur complement onto the boundary, the harmonic extension map
-and that pseudoinverse.
+and that pseudoinverse. The affine (offset) extensions take the sheaf and
+read ``delta^T b`` from the coboundary that ``assemble_laplacian`` keeps.
 
 Cochain blocks may be vectors ``(d,)`` or matrices ``(d, m)``; all solvers
 act columnwise, so multi-section data needs no special casing.
@@ -70,8 +71,8 @@ class SheafOnGraph:
         return int(sum(self.edge_dims))
 
 
-def _check_blocks(label: str, blocks, cell: str, dims: dict[int, int]) -> None:
-    """Raise ``ShapeError`` unless ``blocks`` holds one block per cell, led by its stalk dim.
+def _check_blocks(label: str, blocks, cell: str, dims: dict[int, int]) -> np.ndarray:
+    """``blocks`` joined along axis 0; ``ShapeError`` unless one per cell, led by its stalk dim.
 
     ``dims`` maps each cell, in block order, to its stalk dim. The blocks
     share one trailing shape: all vectors, or all matrices of one column count.
@@ -87,6 +88,8 @@ def _check_blocks(label: str, blocks, cell: str, dims: dict[int, int]) -> None:
         if shape[1:] != np.shape(blocks[0])[1:]:
             raise ShapeError(f"{cell} {c}: block of shape {shape}, but the first {label} "
                              f"block has shape {np.shape(blocks[0])}")
+    cols = np.shape(blocks[0])[1:] if len(blocks) else ()
+    return np.concatenate([np.zeros((0,) + cols), *blocks], axis=0)
 
 
 def coboundary(sheaf: SheafOnGraph, x) -> list[np.ndarray]:
@@ -94,17 +97,6 @@ def coboundary(sheaf: SheafOnGraph, x) -> list[np.ndarray]:
     _check_blocks("0-cochain", x, "vertex", dict(enumerate(sheaf.vertex_dims)))
     return [sheaf.tail_maps[e] @ x[v] - sheaf.head_maps[e] @ x[u]
             for e, (u, v) in enumerate(sheaf.edges)]
-
-
-def coboundary_transpose(sheaf: SheafOnGraph, b) -> list[np.ndarray]:
-    """Adjoint of the coboundary applied to a 1-cochain."""
-    _check_blocks("1-cochain", b, "edge", dict(enumerate(sheaf.edge_dims)))
-    cols = np.shape(b[0])[1:] if len(b) else ()
-    out = [np.zeros((d,) + cols) for d in sheaf.vertex_dims]
-    for e, (u, v) in enumerate(sheaf.edges):
-        out[u] = out[u] - sheaf.head_maps[e].T @ b[e]
-        out[v] = out[v] + sheaf.tail_maps[e].T @ b[e]
-    return out
 
 
 def coboundary_matrix(sheaf: SheafOnGraph) -> np.ndarray:
@@ -164,11 +156,14 @@ def psd_pinv(a: np.ndarray) -> np.ndarray:
     """Pseudoinverse of a symmetric PSD matrix (or of each in a stack) via eigendecomposition.
 
     Eigenvalues below ``PINV_RCOND`` times their matrix's largest are treated as zero.
+    A matrix with a non-finite entry gets an all-NaN one, not ``eigh``'s error or wrong finite answer.
     """
-    w, q = np.linalg.eigh(a)
+    bad = None if np.isfinite(a).all() else ~np.isfinite(a).all(axis=(-2, -1), keepdims=True)
+    w, q = np.linalg.eigh(a if bad is None else np.where(bad, 0.0, a))
     cutoff = PINV_RCOND * np.maximum(w[..., -1:], 0.0)
     inv_w = np.where(w > cutoff, 1.0, 0.0) / np.where(w > cutoff, w, 1.0)
-    return (q * inv_w[..., None, :]) @ q.swapaxes(-1, -2)
+    pinv = (q * inv_w[..., None, :]) @ q.swapaxes(-1, -2)
+    return pinv if bad is None else np.where(bad, np.nan, pinv)
 
 
 def _boundary_partition(lap: BlockLaplacian, boundary) -> tuple[list[int], list[int]]:
@@ -217,19 +212,16 @@ def schur_complement(lap: BlockLaplacian, boundary) -> np.ndarray:
     return eliminate(lap, boundary)[0]
 
 
-def _concat_blocks(blocks) -> np.ndarray:
-    return np.concatenate([np.asarray(blk, dtype=float) for blk in blocks], axis=0)
-
-
 def _extend(lap: BlockLaplacian, boundary, boundary_values, g=None):
     """The harmonic extension, offset by ``pinv(L[U,U]) g_U`` when ``g = delta^T b`` is given."""
     b, interior = _boundary_partition(lap, boundary)
-    _check_blocks("boundary data", boundary_values, "vertex", {v: lap.vertex_dims[v] for v in b})
-    y_b = _concat_blocks(boundary_values)
+    y_b = _check_blocks("boundary data", boundary_values, "vertex", {v: lap.vertex_dims[v] for v in b})
     schur, extend, pinv_uu = eliminate(lap, b)
     y_u = extend @ y_b
     value = float(np.sum(y_b * (schur @ y_b)))
     if g is not None:
+        if g.shape[1:] != y_b.shape[1:]:  # numpy would align a vector g with y's columns, not its rows
+            raise ShapeError(f"1-cochain of trailing shape {g.shape[1:]}, boundary data {y_b.shape[1:]}")
         g_b, g_u = g[lap.columns(b)], g[lap.columns(interior)]
         value -= 2.0 * (float(np.sum(g_b * y_b)) + float(np.sum(g_u * y_u)))
         y_u = y_u + pinv_uu @ g_u
@@ -248,29 +240,37 @@ def harmonic_extension(lap: BlockLaplacian, boundary, boundary_values):
     return _extend(lap, boundary, boundary_values)
 
 
-def affine_harmonic_extension(lap: BlockLaplacian, sheaf: SheafOnGraph, b_cochain, boundary, boundary_values):
-    """Interior completion when edges carry target offsets (a 1-cochain).
+def _offset_laplacian(sheaf: SheafOnGraph, b_cochain) -> tuple[BlockLaplacian, np.ndarray]:
+    """The sheaf's Laplacian and ``g = delta^T b`` for the checked 1-cochain ``b``."""
+    b = _check_blocks("1-cochain", b_cochain, "edge", dict(enumerate(sheaf.edge_dims)))
+    lap = assemble_laplacian(sheaf)
+    return lap, lap.coboundary.T @ b
+
+
+def affine_harmonic_extension(sheaf: SheafOnGraph, b_cochain, boundary, boundary_values):
+    """Interior completion of ``sheaf``'s boundary data when edges carry target offsets (a 1-cochain).
 
     Solves the offset version of harmonic extension: the interior optimum is
     the plain harmonic extension plus a correction ``pinv(L[U,U]) g_U`` with
-    ``g = delta^T b``, and the reported value keeps only the
-    boundary-dependent part, ``y^T L y - 2 g^T y`` for the plain extension
-    ``y``. Offsets shift every candidate's value by the same constant (see
-    ``affine_offset``), so rankings are unaffected. Both extensions run one
-    body, which adds the offset terms only here; with a zero 1-cochain they
-    are exact zeros and the result equals ``harmonic_extension``'s exactly.
+    ``g = delta^T b`` (``delta`` as ``assemble_laplacian`` keeps it), and the
+    reported value keeps only the boundary-dependent part, ``y^T L y - 2 g^T y``
+    for the plain extension ``y``. Offsets shift every candidate's value by the
+    same constant (see ``affine_offset``), so rankings are unaffected. Both
+    extensions run one body, which adds the offset terms only here; with a zero
+    1-cochain they are exact zeros, so the result is ``harmonic_extension``'s exactly.
     """
-    return _extend(lap, boundary, boundary_values, _concat_blocks(coboundary_transpose(sheaf, b_cochain)))
+    lap, g = _offset_laplacian(sheaf, b_cochain)
+    return _extend(lap, boundary, boundary_values, g)
 
 
-def affine_offset(lap: BlockLaplacian, sheaf: SheafOnGraph, b_cochain, boundary) -> float:
-    """Boundary-independent part of the offset extension objective.
+def affine_offset(sheaf: SheafOnGraph, b_cochain, boundary) -> float:
+    """Boundary-independent part of ``sheaf``'s offset extension objective.
 
     Adding this constant to ``affine_harmonic_extension``'s value yields the
     true minimum of ``|delta y - b|^2`` subject to the boundary condition:
-    ``b^T b - g^T pinv(L[U,U]) g`` with ``g = (delta^T b)_U``.
+    ``b^T b - g^T pinv(L[U,U]) g`` with ``g = (delta^T b)_U`` (``delta`` as above).
     """
-    g = _concat_blocks(coboundary_transpose(sheaf, b_cochain))  # checks the 1-cochain's blocks
+    lap, g = _offset_laplacian(sheaf, b_cochain)
     btb = sum(float(np.sum(np.asarray(blk, dtype=float) ** 2)) for blk in b_cochain)
     _, _, pinv_uu = eliminate(lap, boundary)
     g = g[lap.columns(interior_vertices(lap, boundary))]

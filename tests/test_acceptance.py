@@ -172,14 +172,14 @@ def test_criterion_03_affine_extension():
     for sheaf, boundary, y_blocks, rng in _harmonic_instances(303, 60):
         lap = assemble_laplacian(sheaf)
         b = random_cochain1(rng, sheaf)
-        _, value = affine_harmonic_extension(lap, sheaf, b, boundary, y_blocks)
-        constant = affine_offset(lap, sheaf, b, boundary)
+        _, value = affine_harmonic_extension(sheaf, b, boundary, y_blocks)
+        constant = affine_offset(sheaf, b, boundary)
         _, oracle = _dense_constrained_ls(sheaf, boundary, y_blocks, np.concatenate(b))
         assert abs(value + constant - oracle) <= 1e-8 * (1.0 + abs(oracle))
         # zero offset: bit-for-bit the plain harmonic extension
         zero = [np.zeros(d) for d in sheaf.edge_dims]
         base_u, base_value = harmonic_extension(lap, boundary, y_blocks)
-        aff_u, aff_value = affine_harmonic_extension(lap, sheaf, zero, boundary, y_blocks)
+        aff_u, aff_value = affine_harmonic_extension(sheaf, zero, boundary, y_blocks)
         assert aff_value == base_value
         for a_blk, b_blk in zip(aff_u, base_u):
             assert np.array_equal(a_blk, b_blk)

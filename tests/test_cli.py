@@ -22,6 +22,32 @@ def run_cli(runner, args):
     return runner.invoke(main, args, catch_exceptions=False)
 
 
+def interior_overflow_checkpoint(tmp_path):
+    """A checkpoint that loads but overflows inside a 2p query's interior block, and that query file.
+
+    Planted 60-entity graph, 2 relations, d=4, seed 1; a free-map shv model
+    from ``init_for_kg`` with ``head_maps[0][0, 0] = 1e160``, finite, so
+    ``load_model`` accepts it. On (r1, r0) the interior vertex's Laplacian
+    block squares it to inf. The file holds the easy 2p queries on (r1, r0).
+    """
+    from sheaf_kg.checkpoint import save_model
+    from sheaf_kg.evaluation import build_easy_queries
+    from sheaf_kg.kgdata import build_index
+    from sheaf_kg.model import ModelConfig, init_for_kg
+    from sheaf_kg.query import write_queries
+    from sheaf_kg.synth import generate_planted_kg
+
+    ds = generate_planted_kg(60, 2, 4, 0.0, seed=1, variant="shv")
+    model = init_for_kg(ModelConfig(), ds.kg, 0)
+    model.sheaf.head_maps[0][0, 0] = 1e160
+    save_model(model, tmp_path / "m")
+    queries = build_easy_queries(ds.kg, build_index(ds.kg), "2p", 5, np.random.default_rng(0))
+    queries = [q for q in queries if q.relations == (1, 0)]
+    assert [q.anchors for q in queries] == [(10,), (49,)]
+    write_queries(queries, tmp_path / "q.tsv", model.entities, model.schema.relation_types)
+    return tmp_path / "m", tmp_path / "q.tsv"
+
+
 @pytest.fixture(scope="module")
 def workspace(tmp_path_factory):
     """synth -> train (2 seeds) pipeline shared by the read-only CLI tests."""
@@ -586,6 +612,14 @@ class TestEval:
         assert "error: the 1p query on relations (r0) has a non-finite candidate value" in res.output
         assert "MRR" not in res.output and "Traceback" not in res.output
 
+    def test_interior_overflow_exits_1(self, runner, tmp_path):
+        # an all-zero pseudoinverse of the inf interior block would give a finite MRR (5.51%) and exit 0
+        prefix, queries = interior_overflow_checkpoint(tmp_path)
+        res = run_cli(runner, ["eval", "--checkpoint", str(prefix), "--queries", str(queries)])
+        assert res.exit_code == 1, res.output
+        assert "error: the 2p query on relations (r1, r0) has a non-finite candidate value" in res.output
+        assert "MRR" not in res.output and "Traceback" not in res.output
+
 
 class TestQuery:
     def test_overflowing_checkpoint_exits_1(self, runner, tmp_path):
@@ -596,6 +630,16 @@ class TestQuery:
         ])
         assert res.exit_code == 1, res.output
         assert "error: the query on relations (r0) has a non-finite candidate value" in res.output
+
+    def test_interior_overflow_exits_1(self, runner, tmp_path):
+        # an all-zero pseudoinverse of the inf interior block would print ten finite values and exit 0
+        prefix, _ = interior_overflow_checkpoint(tmp_path)
+        res = run_cli(runner, [
+            "query", "--checkpoint", str(prefix), "--structure", "2p",
+            "--anchors", "e00010", "--relations", "r1,r0",
+        ])
+        assert res.exit_code == 1, res.output
+        assert "error: the query on relations (r1, r0) has a non-finite candidate value" in res.output
 
     def test_top_k_output(self, runner, workspace):
         res = run_cli(runner, [

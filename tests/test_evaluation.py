@@ -593,6 +593,21 @@ class TestNonFiniteValues:
         with pytest.raises(EvaluationError, match=re.escape(f"the query {self.MESSAGE}")):
             answer_query(query, model)
 
+    @pytest.mark.parametrize("structure", ["2p", "3p", "ip", "pi"])
+    def test_nan_map_at_an_interior_vertex_fails_evaluate(self, structure):
+        # the NaN reaches the interior block, on which eigh raises numpy's LinAlgError
+        ds = generate_planted_kg(60, 2, 4, 0.0, seed=1, variant="shv")
+        queries = build_easy_queries(ds.kg, build_index(ds.kg), structure, 5, np.random.default_rng(0))
+        model = ds.generator.copy()
+        model.sheaf.head_maps[0][0, 0] = np.nan
+        first = re.escape(f"the {structure} query on relations (r1, r0")
+        with pytest.raises(EvaluationError, match=first + ".*has a non-finite candidate value"):
+            evaluate(model, queries)
+        if structure == "ip":
+            assert queries[0].relations == (1, 0, 0)
+            with pytest.raises(EvaluationError, match=re.escape("the query on relations (r1, r0, r0) has a")):
+                answer_query(queries[0], model)
+
     def test_the_error_names_the_failing_query_of_a_block(self, tmp_path):
         # one chunk holds both relations' groups, so the block mixes good rows and bad ones
         _, query, generator = overflowing_checkpoint(tmp_path / "m")

@@ -3,7 +3,8 @@
 Every name a ``src/`` module imports is used in that module or marked
 ``# noqa: F401``, and every function, method or property it defines has a
 caller in ``src/``, ``tests/`` or ``benchmarks/``. Every ``raise Name(...)``
-in ``src/`` names a ``SheafKGError`` subclass.
+in ``src/`` names a ``SheafKGError`` subclass, and only an allow-listed
+function calls a ``linalg`` routine that can raise ``LinAlgError``.
 """
 
 import ast
@@ -149,3 +150,59 @@ def test_the_check_finds_a_foreign_raise():
 def test_src_raises_only_its_own_errors(path):
     """Bad input must end in a ``SheafKGError`` (a builtin error would escape the CLI as a traceback)."""
     assert foreign_raises(path.read_text(encoding="utf-8"), OWN_ERRORS) == []
+
+
+# linalg routines that raise LinAlgError (no convergence, a singular or non-finite matrix)
+RAISING_LINALG = {"eig", "eigh", "eigvals", "eigvalsh", "svd", "qr", "solve", "inv", "pinv", "lstsq",
+                  "cholesky", "matrix_rank", "tensorsolve", "tensorinv"}
+
+# where src/ may call one: psd_pinv turns a non-finite matrix into an all-NaN
+# pseudoinverse before its eigh, and the other two factor finite matrices only
+# (orthonormal_columns projects checked maps, generate_planted_kg takes the QR of fresh draws)
+LINALG_CALLERS = {"sheaf.psd_pinv", "model.orthonormal_columns", "synth.generate_planted_kg"}
+
+
+def raising_linalg_calls(source: str, module: str) -> list[str]:
+    """``"<module>.<function>: <routine>"`` for each call of a ``RAISING_LINALG`` routine.
+
+    A call counts when its callee is ``<...>.linalg.<routine>`` or a routine
+    imported from a ``linalg`` module under any name. The function is the
+    innermost enclosing definition, led by its classes and outer functions.
+    """
+    tree = ast.parse(source)
+    aliases = {alias.asname or alias.name: alias.name for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[-1] == "linalg"
+               for alias in node.names if alias.name in RAISING_LINALG}
+    found = []
+
+    def visit(node, scope):
+        if isinstance(node, ast.FunctionDef | ast.ClassDef):
+            scope = scope + (node.name,)
+        if isinstance(node, ast.Call):
+            f = node.func
+            if isinstance(f, ast.Name) and f.id in aliases:
+                found.append(f"{'.'.join(scope)}: {aliases[f.id]}")
+            elif (isinstance(f, ast.Attribute) and f.attr in RAISING_LINALG
+                  and ast.unparse(f.value).split(".")[-1] == "linalg"):
+                found.append(f"{'.'.join(scope)}: {f.attr}")
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(tree, (module,))
+    return found
+
+
+def test_the_check_finds_a_raising_linalg_call():
+    source = ("import numpy as np\nfrom numpy.linalg import svd as s, norm\nfrom numpy import linalg\n"
+              "def f(a):\n    return np.linalg.eigh(a), np.linalg.norm(a), norm(a), a.solve()\n"
+              "class C:\n    def g(self, a):\n        def h():\n            return s(a)\n"
+              "        return linalg.solve(a, a)\n"
+              "x = np.linalg.qr(1)\n")
+    assert raising_linalg_calls(source, "m") == ["m.f: eigh", "m.C.g.h: svd", "m.C.g: solve", "m: qr"]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_raising_linalg_calls_stay_in_their_allowed_functions(path):
+    """Every eigen-solve goes through ``psd_pinv``: a non-finite matrix gives NaN, not ``LinAlgError``."""
+    calls = raising_linalg_calls(path.read_text(encoding="utf-8"), path.stem)
+    assert [call for call in calls if call.split(":")[0] not in LINALG_CALLERS] == []

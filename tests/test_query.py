@@ -32,7 +32,7 @@ from sheaf_kg.query import (
     read_queries,
     write_queries,
 )
-from sheaf_kg.sheaf import affine_offset, assemble_laplacian, coboundary_matrix
+from sheaf_kg.sheaf import affine_offset, coboundary_matrix
 from sheaf_kg.synth import generate_planted_kg
 
 
@@ -194,8 +194,7 @@ class TestAnswerQuery:
             if offsets is not None
             else np.zeros((graph.total_edge_dim, m))
         )
-        lap = assemble_laplacian(graph)
-        constant = affine_offset(lap, graph, [b_mat[e * 3:(e + 1) * 3] for e in range(3)],
+        constant = affine_offset(graph, [b_mat[e * 3:(e + 1) * 3] for e in range(3)],
                                  list(qg.boundary)) if offsets is not None else 0.0
         for c in range(model.n_entities):
             total = 0.0
@@ -406,8 +405,7 @@ def chaining_oracle(query, model):
 
     if sheaf.translational:
         graph, offsets = query_sheaf(qg, sheaf)
-        lap = assemble_laplacian(graph)
-        best = best - affine_offset(lap, graph, offsets, list(qg.boundary))
+        best = best - affine_offset(graph, offsets, list(qg.boundary))
     return ranking_from_scores(candidates, best)
 
 

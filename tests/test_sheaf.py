@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from conftest import lap_block, random_cochain0, random_cochain1, random_sheaf
 from sheaf_kg.errors import ShapeError, ValidationError
 from sheaf_kg.sheaf import (
+    PINV_RCOND,
     BlockLaplacian,
     SheafOnGraph,
     affine_harmonic_extension,
@@ -13,7 +14,6 @@ from sheaf_kg.sheaf import (
     assemble_laplacian,
     coboundary,
     coboundary_matrix,
-    coboundary_transpose,
     constant_sheaf,
     eliminate,
     harmonic_extension,
@@ -175,9 +175,17 @@ class TestCoboundary:
         (lambda sh, lap: harmonic_extension(lap, [0, 2], [np.zeros(2), 5.0]),
          "vertex 2: scalar block, stalk dim 2"),
         (lambda sh, lap: affine_harmonic_extension(
-            lap, sh, [np.zeros((2, 1)), np.zeros((2, 2))], [0, 2], [np.zeros((2, 1))] * 2),
+            sh, [np.zeros((2, 1)), np.zeros((2, 2))], [0, 2], [np.zeros((2, 1))] * 2),
          r"edge 1: block of shape \(2, 2\), but the first 1-cochain block"),
-    ], ids=["harmonic-columns", "coboundary-columns", "scalar-boundary", "affine-columns"])
+        # numpy broadcast these vector offsets along the data's two columns: a finite wrong value
+        (lambda sh, lap: affine_harmonic_extension(
+            constant_sheaf(3, [(0, 1), (1, 2)], 1), [np.ones(1)] * 2, [0, 2], [np.ones((1, 2))] * 2),
+         r"1-cochain of trailing shape \(\), boundary data \(2,\)"),
+        (lambda sh, lap: affine_harmonic_extension(
+            SheafOnGraph((2, 2), (), (), (), ()), [], [0, 1], [np.zeros((2, 3))] * 2),
+         r"1-cochain of trailing shape \(\), boundary data \(3,\)"),
+    ], ids=["harmonic-columns", "coboundary-columns", "scalar-boundary", "affine-columns",
+            "affine-vector-offsets", "affine-empty-offsets"])
     def test_mixed_or_scalar_blocks_are_shape_errors(self, call, match):
         # numpy raised ValueError or IndexError for these before the blocks' shapes were compared
         sheaf = constant_sheaf(3, [(0, 1), (1, 2)], 2)
@@ -185,11 +193,12 @@ class TestCoboundary:
             call(sheaf, assemble_laplacian(sheaf))
 
     def test_transpose_is_adjoint(self, rng):
+        # the per-edge coboundary pins the dense delta whose transpose the affine extension applies
         sheaf = random_sheaf(rng)
         x = random_cochain0(rng, sheaf)
         b = random_cochain1(rng, sheaf)
         lhs = sum(float(np.sum(db * bb)) for db, bb in zip(coboundary(sheaf, x), b))
-        rhs = sum(float(np.sum(xx * tb)) for xx, tb in zip(x, coboundary_transpose(sheaf, b)))
+        rhs = float(np.concatenate(x) @ (coboundary_matrix(sheaf).T @ np.concatenate(b)))
         assert lhs == pytest.approx(rhs, rel=1e-10)
 
 
@@ -371,16 +380,15 @@ class TestAffineExtension:
         y_blocks = [rng.normal(size=sheaf.vertex_dims[v]) for v in boundary]
         zero = [np.zeros(d) for d in sheaf.edge_dims]
         base_u, base_val = harmonic_extension(lap, boundary, y_blocks)
-        aff_u, aff_val = affine_harmonic_extension(lap, sheaf, zero, boundary, y_blocks)
+        aff_u, aff_val = affine_harmonic_extension(sheaf, zero, boundary, y_blocks)
         assert aff_val == base_val
         for a, b in zip(aff_u, base_u):
             np.testing.assert_array_equal(a, b)
 
     def test_single_edge_expands_the_square(self, rng):
         sheaf = constant_sheaf(2, [(0, 1)], 3)
-        lap = assemble_laplacian(sheaf)
         x_u, x_v, r = rng.normal(size=3), rng.normal(size=3), rng.normal(size=3)
-        _, value = affine_harmonic_extension(lap, sheaf, [r], [0, 1], [x_u, x_v])
+        _, value = affine_harmonic_extension(sheaf, [r], [0, 1], [x_u, x_v])
         expected = float(np.sum((x_v - x_u) ** 2) - 2 * r @ (x_v - x_u))
         assert value == pytest.approx(expected, rel=1e-10, abs=1e-12)
         assert value + float(r @ r) == pytest.approx(
@@ -390,14 +398,13 @@ class TestAffineExtension:
     def test_matches_dense_least_squares_with_offset(self, rng):
         for _ in range(20):
             sheaf = random_sheaf(rng)
-            lap = assemble_laplacian(sheaf)
             n = sheaf.n_vertices
             size = int(rng.integers(1, n))
             boundary = sorted(rng.choice(n, size=size, replace=False).tolist())
             y_blocks = [rng.normal(size=sheaf.vertex_dims[v]) for v in boundary]
             b = random_cochain1(rng, sheaf)
-            _, value = affine_harmonic_extension(lap, sheaf, b, boundary, y_blocks)
-            constant = affine_offset(lap, sheaf, b, boundary)
+            _, value = affine_harmonic_extension(sheaf, b, boundary, y_blocks)
+            constant = affine_offset(sheaf, b, boundary)
 
             delta = coboundary_matrix(sheaf)
             voff = sheaf.vertex_offsets
@@ -421,7 +428,7 @@ class TestAffineExtension:
         boundary = [0, 4]
         y_blocks = [rng.normal(size=sheaf.vertex_dims[v]) for v in boundary]
         b = random_cochain1(rng, sheaf)
-        y_u, _ = affine_harmonic_extension(lap, sheaf, b, boundary, y_blocks)
+        y_u, _ = affine_harmonic_extension(sheaf, b, boundary, y_blocks)
         delta = coboundary_matrix(sheaf)
         voff = sheaf.vertex_offsets
         b_cols = np.concatenate([np.arange(voff[v], voff[v + 1]) for v in boundary])
@@ -431,6 +438,27 @@ class TestAffineExtension:
         rhs = np.concatenate(b) - delta[:, b_cols] @ np.concatenate(y_blocks)
         sol, *_ = np.linalg.lstsq(delta[:, u_cols], rhs, rcond=None)
         np.testing.assert_allclose(np.concatenate(y_u), sol, atol=1e-7)
+
+    def test_edgeless_sheaf_takes_an_empty_cochain(self, rng):
+        # the empty 1-cochain joins to an empty vector, so delta^T b is a zero vector
+        sheaf = SheafOnGraph((2, 3, 1), (), (), (), ())
+        boundary, y_blocks = [0, 2], [rng.normal(size=2), rng.normal(size=1)]
+        with np.errstate(all="raise"):
+            base_u, base_val = harmonic_extension(assemble_laplacian(sheaf), boundary, y_blocks)
+            aff_u, aff_val = affine_harmonic_extension(sheaf, [], boundary, y_blocks)
+            constant = affine_offset(sheaf, [], boundary)
+        assert aff_val == base_val
+        assert len(aff_u) == len(base_u) == 1
+        np.testing.assert_array_equal(aff_u[0], base_u[0])
+        assert constant == 0.0 and isinstance(constant, float)
+
+    def test_old_signature_with_a_laplacian_is_a_type_error(self):
+        sheaf = identity_path(2)
+        b, y_blocks = [np.zeros(2)] * 2, [np.zeros(2)] * 2
+        with pytest.raises(TypeError):
+            affine_harmonic_extension(assemble_laplacian(sheaf), sheaf, b, [0, 2], y_blocks)
+        with pytest.raises(TypeError):
+            affine_offset(assemble_laplacian(sheaf), sheaf, b, [0, 2])
 
 
 class TestKronReduction:
@@ -518,6 +546,30 @@ class TestPsdPinv:
         assert np.abs(got[1]).max() > 1e-3
         for g in range(len(stack)):
             np.testing.assert_allclose(got[g], psd_pinv(stack[g]), rtol=1e-12, atol=1e-14)
+
+    def test_a_non_finite_matrix_gets_an_all_nan_pseudoinverse(self, rng):
+        # eigh can raise LinAlgError on a NaN matrix, and an inf one would get an all-zero pseudoinverse
+        a = rng.normal(size=(4, 3))
+        finite = a @ a.T  # rank 3
+        stack = np.stack([finite, finite, finite])
+        stack[1, 0, 2] = stack[1, 2, 0] = np.nan
+        stack[2, 3, 3] = np.inf
+        got = psd_pinv(stack)
+        # the finite matrix takes the unchecked path, bit for bit
+        w, q = np.linalg.eigh(finite)
+        cutoff = PINV_RCOND * max(w[-1], 0.0)
+        inv_w = np.where(w > cutoff, 1.0, 0.0) / np.where(w > cutoff, w, 1.0)
+        assert got[0].tobytes() == ((q * inv_w[None, :]) @ q.T).tobytes()
+        assert got[0].tobytes() == psd_pinv(finite).tobytes()
+        assert np.isnan(got[1:]).all()
+        assert np.isnan(psd_pinv([[np.inf, 0.0], [0.0, 1.0]])).all()
+
+    def test_nan_map_gives_nan_extension_and_kron_reduction(self):
+        sheaf = identity_path(2)
+        sheaf.head_maps[1][0, 0] = np.nan  # edge 1 leaves the interior vertex 1
+        (y_u,), value = harmonic_extension(assemble_laplacian(sheaf), [0, 2], [np.ones(2), np.zeros(2)])
+        assert np.isnan(y_u).all() and np.isnan(value)
+        assert np.isnan(kron_reduce(sheaf, [0, 2]).dense).all()
 
 
 class TestBatchAxis:
