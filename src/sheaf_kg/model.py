@@ -137,6 +137,11 @@ class KnowledgeSheaf:
         out._bind(self.RH.copy(), self.RT.copy(), None if self.T is None else self.T.copy())
         return out
 
+    def identity_maps(self, relations) -> bool:
+        """Whether each relation is tagged identity (checked first) and both its maps equal the identity."""
+        return all(self.constraints[r] == "identity" for r in relations) and all(
+            (m == np.eye(len(m))).all() for r in relations for m in (self.head_maps[r], self.tail_maps[r]))
+
     def check_constraints(self) -> None:
         """Raise unless every constraint tag is actually satisfied."""
         for r, kind in enumerate(self.constraints):
@@ -145,9 +150,7 @@ class KnowledgeSheaf:
                 raise ConfigError(f"relation {name!r}: shared maps differ")
             if kind == "antisymmetric" and not np.array_equal(head, -tail):
                 raise ConfigError(f"relation {name!r}: antisymmetric maps violate head == -tail")
-            if kind == "identity" and not (
-                np.array_equal(head, np.eye(len(head))) and np.array_equal(tail, np.eye(len(tail)))
-            ):
+            if kind == "identity" and not self.identity_maps([r]):
                 raise ConfigError(f"relation {name!r}: identity maps are not the identity")
             if kind == "orthogonal":
                 for m, side in ((head, "head"), (tail, "tail")):

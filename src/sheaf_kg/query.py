@@ -18,6 +18,12 @@ one batched eigendecomposition per chunk. The anchor-candidate cross terms
 of a block of the chunk's queries come from one GEMM against the target
 type's stacked sections. ``answer_query`` is a chunk of one group, and its
 ``Ranking`` sorts only when its order is read; ``top(k)`` partitions.
+
+Over identity maps (ShVT with them is TransE) a query's sheaf is the constant
+sheaf R^d, whose Laplacian is the template graph's scalar ``L_G (x) I_d``. As
+``pinv(A (x) I) = pinv(A) (x) I``, such chunks eliminate on
+``constant_sheaf(n, edges, 1)`` and lift by ``(x) I_d``. A query takes this path
+when each relation is tagged identity (checked first) and both its maps equal I exactly.
 """
 
 from __future__ import annotations
@@ -35,6 +41,7 @@ from .sheaf import (
     SheafOnGraph,
     affine_offset,
     assemble_laplacian,
+    constant_sheaf,
     psd_pinv,
 )
 
@@ -250,6 +257,11 @@ def _anchor_data(model: Model, qg: QueryGraph, anchor_entities) -> np.ndarray:
     return np.concatenate(blocks, axis=0)
 
 
+def _lift(a: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``a (x) I_d`` for sections ``x`` of dim ``d``: each entry of ``a`` becomes a ``d x d`` block."""
+    return (a[:, None, :, None] * np.eye(x.shape[1])[:, None]).reshape(len(a) * x.shape[1], -1)
+
+
 class _HarmonicForm:
     """Harmonic-extension values over a fixed candidate set, for a chunk of query graphs.
 
@@ -260,11 +272,18 @@ class _HarmonicForm:
     ``l = (delta E)^T b`` the translation term (``E`` the harmonic extension
     map, ``b`` the stacked translations, zero for shv). ``S``, ``l`` and the
     candidates' ``x^T S_tt x`` are built once and shared by every anchor tuple.
+
+    With ``identity`` (``KnowledgeSheaf.identity_maps`` holds on every graph) the same
+    elimination runs once, on the scalar template graph, and is lifted: ``S = S_G (x) I_d``
+    for every graph, ``delta E = (delta E)_G (x) I_d`` and ``x^T S_tt x = s_tt |x|^2``.
     """
 
-    def __init__(self, qgs, sheaf: KnowledgeSheaf, x: np.ndarray):
+    def __init__(self, qgs, sheaf: KnowledgeSheaf, x: np.ndarray, identity: bool):
         graph, offsets = query_sheaf(qgs, sheaf)
         boundary, interior = qgs[0].boundary, qgs[0].interior
+        self.dim_a = dim_a = sum(graph.vertex_dims[v] for v in qgs[0].anchor_vertices)
+        if identity:  # the constant sheaf R^d: eliminate on the scalar graph, lift by (x) I_d below
+            graph = constant_sheaf(graph.n_vertices, graph.edges, 1)
         # this module's names, not sheaf.eliminate: benchmarks/layers.py wraps these two
         lap = assemble_laplacian(graph)
         order = lap.columns(boundary + interior)
@@ -278,14 +297,16 @@ class _HarmonicForm:
             schur = schur - l_ub.swapaxes(-1, -2) @ pinv_uu @ l_ub
             schur = (schur + schur.swapaxes(-1, -2)) / 2.0
 
-        self.dim_a = dim_a = sum(graph.vertex_dims[v] for v in qgs[0].anchor_vertices)
-        self.s_aa = schur[:, :dim_a, :dim_a]
-        self.s_ta = schur[:, dim_a:, :dim_a]
-        # x^T S_tt x summed over section columns, one GEMM on (candidate, column) rows per graph
         rows = x.transpose(0, 2, 1).reshape(-1, x.shape[1])
         self.x_flat = rows.reshape(len(x), -1)  # each candidate's columns, one after another
-        self.quad = np.array([np.einsum("kd,kd->k", (rows @ s_tt).reshape(len(x), -1), self.x_flat)
-                              for s_tt in schur[:, dim_a:, dim_a:]])
+        if identity:  # every graph shares S (x) I_d, and x^T (s_tt I_d) x = s_tt |x|^2
+            quad = schur[-1, -1] * np.einsum("kd,kd->k", self.x_flat, self.x_flat)
+            self.quad, schur = (np.broadcast_to(a, (len(qgs),) + a.shape) for a in (quad, _lift(schur, x)))
+        else:  # x^T S_tt x summed over section columns, one GEMM on (candidate, column) rows per graph
+            self.quad = np.array([np.einsum("kd,kd->k", (rows @ s_tt).reshape(len(x), -1), self.x_flat)
+                                  for s_tt in schur[:, dim_a:, dim_a:]])
+        self.s_aa = schur[:, :dim_a, :dim_a]
+        self.s_ta = schur[:, dim_a:, :dim_a]
 
         self.lin = None
         if offsets is not None:
@@ -294,6 +315,7 @@ class _HarmonicForm:
             delta_e = delta[..., :n_b]
             if interior:
                 delta_e = delta_e - delta[..., n_b:] @ pinv_uu @ l_ub
+            delta_e = _lift(delta_e, x) if identity else delta_e
             self.lin = delta_e.swapaxes(-1, -2) @ np.concatenate(offsets, axis=-2)
 
     def values(self, groups: np.ndarray, y_a: np.ndarray) -> np.ndarray:
@@ -318,30 +340,31 @@ def answer_queries(queries, model: Model):
     """Harmonic-extension values of many queries, a chunk of query graphs at a time.
 
     Queries are grouped by ``(structure, relations)``; every query's anchors
-    are checked before any group is scored. Groups with equal structure,
-    vertex types and edge dims build their forms ``CHUNK_GROUPS`` at a time,
+    are checked before any group is scored. Groups with equal structure, vertex
+    types, edge dims and identity maps or not build forms ``CHUNK_GROUPS`` at a time,
     and a chunk scores ``GROUP_ROWS`` anchor tuples per GEMM. Yields
     ``(members, candidates, values)``: positions in ``queries``, the target
     type's entity ids ascending, and a ``(len(members), len(candidates))``
     value array (lower is better).
     """
     groups: dict[tuple, tuple[QueryGraph, list[int], list[np.ndarray]]] = {}
-    batches: dict[tuple, list] = {}  # groups by structure and stalk dims
+    batches: dict[tuple, list] = {}  # groups by structure, stalk dims and identity maps
     for i, q in enumerate(queries):
         key = (q.structure, q.relations)
         if key not in groups:
             groups[key] = (build_query_graph(q, model.schema), [], [])
-            dims = tuple(model.schema.edge_dim[r] for r in q.relations)
-            batches.setdefault((q.structure, groups[key][0].vertex_types, dims), []).append(groups[key])
+            signature = (q.structure, groups[key][0].vertex_types, model.sheaf.identity_maps(q.relations),
+                         *(model.schema.edge_dim[r] for r in q.relations))
+            batches.setdefault(signature, []).append(groups[key])
         qg, members, anchors = groups[key]
         anchors.append(_anchor_data(model, qg, q.anchors))
         members.append(i)
 
-    for batch in batches.values():
+    for (_, _, identity, *_), batch in batches.items():
         candidates, x = _type_sections(model, batch[0][0].vertex_types[batch[0][0].target_vertex])
         for start in range(0, len(batch), CHUNK_GROUPS):
             qgs, member_lists, anchor_lists = zip(*batch[start:start + CHUNK_GROUPS])
-            form = _HarmonicForm(qgs, model.sheaf, x)
+            form = _HarmonicForm(qgs, model.sheaf, x, identity)
             members, y_a = sum(member_lists, []), np.stack(sum(anchor_lists, []))
             row_groups = np.repeat(np.arange(len(qgs)), [len(m) for m in member_lists])
             for lo in range(0, len(members), GROUP_ROWS):
@@ -365,9 +388,11 @@ def answer_query_graph(qg: QueryGraph, model: Model, anchor_entities) -> Ranking
     """
     y_a = _anchor_data(model, qg, anchor_entities)
     candidates, x = _type_sections(model, qg.vertex_types[qg.target_vertex])
+    relations = [r for _, r, _ in qg.edges]
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite value is refused below
-        values = _HarmonicForm([qg], model.sheaf, x).values(0, y_a[None])[0]
-    check_finite(values, model, "the query", [r for _, r, _ in qg.edges])
+        form = _HarmonicForm([qg], model.sheaf, x, model.sheaf.identity_maps(relations))
+        values = form.values(0, y_a[None])[0]
+    check_finite(values, model, "the query", relations)
     return ranking_from_scores(candidates, values)
 
 

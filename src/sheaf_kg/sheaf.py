@@ -156,14 +156,15 @@ def psd_pinv(a: np.ndarray) -> np.ndarray:
     """Pseudoinverse of a symmetric PSD matrix (or of each in a stack) via eigendecomposition.
 
     Eigenvalues below ``PINV_RCOND`` times their matrix's largest are treated as zero.
-    A matrix with a non-finite entry gets an all-NaN one, not ``eigh``'s error or wrong finite answer.
+    A matrix with a non-finite entry or eigenvalue gets an all-NaN one, not an error or wrong finite one.
     """
-    bad = None if np.isfinite(a).all() else ~np.isfinite(a).all(axis=(-2, -1), keepdims=True)
-    w, q = np.linalg.eigh(a if bad is None else np.where(bad, 0.0, a))
+    finite = np.isfinite(a).all(axis=(-2, -1), keepdims=True)
+    w, q = np.linalg.eigh(a if finite.all() else np.where(finite, a, 0.0))
+    finite &= np.isfinite(w).all(axis=-1)[..., None, None]
     cutoff = PINV_RCOND * np.maximum(w[..., -1:], 0.0)
     inv_w = np.where(w > cutoff, 1.0, 0.0) / np.where(w > cutoff, w, 1.0)
     pinv = (q * inv_w[..., None, :]) @ q.swapaxes(-1, -2)
-    return pinv if bad is None else np.where(bad, np.nan, pinv)
+    return pinv if finite.all() else np.where(finite, pinv, np.nan)
 
 
 def _boundary_partition(lap: BlockLaplacian, boundary) -> tuple[list[int], list[int]]:
@@ -290,7 +291,7 @@ def kron_reduce(sheaf: SheafOnGraph, boundary) -> BlockLaplacian:
 
 
 def constant_sheaf(n_vertices: int, edges, dim: int) -> SheafOnGraph:
-    """All stalks R^dim, all restriction maps the identity."""
+    """All stalks R^dim, all restriction maps the identity (``query._HarmonicForm`` uses ``dim=1``)."""
     eye = np.eye(dim)
     return SheafOnGraph(
         vertex_dims=(dim,) * n_vertices,

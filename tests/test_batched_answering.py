@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import lap_block
-from sheaf_kg.errors import QueryError
+from sheaf_kg.errors import EvaluationError, QueryError
 from sheaf_kg.evaluation import (
     MetricReport,
     StructureMetrics,
@@ -388,13 +388,17 @@ SHARED = Schema(
 )
 
 
-def shared_signature_model(rng, variant, m, singular):
-    cfg = ModelConfig(variant=variant, sections=m, entity_dim=3, relation_dim=3)
+def shared_signature_model(rng, variant, m, singular, identity=()):
+    """Random free maps, but identity maps on the relations ``identity``."""
+    overrides = {SHARED.relation_types[r]: "identity" for r in identity}
+    cfg = ModelConfig(variant=variant, sections=m, entity_dim=3, relation_dim=3,
+                      constraint_overrides=overrides)
     types = rng.permutation(np.arange(14) % 2).astype(np.int64)
     sheaf, sections = init_model(cfg, SHARED, types, seed=int(rng.integers(1 << 30)))
     for r in range(SHARED.n_relations):
         for maps in (sheaf.head_maps, sheaf.tail_maps):
-            maps[r][...] = rng.normal(size=maps[r].shape)
+            if r not in identity:
+                maps[r][...] = rng.normal(size=maps[r].shape)
     # degenerate maps on some relations leave interior blocks singular
     for r in rng.choice(SHARED.n_relations, size=3, replace=False):
         for maps in (sheaf.head_maps, sheaf.tail_maps):
@@ -570,3 +574,134 @@ def test_block_ranks_keep_one_row_of_masks():
     assert peak < 8 * 2**20
     for row, row_answers, got in zip(values, answers, ranks):
         assert got.tolist() == oracle_answer_ranks(candidates, row, row_answers).tolist()
+
+
+# Identity maps make a query's sheaf the constant sheaf R^d, whose Laplacian is
+# L_G (x) I_d: such queries eliminate on the scalar template graph.
+
+def record_stalks(monkeypatch):
+    """The vertex dims of each Laplacian that ``query`` assembles, in call order."""
+    seen = []
+    assemble = query.assemble_laplacian
+
+    def recording(graph):
+        seen.append(graph.vertex_dims)
+        return assemble(graph)
+
+    monkeypatch.setattr(query, "assemble_laplacian", recording)
+    return seen
+
+
+def identity_model(rng, m, n_entities=17, dim=4):
+    """An all-identity ShVT model on one entity type, random sections and translations."""
+    schema = default_schema(3, dim, dim)
+    cfg = ModelConfig(variant="shvt", sections=m, entity_dim=dim, relation_dim=dim, constraint="identity")
+    types = np.zeros(n_entities, dtype=np.int64)
+    sheaf, sections = init_model(cfg, schema, types, seed=int(rng.integers(1 << 30)))
+    sheaf.T[...] = rng.normal(size=sheaf.T.shape)
+    sections.X[...] = rng.normal(size=sections.X.shape)
+    return Model(schema=schema, entities=tuple(f"e{i}" for i in range(n_entities)),
+                 entity_type=types, sheaf=sheaf, sections=sections)
+
+
+def identity_queries(rng, model, per_structure=4):
+    """Random queries of every structure; anchors are never answers (see ``random_queries``)."""
+    queries = []
+    for structure in STRUCTURES:
+        n_anchors, n_relations = STRUCTURE_ARITY[structure]
+        for _ in range(per_structure):
+            anchors = tuple(int(a) for a in rng.choice(model.n_entities, n_anchors, replace=False))
+            pool = np.setdiff1d(np.arange(model.n_entities), anchors)
+            answers = frozenset(int(a) for a in rng.choice(pool, int(rng.integers(1, 4)), replace=False))
+            relations = tuple(int(r) for r in rng.integers(model.schema.n_relations, size=n_relations))
+            queries.append(Query(structure, anchors, relations, answers))
+    return queries
+
+
+def assert_rows_match_the_oracle(queries, model, answered):
+    """``answered`` yields ``(members, candidates, values)``; each row within 1e-12 of ``OracleForm``'s.
+
+    Ranks are not compared: candidates tied in exact arithmetic (a section's
+    twin, the two anchors of a 2i query over identity maps) may be ordered
+    either way by rounding, which differs between the two eliminations.
+    """
+    want = oracle_group_scores(queries, model)
+    seen = set()
+    for members, candidates, values in answered:
+        for i, row in zip(members, values):
+            want_candidates, want_row, _ = want[i]
+            np.testing.assert_array_equal(candidates, want_candidates)
+            tol = 1e-12 * max(1.0, float(np.max(np.abs(want_row))))
+            np.testing.assert_allclose(row, want_row, rtol=0, atol=tol)
+            seen.add(i)
+    assert seen == set(range(len(queries)))
+
+
+def answered_one_at_a_time(queries, model):
+    """``answer_query``'s values of each query, as ``answer_queries`` yields rows."""
+    for i, q in enumerate(queries):
+        ranking = answer_query(q, model)
+        candidates = np.sort(ranking.entity_ids)
+        row = np.empty(len(candidates))
+        row[np.searchsorted(candidates, ranking.entity_ids)] = ranking.values
+        yield [i], candidates, row[None]
+
+
+@pytest.mark.parametrize("m", [1, 3])
+def test_an_all_identity_model_eliminates_on_scalar_stalks(monkeypatch, m):
+    rng = np.random.default_rng(20 + m)
+    model = identity_model(rng, m)
+    queries = identity_queries(rng, model)
+    seen = record_stalks(monkeypatch)
+    report = evaluate(model, queries)
+    rankings = [answer_query(q, model) for q in queries]
+    assert {len(dims) for dims in seen} == {2, 3, 4}  # every template size
+    assert all(set(dims) == {1} for dims in seen)
+    assert report == oracle_evaluate(model, queries)
+    for q, ranking in zip(queries, rankings):
+        assert_same_order(ranking, *oracle_ranking(q, model))
+
+
+def test_an_identity_tag_whose_maps_changed_answers_with_its_real_maps(monkeypatch):
+    rng = np.random.default_rng(5)
+    model = identity_model(rng, 2)
+    queries = identity_queries(rng, model)
+    changed = model.copy()
+    changed.sheaf.head_maps[1][...] += 0.3 * rng.normal(size=changed.sheaf.head_maps[1].shape)
+    seen = record_stalks(monkeypatch)
+    assert_rows_match_the_oracle(queries, changed, query.answer_queries(queries, changed))
+    assert_rows_match_the_oracle(queries, changed, answered_one_at_a_time(queries, changed))
+    # queries on relation 1 keep their 4-dim stalks, the others take scalar ones
+    assert {frozenset(dims) for dims in seen} == {frozenset({1}), frozenset({4})}
+
+    model.sheaf.head_maps[1][0, 0] = np.nan
+    with pytest.raises(EvaluationError, match="on relations .*r1.* has a non-finite candidate value"):
+        evaluate(model, queries)
+    with pytest.raises(EvaluationError, match="the query on relations .*r1.* has a non-finite"):
+        answer_query(next(q for q in queries if 1 in q.relations), model)
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), variant=st.sampled_from(["shv", "shvt"]), m=st.sampled_from([1, 2]))
+def test_identity_and_free_keys_of_one_stalk_signature_match_the_oracle(seed, variant, m):
+    rng = np.random.default_rng(seed)
+    model = shared_signature_model(rng, variant, m, "none", identity=(0, 6))
+    pairs = [("1p", (0,), (1,)), ("2p", (0, 0), (0, 1)), ("2i", (6, 6), (7, 6)),
+             ("3p", (6, 6, 6), (6, 7, 6)), ("pi", (0, 0, 0), (0, 0, 1))]
+    queries = []
+    for structure, *keys in pairs:
+        signatures = set()
+        for relations in keys:
+            qg = build_query_graph(Query(structure, (0,) * STRUCTURE_ARITY[structure][0], relations), SHARED)
+            signatures.add((qg.vertex_types, tuple(SHARED.edge_dim[r] for r in relations)))
+            targets = np.flatnonzero(model.entity_type == qg.vertex_types[qg.target_vertex])
+            for _ in range(2):
+                anchors = tuple(int(rng.choice(np.flatnonzero(model.entity_type == qg.vertex_types[v])))
+                                for v in qg.anchor_vertices)
+                answers = rng.choice(targets, int(rng.integers(1, 4)), replace=False)
+                queries.append(Query(structure, anchors, relations, frozenset(answers.tolist())))
+        assert len(signatures) == 1
+        assert [model.sheaf.identity_maps(relations) for relations in keys] == [True, False]
+    rng.shuffle(queries)
+    assert_rows_match_the_oracle(queries, model, query.answer_queries(queries, model))
+    assert_rows_match_the_oracle(queries, model, answered_one_at_a_time(queries, model))

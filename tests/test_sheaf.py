@@ -564,6 +564,23 @@ class TestPsdPinv:
         assert np.isnan(got[1:]).all()
         assert np.isnan(psd_pinv([[np.inf, 0.0], [0.0, 1.0]])).all()
 
+    def test_an_overflowing_eigenvalue_gets_an_all_nan_pseudoinverse(self, rng):
+        # every entry is finite, but eigh's largest eigenvalue is inf, and so was the cutoff
+        # PINV_RCOND * w[-1], which then dropped every eigenvalue: an all-zero pseudoinverse
+        huge = [[1.7e308, 5.7e307], [5.7e307, 1.7e308]]
+        assert np.isfinite(huge).all() and np.isinf(np.linalg.eigh(huge)[0][-1])
+        assert np.isnan(psd_pinv(huge)).all()
+        a = rng.normal(size=(2, 1))
+        finite = a @ a.T  # rank 1
+        got = psd_pinv(np.stack([finite, huge, finite]))
+        assert np.isnan(got[1]).all()
+        # the finite matrices take the unchecked path, bit for bit
+        w, q = np.linalg.eigh(finite)
+        cutoff = PINV_RCOND * max(w[-1], 0.0)
+        inv_w = np.where(w > cutoff, 1.0, 0.0) / np.where(w > cutoff, w, 1.0)
+        want = ((q * inv_w[None, :]) @ q.T).tobytes()
+        assert got[0].tobytes() == got[2].tobytes() == want == psd_pinv(finite).tobytes()
+
     def test_nan_map_gives_nan_extension_and_kron_reduction(self):
         sheaf = identity_path(2)
         sheaf.head_maps[1][0, 0] = np.nan  # edge 1 leaves the interior vertex 1
