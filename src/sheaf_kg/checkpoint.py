@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import CheckpointError, ConfigError, SchemaError
-from .kgdata import Schema, text_lines
+from .kgdata import Schema, text_lines, unique_names
 from .model import CONSTRAINTS, VARIANTS, KnowledgeSheaf, Model, SectionMatrix, equal_runs
 
 MAGIC = b"SHKGTNSR"
@@ -255,7 +255,7 @@ def _read_model(mpath: Path, tpath: Path) -> Model:
         raise CheckpointError(f"{tpath}: tensors hold non-finite values")
     return Model(
         schema=schema,
-        entities=tuple(entity_names),
+        entities=unique_names(entity_names, CheckpointError, f"{mpath}: "),
         entity_type=types,
         sheaf=sheaf,
         sections=padded,

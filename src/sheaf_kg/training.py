@@ -19,7 +19,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _kernels
-from .errors import ConfigError, SamplingError, ShapeError, TrainingAbortError, as_id, check_types
+from .errors import (
+    ConfigError, SamplingError, ShapeError, TrainingAbortError, ValidationError, as_id, check_types,
+)
 from .kgdata import TRAIN, KnowledgeGraph, TripleIndex, build_index
 from .model import (
     MAP_STEPS,
@@ -272,9 +274,10 @@ def train(kg: KnowledgeGraph, config: TrainConfig, model: Model) -> tuple[Model,
     take the optimizer step (``model.MAP_STEPS``): no identity map, and no
     shared or antisymmetric tail. Each relation with a stepping map is then
     re-projected exactly on its true block; a projection warning is logged
-    once per call. A model whose maps break their tags is a
-    :class:`ConfigError` before any step. When every map is a square
-    identity, none is multiplied (TransE, see ``_kernels``).
+    once per call. Before any step, a model built for another schema or
+    ``entity_type`` is a :class:`ValidationError`, and one whose maps break
+    their tags a :class:`ConfigError`. When every map is a square identity,
+    none is multiplied (TransE, see ``_kernels``).
 
     A diverging run raises :class:`TrainingAbortError` naming the epoch, on
     a numpy overflow or invalid operation in the epoch's orthogonality penalty
@@ -293,6 +296,9 @@ def train(kg: KnowledgeGraph, config: TrainConfig, model: Model) -> tuple[Model,
     The report's ``epoch_active_fraction`` is the share of an epoch's B*k
     pairs that violated the margin.
     """
+    if model.schema != kg.schema or not np.array_equal(model.entity_type, kg.entity_type):
+        differs = "schema" if model.schema != kg.schema else "entity_type"
+        raise ValidationError(f"the model was built for another graph: its {differs} is not the graph's")
     triples = kg.triples_of(TRAIN)
     if len(triples) == 0:
         raise ConfigError("training split is empty")

@@ -410,10 +410,11 @@ def test_sections_below_one_is_checkpoint_error(tmp_path, saved, value):
 
 @pytest.mark.parametrize("old, new, message", [
     ("relation=r1\n", "relation=r0\n", "duplicate relation names"),
+    ("entity=e1\n", "entity=e0\n", "duplicate entity name 'e0'"),  # entity_index() would read e0 as 1
     ("=c\n", "=a\n", "duplicate entity type names"),  # type c renamed a, its uses too
     ("vertex_dim=2\n", "vertex_dim=0\n", "all stalk dimensions must be >= 1"),
     ("edge_dim=3\n", "edge_dim=0\n", "all stalk dimensions must be >= 1"),
-], ids=["duplicate-relation", "duplicate-entity-type", "vertex-dim-0", "edge-dim-0"])
+], ids=["duplicate-relation", "duplicate-entity", "duplicate-entity-type", "vertex-dim-0", "edge-dim-0"])
 def test_corrupt_manifest_schema_is_checkpoint_error(tmp_path, saved, old, new, message):
     manifest, tensors = saved
     assert old in manifest

@@ -641,6 +641,25 @@ class TestQuery:
         assert res.exit_code == 1, res.output
         assert "error: the query on relations (r1, r0) has a non-finite candidate value" in res.output
 
+    def test_repeated_entity_name_in_manifest_exits_1(self, runner, workspace, tmp_path):
+        # unchecked, entity_index() maps e00000 to entity 1 and the query answers from the wrong anchor
+        import shutil
+
+        prefix = tmp_path / "broken"
+        manifest = (workspace / "data" / "generator.manifest").read_text(encoding="utf-8")
+        assert manifest.count("entity=e00001\n") == 1
+        Path(str(prefix) + ".manifest").write_text(
+            manifest.replace("entity=e00001\n", "entity=e00000\n"), encoding="utf-8"
+        )
+        shutil.copy(workspace / "data" / "generator.tensors", str(prefix) + ".tensors")
+        res = run_cli(runner, [
+            "query", "--checkpoint", str(prefix), "--structure", "1p",
+            "--anchors", "e00000", "--relations", "r0",
+        ])
+        assert res.exit_code == 1, res.output
+        assert f"error: {prefix}.manifest: duplicate entity name 'e00000'" in res.output
+        assert "Traceback" not in res.output
+
     def test_top_k_output(self, runner, workspace):
         res = run_cli(runner, [
             "query", "--checkpoint", str(workspace / "ckpt" / "model_seed1"),

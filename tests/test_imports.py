@@ -4,7 +4,9 @@ Every name a ``src/`` module imports is used in that module or marked
 ``# noqa: F401``, and every function, method or property it defines has a
 caller in ``src/``, ``tests/`` or ``benchmarks/``. Every ``raise Name(...)``
 in ``src/`` names a ``SheafKGError`` subclass, and only an allow-listed
-function calls a ``linalg`` routine that can raise ``LinAlgError``.
+function calls a ``linalg`` routine that can raise ``LinAlgError``. A
+``_``-prefixed name crosses from one ``src/`` module into another only
+where ``PRIVATE_IMPORTS`` lists it.
 """
 
 import ast
@@ -206,3 +208,48 @@ def test_raising_linalg_calls_stay_in_their_allowed_functions(path):
     """Every eigen-solve goes through ``psd_pinv``: a non-finite matrix gives NaN, not ``LinAlgError``."""
     calls = raising_linalg_calls(path.read_text(encoding="utf-8"), path.stem)
     assert [call for call in calls if call.split(":")[0] not in LINALG_CALLERS] == []
+
+
+def private_imports(source: str) -> list[str]:
+    """The ``_``-prefixed names that ``source`` imports anywhere, as ``<module>.<name>``.
+
+    ``from .kgdata import _triple_keys`` reads ``kgdata._triple_keys`` and
+    ``from . import _kernels`` reads ``_kernels``. A leading ``sheaf_kg.`` is
+    dropped, so relative and absolute imports read alike. A name counts when
+    any dotted part of it starts with ``_``; dunders (``__future__``) do not.
+    """
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            names = [f"{node.module}.{alias.name}" if node.module else alias.name for alias in node.names]
+        elif isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        else:
+            continue
+        for name in names:
+            name = name.removeprefix("sheaf_kg.")
+            if any(part.startswith("_") and not part.startswith("__") for part in name.split(".")):
+                found.append(name)
+    return found
+
+
+def test_the_check_finds_a_private_import():
+    source = ("from __future__ import annotations\nfrom . import _k, seeds\n"
+              "from .a import _b, c as _c, __version__\nimport numpy as np\nimport sheaf_kg._m.x\n"
+              "from sheaf_kg import _n\nfrom ._p import q\ndef f():\n    from .r import _s\n")
+    assert private_imports(source) == ["_k", "a._b", "_m.x", "_n", "_p.q", "r._s"]
+
+
+# every private name one src/ module imports from another: the triple-key format
+# is shared by kgdata and evaluation only, the structure templates by query and
+# evaluation only, and the kernels back model and training
+PRIVATE_IMPORTS = {
+    "evaluation": ["kgdata._triple_keys", "query._TEMPLATES"],
+    "model": ["_kernels"],
+    "training": ["_kernels"],
+}
+
+
+def test_private_names_cross_modules_only_where_listed():
+    found = {path.stem: private_imports(path.read_text(encoding="utf-8")) for path in sorted(SRC.glob("*.py"))}
+    assert {module: names for module, names in found.items() if names} == PRIVATE_IMPORTS

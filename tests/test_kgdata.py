@@ -191,6 +191,7 @@ class TestGraphValidation:
         assert self.graph().n_entities == 3
 
     @pytest.mark.parametrize("fields, match", [
+        ({"entities": ("ann", "oslo", "oslo")}, "^duplicate entity name 'oslo'$"),
         ({"entity_type": np.array([0, 0])}, "entity_type must align with entities"),
         ({"entity_type": np.array([0, 0, 2])}, "entity type index out of range"),
         ({"triples": np.array([0, 0, 2])}, r"triples must be an \(n, 3\) array"),
@@ -199,7 +200,7 @@ class TestGraphValidation:
         ({"triples": np.array([[0, 0, 2], [0, 2, 1]])}, "relation index out of range"),
         ({"triples": np.array([[0, 0, 2], [2, 1, 1]])},
          r"type-inconsistent triple #1: \(oslo, knows, bob\)"),
-    ], ids=["short-entity-type", "unknown-entity-type", "flat-triples", "short-split",
+    ], ids=["repeated-entity", "short-entity-type", "unknown-entity-type", "flat-triples", "short-split",
             "unknown-entity", "unknown-relation", "mistyped-triple"])
     def test_each_rejection_is_a_validation_error(self, fields, match):
         with pytest.raises(ValidationError, match=match):
@@ -246,6 +247,33 @@ class TestTripleIndex:
         )
         for row in probes.tolist():
             assert (tuple(row) in index) == (tuple(row) in scan)
+
+    @given(
+        n_entities=st.integers(1, 7),
+        n_relations=st.integers(1, 3),
+        data=st.data(),
+        as_numpy=st.booleans(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_in_is_contains_in_range_and_false_out_of_range(self, n_entities, n_relations, data, as_numpy):
+        entity, relation = st.integers(0, n_entities - 1), st.integers(0, n_relations - 1)
+        triples = list(dict.fromkeys(data.draw(st.lists(st.tuples(entity, relation, entity), max_size=30))))
+        index = build_index(self._kg(triples, n_entities, n_relations))
+        cast = np.int64 if as_numpy else int
+        for triple in data.draw(st.lists(st.tuples(entity, relation, entity), max_size=20)) + triples:
+            triple = tuple(map(cast, triple))
+            assert (triple in index) == bool(index.contains(np.array([triple]))[0]) == (triple in set(triples))
+        # out of range: contains may alias such a key onto a stored triple, ``in`` may not
+        h, r, t = triples[0] if triples else (0, 0, 0)
+        for triple in [(-1, r, t), (h, -1, t), (h, r, -1), (h + n_entities, r, t),
+                       (h, r + n_relations, t), (h, r, t + n_entities), (h - n_entities, r + 1, t)]:
+            assert tuple(map(cast, triple)) not in index
+
+    def test_out_of_range_keys_alias_in_contains_but_not_in(self):
+        # (0, 1, 0) and (1, 0, 0) share key 1 * n_entities + 0 when n_relations is 1
+        index = build_index(self._kg([(1, 0, 0)], n_entities=3, n_relations=1))
+        assert index.contains(np.array([(0, 1, 0)])).tolist() == [True]
+        assert (0, 1, 0) not in index and (np.int64(0), np.int64(1), np.int64(0)) not in index
 
     @given(
         triples=st.lists(
@@ -301,9 +329,9 @@ class TestAssembly:
         path = tmp_path / "out.tsv"
         write_triples(kg, path, "train")
         reloaded = load_dataset(schema, path)
-        assert build_index(reloaded).triple_set == build_index(kg).triple_set == {
-            tuple(map(int, row)) for row in kg.triples
-        }
+        index, expected = build_index(kg), {tuple(map(int, row)) for row in kg.triples}
+        assert np.array_equal(build_index(reloaded).keys, index.keys)
+        assert len(index.keys) == len(expected) and all(triple in index for triple in expected)
 
     def test_loaded_graphs_are_type_consistent(self, tmp_path, rng):
         lines = []

@@ -1,4 +1,5 @@
 import logging
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 from conftest import batch_scores
 from sheaf_kg import _kernels
 from sheaf_kg.checkpoint import save_model, manifest_path, tensor_path
-from sheaf_kg.errors import ConfigError, SamplingError, TrainingAbortError
+from sheaf_kg.errors import ConfigError, SamplingError, TrainingAbortError, ValidationError
 from sheaf_kg.kgdata import KnowledgeGraph, Schema, build_index, default_schema
 from sheaf_kg.model import (
     CONSTRAINTS,
@@ -349,6 +350,27 @@ class TestTrain:
             train(ds.kg, TrainConfig(epochs=1, seed=0), model)
         for arr, old in zip((model.sections.X, model.sheaf.RH, model.sheaf.RT), before):
             np.testing.assert_array_equal(arr, old)
+
+    @pytest.mark.parametrize("n_entities, n_relations, differs", [
+        (30, 2, "entity_type"), (60, 2, "entity_type"), (40, 3, "schema"),
+    ], ids=["fewer-entities", "more-entities", "more-relations"])
+    def test_model_of_another_graph_fails_before_any_step(self, n_entities, n_relations, differs):
+        # unchecked, the 30-entity graph trains and never moves rows 30-39, and the others index past the arrays
+        model = init_for_kg(ModelConfig(variant="shvt"), generate_planted_kg(40, 2, 4, 0.0, seed=0).kg, seed=0)
+        kg = generate_planted_kg(n_entities, n_relations, 4, 0.0, seed=0).kg
+        before = [a.copy() for a in (model.sections.X, model.sheaf.RH, model.sheaf.RT, model.sheaf.T)]
+        with pytest.raises(ValidationError, match=f"built for another graph: its {differs} is not the graph's$"):
+            train(kg, TrainConfig(epochs=1, seed=0), model)
+        for arr, old in zip((model.sections.X, model.sheaf.RH, model.sheaf.RT, model.sheaf.T), before):
+            np.testing.assert_array_equal(arr, old)
+
+    def test_model_with_other_entity_types_fails(self, rng):
+        kg = typed_graph(rng)
+        model = init_for_kg(ModelConfig(variant="shv"), kg, seed=0)
+        model = replace(model, entity_type=kg.entity_type[::-1].copy())  # same shape, every dim 2
+        assert not np.array_equal(model.entity_type, kg.entity_type)
+        with pytest.raises(ValidationError, match="its entity_type is not the graph's$"):
+            train(kg, TrainConfig(epochs=1, seed=0), model)
 
     def test_planted_data_positive_scores_decrease(self):
         ds = generate_planted_kg(60, 3, 8, 0.0, seed=3, variant="shv")
