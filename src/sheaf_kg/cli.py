@@ -1,11 +1,13 @@
 """Command-line pipeline: synth, train, eval, query, inspect.
 
 Exit codes: 0 success, 1 runtime/numeric failure, 2 usage or input error.
-The group's ``invoke`` is the one error boundary: it prints ``error: ...``
-for a ``SheafKGError`` or ``OSError`` and exits 2 for the input errors
+The group's ``invoke`` is the one error boundary: it prints one ``error: ...``
+line for a ``SheafKGError`` or ``OSError`` and exits 2 for the input errors
 (``ConfigError``, ``QueryError``, ``SchemaError``, ``TripleParseError``,
 ``ValidationError``), 1 for the rest (checkpoint, sampling, training-abort
-and file-write errors).
+and file-write errors). No command raises a click error: a bad value is one
+of the input errors above, and a command flag that click itself refuses (a bad
+choice, a missing option) is printed the same way, exit 2, with no usage banner.
 Every run logs the fully resolved configuration so results are reproducible
 from the log alone. ``train``'s setting flags are built from the config keys
 (``config.VALID_KEYS``, typed by ``config.KEY_TYPES``); ``config.build_settings``
@@ -14,7 +16,6 @@ turns the config file and those flags into a ``ModelConfig`` and a ``TrainConfig
 
 from __future__ import annotations
 
-import difflib
 import logging
 import sys
 from dataclasses import replace
@@ -26,9 +27,9 @@ import numpy as np
 from . import checkpoint as ckpt
 from . import evaluation, kgdata, synth
 from .config import KEY_TYPES, VALID_KEYS, build_settings, describe, read_config_file
-from .errors import INPUT_ERRORS, SchemaError, SheafKGError, ValidationError
+from .errors import INPUT_ERRORS, ConfigError, SchemaError, SheafKGError, ValidationError
 from .model import VARIANTS, init_for_kg, relation_discrepancy
-from .query import STRUCTURES, Query, answer_query, read_queries, write_queries
+from .query import STRUCTURES, Query, answer_query, read_queries, resolve_names, write_queries
 from .seeds import substream
 from .training import OPTIMIZERS, train
 
@@ -51,6 +52,9 @@ class _Main(click.Group):
             named = isinstance(exc, OSError) and exc.filename is not None
             click.echo(f"error: {exc.filename}: {exc.strerror}" if named else f"error: {exc}", err=True)
             ctx.exit(2 if isinstance(exc, INPUT_ERRORS) else 1)
+        except click.UsageError as exc:
+            click.echo(f"error: {exc.format_message()}", err=True)
+            ctx.exit(2)
 
 
 def _parse_seeds(text: str) -> list[int]:
@@ -59,7 +63,7 @@ def _parse_seeds(text: str) -> list[int]:
     except ValueError:
         seeds = []
     if not seeds or min(seeds) < 0 or len(set(seeds)) < len(seeds):
-        raise click.UsageError(f"--seeds must be comma-separated distinct integers >= 0, got {text!r}")
+        raise ConfigError(f"--seeds must be comma-separated distinct integers >= 0, got {text!r}")
     return seeds
 
 
@@ -179,17 +183,6 @@ def cmd_eval(checkpoints, queries_path, method, out_path):
         logger.info("wrote report to %s", out_path)
 
 
-def _resolve_names(names, table, kind):
-    out = []
-    for name in names:
-        if name not in table:
-            hint = difflib.get_close_matches(name, list(table), n=1)
-            suffix = f" (did you mean {hint[0]!r}?)" if hint else ""
-            raise click.UsageError(f"unknown {kind} {name!r}{suffix}")
-        out.append(table[name])
-    return out
-
-
 @main.command("query")
 @click.option("--checkpoint", "prefix", type=click.Path(), required=True)
 @click.option("--structure", type=click.Choice(STRUCTURES), required=True)
@@ -199,11 +192,9 @@ def _resolve_names(names, table, kind):
 def cmd_query(prefix, structure, anchors, relations, top_k):
     """Answer one query and print the best candidates, ascending by cost."""
     model = ckpt.load_model(prefix)
-    entity_table = model.entity_index()
-    relation_table = {name: i for i, name in enumerate(model.schema.relation_types)}
-    anchor_ids = _resolve_names([a for a in anchors.split(",") if a], entity_table, "entity")
-    relation_ids = _resolve_names([r for r in relations.split(",") if r], relation_table, "relation")
-    query = Query(structure, tuple(anchor_ids), tuple(relation_ids))
+    relation_table = {name: r for r, name in enumerate(model.schema.relation_types)}
+    query = Query(structure, resolve_names(anchors, model.entity_index(), "entity"),
+                  resolve_names(relations, relation_table, "relation"))
     ranking = answer_query(query, model)
     for entity, value in ranking.top(top_k):
         click.echo(f"{model.entities[entity]}\t{value!r}")

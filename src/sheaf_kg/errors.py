@@ -9,12 +9,7 @@ class SheafKGError(Exception):
 
 
 class TripleParseError(SheafKGError):
-    """A triple file line could not be parsed."""
-
-    def __init__(self, path, line_number, message):
-        super().__init__(f"{path}:{line_number}: {message}")
-        self.path = path
-        self.line_number = line_number
+    """A line of a TAB-separated file has the wrong number of fields, or an empty one."""
 
 
 class SchemaError(SheafKGError):

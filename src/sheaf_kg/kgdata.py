@@ -284,13 +284,14 @@ def text_lines(path, error=ValidationError):
 
 
 def tsv_rows(path, n_fields: int):
-    """Yield ``(line number, fields)`` for each non-empty line of a TAB-separated file."""
+    """Yield ``(line number, fields)`` for each non-empty line of a TAB-separated file; no field is empty."""
     for lineno, line in text_lines(path):
         fields = line.split("\t")
         if len(fields) != n_fields:
             raise TripleParseError(
-                path, lineno, f"expected {n_fields} tab-separated fields, got {len(fields)}"
-            )
+                f"{path}:{lineno}: expected {n_fields} tab-separated fields, got {len(fields)}")
+        if "" in fields:
+            raise TripleParseError(f"{path}:{lineno}: field {fields.index('') + 1} of {n_fields} is empty")
         yield lineno, fields
 
 

@@ -28,13 +28,14 @@ when each relation is tagged identity (checked first) and both its maps equal I 
 
 from __future__ import annotations
 
+import difflib
 import math
 from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
 
-from .errors import BudgetExceededError, ConfigError, EvaluationError, QueryError, SchemaError, as_id
+from .errors import BudgetExceededError, ConfigError, EvaluationError, QueryError, as_id
 from .kgdata import text_lines
 from .model import Model, KnowledgeSheaf, edge_residual
 from .sheaf import (
@@ -409,7 +410,8 @@ def naive_traversal_score(query: Query, model: Model) -> Ranking:
     """Baseline for path queries: add up translations along the chain.
 
     Requires a translational model whose restriction maps along the query's
-    relations are identity-constrained; only 1p/2p/3p structures make sense.
+    relations are the identity (``KnowledgeSheaf.identity_maps``: tag and
+    values); only 1p/2p/3p structures make sense.
     """
     if query.structure not in ("1p", "2p", "3p"):
         raise QueryError(f"naive traversal does not support {query.structure!r} structures")
@@ -417,11 +419,10 @@ def naive_traversal_score(query: Query, model: Model) -> Ranking:
     if not sheaf.translational:
         raise ConfigError("naive traversal needs a translational model")
     for r in query.relations:
-        if sheaf.constraints[r] != "identity":
-            raise ConfigError(
-                f"naive traversal needs identity maps; relation "
-                f"{model.schema.relation_types[r]!r} is {sheaf.constraints[r]!r}"
-            )
+        if not sheaf.identity_maps([r]):
+            name = model.schema.relation_types[r]
+            raise ConfigError(f"naive traversal needs identity maps, which relation {name!r} "
+                              f"(tagged {sheaf.constraints[r]}) does not have")
     qg = build_query_graph(query, model.schema)
     target = _anchor_data(model, qg, query.anchors) + sum(
         sheaf.translations[r] for r in query.relations
@@ -471,18 +472,26 @@ def entity_chaining_exact(query: Query, model: Model, budget: int = 10**6) -> Ra
     return ranking_from_scores(candidates, best)
 
 
+def resolve_names(field: str, table: dict[str, int], kind: str) -> tuple[int, ...]:
+    """Look up ``field``'s non-empty comma-separated names in ``table``; an unknown one is a ``QueryError``."""
+    ids = []
+    for name in filter(None, field.split(",")):
+        if name not in table:
+            hint = difflib.get_close_matches(name, list(table), n=1)
+            raise QueryError(f"unknown {kind} {name!r}" + (f" (did you mean {hint[0]!r}?)" if hint else ""))
+        ids.append(table[name])
+    return tuple(ids)
+
+
 def read_queries(path, entity_index: dict[str, int], schema) -> list[Query]:
     """Parse a TAB-separated query file.
 
     Line format: structure tag, comma-separated anchor entity names,
     comma-separated relation names, comma-separated answer entity names (at
-    least one). Every malformed line raises an error naming ``path:line``.
+    least one), so a name cannot hold a comma. Names resolve through
+    ``resolve_names``. Every malformed line raises a ``QueryError`` naming ``path:line``.
     """
-    def resolve_entity(name):
-        if name not in entity_index:
-            raise QueryError(f"unknown entity {name!r}")
-        return entity_index[name]
-
+    relation_index = {name: r for r, name in enumerate(schema.relation_types)}
     queries = []
     for lineno, line in text_lines(path, QueryError):
         try:
@@ -490,30 +499,30 @@ def read_queries(path, entity_index: dict[str, int], schema) -> list[Query]:
             if len(parts) != 4:
                 raise QueryError("expected 4 tab-separated fields")
             tag, anchor_s, rel_s, answer_s = parts
-            anchors = tuple(resolve_entity(n) for n in anchor_s.split(",") if n)
-            relations = tuple(schema.relation_index(n) for n in rel_s.split(",") if n)
-            answers = frozenset(resolve_entity(n) for n in answer_s.split(",") if n)
+            anchors = resolve_names(anchor_s, entity_index, "entity")
+            relations = resolve_names(rel_s, relation_index, "relation")
+            answers = frozenset(resolve_names(answer_s, entity_index, "entity"))
             if not answers:
                 raise QueryError("no answer entities")
             queries.append(Query(tag, anchors, relations, answers))
-        except (QueryError, SchemaError) as exc:
-            raise type(exc)(f"{path}:{lineno}: {exc}") from None
+        except QueryError as exc:
+            raise QueryError(f"{path}:{lineno}: {exc}") from None
     if not queries:
         raise QueryError(f"{path}: no queries")
     return queries
 
 
 def write_queries(queries, path, entity_names, relation_names) -> None:
+    """Write ``queries`` for ``read_queries``; any name it cannot read back is first a ``QueryError``."""
+    lines = []
+    for q in queries:
+        fields = [q.structure]
+        for names, ids, kind in ((entity_names, q.anchors, "entity"), (relation_names, q.relations, "relation"),
+                                 (entity_names, sorted(q.answers), "entity")):
+            fields.append(",".join(names[i] for i in ids))
+            bad = [names[i] for i in ids if "," in names[i] or not names[i]]
+            if bad:
+                raise QueryError(f"{kind} name {bad[0]!r} does not fit a query file's comma-separated fields")
+        lines.append("\t".join(fields) + "\n")
     with open(path, "w", encoding="utf-8") as fh:
-        for q in queries:
-            fh.write(
-                "\t".join(
-                    (
-                        q.structure,
-                        ",".join(entity_names[a] for a in q.anchors),
-                        ",".join(relation_names[r] for r in q.relations),
-                        ",".join(entity_names[a] for a in sorted(q.answers)),
-                    )
-                )
-                + "\n"
-            )
+        fh.writelines(lines)

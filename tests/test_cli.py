@@ -932,6 +932,39 @@ class TestErrorBoundary:
         assert "error:" in res.output and "relation 'r0': identity maps are not the identity" in res.output
         assert "Traceback" not in res.output
 
+    # the first two once printed click's usage banner; a query file's unknown relation had no hint
+    def test_unknown_query_anchor_is_one_error_line(self, runner, workspace):
+        res = run_cli(runner, ["query", "--checkpoint", str(workspace / "ckpt" / "model_seed1"),
+                               "--structure", "1p", "--anchors", "e0000", "--relations", "r0"])
+        assert res.exit_code == 2
+        assert res.output == "error: unknown entity 'e0000' (did you mean 'e00050'?)\n"
+
+    def test_repeated_seed_is_one_error_line(self, runner, tmp_path):
+        (tmp_path / "t.tsv").write_text("a\tr\tb\n", encoding="utf-8")
+        res = run_cli(runner, ["train", "--train", str(tmp_path / "t.tsv"), "--seeds", "1,1",
+                               "--out", str(tmp_path / "o")])
+        assert res.exit_code == 2
+        assert res.output == "error: --seeds must be comma-separated distinct integers >= 0, got '1,1'\n"
+
+    def test_unknown_relation_in_a_query_file_is_one_error_line(self, runner, workspace, tmp_path):
+        queries = tmp_path / "q.tsv"
+        queries.write_text("1p\te00000\trr0\te00001\n", encoding="utf-8")
+        res = run_cli(runner, ["eval", "--checkpoint", str(workspace / "ckpt" / "model_seed1"),
+                               "--queries", str(queries)])
+        assert res.exit_code == 2
+        assert res.output == f"error: {queries}:1: unknown relation 'rr0' (did you mean 'r0'?)\n"
+
+    @pytest.mark.parametrize("args, message", [
+        (["--top-k", "0"], "Invalid value for '--top-k': 0 is not in the range x>=1."),
+        (["--structure", "9p"], "Invalid value for '--structure': '9p' is not one of"),
+        (["--checkpoint"], "Option '--checkpoint' requires an argument."),
+    ], ids=["top-k", "structure", "checkpoint"])
+    def test_a_flag_click_refuses_is_one_error_line(self, runner, workspace, args, message):
+        res = run_cli(runner, ["query", "--checkpoint", str(workspace / "ckpt" / "model_seed1"),
+                               "--structure", "1p", "--anchors", "e00000", "--relations", "r0", *args])
+        assert res.exit_code == 2
+        assert res.output.startswith(f"error: {message}") and res.output.count("\n") == 1
+
 
 def _fuzz_commands(d: Path, anchor: str, relation: str) -> dict[str, list[str]]:
     """Every command that reads an input file, run on the files in ``d``."""

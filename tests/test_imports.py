@@ -3,7 +3,7 @@
 Every name a ``src/`` module imports is used in that module or marked
 ``# noqa: F401``, and every function, method or property it defines has a
 caller in ``src/``, ``tests/`` or ``benchmarks/``. Every ``raise Name(...)``
-in ``src/`` names a ``SheafKGError`` subclass, and only an allow-listed
+or ``raise module.Name(...)`` in ``src/`` names a ``SheafKGError`` subclass, and only an allow-listed
 function calls a ``linalg`` routine that can raise ``LinAlgError``. A
 ``_``-prefixed name crosses from one ``src/`` module into another only
 where ``PRIVATE_IMPORTS`` lists it.
@@ -116,24 +116,31 @@ def test_every_definition_has_a_caller():
 
 
 def foreign_raises(source: str, own: set[str]) -> list[str]:
-    """``"<line>: <name>"`` for each ``raise Name(...)`` in ``source`` whose name is not in ``own``.
+    """``"<line>: <callee>"`` for each ``raise [module.]Name(...)`` in ``source`` whose ``Name`` is not in ``own``.
 
     A name that is a parameter of the enclosing function is exempt: it is
-    the error class the caller passes in (``as_id``'s ``error``).
+    the error class the caller passes in (``as_id``'s ``error``). A dotted
+    callee counts when its first part is a name that ``source`` imports
+    (``click.UsageError``), so ``raise self._error(...)`` is not one.
     """
+    tree = ast.parse(source)
+    imported = {(a.asname or a.name).split(".")[0] for node in ast.walk(tree)
+                if isinstance(node, ast.Import | ast.ImportFrom) for a in node.names}
     found = []
 
     def visit(node, params):
         if isinstance(node, ast.FunctionDef):
             params = params | {a.arg for a in ast.walk(node.args) if isinstance(a, ast.arg)}
-        if (isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)
-                and isinstance(node.exc.func, ast.Name)
-                and node.exc.func.id not in own | params):
-            found.append(f"{node.lineno}: {node.exc.func.id}")
+        if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call):
+            callee = ast.unparse(node.exc.func).split(".")
+            plain = isinstance(node.exc.func, ast.Name) and callee[0] not in params
+            dotted = isinstance(node.exc.func, ast.Attribute) and callee[0] in imported
+            if (plain or dotted) and callee[-1] not in own:
+                found.append(f"{node.lineno}: {'.'.join(callee)}")
         for child in ast.iter_child_nodes(node):
             visit(child, params)
 
-    visit(ast.parse(source), frozenset())
+    visit(tree, frozenset())
     return found
 
 
@@ -146,6 +153,16 @@ def test_the_check_finds_a_foreign_raise():
               "def g(key):\n    if key:\n        raise KeyError(key)\n    raise QueryError('y')\n"
               "raise type(e)('z')\n")
     assert foreign_raises(source, {"QueryError"}) == ["5: KeyError"]
+
+
+def test_the_check_finds_a_foreign_raise_through_a_module():
+    source = ("import click\nimport numpy as np\nfrom . import errors\n"
+              "def f(self, text):\n"
+              "    if text:\n        raise click.UsageError(text)\n"
+              "    if not text:\n        raise np.linalg.LinAlgError(text)\n"
+              "    raise errors.QueryError(text)\n"
+              "def g(self):\n    raise self._error('x')\n")
+    assert foreign_raises(source, {"QueryError"}) == ["6: click.UsageError", "8: np.linalg.LinAlgError"]
 
 
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)

@@ -47,7 +47,7 @@ class TestLoadTriples:
         schema = default_schema(1, 4, 4)
         with pytest.raises(TripleParseError) as err:
             load_triples(path, schema, VocabBuilder())
-        assert err.value.line_number == 1
+        assert str(err.value) == f"{path}:1: expected 3 tab-separated fields, got 2"
 
     def test_unknown_relation_is_schema_error(self, tmp_path):
         path = write(tmp_path / "t.tsv", "a\thates\tb\n")
@@ -125,6 +125,24 @@ class TestLoadTriples:
     def test_type_label_file_allows_an_identical_repeat(self, tmp_path):
         path = write(tmp_path / "types.tsv", "alice\tperson\nparis\tcity\nalice\tperson\n")
         assert read_type_labels(path) == {"alice": "person", "paris": "city"}
+
+    # the "triples" lines once loaded the entities ('a', 'b', '', 'c,d'), and '' cannot be named in a
+    # query; the "typing" line "a<TAB><TAB>b" once gave the CLI's schema a relation named ''
+    @pytest.mark.parametrize("reader, text, message", [
+        ("triples", "a\tr0\tb\n\tr0\tb\nc,d\tr0\ta\n", "field 1 of 3 is empty"),
+        ("types", "alice\tperson\nparis\t\n", "field 2 of 2 is empty"),
+        ("typing", "a\tr0\tb\na\t\tb\n", "field 2 of 3 is empty"),
+    ])
+    def test_an_empty_field_is_refused_at_its_line(self, tmp_path, reader, text, message):
+        from sheaf_kg.cli import _infer_relation_typing
+
+        path = write(tmp_path / "t.tsv", text)
+        read = {"triples": lambda: load_triples(path, default_schema(1, 4, 4), VocabBuilder()),
+                "types": lambda: read_type_labels(path),
+                "typing": lambda: _infer_relation_typing(None, 4, 4, path)}[reader]
+        with pytest.raises(TripleParseError) as err:
+            read()
+        assert str(err.value) == f"{path}:2: {message}"
 
     def test_type_label_file_rejects_a_conflicting_repeat(self, tmp_path):
         path = write(tmp_path / "types.tsv", "alice\tperson\nparis\tcity\nalice\tcity\n")

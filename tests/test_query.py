@@ -7,8 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_batched_answering import random_queries, ragged_model
 
-from sheaf_kg.errors import BudgetExceededError, ConfigError, QueryError, SchemaError
-from sheaf_kg.kgdata import Schema, default_schema
+from sheaf_kg.errors import BudgetExceededError, ConfigError, QueryError
+from sheaf_kg.evaluation import evaluate
+from sheaf_kg.kgdata import Schema, VocabBuilder, default_schema, load_triples
 from sheaf_kg.model import (
     Model,
     ModelConfig,
@@ -358,6 +359,18 @@ class TestNaiveTraversal:
         with pytest.raises(ConfigError):
             naive_traversal_score(Query("1p", (0,), (0,)), model)
 
+    def test_identity_tag_over_other_maps_rejected(self):
+        # the tag alone once let naive rank entity 2 first at 2.5e-31, where harmonic answering puts 41
+        model = generate_planted_kg(60, 2, 4, 0.0, seed=1, variant="shvt").generator
+        model.sheaf.head_maps[0][...] = 5 * np.eye(4)
+        query = Query("2p", (3,), (0, 1), frozenset({2}))
+        assert answer_query(query, model).top(1)[0][0] == 41
+        message = re.escape("naive traversal needs identity maps, which relation 'r0' (tagged identity) does not have")
+        with pytest.raises(ConfigError, match=message):
+            naive_traversal_score(query, model)
+        with pytest.raises(ConfigError, match=message):
+            evaluate(model, [query], method="naive")
+
 
 def chaining_oracle(query, model):
     """Entity chaining with the fixed, into-target and out-of-target edges written out."""
@@ -506,20 +519,21 @@ class TestQueryFiles:
         model = make_model(rng)
         path = tmp_path / "q.tsv"
         path.write_text("1p\te0\tr0\te1\n2p\te0\tr0,zz\te1\n", encoding="utf-8")
-        with pytest.raises(SchemaError) as err:
+        with pytest.raises(QueryError) as err:
             read_queries(path, model.entity_index(), model.schema)
-        assert str(err.value) == f"{path}:2: relation 'zz' absent from schema"
+        assert str(err.value) == f"{path}:2: unknown relation 'zz'"
 
     @pytest.mark.parametrize("line, error, message", [
         ("1p\te0\tr0", QueryError, "expected 4 tab-separated fields"),
         ("1p\tnobody\tr0\te1", QueryError, "unknown entity 'nobody'"),
         ("1p\te0\tr0\tnobody", QueryError, "unknown entity 'nobody'"),
-        ("1p\te0\tzz\te1", SchemaError, "relation 'zz' absent from schema"),
+        ("1p\te0\tzz\te1", QueryError, "unknown relation 'zz'"),
+        ("1p\te0\trr0\te1", QueryError, "unknown relation 'rr0' (did you mean 'r0'?)"),
         ("1p\te0\tr0\t", QueryError, "no answer entities"),
         ("9p\te0\tr0\te1", QueryError, "unknown query structure '9p'"),
         ("2p\te0\tr0\te1", QueryError, "2p queries take 1 anchor(s) and 2 relation(s), got 1 and 1"),
-    ], ids=["field-count", "unknown-anchor", "unknown-answer", "unknown-relation", "no-answers",
-            "unknown-structure", "arity"])
+    ], ids=["field-count", "unknown-anchor", "unknown-answer", "unknown-relation", "close-relation",
+            "no-answers", "unknown-structure", "arity"])
     def test_each_malformed_line_names_file_and_line(self, tmp_path, rng, line, error, message):
         model = make_model(rng)
         path = tmp_path / "q.tsv"
@@ -528,6 +542,28 @@ class TestQueryFiles:
             read_queries(path, model.entity_index(), model.schema)
         assert type(err.value) is error
         assert str(err.value) == f"{path}:3: {message}"
+
+    @pytest.mark.parametrize("entities, relations, query, message", [
+        (("a", "b", "c,d"), ("r0",), Query("1p", (0,), (0,), frozenset({1, 2})), "entity name 'c,d'"),
+        (("a", "b"), ("r,0",), Query("1p", (0,), (0,), frozenset({1})), "relation name 'r,0'"),
+        (("a", ""), ("r0",), Query("1p", (1,), (0,), frozenset({0})), "entity name ''"),
+    ], ids=["comma-answer", "comma-relation", "empty-anchor"])
+    def test_write_refuses_a_name_it_cannot_read_back(self, tmp_path, entities, relations, query, message):
+        path = tmp_path / "q.tsv"
+        with pytest.raises(QueryError) as err:
+            write_queries([Query("1p", (0,), (0,), frozenset({1})), query], path, entities, relations)
+        assert str(err.value) == f"{message} does not fit a query file's comma-separated fields"
+        assert not path.exists()
+
+    def test_write_refuses_a_loaded_comma_name(self, tmp_path):
+        # a 1p query anchored at 'c,d' was once written, and read back as anchored at 'c'
+        (tmp_path / "t.tsv").write_text("a\tr0\tb\nc,d\tr0\ta\n", encoding="utf-8")
+        vocab = VocabBuilder()
+        load_triples(tmp_path / "t.tsv", default_schema(1, 4, 4), vocab)
+        assert vocab.names == ["a", "b", "c,d"]
+        with pytest.raises(QueryError, match="^entity name 'c,d' does not fit"):
+            write_queries([Query("1p", (2,), (0,), frozenset({0}))], tmp_path / "q.tsv", vocab.names, ("r0",))
+        assert not (tmp_path / "q.tsv").exists()
 
     def test_ranking_from_scores_orders_by_value_then_index(self):
         ranking = ranking_from_scores(
