@@ -6,8 +6,8 @@ line for a ``SheafKGError`` or ``OSError`` and exits 2 for the input errors
 (``ConfigError``, ``QueryError``, ``SchemaError``, ``TripleParseError``,
 ``ValidationError``), 1 for the rest (checkpoint, sampling, training-abort
 and file-write errors). No command raises a click error: a bad value is one
-of the input errors above, and a command flag that click itself refuses (a bad
-choice, a missing option) is printed the same way, exit 2, with no usage banner.
+of the input errors above, and a flag that click itself refuses (a bad choice, a
+missing or unknown option) prints the same way, exit 2, with no usage banner.
 Every run logs the fully resolved configuration so results are reproducible
 from the log alone. ``train``'s setting flags are built from the config keys
 (``config.VALID_KEYS``, typed by ``config.KEY_TYPES``); ``config.build_settings``
@@ -45,6 +45,13 @@ def _setup_logging():
 
 
 class _Main(click.Group):
+    def make_context(self, info_name, args, parent=None, **extra):
+        try:  # the group parses its own options here, before invoke runs
+            return super().make_context(info_name, args, parent, **extra)
+        except (click.NoSuchOption, click.BadOptionUsage) as exc:
+            click.echo(f"error: {exc.format_message()}", err=True)
+            sys.exit(2)
+
     def invoke(self, ctx):
         try:
             return super().invoke(ctx)

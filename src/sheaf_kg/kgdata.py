@@ -44,10 +44,10 @@ class Schema:
         n_types = len(self.entity_types)
         if n_types == 0:
             raise SchemaError("schema needs at least one entity type")
-        if len(set(self.entity_types)) != n_types:
-            raise SchemaError("duplicate entity type names")
-        if len(set(self.relation_types)) != len(self.relation_types):
-            raise SchemaError("duplicate relation names")
+        for names, kind in ((self.entity_types, "entity type"), (self.relation_types, "relation")):
+            if len(set(names)) != len(names):
+                raise SchemaError(f"duplicate {kind} names")
+            unique_names(names, SchemaError, kind=kind)
         for seq, label in ((self.head_type, "head_type"), (self.tail_type, "tail_type")):
             if len(seq) != len(self.relation_types):
                 raise SchemaError(f"{label} must have one entry per relation")
@@ -101,11 +101,14 @@ def default_schema(n_relations: int, entity_dim: int, relation_dim: int) -> Sche
     )
 
 
-def unique_names(names, error=ValidationError, where: str = "") -> tuple[str, ...]:
-    """The entity ``names`` as a tuple; a repeated name raises ``error``, naming the first."""
+def unique_names(names, error=ValidationError, where: str = "", kind: str = "entity") -> tuple[str, ...]:
+    """``names`` as a tuple; an empty name, one with a TAB, LF or CR, or a repeat raises ``error``, naming it."""
+    if "" in names or any(c in "\0".join(names) for c in "\t\n\r"):
+        bad = next(name for name in names if not name or any(c in name for c in "\t\n\r"))
+        raise error(f"{where}{kind} name {bad!r} is empty or holds a TAB, LF or CR")
     repeated = [name for name, count in Counter(names).items() if count > 1]
     if repeated:
-        raise error(f"{where}duplicate entity name {repeated[0]!r}")
+        raise error(f"{where}duplicate {kind} name {repeated[0]!r}")
     return tuple(names)
 
 

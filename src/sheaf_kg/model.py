@@ -139,8 +139,13 @@ class KnowledgeSheaf:
 
     def identity_maps(self, relations) -> bool:
         """Whether each relation is tagged identity (checked first) and both its maps equal the identity."""
-        return all(self.constraints[r] == "identity" for r in relations) and all(
-            (m == np.eye(len(m))).all() for r in relations for m in (self.head_maps[r], self.tail_maps[r]))
+        rels = list(relations)
+        if not all(self.constraints[r] == "identity" for r in rels):
+            return False
+        d = self.schema.edge_dim[rels[0]] if rels else 0  # the tag makes both maps d x d: one compare per d
+        if any(self.schema.edge_dim[r] != d for r in rels):
+            return all(self.identity_maps([r]) for r in rels)
+        return bool((self.RH[rels, :d, :d] == np.eye(d)).all() and (self.RT[rels, :d, :d] == np.eye(d)).all())
 
     def check_constraints(self) -> None:
         """Raise unless every constraint tag is actually satisfied."""

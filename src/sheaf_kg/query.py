@@ -21,9 +21,9 @@ type's stacked sections. ``answer_query`` is a chunk of one group, and its
 
 Over identity maps (ShVT with them is TransE) a query's sheaf is the constant
 sheaf R^d, whose Laplacian is the template graph's scalar ``L_G (x) I_d``. As
-``pinv(A (x) I) = pinv(A) (x) I``, such chunks eliminate on
-``constant_sheaf(n, edges, 1)`` and lift by ``(x) I_d``. A query takes this path
-when each relation is tagged identity (checked first) and both its maps equal I exactly.
+``pinv(A (x) I) = pinv(A) (x) I``, such chunks lift the elimination of ``constant_sheaf(n,
+edges, 1)`` by ``(x) I_d``; it depends on the template alone and is computed once per process.
+A call takes this path when each relation is tagged identity (checked first) and both its maps equal I.
 """
 
 from __future__ import annotations
@@ -60,6 +60,7 @@ _TEMPLATES = {
 }
 
 STRUCTURE_ARITY = {tag: (len(t["anchors"]), len(t["edges"])) for tag, t in _TEMPLATES.items()}
+_SCALAR_FORMS: dict = {}  # (n_vertices, edges, boundary, interior) -> read-only scalar (S_G, (delta E)_G)
 
 
 @dataclass(frozen=True, slots=True)
@@ -136,7 +137,7 @@ def build_query_graph(query: Query, schema) -> QueryGraph:
     )
 
 
-def query_sheaf(qg, sheaf: KnowledgeSheaf):
+def query_sheaf(qg, sheaf: KnowledgeSheaf, maps: bool = True):
     """The knowledge sheaf pulled back onto the query graph.
 
     Restriction maps are shared by reference with the per-relation maps;
@@ -144,7 +145,7 @@ def query_sheaf(qg, sheaf: KnowledgeSheaf):
     translation block for translational models, else None. For a sequence
     of query graphs with equal vertex types and edge dims, maps and offsets
     have a leading axis over the graphs: gathered from the padded arrays, or
-    for a sequence of one graph the per-relation views with an axis of one.
+    for a sequence of one graph the per-relation views with an axis of one. Without ``maps`` the sheaf is None.
     """
     one = isinstance(qg, QueryGraph)
     graphs = [qg] if one else qg
@@ -157,10 +158,11 @@ def query_sheaf(qg, sheaf: KnowledgeSheaf):
             return tuple(views[r] if one else views[r][None] for r in relations)
         stacked = padded[np.array([[r for _, r, _ in g.edges] for g in graphs]).T]  # (edges, graphs)
         return tuple(stacked[e, :, :edge_dims[e], :w] for e, w in enumerate(widths))
-    heads = gather(sheaf.head_maps, sheaf.RH, [vertex_dims[u] for u, _ in pairs])
-    tails = gather(sheaf.tail_maps, sheaf.RT, [vertex_dims[v] for _, v in pairs])
-    graph = SheafOnGraph(vertex_dims, pairs, edge_dims, heads, tails)
-    offsets = None
+    graph = offsets = None
+    if maps:
+        heads = gather(sheaf.head_maps, sheaf.RH, [vertex_dims[u] for u, _ in pairs])
+        tails = gather(sheaf.tail_maps, sheaf.RT, [vertex_dims[v] for _, v in pairs])
+        graph = SheafOnGraph(vertex_dims, pairs, edge_dims, heads, tails)
     if sheaf.translational:
         offsets = list(gather(sheaf.translations, sheaf.T, [None] * len(pairs)))
     return graph, offsets
@@ -263,6 +265,27 @@ def _lift(a: np.ndarray, x: np.ndarray) -> np.ndarray:
     return (a[:, None, :, None] * np.eye(x.shape[1])[:, None]).reshape(len(a) * x.shape[1], -1)
 
 
+def _eliminate(graph: SheafOnGraph, boundary, interior, with_delta_e: bool):
+    """``(S, delta E)`` of ``graph`` (stacked or not) onto ``boundary``; ``delta E`` only ``with_delta_e``."""
+    # this module's names, not sheaf.eliminate: benchmarks/layers.py wraps these two
+    lap = assemble_laplacian(graph)
+    order = lap.columns(boundary + interior)
+    full = lap.dense[..., order, :][..., order]  # [boundary; interior] stalks
+    n_b = sum(graph.vertex_dims[v] for v in boundary)
+    schur, delta_e = full[..., :n_b, :n_b], None
+    if interior:
+        l_ub = full[..., n_b:, :n_b]
+        pinv_uu = psd_pinv(full[..., n_b:, n_b:])
+        schur = schur - l_ub.swapaxes(-1, -2) @ pinv_uu @ l_ub
+        schur = (schur + schur.swapaxes(-1, -2)) / 2.0
+    if with_delta_e:  # delta E = delta_B + delta_U (-pinv(L_UU) L_UB), columns in boundary order
+        delta = lap.coboundary[..., order]
+        delta_e = delta[..., :n_b]
+        if interior:
+            delta_e = delta_e - delta[..., n_b:] @ pinv_uu @ l_ub
+    return schur, delta_e
+
+
 class _HarmonicForm:
     """Harmonic-extension values over a fixed candidate set, for a chunk of query graphs.
 
@@ -274,29 +297,24 @@ class _HarmonicForm:
     map, ``b`` the stacked translations, zero for shv). ``S``, ``l`` and the
     candidates' ``x^T S_tt x`` are built once and shared by every anchor tuple.
 
-    With ``identity`` (``KnowledgeSheaf.identity_maps`` holds on every graph) the same
-    elimination runs once, on the scalar template graph, and is lifted: ``S = S_G (x) I_d``
-    for every graph, ``delta E = (delta E)_G (x) I_d`` and ``x^T S_tt x = s_tt |x|^2``.
+    With ``identity`` (``KnowledgeSheaf.identity_maps`` holds on every graph) only the translations
+    are gathered, and the template's scalar elimination, kept in ``_SCALAR_FORMS``, is lifted:
+    ``S = S_G (x) I_d`` for every graph, ``delta E = (delta E)_G (x) I_d`` and ``x^T S_tt x = s_tt |x|^2``.
     """
 
     def __init__(self, qgs, sheaf: KnowledgeSheaf, x: np.ndarray, identity: bool):
-        graph, offsets = query_sheaf(qgs, sheaf)
-        boundary, interior = qgs[0].boundary, qgs[0].interior
-        self.dim_a = dim_a = sum(graph.vertex_dims[v] for v in qgs[0].anchor_vertices)
-        if identity:  # the constant sheaf R^d: eliminate on the scalar graph, lift by (x) I_d below
-            graph = constant_sheaf(graph.n_vertices, graph.edges, 1)
-        # this module's names, not sheaf.eliminate: benchmarks/layers.py wraps these two
-        lap = assemble_laplacian(graph)
-        order = lap.columns(boundary + interior)
-        full = lap.dense[..., order, :][..., order]  # [boundary; interior] stalks
-        n_b = sum(graph.vertex_dims[v] for v in boundary)
-
-        schur = full[..., :n_b, :n_b]
-        if interior:
-            l_ub = full[..., n_b:, :n_b]
-            pinv_uu = psd_pinv(full[..., n_b:, n_b:])
-            schur = schur - l_ub.swapaxes(-1, -2) @ pinv_uu @ l_ub
-            schur = (schur + schur.swapaxes(-1, -2)) / 2.0
+        qg = qgs[0]
+        self.dim_a = dim_a = sum(sheaf.schema.vertex_dim[qg.vertex_types[v]] for v in qg.anchor_vertices)
+        graph, offsets = query_sheaf(qgs, sheaf, maps=not identity)
+        if identity:  # the constant sheaf R^d: the template's scalar elimination, lifted by (x) I_d below
+            key = (qg.n_vertices, tuple((u, v) for u, _, v in qg.edges), qg.boundary, qg.interior)
+            if key not in _SCALAR_FORMS:
+                _SCALAR_FORMS[key] = _eliminate(constant_sheaf(*key[:2], 1), *key[2:], True)
+                for a in _SCALAR_FORMS[key]:
+                    a.setflags(write=False)
+            schur, delta_e = _SCALAR_FORMS[key]
+        else:
+            schur, delta_e = _eliminate(graph, qg.boundary, qg.interior, offsets is not None)
 
         rows = x.transpose(0, 2, 1).reshape(-1, x.shape[1])
         self.x_flat = rows.reshape(len(x), -1)  # each candidate's columns, one after another
@@ -308,16 +326,9 @@ class _HarmonicForm:
                                   for s_tt in schur[:, dim_a:, dim_a:]])
         self.s_aa = schur[:, :dim_a, :dim_a]
         self.s_ta = schur[:, dim_a:, :dim_a]
-
-        self.lin = None
-        if offsets is not None:
-            # delta E = delta_B + delta_U (-pinv(L_UU) L_UB), columns in boundary order
-            delta = lap.coboundary[..., order]
-            delta_e = delta[..., :n_b]
-            if interior:
-                delta_e = delta_e - delta[..., n_b:] @ pinv_uu @ l_ub
-            delta_e = _lift(delta_e, x) if identity else delta_e
-            self.lin = delta_e.swapaxes(-1, -2) @ np.concatenate(offsets, axis=-2)
+        if offsets is not None and identity:
+            delta_e = _lift(delta_e, x)
+        self.lin = None if offsets is None else delta_e.swapaxes(-1, -2) @ np.concatenate(offsets, axis=-2)
 
     def values(self, groups: np.ndarray, y_a: np.ndarray) -> np.ndarray:
         """Values ``(R, n)`` for anchor data ``(R, dim_a, m)`` of graph(s) ``groups``, one or one per row."""

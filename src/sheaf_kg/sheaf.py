@@ -291,7 +291,7 @@ def kron_reduce(sheaf: SheafOnGraph, boundary) -> BlockLaplacian:
 
 
 def constant_sheaf(n_vertices: int, edges, dim: int) -> SheafOnGraph:
-    """All stalks R^dim, all restriction maps the identity (``query._HarmonicForm`` uses ``dim=1``)."""
+    """All stalks R^dim, all maps I; ``query`` eliminates each template's at ``dim=1`` once per process."""
     eye = np.eye(dim)
     return SheafOnGraph(
         vertex_dims=(dim,) * n_vertices,

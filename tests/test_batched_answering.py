@@ -580,7 +580,11 @@ def test_block_ranks_keep_one_row_of_masks():
 # L_G (x) I_d: such queries eliminate on the scalar template graph.
 
 def record_stalks(monkeypatch):
-    """The vertex dims of each Laplacian that ``query`` assembles, in call order."""
+    """The vertex dims of each Laplacian that ``query`` assembles, in call order.
+
+    The per-template scalar table starts empty, so each identity template is assembled again.
+    """
+    monkeypatch.setattr(query, "_SCALAR_FORMS", {})
     seen = []
     assemble = query.assemble_laplacian
 
@@ -679,6 +683,66 @@ def test_an_identity_tag_whose_maps_changed_answers_with_its_real_maps(monkeypat
         evaluate(model, queries)
     with pytest.raises(EvaluationError, match="the query on relations .*r1.* has a non-finite"):
         answer_query(next(q for q in queries if 1 in q.relations), model)
+
+
+class ForgetfulTable(dict):
+    """A scalar table that never holds a template, so every form eliminates afresh."""
+
+    def __contains__(self, key):
+        return False
+
+
+@pytest.mark.parametrize("m", [1, 3])
+def test_a_filled_scalar_table_answers_bit_for_bit_as_an_empty_one(monkeypatch, m):
+    rng = np.random.default_rng(40 + m)
+    model = identity_model(rng, m)
+    queries = identity_queries(rng, model)
+    assert {q.structure for q in queries} == set(STRUCTURES)
+
+    def answered():
+        rows = {i: row for members, _, values in query.answer_queries(queries, model)
+                for i, row in zip(members, values)}
+        return evaluate(model, queries), rows, [answer_query(q, model).scored for q in queries]
+
+    monkeypatch.setattr(query, "_SCALAR_FORMS", ForgetfulTable())
+    cold_report, cold_rows, cold_scored = answered()
+    monkeypatch.setattr(query, "_SCALAR_FORMS", {})
+    answered()
+    assert len(query._SCALAR_FORMS) == len(STRUCTURES)
+    report, rows, scored = answered()
+    assert report == cold_report
+    for i in range(len(queries)):
+        assert np.array_equal(rows[i], cold_rows[i])
+        for got, want in zip(scored[i], cold_scored[i]):
+            assert np.array_equal(got, want)
+
+
+def test_the_scalar_table_holds_one_read_only_entry_per_template():
+    for m, dim in ((1, 4), (3, 2)):  # the scalar elimination depends on neither
+        rng = np.random.default_rng(m)
+        model = identity_model(rng, m, dim=dim)
+        queries = identity_queries(rng, model)
+        evaluate(model, queries)
+        evaluate(model, queries)
+    assert 1 <= len(query._SCALAR_FORMS) <= len(STRUCTURES)
+    for schur, delta_e in query._SCALAR_FORMS.values():
+        for a in (schur, delta_e):
+            with pytest.raises(ValueError, match="read-only"):
+                a[...] = 0.0
+
+
+def test_a_filled_scalar_table_leaves_nothing_to_assemble(monkeypatch):
+    rng = np.random.default_rng(9)
+    model = identity_model(rng, 2)
+    queries = identity_queries(rng, model)
+    evaluate(model, queries)
+    calls = []
+    for name in ("assemble_laplacian", "psd_pinv"):
+        monkeypatch.setattr(query, name, lambda *args, name=name: calls.append(name))
+    rankings = [answer_query(q, model) for q in queries]
+    assert calls == []
+    for q, ranking in zip(queries, rankings):
+        assert_same_order(ranking, *oracle_ranking(q, model))
 
 
 @settings(max_examples=20, deadline=None)

@@ -53,7 +53,8 @@ def test_instrument_wraps_existing_names_and_restores_them():
 
 def test_batched_and_interactive_answering_feed_the_sheaf_and_query_layers():
     layers = ("sheaf.assemble_laplacian", "sheaf.psd_pinv", "query.build_query_graph", "query.query_sheaf")
-    ds = sheaf_kg.synth.generate_planted_kg(30, 2, 4, 0.0, seed=0, variant="shvt")
+    # orthogonal maps take the dense path, which assembles and eliminates on every call
+    ds = sheaf_kg.synth.generate_planted_kg(30, 2, 4, 0.0, seed=0, variant="shv")
     index = sheaf_kg.kgdata.build_index(ds.kg)
     queries = sheaf_kg.evaluation.build_easy_queries(ds.kg, index, "2p", 4, np.random.default_rng(0))
     assert queries

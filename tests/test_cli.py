@@ -1057,6 +1057,30 @@ def test_mutated_input_never_crashes_the_cli(fuzz_inputs, tmp_path_factory, targ
     assert "Traceback" not in res.output
 
 
+def test_an_unknown_group_option_prints_one_error_line():
+    # the group parses its own options before its invoke boundary runs
+    res = CliRunner().invoke(main, ["--bogus"])
+    assert res.exit_code == 2
+    assert res.output == "error: No such option '--bogus'.\n"
+
+
+def assert_group_help(res):
+    assert res.output.startswith("Usage: main [OPTIONS] COMMAND [ARGS]...")
+    assert "synth" in res.output and "error:" not in res.output
+
+
+def test_the_group_with_no_arguments_prints_its_help():
+    res = CliRunner().invoke(main, [])
+    assert res.exit_code in (0, 2)  # click 8.2 and later exit 2, earlier ones 0
+    assert_group_help(res)
+
+
+def test_the_group_help_prints_its_help():
+    res = CliRunner().invoke(main, ["--help"])
+    assert res.exit_code == 0
+    assert_group_help(res)
+
+
 def test_entry_point_help_via_subprocess():
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)

@@ -1,4 +1,5 @@
 import logging
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -223,6 +224,35 @@ class TestGraphValidation:
     def test_each_rejection_is_a_validation_error(self, fields, match):
         with pytest.raises(ValidationError, match=match):
             self.graph(**fields)
+
+
+class TestNameRule:
+    """A name that no file format can hold fails where it is made, naming it.
+
+    Before, ``save_model`` wrote entity ``'a\\nb'`` or relation ``'r\\nx'`` and
+    ``load_model`` then refused its own file.
+    """
+
+    BAD = ["a\nb", "a\tb", "a\rb", ""]
+
+    @staticmethod
+    def message(kind, name):
+        return f"^{kind} name {re.escape(repr(name))} is empty or holds a TAB, LF or CR$"
+
+    @pytest.mark.parametrize("name", BAD)
+    def test_an_entity_name(self, name):
+        with pytest.raises(ValidationError, match=self.message("entity", name)):
+            TestGraphValidation.graph(entities=("ann", name, "oslo"))
+
+    @pytest.mark.parametrize("name", BAD)
+    def test_a_relation_name(self, name):
+        with pytest.raises(SchemaError, match=self.message("relation", name)):
+            replace(PEOPLE_AND_CITIES, relation_types=("lives_in", name))
+
+    @pytest.mark.parametrize("name", BAD)
+    def test_an_entity_type_name(self, name):
+        with pytest.raises(SchemaError, match=self.message("entity type", name)):
+            replace(PEOPLE_AND_CITIES, entity_types=(name, "city"))
 
 
 class TestTripleIndex:

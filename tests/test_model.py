@@ -68,6 +68,26 @@ def random_model(rng, variant="shv", constraint="free", m=1, dim=4, edge_dim=Non
     return schema, cfg, sheaf, sections
 
 
+def test_identity_maps_matches_a_per_map_check_across_edge_dims():
+    # an identity relation on each of two types of dims 2 and 3, and a free one
+    schema = Schema(("a", "b"), ("ra", "rb", "rf"), (0, 1, 0), (0, 1, 0), (2, 3), (2, 3, 2))
+    cfg = ModelConfig(constraint="identity", constraint_overrides={"rf": "free"})
+    sheaf, _ = init_model(cfg, schema, np.array([0, 1]), seed=0)
+
+    def per_map(relations):
+        return all(sheaf.constraints[r] == "identity" for r in relations) and all(
+            np.array_equal(m, np.eye(len(m))) for r in relations for m in (sheaf.head_maps[r], sheaf.tail_maps[r]))
+
+    keys = [(), (0,), (1,), (0, 1), (1, 0, 1), (2,), (0, 2), (2, 1)]
+    assert [sheaf.identity_maps(k) for k in keys] == [per_map(k) for k in keys]
+    assert sheaf.identity_maps((0, 1)) and not sheaf.identity_maps((0, 2))
+    for maps, at in ((sheaf.tail_maps, (2, 2)), (sheaf.head_maps, (0, 1))):
+        maps[1][at] = 0.5
+        assert [sheaf.identity_maps(k) for k in keys] == [per_map(k) for k in keys]
+        assert not sheaf.identity_maps((0, 1)) and sheaf.identity_maps((0,))
+        maps[1][at] = float(at[0] == at[1])
+
+
 class TestInit:
     def test_identity_maps_exact(self):
         schema = default_schema(2, 4, 4)
