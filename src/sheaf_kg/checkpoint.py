@@ -9,7 +9,7 @@ head/tail maps per relation, then translations; each tensor is prefixed by its
 rank and shape as little-endian uint64). Round trips are bit-exact.
 
 Each manifest section is a count line, then that many records of fixed keys,
-one ``key=value`` line per key in a fixed order.
+one ``key=value`` line per key in a fixed order (names keep ``kgdata``'s name rule).
 
 Entity tensors are written and read one run of same-shaped entities at a
 time, as one ``(entities, 1 + rank + size)`` array of 8-byte words; a run's
@@ -25,8 +25,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import CheckpointError, ConfigError, SchemaError
-from .kgdata import Schema, text_lines, unique_names
+from .errors import CheckpointError, ConfigError, SchemaError, ValidationError
+from .kgdata import Schema, text_lines
 from .model import CONSTRAINTS, VARIANTS, KnowledgeSheaf, Model, SectionMatrix, equal_runs
 
 MAGIC = b"SHKGTNSR"
@@ -194,6 +194,8 @@ def load_model(prefix) -> Model:
         raise CheckpointError(f"{exc.filename}: {exc.strerror}") from None
     except ConfigError as exc:  # a tag its maps do not satisfy
         raise CheckpointError(f"{tpath}: {exc}") from None
+    except (SchemaError, ValidationError) as exc:  # a corrupt manifest, not a bad schema of the user's
+        raise CheckpointError(f"{mpath}: {exc}") from None
     return model
 
 
@@ -216,11 +218,8 @@ def _read_model(mpath: Path, tpath: Path) -> Model:
     entity_names, entity_types = reader.records("n_entities", entity=str, entity_type_of=type_idx)
     reader.done()
 
-    try:
-        schema = Schema(tuple(type_names), tuple(rel_names), tuple(head_types),
-                        tuple(tail_types), tuple(vertex_dims), tuple(edge_dims))
-    except SchemaError as exc:  # a corrupt checkpoint, not a bad schema of the user's
-        raise CheckpointError(f"{mpath}: {exc}") from None
+    schema = Schema(tuple(type_names), tuple(rel_names), tuple(head_types),
+                    tuple(tail_types), tuple(vertex_dims), tuple(edge_dims))
 
     tensors = _TensorFile(tpath)
     types = np.asarray(entity_types, dtype=np.int64)
@@ -255,7 +254,7 @@ def _read_model(mpath: Path, tpath: Path) -> Model:
         raise CheckpointError(f"{tpath}: tensors hold non-finite values")
     return Model(
         schema=schema,
-        entities=unique_names(entity_names, CheckpointError, f"{mpath}: "),
+        entities=entity_names,
         entity_type=types,
         sheaf=sheaf,
         sections=padded,

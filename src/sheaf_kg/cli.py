@@ -199,9 +199,8 @@ def cmd_eval(checkpoints, queries_path, method, out_path):
 def cmd_query(prefix, structure, anchors, relations, top_k):
     """Answer one query and print the best candidates, ascending by cost."""
     model = ckpt.load_model(prefix)
-    relation_table = {name: r for r, name in enumerate(model.schema.relation_types)}
     query = Query(structure, resolve_names(anchors, model.entity_index(), "entity"),
-                  resolve_names(relations, relation_table, "relation"))
+                  resolve_names(relations, model.schema.relation_ids, "relation"))
     ranking = answer_query(query, model)
     for entity, value in ranking.top(top_k):
         click.echo(f"{model.entities[entity]}\t{value!r}")

@@ -9,7 +9,7 @@ class SheafKGError(Exception):
 
 
 class TripleParseError(SheafKGError):
-    """A line of a TAB-separated file has the wrong number of fields, or an empty one."""
+    """A line of a TAB-separated file has the wrong number of fields, or one that breaks the name rule."""
 
 
 class SchemaError(SheafKGError):

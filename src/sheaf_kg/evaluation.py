@@ -153,7 +153,8 @@ def build_easy_queries(
     """
     if structure not in STRUCTURE_ARITY:
         raise QueryError(f"unknown structure {structure!r}")
-    count = as_id(count, QueryError, "count must be an integer")
+    if (count := as_id(count, QueryError, "count must be an integer")) < 0:
+        raise QueryError(f"count must be >= 0, got {count}")
     train = kg.triples_of(TRAIN)
     if len(train) == 0:
         raise EvaluationError("easy-query construction needs a nonempty training split")
@@ -239,14 +240,17 @@ def evaluate(model: Model, queries, method: str = "harmonic") -> MetricReport:
     filtered rank is a count of the non-answer candidates whose (value,
     entity index) pair sorts ahead of its own (``answer_ranks``, one call per
     block), so no candidate list is sorted. The baselines rank one query at
-    a time. Results are in query order whatever the grouping. A candidate
-    value that is not finite, for any method, is an ``EvaluationError``.
+    a time. Results are in query order whatever the grouping. A query with no
+    answers, or a candidate value that is not finite, is an ``EvaluationError``.
     """
     queries = list(queries)
     if not queries:
         raise EvaluationError("no queries to evaluate")
     if method not in METHODS:
         raise EvaluationError(f"unknown evaluation method {method!r}; valid: {METHODS}")
+    for i, q in enumerate(queries):
+        if not q.answers:
+            raise EvaluationError(f"query {i}, the {q.structure} query on relations {q.relations}, has no answers")
     ranks_of: dict[int, np.ndarray] = {}  # by position in ``queries``
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite value is refused below
         for members, candidates, values in _scored_groups(model, queries, method):

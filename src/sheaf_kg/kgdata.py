@@ -4,11 +4,16 @@ Triple files follow the usual benchmark convention: UTF-8 text, one triple
 per line, exactly two TAB separators (``head<TAB>relation<TAB>tail``), no
 header. Entities and relations are interned into dense 0-based indices in
 order of first appearance, which makes loading deterministic.
+
+The name rule: a name is non-empty, holds no TAB, LF, CR or comma (the TSV,
+checkpoint and query formats split on them) and is unique in its table. It is
+checked where names are made: ``Schema``, ``KnowledgeGraph``, ``Model``, ``tsv_rows``.
 """
 
 from __future__ import annotations
 
 import logging
+import re
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -23,6 +28,8 @@ logger = logging.getLogger(__name__)
 TRAIN, VALID, TEST = "train", "valid", "test"
 SPLITS = (TRAIN, VALID, TEST)
 _SPLIT_CODE = {name: i for i, name in enumerate(SPLITS)}
+_BREAK = re.compile("[\t\n\r,]")  # the name rule's characters
+_BROKEN = "is empty or holds a TAB, LF, CR or comma"
 
 
 @dataclass(frozen=True)
@@ -45,8 +52,6 @@ class Schema:
         if n_types == 0:
             raise SchemaError("schema needs at least one entity type")
         for names, kind in ((self.entity_types, "entity type"), (self.relation_types, "relation")):
-            if len(set(names)) != len(names):
-                raise SchemaError(f"duplicate {kind} names")
             unique_names(names, SchemaError, kind=kind)
         for seq, label in ((self.head_type, "head_type"), (self.tail_type, "tail_type")):
             if len(seq) != len(self.relation_types):
@@ -67,10 +72,15 @@ class Schema:
     def n_entity_types(self) -> int:
         return len(self.entity_types)
 
+    @cached_property
+    def relation_ids(self) -> dict[str, int]:
+        """Each relation name's index."""
+        return {name: r for r, name in enumerate(self.relation_types)}
+
     def relation_index(self, name: str) -> int:
         try:
-            return self.relation_types.index(name)
-        except ValueError:
+            return self.relation_ids[name]
+        except KeyError:
             raise SchemaError(f"relation {name!r} absent from schema") from None
 
     def entity_type_index(self, name: str) -> int:
@@ -101,14 +111,20 @@ def default_schema(n_relations: int, entity_dim: int, relation_dim: int) -> Sche
     )
 
 
-def unique_names(names, error=ValidationError, where: str = "", kind: str = "entity") -> tuple[str, ...]:
-    """``names`` as a tuple; an empty name, one with a TAB, LF or CR, or a repeat raises ``error``, naming it."""
-    if "" in names or any(c in "\0".join(names) for c in "\t\n\r"):
-        bad = next(name for name in names if not name or any(c in name for c in "\t\n\r"))
-        raise error(f"{where}{kind} name {bad!r} is empty or holds a TAB, LF or CR")
+def _bad_name(names) -> str | None:
+    """The first of ``names`` that breaks the name rule (see the module docstring), or None."""
+    if "" in names or _BREAK.search("\0".join(names)):
+        return next(name for name in names if not name or _BREAK.search(name))
+    return None
+
+
+def unique_names(names, error=ValidationError, kind: str = "entity") -> tuple[str, ...]:
+    """``names`` as a tuple if they keep the name rule; else ``error`` names the first that breaks it."""
+    if (bad := _bad_name(names)) is not None:
+        raise error(f"{kind} name {bad!r} {_BROKEN}")
     repeated = [name for name, count in Counter(names).items() if count > 1]
     if repeated:
-        raise error(f"{where}duplicate {kind} name {repeated[0]!r}")
+        raise error(f"duplicate {kind} name {repeated[0]!r}")
     return tuple(names)
 
 
@@ -287,14 +303,17 @@ def text_lines(path, error=ValidationError):
 
 
 def tsv_rows(path, n_fields: int):
-    """Yield ``(line number, fields)`` for each non-empty line of a TAB-separated file; no field is empty."""
+    """Yield ``(line number, fields)`` for each non-empty line of a TAB-separated file; fields are names."""
+    checked: set[str] = set()  # the distinct fields so far, which keep the name rule
     for lineno, line in text_lines(path):
         fields = line.split("\t")
         if len(fields) != n_fields:
             raise TripleParseError(
                 f"{path}:{lineno}: expected {n_fields} tab-separated fields, got {len(fields)}")
-        if "" in fields:
-            raise TripleParseError(f"{path}:{lineno}: field {fields.index('') + 1} of {n_fields} is empty")
+        if not checked.issuperset(fields):
+            if (bad := _bad_name(fields)) is not None:
+                raise TripleParseError(f"{path}:{lineno}: field {fields.index(bad) + 1} {bad!r} {_BROKEN}")
+            checked.update(fields)
         yield lineno, fields
 
 

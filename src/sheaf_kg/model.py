@@ -24,7 +24,7 @@ import numpy as np
 
 from . import _kernels
 from .errors import ConfigError, ShapeError, check_types
-from .kgdata import KnowledgeGraph, Schema
+from .kgdata import KnowledgeGraph, Schema, unique_names
 from .seeds import substream
 
 logger = logging.getLogger(__name__)
@@ -228,6 +228,9 @@ class Model:
     sheaf: KnowledgeSheaf
     sections: SectionMatrix
     seed: int = 0
+
+    def __post_init__(self):
+        self.entities = unique_names(self.entities)
 
     @property
     def n_entities(self) -> int:

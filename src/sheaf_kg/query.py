@@ -499,10 +499,9 @@ def read_queries(path, entity_index: dict[str, int], schema) -> list[Query]:
 
     Line format: structure tag, comma-separated anchor entity names,
     comma-separated relation names, comma-separated answer entity names (at
-    least one), so a name cannot hold a comma. Names resolve through
+    least one). Names keep ``kgdata``'s name rule and resolve through
     ``resolve_names``. Every malformed line raises a ``QueryError`` naming ``path:line``.
     """
-    relation_index = {name: r for r, name in enumerate(schema.relation_types)}
     queries = []
     for lineno, line in text_lines(path, QueryError):
         try:
@@ -511,7 +510,7 @@ def read_queries(path, entity_index: dict[str, int], schema) -> list[Query]:
                 raise QueryError("expected 4 tab-separated fields")
             tag, anchor_s, rel_s, answer_s = parts
             anchors = resolve_names(anchor_s, entity_index, "entity")
-            relations = resolve_names(rel_s, relation_index, "relation")
+            relations = resolve_names(rel_s, schema.relation_ids, "relation")
             answers = frozenset(resolve_names(answer_s, entity_index, "entity"))
             if not answers:
                 raise QueryError("no answer entities")
@@ -524,16 +523,11 @@ def read_queries(path, entity_index: dict[str, int], schema) -> list[Query]:
 
 
 def write_queries(queries, path, entity_names, relation_names) -> None:
-    """Write ``queries`` for ``read_queries``; any name it cannot read back is first a ``QueryError``."""
-    lines = []
-    for q in queries:
-        fields = [q.structure]
-        for names, ids, kind in ((entity_names, q.anchors, "entity"), (relation_names, q.relations, "relation"),
-                                 (entity_names, sorted(q.answers), "entity")):
-            fields.append(",".join(names[i] for i in ids))
-            bad = [names[i] for i in ids if "," in names[i] or not names[i]]
-            if bad:
-                raise QueryError(f"{kind} name {bad[0]!r} does not fit a query file's comma-separated fields")
-        lines.append("\t".join(fields) + "\n")
+    """Write ``queries`` for ``read_queries``; names keep ``kgdata``'s name rule, so each reads back."""
+    def joined(names, ids):
+        return ",".join(names[i] for i in ids)
+
+    lines = [f"{q.structure}\t{joined(entity_names, q.anchors)}\t{joined(relation_names, q.relations)}\t"
+             f"{joined(entity_names, sorted(q.answers))}\n" for q in queries]
     with open(path, "w", encoding="utf-8") as fh:
         fh.writelines(lines)

@@ -409,12 +409,15 @@ def test_sections_below_one_is_checkpoint_error(tmp_path, saved, value):
 
 
 @pytest.mark.parametrize("old, new, message", [
-    ("relation=r1\n", "relation=r0\n", "duplicate relation names"),
+    ("relation=r1\n", "relation=r0\n", "duplicate relation name 'r0'"),
     ("entity=e1\n", "entity=e0\n", "duplicate entity name 'e0'"),  # entity_index() would read e0 as 1
-    ("=c\n", "=a\n", "duplicate entity type names"),  # type c renamed a, its uses too
+    ("=c\n", "=a\n", "duplicate entity type name 'a'"),  # type c renamed a, its uses too
     ("vertex_dim=2\n", "vertex_dim=0\n", "all stalk dimensions must be >= 1"),
     ("edge_dim=3\n", "edge_dim=0\n", "all stalk dimensions must be >= 1"),
-], ids=["duplicate-relation", "duplicate-entity", "duplicate-entity-type", "vertex-dim-0", "edge-dim-0"])
+    # a comma name once saved and loaded, but no query file could name it
+    ("entity=e1\n", "entity=e,1\n", "entity name 'e,1' is empty or holds a TAB, LF, CR or comma"),
+], ids=["duplicate-relation", "duplicate-entity", "duplicate-entity-type", "vertex-dim-0", "edge-dim-0",
+        "comma-entity"])
 def test_corrupt_manifest_schema_is_checkpoint_error(tmp_path, saved, old, new, message):
     manifest, tensors = saved
     assert old in manifest

@@ -275,6 +275,17 @@ class TestTrain:
         assert f"error: {triples}: not UTF-8" in res.output
         assert "Traceback" not in res.output
 
+    def test_a_comma_name_exits_2_at_its_line(self, runner, tmp_path):
+        # such an entity once trained, yet no query file or ``sheaf-kg query`` could name it
+        triples = tmp_path / "t.tsv"
+        triples.write_text("a\tr\tb\nc,d\tr\ta\n", encoding="utf-8")
+        res = run_cli(runner, ["train", "--train", str(triples), "--epochs", "1", "--out", str(tmp_path / "o")])
+        assert res.exit_code == 2
+        errors = [line for line in res.output.splitlines() if line.startswith("error:")]
+        assert errors == [f"error: {triples}:2: field 1 'c,d' is empty or holds a TAB, LF, CR or comma"]
+        assert "Traceback" not in res.output
+        assert not (tmp_path / "o").exists()
+
     def test_entity_missing_from_type_file_fails_with_location(self, runner, tmp_path):
         (tmp_path / "t.tsv").write_text("a\tr\tb\nb\ts\tc\n", encoding="utf-8")
         (tmp_path / "types.tsv").write_text("a\tperson\nb\tplace\n", encoding="utf-8")
@@ -822,7 +833,7 @@ class TestInspect:
         shutil.copy(workspace / "ckpt" / "model_seed1.tensors", str(prefix) + ".tensors")
         res = run_cli(runner, ["inspect", "--checkpoint", str(prefix)])
         assert res.exit_code == 1, res.output
-        assert f"error: {prefix}.manifest: duplicate relation names" in res.output
+        assert f"error: {prefix}.manifest: duplicate relation name 'r0'" in res.output
         assert "Traceback" not in res.output
 
 

@@ -1,13 +1,16 @@
 import logging
 import re
+import tempfile
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sheaf_kg.errors import SchemaError, TripleParseError, ValidationError
+from sheaf_kg.checkpoint import load_model, save_model
+from sheaf_kg.errors import SchemaError, SheafKGError, TripleParseError, ValidationError
 from sheaf_kg.kgdata import (
     KnowledgeGraph,
     Schema,
@@ -20,6 +23,8 @@ from sheaf_kg.kgdata import (
     read_type_labels,
     write_triples,
 )
+from sheaf_kg.model import Model, ModelConfig, init_model
+from sheaf_kg.query import Query, read_queries, write_queries
 
 
 def write(path, text):
@@ -127,23 +132,46 @@ class TestLoadTriples:
         path = write(tmp_path / "types.tsv", "alice\tperson\nparis\tcity\nalice\tperson\n")
         assert read_type_labels(path) == {"alice": "person", "paris": "city"}
 
+    @staticmethod
+    def read(reader, path):
+        from sheaf_kg.cli import _infer_relation_typing
+
+        return {"triples": lambda: load_triples(path, default_schema(1, 4, 4), VocabBuilder()),
+                "types": lambda: read_type_labels(path),
+                "typing": lambda: _infer_relation_typing(None, 4, 4, path)}[reader]()
+
     # the "triples" lines once loaded the entities ('a', 'b', '', 'c,d'), and '' cannot be named in a
     # query; the "typing" line "a<TAB><TAB>b" once gave the CLI's schema a relation named ''
     @pytest.mark.parametrize("reader, text, message", [
-        ("triples", "a\tr0\tb\n\tr0\tb\nc,d\tr0\ta\n", "field 1 of 3 is empty"),
-        ("types", "alice\tperson\nparis\t\n", "field 2 of 2 is empty"),
-        ("typing", "a\tr0\tb\na\t\tb\n", "field 2 of 3 is empty"),
+        ("triples", "a\tr0\tb\n\tr0\tb\nc,d\tr0\ta\n", "field 1 '' is empty or holds a TAB, LF, CR or comma"),
+        ("types", "alice\tperson\nparis\t\n", "field 2 '' is empty or holds a TAB, LF, CR or comma"),
+        ("typing", "a\tr0\tb\na\t\tb\n", "field 2 '' is empty or holds a TAB, LF, CR or comma"),
     ])
     def test_an_empty_field_is_refused_at_its_line(self, tmp_path, reader, text, message):
-        from sheaf_kg.cli import _infer_relation_typing
-
         path = write(tmp_path / "t.tsv", text)
-        read = {"triples": lambda: load_triples(path, default_schema(1, 4, 4), VocabBuilder()),
-                "types": lambda: read_type_labels(path),
-                "typing": lambda: _infer_relation_typing(None, 4, 4, path)}[reader]
         with pytest.raises(TripleParseError) as err:
-            read()
+            self.read(reader, path)
         assert str(err.value) == f"{path}:2: {message}"
+
+    # a name with a comma once loaded and trained, but no query file or ``sheaf-kg query`` could name it
+    @pytest.mark.parametrize("reader, text, field", [
+        ("triples", "a\tr0\tb\nc,d\tr0\ta\n", "field 1 'c,d'"),
+        ("types", "alice\tperson\nparis\tcity,town\n", "field 2 'city,town'"),
+        ("typing", "a\tr0\tb\na\tr,0\tb\n", "field 2 'r,0'"),
+    ])
+    def test_a_comma_is_refused_at_its_line(self, tmp_path, reader, text, field):
+        path = write(tmp_path / "t.tsv", text)
+        with pytest.raises(TripleParseError) as err:
+            self.read(reader, path)
+        assert str(err.value) == f"{path}:2: {field} is empty or holds a TAB, LF, CR or comma"
+
+    def test_each_distinct_field_is_checked_in_every_file(self, tmp_path):
+        # a name checked in one file is checked again in the next
+        vocab = VocabBuilder()
+        load_triples(write(tmp_path / "a.tsv", "a\tr0\tb\n"), default_schema(1, 4, 4), vocab)
+        path = write(tmp_path / "b.tsv", "a\tr0\tb\nb\tr0\t,\n")
+        with pytest.raises(TripleParseError, match=f"^{re.escape(str(path))}:2: field 3 ','"):
+            load_triples(path, default_schema(1, 4, 4), vocab)
 
     def test_type_label_file_rejects_a_conflicting_repeat(self, tmp_path):
         path = write(tmp_path / "types.tsv", "alice\tperson\nparis\tcity\nalice\tcity\n")
@@ -179,8 +207,8 @@ PEOPLE_AND_CITIES = Schema(("person", "city"), ("lives_in", "knows"), (0, 0), (1
 class TestSchemaValidation:
     @pytest.mark.parametrize("field, value, match", [
         ("entity_types", (), "at least one entity type"),
-        ("entity_types", ("person", "person"), "duplicate entity type names"),
-        ("relation_types", ("knows", "knows"), "duplicate relation names"),
+        ("entity_types", ("person", "person"), "^duplicate entity type name 'person'$"),
+        ("relation_types", ("knows", "knows"), "^duplicate relation name 'knows'$"),
         ("head_type", (0,), "head_type must have one entry per relation"),
         ("tail_type", (1, 2), "tail_type references unknown entity type index 2"),
         ("vertex_dim", (2,), "dimension tables must match type/relation counts"),
@@ -233,11 +261,11 @@ class TestNameRule:
     ``load_model`` then refused its own file.
     """
 
-    BAD = ["a\nb", "a\tb", "a\rb", ""]
+    BAD = ["a\nb", "a\tb", "a\rb", "", "a,b"]
 
     @staticmethod
     def message(kind, name):
-        return f"^{kind} name {re.escape(repr(name))} is empty or holds a TAB, LF or CR$"
+        return f"^{kind} name {re.escape(repr(name))} is empty or holds a TAB, LF, CR or comma$"
 
     @pytest.mark.parametrize("name", BAD)
     def test_an_entity_name(self, name):
@@ -253,6 +281,61 @@ class TestNameRule:
     def test_an_entity_type_name(self, name):
         with pytest.raises(SchemaError, match=self.message("entity type", name)):
             replace(PEOPLE_AND_CITIES, entity_types=(name, "city"))
+
+    @pytest.mark.parametrize("name", BAD)
+    def test_a_model_entity_name(self, name):
+        # a Model built in memory with entity 'a\nb' or '' once wrote a checkpoint that load_model refused
+        types = np.zeros(2, dtype=np.int64)
+        sheaf, sections = init_model(ModelConfig(), PEOPLE_AND_CITIES, types, seed=0)
+        with pytest.raises(ValidationError, match=self.message("entity", name)):
+            Model(PEOPLE_AND_CITIES, ("ann", name), types, sheaf, sections)
+
+
+def breaks_the_name_rule(name):
+    return not name or any(c in name for c in "\t\n\r,")
+
+
+def write_and_read(pair, folder, kg, model):
+    """What the ``pair``'s writer writes for ``kg`` or ``model``, and what its reader returns."""
+    schema, path = kg.schema, folder / "file"
+    if pair == "triples":
+        write_triples(kg, path, "train")
+        loaded = load_dataset(schema, path)
+        return (kg.entities, kg.triples.tolist()), (loaded.entities, loaded.triples.tolist())
+    if pair == "types":
+        labels = {name: schema.entity_types[t] for name, t in zip(kg.entities, kg.entity_type.tolist())}
+        path.write_text("".join(f"{name}\t{t}\n" for name, t in labels.items()), encoding="utf-8")
+        return labels, read_type_labels(path)
+    if pair == "checkpoint":
+        save_model(model, path)
+        loaded = load_model(path)
+        return (model.schema, model.entities), (loaded.schema, loaded.entities)
+    queries = [Query("1p", (1,), (0,), frozenset({0})), Query("2p", (0,), (0, 0), frozenset({0, 1}))]
+    write_queries(queries, path, kg.entities, schema.relation_types)
+    return queries, read_queries(path, {name: i for i, name in enumerate(kg.entities)}, schema)
+
+
+@pytest.mark.parametrize("pair", ["triples", "types", "checkpoint", "queries"])
+@settings(max_examples=150, deadline=None)
+@given(entity=st.text(), relation=st.text(), type_name=st.text())
+def test_every_name_reads_back_or_is_refused_where_it_is_made(pair, entity, relation, type_name):
+    """The graph and model name ``type_name``, ``relation`` and the entities ``'a'`` and ``entity``."""
+    refused = [n for n in (type_name, relation, entity) if breaks_the_name_rule(n)] + ["a"] * (entity == "a")
+
+    def make():
+        schema = Schema((type_name,), (relation,), (0,), (0,), (2,), (2,))
+        types = np.zeros(2, dtype=np.int64)
+        kg = KnowledgeGraph(schema, ("a", entity), types, np.array([[0, 0, 1]]), np.zeros(1, dtype=np.int8))
+        return kg, Model(schema, ("a", entity), types, *init_model(ModelConfig(), schema, types, seed=0))
+
+    if refused:
+        with pytest.raises(SheafKGError) as err:
+            make()
+        assert any(repr(name) in str(err.value) for name in refused), str(err.value)
+        return
+    with tempfile.TemporaryDirectory() as folder:
+        written, read = write_and_read(pair, Path(folder), *make())
+    assert read == written
 
 
 class TestTripleIndex:

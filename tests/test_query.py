@@ -7,15 +7,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_batched_answering import random_queries, ragged_model
 
-from sheaf_kg.errors import BudgetExceededError, ConfigError, QueryError
+from sheaf_kg.errors import (
+    BudgetExceededError,
+    ConfigError,
+    QueryError,
+    SchemaError,
+    TripleParseError,
+    ValidationError,
+)
 from sheaf_kg.evaluation import evaluate
-from sheaf_kg.kgdata import Schema, VocabBuilder, default_schema, load_triples
+from sheaf_kg.kgdata import KnowledgeGraph, Schema, VocabBuilder, default_schema, load_triples
 from sheaf_kg.model import (
     Model,
     ModelConfig,
     SectionMatrix,
     KnowledgeSheaf,
     init_for_kg,
+    init_model,
     triple_score,
 )
 from sheaf_kg.query import (
@@ -44,7 +52,6 @@ def make_model(rng, n_entities=10, n_relations=3, dim=4, variant="shv", constrai
         variant=variant, sections=m, entity_dim=dim, relation_dim=edge_dim or dim,
         constraint=constraint,
     )
-    from sheaf_kg.model import init_model
 
     sheaf, sections = init_model(cfg, schema, np.zeros(n_entities, dtype=np.int64), seed=0)
     for r in range(n_relations):
@@ -543,27 +550,28 @@ class TestQueryFiles:
         assert type(err.value) is error
         assert str(err.value) == f"{path}:3: {message}"
 
-    @pytest.mark.parametrize("entities, relations, query, message", [
-        (("a", "b", "c,d"), ("r0",), Query("1p", (0,), (0,), frozenset({1, 2})), "entity name 'c,d'"),
-        (("a", "b"), ("r,0",), Query("1p", (0,), (0,), frozenset({1})), "relation name 'r,0'"),
-        (("a", ""), ("r0",), Query("1p", (1,), (0,), frozenset({0})), "entity name ''"),
+    # write_queries once refused these names itself; now no graph, schema or model can hold one
+    @pytest.mark.parametrize("make, error, message", [
+        (lambda: KnowledgeGraph(default_schema(1, 4, 4), ("a", "b", "c,d"), np.zeros(3, dtype=np.int64),
+                                np.array([[0, 0, 1]]), np.zeros(1, dtype=np.int8)),
+         ValidationError, "entity name 'c,d'"),
+        (lambda: Schema(("entity",), ("r,0",), (0,), (0,), (4,), (4,)), SchemaError, "relation name 'r,0'"),
+        (lambda: Model(default_schema(1, 4, 4), ("a", ""), np.zeros(2, dtype=np.int64),
+                       *init_model(ModelConfig(), default_schema(1, 4, 4), np.zeros(2, dtype=np.int64), 0)),
+         ValidationError, "entity name ''"),
     ], ids=["comma-answer", "comma-relation", "empty-anchor"])
-    def test_write_refuses_a_name_it_cannot_read_back(self, tmp_path, entities, relations, query, message):
-        path = tmp_path / "q.tsv"
-        with pytest.raises(QueryError) as err:
-            write_queries([Query("1p", (0,), (0,), frozenset({1})), query], path, entities, relations)
-        assert str(err.value) == f"{message} does not fit a query file's comma-separated fields"
-        assert not path.exists()
+    def test_a_name_it_cannot_hold_is_refused_where_made(self, make, error, message):
+        with pytest.raises(error) as err:
+            make()
+        assert str(err.value) == f"{message} is empty or holds a TAB, LF, CR or comma"
 
-    def test_write_refuses_a_loaded_comma_name(self, tmp_path):
+    def test_a_loaded_comma_name_is_refused_at_its_line(self, tmp_path):
         # a 1p query anchored at 'c,d' was once written, and read back as anchored at 'c'
         (tmp_path / "t.tsv").write_text("a\tr0\tb\nc,d\tr0\ta\n", encoding="utf-8")
         vocab = VocabBuilder()
-        load_triples(tmp_path / "t.tsv", default_schema(1, 4, 4), vocab)
-        assert vocab.names == ["a", "b", "c,d"]
-        with pytest.raises(QueryError, match="^entity name 'c,d' does not fit"):
-            write_queries([Query("1p", (2,), (0,), frozenset({0}))], tmp_path / "q.tsv", vocab.names, ("r0",))
-        assert not (tmp_path / "q.tsv").exists()
+        with pytest.raises(TripleParseError, match=f"^{re.escape(str(tmp_path / 't.tsv'))}:2: field 1 'c,d' is"):
+            load_triples(tmp_path / "t.tsv", default_schema(1, 4, 4), vocab)
+        assert vocab.names == ["a", "b"]
 
     def test_ranking_from_scores_orders_by_value_then_index(self):
         ranking = ranking_from_scores(

@@ -86,6 +86,15 @@ REJECTIONS = {
         EvaluationError,
         "unknown evaluation method 'exact'; valid: ('harmonic', 'naive', 'chaining')"),
     "no-reports": (lambda p: aggregate_reports([]), EvaluationError, "no reports to aggregate"),
+    # once n_queries=2 and n_ranks=1: the first query was dropped from the metrics without a word
+    "query-without-answers": (
+        lambda p: evaluate(planted().generator, [Query("1p", (0,), (0,), frozenset()),
+                                                 Query("1p", (1,), (0,), frozenset({2}))]),
+        EvaluationError, "query 0, the 1p query on relations (0,), has no answers"),
+    # once returned [] without a warning
+    "negative-count": (
+        lambda p: build_easy_queries(planted().kg, build_index(planted().kg), "1p", -5, np.random.default_rng(0)),
+        QueryError, "count must be >= 0, got -5"),
     # model
     "unknown-variant": (lambda p: ModelConfig(variant="shx"), ConfigError,
                         "variant must be one of ('shv', 'shvt'), got 'shx'"),
