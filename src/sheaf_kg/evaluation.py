@@ -83,21 +83,19 @@ def answer_ranks(candidates: np.ndarray, values: np.ndarray, answers) -> list[np
 
 
 def mrr(ranks) -> float:
-    """Mean reciprocal rank."""
-    ranks = list(ranks)
-    if not ranks:
+    """Mean reciprocal rank of an array (or sequence) of ranks."""
+    if (ranks := np.asarray(ranks)).size == 0:
         raise EvaluationError("MRR of an empty rank list")
-    return float(np.mean([1.0 / r for r in ranks]))
+    return float(np.mean(1.0 / ranks))
 
 
 def hits_at_k(ranks, k: int) -> float:
-    """Fraction of ranks at or below ``k``."""
+    """Fraction of an array (or sequence) of ranks at or below ``k``."""
     if k < 1:
         raise EvaluationError("k must be >= 1")
-    ranks = list(ranks)
-    if not ranks:
+    if (ranks := np.asarray(ranks)).size == 0:
         raise EvaluationError("Hits@K of an empty rank list")
-    return float(np.mean([1.0 if r <= k else 0.0 for r in ranks]))
+    return float(np.mean(np.where(ranks <= k, 1.0, 0.0)))
 
 
 @dataclass(frozen=True)

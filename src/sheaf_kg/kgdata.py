@@ -122,9 +122,9 @@ def unique_names(names, error=ValidationError, kind: str = "entity") -> tuple[st
     """``names`` as a tuple if they keep the name rule; else ``error`` names the first that breaks it."""
     if (bad := _bad_name(names)) is not None:
         raise error(f"{kind} name {bad!r} {_BROKEN}")
-    repeated = [name for name, count in Counter(names).items() if count > 1]
-    if repeated:
-        raise error(f"duplicate {kind} name {repeated[0]!r}")
+    if len(set(names)) < len(names):  # the Counter only once a name repeats
+        repeated = next(name for name, count in Counter(names).items() if count > 1)
+        raise error(f"duplicate {kind} name {repeated!r}")
     return tuple(names)
 
 
@@ -340,8 +340,6 @@ def load_triples(
     sidecar ``type_labels`` mapping must cover them.
     """
     def type_of(name: str) -> int:
-        if schema.n_entity_types == 1:
-            return 0
         if type_labels is None or name not in type_labels:
             raise ValidationError(
                 f"entity {name!r} needs a type label "
@@ -350,11 +348,12 @@ def load_triples(
         return schema.entity_type_index(type_labels[name])
 
     triples: list[tuple[int, int, int]] = []
+    single = schema.n_entity_types == 1  # then every entity is type 0, and no label is read
     for lineno, (head_name, rel_name, tail_name) in tsv_rows(path, 3):
         try:
             r = schema.relation_index(rel_name)
-            h = vocab.intern(head_name, type_of(head_name))
-            t = vocab.intern(tail_name, type_of(tail_name))
+            h = vocab.intern(head_name, 0 if single else type_of(head_name))
+            t = vocab.intern(tail_name, 0 if single else type_of(tail_name))
             if vocab.types[h] != schema.head_type[r] or vocab.types[t] != schema.tail_type[r]:
                 raise ValidationError(
                     f"triple ({head_name}, {rel_name}, {tail_name}) "

@@ -14,21 +14,22 @@ structure and relations; the anchors enter only as boundary data.
 ``answer_queries`` therefore groups queries by ``(structure, relations)``
 and builds the forms of groups with equal stalk dims a chunk at a time,
 through ``sheaf``'s batch axis: one coboundary, one ``delta^T delta`` and
-one batched eigendecomposition per chunk. The anchor-candidate cross terms
-of a block of the chunk's queries come from one GEMM against the target
-type's stacked sections. ``answer_query`` is a chunk of one group, and its
-``Ranking`` sorts only when its order is read; ``top(k)`` partitions.
+one batched eigendecomposition per chunk. A batch's anchors take one index, and
+the anchor-candidate cross terms of a block of a chunk's queries come from one
+GEMM against the target type's stacked sections. ``answer_query`` is a chunk of
+one group; its ``Ranking`` sorts only when its order is read, ``top(k)`` partitions.
 
 Over identity maps (ShVT with them is TransE) a query's sheaf is the constant
 sheaf R^d, whose Laplacian is the template graph's scalar ``L_G (x) I_d``. As
-``pinv(A (x) I) = pinv(A) (x) I``, such chunks lift the elimination of ``constant_sheaf(n,
-edges, 1)`` by ``(x) I_d``; it depends on the template alone and is computed once per process.
-A call takes this path when each relation is tagged identity (checked first) and both its maps equal I.
+``pinv(A (x) I) = pinv(A) (x) I``, such a batch is one form, lifting the elimination of ``constant_sheaf(n,
+edges, 1)`` by ``(x) I_d``; it depends on the template alone and is computed once per process. A group
+takes this path when each relation (checked once per call) is tagged identity and both its maps equal I.
 """
 
 from __future__ import annotations
 
 import difflib
+import functools
 import math
 from dataclasses import dataclass
 from itertools import product
@@ -241,23 +242,27 @@ def _type_sections(model: Model, type_idx: int) -> tuple[np.ndarray, np.ndarray]
     return ids, (x if ids.size == len(x) else x[ids])[:, :model.schema.vertex_dim[type_idx]]
 
 
-def _anchor_data(model: Model, qg: QueryGraph, anchor_entities) -> np.ndarray:
-    """Checked anchor sections, concatenated in anchor-vertex order: ``(dim_a, m)``."""
-    if len(anchor_entities) != len(qg.anchor_vertices):
-        raise QueryError("anchor count does not match the query graph")
-    blocks = [np.zeros((0, model.sections.columns))]
-    for v, entity in zip(qg.anchor_vertices, anchor_entities):
-        entity = as_id(entity, QueryError, "anchor ids must be integers")
-        if not 0 <= entity < model.n_entities:
+def _anchor_data(model: Model, qg: QueryGraph, rows) -> np.ndarray:
+    """Checked anchor sections of ``rows`` of anchor ids: ``(len(rows), dim_a, m)``, in anchor-vertex order.
+
+    One type and one range compare check every id; the first bad id of the first bad row raises.
+    """
+    n, types, need = model.n_entities, model.schema.entity_types, [qg.vertex_types[v] for v in qg.anchor_vertices]
+    if (ids := np.array(rows)).dtype != np.int64:  # other integer kinds, or beyond int64: out of range reads -1
+        ids = np.array([[a if 0 <= a < n else -1 for a in row] for row in rows], dtype=np.int64)
+    bad = ids.view(np.uint64) >= n  # a negative id reads as 2**64 + id: one compare checks both ends
+    if n:  # "wrap" reads any id, whose range is checked above; with no entities each id is out of range
+        bad |= model.entity_type.take(ids, mode="wrap") != need
+    if np.count_nonzero(bad):
+        row, slot = np.argwhere(bad)[0]
+        if not 0 <= (entity := rows[row][slot]) < n:
             raise QueryError(f"anchor entity index {entity} out of range")
-        if int(model.entity_type[entity]) != qg.vertex_types[v]:
-            raise QueryError(
-                f"anchor {model.entities[entity]!r} has type "
-                f"{model.schema.entity_types[int(model.entity_type[entity])]}, "
-                f"query vertex needs {model.schema.entity_types[qg.vertex_types[v]]}"
-            )
-        blocks.append(model.sections.block(entity))
-    return np.concatenate(blocks, axis=0)
+        raise QueryError(f"anchor {model.entities[entity]!r} has type {types[model.entity_type[entity]]}, "
+                         f"query vertex needs {types[need[slot]]}")
+    x, dims = model.sections.X.take(ids, axis=0), [model.schema.vertex_dim[t] for t in need]
+    if set(dims) == {x.shape[2]}:  # every anchor fills the padded width, so none is trimmed
+        return x.reshape(len(x), -1, x.shape[3])
+    return np.concatenate([x[:, j, :d] for j, d in enumerate(dims)], axis=1)
 
 
 def _lift(a: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -299,7 +304,8 @@ class _HarmonicForm:
 
     With ``identity`` (``KnowledgeSheaf.identity_maps`` holds on every graph) only the translations
     are gathered, and the template's scalar elimination, kept in ``_SCALAR_FORMS``, is lifted:
-    ``S = S_G (x) I_d`` for every graph, ``delta E = (delta E)_G (x) I_d`` and ``x^T S_tt x = s_tt |x|^2``.
+    ``S = S_G (x) I_d`` for every graph, ``delta E = (delta E)_G (x) I_d`` and ``x^T S_tt x = s_tt |x|^2``,
+    so ``S`` and the candidates' one row of ``x^T S_tt x`` are held once, with no axis over the graphs.
     """
 
     def __init__(self, qgs, sheaf: KnowledgeSheaf, x: np.ndarray, identity: bool):
@@ -319,27 +325,28 @@ class _HarmonicForm:
         rows = x.transpose(0, 2, 1).reshape(-1, x.shape[1])
         self.x_flat = rows.reshape(len(x), -1)  # each candidate's columns, one after another
         if identity:  # every graph shares S (x) I_d, and x^T (s_tt I_d) x = s_tt |x|^2
-            quad = schur[-1, -1] * np.einsum("kd,kd->k", self.x_flat, self.x_flat)
-            self.quad, schur = (np.broadcast_to(a, (len(qgs),) + a.shape) for a in (quad, _lift(schur, x)))
+            self.quad, schur = schur[-1, -1] * np.einsum("kd,kd->k", self.x_flat, self.x_flat), _lift(schur, x)
         else:  # x^T S_tt x summed over section columns, one GEMM on (candidate, column) rows per graph
             self.quad = np.array([np.einsum("kd,kd->k", (rows @ s_tt).reshape(len(x), -1), self.x_flat)
                                   for s_tt in schur[:, dim_a:, dim_a:]])
-        self.s_aa = schur[:, :dim_a, :dim_a]
-        self.s_ta = schur[:, dim_a:, :dim_a]
+        self.shared = identity
+        self.s_aa = schur[..., :dim_a, :dim_a]
+        self.s_ta = schur[..., dim_a:, :dim_a]
         if offsets is not None and identity:
             delta_e = _lift(delta_e, x)
         self.lin = None if offsets is None else delta_e.swapaxes(-1, -2) @ np.concatenate(offsets, axis=-2)
 
     def values(self, groups: np.ndarray, y_a: np.ndarray) -> np.ndarray:
         """Values ``(R, n)`` for anchor data ``(R, dim_a, m)`` of graph(s) ``groups``, one or one per row."""
-        const = np.einsum("...dm,...dm->...", y_a, self.s_aa[groups] @ y_a)
-        w = self.s_ta[groups] @ y_a  # (R, d_t, m)
+        pick = (lambda a: a) if self.shared else (lambda a: a[groups])  # a shared array has no graph axis
+        const = np.einsum("...dm,...dm->...", y_a, pick(self.s_aa) @ y_a)
+        w = pick(self.s_ta) @ y_a  # (R, d_t, m)
         if self.lin is not None:
             const = const - 2.0 * np.einsum("...dm,...dm->...", y_a, self.lin[groups, :self.dim_a])
             w = w - self.lin[groups, self.dim_a:]
         values = (2.0 * w.transpose(0, 2, 1).reshape(len(w), -1)) @ self.x_flat.T
         values += const[:, None]
-        values += self.quad[groups]
+        values += pick(self.quad)
         return values
 
 
@@ -349,36 +356,45 @@ GROUP_ROWS = 32
 
 
 def answer_queries(queries, model: Model):
-    """Harmonic-extension values of many queries, a chunk of query graphs at a time.
+    """Harmonic-extension values of a sequence of queries, a chunk of query graphs at a time.
 
-    Queries are grouped by ``(structure, relations)``; every query's anchors
-    are checked before any group is scored. Groups with equal structure, vertex
-    types, edge dims and identity maps or not build forms ``CHUNK_GROUPS`` at a time,
-    and a chunk scores ``GROUP_ROWS`` anchor tuples per GEMM. Yields
-    ``(members, candidates, values)``: positions in ``queries``, the target
-    type's entity ids ascending, and a ``(len(members), len(candidates))``
-    value array (lower is better).
+    Queries are grouped by ``(structure, relations)``; groups with equal structure, vertex types, edge
+    dims and identity maps or not (each relation checked once per call) form a batch, whose anchors are
+    checked (all before any is scored; the first bad query raises) and gathered with one index. A batch
+    builds forms ``CHUNK_GROUPS`` groups at a time, or one if identity, and scores ``GROUP_ROWS`` anchor
+    tuples of a chunk per GEMM. Yields ``(members, candidates, values)``: positions in ``queries``, the
+    target type's entity ids ascending, and a ``(len(members), len(candidates))`` value array (lower is
+    better).
     """
-    groups: dict[tuple, tuple[QueryGraph, list[int], list[np.ndarray]]] = {}
+    groups: dict[tuple, tuple[QueryGraph, list[int]]] = {}
     batches: dict[tuple, list] = {}  # groups by structure, stalk dims and identity maps
-    for i, q in enumerate(queries):
-        key = (q.structure, q.relations)
-        if key not in groups:
-            groups[key] = (build_query_graph(q, model.schema), [], [])
-            signature = (q.structure, groups[key][0].vertex_types, model.sheaf.identity_maps(q.relations),
-                         *(model.schema.edge_dim[r] for r in q.relations))
-            batches.setdefault(signature, []).append(groups[key])
-        qg, members, anchors = groups[key]
-        anchors.append(_anchor_data(model, qg, q.anchors))
-        members.append(i)
+    identity_of = functools.cache(lambda r: model.sheaf.identity_maps([r]))  # once per relation and call
+    try:
+        for i, q in enumerate(queries):
+            if (group := groups.get((q.structure, q.relations))) is None:
+                group = groups[q.structure, q.relations] = (build_query_graph(q, model.schema), [])
+                signature = (q.structure, group[0].vertex_types, all(map(identity_of, q.relations)),
+                             *(model.schema.edge_dim[r] for r in q.relations))
+                batches.setdefault(signature, []).append(group)
+            group[1].append(i)
+        anchors = [_anchor_data(model, batch[0][0], [queries[i].anchors for _, members in batch for i in members])
+                   for batch in batches.values()]
+    except QueryError:  # the error of the first bad query, in query order
+        for q in queries:
+            _anchor_data(model, build_query_graph(q, model.schema), [q.anchors])
+        raise
 
-    for (_, _, identity, *_), batch in batches.items():
+    for ((_, _, identity, *_), batch), y_batch in zip(batches.items(), anchors):
         candidates, x = _type_sections(model, batch[0][0].vertex_types[batch[0][0].target_vertex])
+        if identity:  # one form for the batch, with no per-graph rows; chunks still set the GEMM blocks
+            form = _HarmonicForm([qg for qg, _ in batch], model.sheaf, x, True)
         for start in range(0, len(batch), CHUNK_GROUPS):
-            qgs, member_lists, anchor_lists = zip(*batch[start:start + CHUNK_GROUPS])
-            form = _HarmonicForm(qgs, model.sheaf, x, identity)
-            members, y_a = sum(member_lists, []), np.stack(sum(anchor_lists, []))
-            row_groups = np.repeat(np.arange(len(qgs)), [len(m) for m in member_lists])
+            qgs, member_lists = zip(*batch[start:start + CHUNK_GROUPS])
+            if not identity:
+                form = _HarmonicForm(qgs, model.sheaf, x, False)
+            members = [i for m in member_lists for i in m]
+            y_a, y_batch = y_batch[:len(members)], y_batch[len(members):]
+            row_groups = np.repeat(np.arange(len(qgs)) + (start if identity else 0), list(map(len, member_lists)))
             for lo in range(0, len(members), GROUP_ROWS):
                 rows = slice(lo, lo + GROUP_ROWS)
                 yield members[rows], candidates, form.values(row_groups[rows], y_a[rows])
@@ -398,12 +414,14 @@ def answer_query_graph(qg: QueryGraph, model: Model, anchor_entities) -> Ranking
     A chunk of one group: the same harmonic form as ``answer_queries``. The
     ranking sorts by (value, entity index) when its order is first read.
     """
-    y_a = _anchor_data(model, qg, anchor_entities)
+    if len(anchor_entities) != len(qg.anchor_vertices):
+        raise QueryError("anchor count does not match the query graph")
+    y_a = _anchor_data(model, qg, [[as_id(a, QueryError, "anchor ids must be integers") for a in anchor_entities]])
     candidates, x = _type_sections(model, qg.vertex_types[qg.target_vertex])
     relations = [r for _, r, _ in qg.edges]
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite value is refused below
         form = _HarmonicForm([qg], model.sheaf, x, model.sheaf.identity_maps(relations))
-        values = form.values(0, y_a[None])[0]
+        values = form.values(0, y_a)[0]
     check_finite(values, model, "the query", relations)
     return ranking_from_scores(candidates, values)
 
@@ -435,7 +453,7 @@ def naive_traversal_score(query: Query, model: Model) -> Ranking:
             raise ConfigError(f"naive traversal needs identity maps, which relation {name!r} "
                               f"(tagged {sheaf.constraints[r]}) does not have")
     qg = build_query_graph(query, model.schema)
-    target = _anchor_data(model, qg, query.anchors) + sum(
+    target = _anchor_data(model, qg, [query.anchors])[0] + sum(
         sheaf.translations[r] for r in query.relations
     )
     candidates, xc = _type_sections(model, qg.vertex_types[qg.target_vertex])
@@ -464,7 +482,7 @@ def entity_chaining_exact(query: Query, model: Model, budget: int = 10**6) -> Ra
         )
 
     candidates, xc = _type_sections(model, qg.vertex_types[qg.target_vertex])
-    _anchor_data(model, qg, query.anchors)  # validates anchor types
+    _anchor_data(model, qg, [query.anchors])  # validates anchor types
 
     # each vertex's section; the target's is every candidate's, broadcast through each edge
     fixed = {v: model.sections.block(int(a)) for v, a in zip(qg.anchor_vertices, query.anchors)}

@@ -28,7 +28,7 @@ from sheaf_kg.evaluation import (
 )
 from sheaf_kg import query
 from sheaf_kg.kgdata import KnowledgeGraph, Schema, build_index, default_schema
-from sheaf_kg.model import Model, ModelConfig, init_for_kg, init_model
+from sheaf_kg.model import KnowledgeSheaf, Model, ModelConfig, init_for_kg, init_model
 from sheaf_kg.query import (
     STRUCTURE_ARITY,
     STRUCTURES,
@@ -40,6 +40,7 @@ from sheaf_kg.query import (
     query_sheaf,
 )
 from sheaf_kg.sheaf import assemble_laplacian, coboundary_matrix, psd_pinv
+from sheaf_kg.synth import generate_planted_kg
 
 
 def oracle_ranking(query: Query, model: Model):
@@ -307,6 +308,50 @@ class TestGroupErrors:
             evaluate(model, queries)
 
 
+BAD_ANCHORS = {  # the bad anchor of query i, as a function of the model, i and the entities of type b
+    "out-of-range": lambda model, i, b: model.n_entities + i,
+    "negative": lambda model, i, b: -i,
+    "wrong-type": lambda model, i, b: int(b[i % len(b)]),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(BAD_ANCHORS))
+def test_the_first_bad_query_in_query_order_raises_across_groups_and_batches(kind):
+    # Groups in first-seen order: r3 and r4 share a batch (a -> b, edge dim 4), r0 has its own (a -> a).
+    # The bad queries are 6 (r3, the first group), 8 (r4) and 4 (r0, the later group and batch).
+    rng = np.random.default_rng(13)
+    model = shared_signature_model(rng, "shvt", 2, "none")
+    a, b = (np.flatnonzero(model.entity_type == t) for t in (0, 1))
+    relations = [3, 0, 4]
+    queries = []
+    for i in range(9):
+        r = relations[i % 3]
+        anchor = BAD_ANCHORS[kind](model, i, b) if i in (4, 6, 8) else int(a[i % len(a)])
+        answers = frozenset({int((b if SHARED.tail_type[r] else a)[0])})
+        queries.append(Query("1p", (anchor,), (r,), answers))
+    with pytest.raises(QueryError) as first:
+        answer_query(queries[4], model)
+    want = {"out-of-range": f"anchor entity index {model.n_entities + 4} out of range",
+            "negative": "anchor entity index -4 out of range",
+            "wrong-type": f"anchor {model.entities[int(b[4])]!r} has type b, query vertex needs a"}[kind]
+    assert str(first.value) == want
+    for answered in (lambda: evaluate(model, queries), lambda: list(query.answer_queries(queries, model))):
+        with pytest.raises(QueryError) as got:
+            answered()
+        assert str(got.value) == want
+
+
+def test_an_anchor_of_a_model_without_entities_is_out_of_range():
+    cfg = ModelConfig(entity_dim=4, relation_dim=4)
+    schema, types = default_schema(2, 4, 4), np.zeros(0, dtype=np.int64)
+    sheaf, sections = init_model(cfg, schema, types, seed=0)
+    model = Model(schema=schema, entities=(), entity_type=types, sheaf=sheaf, sections=sections)
+    queries = [Query("1p", (0,), (0,), frozenset({1})), Query("2i", (2, 3), (0, 1), frozenset({1}))]
+    for answered in (lambda: answer_query(queries[0], model), lambda: evaluate(model, queries)):
+        with pytest.raises(QueryError, match="^anchor entity index 0 out of range$"):
+            answered()
+
+
 class OracleForm:
     """One query graph's harmonic form, built alone: the per-group path batching replaced."""
 
@@ -538,23 +583,27 @@ def many_to_many_graph(n_entities, n_relations, dim, seed):
 
 
 def test_evaluate_working_set_stays_small():
-    # Batching can trade memory for speed. On this input one form per structure
+    # Batching can trade memory for speed. On the free-map input one form per structure
     # with 256-row rank blocks peaks at 38 MiB, chunks of 16 forms with 32-row
     # blocks at 5.2 MiB, and one form per (structure, relations) group at 2.6 MiB.
+    # The planted identity input takes one form per batch, which keeps no per-graph rows.
     kg = many_to_many_graph(2000, 16, 16, seed=1)
-    index = build_index(kg)
-    rng = np.random.default_rng(2)
-    queries = [q for s in STRUCTURES for q in build_easy_queries(kg, index, s, 200, rng)]
-    assert len(queries) > 1200
-    model = init_for_kg(ModelConfig(variant="shv", entity_dim=16, relation_dim=16), kg, seed=2)
-    evaluate(model, queries[:10])  # first-call set-up outside the measurement
-    tracemalloc.start()
-    try:
-        evaluate(model, queries)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 8 * 2**20
+    free = init_for_kg(ModelConfig(variant="shv", entity_dim=16, relation_dim=16), kg, seed=2)
+    planted = generate_planted_kg(2500, 5, 16, 0.0, seed=1, variant="shvt")
+    assert planted.generator.sheaf.identity_maps(range(5))
+    for kg, model in ((kg, free), (planted.kg, planted.generator)):
+        index = build_index(kg)
+        rng = np.random.default_rng(2)
+        queries = [q for s in STRUCTURES for q in build_easy_queries(kg, index, s, 200, rng)]
+        assert len(queries) > 1200
+        evaluate(model, queries[:10])  # first-call set-up outside the measurement
+        tracemalloc.start()
+        try:
+            evaluate(model, queries)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
 
 
 def test_block_ranks_keep_one_row_of_masks():
@@ -769,3 +818,26 @@ def test_identity_and_free_keys_of_one_stalk_signature_match_the_oracle(seed, va
     rng.shuffle(queries)
     assert_rows_match_the_oracle(queries, model, query.answer_queries(queries, model))
     assert_rows_match_the_oracle(queries, model, answered_one_at_a_time(queries, model))
+
+
+def test_identity_is_checked_once_per_relation_and_call(monkeypatch):
+    rng = np.random.default_rng(17)
+    model = identity_model(rng, 2)
+    queries = identity_queries(rng, model, per_structure=8)
+    assert len({(q.structure, q.relations) for q in queries}) > 4 * model.schema.n_relations
+    calls = []
+    check = KnowledgeSheaf.identity_maps
+
+    def counting(sheaf, relations):
+        calls.append(tuple(relations))
+        return check(sheaf, relations)
+
+    monkeypatch.setattr(KnowledgeSheaf, "identity_maps", counting)
+    evaluate(model, queries)
+    assert 1 <= len(calls) <= model.schema.n_relations
+    assert all(len(relations) == 1 for relations in calls)
+    # nothing is kept between calls: a perturbed identity-tagged relation answers with its real maps
+    calls.clear()
+    model.sheaf.head_maps[1][...] += 0.3 * rng.normal(size=model.sheaf.head_maps[1].shape)
+    assert_rows_match_the_oracle(queries, model, query.answer_queries(queries, model))
+    assert 1 <= len(calls) <= model.schema.n_relations

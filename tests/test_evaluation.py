@@ -106,6 +106,15 @@ class TestMetrics:
         with pytest.raises(EvaluationError):
             hits_at_k([], 10)
 
+    def test_a_rank_array_gives_the_per_rank_float_means_bit_for_bit(self, rng):
+        ranks = rng.integers(1, 500, size=1001)
+        assert mrr(ranks) == float(np.mean([1.0 / r for r in ranks]))
+        for k in (1, 10, 499):
+            assert hits_at_k(ranks, k) == float(np.mean([1.0 if r <= k else 0.0 for r in ranks]))
+        for metric in (mrr, lambda r: hits_at_k(r, 10)):
+            with pytest.raises(EvaluationError, match="of an empty rank list"):
+                metric(np.array([], dtype=np.int64))
+
     @given(st.lists(st.integers(1, 100), min_size=1, max_size=50))
     @settings(max_examples=60, deadline=None)
     def test_hits_monotone_in_k_and_mrr_bounds(self, ranks):

@@ -387,7 +387,7 @@ def chaining_oracle(query, model):
     pools = [model.entities_of_type(qg.vertex_types[v]) for v in interior]
     candidates, xc = _type_sections(model, qg.vertex_types[qg.target_vertex])
     anchor_of = dict(zip(qg.anchor_vertices, (int(a) for a in query.anchors)))
-    _anchor_data(model, qg, query.anchors)
+    _anchor_data(model, qg, [query.anchors])
     target = qg.target_vertex
 
     def head_term(e_idx, vec):
