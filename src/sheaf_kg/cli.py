@@ -218,13 +218,14 @@ def cmd_inspect(prefix, train_path):
                f"entity_types={model.schema.n_entity_types}")
     for r, name in enumerate(model.schema.relation_types):
         head, tail = model.sheaf.head_maps[r], model.sheaf.tail_maps[r]
-        line = (
-            f"relation {name}: constraint={model.sheaf.constraints[r]} "
-            f"maps {head.shape[0]}x{head.shape[1]} "
-            f"|head|={np.linalg.norm(head):.4f} |tail|={np.linalg.norm(tail):.4f}"
-        )
-        if model.sheaf.translations is not None:
-            line += f" |translation|={np.linalg.norm(model.sheaf.translations[r]):.4f}"
+        with np.errstate(over="ignore"):  # a finite but huge parameter prints its norm as inf
+            line = (
+                f"relation {name}: constraint={model.sheaf.constraints[r]} "
+                f"maps {head.shape[0]}x{head.shape[1]} "
+                f"|head|={np.linalg.norm(head):.4f} |tail|={np.linalg.norm(tail):.4f}"
+            )
+            if model.sheaf.translations is not None:
+                line += f" |translation|={np.linalg.norm(model.sheaf.translations[r]):.4f}"
         click.echo(line)
     if train_path:
         # interned in the checkpoint's own ids, so a new entity makes the vocabulary grow

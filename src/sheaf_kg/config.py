@@ -42,16 +42,18 @@ def describe(model_config: ModelConfig, train_config: TrainConfig) -> str:
 
 
 def read_config_file(path) -> dict[str, str]:
-    raw: dict[str, str] = {}
+    """The ``key=value`` lines of a config file; a key may repeat only with the same value."""
+    raw: dict[str, tuple[str, int]] = {}  # key -> (value, line first set on)
     for lineno, line in text_lines(path, ConfigError):
         line = line.split("#", 1)[0].strip()
         if not line:
             continue
-        key, sep, value = line.partition("=")
+        key, sep, value = (part.strip() for part in line.partition("="))
         if not sep:
             raise ConfigError(f"{path}:{lineno}: expected key=value, got {line!r}")
-        raw[key.strip()] = value.strip()
-    return raw
+        if (first := raw.setdefault(key, (value, lineno)))[0] != value:
+            raise ConfigError(f"{path}:{lineno}: {key} is {value!r} here, {first[0]!r} on line {first[1]}")
+    return {key: value for key, (value, _) in raw.items()}
 
 
 def build_settings(file_values: dict[str, str] | None = None,

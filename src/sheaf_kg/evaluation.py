@@ -30,6 +30,7 @@ from .query import (
     Ranking,
     answer_queries,
     answer_query,  # noqa: F401 -- part of this module's names: callers resolve it here
+    build_query_graph,
     entity_chaining_exact,
     naive_traversal_score,
     check_finite,
@@ -91,7 +92,7 @@ def mrr(ranks) -> float:
 
 def hits_at_k(ranks, k: int) -> float:
     """Fraction of an array (or sequence) of ranks at or below ``k``."""
-    if k < 1:
+    if as_id(k, EvaluationError, "k must be an integer") < 1:
         raise EvaluationError("k must be >= 1")
     if (ranks := np.asarray(ranks)).size == 0:
         raise EvaluationError("Hits@K of an empty rank list")
@@ -229,6 +230,16 @@ def _scored_groups(model: Model, queries: list[Query], method: str):
         yield [i], candidates, values[None, :]
 
 
+def _bad_answer_error(model: Model, queries: list[Query]) -> QueryError | None:
+    """The error naming the first query, in query order, with an answer that is not a candidate."""
+    for i, q in enumerate(queries):
+        qg = build_query_graph(q, model.schema)
+        for a in sorted(q.answers):
+            if not (0 <= a < model.n_entities and model.entity_type[a] == qg.vertex_types[qg.target_vertex]):
+                return QueryError(f"query {i}, the {q.structure} query on relations {q.relations}, has answer "
+                                  f"{a}, which is not a candidate of its target's type")
+
+
 def evaluate(model: Model, queries, method: str = "harmonic") -> MetricReport:
     """Rank every query, filter each answer, and aggregate per structure.
 
@@ -239,7 +250,8 @@ def evaluate(model: Model, queries, method: str = "harmonic") -> MetricReport:
     entity index) pair sorts ahead of its own (``answer_ranks``, one call per
     block), so no candidate list is sorted. The baselines rank one query at
     a time. Results are in query order whatever the grouping. A query with no
-    answers, or a candidate value that is not finite, is an ``EvaluationError``.
+    answers, or a candidate value that is not finite, is an ``EvaluationError``;
+    an answer that is not a candidate of its target's type is a ``QueryError``.
     """
     queries = list(queries)
     if not queries:
@@ -255,7 +267,10 @@ def evaluate(model: Model, queries, method: str = "harmonic") -> MetricReport:
             if not np.isfinite(values).all():  # name the first query with a non-finite value
                 for i, row in zip(members, values):
                     check_finite(row, model, f"the {queries[i].structure} query", queries[i].relations)
-            ranks = answer_ranks(candidates, values, [queries[i].answers for i in members])
+            try:
+                ranks = answer_ranks(candidates, values, [queries[i].answers for i in members])
+            except QueryError as exc:  # an answer outside the candidates: name its query
+                raise (_bad_answer_error(model, queries) or exc) from None
             ranks_of.update(zip(members, ranks))
 
     ranks_by_structure: dict[str, list[np.ndarray]] = {}

@@ -21,9 +21,9 @@ one group; its ``Ranking`` sorts only when its order is read, ``top(k)`` partiti
 
 Over identity maps (ShVT with them is TransE) a query's sheaf is the constant
 sheaf R^d, whose Laplacian is the template graph's scalar ``L_G (x) I_d``. As
-``pinv(A (x) I) = pinv(A) (x) I``, such a batch is one form, lifting the elimination of ``constant_sheaf(n,
-edges, 1)`` by ``(x) I_d``; it depends on the template alone and is computed once per process. A group
-takes this path when each relation (checked once per call) is tagged identity and both its maps equal I.
+``pinv(A (x) I) = pinv(A) (x) I``, such a batch is one form, the elimination of ``constant_sheaf(n, edges,
+1)`` lifted by ``(x) I_d``: it depends on the template and ``d`` alone, and is built once per process. A
+group takes this path when each relation (checked once per call) is tagged identity and its maps equal I.
 """
 
 from __future__ import annotations
@@ -61,7 +61,7 @@ _TEMPLATES = {
 }
 
 STRUCTURE_ARITY = {tag: (len(t["anchors"]), len(t["edges"])) for tag, t in _TEMPLATES.items()}
-_SCALAR_FORMS: dict = {}  # (n_vertices, edges, boundary, interior) -> read-only scalar (S_G, (delta E)_G)
+_IDENTITY_FORMS: dict = {}  # (n_vertices, edges, boundary, interior, d) -> read-only (S_G, (delta E)_G) (x) I_d
 
 
 @dataclass(frozen=True, slots=True)
@@ -265,11 +265,6 @@ def _anchor_data(model: Model, qg: QueryGraph, rows) -> np.ndarray:
     return np.concatenate([x[:, j, :d] for j, d in enumerate(dims)], axis=1)
 
 
-def _lift(a: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """``a (x) I_d`` for sections ``x`` of dim ``d``: each entry of ``a`` becomes a ``d x d`` block."""
-    return (a[:, None, :, None] * np.eye(x.shape[1])[:, None]).reshape(len(a) * x.shape[1], -1)
-
-
 def _eliminate(graph: SheafOnGraph, boundary, interior, with_delta_e: bool):
     """``(S, delta E)`` of ``graph`` (stacked or not) onto ``boundary``; ``delta E`` only ``with_delta_e``."""
     # this module's names, not sheaf.eliminate: benchmarks/layers.py wraps these two
@@ -303,37 +298,37 @@ class _HarmonicForm:
     candidates' ``x^T S_tt x`` are built once and shared by every anchor tuple.
 
     With ``identity`` (``KnowledgeSheaf.identity_maps`` holds on every graph) only the translations
-    are gathered, and the template's scalar elimination, kept in ``_SCALAR_FORMS``, is lifted:
-    ``S = S_G (x) I_d`` for every graph, ``delta E = (delta E)_G (x) I_d`` and ``x^T S_tt x = s_tt |x|^2``,
-    so ``S`` and the candidates' one row of ``x^T S_tt x`` are held once, with no axis over the graphs.
+    are gathered, and ``S = S_G (x) I_d`` and ``delta E = (delta E)_G (x) I_d`` are read from
+    ``_IDENTITY_FORMS``, which lifts the template's scalar elimination once per ``d``. ``S`` is shared by
+    every graph and call, with no axis over the graphs, and the candidates' ``x^T S_tt x = s_tt |x|^2``
+    (``s_tt`` is ``S``'s last entry) is one row.
     """
 
     def __init__(self, qgs, sheaf: KnowledgeSheaf, x: np.ndarray, identity: bool):
         qg = qgs[0]
         self.dim_a = dim_a = sum(sheaf.schema.vertex_dim[qg.vertex_types[v]] for v in qg.anchor_vertices)
         graph, offsets = query_sheaf(qgs, sheaf, maps=not identity)
-        if identity:  # the constant sheaf R^d: the template's scalar elimination, lifted by (x) I_d below
-            key = (qg.n_vertices, tuple((u, v) for u, _, v in qg.edges), qg.boundary, qg.interior)
-            if key not in _SCALAR_FORMS:
-                _SCALAR_FORMS[key] = _eliminate(constant_sheaf(*key[:2], 1), *key[2:], True)
-                for a in _SCALAR_FORMS[key]:
+        if identity:  # the constant sheaf R^d: the template's scalar elimination, lifted by (x) I_d
+            key = (qg.n_vertices, tuple((u, v) for u, _, v in qg.edges), qg.boundary, qg.interior, x.shape[1])
+            if key not in _IDENTITY_FORMS:
+                scalar = _eliminate(constant_sheaf(*key[:2], 1), *key[2:4], True)
+                _IDENTITY_FORMS[key] = tuple(np.kron(a, np.eye(key[4])) for a in scalar)
+                for a in _IDENTITY_FORMS[key]:
                     a.setflags(write=False)
-            schur, delta_e = _SCALAR_FORMS[key]
+            schur, delta_e = _IDENTITY_FORMS[key]
         else:
             schur, delta_e = _eliminate(graph, qg.boundary, qg.interior, offsets is not None)
 
         rows = x.transpose(0, 2, 1).reshape(-1, x.shape[1])
         self.x_flat = rows.reshape(len(x), -1)  # each candidate's columns, one after another
-        if identity:  # every graph shares S (x) I_d, and x^T (s_tt I_d) x = s_tt |x|^2
-            self.quad, schur = schur[-1, -1] * np.einsum("kd,kd->k", self.x_flat, self.x_flat), _lift(schur, x)
+        if identity:  # every graph shares S_G (x) I_d, and x^T (s_tt I_d) x = s_tt |x|^2
+            self.quad = schur[-1, -1] * np.einsum("kd,kd->k", self.x_flat, self.x_flat)
         else:  # x^T S_tt x summed over section columns, one GEMM on (candidate, column) rows per graph
             self.quad = np.array([np.einsum("kd,kd->k", (rows @ s_tt).reshape(len(x), -1), self.x_flat)
                                   for s_tt in schur[:, dim_a:, dim_a:]])
         self.shared = identity
         self.s_aa = schur[..., :dim_a, :dim_a]
         self.s_ta = schur[..., dim_a:, :dim_a]
-        if offsets is not None and identity:
-            delta_e = _lift(delta_e, x)
         self.lin = None if offsets is None else delta_e.swapaxes(-1, -2) @ np.concatenate(offsets, axis=-2)
 
     def values(self, groups: np.ndarray, y_a: np.ndarray) -> np.ndarray:

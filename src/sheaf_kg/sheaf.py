@@ -291,7 +291,7 @@ def kron_reduce(sheaf: SheafOnGraph, boundary) -> BlockLaplacian:
 
 
 def constant_sheaf(n_vertices: int, edges, dim: int) -> SheafOnGraph:
-    """All stalks R^dim, all maps I; ``query`` eliminates each template's at ``dim=1`` once per process."""
+    """All stalks R^dim, all maps I; ``query`` eliminates each template's at ``dim=1``, lifted once per ``d``."""
     eye = np.eye(dim)
     return SheafOnGraph(
         vertex_dims=(dim,) * n_vertices,

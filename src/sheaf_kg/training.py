@@ -232,8 +232,7 @@ class _StackedParams:
 
 def _worst_relation(model: Model, kg: KnowledgeGraph) -> str:
     """The relation of largest mean training score (``relation_discrepancy``), a NaN mean first."""
-    with np.errstate(all="ignore"):
-        means = relation_discrepancy(model.sheaf, model.sections, kg)
+    means = relation_discrepancy(model.sheaf, model.sections, kg)
     return max(means, key=lambda name: (np.isnan(means[name]), means[name]))
 
 

@@ -8,6 +8,7 @@ group and filtered ranks counted one query at a time.
 """
 
 import tracemalloc
+from collections import Counter
 from itertools import product
 
 import numpy as np
@@ -304,7 +305,8 @@ class TestGroupErrors:
         model, queries, people, places, lives_in = self._group(rng)
         queries.insert(2, Query("1p", (int(people[5]),), lives_in,
                                 frozenset({int(places[1]), int(people[0])})))
-        with pytest.raises(QueryError, match=f"entity {int(people[0])} not present"):
+        with pytest.raises(QueryError, match=rf"^query 2, the 1p query on relations \({lives_in[0]},\), has answer "
+                                             rf"{int(people[0])}, which is not a candidate of its target's type$"):
             evaluate(model, queries)
 
 
@@ -631,9 +633,9 @@ def test_block_ranks_keep_one_row_of_masks():
 def record_stalks(monkeypatch):
     """The vertex dims of each Laplacian that ``query`` assembles, in call order.
 
-    The per-template scalar table starts empty, so each identity template is assembled again.
+    The per-(template, d) identity table starts empty, so each identity template is assembled again.
     """
-    monkeypatch.setattr(query, "_SCALAR_FORMS", {})
+    monkeypatch.setattr(query, "_IDENTITY_FORMS", {})
     seen = []
     assemble = query.assemble_laplacian
 
@@ -735,7 +737,7 @@ def test_an_identity_tag_whose_maps_changed_answers_with_its_real_maps(monkeypat
 
 
 class ForgetfulTable(dict):
-    """A scalar table that never holds a template, so every form eliminates afresh."""
+    """An identity table that never holds a form, so every form eliminates and lifts afresh."""
 
     def __contains__(self, key):
         return False
@@ -753,11 +755,11 @@ def test_a_filled_scalar_table_answers_bit_for_bit_as_an_empty_one(monkeypatch, 
                 for i, row in zip(members, values)}
         return evaluate(model, queries), rows, [answer_query(q, model).scored for q in queries]
 
-    monkeypatch.setattr(query, "_SCALAR_FORMS", ForgetfulTable())
+    monkeypatch.setattr(query, "_IDENTITY_FORMS", ForgetfulTable())
     cold_report, cold_rows, cold_scored = answered()
-    monkeypatch.setattr(query, "_SCALAR_FORMS", {})
+    monkeypatch.setattr(query, "_IDENTITY_FORMS", {})
     answered()
-    assert len(query._SCALAR_FORMS) == len(STRUCTURES)
+    assert len(query._IDENTITY_FORMS) == len(STRUCTURES)  # one d
     report, rows, scored = answered()
     assert report == cold_report
     for i in range(len(queries)):
@@ -767,17 +769,35 @@ def test_a_filled_scalar_table_answers_bit_for_bit_as_an_empty_one(monkeypatch, 
 
 
 def test_the_scalar_table_holds_one_read_only_entry_per_template():
-    for m, dim in ((1, 4), (3, 2)):  # the scalar elimination depends on neither
+    for m, dim in ((1, 4), (3, 2), (3, 4)):  # the lifted form depends on d, not on m
         rng = np.random.default_rng(m)
         model = identity_model(rng, m, dim=dim)
         queries = identity_queries(rng, model)
         evaluate(model, queries)
         evaluate(model, queries)
-    assert 1 <= len(query._SCALAR_FORMS) <= len(STRUCTURES)
-    for schur, delta_e in query._SCALAR_FORMS.values():
+    per_d = Counter(key[-1] for key in query._IDENTITY_FORMS)
+    assert {2, 4} <= set(per_d) and max(per_d.values()) <= len(STRUCTURES)
+    for schur, delta_e in query._IDENTITY_FORMS.values():
         for a in (schur, delta_e):
             with pytest.raises(ValueError, match="read-only"):
                 a[...] = 0.0
+
+
+def test_warm_identity_forms_share_the_table_entry():
+    rng = np.random.default_rng(11)
+    model = identity_model(rng, 2)
+    for structure in STRUCTURES:
+        n_anchors, n_relations = STRUCTURE_ARITY[structure]
+        qg = build_query_graph(Query(structure, (0,) * n_anchors, tuple(range(n_relations))), model.schema)
+        _, x = query._type_sections(model, qg.vertex_types[qg.target_vertex])
+        first, second = (query._HarmonicForm([qg], model.sheaf, x, True) for _ in range(2))
+        assert np.shares_memory(first.s_aa, second.s_aa) and np.shares_memory(first.s_ta, second.s_ta)
+        d = x.shape[1]
+        schur, delta_e = query._IDENTITY_FORMS[
+            qg.n_vertices, tuple((u, v) for u, _, v in qg.edges), qg.boundary, qg.interior, d]
+        assert np.shares_memory(first.s_aa, schur) and np.shares_memory(first.s_ta, schur)
+        for a in (schur, delta_e):  # S_G (x) I_d and (delta E)_G (x) I_d
+            np.testing.assert_array_equal(a, np.kron(a[::d, ::d], np.eye(d)))
 
 
 def test_a_filled_scalar_table_leaves_nothing_to_assemble(monkeypatch):

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from click.testing import CliRunner
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import overflowing_checkpoint
@@ -1045,6 +1045,9 @@ def fuzz_inputs(tmp_path_factory):
 
 
 @settings(max_examples=150, deadline=None)
+# byte flips of the tensors file that made inspect overflow: a section (383) and a translation (2327)
+@example(target=("model.tensors", "inspect"), mutation="flip_byte", at=383, bit=6)
+@example(target=("model.tensors", "inspect"), mutation="flip_byte", at=2327, bit=6)
 @given(
     target=st.sampled_from(_FUZZ_TARGETS),
     mutation=st.sampled_from(["flip_byte", "truncate", "append_non_utf8", "drop_tab", "remove", "directory"]),

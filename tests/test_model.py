@@ -383,6 +383,16 @@ class TestRelationDiscrepancy:
             "r1": pytest.approx(sigma)
         }
 
+    def test_overflowing_sections_read_inf_not_a_warning(self, rng):
+        # RuntimeWarning is an error under this suite's filterwarnings
+        kg = toy_kg(rng=rng)
+        cfg = ModelConfig(constraint="identity", entity_dim=4, relation_dim=4)
+        model = init_for_kg(cfg, kg, seed=0)
+        model.sections.block(0)[...] = 1e160
+        out = relation_discrepancy(model.sheaf, model.sections, kg)
+        touched = {kg.schema.relation_types[r] for h, r, t in kg.triples_of("train") if (h == 0) != (t == 0)}
+        assert touched and all(out[name] == np.inf for name in touched)
+
     def test_empty_relation_absent_not_zero(self, rng):
         kg = toy_kg()
         kg = KnowledgeGraph(

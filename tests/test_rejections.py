@@ -40,9 +40,9 @@ def graph_without_training_split():
                           np.full(len(kg.triples), 2, dtype=np.int8))
 
 
-def model_without_cities():
-    """A model of ``PERSON_CITY`` whose entities are all people."""
-    types = np.zeros(4, dtype=np.int64)
+def person_city_model(types=(0, 0, 0, 0)):
+    """A model of ``PERSON_CITY`` whose entities a, b, c, d have ``types``; by default all are people."""
+    types = np.array(types, dtype=np.int64)
     sheaf, sections = init_model(ModelConfig(), PERSON_CITY, types, seed=0)
     return Model(PERSON_CITY, ("a", "b", "c", "d"), types, sheaf, sections)
 
@@ -75,8 +75,17 @@ REJECTIONS = {
                        "{path}:1: expected key=value, got 'epochs 3'"),
     "unknown-override-key": (lambda p: build_settings(overrides={"epoch": 3}), ConfigError,
                              "invalid override key 'epoch'"),
+    # once the last value silently won
+    "conflicting-config-key": (lambda p: read_config_file(p("epochs=1\nepochs = 7\n")), ConfigError,
+                               "{path}:2: epochs is '7' here, '1' on line 1"),
+    "conflicting-constraint-key": (
+        lambda p: read_config_file(p("constraint.r0=identity\n# free it\nconstraint.r0=free\n")),
+        ConfigError, "{path}:3: constraint.r0 is 'free' here, 'identity' on line 1"),
     # evaluation
     "hits-at-zero": (lambda p: hits_at_k([1, 2], 0), EvaluationError, "k must be >= 1"),
+    # once read as 0.667 and 0.333
+    "hits-at-a-float": (lambda p: hits_at_k([1, 2, 3], 2.5), EvaluationError, "k must be an integer, got 2.5"),
+    "hits-at-a-bool": (lambda p: hits_at_k([1, 2, 3], True), EvaluationError, "k must be an integer, got True"),
     "no-training-split": (
         lambda p: build_easy_queries(graph_without_training_split(), build_index(planted().kg), "1p",
                                      3, np.random.default_rng(0)),
@@ -91,6 +100,18 @@ REJECTIONS = {
         lambda p: evaluate(planted().generator, [Query("1p", (0,), (0,), frozenset()),
                                                  Query("1p", (1,), (0,), frozenset({2}))]),
         EvaluationError, "query 0, the 1p query on relations (0,), has no answers"),
+    # both once raised a bare "entity 0 not present in ranking" naming no query
+    "answer-of-another-type": (
+        lambda p: evaluate(person_city_model((0, 0, 1, 1)), [Query("1p", (0,), (0,), frozenset({2})),
+                                                             Query("1p", (1,), (0,), frozenset({0, 3}))]),
+        QueryError, "query 1, the 1p query on relations (0,), has answer 0, which is not a candidate of its "
+                    "target's type"),
+    "answer-out-of-range": (  # the 2p query is in a later batch than query 2, but first in query order
+        lambda p: evaluate(planted().generator, [Query("1p", (0,), (0,), frozenset({1})),
+                                                 Query("2p", (0,), (0, 1), frozenset({999})),
+                                                 Query("1p", (1,), (0,), frozenset({1000}))]),
+        QueryError, "query 1, the 2p query on relations (0, 1), has answer 999, which is not a candidate of "
+                    "its target's type"),
     # once returned [] without a warning
     "negative-count": (
         lambda p: build_easy_queries(planted().kg, build_index(planted().kg), "1p", -5, np.random.default_rng(0)),
@@ -115,7 +136,7 @@ REJECTIONS = {
         lambda p: build_query_graph(Query("1p", (0,), (5,)), default_schema(2, 4, 4)),
         QueryError, "relation index 5 out of range"),
     "target-type-without-entities": (
-        lambda p: answer_query(Query("1p", (0,), (0,)), model_without_cities()),
+        lambda p: answer_query(Query("1p", (0,), (0,)), person_city_model()),
         QueryError, "no entities of the target's type 'city' exist"),
     "anchor-count": (
         lambda p: answer_query_graph(build_query_graph(Query("2i", (0, 1), (0, 1)), default_schema(2, 4, 4)),
@@ -166,6 +187,12 @@ def test_comment_and_blank_lines_of_a_config_file_are_skipped(tmp_path):
     path = tmp_path / "run.cfg"
     path.write_text("# a comment\n   # an indented one\nepochs = 3  # trailing\n", encoding="utf-8")
     assert read_config_file(path) == {"epochs": "3"}
+
+
+def test_a_config_key_may_repeat_with_the_same_value(tmp_path):
+    path = tmp_path / "run.cfg"
+    path.write_text("epochs=3\nconstraint.r0=free\nepochs = 3\nconstraint.r0=free\n", encoding="utf-8")
+    assert read_config_file(path) == {"epochs": "3", "constraint.r0": "free"}
 
 
 def test_an_index_without_keys_contains_nothing():
