@@ -27,7 +27,7 @@ import numpy as np
 from . import checkpoint as ckpt
 from . import evaluation, kgdata, synth
 from .config import KEY_TYPES, VALID_KEYS, build_settings, describe, read_config_file
-from .errors import INPUT_ERRORS, ConfigError, SchemaError, SheafKGError, ValidationError
+from .errors import INPUT_ERRORS, ConfigError, SheafKGError
 from .model import VARIANTS, init_for_kg, relation_discrepancy
 from .query import STRUCTURES, Query, answer_query, read_queries, resolve_names, write_queries
 from .seeds import substream
@@ -75,42 +75,9 @@ def _parse_seeds(text: str) -> list[int]:
 
 
 def _load_kg(model_config, train_path, valid_path, test_path, type_path):
-    paths = (train_path, valid_path, test_path)
     labels = kgdata.read_type_labels(type_path) if type_path else None
     dims = model_config.entity_dim, model_config.relation_dim
-    schema = _infer_relation_typing(labels, *dims, *paths)
-    return kgdata.load_dataset(schema, *paths, labels)
-
-
-def _infer_relation_typing(labels, entity_dim, relation_dim, *paths) -> kgdata.Schema:
-    """Schema read from the triple files in one pass.
-
-    Entity types come from the type-file ``labels``, or are the single type
-    ``entity`` when ``labels`` is None. Relations come from the files; both
-    are in order of first appearance. Each relation takes its head and tail
-    types from its first triple.
-    """
-    type_names = ("entity",) if labels is None else dict.fromkeys(labels.values())
-    type_index = {name: i for i, name in enumerate(type_names)}
-    typing: dict[str, tuple[int, int]] = {}
-    for path in paths:
-        if path is None:
-            continue
-        for lineno, (h, rel, t) in kgdata.tsv_rows(path, 3):
-            if labels is not None:
-                for name in (h, t):
-                    if name not in labels:
-                        raise SchemaError(f"{path}:{lineno}: entity {name!r} has no type-file entry")
-            if rel not in typing:
-                typing[rel] = (0, 0) if labels is None else (type_index[labels[h]], type_index[labels[t]])
-    return kgdata.Schema(
-        entity_types=tuple(type_index),
-        relation_types=tuple(typing),
-        head_type=tuple(h for h, _ in typing.values()),
-        tail_type=tuple(t for _, t in typing.values()),
-        vertex_dim=(entity_dim,) * len(type_index),
-        edge_dim=(relation_dim,) * len(typing),
-    )
+    return kgdata.load_dataset(dims, train_path, valid_path, test_path, labels)
 
 
 @click.group(cls=_Main)
@@ -138,7 +105,8 @@ def _setting_flags(fn):
 @click.option("--train", "train_path", type=click.Path(), required=True)
 @click.option("--valid", "valid_path", type=click.Path(), default=None)
 @click.option("--test", "test_path", type=click.Path(), default=None)
-@click.option("--type-file", "type_path", type=click.Path(), default=None)
+@click.option("--type-file", "type_path", type=click.Path(), default=None,
+              help="entity<TAB>type lines; every entity in the triple files needs one")
 @click.option("--seeds", default=None,
               help="comma-separated seed list; one checkpoint each (default: the seed setting)")
 @click.option("--out", "out_dir", type=click.Path(), required=True)
@@ -228,15 +196,12 @@ def cmd_inspect(prefix, train_path):
                 line += f" |translation|={np.linalg.norm(model.sheaf.translations[r]):.4f}"
         click.echo(line)
     if train_path:
-        # interned in the checkpoint's own ids, so a new entity makes the vocabulary grow
+        # interned in the checkpoint's own ids; the labels refuse an entity the checkpoint lacks
         vocab = kgdata.VocabBuilder()
         for name, type_idx in zip(model.entities, model.entity_type.tolist()):
             vocab.intern(name, type_idx)
         labels = {name: model.schema.entity_types[t] for name, t in zip(vocab.names, vocab.types)}
         triples = kgdata.load_triples(train_path, model.schema, vocab, labels)
-        if len(vocab) > model.n_entities:
-            raise ValidationError(f"{train_path}: mentions {len(vocab) - model.n_entities} "
-                                  "entities absent from the checkpoint")
         kg = kgdata.assemble_kg(model.schema, vocab, {kgdata.TRAIN: triples})
         for name, value in relation_discrepancy(model.sheaf, model.sections, kg).items():
             click.echo(f"discrepancy {name}\t{value!r}")

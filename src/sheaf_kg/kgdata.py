@@ -5,6 +5,13 @@ per line, exactly two TAB separators (``head<TAB>relation<TAB>tail``), no
 header. Entities and relations are interned into dense 0-based indices in
 order of first appearance, which makes loading deterministic.
 
+A dataset's schema is either given or learned from its files as they are
+read: then the entity types are the type labels' types in label-file order,
+or the one type ``entity`` without labels, and each relation takes its head
+and tail types from its first triple. The label rule: with type labels,
+every entity of every file needs one; without them, a one-type schema gives
+every entity type 0 and a multi-type schema refuses it.
+
 The name rule: a name is non-empty, holds no TAB, LF, CR or comma (the TSV,
 checkpoint and query formats split on them) and is unique in its table. It is
 checked where names are made: ``Schema``, ``KnowledgeGraph``, ``Model``, ``tsv_rows``.
@@ -76,18 +83,6 @@ class Schema:
     def relation_ids(self) -> dict[str, int]:
         """Each relation name's index."""
         return {name: r for r, name in enumerate(self.relation_types)}
-
-    def relation_index(self, name: str) -> int:
-        try:
-            return self.relation_ids[name]
-        except KeyError:
-            raise SchemaError(f"relation {name!r} absent from schema") from None
-
-    def entity_type_index(self, name: str) -> int:
-        try:
-            return self.entity_types.index(name)
-        except ValueError:
-            raise SchemaError(f"entity type {name!r} absent from schema") from None
 
     def head_dim(self, r: int) -> int:
         return self.vertex_dim[self.head_type[r]]
@@ -336,32 +331,51 @@ def load_triples(
 ) -> list[tuple[int, int, int]]:
     """Parse one triple file, interning entities into ``vocab``; errors name ``path:line``.
 
-    With a single-type schema unseen entities get that type; otherwise the
-    sidecar ``type_labels`` mapping must cover them.
+    Entities are typed by the label rule (see the module docstring).
     """
+    return _read_triples(path, schema.entity_types, _relation_table(schema), vocab, type_labels)
+
+
+def _relation_table(schema: Schema) -> dict[str, tuple[int, int, int]]:
+    """Each relation name's ``(index, head type, tail type)``."""
+    return {name: (r, h, t) for r, (name, h, t)
+            in enumerate(zip(schema.relation_types, schema.head_type, schema.tail_type))}
+
+
+def _read_triples(path, entity_types, relations, vocab, type_labels, grow=False):
+    """``load_triples`` given ``relations``, each relation name's ``(index, head type, tail type)``.
+
+    With ``grow``, an unseen relation joins ``relations`` with the types of its first triple.
+    """
+    index = {name: i for i, name in enumerate(entity_types)}
+    labels = {} if type_labels is None else type_labels
+
     def type_of(name: str) -> int:
-        if type_labels is None or name not in type_labels:
-            raise ValidationError(
-                f"entity {name!r} needs a type label "
-                "(multi-type schema without sidecar entry)"
-            )
-        return schema.entity_type_index(type_labels[name])
+        if name not in labels:
+            raise ValidationError(f"entity {name!r} has no type label")
+        if labels[name] not in index:
+            raise SchemaError(f"entity type {labels[name]!r} absent from schema")
+        return index[labels[name]]
 
     triples: list[tuple[int, int, int]] = []
-    single = schema.n_entity_types == 1  # then every entity is type 0, and no label is read
+    single = type_labels is None and len(index) == 1  # then every entity is type 0
     for lineno, (head_name, rel_name, tail_name) in tsv_rows(path, 3):
         try:
-            r = schema.relation_index(rel_name)
+            typing = relations.get(rel_name)
+            if typing is None and not grow:
+                raise SchemaError(f"relation {rel_name!r} absent from schema")
             h = vocab.intern(head_name, 0 if single else type_of(head_name))
             t = vocab.intern(tail_name, 0 if single else type_of(tail_name))
-            if vocab.types[h] != schema.head_type[r] or vocab.types[t] != schema.tail_type[r]:
+            if typing is None:
+                typing = relations[rel_name] = (len(relations), vocab.types[h], vocab.types[t])
+            if vocab.types[h] != typing[1] or vocab.types[t] != typing[2]:
                 raise ValidationError(
                     f"triple ({head_name}, {rel_name}, {tail_name}) "
                     "violates the schema's head/tail typing"
                 )
         except (SchemaError, ValidationError) as exc:
             raise type(exc)(f"{path}:{lineno}: {exc}") from None
-        triples.append((h, r, t))
+        triples.append((h, typing[0], t))
     return triples
 
 
@@ -392,7 +406,7 @@ def assemble_kg(
 
 
 def load_dataset(
-    schema: Schema,
+    schema: Schema | tuple[int, int],
     train_path,
     valid_path=None,
     test_path=None,
@@ -400,20 +414,30 @@ def load_dataset(
 ) -> KnowledgeGraph:
     """Load train (+ optional valid/test) files into one KnowledgeGraph.
 
-    ``type_labels`` maps entity names to type names, as read from a type
-    file by :func:`read_type_labels`.
+    ``schema`` is a ``Schema``, or the pair ``(entity_dim, relation_dim)``
+    of a schema learned from the files (see the module docstring), whose
+    relations are in order of first appearance. ``type_labels`` maps entity
+    names to type names, as read from a type file by :func:`read_type_labels`.
     """
+    learned = not isinstance(schema, Schema)
+    if learned:
+        entity_types = ("entity",) if type_labels is None else tuple(dict.fromkeys(type_labels.values()))
+        relations: dict[str, tuple[int, int, int]] = {}
+    else:
+        entity_types, relations = schema.entity_types, _relation_table(schema)
     vocab = VocabBuilder()
-    fragments = {TRAIN: load_triples(train_path, schema, vocab, type_labels)}
+    fragments = {TRAIN: _read_triples(train_path, entity_types, relations, vocab, type_labels, learned)}
     n_train_entities = len(vocab)
     for split, path in ((VALID, valid_path), (TEST, test_path)):
-        if path:
-            fragments[split] = load_triples(path, schema, vocab, type_labels)
+        if path is not None:
+            fragments[split] = _read_triples(path, entity_types, relations, vocab, type_labels, learned)
     if len(vocab) > n_train_entities:
-        logger.warning(
-            "%d entity(ies) first appear outside the training split",
-            len(vocab) - n_train_entities,
-        )
+        logger.warning("%d entity(ies) first appear outside the training split", len(vocab) - n_train_entities)
+    if learned:
+        entity_dim, relation_dim = schema
+        head, tail = (tuple(typing[i] for typing in relations.values()) for i in (1, 2))
+        schema = Schema(entity_types, tuple(relations), head, tail,
+                        (entity_dim,) * len(entity_types), (relation_dim,) * len(relations))
     return assemble_kg(schema, vocab, fragments)
 
 

@@ -282,7 +282,7 @@ class TestGroupErrors:
         model = ragged_model(rng, "shvt", "free", 2)
         people = np.flatnonzero(model.entity_type == 0)
         places = np.flatnonzero(model.entity_type == 1)
-        lives_in = (RAGGED.relation_index("lives_in"),)
+        lives_in = (RAGGED.relation_ids["lives_in"],)
         queries = [
             Query("1p", (int(p),), lives_in, frozenset({int(places[i])}))
             for i, p in enumerate(people[:4])

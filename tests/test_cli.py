@@ -297,23 +297,22 @@ class TestTrain:
         assert f"error: {tmp_path / 't.tsv'}:2: entity 'c'" in res.output
 
     def test_type_inference_rejects_malformed_line(self, tmp_path):
-        from sheaf_kg.cli import _infer_relation_typing
         from sheaf_kg.errors import TripleParseError
+        from sheaf_kg.kgdata import load_dataset
 
         labels = dict.fromkeys("ab", "entity")
         (tmp_path / "t.tsv").write_text("a\tr\tb\na\tr\n", encoding="utf-8")
         with pytest.raises(TripleParseError, match=":2:"):
-            _infer_relation_typing(labels, 4, 4, tmp_path / "t.tsv")
+            load_dataset((4, 4), tmp_path / "t.tsv", type_labels=labels)
 
     def test_untyped_schema_lists_relations_in_first_appearance_order(self, tmp_path):
         from dataclasses import replace
 
-        from sheaf_kg.cli import _infer_relation_typing
-        from sheaf_kg.kgdata import default_schema
+        from sheaf_kg.kgdata import default_schema, load_dataset
 
         (tmp_path / "a.tsv").write_text("a\tlikes\tb\nb\thates\ta\n", encoding="utf-8")
         (tmp_path / "b.tsv").write_text("a\tknows\tb\na\tlikes\tb\n", encoding="utf-8")
-        schema = _infer_relation_typing(None, 4, 3, tmp_path / "a.tsv", None, tmp_path / "b.tsv")
+        schema = load_dataset((4, 3), tmp_path / "a.tsv", None, tmp_path / "b.tsv").schema
         assert schema.relation_types == ("likes", "hates", "knows")
         assert schema == replace(default_schema(3, 4, 3), relation_types=schema.relation_types)
 
@@ -516,6 +515,29 @@ def test_type_file_is_read_once(runner, tmp_path, monkeypatch):
     ])
     assert res.exit_code == 0, res.output
     assert opened.count(types) == 1
+
+
+def test_train_reads_each_triple_file_once(runner, tmp_path, monkeypatch):
+    # the schema is learned while the files load; a separate pass once read every file twice
+    from sheaf_kg import kgdata
+
+    files = {}
+    for split, text in [("train", "a\tr\tb\nb\ts\tc\n"), ("valid", "a\ts\tc\n"), ("test", "c\tr\ta\n")]:
+        files[split] = tmp_path / f"{split}.tsv"
+        files[split].write_text(text, encoding="utf-8")
+    real_lines, read = kgdata.text_lines, []
+
+    def counting_lines(path, *args, **kwargs):
+        read.append(Path(path))
+        return real_lines(path, *args, **kwargs)
+
+    monkeypatch.setattr(kgdata, "text_lines", counting_lines)
+    res = run_cli(runner, [
+        "train", *(arg for split, path in files.items() for arg in (f"--{split}", str(path))),
+        "--epochs", "1", "--entity-dim", "2", "--relation-dim", "2", "--out", str(tmp_path / "o"),
+    ])
+    assert res.exit_code == 0, res.output
+    assert sorted(read) == sorted(files.values())
 
 
 class TestEval:
@@ -784,7 +806,7 @@ class TestInspect:
         model = load_model(prefix)
         ids = model.entity_index()
         rows = [
-            [ids[h], model.schema.relation_index(r), ids[t]]
+            [ids[h], model.schema.relation_ids[r], ids[t]]
             for h, r, t in (line.split("\t") for line in (typed / "t.tsv").read_text().splitlines())
         ]
         kg = KnowledgeGraph(model.schema, model.entities, model.entity_type.copy(),
@@ -804,7 +826,9 @@ class TestInspect:
         (tmp_path / "t.tsv").write_text(line, encoding="utf-8")
         res = run_cli(runner, ["inspect", "--checkpoint", str(prefix), "--train", str(tmp_path / "t.tsv")])
         assert res.exit_code == 2, res.output
-        assert f"error: {tmp_path / 't.tsv'}" in res.output
+        # one message whatever the type count, at the line, naming no type file (the user gave none)
+        errors = [line for line in res.output.splitlines() if line.startswith("error:")]
+        assert errors == [f"error: {tmp_path / 't.tsv'}:1: entity 'stranger' has no type label"]
         assert "Traceback" not in res.output
 
     @pytest.mark.parametrize("dim", [2**62, 2**40 + 1])

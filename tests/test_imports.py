@@ -4,9 +4,10 @@ Every name a ``src/`` module imports is used in that module or marked
 ``# noqa: F401``, and every function, method or property it defines has a
 caller in ``src/``, ``tests/`` or ``benchmarks/``. Every ``raise Name(...)``
 or ``raise module.Name(...)`` in ``src/`` names a ``SheafKGError`` subclass, and only an allow-listed
-function calls a ``linalg`` routine that can raise ``LinAlgError``. A
-``_``-prefixed name crosses from one ``src/`` module into another only
-where ``PRIVATE_IMPORTS`` lists it.
+function calls a ``linalg`` routine that can raise ``LinAlgError``; only the
+type-file and triple-file readers call ``kgdata.tsv_rows``. A ``_``-prefixed
+name crosses from one ``src/`` module into another only where
+``PRIVATE_IMPORTS`` lists it.
 """
 
 import ast
@@ -181,17 +182,20 @@ RAISING_LINALG = {"eig", "eigh", "eigvals", "eigvalsh", "svd", "qr", "solve", "i
 LINALG_CALLERS = {"sheaf.psd_pinv", "model.orthonormal_columns", "synth.generate_planted_kg"}
 
 
-def raising_linalg_calls(source: str, module: str) -> list[str]:
-    """``"<module>.<function>: <routine>"`` for each call of a ``RAISING_LINALG`` routine.
+def calls_of(source: str, module: str, routines, home: str) -> list[str]:
+    """``"<module>.<function>: <routine>"`` for each call of one of ``routines`` of the module ``home``.
 
-    A call counts when its callee is ``<...>.linalg.<routine>`` or a routine
-    imported from a ``linalg`` module under any name. The function is the
-    innermost enclosing definition, led by its classes and outer functions.
+    A call counts when its callee is ``<...>.<home>.<routine>``, a routine
+    imported from a ``home`` module under any name or, inside ``home`` itself,
+    the bare routine. The function is the innermost enclosing definition, led
+    by its classes and outer functions.
     """
     tree = ast.parse(source)
     aliases = {alias.asname or alias.name: alias.name for node in ast.walk(tree)
-               if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[-1] == "linalg"
-               for alias in node.names if alias.name in RAISING_LINALG}
+               if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[-1] == home
+               for alias in node.names if alias.name in routines}
+    if module == home:
+        aliases |= {name: name for name in routines}
     found = []
 
     def visit(node, scope):
@@ -201,14 +205,19 @@ def raising_linalg_calls(source: str, module: str) -> list[str]:
             f = node.func
             if isinstance(f, ast.Name) and f.id in aliases:
                 found.append(f"{'.'.join(scope)}: {aliases[f.id]}")
-            elif (isinstance(f, ast.Attribute) and f.attr in RAISING_LINALG
-                  and ast.unparse(f.value).split(".")[-1] == "linalg"):
+            elif (isinstance(f, ast.Attribute) and f.attr in routines
+                  and ast.unparse(f.value).split(".")[-1] == home):
                 found.append(f"{'.'.join(scope)}: {f.attr}")
         for child in ast.iter_child_nodes(node):
             visit(child, scope)
 
     visit(tree, (module,))
     return found
+
+
+def raising_linalg_calls(source: str, module: str) -> list[str]:
+    """``calls_of`` for the ``RAISING_LINALG`` routines of any ``linalg`` module."""
+    return calls_of(source, module, RAISING_LINALG, "linalg")
 
 
 def test_the_check_finds_a_raising_linalg_call():
@@ -225,6 +234,26 @@ def test_raising_linalg_calls_stay_in_their_allowed_functions(path):
     """Every eigen-solve goes through ``psd_pinv``: a non-finite matrix gives NaN, not ``LinAlgError``."""
     calls = raising_linalg_calls(path.read_text(encoding="utf-8"), path.stem)
     assert [call for call in calls if call.split(":")[0] not in LINALG_CALLERS] == []
+
+
+# the one reader of each TAB-separated format: the type-file loader and the triple-file loop
+TSV_READERS = {"kgdata.read_type_labels", "kgdata._read_triples"}
+
+
+def test_the_check_finds_a_tsv_rows_call():
+    source = ("from .kgdata import tsv_rows as rows\nfrom . import kgdata\n"
+              "def f(p):\n    return kgdata.tsv_rows(p, 3), rows(p, 2), tsv_rows(p, 3), kgdata.text_lines(p)\n"
+              "class C:\n    def g(self, p):\n        return sheaf_kg.kgdata.tsv_rows(p, 3)\n")
+    assert calls_of(source, "m", {"tsv_rows"}, "kgdata") == ["m.f: tsv_rows", "m.f: tsv_rows", "m.C.g: tsv_rows"]
+    own = "def read(p):\n    return tsv_rows(p, 2)\n"
+    assert calls_of(own, "kgdata", {"tsv_rows"}, "kgdata") == ["kgdata.read: tsv_rows"]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_only_the_readers_call_tsv_rows(path):
+    """A second parser of a TSV format drifts from the first: its own checks, its own messages."""
+    calls = calls_of(path.read_text(encoding="utf-8"), path.stem, {"tsv_rows"}, "kgdata")
+    assert [call for call in calls if call.split(":")[0] not in TSV_READERS] == []
 
 
 def private_imports(source: str) -> list[str]:

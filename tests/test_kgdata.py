@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sheaf_kg.checkpoint import load_model, save_model
-from sheaf_kg.errors import SchemaError, SheafKGError, TripleParseError, ValidationError
+from sheaf_kg.errors import INPUT_ERRORS, SchemaError, SheafKGError, TripleParseError, ValidationError
 from sheaf_kg.kgdata import (
     KnowledgeGraph,
     Schema,
@@ -21,6 +21,7 @@ from sheaf_kg.kgdata import (
     load_dataset,
     load_triples,
     read_type_labels,
+    tsv_rows,
     write_triples,
 )
 from sheaf_kg.model import Model, ModelConfig, init_model
@@ -97,8 +98,7 @@ class TestLoadTriples:
 
     @pytest.mark.parametrize("line, labels, error, message", [
         ("bob\thates\tparis", {}, SchemaError, "relation 'hates' absent from schema"),
-        ("bob\tlives_in\trome", {}, ValidationError,
-         "entity 'rome' needs a type label (multi-type schema without sidecar entry)"),
+        ("bob\tlives_in\trome", {}, ValidationError, "entity 'rome' has no type label"),
         ("paris\tlives_in\tbob", {}, ValidationError,
          "triple (paris, lives_in, bob) violates the schema's head/tail typing"),
         ("carol\tlives_in\tparis", {}, ValidationError,
@@ -124,6 +124,13 @@ class TestLoadTriples:
         assert type(err.value) is error
         assert str(err.value) == f"{path}:2: {message}"
 
+    def test_a_one_type_schema_reads_the_labels_too(self, tmp_path):
+        # it once ignored them, so a caller's labels could not refuse an entity
+        path = write(tmp_path / "t.tsv", "ann\tr0\toslo\n")
+        with pytest.raises(ValidationError) as err:
+            load_triples(path, default_schema(1, 4, 4), VocabBuilder(), {"ann": "entity"})
+        assert str(err.value) == f"{path}:1: entity 'oslo' has no type label"
+
     def test_type_label_file(self, tmp_path):
         path = write(tmp_path / "types.tsv", "alice\tperson\nparis\tcity\n")
         assert read_type_labels(path) == {"alice": "person", "paris": "city"}
@@ -134,11 +141,9 @@ class TestLoadTriples:
 
     @staticmethod
     def read(reader, path):
-        from sheaf_kg.cli import _infer_relation_typing
-
         return {"triples": lambda: load_triples(path, default_schema(1, 4, 4), VocabBuilder()),
                 "types": lambda: read_type_labels(path),
-                "typing": lambda: _infer_relation_typing(None, 4, 4, path)}[reader]()
+                "typing": lambda: load_dataset((4, 4), path)}[reader]()
 
     # the "triples" lines once loaded the entities ('a', 'b', '', 'c,d'), and '' cannot be named in a
     # query; the "typing" line "a<TAB><TAB>b" once gave the CLI's schema a relation named ''
@@ -219,10 +224,13 @@ class TestSchemaValidation:
         with pytest.raises(SchemaError, match=match):
             replace(PEOPLE_AND_CITIES, **{field: value})
 
-    def test_unknown_entity_type_name_is_a_schema_error(self):
-        assert PEOPLE_AND_CITIES.entity_type_index("city") == 1
-        with pytest.raises(SchemaError, match="entity type 'country' absent from schema"):
-            PEOPLE_AND_CITIES.entity_type_index("country")
+    def test_unknown_entity_type_name_is_a_schema_error(self, tmp_path):
+        path = write(tmp_path / "t.tsv", "ann\tlives_in\toslo\n")
+        vocab = VocabBuilder()
+        load_triples(path, PEOPLE_AND_CITIES, vocab, {"ann": "person", "oslo": "city"})
+        assert vocab.types == [0, 1]
+        with pytest.raises(SchemaError, match=":1: entity type 'country' absent from schema"):
+            load_triples(path, PEOPLE_AND_CITIES, VocabBuilder(), {"ann": "person", "oslo": "country"})
 
 
 class TestGraphValidation:
@@ -477,3 +485,87 @@ class TestAssembly:
         path = write(tmp_path / "t.tsv", "z\tr0\ta\na\tr0\tz\nb\tr0\tz\n")
         kg = load_dataset(default_schema(1, 2, 2), path)
         assert kg.entities == ("z", "a", "b")
+
+
+def two_pass_load(dims, paths, labels):
+    """The loader that the one-pass schema learning replaced: one pass infers the schema, a second loads.
+
+    Entity types come from ``labels``, or are the single type ``entity`` when
+    ``labels`` is None. Relations come from the files; both are in order of
+    first appearance. Each relation takes its head and tail types from its
+    first triple. Then ``load_dataset`` reads the files again against that schema.
+    """
+    type_names = ("entity",) if labels is None else dict.fromkeys(labels.values())
+    type_index = {name: i for i, name in enumerate(type_names)}
+    typing: dict[str, tuple[int, int]] = {}
+    for path in paths:
+        if path is None:
+            continue
+        for lineno, (h, rel, t) in tsv_rows(path, 3):
+            if labels is not None:
+                for name in (h, t):
+                    if name not in labels:
+                        raise SchemaError(f"{path}:{lineno}: entity {name!r} has no type-file entry")
+            if rel not in typing:
+                typing[rel] = (0, 0) if labels is None else (type_index[labels[h]], type_index[labels[t]])
+    schema = Schema(
+        entity_types=tuple(type_index),
+        relation_types=tuple(typing),
+        head_type=tuple(h for h, _ in typing.values()),
+        tail_type=tuple(t for _, t in typing.values()),
+        vertex_dim=(dims[0],) * len(type_index),
+        edge_dim=(dims[1],) * len(typing),
+    )
+    return load_dataset(schema, *paths, labels)
+
+
+def load_or_error(load):
+    """``load()``'s graph, or the class of the ``SheafKGError`` it raised."""
+    try:
+        return load()
+    except SheafKGError as exc:
+        return type(exc)
+
+
+# relation "=" stands for one named by its triple's labels, so that labelled files often type-check
+ENTITIES, RELATIONS = "abcde", ("r", "s", "=", "=")
+triple_file = st.lists(st.tuples(*map(st.sampled_from, (ENTITIES, RELATIONS, ENTITIES))), max_size=5)
+# one, two or three types; the label-file order varies, and one entity in four draws has no label
+label_map = st.builds(
+    lambda names, types, size: dict(zip(names[:size], types)),
+    st.permutations(ENTITIES),
+    st.sampled_from(["x", "xy", "xyz"]).flatmap(lambda kinds: st.lists(st.sampled_from(kinds), min_size=5,
+                                                                      max_size=5)),
+    st.sampled_from([4, 5, 5, 5]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    train=triple_file,
+    others=st.tuples(st.none() | triple_file, st.none() | triple_file),
+    labels=st.none() | label_map,
+    broken=st.tuples(st.integers(0, 2), st.sampled_from([None] * 4 + ["a\tr", "a\tr,s\tb"])),
+)
+def test_learning_the_schema_in_one_pass_matches_the_two_pass_oracle(train, others, labels, broken):
+    """Up to three files, with or without labels of one to three types, and maybe one malformed line."""
+    def as_line(h, r, t):
+        return "\t".join((h, f"{(labels or {}).get(h, 'u')}-{(labels or {}).get(t, 'u')}" if r == "=" else r, t))
+
+    files = [None if rows is None else [as_line(*row) for row in rows] for rows in (train, *others)]
+    at, bad = broken
+    if bad is not None and files[at] is not None:
+        files[at].append(bad)
+    with tempfile.TemporaryDirectory() as folder:
+        paths = [None if lines is None else write(Path(folder) / f"{i}.tsv", "".join(f"{x}\n" for x in lines))
+                 for i, lines in enumerate(files)]
+        expected = load_or_error(lambda: two_pass_load((2, 3), paths, labels))
+        got = load_or_error(lambda: load_dataset((2, 3), *paths, labels))
+    if isinstance(expected, type):
+        assert isinstance(got, type) and issubclass(expected, INPUT_ERRORS) and issubclass(got, INPUT_ERRORS)
+        return
+    assert isinstance(got, KnowledgeGraph), got
+    assert got.schema == expected.schema  # relation order included
+    assert got.entities == expected.entities
+    for field in ("entity_type", "triples", "split"):
+        np.testing.assert_array_equal(getattr(got, field), getattr(expected, field))

@@ -735,7 +735,7 @@ class TestPaddedLayout:
         kg, overrides = self.mixed_ragged_kg(rng)
         cfg = ModelConfig(variant=variant, sections=3, alpha=0.1, constraint_overrides=overrides)
         model = init_for_kg(cfg, kg, seed=1)
-        identity = kg.schema.relation_index("identity")
+        identity = kg.schema.relation_ids["identity"]
         _, report = train(
             kg,
             TrainConfig(epochs=4, batch_size=16, learning_rate=0.05, optimizer=optimizer,
