@@ -75,7 +75,7 @@ def _parse_seeds(text: str) -> list[int]:
 
 
 def _load_kg(model_config, train_path, valid_path, test_path, type_path):
-    labels = kgdata.read_type_labels(type_path) if type_path else None
+    labels = kgdata.read_type_labels(type_path) if type_path is not None else None
     dims = model_config.entity_dim, model_config.relation_dim
     return kgdata.load_dataset(dims, train_path, valid_path, test_path, labels)
 

@@ -17,6 +17,7 @@ tail-minus-head ``delta`` and ``b`` the translations, as
 from __future__ import annotations
 
 import copy
+import functools
 import logging
 from dataclasses import dataclass, field, replace
 
@@ -33,6 +34,13 @@ CONSTRAINTS = ("free", "shared", "identity", "orthogonal", "antisymmetric")
 VARIANTS = ("shv", "shvt")
 
 ORTHOGONALITY_TOL = 1e-6
+GAUGE_TOL = 1e-13  # max |F^T F - I| of a map that ``query`` answers through a per-vertex gauge
+
+
+@functools.cache
+def identity_matrix(d: int) -> np.ndarray:
+    """The read-only ``d x d`` identity, one per ``d``: ``broadcast_to`` returns a read-only view."""
+    return np.broadcast_to(np.eye(d), (d, d))
 
 
 @dataclass
@@ -137,15 +145,25 @@ class KnowledgeSheaf:
         out._bind(self.RH.copy(), self.RT.copy(), None if self.T is None else self.T.copy())
         return out
 
-    def identity_maps(self, relations) -> bool:
-        """Whether each relation is tagged identity (checked first) and both its maps equal the identity."""
-        rels = list(relations)
-        if not all(self.constraints[r] == "identity" for r in rels):
+    def _square_maps(self, relations, tags, holds) -> bool:
+        """Whether each relation is tagged one of ``tags`` with square maps, and ``holds(maps, I_d)`` per edge dim."""
+        s, rels = self.schema, list(relations)
+        if not all(self.constraints[r] in tags and s.edge_dim[r] == s.head_dim(r) == s.tail_dim(r) for r in rels):
             return False
-        d = self.schema.edge_dim[rels[0]] if rels else 0  # the tag makes both maps d x d: one compare per d
-        if any(self.schema.edge_dim[r] != d for r in rels):
-            return all(self.identity_maps([r]) for r in rels)
-        return bool((self.RH[rels, :d, :d] == np.eye(d)).all() and (self.RT[rels, :d, :d] == np.eye(d)).all())
+        d = s.edge_dim[rels[0]] if rels else 0
+        if any(s.edge_dim[r] != d for r in rels):
+            return all(self._square_maps([r], tags, holds) for r in rels)
+        with np.errstate(over="ignore", invalid="ignore"):  # one gather per edge dim; huge maps fail as inf or NaN
+            return bool(holds(np.concatenate((self.RH[rels, :d, :d], self.RT[rels, :d, :d])), identity_matrix(d)))
+
+    def identity_maps(self, relations) -> bool:
+        """Whether each relation is tagged identity and both its maps equal the identity."""
+        return self._square_maps(relations, ("identity",), lambda f, eye: (f == eye).all())
+
+    def orthogonal_maps(self, relations) -> bool:
+        """Whether each relation is tagged orthogonal or identity, with square maps ``GAUGE_TOL``-near orthogonal."""
+        return self._square_maps(relations, ("orthogonal", "identity"),
+                                 lambda f, eye: np.abs(f.swapaxes(-1, -2) @ f - eye).max(initial=0.0) <= GAUGE_TOL)
 
     def check_constraints(self) -> None:
         """Raise unless every constraint tag is actually satisfied."""

@@ -9,21 +9,21 @@ every type-compatible candidate entity is scored by the resulting boundary
 quadratic form (plus a linear term for translational models). Lower is
 better.
 
-The Schur complement and the linear term depend only on the query's
-structure and relations; the anchors enter only as boundary data.
-``answer_queries`` therefore groups queries by ``(structure, relations)``
-and builds the forms of groups with equal stalk dims a chunk at a time,
-through ``sheaf``'s batch axis: one coboundary, one ``delta^T delta`` and
-one batched eigendecomposition per chunk. A batch's anchors take one index, and
-the anchor-candidate cross terms of a block of a chunk's queries come from one
-GEMM against the target type's stacked sections. ``answer_query`` is a chunk of
-one group; its ``Ranking`` sorts only when its order is read, ``top(k)`` partitions.
+The Schur complement and the linear term depend only on the query's structure and relations; the
+anchors enter only as boundary data. ``answer_queries`` therefore groups queries by ``(structure,
+relations)`` and batches groups of equal stalk dims and path (``_path``). A batch's anchors take one index,
+and the anchor-candidate cross terms of a block of its queries are one GEMM against the target type's
+sections. The dense path builds forms a chunk of groups at a time through ``sheaf``'s batch axis: one
+coboundary, ``delta^T delta`` and batched eigendecomposition per chunk. ``answer_query`` is a batch of one
+query; its ``Ranking`` sorts only when its order is read, ``top(k)`` partitions.
 
-Over identity maps (ShVT with them is TransE) a query's sheaf is the constant
-sheaf R^d, whose Laplacian is the template graph's scalar ``L_G (x) I_d``. As
-``pinv(A (x) I) = pinv(A) (x) I``, such a batch is one form, the elimination of ``constant_sheaf(n, edges,
-1)`` lifted by ``(x) I_d``: it depends on the template and ``d`` alone, and is built once per process. A
-group takes this path when each relation (checked once per call) is tagged identity and its maps equal I.
+Over identity maps (ShVT with them is TransE) a query's sheaf is the constant sheaf R^d, whose Laplacian
+is the template graph's scalar ``L_G (x) I_d``. As ``pinv(A (x) I) = pinv(A) (x) I``, such a batch is one
+form, the elimination of ``constant_sheaf(n, edges, 1)`` lifted by ``(x) I_d``, built once per template and
+``d``. Every template is a tree, so over square maps within ``GAUGE_TOL`` of orthogonal the sheaf is constant
+in a gauge: frames ``Q_v``, ``Q_target = I``, ``F_h Q_u = F_t Q_v`` on each edge. The gauge path reads the
+same form, with anchors ``Q_a^T x_a`` and translations ``(F_t Q_v)^T t``. Free, shared, antisymmetric and
+non-square maps, and maps past the gate, take the dense path.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ import numpy as np
 
 from .errors import BudgetExceededError, ConfigError, EvaluationError, QueryError, as_id
 from .kgdata import text_lines
-from .model import Model, KnowledgeSheaf, edge_residual
+from .model import Model, KnowledgeSheaf, edge_residual, identity_matrix
 from .sheaf import (
     SheafOnGraph,
     affine_offset,
@@ -297,36 +297,42 @@ class _HarmonicForm:
     map, ``b`` the stacked translations, zero for shv). ``S``, ``l`` and the
     candidates' ``x^T S_tt x`` are built once and shared by every anchor tuple.
 
-    With ``identity`` (``KnowledgeSheaf.identity_maps`` holds on every graph) only the translations
-    are gathered, and ``S = S_G (x) I_d`` and ``delta E = (delta E)_G (x) I_d`` are read from
-    ``_IDENTITY_FORMS``, which lifts the template's scalar elimination once per ``d``. ``S`` is shared by
-    every graph and call, with no axis over the graphs, and the candidates' ``x^T S_tt x = s_tt |x|^2``
-    (``s_tt`` is ``S``'s last entry) is one row.
+    On ``_path``'s ``"identity"`` and ``"gauge"`` paths, ``S = S_G (x) I_d`` and ``delta E = (delta E)_G (x) I_d``
+    are ``_IDENTITY_FORMS``' entry, with no graph axis, and the candidates' ``x^T S_tt x = s_tt |x|^2`` is one
+    row. Only the gauge path gathers maps: its frames ``Q_v`` (``Q_target = I``) rotate each graph's
+    translations, and ``rot``, ``(graphs, anchors, d, d)``, holds each graph's anchor ``Q_a^T``.
     """
 
-    def __init__(self, qgs, sheaf: KnowledgeSheaf, x: np.ndarray, identity: bool):
+    def __init__(self, qgs, sheaf: KnowledgeSheaf, x: np.ndarray, path: str):
         qg = qgs[0]
         self.dim_a = dim_a = sum(sheaf.schema.vertex_dim[qg.vertex_types[v]] for v in qg.anchor_vertices)
-        graph, offsets = query_sheaf(qgs, sheaf, maps=not identity)
-        if identity:  # the constant sheaf R^d: the template's scalar elimination, lifted by (x) I_d
+        graph, offsets = query_sheaf(qgs, sheaf, maps=path != "identity")
+        self.shared, self.rot = path != "dense", None
+        if self.shared:  # the constant sheaf R^d: the template's scalar elimination, lifted by (x) I_d
             key = (qg.n_vertices, tuple((u, v) for u, _, v in qg.edges), qg.boundary, qg.interior, x.shape[1])
             if key not in _IDENTITY_FORMS:
                 scalar = _eliminate(constant_sheaf(*key[:2], 1), *key[2:4], True)
-                _IDENTITY_FORMS[key] = tuple(np.kron(a, np.eye(key[4])) for a in scalar)
+                _IDENTITY_FORMS[key] = tuple(np.kron(a, identity_matrix(key[4])) for a in scalar)
                 for a in _IDENTITY_FORMS[key]:
                     a.setflags(write=False)
             schur, delta_e = _IDENTITY_FORMS[key]
         else:
             schur, delta_e = _eliminate(graph, qg.boundary, qg.interior, offsets is not None)
+        if path == "gauge":  # every template edge points toward the target: walk out from it, tail to head
+            frames = {qg.target_vertex: identity_matrix(x.shape[1])}
+            for e, (u, v) in reversed(list(enumerate(graph.edges))):
+                frames[u] = graph.head_maps[e].swapaxes(-1, -2) @ (turn := graph.tail_maps[e] @ frames[v])  # F_t Q_v
+                if offsets is not None:
+                    offsets[e] = turn.swapaxes(-1, -2) @ offsets[e]
+            self.rot = np.stack([frames[v].swapaxes(-1, -2) for v in qg.anchor_vertices], axis=1)
 
         rows = x.transpose(0, 2, 1).reshape(-1, x.shape[1])
         self.x_flat = rows.reshape(len(x), -1)  # each candidate's columns, one after another
-        if identity:  # every graph shares S_G (x) I_d, and x^T (s_tt I_d) x = s_tt |x|^2
+        if self.shared:  # every graph shares S_G (x) I_d, and x^T (s_tt I_d) x = s_tt |x|^2
             self.quad = schur[-1, -1] * np.einsum("kd,kd->k", self.x_flat, self.x_flat)
         else:  # x^T S_tt x summed over section columns, one GEMM on (candidate, column) rows per graph
             self.quad = np.array([np.einsum("kd,kd->k", (rows @ s_tt).reshape(len(x), -1), self.x_flat)
                                   for s_tt in schur[:, dim_a:, dim_a:]])
-        self.shared = identity
         self.s_aa = schur[..., :dim_a, :dim_a]
         self.s_ta = schur[..., dim_a:, :dim_a]
         self.lin = None if offsets is None else delta_e.swapaxes(-1, -2) @ np.concatenate(offsets, axis=-2)
@@ -334,6 +340,8 @@ class _HarmonicForm:
     def values(self, groups: np.ndarray, y_a: np.ndarray) -> np.ndarray:
         """Values ``(R, n)`` for anchor data ``(R, dim_a, m)`` of graph(s) ``groups``, one or one per row."""
         pick = (lambda a: a) if self.shared else (lambda a: a[groups])  # a shared array has no graph axis
+        if self.rot is not None:  # each anchor section in its frame, Q_a^T x_a
+            y_a = (self.rot[groups] @ y_a.reshape(len(y_a), self.rot.shape[1], -1, y_a.shape[-1])).reshape(y_a.shape)
         const = np.einsum("...dm,...dm->...", y_a, pick(self.s_aa) @ y_a)
         w = pick(self.s_ta) @ y_a  # (R, d_t, m)
         if self.lin is not None:
@@ -354,21 +362,21 @@ def answer_queries(queries, model: Model):
     """Harmonic-extension values of a sequence of queries, a chunk of query graphs at a time.
 
     Queries are grouped by ``(structure, relations)``; groups with equal structure, vertex types, edge
-    dims and identity maps or not (each relation checked once per call) form a batch, whose anchors are
-    checked (all before any is scored; the first bad query raises) and gathered with one index. A batch
-    builds forms ``CHUNK_GROUPS`` groups at a time, or one if identity, and scores ``GROUP_ROWS`` anchor
-    tuples of a chunk per GEMM. Yields ``(members, candidates, values)``: positions in ``queries``, the
+    dims and path (``_path``, each relation checked once per call) form a batch, whose anchors are
+    checked (all before any is scored; the first bad query raises) and gathered with one index. A dense
+    batch builds forms ``CHUNK_GROUPS`` groups at a time, any other one form, and scores ``GROUP_ROWS``
+    anchor tuples of a chunk per GEMM. Yields ``(members, candidates, values)``: positions in ``queries``, the
     target type's entity ids ascending, and a ``(len(members), len(candidates))`` value array (lower is
     better).
     """
     groups: dict[tuple, tuple[QueryGraph, list[int]]] = {}
-    batches: dict[tuple, list] = {}  # groups by structure, stalk dims and identity maps
-    identity_of = functools.cache(lambda r: model.sheaf.identity_maps([r]))  # once per relation and call
+    batches: dict[tuple, list] = {}  # groups by structure, stalk dims and path: its relations' min
+    path_of = functools.cache(lambda r: _path(model.sheaf, [r]))  # once per relation and call
     try:
         for i, q in enumerate(queries):
             if (group := groups.get((q.structure, q.relations))) is None:
                 group = groups[q.structure, q.relations] = (build_query_graph(q, model.schema), [])
-                signature = (q.structure, group[0].vertex_types, all(map(identity_of, q.relations)),
+                signature = (q.structure, group[0].vertex_types, min(map(path_of, q.relations)),
                              *(model.schema.edge_dim[r] for r in q.relations))
                 batches.setdefault(signature, []).append(group)
             group[1].append(i)
@@ -379,20 +387,25 @@ def answer_queries(queries, model: Model):
             _anchor_data(model, build_query_graph(q, model.schema), [q.anchors])
         raise
 
-    for ((_, _, identity, *_), batch), y_batch in zip(batches.items(), anchors):
+    for ((_, _, path, *_), batch), y_batch in zip(batches.items(), anchors):
         candidates, x = _type_sections(model, batch[0][0].vertex_types[batch[0][0].target_vertex])
-        if identity:  # one form for the batch, with no per-graph rows; chunks still set the GEMM blocks
-            form = _HarmonicForm([qg for qg, _ in batch], model.sheaf, x, True)
+        if path != "dense":  # one form for the batch, with no per-graph rows; chunks still set the GEMM blocks
+            form = _HarmonicForm([qg for qg, _ in batch], model.sheaf, x, path)
         for start in range(0, len(batch), CHUNK_GROUPS):
             qgs, member_lists = zip(*batch[start:start + CHUNK_GROUPS])
-            if not identity:
-                form = _HarmonicForm(qgs, model.sheaf, x, False)
+            if path == "dense":
+                form = _HarmonicForm(qgs, model.sheaf, x, path)
             members = [i for m in member_lists for i in m]
             y_a, y_batch = y_batch[:len(members)], y_batch[len(members):]
-            row_groups = np.repeat(np.arange(len(qgs)) + (start if identity else 0), list(map(len, member_lists)))
+            row_groups = np.repeat(np.arange(len(qgs)) + (start if form.shared else 0), list(map(len, member_lists)))
             for lo in range(0, len(members), GROUP_ROWS):
                 rows = slice(lo, lo + GROUP_ROWS)
                 yield members[rows], candidates, form.values(row_groups[rows], y_a[rows])
+
+
+def _path(sheaf: KnowledgeSheaf, relations) -> str:
+    """How a query on ``relations`` is answered, costliest first: ``"dense"`` < ``"gauge"`` < ``"identity"``."""
+    return "identity" if sheaf.identity_maps(relations) else "gauge" if sheaf.orthogonal_maps(relations) else "dense"
 
 
 def check_finite(values: np.ndarray, model: Model, what: str, relations) -> None:
@@ -415,8 +428,7 @@ def answer_query_graph(qg: QueryGraph, model: Model, anchor_entities) -> Ranking
     candidates, x = _type_sections(model, qg.vertex_types[qg.target_vertex])
     relations = [r for _, r, _ in qg.edges]
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite value is refused below
-        form = _HarmonicForm([qg], model.sheaf, x, model.sheaf.identity_maps(relations))
-        values = form.values(0, y_a)[0]
+        values = _HarmonicForm([qg], model.sheaf, x, _path(model.sheaf, relations)).values(0, y_a)[0]
     check_finite(values, model, "the query", relations)
     return ranking_from_scores(candidates, values)
 

@@ -29,7 +29,7 @@ from sheaf_kg.evaluation import (
 )
 from sheaf_kg import query
 from sheaf_kg.kgdata import KnowledgeGraph, Schema, build_index, default_schema
-from sheaf_kg.model import KnowledgeSheaf, Model, ModelConfig, init_for_kg, init_model
+from sheaf_kg.model import GAUGE_TOL, KnowledgeSheaf, Model, ModelConfig, init_for_kg, init_model
 from sheaf_kg.query import (
     STRUCTURE_ARITY,
     STRUCTURES,
@@ -169,13 +169,13 @@ def ragged_model(rng, variant, constraint, m, n_entities=23):
     )
 
 
-def consistent_keys(structure):
+def consistent_keys(structure, schema=RAGGED):
     """Every relation tuple that types the structure's template consistently."""
     keys = []
-    for relations in product(range(RAGGED.n_relations), repeat=STRUCTURE_ARITY[structure][1]):
+    for relations in product(range(schema.n_relations), repeat=STRUCTURE_ARITY[structure][1]):
         try:
             qg = build_query_graph(Query(structure, (0,) * STRUCTURE_ARITY[structure][0],
-                                         relations), RAGGED)
+                                         relations), schema)
         except QueryError:
             continue
         keys.append((relations, qg))
@@ -185,10 +185,10 @@ def consistent_keys(structure):
 KEYS = {s: consistent_keys(s) for s in STRUCTURES}
 
 
-def random_queries(rng, model, keys_per_structure=2, per_key=3):
+def random_queries(rng, model, keys_per_structure=2, per_key=3, keys_of=KEYS):
     queries = []
     for structure in STRUCTURES:
-        keys = KEYS[structure]
+        keys = keys_of[structure]
         for k in rng.choice(len(keys), size=keys_per_structure, replace=False):
             relations, qg = keys[int(k)]
             targets = np.flatnonzero(model.entity_type == qg.vertex_types[qg.target_vertex])
@@ -790,7 +790,7 @@ def test_warm_identity_forms_share_the_table_entry():
         n_anchors, n_relations = STRUCTURE_ARITY[structure]
         qg = build_query_graph(Query(structure, (0,) * n_anchors, tuple(range(n_relations))), model.schema)
         _, x = query._type_sections(model, qg.vertex_types[qg.target_vertex])
-        first, second = (query._HarmonicForm([qg], model.sheaf, x, True) for _ in range(2))
+        first, second = (query._HarmonicForm([qg], model.sheaf, x, "identity") for _ in range(2))
         assert np.shares_memory(first.s_aa, second.s_aa) and np.shares_memory(first.s_ta, second.s_ta)
         d = x.shape[1]
         schur, delta_e = query._IDENTITY_FORMS[
@@ -861,3 +861,153 @@ def test_identity_is_checked_once_per_relation_and_call(monkeypatch):
     model.sheaf.head_maps[1][...] += 0.3 * rng.normal(size=model.sheaf.head_maps[1].shape)
     assert_rows_match_the_oracle(queries, model, query.answer_queries(queries, model))
     assert 1 <= len(calls) <= model.schema.n_relations
+
+
+# Every template is a tree, so over square orthogonal maps a query's sheaf is
+# the constant sheaf in a frame per vertex: such queries read the scalar
+# template's form too, with anchors and translations rotated (the gauge path).
+
+def test_every_template_edge_points_toward_the_target():
+    # the gauge walks the edges in reverse, each from its tail's known frame to its head's
+    for structure, template in query._TEMPLATES.items():
+        known = {template["target"]}
+        for head, _, tail in reversed(template["edges"]):
+            assert tail in known and head not in known, structure
+            known.add(head)
+        assert known == set(range(template["n"])), structure
+
+
+# Two entity types of one dim: every relation's maps can be square and
+# orthogonal, and relations cross between the types in both directions.
+SQUARE = Schema(
+    entity_types=("a", "b"),
+    relation_types=("aa", "ab", "ba", "bb", "ab2"),
+    head_type=(0, 0, 1, 1, 0),
+    tail_type=(0, 1, 0, 1, 1),
+    vertex_dim=(4, 4),
+    edge_dim=(4, 4, 4, 4, 4),
+)
+SQUARE_KEYS = {s: consistent_keys(s, SQUARE) for s in STRUCTURES}
+SQUARE_IDENTITY = ("aa", "ab2")  # identity-tagged, the others orthogonal
+
+
+def square_model(rng, variant, m, n_entities=19):
+    """Random-init orthogonal maps (identity on ``SQUARE_IDENTITY``); random sections and translations."""
+    cfg = ModelConfig(variant=variant, sections=m, entity_dim=4, relation_dim=4, constraint="orthogonal",
+                      constraint_overrides=dict.fromkeys(SQUARE_IDENTITY, "identity"))
+    types = rng.permutation(np.arange(n_entities) % 2).astype(np.int64)
+    sheaf, sections = init_model(cfg, SQUARE, types, seed=int(rng.integers(1 << 30)))
+    if sheaf.translational:
+        sheaf.T[...] = rng.normal(size=sheaf.T.shape)
+    sections.X[...] = rng.normal(size=sections.X.shape)
+    twin = np.flatnonzero(types == types[0])[1]
+    sections.block(twin)[...] = sections.block(0).copy()
+    return Model(schema=SQUARE, entities=tuple(f"e{i}" for i in range(n_entities)),
+                 entity_type=types, sheaf=sheaf, sections=sections)
+
+
+def rows_of(answered):
+    """``(query position, candidates, row)`` of each row that ``answered`` yields."""
+    for members, candidates, values in answered:
+        for i, row in zip(members, values):
+            yield i, candidates, row
+
+
+def assert_rows_match_dense_and_per_query_oracles(queries, model, monkeypatch):
+    """Batched and single rows within ``1e-12 * max(1, max|value|)`` of the dense path's and ``oracle_ranking``'s."""
+    with monkeypatch.context() as patch:
+        patch.setattr(query, "_path", lambda sheaf, relations: "dense")
+        dense = {i: row for i, _, row in rows_of(query.answer_queries(queries, model))}
+    for answered in (query.answer_queries(queries, model), answered_one_at_a_time(queries, model)):
+        seen = set()
+        for i, candidates, row in rows_of(answered):
+            ids, values = oracle_ranking(queries[i], model)
+            per_query = np.empty(len(ids))
+            per_query[np.searchsorted(candidates, ids)] = values
+            for want in (dense[i], per_query):
+                tol = 1e-12 * max(1.0, float(np.max(np.abs(want))))
+                np.testing.assert_allclose(row, want, rtol=0, atol=tol)
+            seen.add(i)
+        assert seen == set(range(len(queries)))
+
+
+def gauge_defect(model, relations):
+    return max(float(np.max(np.abs(f.T @ f - np.eye(len(f)))))
+               for r in relations for f in (model.sheaf.head_maps[r], model.sheaf.tail_maps[r]))
+
+
+@pytest.mark.parametrize("variant", ["shv", "shvt"])
+@pytest.mark.parametrize("m", [1, 3])
+def test_square_orthogonal_maps_answer_through_the_gauge(monkeypatch, variant, m):
+    rng = np.random.default_rng(60 + m)
+    model = square_model(rng, variant, m)
+    queries = random_queries(rng, model, keys_per_structure=5, per_key=2, keys_of=SQUARE_KEYS)
+    identity = {SQUARE.relation_ids[name] for name in SQUARE_IDENTITY}
+    paths = {q.relations: query._path(model.sheaf, q.relations) for q in queries}
+    assert set(paths.values()) == {"identity", "gauge"}
+    # a gauge batch whose groups mix identity-tagged and orthogonal relations
+    assert any(path == "gauge" and identity & set(relations) for relations, path in paths.items())
+    assert_rows_match_dense_and_per_query_oracles(queries, model, monkeypatch)
+    assert evaluate(model, queries) == oracle_evaluate(model, queries)
+    seen = record_stalks(monkeypatch)
+    evaluate(model, queries)
+    for q in queries:
+        answer_query(q, model)
+    assert seen and all(set(dims) == {1} for dims in seen)  # the scalar templates only: nothing dense
+
+
+def perturbed(model, rng, defect):
+    """A copy whose orthogonal-tagged maps are ``F (I + E)``, ``E`` symmetric, ``max|F^T F - I|`` near ``defect``."""
+    out = model.copy()
+    for r, kind in enumerate(out.sheaf.constraints):
+        if kind == "orthogonal":
+            for f in (out.sheaf.head_maps[r], out.sheaf.tail_maps[r]):
+                e = rng.uniform(-1.0, 1.0, size=f.shape)
+                e = (e + e.T) / 2.0
+                f[...] = f @ (np.eye(len(f)) + defect / 2.0 * e / np.max(np.abs(e)))
+    return out
+
+
+@pytest.mark.parametrize("variant", ["shv", "shvt"])
+def test_maps_just_inside_the_gate_keep_the_gauge_within_the_tolerance(monkeypatch, variant):
+    rng = np.random.default_rng(71)
+    model = perturbed(square_model(rng, variant, 2), rng, 0.9 * GAUGE_TOL)
+    orthogonal = [r for r, kind in enumerate(model.sheaf.constraints) if kind == "orthogonal"]
+    assert 0.5 * GAUGE_TOL < gauge_defect(model, orthogonal) <= GAUGE_TOL
+    queries = random_queries(rng, model, keys_per_structure=5, per_key=2, keys_of=SQUARE_KEYS)
+    assert "gauge" in {query._path(model.sheaf, q.relations) for q in queries}
+    seen = record_stalks(monkeypatch)
+    evaluate(model, queries)
+    assert seen and all(set(dims) == {1} for dims in seen)
+    assert_rows_match_dense_and_per_query_oracles(queries, model, monkeypatch)
+
+
+@pytest.mark.parametrize("variant", ["shv", "shvt"])
+def test_maps_just_past_the_gate_answer_through_the_dense_path(monkeypatch, variant):
+    rng = np.random.default_rng(72)
+    model = perturbed(square_model(rng, variant, 2), rng, 1.2 * GAUGE_TOL)
+    orthogonal = {r for r, kind in enumerate(model.sheaf.constraints) if kind == "orthogonal"}
+    assert GAUGE_TOL < gauge_defect(model, orthogonal) < 2 * GAUGE_TOL
+    assert not any(model.sheaf.orthogonal_maps([r]) for r in orthogonal)
+    queries = random_queries(rng, model, keys_per_structure=5, per_key=2, keys_of=SQUARE_KEYS)
+    for q in queries:  # a query with one map past the gate is dense; identity maps alone stay identity
+        assert query._path(model.sheaf, q.relations) == ("dense" if orthogonal & set(q.relations) else "identity")
+    seen = record_stalks(monkeypatch)
+    assert_rows_match_the_oracle(queries, model, query.answer_queries(queries, model))
+    assert_rows_match_the_oracle(queries, model, answered_one_at_a_time(queries, model))
+    assert {frozenset(dims) for dims in seen} == {frozenset({1}), frozenset({4})}  # real vertex dims: dense
+
+
+def test_non_square_orthogonal_maps_stay_dense(monkeypatch):
+    rng = np.random.default_rng(73)
+    model = ragged_model(rng, "shvt", "orthogonal", 2)
+    square = {RAGGED.relation_ids[name] for name in ("knows", "near")}  # edge dim = both vertex dims
+    for r in range(RAGGED.n_relations):  # lives_in (edge 6), born_in (3 -> 5) and hosts (edge 7) are not square
+        assert query._path(model.sheaf, [r]) == ("gauge" if r in square else "dense")
+    queries = random_queries(rng, model, keys_per_structure=4)
+    assert {query._path(model.sheaf, q.relations) for q in queries} == {"gauge", "dense"}
+    assert_rows_match_dense_and_per_query_oracles(queries, model, monkeypatch)
+    seen = record_stalks(monkeypatch)
+    evaluate(model, queries)
+    assert any(set(dims) != {1} for dims in seen)
+    assert all(set(dims) <= {1, 3, 5} for dims in seen)  # the stalks' real dims, or the scalar template's

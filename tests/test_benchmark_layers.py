@@ -53,16 +53,17 @@ def test_instrument_wraps_existing_names_and_restores_them():
 
 def test_batched_and_interactive_answering_feed_the_sheaf_and_query_layers():
     layers = ("sheaf.assemble_laplacian", "sheaf.psd_pinv", "query.build_query_graph", "query.query_sheaf")
-    # orthogonal maps take the dense path, which assembles and eliminates on every call
+    # free maps take the dense path, which assembles and eliminates on every call
     ds = sheaf_kg.synth.generate_planted_kg(30, 2, 4, 0.0, seed=0, variant="shv")
+    model = init_for_kg(ModelConfig(variant="shv", entity_dim=4, relation_dim=4, constraint="free"), ds.kg, seed=0)
     index = sheaf_kg.kgdata.build_index(ds.kg)
     queries = sheaf_kg.evaluation.build_easy_queries(ds.kg, index, "2p", 4, np.random.default_rng(0))
     assert queries
     with Tracer() as tracer:
         instrument(tracer, sheaf_kg)
-        sheaf_kg.evaluation.evaluate(ds.generator, queries)
+        sheaf_kg.evaluation.evaluate(model, queries)
         after_evaluate = tracer.layer_times()
-        sheaf_kg.query.answer_query(queries[0], ds.generator)
+        sheaf_kg.query.answer_query(queries[0], model)
         after_answer = tracer.layer_times()
     for name in layers:
         assert after_evaluate[name].calls >= 1, name

@@ -1,10 +1,12 @@
-"""The benchmark keeps a workload on each side of the answering path choice.
+"""The benchmark keeps a workload on each of the three answering paths.
 
-Queries over identity restriction maps eliminate on the scalar template graph
-(``query._HarmonicForm``); every other query takes the dense block path. A
-workload edit that moves eval-planted or train-acceptance off identity maps,
-or eval-random or train-orthogonal onto them, would leave one path
-unmeasured, so it fails here.
+``query._path`` sends queries over identity maps to the identity path (the
+scalar template's cached form), queries over square orthogonal maps to the
+gauge path (the same form, with anchors and translations rotated into a frame
+per vertex), and every other query to the dense block path. eval-planted and
+train-acceptance evaluate identity maps, train-orthogonal square orthogonal
+maps and eval-random free maps. A workload edit that leaves any of the three
+paths unmeasured fails here.
 """
 
 import sys
@@ -12,21 +14,22 @@ from pathlib import Path
 
 import pytest
 
+from sheaf_kg import query
+
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "benchmarks"))
 
 from workloads import WORKLOADS, scaled  # noqa: E402
 
 
-@pytest.mark.parametrize("name, identity", [
-    ("eval-planted", True), ("train-acceptance", True), ("eval-random", False), ("train-orthogonal", False),
+@pytest.mark.parametrize("name, path", [
+    ("eval-planted", "identity"), ("train-acceptance", "identity"),
+    ("eval-random", "dense"), ("train-orthogonal", "gauge"),
 ])
-def test_each_workload_evaluates_on_its_side_of_the_identity_path(name, identity):
+def test_each_workload_evaluates_on_its_side_of_the_identity_path(name, path):
     workload = scaled(WORKLOADS[name], 0.05)
     _, model = workload.make_graph(workload.entities, 1)
-    relations = range(model.schema.n_relations)
+    relations = list(range(model.schema.n_relations))
     assert len(relations) > 0
-    if identity:
-        assert model.sheaf.identity_maps(relations)
-    else:
-        assert not any(model.sheaf.identity_maps([r]) for r in relations)
+    assert [query._path(model.sheaf, [r]) for r in relations] == [path] * len(relations)
+    assert query._path(model.sheaf, relations) == path

@@ -981,6 +981,16 @@ class TestErrorBoundary:
         assert res.exit_code == 2
         assert res.output == "error: --seeds must be comma-separated distinct integers >= 0, got '1,1'\n"
 
+    @pytest.mark.parametrize("flag", ["--train", "--type-file"])
+    def test_an_empty_input_path_is_one_error_line(self, runner, tmp_path, flag):
+        # an empty --type-file once trained as if no type file were given
+        (tmp_path / "t.tsv").write_text("a\tr\tb\n", encoding="utf-8")
+        given = {"--train": str(tmp_path / "t.tsv"), flag: ""}
+        res = run_cli(runner, ["train", *(a for pair in given.items() for a in pair), "--out", str(tmp_path / "o")])
+        assert res.exit_code == 2, res.output
+        assert res.output == "error: : No such file or directory\n"
+        assert not (tmp_path / "o").exists()
+
     def test_unknown_relation_in_a_query_file_is_one_error_line(self, runner, workspace, tmp_path):
         queries = tmp_path / "q.tsv"
         queries.write_text("1p\te00000\trr0\te00001\n", encoding="utf-8")
